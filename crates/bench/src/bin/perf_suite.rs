@@ -47,7 +47,7 @@ use std::time::Instant;
 
 use infuserki_nn::{sampler, NoHook};
 use infuserki_obs::{PerfRecord, PerfSuite};
-use infuserki_serve::{demo_model, spawn_scheduler, Outcome, ServeConfig};
+use infuserki_serve::{demo_model, spawn_scheduler, ControlPlane, Outcome, ServeConfig};
 use infuserki_tensor::{init, kernels, Isa, Matrix, QuantSpec};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -474,9 +474,10 @@ fn bench_ingest_throughput() -> PerfRecord {
         ..PipelineConfig::default()
     };
     let (client, handle) =
-        spawn_scheduler(base.clone(), NoHook, ServeConfig::default()).expect("scheduler spawns");
-    let metrics = client.metrics_handle();
-    let mut pipe = UpdatePipeline::new(base, tok, &wal, cfg, client.clone(), metrics.registry())
+        infuserki_router::spawn_router(Default::default(), |_| (base.clone(), NoHook))
+            .expect("router spawns");
+    let registry = client.metrics().registry();
+    let mut pipe = UpdatePipeline::new(base, tok, &wal, cfg, client.clone(), registry)
         .expect("pipeline opens");
     let names: Vec<&str> = world.entity_names().collect();
     let rel = world.relation_name(world.triples()[0].relation);

@@ -16,7 +16,7 @@
 use std::collections::VecDeque;
 use std::time::Instant;
 
-use infuserki_serve::{demo_model, spawn_scheduler, Outcome, ServeConfig};
+use infuserki_serve::{demo_model, spawn_scheduler, ControlPlane, Outcome, ServeConfig};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 

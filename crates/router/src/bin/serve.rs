@@ -6,37 +6,32 @@
 //! serve --demo --replicas 4 --tenant-rate 50 --tenant-burst 10
 //! ```
 //!
-//! Binds a `TcpListener`, spawns the continuous-batching scheduler — or,
-//! with `--replicas N` (N > 1), a router front over N independent
-//! scheduler replicas — prints `LISTENING <addr>` on stdout (port 0 binds
-//! an ephemeral port — parse the line to find it), then serves
-//! newline-delimited JSON until a peer sends `{"op":"shutdown"}`. See the
-//! serve/router crate docs and README "Serving" for the wire format.
+//! Spawns the router front over `--replicas N` (default 1) independent
+//! continuous-batching scheduler replicas, binds a `TcpListener`, prints
+//! `LISTENING <addr>` on stdout (port 0 binds an ephemeral port — parse
+//! the line to find it), then serves newline-delimited JSON until a peer
+//! sends `{"op":"shutdown"}`. See the router crate docs and README
+//! "Serving" for the wire format.
 
 use std::net::TcpListener;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use infuserki_ingest::{BundlePublisher, PipelineConfig, UpdatePipeline};
+use infuserki_ingest::{PipelineConfig, UpdatePipeline};
 use infuserki_nn::{NoHook, TransformerLm};
 use infuserki_obs as obs;
-use infuserki_router::{spawn_router, RouterConfig};
-use infuserki_serve::{
-    demo_model, load_tokenizer, server, spawn_scheduler, spawn_watcher, ControlOp, ControlOutcome,
-    Frontend, ServeConfig,
+use infuserki_router::{
+    load_tokenizer, server, spawn_router, spawn_watcher, RouterClient, RouterConfig,
 };
+use infuserki_serve::{demo_model, ControlPlane};
 
 struct Args {
     host: String,
     port: u16,
     model: Option<String>,
     demo: bool,
-    cfg: ServeConfig,
-    /// Model replicas behind the front; 1 serves through a single
-    /// scheduler exactly as before, >1 spawns the router.
-    replicas: usize,
-    /// Router tenant shaping (only meaningful with --replicas > 1).
+    /// Replica count, per-replica scheduler config and tenant shaping.
     router: RouterConfig,
     /// Knowledge bundles staged (in order) before the listener comes up;
     /// repeatable. The last one is promoted to active.
@@ -61,8 +56,8 @@ fn usage() -> &'static str {
      [--bundle PATH]... [--trace-out PATH] \
      [--watch-kg DIR --watch-tokenizer PATH [--watch-config PATH]]\n\
      --port 0 binds an ephemeral port; the chosen address is printed as\n\
-     `LISTENING <addr>` on stdout. --replicas N > 1 serves through the\n\
-     multi-replica router: N independent schedulers (each its own KV pool\n\
+     `LISTENING <addr>` on stdout. Serving goes through the router front:\n\
+     --replicas N (default 1) independent schedulers (each its own KV pool\n\
      and budget) behind prefix-affinity dispatch, per-tenant fair-share\n\
      queues (bound --tenant-queue, in-flight cap --tenant-inflight, token\n\
      bucket --tenant-rate req/s with burst --tenant-burst), and atomic\n\
@@ -71,8 +66,8 @@ fn usage() -> &'static str {
      load_bundle/promote/rollback wire ops. --watch-kg runs the online\n\
      knowledge-update pipeline in-process over a WAL directory (append\n\
      facts with `kg_ingest`): batched deltas are trained and published\n\
-     live through the NR promote gate (fleet-wide and all-or-none under\n\
-     --replicas). --watch-tokenizer is the tokenizer JSON matching the\n\
+     live through the NR promote gate (fleet-wide and all-or-none).\n\
+     --watch-tokenizer is the tokenizer JSON matching the\n\
      served model; --watch-config overrides `PipelineConfig` defaults.\n\
      --trace-out enables tracing spans and writes a\n\
      chrome://tracing-loadable JSON trace to PATH at shutdown."
@@ -84,8 +79,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         port: 7878,
         model: None,
         demo: false,
-        cfg: ServeConfig::default(),
-        replicas: 1,
         router: RouterConfig::default(),
         bundles: Vec::new(),
         trace_out: None,
@@ -94,6 +87,7 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         watch_config: None,
     };
     let mut it = argv.iter();
+    let cfg = &mut args.router.serve;
     while let Some(flag) = it.next() {
         let mut value = |name: &str| {
             it.next()
@@ -109,14 +103,16 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                     .parse()
                     .map_err(|_| "--port needs a 16-bit integer".to_string())?;
             }
-            "--budget" => args.cfg.kv_budget_rows = parse_count(&value("--budget")?, "--budget")?,
-            "--batch" => args.cfg.max_batch = parse_count(&value("--batch")?, "--batch")?,
-            "--chunk" => args.cfg.prefill_chunk = parse_count(&value("--chunk")?, "--chunk")?,
-            "--queue" => args.cfg.queue_capacity = parse_count(&value("--queue")?, "--queue")?,
+            "--budget" => cfg.kv_budget_rows = parse_count(&value("--budget")?, "--budget")?,
+            "--batch" => cfg.max_batch = parse_count(&value("--batch")?, "--batch")?,
+            "--chunk" => cfg.prefill_chunk = parse_count(&value("--chunk")?, "--chunk")?,
+            "--queue" => cfg.queue_capacity = parse_count(&value("--queue")?, "--queue")?,
             "--threads" => {
-                args.cfg.threads = Some(parse_count(&value("--threads")?, "--threads")?);
+                cfg.threads = Some(parse_count(&value("--threads")?, "--threads")?);
             }
-            "--replicas" => args.replicas = parse_count(&value("--replicas")?, "--replicas")?,
+            "--replicas" => {
+                args.router.replicas = parse_count(&value("--replicas")?, "--replicas")?
+            }
             "--tenant-queue" => {
                 args.router.tenant_queue_capacity =
                     parse_count(&value("--tenant-queue")?, "--tenant-queue")?;
@@ -183,36 +179,26 @@ fn parse_rate(raw: &str, flag: &str) -> Result<f64, String> {
 
 /// Everything between "front is up" and "accept loop returned": bundle
 /// staging, the optional watch-kg pipeline, the listener and the JSONL
-/// accept loop. Generic over the front so the single-scheduler `Client`
-/// and the multi-replica `RouterClient` share one code path (control ops
-/// and publishes fan out fleet-wide under the latter).
-fn run_front<F>(
+/// accept loop. Control ops and publishes fan out to every replica.
+fn run_front(
     args: &Args,
-    client: F,
-    pipeline_registry: &obs::Registry,
+    client: RouterClient,
     mut watch_model: Option<TransformerLm>,
     stop: &Arc<AtomicBool>,
     threads: usize,
-) -> Result<(), u8>
-where
-    F: Frontend + BundlePublisher,
-{
+) -> Result<(), u8> {
     // Stage every --bundle in order and promote the last, so the process
     // comes up already serving the newest knowledge; earlier ones stay
     // pinnable (and are the rollback target).
     let mut last_version = None;
     for path in &args.bundles {
-        match client.control_op(ControlOp::LoadBundle { path: path.clone() }) {
-            Ok(ControlOutcome::Loaded(info)) => {
+        match client.load_bundle(path) {
+            Ok(info) => {
                 eprintln!(
                     "serve: staged bundle `{}` ({path}) as version {}",
                     info.name, info.version
                 );
                 last_version = Some(info.version);
-            }
-            Ok(other) => {
-                eprintln!("serve: unexpected load outcome {other:?}");
-                return Err(2);
             }
             Err(e) => {
                 eprintln!("serve: failed to load bundle `{path}`: {e}");
@@ -221,7 +207,7 @@ where
         }
     }
     if let Some(v) = last_version {
-        if let Err(e) = client.control_op(ControlOp::Promote { version: v }) {
+        if let Err(e) = client.promote(v) {
             eprintln!("serve: failed to promote bundle version {v}: {e}");
             return Err(2);
         }
@@ -268,7 +254,7 @@ where
             wal_dir,
             pcfg,
             client.clone(),
-            pipeline_registry,
+            client.metrics().registry(),
         ) {
             Ok(p) => p,
             Err(e) => {
@@ -300,16 +286,16 @@ where
     println!("LISTENING {addr}");
     eprintln!(
         "serve: {} replica(s), {} threads, budget {} rows, batch {}, chunk {}, queue {}",
-        args.replicas,
+        args.router.replicas,
         threads,
-        args.cfg.kv_budget_rows,
-        args.cfg.max_batch,
-        args.cfg.prefill_chunk,
-        args.cfg.queue_capacity
+        args.router.serve.kv_budget_rows,
+        args.router.serve.max_batch,
+        args.router.serve.prefill_chunk,
+        args.router.serve.queue_capacity
     );
     let accept_result = server::run(listener, client, Arc::clone(stop));
     // The watcher goes down first (it publishes through the front), then
-    // the caller drains the scheduler(s).
+    // the caller drains the fleet.
     stop.store(true, Ordering::Relaxed);
     if let Some(w) = watcher {
         let _ = w.join();
@@ -338,7 +324,7 @@ fn main() -> ExitCode {
     }
     // Resolve the thread knob before anything binds so a mistyped
     // INFUSERKI_THREADS fails loudly here, not inside a kernel.
-    let threads = match args.cfg.apply_threads() {
+    let threads = match args.router.serve.apply_threads() {
         Ok(n) => n,
         Err(e) => {
             eprintln!("serve: {e}");
@@ -358,58 +344,24 @@ fn main() -> ExitCode {
         }
     };
     // The watcher's pipeline trains against its own copy of the frozen
-    // base; taken before the scheduler thread(s) consume the original.
+    // base; taken before the replicas consume the originals.
     let watch_model = args.watch_kg.as_ref().map(|_| model.clone());
     let stop = Arc::new(AtomicBool::new(false));
-    let result = if args.replicas > 1 {
-        let mut rcfg = args.router.clone();
-        rcfg.replicas = args.replicas;
-        rcfg.serve = args.cfg.clone();
-        // Every replica serves an identical model copy, so responses are
-        // independent of which replica a request lands on.
-        let mut copies: Vec<TransformerLm> =
-            (0..args.replicas - 1).map(|_| model.clone()).collect();
-        copies.push(model);
-        let (client, handle) = match spawn_router(rcfg, move |_| {
-            (copies.pop().expect("one model copy per replica"), NoHook)
-        }) {
-            Ok(ch) => ch,
-            Err(e) => {
-                eprintln!("serve: {e}");
-                return ExitCode::from(2);
-            }
-        };
-        let registry_client = client.clone();
-        let result = run_front(
-            &args,
-            client,
-            registry_client.metrics().registry(),
-            watch_model,
-            &stop,
-            threads,
-        );
-        handle.shutdown();
-        result
-    } else {
-        let (client, sched) = match spawn_scheduler(model, NoHook, args.cfg.clone()) {
-            Ok(cs) => cs,
-            Err(e) => {
-                eprintln!("serve: {e}");
-                return ExitCode::from(2);
-            }
-        };
-        let metrics = client.metrics_handle();
-        let result = run_front(
-            &args,
-            client,
-            metrics.registry(),
-            watch_model,
-            &stop,
-            threads,
-        );
-        sched.shutdown();
-        result
+    // Every replica serves an identical model copy, so responses are
+    // independent of which replica a request lands on.
+    let mut copies: Vec<TransformerLm> = (1..args.router.replicas).map(|_| model.clone()).collect();
+    copies.push(model);
+    let (client, handle) = match spawn_router(args.router.clone(), move |_| {
+        (copies.pop().expect("one model copy per replica"), NoHook)
+    }) {
+        Ok(ch) => ch,
+        Err(e) => {
+            eprintln!("serve: {e}");
+            return ExitCode::from(2);
+        }
     };
+    let result = run_front(&args, client, watch_model, &stop, threads);
+    handle.shutdown();
     if let Err(code) = result {
         return ExitCode::from(code);
     }

@@ -39,7 +39,7 @@ pub struct RouterConfig {
 impl Default for RouterConfig {
     fn default() -> Self {
         RouterConfig {
-            replicas: 2,
+            replicas: 1,
             serve: ServeConfig::default(),
             tenant_queue_capacity: 256,
             max_tenant_inflight: 0,

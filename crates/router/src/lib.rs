@@ -1,14 +1,15 @@
 //! # infuserki-router
 //!
-//! The fleet layer over `infuserki-serve`: one front door, N in-process
-//! model replicas.
+//! The serving front over `infuserki-serve`: one front door, N ≥ 1
+//! in-process model replicas.
 //!
 //! A single continuous-batching scheduler saturates at one model instance.
 //! [`spawn_router`] brings up `replicas` independent schedulers — each its
-//! own model copy, KV block pool and budget — behind one cloneable
-//! [`RouterClient`] that speaks the same submit/control vocabulary as the
-//! single-scheduler [`infuserki_serve::Client`] (both implement
-//! [`infuserki_serve::Frontend`], so the JSONL TCP front is shared).
+//! own model copy, KV block pool and budget, reached over its own
+//! [`infuserki_serve::Client`] — behind one cloneable [`RouterClient`].
+//! Everything caller-facing goes through that client at every N, one
+//! replica included: the JSONL TCP server ([`server`]), the `serve` binary
+//! and its `--watch-kg` update loop ([`watch`]).
 //!
 //! Three mechanisms make the fleet more than a load balancer:
 //!
@@ -42,7 +43,10 @@ pub mod affinity;
 pub mod config;
 pub mod metrics;
 pub mod router;
+pub mod server;
+pub mod watch;
 
 pub use config::RouterConfig;
 pub use metrics::RouterMetrics;
-pub use router::{spawn_router, PendingResponse, RouterClient, RouterHandle};
+pub use router::{spawn_router, RouterClient, RouterHandle};
+pub use watch::{load_tokenizer, spawn_watcher};

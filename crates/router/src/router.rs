@@ -24,7 +24,7 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -32,8 +32,8 @@ use std::time::{Duration, Instant};
 use infuserki_nn::{LayerHook, TransformerLm};
 use infuserki_serve::{
     spawn_scheduler, BundleInfo, CancelToken, Client, ControlError, ControlOp, ControlOutcome,
-    EngineLimits, Frontend, GateReport, Outcome, RejectReason, RequestId, RequestKind, Response,
-    SchedulerHandle, SubmitError, SubmitOpts,
+    ControlPlane, EngineLimits, Outcome, RejectReason, RequestId, RequestKind, Response,
+    ResponseHandle, SchedulerHandle, SubmitError, SubmitOpts,
 };
 
 use crate::affinity;
@@ -144,48 +144,9 @@ impl Inner {
     }
 }
 
-/// Awaits one response submitted through [`RouterClient::submit`].
-#[derive(Debug)]
-pub struct PendingResponse {
-    /// The submitted request's id.
-    pub id: RequestId,
-    rx: Receiver<Response>,
-    cancel: CancelToken,
-}
-
-impl PendingResponse {
-    /// Requests cancellation (queued or in-flight).
-    pub fn cancel(&self) {
-        self.cancel.cancel();
-    }
-
-    /// The cancellation token.
-    pub fn cancel_token(&self) -> CancelToken {
-        self.cancel.clone()
-    }
-
-    /// Blocks until the terminal outcome arrives.
-    pub fn wait(self) -> Result<Outcome, SubmitError> {
-        self.rx
-            .recv()
-            .map(|r| r.outcome)
-            .map_err(|_| SubmitError::Disconnected)
-    }
-
-    /// Blocks up to `timeout`; `Ok(None)` on timeout.
-    pub fn wait_timeout(&self, timeout: Duration) -> Result<Option<Outcome>, SubmitError> {
-        match self.rx.recv_timeout(timeout) {
-            Ok(r) => Ok(Some(r.outcome)),
-            Err(RecvTimeoutError::Timeout) => Ok(None),
-            Err(RecvTimeoutError::Disconnected) => Err(SubmitError::Disconnected),
-        }
-    }
-}
-
-/// Cloneable handle submitting requests and control ops to the fleet.
-/// Implements [`Frontend`] (the TCP server serves it directly) and
-/// [`infuserki_ingest::BundlePublisher`] (`--watch-kg` publishes through
-/// it, reaching every replica atomically).
+/// Cloneable handle submitting requests and control ops to the fleet: the
+/// one front the TCP server serves and `--watch-kg` publishes through
+/// (reaching every replica atomically), at any replica count N ≥ 1.
 #[derive(Clone)]
 pub struct RouterClient {
     inner: Arc<Inner>,
@@ -225,11 +186,11 @@ impl RouterClient {
         kind: RequestKind,
         opts: SubmitOpts,
         tenant: Option<&str>,
-    ) -> Result<PendingResponse, SubmitError> {
+    ) -> Result<ResponseHandle, SubmitError> {
         let (tx, rx) = mpsc::channel();
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let cancel = self.submit_with_sender(id, kind, opts, tenant, tx)?;
-        Ok(PendingResponse { id, rx, cancel })
+        Ok(ResponseHandle::new(id, rx, cancel))
     }
 
     /// Submission for callers that own the response channel (the TCP
@@ -244,9 +205,6 @@ impl RouterClient {
         tx: Sender<Response>,
     ) -> Result<CancelToken, SubmitError> {
         let inner = &self.inner;
-        if inner.stop.load(Ordering::SeqCst) {
-            return Err(SubmitError::Rejected(RejectReason::ShuttingDown));
-        }
         inner
             .limits
             .validate(&kind)
@@ -263,6 +221,12 @@ impl RouterClient {
         };
         {
             let mut t = inner.tenants.lock().unwrap();
+            // Checked under the lock the dispatcher drains under: a request
+            // that gets in before the final drain is rejected by it, one
+            // that comes after sees `stop` — none is parked unanswered.
+            if inner.stop.load(Ordering::SeqCst) {
+                return Err(SubmitError::Rejected(RejectReason::ShuttingDown));
+            }
             if !t.map.contains_key(&tenant) {
                 t.map.insert(tenant.clone(), TenantState::new(&inner.cfg));
                 t.order.push(tenant.clone());
@@ -280,52 +244,6 @@ impl RouterClient {
         }
         inner.cv.notify_all();
         Ok(cancel)
-    }
-
-    /// Executes one knowledge-bundle control op across the fleet. Loads
-    /// stage everywhere; promotes are all-or-none (any refusal rolls the
-    /// already-promoted replicas back); rollbacks and listings address
-    /// every / the first live replica.
-    pub fn control(&self, op: ControlOp) -> Result<ControlOutcome, ControlError> {
-        match op {
-            ControlOp::LoadBundle { path } => self.fan_load(&path),
-            ControlOp::Promote { version } => self.fan_promote(version, None),
-            ControlOp::Rollback => self.fan_rollback(),
-            ControlOp::ListBundles => self.first_alive()?.control(ControlOp::ListBundles),
-        }
-    }
-
-    /// Loads, verifies and stages a bundle file on every live replica.
-    pub fn load_bundle(&self, path: &str) -> Result<BundleInfo, ControlError> {
-        match self.fan_load(path)? {
-            ControlOutcome::Loaded(info) => Ok(info),
-            other => unreachable!("load_bundle returned {other:?}"),
-        }
-    }
-
-    /// Promotes a staged version fleet-wide, all-or-none.
-    pub fn promote(&self, version: u32) -> Result<Option<GateReport>, ControlError> {
-        match self.fan_promote(version, None)? {
-            ControlOutcome::Promoted { gate, .. } => Ok(gate),
-            other => unreachable!("promote returned {other:?}"),
-        }
-    }
-
-    /// Restores the previously active version on every live replica.
-    pub fn rollback(&self) -> Result<u32, ControlError> {
-        match self.fan_rollback()? {
-            ControlOutcome::RolledBack { version } => Ok(version),
-            other => unreachable!("rollback returned {other:?}"),
-        }
-    }
-
-    /// Every registered knowledge version, from the first live replica
-    /// (the registries march in lockstep — all control traffic fans out).
-    pub fn list_bundles(&self) -> Result<Vec<BundleInfo>, ControlError> {
-        match self.first_alive()?.control(ControlOp::ListBundles)? {
-            ControlOutcome::Bundles(list) => Ok(list),
-            other => unreachable!("list_bundles returned {other:?}"),
-        }
     }
 
     /// Promote with a fault injected at one replica: that replica receives
@@ -443,7 +361,7 @@ impl RouterClient {
     }
 
     /// Router + per-replica metrics as one JSON object (the wire `metrics`
-    /// op payload in `--replicas` mode).
+    /// op payload).
     pub fn metrics_json(&self) -> String {
         let m = &self.inner.metrics;
         let alive = self.inner.alive_flags();
@@ -481,54 +399,19 @@ impl RouterClient {
     }
 }
 
-impl infuserki_ingest::BundlePublisher for RouterClient {
-    /// Fleet-wide load → stage → all-or-none promote. A promote-time NR
-    /// gate refusal on any replica rolls the whole group back and comes
-    /// back typed, so `--watch-kg` drops the batch while every replica
-    /// keeps serving the previous version.
-    fn publish(
-        &self,
-        path: &std::path::Path,
-    ) -> Result<infuserki_ingest::PublishReport, infuserki_ingest::PublishError> {
-        use infuserki_ingest::{PublishError, PublishReport};
-        let path_str = path.to_str().ok_or_else(|| {
-            PublishError::Other(format!("non-utf8 bundle path {}", path.display()))
-        })?;
-        let info = self
-            .load_bundle(path_str)
-            .map_err(|e| PublishError::Other(e.to_string()))?;
-        match self.promote(info.version) {
-            Ok(_) => Ok(PublishReport {
-                version: info.version,
-            }),
-            Err(ControlError::NrGateFailed { gate, .. }) => Err(PublishError::GateRefused {
-                probes: gate.probes as u32,
-                staged_correct: gate.staged_correct as u32,
-                active_correct: gate.active_correct as u32,
-            }),
-            Err(e) => Err(PublishError::Other(e.to_string())),
+impl ControlPlane for RouterClient {
+    /// Executes one knowledge-bundle control op across the fleet. Loads
+    /// stage everywhere; promotes are all-or-none (any refusal rolls the
+    /// already-promoted replicas back); rollbacks address every live
+    /// replica and listings the first (the registries march in lockstep —
+    /// all control traffic fans out).
+    fn control(&self, op: ControlOp) -> Result<ControlOutcome, ControlError> {
+        match op {
+            ControlOp::LoadBundle { path } => self.fan_load(&path),
+            ControlOp::Promote { version } => self.fan_promote(version, None),
+            ControlOp::Rollback => self.fan_rollback(),
+            ControlOp::ListBundles => self.first_alive()?.control(ControlOp::ListBundles),
         }
-    }
-}
-
-impl Frontend for RouterClient {
-    fn submit_request(
-        &self,
-        id: RequestId,
-        kind: RequestKind,
-        opts: SubmitOpts,
-        tenant: Option<&str>,
-        tx: Sender<Response>,
-    ) -> Result<CancelToken, SubmitError> {
-        self.submit_with_sender(id, kind, opts, tenant, tx)
-    }
-
-    fn control_op(&self, op: ControlOp) -> Result<ControlOutcome, ControlError> {
-        self.control(op)
-    }
-
-    fn metrics_json(&self) -> String {
-        RouterClient::metrics_json(self)
     }
 }
 

@@ -17,10 +17,8 @@
 //! The optional `bundle` field on `generate`/`mcq` pins the request to a
 //! loaded knowledge-bundle version; unpinned requests run on whatever
 //! version is active at admission (see the scheduler docs). The optional
-//! `tenant` string field tags the request with a tenant id: ignored by
-//! single-scheduler serving, used by the multi-replica router front
-//! (`serve --replicas N`) to key fair-share queues and token-bucket rate
-//! limits. Control ops
+//! `tenant` string field tags the request with a tenant id, which keys the
+//! router's fair-share queues and token-bucket rate limits. Control ops
 //! reply `{"status":"bundle_loaded","bundle":{...}}`,
 //! `{"status":"promoted","version":1,"gate":{...}}`,
 //! `{"status":"rolled_back","version":0}` and
@@ -41,14 +39,15 @@
 //!
 //! `cancel` acks with `{"id":N,"status":"cancel_requested"}`; the request
 //! itself still terminates with its own response. `metrics` replies
-//! `{"status":"metrics","metrics":{...}}` (a [`crate::MetricsSnapshot`]).
-//! `shutdown` acks `{"status":"shutting_down"}` and stops the accept loop;
-//! the binary then drains the scheduler.
+//! `{"status":"metrics","metrics":{...}}` ([`RouterClient::metrics_json`]:
+//! router counters plus one `{"alive","dispatched","outstanding","serve"}`
+//! object per replica). `shutdown` acks `{"status":"shutting_down"}` and
+//! stops the accept loop; the binary then drains the fleet.
 //!
 //! The front-end adds no protocol state beyond a per-connection id→cancel
-//! map: every submission funnels into the scheduler through the same
-//! in-process [`Client`] the library offers, so wire requests and
-//! in-process requests share one queue, one budget and one batch.
+//! map: every submission funnels through the same in-process
+//! [`RouterClient`] the library offers, so wire requests and in-process
+//! requests share the same tenant queues, budgets and batches.
 
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
@@ -59,59 +58,12 @@ use std::time::{Duration, Instant};
 
 use serde::Value;
 
-use crate::client::{Client, SubmitOpts};
-use crate::registry::{BundleInfo, ControlError, ControlOp, ControlOutcome, GateReport};
-use crate::request::{
-    CancelToken, GenerateSpec, McqSpec, Outcome, RejectReason, RequestId, RequestKind, Response,
-    SubmitError,
+use infuserki_serve::{
+    BundleInfo, CancelToken, ControlError, ControlOp, ControlOutcome, ControlPlane, GateReport,
+    GenerateSpec, McqSpec, Outcome, RejectReason, RequestKind, Response, SubmitError, SubmitOpts,
 };
 
-/// What the TCP front needs from whatever sits behind it: a single
-/// scheduler's [`Client`], or a multi-replica router. Implementations are
-/// cloned per connection, so they must be cheap shared handles.
-///
-/// The optional `tenant` tag comes from the wire request's `"tenant"`
-/// field. Single-scheduler serving ignores it; the router front keys its
-/// fair-share queues and token buckets on it.
-pub trait Frontend: Clone + Send + 'static {
-    /// Submits one request; the terminal [`Response`] arrives on `tx`.
-    fn submit_request(
-        &self,
-        id: RequestId,
-        kind: RequestKind,
-        opts: SubmitOpts,
-        tenant: Option<&str>,
-        tx: mpsc::Sender<Response>,
-    ) -> Result<CancelToken, SubmitError>;
-
-    /// Executes one knowledge-bundle control op.
-    fn control_op(&self, op: ControlOp) -> Result<ControlOutcome, ControlError>;
-
-    /// Point-in-time metrics as a JSON object string (the `metrics` op's
-    /// payload).
-    fn metrics_json(&self) -> String;
-}
-
-impl Frontend for Client {
-    fn submit_request(
-        &self,
-        id: RequestId,
-        kind: RequestKind,
-        opts: SubmitOpts,
-        _tenant: Option<&str>,
-        tx: mpsc::Sender<Response>,
-    ) -> Result<CancelToken, SubmitError> {
-        self.submit_with_sender(id, kind, opts, tx)
-    }
-
-    fn control_op(&self, op: ControlOp) -> Result<ControlOutcome, ControlError> {
-        self.control(op)
-    }
-
-    fn metrics_json(&self) -> String {
-        self.metrics().to_json()
-    }
-}
+use crate::router::RouterClient;
 
 /// Serializes a `Value` tree as one line (no trailing newline).
 fn json_line(v: &Value) -> String {
@@ -375,7 +327,7 @@ fn send_line(stream: &Arc<Mutex<TcpStream>>, line: &str) -> std::io::Result<()> 
 /// Serves one connection: reads request lines, submits through `client`,
 /// and writes responses as they complete. Returns `true` if the peer asked
 /// the whole server to shut down.
-fn handle_connection<F: Frontend>(stream: TcpStream, client: &F) -> std::io::Result<bool> {
+fn handle_connection(stream: TcpStream, client: &RouterClient) -> std::io::Result<bool> {
     let reader = BufReader::new(stream.try_clone()?);
     let writer = Arc::new(Mutex::new(stream));
     // All of this connection's requests respond through one channel; the
@@ -440,7 +392,7 @@ fn handle_connection<F: Frontend>(stream: TcpStream, client: &F) -> std::io::Res
                     }
                 };
                 let tenant = value.get_field("tenant").and_then(Value::as_str);
-                match client.submit_request(id, kind, opts, tenant, tx.clone()) {
+                match client.submit_with_sender(id, kind, opts, tenant, tx.clone()) {
                     Ok(cancel) => {
                         cancels.insert(id, cancel);
                     }
@@ -467,15 +419,16 @@ fn handle_connection<F: Frontend>(stream: TcpStream, client: &F) -> std::io::Res
                 Err(e) => send_line(&writer, &error_line(None, &ctx(e)))?,
             },
             "metrics" => {
-                let snap_value: Value = serde_json::from_str(&client.metrics_json())
-                    .expect("snapshot JSON round-trips");
-                let v = obj(vec![("status", str_v("metrics")), ("metrics", snap_value)]);
-                send_line(&writer, &json_line(&v))?;
+                let line = format!(
+                    "{{\"status\":\"metrics\",\"metrics\":{}}}",
+                    client.metrics_json()
+                );
+                send_line(&writer, &line)?;
             }
             "load_bundle" => {
                 match value.get_field("path").and_then(Value::as_str) {
                     Some(path) => {
-                        let res = client.control_op(ControlOp::LoadBundle { path: path.into() });
+                        let res = client.control(ControlOp::LoadBundle { path: path.into() });
                         send_line(&writer, &control_line(&res))?;
                     }
                     None => send_line(
@@ -486,7 +439,7 @@ fn handle_connection<F: Frontend>(stream: TcpStream, client: &F) -> std::io::Res
             }
             "promote" => match field_usize(&value, "version") {
                 Ok(v) if v <= u32::MAX as usize => {
-                    let res = client.control_op(ControlOp::Promote { version: v as u32 });
+                    let res = client.control(ControlOp::Promote { version: v as u32 });
                     send_line(&writer, &control_line(&res))?;
                 }
                 Ok(_) => send_line(
@@ -496,11 +449,11 @@ fn handle_connection<F: Frontend>(stream: TcpStream, client: &F) -> std::io::Res
                 Err(e) => send_line(&writer, &error_line(None, &ctx(e)))?,
             },
             "rollback" => {
-                let res = client.control_op(ControlOp::Rollback);
+                let res = client.control(ControlOp::Rollback);
                 send_line(&writer, &control_line(&res))?;
             }
             "list_bundles" => {
-                let res = client.control_op(ControlOp::ListBundles);
+                let res = client.control(ControlOp::ListBundles);
                 send_line(&writer, &control_line(&res))?;
             }
             "shutdown" => {
@@ -528,9 +481,9 @@ fn handle_connection<F: Frontend>(stream: TcpStream, client: &F) -> std::io::Res
 /// `stop` is set externally and the listener is woken by a connection).
 /// Connections are handled on their own threads; in-flight connections keep
 /// running after the loop returns and end when their peers disconnect.
-pub fn run<F: Frontend>(
+pub fn run(
     listener: TcpListener,
-    client: F,
+    client: RouterClient,
     stop: Arc<AtomicBool>,
 ) -> std::io::Result<()> {
     let addr = listener.local_addr()?;

@@ -4,11 +4,13 @@
 //! Two pieces close the loop between a WAL directory and the serving
 //! registry:
 //!
-//! * [`Client`] implements [`infuserki_ingest::BundlePublisher`], so the
-//!   pipeline's finished bundles go through the real control plane:
-//!   `load_bundle` (verify + stage) then `promote` (NR regression gate). A
-//!   gate refusal maps to [`PublishError::GateRefused`] — the pipeline
-//!   drops the regressing batch and the previous version keeps serving.
+//! * [`RouterClient`] implements [`infuserki_ingest::BundlePublisher`], so
+//!   the pipeline's finished bundles go through the real control plane:
+//!   `load_bundle` (verify + stage on every replica) then `promote` (NR
+//!   regression gate, all-or-none). A gate refusal on any replica rolls the
+//!   group back and maps to [`PublishError::GateRefused`] — the pipeline
+//!   drops the regressing batch and the previous version keeps serving
+//!   everywhere.
 //! * [`spawn_watcher`] drives [`UpdatePipeline::run_once`] on a background
 //!   thread at the configured poll cadence until a stop flag is set, so the
 //!   `serve` binary can ingest and serve from one process. Requests are
@@ -24,15 +26,15 @@ use std::time::Duration;
 use infuserki_ingest::{
     BundlePublisher, PublishError, PublishReport, RoundOutcome, UpdatePipeline,
 };
+use infuserki_serve::{ControlError, ControlPlane};
 use infuserki_text::Tokenizer;
 
-use crate::client::Client;
-use crate::registry::ControlError;
+use crate::router::RouterClient;
 
-impl BundlePublisher for Client {
-    /// load → stage → promote through the scheduler thread. The promote-time
-    /// NR gate is the safety valve: a refusal comes back typed so the
-    /// pipeline can drop the batch instead of erroring out.
+impl BundlePublisher for RouterClient {
+    /// Fleet-wide load → stage → all-or-none promote. The promote-time NR
+    /// gate is the safety valve: a refusal comes back typed so the pipeline
+    /// can drop the batch instead of erroring out.
     fn publish(&self, path: &Path) -> Result<PublishReport, PublishError> {
         let path_str = path.to_str().ok_or_else(|| {
             PublishError::Other(format!("non-utf8 bundle path {}", path.display()))
@@ -70,8 +72,8 @@ pub fn load_tokenizer(path: &str) -> Result<Tokenizer, String> {
 /// set. Round outcomes are narrated on stderr; pipeline errors are logged
 /// and polling continues (ingestion must outlive transient publish
 /// failures — durability lives in the WAL, not in this thread).
-pub fn spawn_watcher<P: BundlePublisher + Send + 'static>(
-    mut pipeline: UpdatePipeline<P>,
+pub fn spawn_watcher(
+    mut pipeline: UpdatePipeline<RouterClient>,
     stop: Arc<AtomicBool>,
 ) -> JoinHandle<()> {
     std::thread::Builder::new()
@@ -117,8 +119,7 @@ pub fn spawn_watcher<P: BundlePublisher + Send + 'static>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::client::spawn_scheduler;
-    use crate::config::ServeConfig;
+    use crate::{spawn_router, RouterConfig};
     use infuserki_core::{GateProbe, InfuserKiConfig, InfuserKiMethod, KnowledgeBundle};
     use infuserki_nn::{sampler, LayerHook, ModelConfig, NoHook, TransformerLm};
     use infuserki_tensor::kernels;
@@ -206,7 +207,7 @@ mod tests {
         let b = base();
         let p1 = save_bundle("pub1", nudged_method(&b, 0.01), &b, Vec::new());
         let p2 = save_bundle("pub2", nudged_method(&b, -0.02), &b, Vec::new());
-        let (client, handle) = spawn_scheduler(base(), NoHook, ServeConfig::default()).unwrap();
+        let (client, handle) = spawn_router(RouterConfig::default(), |_| (base(), NoHook)).unwrap();
         assert_eq!(client.publish(&p1).unwrap(), PublishReport { version: 1 });
         assert_eq!(client.publish(&p2).unwrap(), PublishReport { version: 2 });
         let list = client.list_bundles().unwrap();
@@ -226,7 +227,7 @@ mod tests {
         let bad = nudged_method(&b, 0.05);
         let probes = disagreement_probes(&b, &NoHook, &bad.hook(), 3);
         let p_bad = save_bundle("bad", bad, &b, probes);
-        let (client, handle) = spawn_scheduler(base(), NoHook, ServeConfig::default()).unwrap();
+        let (client, handle) = spawn_router(RouterConfig::default(), |_| (base(), NoHook)).unwrap();
         let err = client.publish(&p_bad).unwrap_err();
         assert_eq!(
             err,

@@ -175,8 +175,12 @@ fn loopback_bundle_ops_round_trip() {
     send(r#"{"op":"metrics"}"#);
     let (v, line) = recv();
     let metrics = v.get_field("metrics").expect("metrics object");
+    let serve = match metrics.get_field("replicas") {
+        Some(Value::Array(items)) => items[0].get_field("serve").expect("serve snapshot"),
+        _ => panic!("metrics field replicas missing in {line}"),
+    };
     let field = |name: &str| -> f64 {
-        metrics
+        serve
             .get_field(name)
             .and_then(Value::as_f64)
             .unwrap_or_else(|| panic!("metrics field {name} missing in {line}"))

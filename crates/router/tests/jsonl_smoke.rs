@@ -1,7 +1,9 @@
 //! Loopback smoke test of the `serve` binary: spawn it on an ephemeral
 //! port, round-trip one generate and one MCQ request over the JSONL wire
 //! protocol, verify the generate tokens against the in-process
-//! single-sequence sampler, then shut the server down cleanly.
+//! single-sequence sampler, then shut the server down cleanly — at one
+//! replica and at two, which must answer in the same shapes. A second test
+//! checks that tenant shaping is live at the default single replica.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -32,16 +34,17 @@ fn as_usize_vec(v: &Value) -> Vec<usize> {
     }
 }
 
-#[test]
-fn loopback_generate_and_mcq_round_trip() {
+/// Spawns `serve --demo --port 0 --threads 1 <extra>` and connects to it.
+fn start(extra: &[&str]) -> (ServerGuard, TcpStream, BufReader<TcpStream>) {
     let mut child = Command::new(env!("CARGO_BIN_EXE_serve"))
         .args(["--demo", "--port", "0", "--threads", "1"])
+        .args(extra)
         .stdout(Stdio::piped())
         .stderr(Stdio::null())
         .spawn()
         .expect("serve binary spawns");
     let stdout = child.stdout.take().expect("stdout piped");
-    let mut guard = ServerGuard(child);
+    let guard = ServerGuard(child);
 
     // The binary prints `LISTENING <addr>` once the port is bound.
     let mut lines = BufReader::new(stdout).lines();
@@ -59,9 +62,19 @@ fn loopback_generate_and_mcq_round_trip() {
     stream
         .set_read_timeout(Some(Duration::from_secs(60)))
         .unwrap();
-    let mut writer = stream.try_clone().unwrap();
-    let mut reader = BufReader::new(stream);
+    let writer = stream.try_clone().unwrap();
+    (guard, writer, BufReader::new(stream))
+}
 
+#[test]
+fn loopback_generate_and_mcq_round_trip() {
+    for replicas in ["1", "2"] {
+        round_trip(replicas);
+    }
+}
+
+fn round_trip(replicas: &str) {
+    let (mut guard, mut writer, mut reader) = start(&["--replicas", replicas]);
     writer
         .write_all(
             b"{\"op\":\"generate\",\"id\":1,\"prompt\":[1,2,3],\"max_new\":6}\n\
@@ -118,7 +131,8 @@ fn loopback_generate_and_mcq_round_trip() {
     let probs = sampler::option_probabilities(&scores, &[1, 2, 3]);
     assert_eq!(mcq_best.unwrap(), sampler::argmax(&probs));
 
-    // Metrics op answers with a snapshot object.
+    // Metrics op answers with the router snapshot: fleet counters on top,
+    // one `serve` snapshot per replica — the same shape at every N.
     writer.write_all(b"{\"op\":\"metrics\"}\n").unwrap();
     writer.flush().unwrap();
     let mut line = String::new();
@@ -129,11 +143,27 @@ fn loopback_generate_and_mcq_round_trip() {
         Some("metrics")
     );
     let metrics = v.get_field("metrics").expect("metrics object");
+    assert_eq!(
+        metrics.get_field("dispatched").and_then(Value::as_f64),
+        Some(2.0),
+        "router counters missing in {line}"
+    );
+    let per_replica = match metrics.get_field("replicas") {
+        Some(Value::Array(items)) => items,
+        _ => panic!("metrics field replicas missing in {line}"),
+    };
+    assert_eq!(per_replica.len().to_string(), replicas);
+    // Summed over replicas (at one replica: `replicas[0].serve.<name>`).
     let field = |name: &str| -> f64 {
-        metrics
-            .get_field(name)
-            .and_then(Value::as_f64)
-            .unwrap_or_else(|| panic!("metrics field {name} missing in {line}"))
+        per_replica
+            .iter()
+            .map(|r| {
+                r.get_field("serve")
+                    .and_then(|s| s.get_field(name))
+                    .and_then(Value::as_f64)
+                    .unwrap_or_else(|| panic!("metrics field {name} missing in {line}"))
+            })
+            .sum()
     };
     let completed = field("completed");
     assert!(completed >= 2.0, "both requests completed, got {completed}");
@@ -165,6 +195,59 @@ fn loopback_generate_and_mcq_round_trip() {
     let status = wait_with_timeout(&mut guard.0, Duration::from_secs(30))
         .expect("serve exits after shutdown");
     assert!(status.success(), "serve exited with {status}");
+}
+
+/// Tenant shaping is not a multi-replica feature: at the default single
+/// replica a flooding tenant bounces off its own queue bound with the
+/// typed error while another tenant is served.
+#[test]
+fn tenant_queue_bound_is_live_at_one_replica() {
+    let (_guard, mut writer, mut reader) = start(&[
+        "--replicas",
+        "1",
+        "--tenant-queue",
+        "1",
+        "--tenant-inflight",
+        "1",
+    ]);
+    // One write: the first request is dispatched, the second parks in the
+    // tenant queue, and the rest arrive while the first still decodes.
+    let mut burst = String::new();
+    for id in 0..20 {
+        burst.push_str(&format!(
+            "{{\"op\":\"generate\",\"id\":{id},\"prompt\":[{},2],\"max_new\":64,\"tenant\":\"big\"}}\n",
+            1 + id
+        ));
+    }
+    burst.push_str(
+        "{\"op\":\"generate\",\"id\":100,\"prompt\":[7,8],\"max_new\":4,\"tenant\":\"small\"}\n",
+    );
+    writer.write_all(burst.as_bytes()).unwrap();
+    writer.flush().unwrap();
+
+    let (mut bounced, mut small_ok) = (0, false);
+    for _ in 0..21 {
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("response line");
+        let v: Value = serde_json::from_str(line.trim()).expect("response parses");
+        let id = v.get_field("id").and_then(Value::as_f64).expect("id") as u64;
+        match v.get_field("status").and_then(Value::as_str) {
+            Some("ok") => small_ok |= id == 100,
+            Some("rejected") => {
+                assert_ne!(id, 100, "the polite tenant was bounced: {line}");
+                assert_eq!(
+                    v.get_field("reason").and_then(Value::as_str),
+                    Some("tenant_queue_full"),
+                    "unexpected rejection: {line}"
+                );
+                bounced += 1;
+            }
+            _ => panic!("unexpected response: {line}"),
+        }
+    }
+    assert!(bounced >= 1, "burst never hit the tenant queue bound");
+    assert!(small_ok, "the other tenant was not served");
+    writer.write_all(b"{\"op\":\"shutdown\"}\n").unwrap();
 }
 
 fn wait_with_timeout(child: &mut Child, timeout: Duration) -> Option<std::process::ExitStatus> {

@@ -2,15 +2,15 @@
 //! aggressive tenant, replica death mid-request, and all-or-none group
 //! promotion with an injected partial failure.
 
-use std::sync::{mpsc, Mutex};
+use std::sync::{mpsc, Barrier, Mutex};
 use std::time::Duration;
 
 use infuserki_core::{InfuserKiConfig, InfuserKiMethod, KnowledgeBundle};
 use infuserki_nn::{sampler, LayerHook, NoHook, TransformerLm};
 use infuserki_router::{affinity, spawn_router, RouterConfig};
 use infuserki_serve::{
-    demo_model, ControlError, GenerateSpec, Outcome, RejectReason, RequestKind, ServeConfig,
-    SubmitOpts,
+    demo_model, ControlError, ControlPlane, GenerateSpec, Outcome, RejectReason, RequestKind,
+    ServeConfig, SubmitError, SubmitOpts,
 };
 use infuserki_tensor::kernels;
 
@@ -267,4 +267,51 @@ fn partial_promotion_failure_rolls_the_whole_group_back() {
     handle.shutdown();
     let _ = std::fs::remove_file(&bundle_path);
     kernels::set_num_threads(0);
+}
+
+/// Submissions racing `RouterHandle::shutdown` are all answered: accepted
+/// ones with a terminal outcome, refused ones with `ShuttingDown`. A request
+/// parked in a tenant queue after the dispatcher's final drain would never
+/// be — its sender lives on inside the router, so `wait()` would hang.
+#[test]
+fn submissions_racing_shutdown_all_resolve() {
+    for _round in 0..25 {
+        let (client, handle) = spawn_router(fleet_cfg(1), |_| (demo_model(), NoHook)).unwrap();
+        let start = Barrier::new(5);
+        std::thread::scope(|s| {
+            let hammers: Vec<_> = (0..4usize)
+                .map(|t| {
+                    let (client, start) = (client.clone(), &start);
+                    s.spawn(move || {
+                        start.wait();
+                        let mut accepted = Vec::new();
+                        loop {
+                            match client.submit(gen(vec![1 + t, 2], 2), SubmitOpts::default(), None)
+                            {
+                                Ok(h) => accepted.push(h),
+                                Err(SubmitError::Rejected(RejectReason::ShuttingDown)) => break,
+                                Err(SubmitError::Rejected(RejectReason::TenantQueueFull {
+                                    ..
+                                })) => std::thread::yield_now(),
+                                Err(e) => panic!("unexpected submit error {e:?}"),
+                            }
+                        }
+                        accepted
+                    })
+                })
+                .collect();
+            start.wait();
+            handle.shutdown();
+            for hammer in hammers {
+                for h in hammer.join().expect("hammer thread") {
+                    let id = h.id;
+                    let outcome = h.wait_timeout(Duration::from_secs(20));
+                    assert!(
+                        matches!(outcome, Ok(Some(_))),
+                        "request {id} accepted during shutdown was never answered: {outcome:?}"
+                    );
+                }
+            }
+        });
+    }
 }

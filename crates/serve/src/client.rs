@@ -1,4 +1,5 @@
-//! In-process client: the scheduler on its own thread behind std `mpsc`.
+//! In-process client: one scheduler on its own thread behind std `mpsc` —
+//! the per-replica link the `infuserki-router` front dispatches over.
 //!
 //! [`spawn_scheduler`] moves the model + hook into a scheduler thread and
 //! returns a cloneable [`Client`]. Submission is non-blocking: the client
@@ -18,7 +19,7 @@ use infuserki_nn::{LayerHook, TransformerLm};
 
 use crate::config::ServeConfig;
 use crate::metrics::{MetricsSnapshot, ServeMetrics};
-use crate::registry::{BundleInfo, ControlError, ControlOp, ControlOutcome, GateReport};
+use crate::registry::{ControlError, ControlOp, ControlOutcome, ControlPlane};
 use crate::request::{
     CancelToken, GenerateSpec, McqSpec, Outcome, Request, RequestId, RequestKind, Response,
     SubmitError,
@@ -54,6 +55,12 @@ pub struct ResponseHandle {
 }
 
 impl ResponseHandle {
+    /// Wraps the receiving end of a submission whose sender and `cancel`
+    /// token went to [`Client::submit_with_parts`] (or a front over it).
+    pub fn new(id: RequestId, rx: Receiver<Response>, cancel: CancelToken) -> Self {
+        ResponseHandle { id, rx, cancel }
+    }
+
     /// Requests cancellation; the scheduler responds [`Outcome::Cancelled`]
     /// at its next step unless the request already finished.
     pub fn cancel(&self) {
@@ -127,11 +134,6 @@ impl Client {
         self.metrics.snapshot()
     }
 
-    /// Shared handle to the scheduler's registry-backed metrics.
-    pub fn metrics_handle(&self) -> Arc<ServeMetrics> {
-        Arc::clone(&self.metrics)
-    }
-
     /// Submits a request kind, validating synchronously first. The returned
     /// handle receives exactly one terminal outcome.
     pub fn submit(
@@ -141,23 +143,9 @@ impl Client {
     ) -> Result<ResponseHandle, SubmitError> {
         let (tx, rx) = mpsc::channel();
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let cancel = self.submit_with_sender(id, kind, opts, tx)?;
-        Ok(ResponseHandle { id, rx, cancel })
-    }
-
-    /// Submission for callers that own the response channel (the TCP server
-    /// funnels every request of a connection into one sender). Returns the
-    /// cancellation token. `id` is the caller's, echoed on the response.
-    pub fn submit_with_sender(
-        &self,
-        id: RequestId,
-        kind: RequestKind,
-        opts: SubmitOpts,
-        tx: Sender<Response>,
-    ) -> Result<CancelToken, SubmitError> {
         let cancel = CancelToken::new();
         self.submit_with_parts(id, kind, opts, cancel.clone(), tx)?;
-        Ok(cancel)
+        Ok(ResponseHandle::new(id, rx, cancel))
     }
 
     /// Fully-assembled submission: the caller owns the id, the response
@@ -196,53 +184,6 @@ impl Client {
         let _ = self.tx.send(Msg::Crash);
     }
 
-    /// Executes one knowledge-bundle control op on the scheduler thread
-    /// (between steps — a swap never tears a batch) and blocks for the
-    /// result.
-    pub fn control(&self, op: ControlOp) -> Result<ControlOutcome, ControlError> {
-        let (tx, rx) = mpsc::channel();
-        self.tx
-            .send(Msg::Control(ControlRequest { op, tx }))
-            .map_err(|_| ControlError::Disconnected)?;
-        rx.recv().map_err(|_| ControlError::Disconnected)?
-    }
-
-    /// Loads, verifies and stages a [`infuserki_core::KnowledgeBundle`]
-    /// file; the returned version is pinnable immediately but serves
-    /// unpinned traffic only after [`Client::promote`].
-    pub fn load_bundle(&self, path: &str) -> Result<BundleInfo, ControlError> {
-        match self.control(ControlOp::LoadBundle { path: path.into() })? {
-            ControlOutcome::Loaded(info) => Ok(info),
-            other => unreachable!("load_bundle returned {other:?}"),
-        }
-    }
-
-    /// Promotes a staged version to active (after the scheduler's NR
-    /// regression gate, whose report is returned when the bundle carries
-    /// probes).
-    pub fn promote(&self, version: u32) -> Result<Option<GateReport>, ControlError> {
-        match self.control(ControlOp::Promote { version })? {
-            ControlOutcome::Promoted { gate, .. } => Ok(gate),
-            other => unreachable!("promote returned {other:?}"),
-        }
-    }
-
-    /// Restores the previously active version; returns the now-active one.
-    pub fn rollback(&self) -> Result<u32, ControlError> {
-        match self.control(ControlOp::Rollback)? {
-            ControlOutcome::RolledBack { version } => Ok(version),
-            other => unreachable!("rollback returned {other:?}"),
-        }
-    }
-
-    /// Every registered knowledge version, in version order.
-    pub fn list_bundles(&self) -> Result<Vec<BundleInfo>, ControlError> {
-        match self.control(ControlOp::ListBundles)? {
-            ControlOutcome::Bundles(list) => Ok(list),
-            other => unreachable!("list_bundles returned {other:?}"),
-        }
-    }
-
     /// Greedy generation convenience wrapper.
     pub fn generate(
         &self,
@@ -266,6 +207,18 @@ impl Client {
             RequestKind::Mcq(McqSpec { prompt, options }),
             SubmitOpts::default(),
         )
+    }
+}
+
+impl ControlPlane for Client {
+    /// Runs on the scheduler thread, between steps — a swap never tears a
+    /// batch.
+    fn control(&self, op: ControlOp) -> Result<ControlOutcome, ControlError> {
+        let (tx, rx) = mpsc::channel();
+        self.tx
+            .send(Msg::Control(ControlRequest { op, tx }))
+            .map_err(|_| ControlError::Disconnected)?;
+        rx.recv().map_err(|_| ControlError::Disconnected)?
     }
 }
 

@@ -25,9 +25,10 @@
 //!   [`Scheduler::enqueue`] / [`Scheduler::step`] for deterministic tests.
 //! - [`spawn_scheduler`] — runs the scheduler on its own thread and hands
 //!   back a cloneable in-process [`Client`] (std `mpsc`, blocking and `try`
-//!   waits, cancellation tokens).
-//! - [`server::run`] and the `serve` binary — newline-delimited JSON over
-//!   `std::net::TcpListener` (see README "Serving" for the wire format).
+//!   waits, cancellation tokens). One `Client` is one replica: the front
+//!   door — tenant queues, the JSONL TCP server, the `serve` binary,
+//!   `--watch-kg` — lives in `infuserki-router`, which dispatches over
+//!   N ≥ 1 of these.
 
 pub mod client;
 pub mod config;
@@ -36,23 +37,19 @@ pub mod queue;
 pub mod registry;
 pub mod request;
 pub mod scheduler;
-pub mod server;
-pub mod watch;
 
 pub use client::{spawn_scheduler, Client, ResponseHandle, SchedulerHandle, SubmitOpts};
 pub use config::ServeConfig;
 pub use metrics::{MetricsSnapshot, ServeMetrics};
 pub use registry::{
-    BundleEntry, BundleInfo, BundleRegistry, ControlError, ControlOp, ControlOutcome, GateReport,
-    HookArc,
+    BundleEntry, BundleInfo, BundleRegistry, ControlError, ControlOp, ControlOutcome, ControlPlane,
+    GateReport, HookArc,
 };
 pub use request::{
     CancelToken, GenerateSpec, McqSpec, Outcome, RejectReason, Request, RequestId, RequestKind,
     Response, SubmitError,
 };
 pub use scheduler::{EngineLimits, Scheduler, StepReport};
-pub use server::Frontend;
-pub use watch::{load_tokenizer, spawn_watcher};
 
 use infuserki_nn::{ModelConfig, TransformerLm};
 use rand::SeedableRng;

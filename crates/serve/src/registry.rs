@@ -284,6 +284,49 @@ impl std::fmt::Display for ControlError {
 
 impl std::error::Error for ControlError {}
 
+/// Whatever executes [`ControlOp`]s: one scheduler ([`crate::Client`]) or a
+/// fleet of them behind a router. Implementors supply
+/// [`ControlPlane::control`]; the typed wrappers are written once, here.
+pub trait ControlPlane {
+    /// Executes one knowledge-bundle control op and blocks for the result.
+    fn control(&self, op: ControlOp) -> Result<ControlOutcome, ControlError>;
+
+    /// Loads, verifies and stages a [`infuserki_core::KnowledgeBundle`]
+    /// file; the returned version is pinnable immediately but serves
+    /// unpinned traffic only after [`ControlPlane::promote`].
+    fn load_bundle(&self, path: &str) -> Result<BundleInfo, ControlError> {
+        match self.control(ControlOp::LoadBundle { path: path.into() })? {
+            ControlOutcome::Loaded(info) => Ok(info),
+            other => unreachable!("load_bundle returned {other:?}"),
+        }
+    }
+
+    /// Promotes a staged version to active (after the NR regression gate,
+    /// whose report is returned when the bundle carries probes).
+    fn promote(&self, version: u32) -> Result<Option<GateReport>, ControlError> {
+        match self.control(ControlOp::Promote { version })? {
+            ControlOutcome::Promoted { gate, .. } => Ok(gate),
+            other => unreachable!("promote returned {other:?}"),
+        }
+    }
+
+    /// Restores the previously active version; returns the now-active one.
+    fn rollback(&self) -> Result<u32, ControlError> {
+        match self.control(ControlOp::Rollback)? {
+            ControlOutcome::RolledBack { version } => Ok(version),
+            other => unreachable!("rollback returned {other:?}"),
+        }
+    }
+
+    /// Every registered knowledge version, in version order.
+    fn list_bundles(&self) -> Result<Vec<BundleInfo>, ControlError> {
+        match self.control(ControlOp::ListBundles)? {
+            ControlOutcome::Bundles(list) => Ok(list),
+            other => unreachable!("list_bundles returned {other:?}"),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -104,8 +104,8 @@ pub enum RejectReason {
     },
     /// The scheduler is draining for shutdown.
     ShuttingDown,
-    /// The tenant's fair-share queue is at capacity (multi-replica router
-    /// front; single-scheduler serving never emits this).
+    /// The tenant's fair-share queue is at capacity (emitted by the router
+    /// front, never by a scheduler).
     TenantQueueFull {
         /// The configured per-tenant queue capacity.
         capacity: usize,

@@ -34,8 +34,8 @@ use infuserki::core::{
 };
 use infuserki::nn::{sampler, LayerHook, ModelConfig, NoHook, TransformerLm};
 use infuserki::serve::{
-    ControlError, ControlOp, ControlOutcome, GenerateSpec, McqSpec, Outcome, Request, RequestKind,
-    Response, Scheduler, ServeConfig,
+    ControlError, ControlOp, ControlOutcome, ControlPlane, GenerateSpec, McqSpec, Outcome, Request,
+    RequestKind, Response, Scheduler, ServeConfig,
 };
 use infuserki::tensor::kernels;
 use rand::SeedableRng;

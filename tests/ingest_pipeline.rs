@@ -1,7 +1,7 @@
 //! The online update pipeline against the REAL serving control plane: an
-//! [`infuserki::serve::Client`] is the pipeline's publisher, so bundles go
-//! through load→stage→promote on the scheduler thread with the NR
-//! regression gate live.
+//! [`infuserki::router::RouterClient`] over one replica is the pipeline's
+//! publisher, so bundles go through load→stage→promote on the scheduler
+//! thread with the NR regression gate live.
 //!
 //! Proves the acceptance pair:
 //! * a round of genuinely new facts trains, packages and promotes a bundle
@@ -17,7 +17,8 @@ use infuserki::ingest::{
 };
 use infuserki::kg::{synth_umls, TripleStore, UmlsConfig};
 use infuserki::nn::{ModelConfig, NoHook, TransformerLm};
-use infuserki::serve::{spawn_scheduler, Outcome, ServeConfig};
+use infuserki::router::{spawn_router, RouterConfig};
+use infuserki::serve::{ControlPlane, GenerateSpec, Outcome, RequestKind};
 use infuserki::tensor::kernels;
 use infuserki::text::{prompts, templates::TemplateSet, Tokenizer};
 use rand::SeedableRng;
@@ -116,15 +117,15 @@ fn pipeline_publishes_through_real_gate_then_refuses_regression() {
     }
     ds.sync().unwrap();
 
-    let (client, handle) = spawn_scheduler(base.clone(), NoHook, ServeConfig::default()).unwrap();
-    let metrics = client.metrics_handle();
+    let (client, handle) =
+        spawn_router(RouterConfig::default(), |_| (base.clone(), NoHook)).unwrap();
     let mut pipe = UpdatePipeline::new(
         base,
         tok,
         &dir,
         pipeline_cfg(&dir),
         client.clone(),
-        metrics.registry(),
+        client.metrics().registry(),
     )
     .unwrap();
     assert_eq!(pipe.run_once().unwrap(), RoundOutcome::Idle, "baseline");
@@ -176,7 +177,8 @@ fn pipeline_publishes_through_real_gate_then_refuses_regression() {
         1,
         "exactly one active version"
     );
-    let rx = client.generate(vec![1, 2, 3], 4, None).unwrap();
+    let kind = RequestKind::Generate(GenerateSpec::greedy(vec![1, 2, 3], 4, None));
+    let rx = client.submit(kind, Default::default(), None).unwrap();
     assert!(matches!(rx.wait().unwrap(), Outcome::Generated { .. }));
 
     // The pipeline itself moved on: batch dropped, ready for more work.

@@ -16,8 +16,10 @@
 use std::sync::Mutex;
 
 use infuserki::nn::{sampler, ModelConfig, NoHook, TransformerLm};
-use infuserki::router::{spawn_router, PendingResponse, RouterConfig};
-use infuserki::serve::{GenerateSpec, McqSpec, Outcome, RequestKind, ServeConfig, SubmitOpts};
+use infuserki::router::{spawn_router, RouterConfig};
+use infuserki::serve::{
+    GenerateSpec, McqSpec, Outcome, RequestKind, ResponseHandle, ServeConfig, SubmitOpts,
+};
 use infuserki::tensor::kernels;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -135,7 +137,7 @@ fn run_through_router(
     rng: &mut ChaCha8Rng,
     kinds: &[RequestKind],
 ) -> Vec<Outcome> {
-    let handles: Vec<PendingResponse> = kinds
+    let handles: Vec<ResponseHandle> = kinds
         .iter()
         .map(|k| {
             let tenant = TENANTS[rng.gen_range(0..TENANTS.len())];
@@ -251,7 +253,7 @@ fn template_schedules_route_by_affinity_and_stay_bitwise() {
     let _g = THREADS.lock().unwrap();
     kernels::set_num_threads(1);
     let b = base();
-    for (seed, replicas) in [(2707u64, 2usize), (2808, 3)] {
+    for (seed, replicas) in [(2606u64, 1usize), (2707, 2), (2808, 3)] {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let kinds = template_kinds(&mut rng, 18);
         let (client, handle) =
