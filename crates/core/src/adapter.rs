@@ -59,6 +59,11 @@ impl AdapterLayer {
     pub fn d_model(&self) -> usize {
         self.down.shape().0
     }
+
+    /// True when the projections chain `d_model → d' → d_model`.
+    pub fn fits(&self, d_model: usize) -> bool {
+        self.d_model() == d_model && self.up.shape() == (self.bottleneck(), d_model)
+    }
 }
 
 impl Module for AdapterLayer {

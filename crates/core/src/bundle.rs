@@ -139,9 +139,10 @@ impl KnowledgeBundle {
     }
 
     /// Checks that this bundle can run against `base`: recorded base hash
-    /// matches, adapter placement fits the model depth, and every gate probe
-    /// is well-formed for the model's vocabulary. Returns a description of
-    /// the first violation.
+    /// matches, the method's modules fit the model's depth and width
+    /// ([`InfuserKiMethod::check_fits`]), and every gate probe is well-formed
+    /// for the model's vocabulary. Returns a description of the first
+    /// violation.
     pub fn verify(&self, base: &TransformerLm) -> Result<(), String> {
         let want = base_model_digest(base)?;
         if self.base_model_hash != want {
@@ -150,16 +151,9 @@ impl KnowledgeBundle {
                 self.name, self.base_model_hash, want
             ));
         }
-        let p = &self.method.config().placement;
-        if p.last > base.n_layers() || p.is_empty() {
-            return Err(format!(
-                "bundle '{}' placement {}..{} does not fit base depth {}",
-                self.name,
-                p.first,
-                p.last,
-                base.n_layers()
-            ));
-        }
+        self.method
+            .check_fits(base)
+            .map_err(|e| format!("bundle '{}': {e}", self.name))?;
         let vocab = base.config().vocab_size;
         for (i, probe) in self.gate_probes.iter().enumerate() {
             if probe.options.is_empty() || probe.correct >= probe.options.len() {

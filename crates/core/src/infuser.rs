@@ -55,6 +55,11 @@ impl InfuserMlp {
         let a = h.map(f32::tanh);
         self.l2.apply(&a)
     }
+
+    /// True when the layers chain `d_model → hidden → 1`.
+    pub fn fits(&self, d_model: usize) -> bool {
+        self.l1.shape().0 == d_model && self.l2.shape() == (self.l1.shape().1, 1)
+    }
 }
 
 impl Module for InfuserMlp {

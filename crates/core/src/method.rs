@@ -63,9 +63,11 @@ impl InfuserKiMethod {
         &self.cfg
     }
 
-    /// A hook view for running the patched model.
-    pub fn hook(&self) -> InfuserKiHook<'_> {
-        InfuserKiHook { method: self }
+    /// The method as the engine sees it. `InfuserKiMethod` is its own
+    /// [`LayerHook`]; this names the role at call sites
+    /// (`base.forward(tokens, &method.hook(), …)`).
+    pub fn hook(&self) -> &InfuserKiMethod {
+        self
     }
 
     /// Extra-parameter count (the paper reports ≈2.5M for LLaMa-2-7B).
@@ -87,21 +89,57 @@ impl InfuserKiMethod {
     }
 
     /// Loads a method checkpoint saved by [`save`](Self::save). The
-    /// checkpoint must match `base`'s depth and width.
+    /// checkpoint must match `base`'s depth and width ([`Self::check_fits`]).
     pub fn load(path: impl AsRef<std::path::Path>, base: &TransformerLm) -> Result<Self, String> {
         let json = std::fs::read_to_string(&path)
             .map_err(|e| format!("read {}: {e}", path.as_ref().display()))?;
         let method: InfuserKiMethod =
             serde_json::from_str(&json).map_err(|e| format!("parse checkpoint: {e}"))?;
-        if method.cfg.placement.last > base.n_layers() {
+        method.check_fits(base)?;
+        Ok(method)
+    }
+
+    /// Checks that the deserialized modules can run against `base`: the
+    /// placement is non-empty and within the model's depth, there is exactly
+    /// one adapter and one infuser per placed layer, and every module's width
+    /// is the model's. The hook indexes `adapters`/`infusers` by placement
+    /// offset and multiplies them into `[rows, d_model]` activations, so a
+    /// file that fails here would otherwise panic mid-forward.
+    pub fn check_fits(&self, base: &TransformerLm) -> Result<(), String> {
+        let p = &self.cfg.placement;
+        if p.is_empty() || p.last > base.n_layers() {
             return Err(format!(
-                "checkpoint placement {}..{} exceeds base depth {}",
-                method.cfg.placement.first,
-                method.cfg.placement.last,
+                "placement {}..{} does not fit base depth {}",
+                p.first,
+                p.last,
                 base.n_layers()
             ));
         }
-        Ok(method)
+        if self.adapters.len() != p.len() || self.infusers.len() != p.len() {
+            return Err(format!(
+                "{} adapters and {} infusers for the {} layers of placement {}..{}",
+                self.adapters.len(),
+                self.infusers.len(),
+                p.len(),
+                p.first,
+                p.last
+            ));
+        }
+        let d = base.config().d_model;
+        let widths_fit = self.adapters.iter().all(|a| a.fits(d))
+            && self.infusers.iter().all(|i| i.fits(d))
+            && self.rc_proj.shape().0 == 2 * d;
+        if !widths_fit {
+            return Err(format!(
+                "adapter, infuser or RC-head widths do not match base width {d}"
+            ));
+        }
+        Ok(())
+    }
+
+    /// True when the placement puts an adapter at `layer`'s `site` sublayer.
+    fn adapts(&self, site: Site, layer: usize) -> bool {
+        self.cfg.placement.site == site && self.cfg.placement.contains(layer)
     }
 
     /// Core of Eq. 1–6: combines the carry, runs the adapter, applies the
@@ -154,58 +192,15 @@ impl InfuserKiMethod {
     }
 
     /// Tape-free counterpart of [`Self::adapt`] for the KV-cached incremental
-    /// engine. Bitwise-identical row for row to the tape path under any
-    /// chunking: the adapter carry is row-local (it crosses *layers*, not
-    /// tokens), and the cumulative gate statistics in `state` continue the
-    /// prefix means across chunks exactly.
-    fn adapt_incremental(
-        &self,
-        layer: usize,
-        sub_in: &Matrix,
-        sub_out: Matrix,
-        state: &mut InfuserInferState,
-    ) -> Matrix {
-        let offset = self.cfg.placement.offset(layer);
-        // Eq. 1.
-        let h_tilde = match &state.carry {
-            Some(carry) => {
-                let mut h = carry.clone();
-                h.add_assign(sub_in);
-                h
-            }
-            None => sub_in.clone(),
-        };
-        // Eq. 2.
-        let h_a = self.adapters[offset].apply(&h_tilde);
-        state.carry = Some(h_a.clone());
-        if self.cfg.ablation.use_infuser {
-            // Eq. 4 (causal form — see `adapt`).
-            let gate_src = match self.cfg.gate_input {
-                GateInput::SublayerIn => sub_in,
-                GateInput::SublayerOut => &sub_out,
-            };
-            let (sums, count) = &mut state.gates[offset];
-            let pooled = infer::cumulative_mean_rows_continue(sums, count, gate_src);
-            let logits = self.infusers[offset].apply(&pooled);
-            let r = logits.map(kernels::sigmoid);
-            // Eq. 6.
-            let mut out = infer::mul_col_broadcast(&h_a, &r);
-            out.add_assign(&sub_out);
-            out
-        } else {
-            // Eq. 3 (w/o-Ro ablation).
-            let mut out = h_a;
-            out.add_assign(&sub_out);
-            out
-        }
-    }
-
-    /// Batched counterpart of [`Self::adapt_incremental`] over packed chunks.
-    /// The carry add, adapter forward, infuser MLP, sigmoid and gating are all
-    /// row-local, so they run once over the packed matrix; only the per-state
-    /// bookkeeping (carry slices, cumulative gate sums) dispatches per
-    /// sequence. Per row bitwise-equal (at one kernel thread) to adapting each
-    /// sequence alone — no state leaks across batch members.
+    /// engine, over packed chunks (a single sequence is a batch of one).
+    /// Bitwise-identical row for row to the tape path under any chunking: the
+    /// adapter carry is row-local (it crosses *layers*, not tokens), and the
+    /// cumulative gate statistics in each state continue that sequence's
+    /// prefix means across chunks exactly. The carry add, adapter forward,
+    /// infuser MLP, sigmoid and gating are all row-local, so they run once
+    /// over the packed matrix; only the per-state bookkeeping (carry slices,
+    /// cumulative gate sums) dispatches per sequence, and no state leaks
+    /// across batch members.
     fn adapt_incremental_batch(
         &self,
         layer: usize,
@@ -214,13 +209,10 @@ impl InfuserKiMethod {
         batch: &SeqBatch,
         states: &mut [Option<Box<dyn HookState>>],
     ) -> Matrix {
-        if batch.n_seqs() == 1 {
-            return self.adapt_incremental(layer, sub_in, sub_out, downcast_state(&mut states[0]));
-        }
         let offset = self.cfg.placement.offset(layer);
         let mut sts: Vec<&mut InfuserInferState> = states.iter_mut().map(downcast_state).collect();
         // Eq. 1, packed: each sequence's carry adds into its own row block
-        // (f32 addition commutes, so `sub_in + carry` matches the single
+        // (f32 addition commutes, so `sub_in + carry` matches the tape
         // path's `carry + sub_in` bit for bit).
         let mut h_tilde = sub_in.clone();
         for (i, rng) in batch.ranges().enumerate() {
@@ -368,15 +360,6 @@ struct InfuserInferState {
     gates: Vec<(Vec<f32>, usize)>,
 }
 
-impl InfuserInferState {
-    fn new(n_adapters: usize, d_model: usize) -> Self {
-        InfuserInferState {
-            carry: None,
-            gates: vec![(vec![0.0; d_model], 0); n_adapters],
-        }
-    }
-}
-
 impl HookState for InfuserInferState {
     fn clone_box(&self) -> Box<dyn HookState> {
         Box::new(self.clone())
@@ -391,8 +374,10 @@ impl HookState for InfuserInferState {
     }
 }
 
-/// The method is itself a [`LayerHook`], so harness code can treat every
-/// knowledge-integration method as `&dyn LayerHook` uniformly.
+/// The one place InfuserKI meets the engine: both sublayer sites route to
+/// [`InfuserKiMethod::adapt`] (tape) or
+/// [`InfuserKiMethod::adapt_incremental_batch`] (KV-cached), or pass the
+/// sublayer output through when the placement does not cover `(site, layer)`.
 impl LayerHook for InfuserKiMethod {
     fn ffn_output(
         &self,
@@ -402,94 +387,10 @@ impl LayerHook for InfuserKiMethod {
         tape: &mut Tape,
         trace: &mut ForwardTrace,
     ) -> NodeId {
-        self.hook().ffn_output(layer, ffn_in, ffn_out, tape, trace)
-    }
-
-    fn attn_output(
-        &self,
-        layer: usize,
-        attn_in: NodeId,
-        attn_out: NodeId,
-        tape: &mut Tape,
-        trace: &mut ForwardTrace,
-    ) -> NodeId {
-        self.hook()
-            .attn_output(layer, attn_in, attn_out, tape, trace)
-    }
-
-    fn make_state(&self) -> Option<Box<dyn HookState>> {
-        self.hook().make_state()
-    }
-
-    fn prefix_cache_safe(&self) -> bool {
-        self.hook().prefix_cache_safe()
-    }
-
-    fn infer_ffn_output(
-        &self,
-        layer: usize,
-        ffn_in: &Matrix,
-        ffn_out: Matrix,
-        state: &mut Option<Box<dyn HookState>>,
-    ) -> Matrix {
-        self.hook().infer_ffn_output(layer, ffn_in, ffn_out, state)
-    }
-
-    fn infer_attn_output(
-        &self,
-        layer: usize,
-        attn_in: &Matrix,
-        attn_out: Matrix,
-        state: &mut Option<Box<dyn HookState>>,
-    ) -> Matrix {
-        self.hook()
-            .infer_attn_output(layer, attn_in, attn_out, state)
-    }
-
-    fn infer_ffn_output_batch(
-        &self,
-        layer: usize,
-        ffn_in: &Matrix,
-        ffn_out: Matrix,
-        batch: &SeqBatch,
-        states: &mut [Option<Box<dyn HookState>>],
-    ) -> Matrix {
-        self.hook()
-            .infer_ffn_output_batch(layer, ffn_in, ffn_out, batch, states)
-    }
-
-    fn infer_attn_output_batch(
-        &self,
-        layer: usize,
-        attn_in: &Matrix,
-        attn_out: Matrix,
-        batch: &SeqBatch,
-        states: &mut [Option<Box<dyn HookState>>],
-    ) -> Matrix {
-        self.hook()
-            .infer_attn_output_batch(layer, attn_in, attn_out, batch, states)
-    }
-}
-
-/// Borrowing [`LayerHook`] view over an [`InfuserKiMethod`].
-pub struct InfuserKiHook<'a> {
-    method: &'a InfuserKiMethod,
-}
-
-impl LayerHook for InfuserKiHook<'_> {
-    fn ffn_output(
-        &self,
-        layer: usize,
-        ffn_in: NodeId,
-        ffn_out: NodeId,
-        tape: &mut Tape,
-        trace: &mut ForwardTrace,
-    ) -> NodeId {
-        let p = &self.method.cfg.placement;
-        if p.site != Site::Ffn || !p.contains(layer) {
+        if !self.adapts(Site::Ffn, layer) {
             return ffn_out;
         }
-        self.method.adapt(layer, ffn_in, ffn_out, tape, trace)
+        self.adapt(layer, ffn_in, ffn_out, tape, trace)
     }
 
     fn attn_output(
@@ -500,19 +401,18 @@ impl LayerHook for InfuserKiHook<'_> {
         tape: &mut Tape,
         trace: &mut ForwardTrace,
     ) -> NodeId {
-        let p = &self.method.cfg.placement;
-        if p.site != Site::Attention || !p.contains(layer) {
+        if !self.adapts(Site::Attention, layer) {
             return attn_out;
         }
-        self.method.adapt(layer, attn_in, attn_out, tape, trace)
+        self.adapt(layer, attn_in, attn_out, tape, trace)
     }
 
+    // `check_fits` guarantees a non-empty adapter stack of the model's width.
     fn make_state(&self) -> Option<Box<dyn HookState>> {
-        let m = self.method;
-        Some(Box::new(InfuserInferState::new(
-            m.adapters.len(),
-            m.adapters[0].d_model(),
-        )))
+        Some(Box::new(InfuserInferState {
+            carry: None,
+            gates: vec![(vec![0.0; self.adapters[0].d_model()], 0); self.adapters.len()],
+        }))
     }
 
     // The infuser state is a pure function of the token prefix: the carry
@@ -528,14 +428,13 @@ impl LayerHook for InfuserKiHook<'_> {
         layer: usize,
         ffn_in: &Matrix,
         ffn_out: Matrix,
-        state: &mut Option<Box<dyn HookState>>,
+        batch: &SeqBatch,
+        states: &mut [Option<Box<dyn HookState>>],
     ) -> Matrix {
-        let p = &self.method.cfg.placement;
-        if p.site != Site::Ffn || !p.contains(layer) {
+        if !self.adapts(Site::Ffn, layer) {
             return ffn_out;
         }
-        let st = downcast_state(state);
-        self.method.adapt_incremental(layer, ffn_in, ffn_out, st)
+        self.adapt_incremental_batch(layer, ffn_in, ffn_out, batch, states)
     }
 
     fn infer_attn_output(
@@ -543,46 +442,13 @@ impl LayerHook for InfuserKiHook<'_> {
         layer: usize,
         attn_in: &Matrix,
         attn_out: Matrix,
-        state: &mut Option<Box<dyn HookState>>,
-    ) -> Matrix {
-        let p = &self.method.cfg.placement;
-        if p.site != Site::Attention || !p.contains(layer) {
-            return attn_out;
-        }
-        let st = downcast_state(state);
-        self.method.adapt_incremental(layer, attn_in, attn_out, st)
-    }
-
-    fn infer_ffn_output_batch(
-        &self,
-        layer: usize,
-        ffn_in: &Matrix,
-        ffn_out: Matrix,
         batch: &SeqBatch,
         states: &mut [Option<Box<dyn HookState>>],
     ) -> Matrix {
-        let p = &self.method.cfg.placement;
-        if p.site != Site::Ffn || !p.contains(layer) {
-            return ffn_out;
-        }
-        self.method
-            .adapt_incremental_batch(layer, ffn_in, ffn_out, batch, states)
-    }
-
-    fn infer_attn_output_batch(
-        &self,
-        layer: usize,
-        attn_in: &Matrix,
-        attn_out: Matrix,
-        batch: &SeqBatch,
-        states: &mut [Option<Box<dyn HookState>>],
-    ) -> Matrix {
-        let p = &self.method.cfg.placement;
-        if p.site != Site::Attention || !p.contains(layer) {
+        if !self.adapts(Site::Attention, layer) {
             return attn_out;
         }
-        self.method
-            .adapt_incremental_batch(layer, attn_in, attn_out, batch, states)
+        self.adapt_incremental_batch(layer, attn_in, attn_out, batch, states)
     }
 }
 
@@ -770,6 +636,32 @@ mod tests {
         let shallow = base(); // 2 layers
         assert!(InfuserKiMethod::load(&path, &shallow).is_err());
         let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn check_fits_rejects_missing_modules_and_foreign_widths() {
+        let b = base();
+        let m = InfuserKiMethod::new(cfg(b.n_layers()), &b, 5);
+        m.check_fits(&b).expect("a fresh method fits its base");
+        let mut truncated = m.clone();
+        truncated.adapters.clear();
+        let err = truncated.check_fits(&b).unwrap_err();
+        assert!(err.contains("0 adapters"), "got: {err}");
+        let mut ungated = m.clone();
+        ungated.infusers.pop();
+        assert!(ungated.check_fits(&b).is_err());
+        let wide = {
+            let mut rng = ChaCha8Rng::seed_from_u64(34);
+            TransformerLm::new(
+                ModelConfig {
+                    d_model: 32,
+                    ..ModelConfig::tiny(40)
+                },
+                &mut rng,
+            )
+        };
+        let err = m.check_fits(&wide).unwrap_err();
+        assert!(err.contains("base width 32"), "got: {err}");
     }
 
     #[test]

@@ -60,13 +60,14 @@ impl TransformerBlock {
         x
     }
 
-    /// Batched incremental forward over packed chunks (layout in `batch`):
-    /// LayerNorm, FFN and the residual adds are row-local and run packed;
-    /// attention and the sublayer-output hooks dispatch per sequence through
-    /// [`CausalSelfAttention::forward_batch`] and the hook's `_batch`
-    /// methods. `seqs`/`states` hold one entry per sequence; `pool` is the
-    /// block pool their tables point into, and `prefix` this layer's shared
-    /// virtual prefix K/V panel.
+    /// Incremental forward over packed chunks (layout in `batch`; a single
+    /// sequence is a batch of one). LayerNorm, FFN and the residual adds are
+    /// row-local and run packed. Attention dispatches per sequence inside
+    /// [`CausalSelfAttention::forward_batch`]. The sublayer-output hooks get
+    /// the packed matrices and decide for themselves what crosses rows.
+    /// `seqs`/`states` hold one entry per sequence; `pool` is the block pool
+    /// their tables point into, and `prefix` this layer's shared virtual
+    /// prefix K/V panel.
     #[allow(clippy::too_many_arguments)]
     pub fn forward_batch(
         &self,
@@ -83,14 +84,14 @@ impl TransformerBlock {
         let a_raw = self
             .attn
             .forward_batch(&a_in, batch, hook, pool, seqs, prefix);
-        let a_out = hook.infer_attn_output_batch(self.layer, &a_in, a_raw, batch, states);
+        let a_out = hook.infer_attn_output(self.layer, &a_in, a_raw, batch, states);
         let mut x = x.clone();
         x.add_assign(&a_out);
 
         // FFN sublayer.
         let f_in = self.ln2.apply(&x);
         let f_raw = self.ffn.apply(&f_in);
-        let f_out = hook.infer_ffn_output_batch(self.layer, &f_in, f_raw, batch, states);
+        let f_out = hook.infer_ffn_output(self.layer, &f_in, f_raw, batch, states);
         x.add_assign(&f_out);
         x
     }

@@ -88,28 +88,25 @@ impl Clone for Box<dyn HookState> {
 /// (trainable-parameter) subgraphs; the trace carries per-forward state.
 ///
 /// The `infer_*` family mirrors the tape methods on plain [`Matrix`] values
-/// for the KV-cached inference engine. The defaults emulate the tape hook on
-/// a throwaway scratch tape, which is bitwise-correct for every row-local,
-/// stateless hook (LoRA deltas, prefix K/V, CALINET/T-Patcher corrections);
-/// hooks with cross-layer or cross-chunk state override them natively
-/// (InfuserKI) or opt out of incremental decoding entirely
-/// ([`LayerHook::supports_incremental`], GRACE).
+/// for the KV-cached inference engine. The sublayer-output pair has one form,
+/// the packed ragged batch: the input/output matrices hold every sequence's
+/// chunk row-wise per [`SeqBatch`], and `states` holds one entry per
+/// sequence. A single sequence is a batch of one; there is no second form.
 ///
-/// The `infer_*_batch` family extends the sublayer-output hooks to ragged
-/// batches: the input/output matrices pack all sequences row-wise per
-/// [`SeqBatch`], and `states` holds one entry per sequence. The defaults
-/// slice per sequence and delegate to the single-sequence methods — correct
-/// (and bitwise-equal to the looped single path) for *any* hook; stateful
-/// hooks may override with a packed implementation (InfuserKI does, fusing
-/// its adapter/infuser matmuls across the batch while keeping carry and gate
-/// statistics strictly per-sequence).
+/// The defaults emulate the tape hook on a throwaway scratch tape, one
+/// sequence at a time. That is bitwise-correct for every row-local,
+/// stateless hook (LoRA deltas, prefix K/V, CALINET/T-Patcher corrections)
+/// under any chunking and any batch composition.
+/// Hooks with cross-layer or cross-chunk state override the pair natively
+/// (InfuserKI fuses its adapter/infuser matmuls across the batch while
+/// keeping carry and gate statistics strictly per sequence) or opt out of
+/// incremental decoding entirely ([`LayerHook::supports_incremental`], GRACE).
 ///
-/// Batched contract for the *projection* hooks (`infer_attn_q_delta`,
-/// `infer_attn_v_delta`): the batched attention path applies them to the
-/// packed `[total, d]` chunk directly, so they must be row-local — output
-/// row `i` may depend only on input row `i` (true of every LoRA-style
-/// delta). Hooks needing per-sequence projection context must override the
-/// `_batch` output hooks instead.
+/// The *projection* hooks (`infer_attn_q_delta`, `infer_attn_v_delta`) are
+/// applied to the packed `[total, d]` chunk directly, so they must be
+/// row-local: output row `i` may depend only on input row `i` (true of every
+/// LoRA-style delta). Hooks needing per-sequence projection context must
+/// override the sublayer-output hooks instead.
 pub trait LayerHook: Sync {
     /// Additive delta to the attention **query** projection output at
     /// `layer` (`x` is the attention sublayer input, post-LN). LoRA-style.
@@ -208,93 +205,65 @@ pub trait LayerHook: Sync {
         Some((tape.value(k).clone(), tape.value(v).clone()))
     }
 
-    /// Tape-free counterpart of [`LayerHook::attn_output`]. `state` is the
-    /// cache's hook state (if [`LayerHook::make_state`] provided one).
+    /// Tape-free counterpart of [`LayerHook::attn_output`] over a packed
+    /// ragged batch. `states[i]` is sequence `i`'s cache hook state (if
+    /// [`LayerHook::make_state`] provided one).
     fn infer_attn_output(
         &self,
         layer: usize,
         attn_in: &Matrix,
         attn_out: Matrix,
-        _state: &mut Option<Box<dyn HookState>>,
+        batch: &SeqBatch,
+        states: &mut [Option<Box<dyn HookState>>],
     ) -> Matrix {
-        let mut tape = Tape::new();
-        let mut trace = ForwardTrace::new();
-        let i = tape.leaf(attn_in.clone());
-        let o = tape.leaf(attn_out);
-        let r = self.attn_output(layer, i, o, &mut tape, &mut trace);
-        tape.value(r).clone()
+        debug_assert_eq!(batch.n_seqs(), states.len());
+        emulate_per_sequence(attn_in, attn_out, batch, |i, o, tape, trace| {
+            self.attn_output(layer, i, o, tape, trace)
+        })
     }
 
-    /// Tape-free counterpart of [`LayerHook::ffn_output`]. `state` is the
-    /// cache's hook state (if [`LayerHook::make_state`] provided one).
+    /// Tape-free counterpart of [`LayerHook::ffn_output`] over a packed
+    /// ragged batch; `states` as for [`LayerHook::infer_attn_output`].
     fn infer_ffn_output(
         &self,
         layer: usize,
         ffn_in: &Matrix,
         ffn_out: Matrix,
-        _state: &mut Option<Box<dyn HookState>>,
+        batch: &SeqBatch,
+        states: &mut [Option<Box<dyn HookState>>],
     ) -> Matrix {
+        debug_assert_eq!(batch.n_seqs(), states.len());
+        emulate_per_sequence(ffn_in, ffn_out, batch, |i, o, tape, trace| {
+            self.ffn_output(layer, i, o, tape, trace)
+        })
+    }
+}
+
+/// The default sublayer-output inference: runs the tape hook `f` on each
+/// sequence's row block alone, on a scratch tape with a fresh trace, and
+/// writes the result back in place.
+fn emulate_per_sequence(
+    sub_in: &Matrix,
+    sub_out: Matrix,
+    batch: &SeqBatch,
+    f: impl Fn(NodeId, NodeId, &mut Tape, &mut ForwardTrace) -> NodeId,
+) -> Matrix {
+    let mut out = sub_out;
+    for r in batch.ranges() {
         let mut tape = Tape::new();
         let mut trace = ForwardTrace::new();
-        let i = tape.leaf(ffn_in.clone());
-        let o = tape.leaf(ffn_out);
-        let r = self.ffn_output(layer, i, o, &mut tape, &mut trace);
-        tape.value(r).clone()
+        let i = tape.leaf(sub_in.slice_rows(r.start, r.end));
+        let o = tape.leaf(out.slice_rows(r.start, r.end));
+        let res = f(i, o, &mut tape, &mut trace);
+        out.copy_rows_from(r.start, tape.value(res));
     }
-
-    /// Batched counterpart of [`LayerHook::infer_attn_output`] over a packed
-    /// ragged batch. Default: slice per sequence and delegate.
-    fn infer_attn_output_batch(
-        &self,
-        layer: usize,
-        attn_in: &Matrix,
-        attn_out: Matrix,
-        batch: &SeqBatch,
-        states: &mut [Option<Box<dyn HookState>>],
-    ) -> Matrix {
-        debug_assert_eq!(batch.n_seqs(), states.len());
-        if batch.n_seqs() == 1 {
-            return self.infer_attn_output(layer, attn_in, attn_out, &mut states[0]);
-        }
-        let mut out = attn_out;
-        for (i, r) in batch.ranges().enumerate() {
-            let sub_in = attn_in.slice_rows(r.start, r.end);
-            let sub_out = out.slice_rows(r.start, r.end);
-            let res = self.infer_attn_output(layer, &sub_in, sub_out, &mut states[i]);
-            out.copy_rows_from(r.start, &res);
-        }
-        out
-    }
-
-    /// Batched counterpart of [`LayerHook::infer_ffn_output`] over a packed
-    /// ragged batch. Default: slice per sequence and delegate.
-    fn infer_ffn_output_batch(
-        &self,
-        layer: usize,
-        ffn_in: &Matrix,
-        ffn_out: Matrix,
-        batch: &SeqBatch,
-        states: &mut [Option<Box<dyn HookState>>],
-    ) -> Matrix {
-        debug_assert_eq!(batch.n_seqs(), states.len());
-        if batch.n_seqs() == 1 {
-            return self.infer_ffn_output(layer, ffn_in, ffn_out, &mut states[0]);
-        }
-        let mut out = ffn_out;
-        for (i, r) in batch.ranges().enumerate() {
-            let sub_in = ffn_in.slice_rows(r.start, r.end);
-            let sub_out = out.slice_rows(r.start, r.end);
-            let res = self.infer_ffn_output(layer, &sub_in, sub_out, &mut states[i]);
-            out.copy_rows_from(r.start, &res);
-        }
-        out
-    }
+    out
 }
 
 /// References forward every method to the referent. This must cover the
 /// *entire* trait: relying on the default bodies here would silently replace
 /// a hook's native overrides (e.g. [`NoHook`]'s identity fast paths or
-/// InfuserKI's packed batch kernels) with the scratch-tape emulation,
+/// InfuserKI's packed kernels) with the scratch-tape emulation,
 /// breaking bitwise equality for stateful hooks. With this impl,
 /// `&dyn LayerHook` is itself a `LayerHook`, which lets owners of a borrowed
 /// hook re-share it behind `Arc` (the serving bundle registry does).
@@ -362,9 +331,10 @@ impl<H: LayerHook + ?Sized> LayerHook for &H {
         layer: usize,
         attn_in: &Matrix,
         attn_out: Matrix,
-        state: &mut Option<Box<dyn HookState>>,
+        batch: &SeqBatch,
+        states: &mut [Option<Box<dyn HookState>>],
     ) -> Matrix {
-        (**self).infer_attn_output(layer, attn_in, attn_out, state)
+        (**self).infer_attn_output(layer, attn_in, attn_out, batch, states)
     }
 
     fn infer_ffn_output(
@@ -372,31 +342,10 @@ impl<H: LayerHook + ?Sized> LayerHook for &H {
         layer: usize,
         ffn_in: &Matrix,
         ffn_out: Matrix,
-        state: &mut Option<Box<dyn HookState>>,
-    ) -> Matrix {
-        (**self).infer_ffn_output(layer, ffn_in, ffn_out, state)
-    }
-
-    fn infer_attn_output_batch(
-        &self,
-        layer: usize,
-        attn_in: &Matrix,
-        attn_out: Matrix,
         batch: &SeqBatch,
         states: &mut [Option<Box<dyn HookState>>],
     ) -> Matrix {
-        (**self).infer_attn_output_batch(layer, attn_in, attn_out, batch, states)
-    }
-
-    fn infer_ffn_output_batch(
-        &self,
-        layer: usize,
-        ffn_in: &Matrix,
-        ffn_out: Matrix,
-        batch: &SeqBatch,
-        states: &mut [Option<Box<dyn HookState>>],
-    ) -> Matrix {
-        (**self).infer_ffn_output_batch(layer, ffn_in, ffn_out, batch, states)
+        (**self).infer_ffn_output(layer, ffn_in, ffn_out, batch, states)
     }
 }
 
@@ -407,13 +356,15 @@ pub struct NoHook;
 impl LayerHook for NoHook {
     // Identity fast paths: bit-identical to the scratch-tape defaults (a
     // tape leaf's value is the input matrix unchanged) but skip three
-    // matrix clones per sublayer — the vanilla model's decode hot path.
+    // matrix copies per sequence and sublayer — the vanilla model's decode
+    // hot path.
     fn infer_attn_output(
         &self,
         _layer: usize,
         _attn_in: &Matrix,
         attn_out: Matrix,
-        _state: &mut Option<Box<dyn HookState>>,
+        _batch: &SeqBatch,
+        _states: &mut [Option<Box<dyn HookState>>],
     ) -> Matrix {
         attn_out
     }
@@ -423,7 +374,8 @@ impl LayerHook for NoHook {
         _layer: usize,
         _ffn_in: &Matrix,
         ffn_out: Matrix,
-        _state: &mut Option<Box<dyn HookState>>,
+        _batch: &SeqBatch,
+        _states: &mut [Option<Box<dyn HookState>>],
     ) -> Matrix {
         ffn_out
     }

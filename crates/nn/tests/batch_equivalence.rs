@@ -107,7 +107,7 @@ impl LayerHook for PrefixRows {
 }
 
 /// CALINET/T-Patcher-shaped: row-local rewrites of both sublayer outputs,
-/// exercising the default per-sequence slicing of `infer_*_output_batch`.
+/// exercising the default per-sequence slicing of `infer_*_output`.
 struct OutputTweak;
 
 impl LayerHook for OutputTweak {

@@ -41,10 +41,6 @@ pub struct ServeConfig {
     /// Bounded queue depth; submissions beyond it are rejected with
     /// [`crate::RejectReason::QueueFull`] (backpressure, not a hang).
     pub queue_capacity: usize,
-    /// Compact the KV cache after retiring sequences, returning freed rows
-    /// to the allocator ([`infuserki_nn::KvCache::compact`]) at the cost of
-    /// reallocating on the next append.
-    pub compact_after_retire: bool,
     /// Kernel worker threads; `None` resolves the shared `INFUSERKI_THREADS`
     /// knob via [`kernels::env_thread_count`].
     pub threads: Option<usize>,
@@ -59,7 +55,6 @@ impl Default for ServeConfig {
             max_batch: 16,
             prefill_chunk: 32,
             queue_capacity: 256,
-            compact_after_retire: true,
             threads: None,
         }
     }

@@ -663,9 +663,7 @@ impl<'a> Scheduler<'a> {
             }
             g.cache.retain_indices(&keep);
             g.lanes = keep.iter().map(|&i| g.lanes[i]).collect();
-            if self.cfg.compact_after_retire {
-                g.cache.compact();
-            }
+            g.cache.compact();
         }
         groups.retain(|g| !g.lanes.is_empty());
         self.groups = groups;
@@ -1214,7 +1212,7 @@ impl<'a> Scheduler<'a> {
             });
         }
         let retired_any = keep.len() < n_before;
-        if retired_any && self.cfg.compact_after_retire && !new_lanes.is_empty() {
+        if retired_any && !new_lanes.is_empty() {
             cache.compact();
         }
         g.lanes = new_lanes;

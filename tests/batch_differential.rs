@@ -19,7 +19,7 @@ use infuserki::baselines::grace::{Grace, GraceConfig};
 use infuserki::baselines::lora::{LoraConfig, LoraMethod};
 use infuserki::baselines::prefix::{PrefixConfig, PrefixTuning};
 use infuserki::baselines::VisitTrainable;
-use infuserki::core::{InfuserKiConfig, InfuserKiMethod};
+use infuserki::core::{GateInput, InfuserKiConfig, InfuserKiMethod, Placement};
 use infuserki::nn::{sampler, LayerHook, LmSample, ModelConfig, TransformerLm};
 use infuserki::tensor::kernels;
 use rand::SeedableRng;
@@ -53,13 +53,52 @@ fn prefix(b: &TransformerLm) -> PrefixTuning {
 }
 
 fn infuserki(b: &TransformerLm) -> InfuserKiMethod {
+    infuserki_with(b, |_| {})
+}
+
+/// An adjustment to the default test configuration.
+type ConfigEdit = fn(&mut InfuserKiConfig);
+
+fn infuserki_with(b: &TransformerLm, edit: ConfigEdit) -> InfuserKiMethod {
     let mut c = InfuserKiConfig::for_model(b.n_layers());
     c.bottleneck = 4;
     c.infuser_hidden = 4;
     c.rc_dim = 8;
+    edit(&mut c);
     let mut m = InfuserKiMethod::new(c, b, 5);
     m.visit_adapters_mut(&mut nudge);
     m
+}
+
+/// Every configuration the tape-free InfuserKI path branches on: the default
+/// on the 2-layer base, then on a 4-layer base (so the Eq. 1 adapter carry
+/// crosses layers) the default again, the attention site, the gate reading
+/// the sublayer output, the no-infuser ablation and a placement that starts
+/// above layer 1.
+fn infuserki_variants() -> Vec<(&'static str, TransformerLm, InfuserKiMethod)> {
+    let edits: [(&'static str, ConfigEdit); 5] = [
+        ("4-layer default", |_| {}),
+        ("attention site", |c| c.placement = Placement::attention(4)),
+        ("gate on sublayer output", |c| {
+            c.gate_input = GateInput::SublayerOut
+        }),
+        ("no infuser", |c| c.ablation.use_infuser = false),
+        ("placement 2..4", |c| c.placement.first = 2),
+    ];
+    let tiny = base();
+    let tiny_method = infuserki(&tiny);
+    let mut out = vec![("2-layer default", tiny, tiny_method)];
+    for (name, edit) in edits {
+        let mut rng = ChaCha8Rng::seed_from_u64(22);
+        let cfg = ModelConfig {
+            n_layers: 4,
+            ..ModelConfig::tiny(VOCAB)
+        };
+        let b = TransformerLm::new(cfg, &mut rng);
+        let m = infuserki_with(&b, edit);
+        out.push((name, b, m));
+    }
+    out
 }
 
 /// A ragged batch of prompts (lengths 6, 9, 1, 4) with distinct contents.
@@ -137,7 +176,7 @@ fn infuserki_batched_sampling_is_bitwise_identical() {
     let hook = m.hook();
     assert!(hook.supports_incremental());
     assert_batched_matches_looped(&b, &hook, "infuserki hook");
-    // The method doubles as a hook itself; both views must share the path.
+    // `hook()` is the method itself; the bare method must take the same path.
     assert_batched_matches_looped(&b, &m, "infuserki method");
     kernels::set_num_threads(0);
 }
@@ -146,23 +185,24 @@ fn infuserki_batched_sampling_is_bitwise_identical() {
 fn infuserki_batched_prefill_isolates_per_sequence_state() {
     let _g = THREADS.lock().unwrap();
     kernels::set_num_threads(1);
-    let b = base();
-    let m = infuserki(&b);
-    let hook = m.hook();
-    let ps = prompts();
-    // Packed batched forward vs each sequence alone: the gate statistics and
-    // adapter carry must pool within one sequence only.
-    let (packed, batch) = b.forward_batch(&ps, &hook);
-    for (i, p) in ps.iter().enumerate() {
-        let (_, single) = b.prefill(p, &hook);
-        let rng = batch.range(i);
-        let got = packed.slice_rows(rng.start, rng.end);
-        assert_eq!(single.shape(), got.shape(), "seq {i}");
-        for (e, (x, y)) in single.data().iter().zip(got.data()).enumerate() {
-            assert!(
-                x.to_bits() == y.to_bits(),
-                "seq {i}, element {e}: {x} vs {y}"
-            );
+    for (variant, b, m) in infuserki_variants() {
+        println!("variant: {variant}");
+        let hook = m.hook();
+        let ps = prompts();
+        // Packed batched forward vs each sequence alone: the gate statistics
+        // and adapter carry must pool within one sequence only.
+        let (packed, batch) = b.forward_batch(&ps, &hook);
+        for (i, p) in ps.iter().enumerate() {
+            let (_, single) = b.prefill(p, &hook);
+            let rng = batch.range(i);
+            let got = packed.slice_rows(rng.start, rng.end);
+            assert_eq!(single.shape(), got.shape(), "seq {i}");
+            for (e, (x, y)) in single.data().iter().zip(got.data()).enumerate() {
+                assert!(
+                    x.to_bits() == y.to_bits(),
+                    "seq {i}, element {e}: {x} vs {y}"
+                );
+            }
         }
     }
     kernels::set_num_threads(0);

@@ -93,7 +93,6 @@ fn cfg() -> ServeConfig {
         block_rows: 4,
         prefix_cache: true,
         queue_capacity: 64,
-        compact_after_retire: true,
         threads: None,
     }
 }
@@ -642,4 +641,62 @@ fn client_control_plane_round_trips() {
     kernels::set_num_threads(0);
     let _ = std::fs::remove_file(&p1);
     let _ = std::fs::remove_file(&p_alien);
+}
+
+/// Replaces the (bracket-balanced) JSON array under `key` with `[]`.
+fn empty_json_array(json: &str, key: &str) -> String {
+    let open = json.find(key).expect("key present") + key.len();
+    assert_eq!(&json[open..open + 1], "[");
+    let mut depth = 0usize;
+    for (i, c) in json[open..].char_indices() {
+        match c {
+            '[' => depth += 1,
+            ']' => depth -= 1,
+            _ => {}
+        }
+        if depth == 0 {
+            return format!("{}[]{}", &json[..open], &json[open + i + 1..]);
+        }
+    }
+    panic!("unbalanced array under {key}");
+}
+
+/// A bundle file with the right base hash but a truncated adapter stack must
+/// be refused at load with the typed `Incompatible` error. Staged, it would
+/// panic the scheduler thread at the first pinned request or gate probe
+/// (`adapters[0]` in `make_state`) and take the replica down with it.
+#[test]
+fn mis_shaped_bundle_is_refused_at_load_and_serving_continues() {
+    let _g = THREADS.lock().unwrap();
+    kernels::set_num_threads(1);
+    let b = base();
+    let path = save_bundle("truncated", nudged_method(&b, 0.01), &b, None, Vec::new());
+    let json = std::fs::read_to_string(&path).unwrap();
+    std::fs::write(&path, empty_json_array(&json, "\"adapters\":")).unwrap();
+
+    let (client, handle) = infuserki::serve::spawn_scheduler(base(), NoHook, cfg()).unwrap();
+    match client.load_bundle(&path) {
+        Err(ControlError::Incompatible(msg)) => {
+            assert!(
+                msg.contains("0 adapters"),
+                "unhelpful incompatibility: {msg}"
+            )
+        }
+        other => panic!("truncated bundle load returned {other:?}"),
+    }
+    assert_eq!(client.list_bundles().unwrap().len(), 1, "nothing staged");
+    // The scheduler thread is alive and serves as before.
+    let want = sampler::greedy_decode(&b, &NoHook, &[1, 2, 3, 4], 6, None);
+    match client
+        .generate(vec![1, 2, 3, 4], 6, None)
+        .unwrap()
+        .wait()
+        .unwrap()
+    {
+        Outcome::Generated { tokens } => assert_tokens(&tokens, &want, "after refused load"),
+        other => panic!("unexpected outcome {other:?}"),
+    }
+    handle.shutdown();
+    kernels::set_num_threads(0);
+    let _ = std::fs::remove_file(&path);
 }

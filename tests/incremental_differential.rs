@@ -13,7 +13,7 @@ use infuserki::baselines::grace::{Grace, GraceConfig};
 use infuserki::baselines::lora::{LoraConfig, LoraMethod};
 use infuserki::baselines::prefix::{PrefixConfig, PrefixTuning};
 use infuserki::baselines::VisitTrainable;
-use infuserki::core::{InfuserKiConfig, InfuserKiMethod};
+use infuserki::core::{GateInput, InfuserKiConfig, InfuserKiMethod, Placement};
 use infuserki::nn::{sampler, LayerHook, LmSample, ModelConfig, TransformerLm};
 use infuserki::tensor::{kernels, Tape};
 use rand::SeedableRng;
@@ -48,13 +48,52 @@ fn prefix(b: &TransformerLm) -> PrefixTuning {
 }
 
 fn infuserki(b: &TransformerLm) -> InfuserKiMethod {
+    infuserki_with(b, |_| {})
+}
+
+/// An adjustment to the default test configuration.
+type ConfigEdit = fn(&mut InfuserKiConfig);
+
+fn infuserki_with(b: &TransformerLm, edit: ConfigEdit) -> InfuserKiMethod {
     let mut c = InfuserKiConfig::for_model(b.n_layers());
     c.bottleneck = 4;
     c.infuser_hidden = 4;
     c.rc_dim = 8;
+    edit(&mut c);
     let mut m = InfuserKiMethod::new(c, b, 5);
     m.visit_adapters_mut(&mut nudge);
     m
+}
+
+/// Every configuration the tape-free InfuserKI path branches on: the default
+/// on the 2-layer base, then on a 4-layer base (so the Eq. 1 adapter carry
+/// crosses layers) the default again, the attention site, the gate reading
+/// the sublayer output, the no-infuser ablation and a placement that starts
+/// above layer 1.
+fn infuserki_variants() -> Vec<(&'static str, TransformerLm, InfuserKiMethod)> {
+    let edits: [(&'static str, ConfigEdit); 5] = [
+        ("4-layer default", |_| {}),
+        ("attention site", |c| c.placement = Placement::attention(4)),
+        ("gate on sublayer output", |c| {
+            c.gate_input = GateInput::SublayerOut
+        }),
+        ("no infuser", |c| c.ablation.use_infuser = false),
+        ("placement 2..4", |c| c.placement.first = 2),
+    ];
+    let tiny = base();
+    let tiny_method = infuserki(&tiny);
+    let mut out = vec![("2-layer default", tiny, tiny_method)];
+    for (name, edit) in edits {
+        let mut rng = ChaCha8Rng::seed_from_u64(22);
+        let cfg = ModelConfig {
+            n_layers: 4,
+            ..ModelConfig::tiny(VOCAB)
+        };
+        let b = TransformerLm::new(cfg, &mut rng);
+        let m = infuserki_with(&b, edit);
+        out.push((name, b, m));
+    }
+    out
 }
 
 fn prompt() -> Vec<usize> {
@@ -115,7 +154,7 @@ fn infuserki_cached_sampling_is_bitwise_identical() {
     let hook = m.hook();
     assert!(hook.supports_incremental());
     assert_samplers_agree(&b, &hook, "infuserki hook");
-    // The method doubles as a hook itself; both views must share the path.
+    // `hook()` is the method itself; the bare method must take the same path.
     assert_samplers_agree(&b, &m, "infuserki method");
     kernels::set_num_threads(0);
 }
@@ -124,22 +163,23 @@ fn infuserki_cached_sampling_is_bitwise_identical() {
 fn infuserki_prefill_matches_tape_forward_every_length() {
     let _g = THREADS.lock().unwrap();
     kernels::set_num_threads(1);
-    let b = base();
-    let m = infuserki(&b);
-    let hook = m.hook();
-    let max_seq = b.config().max_seq;
-    for n in 1..=max_seq {
-        let toks: Vec<usize> = (0..n).map(|i| (i * 11 + 5) % VOCAB).collect();
-        let mut tape = Tape::new();
-        let full = b.forward(&toks, &hook, &mut tape);
-        let (_, cached) = b.prefill(&toks, &hook);
-        let fv = tape.value(full);
-        assert_eq!(fv.shape(), cached.shape(), "len {n}");
-        for (i, (x, y)) in fv.data().iter().zip(cached.data()).enumerate() {
-            assert!(
-                x.to_bits() == y.to_bits(),
-                "len {n}, element {i}: {x} vs {y}"
-            );
+    for (variant, b, m) in infuserki_variants() {
+        println!("variant: {variant}");
+        let hook = m.hook();
+        let max_seq = b.config().max_seq;
+        for n in 1..=max_seq {
+            let toks: Vec<usize> = (0..n).map(|i| (i * 11 + 5) % VOCAB).collect();
+            let mut tape = Tape::new();
+            let full = b.forward(&toks, &hook, &mut tape);
+            let (_, cached) = b.prefill(&toks, &hook);
+            let fv = tape.value(full);
+            assert_eq!(fv.shape(), cached.shape(), "len {n}");
+            for (i, (x, y)) in fv.data().iter().zip(cached.data()).enumerate() {
+                assert!(
+                    x.to_bits() == y.to_bits(),
+                    "len {n}, element {i}: {x} vs {y}"
+                );
+            }
         }
     }
     kernels::set_num_threads(0);
@@ -149,22 +189,24 @@ fn infuserki_prefill_matches_tape_forward_every_length() {
 fn infuserki_forked_option_scoring_shares_gate_statistics_correctly() {
     let _g = THREADS.lock().unwrap();
     kernels::set_num_threads(1);
-    let b = base();
-    let m = infuserki(&b);
-    let hook = m.hook();
-    // Score each option against the cached shared prefix AND standalone; the
-    // cumulative gate sums forked from the prefix must not leak between
-    // branches (each option sees prefix stats + its own rows only).
-    let p = prompt();
-    let opts = options();
-    let cached = sampler::score_options(&b, &hook, &p, &opts);
-    for (i, opt) in opts.iter().enumerate() {
-        let naive = b.completion_logprob(&p, opt, &hook);
-        assert!(
-            cached[i].to_bits() == naive.to_bits(),
-            "option {i}: {} vs {naive}",
-            cached[i]
-        );
+    for (variant, b, m) in infuserki_variants() {
+        println!("variant: {variant}");
+        let hook = m.hook();
+        // Score each option against the cached shared prefix AND standalone;
+        // the cumulative gate sums forked from the prefix must not leak
+        // between branches (each option sees prefix stats + its own rows
+        // only).
+        let p = prompt();
+        let opts = options();
+        let cached = sampler::score_options(&b, &hook, &p, &opts);
+        for (i, opt) in opts.iter().enumerate() {
+            let naive = b.completion_logprob(&p, opt, &hook);
+            assert!(
+                cached[i].to_bits() == naive.to_bits(),
+                "option {i}: {} vs {naive}",
+                cached[i]
+            );
+        }
     }
     kernels::set_num_threads(0);
 }

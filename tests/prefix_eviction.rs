@@ -37,7 +37,6 @@ fn pressure_cfg() -> ServeConfig {
         block_rows: 4,
         prefix_cache: true,
         queue_capacity: 64,
-        compact_after_retire: true,
         threads: None,
     }
 }

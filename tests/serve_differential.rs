@@ -307,7 +307,6 @@ fn tight_cfg(prefill_chunk: usize, max_batch: usize, kv_budget_rows: usize) -> S
         block_rows: 4,
         prefix_cache: true,
         queue_capacity: 64,
-        compact_after_retire: true,
         threads: None,
     }
 }
