@@ -27,6 +27,10 @@
 //!   share this host's cores, so tok/s measures dispatch overhead rather
 //!   than real scaling — `router_load --replicas 1,2,4` is the full sweep),
 //!   never gated.
+//! * `decode_lanes` — one hooked decode step on the 12-layer world geometry
+//!   at 1…18 lanes (µs and µs/lane), plus the adapter-width product
+//!   `[16×64]·[64×10]` beside `[16×64]·[64×16]`. Gated on *shape*, not speed
+//!   (see [`shape_gate`]): the ratios cancel the host.
 //!
 //! ```text
 //! perf_suite --write results/bench_baseline.json   # (re-)baseline
@@ -38,6 +42,9 @@
 //! `threshold` (default 0.25) below the committed baseline. Best-of-N
 //! timing plus a generous threshold keeps the gate usable on noisy shared
 //! CI runners while still catching real order-of-magnitude regressions.
+//! It also fails, baseline or not, when `decode_lanes` is not flat: an odd
+//! lane count costing more than 1.25× the mean of its even neighbours, or a
+//! 10-column product costing more than 2× the 16-column one.
 //! Records are emitted through `infuserki_obs::PerfSuite` (the
 //! machine-readable `BENCH_*.json` hook).
 
@@ -45,10 +52,11 @@ use std::collections::VecDeque;
 use std::process::ExitCode;
 use std::time::Instant;
 
-use infuserki_nn::{sampler, NoHook};
+use infuserki_core::{InfuserKiConfig, InfuserKiMethod};
+use infuserki_nn::{sampler, ModelConfig, NoHook, TransformerLm};
 use infuserki_obs::{PerfRecord, PerfSuite};
 use infuserki_serve::{demo_model, spawn_scheduler, ControlPlane, Outcome, ServeConfig};
-use infuserki_tensor::{init, kernels, Isa, Matrix, QuantSpec};
+use infuserki_tensor::{init, kernels, Isa, Matrix, Param, QuantSpec};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::Value;
@@ -107,21 +115,24 @@ fn main() -> ExitCode {
             return ExitCode::from(1);
         }
     };
-    match gate(&suite, &baseline, threshold) {
-        Ok(lines) => {
-            for l in lines {
-                eprintln!("{l}");
+    let mut failed = false;
+    for result in [gate(&suite, &baseline, threshold), shape_gate(&suite)] {
+        match result {
+            Ok(lines) => lines.iter().for_each(|l| eprintln!("{l}")),
+            Err(failures) => {
+                failures.iter().for_each(|f| eprintln!("REGRESSION: {f}"));
+                failed = true;
             }
-            eprintln!("perf_suite: no regression beyond {:.0}%", threshold * 100.0);
-            ExitCode::SUCCESS
-        }
-        Err(failures) => {
-            for f in failures {
-                eprintln!("REGRESSION: {f}");
-            }
-            ExitCode::from(1)
         }
     }
+    if failed {
+        return ExitCode::from(1);
+    }
+    eprintln!(
+        "perf_suite: no regression beyond {:.0}%, decode cost flat in lanes and width",
+        threshold * 100.0
+    );
+    ExitCode::SUCCESS
 }
 
 fn run_suite() -> PerfSuite {
@@ -135,6 +146,7 @@ fn run_suite() -> PerfSuite {
     suite.push(bench_swap_under_load());
     suite.push(bench_ingest_throughput());
     suite.push(bench_router_load());
+    suite.push(bench_decode_lanes());
     suite
 }
 
@@ -573,6 +585,146 @@ fn bench_router_load() -> PerfRecord {
         .metric("wall_ms", wall * 1e3);
     handle.shutdown();
     record
+}
+
+/// Lane counts `decode_lanes` reports: the odd counts under test and the
+/// even neighbours [`shape_gate`] compares each against.
+const DECODE_LANES: &[usize] = &[1, 2, 3, 4, 6, 7, 8, 9, 10, 14, 15, 16, 17, 18];
+
+fn median(xs: &mut [f64]) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    xs[xs.len() / 2]
+}
+
+/// One hooked decode step on the 12-layer world geometry (random-init base,
+/// nudged InfuserKI method at the paper's d′ = 10) per lane count, every
+/// lane at 32 cached tokens; and the adapter down-projection's product
+/// shape beside the one-strip shape. Medians of 240 samples taken in
+/// rounds — one sample of every lane count (or width) per round — so a host
+/// that changes speed mid-run does so under every column of a ratio.
+fn bench_decode_lanes() -> PerfRecord {
+    const ROUNDS: usize = 240;
+    let mut rng = ChaCha8Rng::seed_from_u64(15);
+    let base = TransformerLm::new(ModelConfig::default(), &mut rng);
+    let mut method = InfuserKiMethod::new(InfuserKiConfig::for_model(base.n_layers()), &base, 8);
+    // Off the identity init, so the gate and adapters do real arithmetic.
+    let mut bump = |p: &mut Param| {
+        for w in p.data_mut().data_mut() {
+            *w += rng.gen_range(-0.05f32..0.05);
+        }
+    };
+    method.visit_adapters_mut(&mut bump);
+    method.visit_infusers_mut(&mut bump);
+    let hook = method.hook();
+    let vocab = base.config().vocab_size;
+    let max_lanes = *DECODE_LANES.last().expect("non-empty sweep");
+    let prompts: Vec<Vec<usize>> = (0..max_lanes)
+        .map(|_| (0..32).map(|_| rng.gen_range(2..vocab)).collect())
+        .collect();
+    let tokens: Vec<usize> = (0..max_lanes).map(|i| 2 + i).collect();
+    let caches: Vec<_> = DECODE_LANES
+        .iter()
+        .map(|&n| base.prefill_batch(&prompts[..n], &hook).0)
+        .collect();
+    let mut samples = vec![Vec::with_capacity(ROUNDS); DECODE_LANES.len()];
+    for round in 0..ROUNDS + 8 {
+        for ((&n, cache), xs) in DECODE_LANES.iter().zip(&caches).zip(&mut samples) {
+            // Every sample forks, so the position never moves.
+            let mut c = cache.fork();
+            let t0 = Instant::now();
+            std::hint::black_box(base.decode_step_batch(&tokens[..n], &hook, &mut c).get(0, 0));
+            let dt = t0.elapsed().as_secs_f64();
+            if round >= 8 {
+                xs.push(dt);
+            }
+        }
+    }
+    let mut record = PerfRecord::new("decode_lanes");
+    for (&n, xs) in DECODE_LANES.iter().zip(&mut samples) {
+        let us = median(xs) * 1e6;
+        record = record
+            .metric(format!("us_b{n}"), us)
+            .metric(format!("us_per_lane_b{n}"), us / n as f64);
+    }
+
+    let a = init::normal(16, 64, 0.5, &mut rng);
+    let widths = [10usize, 16];
+    let bs: Vec<Matrix> = widths
+        .iter()
+        .map(|&w| init::normal(64, w, 0.5, &mut rng))
+        .collect();
+    let mut outs: Vec<Matrix> = widths.iter().map(|&w| Matrix::zeros(16, w)).collect();
+    let mut samples = vec![Vec::with_capacity(ROUNDS); widths.len()];
+    for round in 0..ROUNDS + 8 {
+        for ((b, out), xs) in bs.iter().zip(&mut outs).zip(&mut samples) {
+            let t0 = Instant::now();
+            for _ in 0..50 {
+                kernels::matmul_into(&a, b, out, false);
+            }
+            let dt = t0.elapsed().as_secs_f64() / 50.0;
+            std::hint::black_box(out.get(0, 0));
+            if round >= 8 {
+                xs.push(dt);
+            }
+        }
+    }
+    for (&w, xs) in widths.iter().zip(&mut samples) {
+        record = record.metric(format!("matmul_16x64x{w}_us"), median(xs) * 1e6);
+    }
+    record
+}
+
+/// The gate on shape: a forward costs the same per packed row whatever the
+/// row count or the width. Fails if an odd lane count costs more than 1.25×
+/// the mean of its even neighbours (a one-lane step has one), or if the
+/// paper's adapter width costs more than 2× a full 16-column strip. Both
+/// are ratios of numbers sampled in the same rounds, so host speed cancels.
+fn shape_gate(fresh: &PerfSuite) -> Result<Vec<String>, Vec<String>> {
+    let Some(rec) = fresh.get("decode_lanes") else {
+        return Err(vec!["fresh run is missing decode_lanes".to_string()]);
+    };
+    let us = |n: usize| rec.get(&format!("us_b{n}"));
+    let mut ok = Vec::new();
+    let mut bad = Vec::new();
+    for &n in DECODE_LANES.iter().filter(|&&n| n % 2 == 1) {
+        let evens: Vec<f64> = [n - 1, n + 1].into_iter().filter_map(us).collect();
+        let (Some(odd), false) = (us(n), evens.is_empty()) else {
+            bad.push(format!("decode_lanes is missing {n} lanes or its even neighbours"));
+            continue;
+        };
+        let even = evens.iter().sum::<f64>() / evens.len() as f64;
+        let line = format!(
+            "decode_lanes: {n} lanes {odd:.0} us = {:.2}x its even neighbours' {even:.0} us (limit 1.25x)",
+            odd / even
+        );
+        if odd > 1.25 * even {
+            bad.push(line);
+        } else {
+            ok.push(line);
+        }
+    }
+    match (
+        rec.get("matmul_16x64x10_us"),
+        rec.get("matmul_16x64x16_us"),
+    ) {
+        (Some(narrow), Some(strip)) => {
+            let line = format!(
+                "decode_lanes: [16x64].[64x10] {narrow:.2} us = {:.2}x [16x64].[64x16] {strip:.2} us (limit 2x)",
+                narrow / strip
+            );
+            if narrow > 2.0 * strip {
+                bad.push(line);
+            } else {
+                ok.push(line);
+            }
+        }
+        _ => bad.push("decode_lanes is missing the width probes".to_string()),
+    }
+    if bad.is_empty() {
+        Ok(ok)
+    } else {
+        Err(bad)
+    }
 }
 
 /// Metrics the gate compares (higher is better). Latency-flavored metrics

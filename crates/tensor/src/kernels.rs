@@ -382,9 +382,9 @@ fn matmul_band(
     // O(k·MR) packing scratch, reused across the band's row tiles.
     let mut apack = vec![0.0f32; k * MR];
     let mut ib = 0;
-    // Largest-first row blocks: full MR tiles, then one 4- and one 2-row
-    // tile for the remainder, then scalar rows. Small batched-decode chunks
-    // (4–7 packed rows) would otherwise miss register tiling entirely.
+    // Largest-first row blocks: full MR tiles, then one 4-, one 2- and one
+    // 1-row tile for the remainder, so every row of every packed chunk —
+    // the single row of a one-lane decode step included — runs the strips.
     while mb - ib >= MR {
         tile_rows::<MR>(
             &load_a, bd, rows.start, ib, chunk, k, n, accumulate, &mut apack, isa,
@@ -403,18 +403,9 @@ fn matmul_band(
         );
         ib += 2;
     }
-    for li in ib..mb {
-        scalar_row_tail(
-            &load_a,
-            bd,
-            rows.start + li,
-            li,
-            chunk,
-            k,
-            n,
-            0,
-            n,
-            accumulate,
+    if mb - ib >= 1 {
+        tile_rows::<1>(
+            &load_a, bd, rows.start, ib, chunk, k, n, accumulate, &mut apack, isa,
         );
     }
 }

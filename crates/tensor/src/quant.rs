@@ -208,7 +208,7 @@ impl QuantizedMatrix {
     }
 
     /// One row band of the fused product — the quantized mirror of the dense
-    /// kernel's band: identical MR/4/2 row-tile ladder, identical `NR`-wide
+    /// kernel's band: identical MR/4/2/1 row-tile ladder, identical `NR`-wide
     /// column strips (when `block_size` is a multiple of `NR`, so a strip
     /// never straddles a scale boundary; otherwise every column runs the
     /// scalar chain), identical scalar edges.
@@ -240,8 +240,8 @@ impl QuantizedMatrix {
             self.qtile_rows::<2>(xd, rows.start, ib, chunk, k, n, accumulate, &mut apack, isa);
             ib += 2;
         }
-        for li in ib..mb {
-            self.scalar_row_tail(xd, rows.start + li, li, chunk, k, n, 0, n, accumulate);
+        if mb - ib >= 1 {
+            self.qtile_rows::<1>(xd, rows.start, ib, chunk, k, n, accumulate, &mut apack, isa);
         }
     }
 
