@@ -632,7 +632,10 @@ fn bench_decode_lanes() -> PerfRecord {
             // Every sample forks, so the position never moves.
             let mut c = cache.fork();
             let t0 = Instant::now();
-            std::hint::black_box(base.decode_step_batch(&tokens[..n], &hook, &mut c).get(0, 0));
+            std::hint::black_box(
+                base.decode_step_batch(&tokens[..n], &hook, &mut c)
+                    .get(0, 0),
+            );
             let dt = t0.elapsed().as_secs_f64();
             if round >= 8 {
                 xs.push(dt);
@@ -689,7 +692,9 @@ fn shape_gate(fresh: &PerfSuite) -> Result<Vec<String>, Vec<String>> {
     for &n in DECODE_LANES.iter().filter(|&&n| n % 2 == 1) {
         let evens: Vec<f64> = [n - 1, n + 1].into_iter().filter_map(us).collect();
         let (Some(odd), false) = (us(n), evens.is_empty()) else {
-            bad.push(format!("decode_lanes is missing {n} lanes or its even neighbours"));
+            bad.push(format!(
+                "decode_lanes is missing {n} lanes or its even neighbours"
+            ));
             continue;
         };
         let even = evens.iter().sum::<f64>() / evens.len() as f64;
@@ -703,10 +708,7 @@ fn shape_gate(fresh: &PerfSuite) -> Result<Vec<String>, Vec<String>> {
             ok.push(line);
         }
     }
-    match (
-        rec.get("matmul_16x64x10_us"),
-        rec.get("matmul_16x64x16_us"),
-    ) {
+    match (rec.get("matmul_16x64x10_us"), rec.get("matmul_16x64x16_us")) {
         (Some(narrow), Some(strip)) => {
             let line = format!(
                 "decode_lanes: [16x64].[64x10] {narrow:.2} us = {:.2}x [16x64].[64x16] {strip:.2} us (limit 2x)",

@@ -361,11 +361,11 @@ pub(crate) fn fmadd(a: f32, b: f32, c: f32) -> f32 {
 /// Shared banded kernel for `a@b` and `aᵀ@b`.
 ///
 /// Computes `chunk[i - rows.start][j] (+)= Σ_p load_a(p, i) · b[p][j]` for
-/// `i ∈ rows`, `j ∈ 0..n`, `p` ascending. Main path: `MR×NR` register tiles
-/// over an A panel packed to `[p][r]` layout (contiguous inner-loop reads,
-/// no bounds-checked gather in the hot loop), with the column-strip inner
-/// loop dispatched to the `isa` tier; edges: scalar loops with the identical
-/// per-element accumulation chain.
+/// `i ∈ rows`, `j ∈ 0..n`, `p` ascending: register tiles of `MR` rows (the
+/// last one exactly as tall as the row remainder) by up to `NR` columns over an A panel packed to `[p][r]` layout (contiguous
+/// inner-loop reads, no bounds-checked gather in the hot loop), with the
+/// column-strip inner loop dispatched to the `isa` tier. There is no other
+/// path: row and column remainders are narrower tiles of the same kernel.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
 fn matmul_band(
@@ -382,39 +382,41 @@ fn matmul_band(
     // O(k·MR) packing scratch, reused across the band's row tiles.
     let mut apack = vec![0.0f32; k * MR];
     let mut ib = 0;
-    // Largest-first row blocks: full MR tiles, then one 4-, one 2- and one
-    // 1-row tile for the remainder, so every row of every packed chunk —
-    // the single row of a one-lane decode step included — runs the strips.
+    macro_rules! tile {
+        ($r:expr) => {
+            tile_rows::<{ $r }>(
+                &load_a, bd, rows.start, ib, chunk, k, n, accumulate, &mut apack, isa,
+            )
+        };
+    }
     while mb - ib >= MR {
-        tile_rows::<MR>(
-            &load_a, bd, rows.start, ib, chunk, k, n, accumulate, &mut apack, isa,
-        );
+        tile!(MR);
         ib += MR;
     }
-    if mb - ib >= 4 {
-        tile_rows::<4>(
-            &load_a, bd, rows.start, ib, chunk, k, n, accumulate, &mut apack, isa,
-        );
-        ib += 4;
-    }
-    if mb - ib >= 2 {
-        tile_rows::<2>(
-            &load_a, bd, rows.start, ib, chunk, k, n, accumulate, &mut apack, isa,
-        );
-        ib += 2;
-    }
-    if mb - ib >= 1 {
-        tile_rows::<1>(
-            &load_a, bd, rows.start, ib, chunk, k, n, accumulate, &mut apack, isa,
-        );
+    // The remainder is one tile of exactly its height, not a 4/2/1 ladder:
+    // a tile's time is set by the k-long dependent chain of each strip, not
+    // by how many rows ride along, so every extra pass over the strips would
+    // cost as much as a full MR tile. A one-lane decode step is the `1` arm.
+    match mb - ib {
+        0 => {}
+        1 => tile!(1),
+        2 => tile!(2),
+        3 => tile!(3),
+        4 => tile!(4),
+        5 => tile!(5),
+        6 => tile!(6),
+        7 => tile!(7),
+        _ => unreachable!("row remainder is below MR"),
     }
 }
 
-/// One `R×NR`-tiled row block of [`matmul_band`]: packs `R` rows of A,
-/// sweeps `NR`-wide column tiles with register accumulators, and finishes
-/// the column tail through [`scalar_row_tail`]. Per output element the
-/// accumulation is the same single ascending-`p` [`fmadd`] chain for every
-/// `R`, so the tile-height fallback ladder never changes a result bit.
+/// One `R`-row block of [`matmul_band`]: packs `R` rows of A and sweeps the
+/// output columns in `NR`-wide strips with register accumulators; the last
+/// strip is `n % NR` wide when `n` is not a multiple of `NR` (all of a
+/// product narrower than one strip). Per output element the accumulation is
+/// the same single ascending-`p` [`fmadd`] chain for every `R` and every
+/// strip width, so neither the height of the tile a row lands in nor where
+/// a strip boundary falls ever changes a result bit.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
 fn tile_rows<const R: usize>(
@@ -429,32 +431,31 @@ fn tile_rows<const R: usize>(
     apack: &mut [f32],
     isa: Isa,
 ) {
-    let j_main = n - n % NR;
     let apack = &mut apack[..k * R];
     for (p, ap) in apack.chunks_exact_mut(R).enumerate() {
         for (r, slot) in ap.iter_mut().enumerate() {
             *slot = load_a(p, row0 + ib + r);
         }
     }
-    for jb in (0..j_main).step_by(NR) {
-        strip16::<R>(apack, bd, jb, k, n, chunk, ib, accumulate, isa);
-    }
-    for r in 0..R {
-        let i = row0 + ib + r;
-        scalar_row_tail(load_a, bd, i, ib + r, chunk, k, n, j_main, n, accumulate);
+    for jb in (0..n).step_by(NR) {
+        let w = NR.min(n - jb);
+        strip::<R>(apack, bd, jb, w, k, n, chunk, ib, accumulate, isa);
     }
 }
 
-/// One `R×NR` column strip of [`tile_rows`], dispatched to the `isa` tier.
-/// All tiers compute the identical per-element ascending-`p` [`fmadd`]
-/// chain — the SIMD variants vectorize across the strip's 16 independent
-/// output columns only (see [`crate::simd`]).
+/// One `R×w` column strip of [`tile_rows`] (`1 ≤ w ≤ NR`), dispatched to
+/// the `isa` tier. All tiers compute the identical per-element ascending-`p`
+/// [`fmadd`] chain — lanes span the strip's `w` independent output columns
+/// only (see [`crate::simd`]); a strip narrower than `NR` masks its unused
+/// lanes off (vector tiers) or leaves them computing on zero padding that is
+/// never stored (scalar tier).
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-fn strip16<const R: usize>(
+fn strip<const R: usize>(
     apack: &[f32],
     bd: &[f32],
     jb: usize,
+    w: usize,
     k: usize,
     n: usize,
     chunk: &mut [f32],
@@ -462,32 +463,35 @@ fn strip16<const R: usize>(
     accumulate: bool,
     isa: Isa,
 ) {
+    debug_assert!((1..=NR).contains(&w) && jb + w <= n);
     #[cfg(target_arch = "x86_64")]
     if isa != Isa::Scalar {
         // Bounds (checked by the callers' invariants, restated here):
         // apack holds k·R floats; the deepest B read is
-        // (k-1)·n + jb + 16 ≤ k·n = bd.len(); the deepest out access is
-        // (ib+R-1)·n + jb + 16 ≤ chunk.len() since ib+R ≤ band rows and
-        // jb + 16 ≤ n. CPU support is guaranteed by `active_isa`.
+        // (k-1)·n + jb + w ≤ k·n = bd.len(); the deepest out access is
+        // (ib+R-1)·n + jb + w ≤ chunk.len() since ib+R ≤ band rows and
+        // jb + w ≤ n. CPU support is guaranteed by `active_isa`.
         unsafe {
             let out = chunk.as_mut_ptr().add(ib * n + jb);
             match isa {
-                Isa::Avx2 => simd::x86::strip16_avx2::<R>(
+                Isa::Avx2 => simd::x86::strip_avx2::<R>(
                     apack.as_ptr(),
                     bd.as_ptr().add(jb),
                     n,
                     k,
                     out,
                     n,
+                    w,
                     accumulate,
                 ),
-                Isa::Avx512 => simd::x86::strip16_avx512::<R>(
+                Isa::Avx512 => simd::x86::strip_avx512::<R>(
                     apack.as_ptr(),
                     bd.as_ptr().add(jb),
                     n,
                     k,
                     out,
                     n,
+                    w,
                     accumulate,
                 ),
                 Isa::Scalar => unreachable!(),
@@ -496,56 +500,28 @@ fn strip16<const R: usize>(
         return;
     }
     let _ = isa;
+    // `p`-outer over fixed-width accumulators: the `NR`-lane inner loops
+    // have a constant trip count whatever `w` is, which is what lets the
+    // compiler keep them in vector registers.
     let mut acc = [[0.0f32; NR]; R];
+    let mut bs = [0.0f32; NR];
     for (ap, brow) in apack.chunks_exact(R).zip(bd.chunks_exact(n)) {
-        let bs: &[f32; NR] = brow[jb..jb + NR].try_into().expect("NR block");
+        bs[..w].copy_from_slice(&brow[jb..jb + w]);
         for (r, acc_row) in acc.iter_mut().enumerate() {
             let av = ap[r];
-            for (c, s) in acc_row.iter_mut().enumerate() {
-                *s = fmadd(av, bs[c], *s);
+            for (s, &bv) in acc_row.iter_mut().zip(bs.iter()) {
+                *s = fmadd(av, bv, *s);
             }
         }
     }
     for (r, acc_row) in acc.iter().enumerate() {
-        let orow = &mut chunk[(ib + r) * n + jb..(ib + r) * n + jb + NR];
+        let orow = &mut chunk[(ib + r) * n + jb..(ib + r) * n + jb + w];
         if accumulate {
             for (o, &v) in orow.iter_mut().zip(acc_row.iter()) {
                 *o += v;
             }
         } else {
-            orow.copy_from_slice(acc_row);
-        }
-    }
-}
-
-/// Scalar edge path: `chunk[li][j] (+)= Σ_p load_a(p, i) · b[p][j]` for
-/// `j ∈ j_lo..j_hi`, `p` ascending — same [`fmadd`] chain as the tile path,
-/// so tile-edge placement (which depends on the band split) never changes a
-/// result bit.
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn scalar_row_tail(
-    load_a: &impl Fn(usize, usize) -> f32,
-    bd: &[f32],
-    i: usize,
-    li: usize,
-    chunk: &mut [f32],
-    k: usize,
-    n: usize,
-    j_lo: usize,
-    j_hi: usize,
-    accumulate: bool,
-) {
-    for j in j_lo..j_hi {
-        let mut s = 0.0f32;
-        for p in 0..k {
-            s = fmadd(load_a(p, i), bd[p * n + j], s);
-        }
-        let o = &mut chunk[li * n + j];
-        if accumulate {
-            *o += s;
-        } else {
-            *o = s;
+            orow.copy_from_slice(&acc_row[..w]);
         }
     }
 }
@@ -585,9 +561,12 @@ pub fn matmul_bt_into(a: &Matrix, b: &Matrix, out: &mut Matrix, accumulate: bool
 /// Tile height/width of the dot-product micro-kernel (`a@bᵀ`).
 const TR: usize = 4;
 
-/// Banded `a@bᵀ` kernel: `TR×TR` tiles of simultaneous dot products, so each
-/// loaded `a`/`b` value feeds `TR` accumulators. Per-element accumulation is
-/// a single ascending-`p` chain in both the tile and the scalar edge path.
+/// Banded `a@bᵀ` kernel: `R×C` tiles of simultaneous dot products, so each
+/// loaded `a`/`b` value feeds several accumulators and every tile carries
+/// enough independent chains to hide the multiply-add latency. Row blocks
+/// are `TR` tall, the last one exactly as tall as the remainder; there is no
+/// per-element edge path. Per-element accumulation is a single ascending-`p`
+/// chain whatever tile the element lands in.
 fn matmul_bt_band(
     ad: &[f32],
     bd: &[f32],
@@ -598,57 +577,78 @@ fn matmul_bt_band(
     accumulate: bool,
 ) {
     let mb = rows.len();
-    let i_main = mb - mb % TR;
-    let j_main = n - n % TR;
-    for ib in (0..i_main).step_by(TR) {
-        let arows: [&[f32]; TR] = std::array::from_fn(|r| {
-            let i = rows.start + ib + r;
-            &ad[i * k..(i + 1) * k]
-        });
-        for jb in (0..j_main).step_by(TR) {
-            let brows: [&[f32]; TR] = std::array::from_fn(|c| &bd[(jb + c) * k..(jb + c + 1) * k]);
-            let mut acc = [[0.0f32; TR]; TR];
-            for p in 0..k {
-                for (r, acc_row) in acc.iter_mut().enumerate() {
-                    let av = arows[r][p];
-                    for (c, av_acc) in acc_row.iter_mut().enumerate() {
-                        *av_acc = fmadd(av, brows[c][p], *av_acc);
-                    }
-                }
-            }
-            for (r, acc_row) in acc.iter().enumerate() {
-                for (c, &v) in acc_row.iter().enumerate() {
-                    let o = &mut chunk[(ib + r) * n + jb + c];
-                    if accumulate {
-                        *o += v;
-                    } else {
-                        *o = v;
-                    }
-                }
-            }
-        }
-        for r in 0..TR {
-            for j in j_main..n {
-                let s = dot_seq(arows[r], &bd[j * k..(j + 1) * k]);
-                let o = &mut chunk[(ib + r) * n + j];
-                if accumulate {
-                    *o += s;
-                } else {
-                    *o = s;
-                }
+    let mut ib = 0;
+    while mb - ib >= TR {
+        bt_rows::<TR, TR>(ad, bd, rows.start, ib, chunk, k, n, accumulate);
+        ib += TR;
+    }
+    // Shorter blocks take wider tiles: the chains per tile stay near TR².
+    match mb - ib {
+        0 => {}
+        1 => bt_rows::<1, 8>(ad, bd, rows.start, ib, chunk, k, n, accumulate),
+        2 => bt_rows::<2, 8>(ad, bd, rows.start, ib, chunk, k, n, accumulate),
+        3 => bt_rows::<3, TR>(ad, bd, rows.start, ib, chunk, k, n, accumulate),
+        _ => unreachable!("row remainder is below TR"),
+    }
+}
+
+/// One `R`-row block of [`matmul_bt_band`]: `R×C` tiles across the output
+/// columns, then `R×1` tiles for the `n % C` columns left.
+#[allow(clippy::too_many_arguments)]
+fn bt_rows<const R: usize, const C: usize>(
+    ad: &[f32],
+    bd: &[f32],
+    row0: usize,
+    ib: usize,
+    chunk: &mut [f32],
+    k: usize,
+    n: usize,
+    accumulate: bool,
+) {
+    let arows: [&[f32]; R] = std::array::from_fn(|r| {
+        let i = row0 + ib + r;
+        &ad[i * k..(i + 1) * k]
+    });
+    let j_main = n - n % C;
+    for jb in (0..j_main).step_by(C) {
+        bt_tile::<R, C>(&arows, bd, jb, chunk, ib, k, n, accumulate);
+    }
+    for j in j_main..n {
+        bt_tile::<R, 1>(&arows, bd, j, chunk, ib, k, n, accumulate);
+    }
+}
+
+/// `chunk[ib+r][jb+c] (+)= Σ_p arows[r][p] · b[jb+c][p]` for `r < R`,
+/// `c < C`: `R·C` independent ascending-`p` [`fmadd`] chains side by side.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn bt_tile<const R: usize, const C: usize>(
+    arows: &[&[f32]; R],
+    bd: &[f32],
+    jb: usize,
+    chunk: &mut [f32],
+    ib: usize,
+    k: usize,
+    n: usize,
+    accumulate: bool,
+) {
+    let brows: [&[f32]; C] = std::array::from_fn(|c| &bd[(jb + c) * k..(jb + c + 1) * k]);
+    let mut acc = [[0.0f32; C]; R];
+    for p in 0..k {
+        for (r, acc_row) in acc.iter_mut().enumerate() {
+            let av = arows[r][p];
+            for (c, s) in acc_row.iter_mut().enumerate() {
+                *s = fmadd(av, brows[c][p], *s);
             }
         }
     }
-    for li in i_main..mb {
-        let i = rows.start + li;
-        let arow = &ad[i * k..(i + 1) * k];
-        for j in 0..n {
-            let s = dot_seq(arow, &bd[j * k..(j + 1) * k]);
-            let o = &mut chunk[li * n + j];
+    for (r, acc_row) in acc.iter().enumerate() {
+        let orow = &mut chunk[(ib + r) * n + jb..(ib + r) * n + jb + C];
+        for (o, &v) in orow.iter_mut().zip(acc_row.iter()) {
             if accumulate {
-                *o += s;
+                *o += v;
             } else {
-                *o = s;
+                *o = v;
             }
         }
     }

@@ -158,13 +158,6 @@ impl QuantizedMatrix {
         self.cols.div_ceil(self.block_size).max(1)
     }
 
-    /// The dequantized element `(r, c)` — `q as f32 * scale`, the exact value
-    /// the fused matmul folds.
-    #[inline(always)]
-    fn deq(&self, r: usize, c: usize) -> f32 {
-        self.q[r * self.cols + c] as f32 * self.scales[r * self.bpr() + c / self.block_size]
-    }
-
     /// Materializes the dequantized f32 matrix.
     pub fn dequantize(&self) -> Matrix {
         let bpr = self.bpr();
@@ -208,10 +201,10 @@ impl QuantizedMatrix {
     }
 
     /// One row band of the fused product — the quantized mirror of the dense
-    /// kernel's band: identical MR/4/2/1 row-tile ladder, identical `NR`-wide
-    /// column strips (when `block_size` is a multiple of `NR`, so a strip
-    /// never straddles a scale boundary; otherwise every column runs the
-    /// scalar chain), identical scalar edges.
+    /// kernel's band: identical row tiles (`MR`, then one of exactly the
+    /// remainder's height), identical column
+    /// strips (additionally cut at scale-block boundaries, see
+    /// [`Self::qtile_rows`]).
     #[allow(clippy::too_many_arguments)]
     fn band(
         &self,
@@ -226,26 +219,35 @@ impl QuantizedMatrix {
         let mb = rows.len();
         let mut apack = vec![0.0f32; k * kernels::MR];
         let mut ib = 0;
+        macro_rules! tile {
+            ($r:expr) => {
+                self.qtile_rows::<{ $r }>(
+                    xd, rows.start, ib, chunk, k, n, accumulate, &mut apack, isa,
+                )
+            };
+        }
         while mb - ib >= kernels::MR {
-            self.qtile_rows::<{ kernels::MR }>(
-                xd, rows.start, ib, chunk, k, n, accumulate, &mut apack, isa,
-            );
+            tile!(kernels::MR);
             ib += kernels::MR;
         }
-        if mb - ib >= 4 {
-            self.qtile_rows::<4>(xd, rows.start, ib, chunk, k, n, accumulate, &mut apack, isa);
-            ib += 4;
-        }
-        if mb - ib >= 2 {
-            self.qtile_rows::<2>(xd, rows.start, ib, chunk, k, n, accumulate, &mut apack, isa);
-            ib += 2;
-        }
-        if mb - ib >= 1 {
-            self.qtile_rows::<1>(xd, rows.start, ib, chunk, k, n, accumulate, &mut apack, isa);
+        match mb - ib {
+            0 => {}
+            1 => tile!(1),
+            2 => tile!(2),
+            3 => tile!(3),
+            4 => tile!(4),
+            5 => tile!(5),
+            6 => tile!(6),
+            7 => tile!(7),
+            _ => unreachable!("row remainder is below MR"),
         }
     }
 
-    /// Quantized mirror of the dense kernel's `tile_rows`.
+    /// Quantized mirror of the dense kernel's `tile_rows`. Strips are cut at
+    /// `NR` columns and at every scale-block boundary, so one scale per
+    /// weight row covers a strip whatever the block size (the default 64
+    /// never cuts a strip short; a block size below `NR` makes every strip
+    /// that narrow).
     #[allow(clippy::too_many_arguments)]
     fn qtile_rows<const R: usize>(
         &self,
@@ -259,44 +261,29 @@ impl QuantizedMatrix {
         apack: &mut [f32],
         isa: Isa,
     ) {
-        // A strip must sit inside one scale block per weight row; blocks
-        // whose size is not a multiple of NR fall back to the scalar chain
-        // for every column (the default 64 never does).
-        let j_main = if self.block_size.is_multiple_of(kernels::NR) {
-            n - n % kernels::NR
-        } else {
-            0
-        };
         let apack = &mut apack[..k * R];
         for (p, ap) in apack.chunks_exact_mut(R).enumerate() {
             for (r, slot) in ap.iter_mut().enumerate() {
                 *slot = xd[(row0 + ib + r) * k + p];
             }
         }
-        for jb in (0..j_main).step_by(kernels::NR) {
-            self.qstrip16::<R>(apack, jb, k, n, chunk, ib, accumulate, isa);
-        }
-        for r in 0..R {
-            self.scalar_row_tail(
-                xd,
-                row0 + ib + r,
-                ib + r,
-                chunk,
-                k,
-                n,
-                j_main,
-                n,
-                accumulate,
-            );
+        let mut jb = 0;
+        while jb < n {
+            let block_end = (jb / self.block_size + 1) * self.block_size;
+            let w = kernels::NR.min(n - jb).min(block_end - jb);
+            self.qstrip::<R>(apack, jb, w, k, n, chunk, ib, accumulate, isa);
+            jb += w;
         }
     }
 
-    /// One `R×NR` fused-dequant column strip, dispatched to the `isa` tier.
+    /// One `R×w` fused-dequant column strip (`1 ≤ w ≤ NR`, inside one scale
+    /// block), dispatched to the `isa` tier.
     #[allow(clippy::too_many_arguments)]
-    fn qstrip16<const R: usize>(
+    fn qstrip<const R: usize>(
         &self,
         apack: &[f32],
         jb: usize,
+        w: usize,
         k: usize,
         n: usize,
         chunk: &mut [f32],
@@ -308,13 +295,13 @@ impl QuantizedMatrix {
         let blk = jb / self.block_size;
         #[cfg(target_arch = "x86_64")]
         if isa != Isa::Scalar {
-            // Bounds: deepest q read (k-1)·n + jb + 16 ≤ k·n; deepest scale
+            // Bounds: deepest q read (k-1)·n + jb + w ≤ k·n; deepest scale
             // read (k-1)·bpr + blk < k·bpr; out as in the dense strip. The
-            // caller guarantees jb+16 stays inside block `blk` for all rows.
+            // caller guarantees jb+w stays inside block `blk` for all rows.
             unsafe {
                 let out = chunk.as_mut_ptr().add(ib * n + jb);
                 match isa {
-                    Isa::Avx2 => simd::x86::qstrip16_avx2::<R>(
+                    Isa::Avx2 => simd::x86::qstrip_avx2::<R>(
                         apack.as_ptr(),
                         self.q.as_ptr().add(jb),
                         n,
@@ -323,9 +310,10 @@ impl QuantizedMatrix {
                         k,
                         out,
                         n,
+                        w,
                         accumulate,
                     ),
-                    Isa::Avx512 => simd::x86::qstrip16_avx512::<R>(
+                    Isa::Avx512 => simd::x86::qstrip_avx512::<R>(
                         apack.as_ptr(),
                         self.q.as_ptr().add(jb),
                         n,
@@ -334,6 +322,7 @@ impl QuantizedMatrix {
                         k,
                         out,
                         n,
+                        w,
                         accumulate,
                     ),
                     Isa::Scalar => unreachable!(),
@@ -343,52 +332,27 @@ impl QuantizedMatrix {
         }
         let _ = isa;
         let mut acc = [[0.0f32; kernels::NR]; R];
+        let mut bs = [0.0f32; kernels::NR];
         for (p, ap) in apack.chunks_exact(R).enumerate() {
             let scale = self.scales[p * bpr + blk];
-            let qrow = &self.q[p * n + jb..p * n + jb + kernels::NR];
+            for (b, &qv) in bs.iter_mut().zip(&self.q[p * n + jb..p * n + jb + w]) {
+                *b = qv as f32 * scale;
+            }
             for (r, acc_row) in acc.iter_mut().enumerate() {
                 let av = ap[r];
-                for (c, s) in acc_row.iter_mut().enumerate() {
-                    *s = kernels::fmadd(av, qrow[c] as f32 * scale, *s);
+                for (s, &bv) in acc_row.iter_mut().zip(bs.iter()) {
+                    *s = kernels::fmadd(av, bv, *s);
                 }
             }
         }
         for (r, acc_row) in acc.iter().enumerate() {
-            let orow = &mut chunk[(ib + r) * n + jb..(ib + r) * n + jb + kernels::NR];
+            let orow = &mut chunk[(ib + r) * n + jb..(ib + r) * n + jb + w];
             if accumulate {
                 for (o, &v) in orow.iter_mut().zip(acc_row.iter()) {
                     *o += v;
                 }
             } else {
-                orow.copy_from_slice(acc_row);
-            }
-        }
-    }
-
-    /// Quantized mirror of the dense kernel's scalar edge path.
-    #[allow(clippy::too_many_arguments)]
-    fn scalar_row_tail(
-        &self,
-        xd: &[f32],
-        i: usize,
-        li: usize,
-        chunk: &mut [f32],
-        k: usize,
-        n: usize,
-        j_lo: usize,
-        j_hi: usize,
-        accumulate: bool,
-    ) {
-        for j in j_lo..j_hi {
-            let mut s = 0.0f32;
-            for p in 0..k {
-                s = kernels::fmadd(xd[i * k + p], self.deq(p, j), s);
-            }
-            let o = &mut chunk[li * n + j];
-            if accumulate {
-                *o += s;
-            } else {
-                *o = s;
+                orow.copy_from_slice(&acc_row[..w]);
             }
         }
     }

@@ -231,35 +231,60 @@ pub(crate) mod x86 {
         }
     }
 
+    /// Lane mask of the first `w` of 8 lanes (all of them for `w ≥ 8`), in
+    /// the sign-bit form `_mm256_maskload_ps` / `_mm256_maskstore_ps` take.
+    #[inline(always)]
+    unsafe fn mask256(w: usize) -> __m256i {
+        _mm256_cmpgt_epi32(
+            _mm256_set1_epi32(w.min(8) as i32),
+            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
+        )
+    }
+
+    /// Lane mask of the first `w` of 16 lanes (all of them for `w ≥ 16`).
+    #[inline(always)]
+    fn mask512(w: usize) -> __mmask16 {
+        if w >= 16 {
+            !0
+        } else {
+            (1u16 << w) - 1
+        }
+    }
+
     // ---- dense f32 matmul strips -------------------------------------------
 
-    /// `R×16` dense strip: for `r < R`, `out[r*ostride..+16] (+)= Σ_p
-    /// apack[p*R+r] · b[p*bstride..+16]`, `p` ascending through one
+    /// `R×w` dense strip, `1 ≤ w ≤ 16`: for `r < R`, `out[r*ostride..+w]
+    /// (+)= Σ_p apack[p*R+r] · b[p*bstride..+w]`, `p` ascending through one
     /// [`madd256`] chain per output element — the exact chain of the scalar
     /// tile path, 8 columns per register, two register halves per strip.
+    /// Lanes at or past `w` are masked off every load and store: they read
+    /// as zero, never fault, and are never written.
     ///
     /// # Safety
     /// Requires AVX2. `apack` must hold `k*R` floats, `b` must be readable
-    /// for `(k-1)*bstride + 16` floats, `out` for `(R-1)*ostride + 16`.
+    /// for `(k-1)*bstride + w` floats, `out` for `(R-1)*ostride + w`.
+    #[allow(clippy::too_many_arguments)]
     #[target_feature(enable = "avx2")]
-    pub unsafe fn strip16_avx2<const R: usize>(
+    pub unsafe fn strip_avx2<const R: usize>(
         apack: *const f32,
         b: *const f32,
         bstride: usize,
         k: usize,
         out: *mut f32,
         ostride: usize,
+        w: usize,
         accumulate: bool,
     ) {
         // Two independent 8-wide halves keep register pressure at R
         // accumulators + operands (R=8 with a full 16-wide strip would
         // spill half the ymm file).
-        for half in 0..2 {
+        for half in 0..w.div_ceil(8) {
+            let mask = mask256(w - half * 8);
             let mut acc = [_mm256_setzero_ps(); R];
             let mut bp = b.add(half * 8);
             let mut ap = apack;
             for _ in 0..k {
-                let bv = _mm256_loadu_ps(bp);
+                let bv = _mm256_maskload_ps(bp, mask);
                 for (r, s) in acc.iter_mut().enumerate() {
                     *s = madd256(_mm256_set1_ps(*ap.add(r)), bv, *s);
                 }
@@ -269,34 +294,37 @@ pub(crate) mod x86 {
             for (r, &s) in acc.iter().enumerate() {
                 let o = out.add(r * ostride + half * 8);
                 let v = if accumulate {
-                    _mm256_add_ps(_mm256_loadu_ps(o), s)
+                    _mm256_add_ps(_mm256_maskload_ps(o, mask), s)
                 } else {
                     s
                 };
-                _mm256_storeu_ps(o, v);
+                _mm256_maskstore_ps(o, mask, v);
             }
         }
     }
 
-    /// 512-bit form of [`strip16_avx2`]: one ZMM register per output row.
+    /// 512-bit form of [`strip_avx2`]: one ZMM register per output row.
     ///
     /// # Safety
-    /// Requires AVX-512F; same pointer contracts as [`strip16_avx2`].
+    /// Requires AVX-512F; same pointer contracts as [`strip_avx2`].
+    #[allow(clippy::too_many_arguments)]
     #[target_feature(enable = "avx2,avx512f")]
-    pub unsafe fn strip16_avx512<const R: usize>(
+    pub unsafe fn strip_avx512<const R: usize>(
         apack: *const f32,
         b: *const f32,
         bstride: usize,
         k: usize,
         out: *mut f32,
         ostride: usize,
+        w: usize,
         accumulate: bool,
     ) {
+        let mask = mask512(w);
         let mut acc = [_mm512_setzero_ps(); R];
         let mut bp = b;
         let mut ap = apack;
         for _ in 0..k {
-            let bv = _mm512_loadu_ps(bp);
+            let bv = _mm512_maskz_loadu_ps(mask, bp);
             for (r, s) in acc.iter_mut().enumerate() {
                 *s = madd512(_mm512_set1_ps(*ap.add(r)), bv, *s);
             }
@@ -306,30 +334,41 @@ pub(crate) mod x86 {
         for (r, &s) in acc.iter().enumerate() {
             let o = out.add(r * ostride);
             let v = if accumulate {
-                _mm512_add_ps(_mm512_loadu_ps(o), s)
+                _mm512_add_ps(_mm512_maskz_loadu_ps(mask, o), s)
             } else {
                 s
             };
-            _mm512_storeu_ps(o, v);
+            _mm512_mask_storeu_ps(o, mask, v);
         }
     }
 
     // ---- fused int8 dequant-matmul strips ----------------------------------
 
-    /// [`strip16_avx2`] over an int8 B strip: per inner step the 16 quantized
-    /// bytes `q[p*qstride..+16]` dequantize in registers as
+    /// The first `w` (of at most `N`) quantized bytes at `q`, zero-padded to
+    /// `N`. A full load reads `q` directly; a partial one goes through a
+    /// stack copy, so no byte past `q + w` is touched (the last strip of the
+    /// last weight row ends at the end of the buffer).
+    #[inline(always)]
+    unsafe fn load_q<const N: usize>(q: *const i8, w: usize) -> [i8; N] {
+        let mut buf = [0i8; N];
+        core::ptr::copy_nonoverlapping(q, buf.as_mut_ptr(), w.min(N));
+        buf
+    }
+
+    /// [`strip_avx2`] over an int8 B strip: per inner step the `w` quantized
+    /// bytes `q[p*qstride..+w]` dequantize in registers as
     /// `q as f32 * scales[p*sstride]` (sign-extend → exact i32→f32 convert →
     /// multiply — the identical arithmetic of scalar dequantization) before
     /// extending the same per-element chains. The caller guarantees the
-    /// 16-column strip lies inside one quantization block per row, so one
-    /// scale covers the whole strip width.
+    /// strip lies inside one quantization block per row, so one scale covers
+    /// the whole strip width.
     ///
     /// # Safety
-    /// Requires AVX2. `q` readable for `(k-1)*qstride + 16` bytes, `scales`
-    /// for `(k-1)*sstride + 1` floats; `apack`/`out` as [`strip16_avx2`].
+    /// Requires AVX2. `q` readable for `(k-1)*qstride + w` bytes, `scales`
+    /// for `(k-1)*sstride + 1` floats; `apack`/`out` as [`strip_avx2`].
     #[allow(clippy::too_many_arguments)]
     #[target_feature(enable = "avx2")]
-    pub unsafe fn qstrip16_avx2<const R: usize>(
+    pub unsafe fn qstrip_avx2<const R: usize>(
         apack: *const f32,
         q: *const i8,
         qstride: usize,
@@ -338,15 +377,19 @@ pub(crate) mod x86 {
         k: usize,
         out: *mut f32,
         ostride: usize,
+        w: usize,
         accumulate: bool,
     ) {
-        for half in 0..2 {
+        for half in 0..w.div_ceil(8) {
+            let hw = w - half * 8;
+            let mask = mask256(hw);
             let mut acc = [_mm256_setzero_ps(); R];
             let mut qp = q.add(half * 8);
             let mut sp = scales;
             let mut ap = apack;
             for _ in 0..k {
-                let qi = _mm_loadl_epi64(qp as *const __m128i);
+                let qb = load_q::<8>(qp, hw);
+                let qi = _mm_loadl_epi64(qb.as_ptr() as *const __m128i);
                 let qf = _mm256_cvtepi32_ps(_mm256_cvtepi8_epi32(qi));
                 let bv = _mm256_mul_ps(qf, _mm256_set1_ps(*sp));
                 for (r, s) in acc.iter_mut().enumerate() {
@@ -359,22 +402,22 @@ pub(crate) mod x86 {
             for (r, &s) in acc.iter().enumerate() {
                 let o = out.add(r * ostride + half * 8);
                 let v = if accumulate {
-                    _mm256_add_ps(_mm256_loadu_ps(o), s)
+                    _mm256_add_ps(_mm256_maskload_ps(o, mask), s)
                 } else {
                     s
                 };
-                _mm256_storeu_ps(o, v);
+                _mm256_maskstore_ps(o, mask, v);
             }
         }
     }
 
-    /// 512-bit form of [`qstrip16_avx2`].
+    /// 512-bit form of [`qstrip_avx2`].
     ///
     /// # Safety
-    /// Requires AVX-512F; same pointer contracts as [`qstrip16_avx2`].
+    /// Requires AVX-512F; same pointer contracts as [`qstrip_avx2`].
     #[allow(clippy::too_many_arguments)]
     #[target_feature(enable = "avx2,avx512f")]
-    pub unsafe fn qstrip16_avx512<const R: usize>(
+    pub unsafe fn qstrip_avx512<const R: usize>(
         apack: *const f32,
         q: *const i8,
         qstride: usize,
@@ -383,14 +426,17 @@ pub(crate) mod x86 {
         k: usize,
         out: *mut f32,
         ostride: usize,
+        w: usize,
         accumulate: bool,
     ) {
+        let mask = mask512(w);
         let mut acc = [_mm512_setzero_ps(); R];
         let mut qp = q;
         let mut sp = scales;
         let mut ap = apack;
         for _ in 0..k {
-            let qi = _mm_loadu_si128(qp as *const __m128i);
+            let qb = load_q::<16>(qp, w);
+            let qi = _mm_loadu_si128(qb.as_ptr() as *const __m128i);
             let qf = _mm512_cvtepi32_ps(_mm512_cvtepi8_epi32(qi));
             let bv = _mm512_mul_ps(qf, _mm512_set1_ps(*sp));
             for (r, s) in acc.iter_mut().enumerate() {
@@ -403,11 +449,11 @@ pub(crate) mod x86 {
         for (r, &s) in acc.iter().enumerate() {
             let o = out.add(r * ostride);
             let v = if accumulate {
-                _mm512_add_ps(_mm512_loadu_ps(o), s)
+                _mm512_add_ps(_mm512_maskz_loadu_ps(mask, o), s)
             } else {
                 s
             };
-            _mm512_storeu_ps(o, v);
+            _mm512_mask_storeu_ps(o, mask, v);
         }
     }
 
