@@ -82,7 +82,8 @@ impl CausalSelfAttention {
     /// chunk per sequence (layout in `batch`); `seqs[i]` is sequence `i`'s
     /// block table, with the span for this chunk already made writable
     /// (`SeqKv::prepare_append`); `prefix` is this layer's shared virtual
-    /// prefix K/V panel (empty matrices when the hook provides none).
+    /// prefix panel pair `(Kᵀ, V)` as `KvCache` holds it (zero-length when
+    /// the hook provides none).
     ///
     /// The q/k/v/output projections and the hook's q/v deltas are row-local,
     /// so they run once over the packed matrix — per-row bitwise-equal (at
@@ -91,12 +92,14 @@ impl CausalSelfAttention {
     /// against that sequence's own cached history, so batch members cannot
     /// attend to each other.
     ///
-    /// Bitwise contract: scores are assembled panel-per-block
-    /// ([`kernels::matmul_bt_cols_panel`] — each element depends on one Q row
-    /// and one K row only) and the attention·V product folds prefix-then-
+    /// Bitwise contract: scores are assembled panel-per-block against K
+    /// panels stored transposed ([`kernels::matmul_kt_panel`] — each element
+    /// is one ascending chain over the head's dimensions and depends on one
+    /// Q row and one key only) and the attention·V product folds prefix-then-
     /// blocks in ascending order through one continued accumulation chain
-    /// ([`kernels::matmul_cols_seg_into`]), so the output rows are
-    /// bit-for-bit what the contiguous-cache kernels produced.
+    /// ([`kernels::matmul_cols_seg_into`]) — the same row-fold micro-kernel
+    /// both times — so the output rows are bit-for-bit what the
+    /// contiguous-cache kernels produced.
     pub fn forward_batch(
         &self,
         x: &Matrix,
@@ -121,11 +124,21 @@ impl CausalSelfAttention {
         if let Some(dv) = hook.infer_attn_v_delta(self.layer, x) {
             v.add_assign(&dv);
         }
-        let (pk, pv) = prefix;
-        let prefix_len = pk.rows();
+        let (pkt, pv) = prefix;
+        let prefix_len = pv.rows();
         let b_rows = pool.block_rows();
         let scale = 1.0 / (self.head_dim as f32).sqrt();
         let mut merged = Matrix::zeros(x.rows(), self.n_heads * self.head_dim);
+        // One scores buffer for every (sequence, head) of this call, sized
+        // for the largest: the panels below overwrite every element the
+        // softmax and the AV fold later read, so it is never cleared.
+        let widest = seqs
+            .iter()
+            .zip(batch.ranges())
+            .map(|(seq, rng)| rng.len() * (prefix_len + seq.tokens + rng.len()))
+            .max()
+            .unwrap_or(0);
+        let mut scores = Matrix::zeros(1, widest);
         for (s, seq) in seqs.iter().enumerate() {
             let rng = batch.range(s);
             let m = rng.len();
@@ -135,16 +148,23 @@ impl CausalSelfAttention {
             // cached tokens — the causal-mask offset of these rows in a full
             // forward over this sequence.
             let offset = prefix_len + seq.tokens;
+            scores.reset_shape(m, prefix_len + tokens_after);
+            // (block, tokens it holds) in history order.
+            let blocks = || {
+                seq.table
+                    .iter()
+                    .enumerate()
+                    .map(|(j, &id)| (pool.block(id), b_rows.min(tokens_after - j * b_rows)))
+            };
             for h in 0..self.n_heads {
                 let lo = h * self.head_dim;
                 let hi = lo + self.head_dim;
-                let mut scores = Matrix::zeros(m, prefix_len + tokens_after);
                 if prefix_len > 0 {
-                    kernels::matmul_bt_cols_panel(
+                    kernels::matmul_kt_panel(
                         &q,
                         rng.start,
                         rng.end,
-                        pk,
+                        pkt,
                         prefix_len,
                         lo,
                         hi,
@@ -153,10 +173,8 @@ impl CausalSelfAttention {
                     );
                 }
                 let mut col = prefix_len;
-                for (j, &id) in seq.table.iter().enumerate() {
-                    let filled = b_rows.min(tokens_after - j * b_rows);
-                    let data = pool.block(id);
-                    kernels::matmul_bt_cols_panel(
+                for (data, filled) in blocks() {
+                    kernels::matmul_kt_panel(
                         &q,
                         rng.start,
                         rng.end,
@@ -191,9 +209,7 @@ impl CausalSelfAttention {
                     accumulate = true;
                 }
                 let mut col = prefix_len;
-                for (j, &id) in seq.table.iter().enumerate() {
-                    let filled = b_rows.min(tokens_after - j * b_rows);
-                    let data = pool.block(id);
+                for (data, filled) in blocks() {
                     kernels::matmul_cols_seg_into(
                         &scores,
                         col,

@@ -1,8 +1,10 @@
 //! Paged KV storage: a pool of fixed-size, ref-counted K/V row blocks.
 //!
 //! [`BlockPool`] owns every KV block in an engine instance. A block spans
-//! `block_rows` token positions across *all* layers at once (`k[layer]` /
-//! `v[layer]`, each `[block_rows, d_model]`), so one [`BlockId`] is the unit
+//! `block_rows` token positions across *all* layers at once (`k[layer]`
+//! stored transposed, `[d_model, block_rows]` — one column per token, so a
+//! score row folds over it with lanes across keys; `v[layer]`
+//! `[block_rows, d_model]`), so one [`BlockId`] is the unit
 //! of sharing, refcounting and budget accounting for a token range. Sequences
 //! reference blocks through per-sequence tables ([`crate::KvCache`]); the
 //! radix prefix index ([`crate::PrefixIndex`]) pins full blocks for reuse by
@@ -38,13 +40,34 @@ impl BlockId {
     }
 }
 
-/// One block's storage: per-layer K and V panels, each `[block_rows, d_model]`
-/// with only the first `filled` rows valid (fill is tracked by the owning
-/// sequence's token count, not here — every sequence sharing a block agrees
-/// on its fill by construction).
+/// One block's storage: per layer a K panel held transposed
+/// (`[d_model, block_rows]`, token `t`'s key in column `t`) and a V panel
+/// (`[block_rows, d_model]`, token `t`'s value in row `t`), with only the
+/// first `filled` tokens valid (fill is tracked by the owning sequence's
+/// token count, not here — every sequence sharing a block agrees on its fill
+/// by construction).
 pub struct BlockData {
     pub k: Vec<Matrix>,
     pub v: Vec<Matrix>,
+}
+
+impl BlockData {
+    /// Writes token `t`'s key and value rows for `layer`: the key scatters
+    /// down column `t` of the transposed K panel.
+    pub(crate) fn write_token(&mut self, layer: usize, t: usize, k_row: &[f32], v_row: &[f32]) {
+        let kt = &mut self.k[layer];
+        let stride = kt.cols();
+        for (slot, &x) in kt.data_mut()[t..].iter_mut().step_by(stride).zip(k_row) {
+            *slot = x;
+        }
+        self.v[layer].row_mut(t).copy_from_slice(v_row);
+    }
+
+    /// Dimension `c` of token `t`'s cached key for `layer`.
+    #[cfg(test)]
+    pub(crate) fn key(&self, layer: usize, t: usize, c: usize) -> f32 {
+        self.k[layer].get(c, t)
+    }
 }
 
 struct Slot {
@@ -95,7 +118,7 @@ impl BlockPool {
     fn fresh_data(&self) -> BlockData {
         BlockData {
             k: (0..self.n_layers)
-                .map(|_| Matrix::zeros(self.block_rows, self.d_model))
+                .map(|_| Matrix::zeros(self.d_model, self.block_rows))
                 .collect(),
             v: (0..self.n_layers)
                 .map(|_| Matrix::zeros(self.block_rows, self.d_model))
@@ -179,8 +202,9 @@ impl BlockPool {
         slot.data.as_mut().expect("live block lost its storage")
     }
 
-    /// Copy-on-write: allocates a fresh block and copies `filled` rows of
-    /// every layer's K/V panel from `src`. The source's refcount is
+    /// Copy-on-write: allocates a fresh block and copies the first `filled`
+    /// tokens of every layer's K/V panel from `src` (columns of the
+    /// transposed K panel, rows of the V panel). The source's refcount is
     /// untouched — the caller swaps its table entry and releases its own
     /// reference.
     pub fn copy_block(&mut self, src: BlockId, filled: usize) -> BlockId {
@@ -200,9 +224,17 @@ impl BlockPool {
             };
             let sd = s.data.as_ref().expect("live block lost its storage");
             let dd = d.data.as_mut().expect("live block lost its storage");
+            let row_len = filled * self.d_model;
             for l in 0..self.n_layers {
-                dd.k[l].copy_rows_from(0, &sd.k[l].slice_rows(0, filled));
-                dd.v[l].copy_rows_from(0, &sd.v[l].slice_rows(0, filled));
+                let k_rows = sd.k[l].data().chunks_exact(self.block_rows);
+                for (dst, src) in dd.k[l]
+                    .data_mut()
+                    .chunks_exact_mut(self.block_rows)
+                    .zip(k_rows)
+                {
+                    dst[..filled].copy_from_slice(&src[..filled]);
+                }
+                dd.v[l].data_mut()[..row_len].copy_from_slice(&sd.v[l].data()[..row_len]);
             }
         }
         dst
@@ -344,15 +376,15 @@ mod tests {
         let a = p.alloc();
         for l in 0..2 {
             let d = p.block_mut(a);
-            d.k[l].set(0, 1, 5.0);
-            d.v[l].set(1, 2, -3.0);
+            d.write_token(l, 0, &[0.0, 5.0, 0.0], &[0.0; 3]);
+            d.write_token(l, 1, &[0.0; 3], &[0.0, 0.0, -3.0]);
         }
         p.retain(a); // simulate a second owner forcing COW
         let b = p.copy_block(a, 2);
         assert_eq!(p.refs(a), 2, "copy_block leaves the source refcount alone");
         assert_eq!(p.refs(b), 1);
         for l in 0..2 {
-            assert_eq!(p.block(b).k[l].get(0, 1), 5.0);
+            assert_eq!(p.block(b).key(l, 0, 1), 5.0);
             assert_eq!(p.block(b).v[l].get(1, 2), -3.0);
         }
         p.release(a);
@@ -383,7 +415,7 @@ mod tests {
         p.reserve_free_blocks(3);
         assert_eq!(p.free_rows(), 24);
         let c = p.alloc();
-        assert_eq!(p.block(c).k[0].rows(), 8, "reused slot has storage again");
+        assert_eq!(p.block(c).v[0].rows(), 8, "reused slot has storage again");
         p.release(c);
     }
 }

@@ -19,9 +19,11 @@
 //!
 //! Bitwise contract: the per-head kernels assemble scores and the attention·V
 //! product block-by-block through single ascending accumulation chains
-//! (`matmul_bt_cols_panel` / `matmul_cols_seg_into`), so a sequence read
-//! through its block table produces bit-for-bit the rows a contiguous cache
-//! produced — sharing changes storage, never arithmetic.
+//! (`matmul_kt_panel` / `matmul_cols_seg_into` — one row-fold micro-kernel;
+//! K panels are stored transposed so both fold with lanes across
+//! independent outputs), so a sequence read through its block table produces
+//! bit-for-bit the rows a contiguous cache produced — sharing and layout
+//! change storage, never arithmetic.
 
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -102,12 +104,7 @@ impl SeqKv {
             let n = (b - r0).min(m - t);
             let data = pool.block_mut(self.table[j]);
             for i in 0..n {
-                data.k[layer]
-                    .row_mut(r0 + i)
-                    .copy_from_slice(k.row(src0 + t + i));
-                data.v[layer]
-                    .row_mut(r0 + i)
-                    .copy_from_slice(v.row(src0 + t + i));
+                data.write_token(layer, r0 + i, k.row(src0 + t + i), v.row(src0 + t + i));
             }
             t += n;
         }
@@ -118,8 +115,9 @@ impl SeqKv {
 /// tables into a shared [`BlockPool`] plus optional per-sequence hook state.
 pub struct KvCache {
     pub(crate) pool: PoolHandle,
-    /// Per-layer hook prefix K/V panels (`[prefix_len, d_model]` each; empty
-    /// matrices when the hook provides none). Shared, never mutated.
+    /// Per-layer hook prefix panels, K transposed like a block's
+    /// (`[d_model, prefix_len]`) and V `[prefix_len, d_model]`; zero-length
+    /// when the hook provides none. Shared, never mutated.
     pub(crate) prefix: Arc<Vec<(Matrix, Matrix)>>,
     pub(crate) seqs: Vec<SeqKv>,
     pub(crate) states: Vec<Option<Box<dyn HookState>>>,
@@ -149,7 +147,7 @@ impl KvCache {
                     .infer_prefix_kv(l)
                     .unwrap_or_else(|| (Matrix::zeros(0, d_model), Matrix::zeros(0, d_model)));
                 assert_eq!(k.shape(), v.shape(), "prefix K/V shape mismatch");
-                (k, v)
+                (k.transposed(), v)
             })
             .collect();
         KvCache {
@@ -323,7 +321,7 @@ impl KvCache {
     /// layer's virtual prefix rows per sequence, matching what the serving
     /// admission accounting charges. The gauge the scheduler exports.
     pub fn rows_used(&self) -> usize {
-        let max_prefix = self.prefix.iter().map(|(k, _)| k.rows()).max().unwrap_or(0);
+        let max_prefix = self.prefix.iter().map(|(_, v)| v.rows()).max().unwrap_or(0);
         let distinct: HashSet<BlockId> = self
             .seqs
             .iter()
@@ -476,9 +474,9 @@ mod tests {
         assert_eq!(pool.refs(c.seq_table(0)[1]), 1, "partial tail was COWed");
         assert_ne!(c.seq_table(0)[1], fork.seq_table(0)[1]);
         // The COW copied the old fill before the new row landed.
-        assert_eq!(pool.block(c.seq_table(0)[1]).k[0].get(0, 0), 1.0);
-        assert_eq!(pool.block(c.seq_table(0)[1]).k[0].get(1, 0), 2.0);
-        assert_eq!(pool.block(fork.seq_table(0)[1]).k[0].get(0, 0), 1.0);
+        assert_eq!(pool.block(c.seq_table(0)[1]).key(0, 0, 0), 1.0);
+        assert_eq!(pool.block(c.seq_table(0)[1]).key(0, 1, 0), 2.0);
+        assert_eq!(pool.block(fork.seq_table(0)[1]).key(0, 0, 0), 1.0);
     }
 
     #[test]
@@ -609,6 +607,6 @@ mod tests {
         drop(donor);
         // The adopted blocks outlive the donor.
         assert_eq!(pool.lock().refs(blocks[0]), 1);
-        assert_eq!(pool.lock().block(blocks[0]).k[0].get(0, 0), 3.0);
+        assert_eq!(pool.lock().block(blocks[0]).key(0, 0, 0), 3.0);
     }
 }

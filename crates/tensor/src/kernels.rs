@@ -11,12 +11,14 @@
 //!    `split_at_mut`), so no synchronization is needed beyond the join.
 //! 2. **Register tiling.** Inside a band, outputs are computed in `MR×NR`
 //!    tiles ([`matmul_into`]/[`matmul_at_into`]: 8 output rows × 16 columns,
-//!    sized for one-ZMM-wide column strips under AVX-512, with 4- and 2-row
-//!    fallback tiles for row remainders; [`matmul_bt_into`]: 4×4 dot-product
-//!    tiles). Each tile's accumulators live in registers across the entire
-//!    inner dimension, so per-`p` traffic is loads only — the seed kernel
-//!    re-read and re-wrote the output row on every step of the inner
-//!    dimension. Remaining edges fall back to scalar loops.
+//!    sized for one-ZMM-wide column strips under AVX-512;
+//!    [`matmul_bt_into`]: 4×4 dot-product tiles). Each tile's accumulators
+//!    live in registers across the entire inner dimension, so per-`p` traffic
+//!    is loads only — the seed kernel re-read and re-wrote the output row on
+//!    every step of the inner dimension. There are no scalar edges: a row
+//!    remainder is one tile of exactly its height, a column remainder one
+//!    strip of exactly its width (masked lanes in the vector tiers), so a
+//!    product costs the same per row whatever its row count or width.
 //! 3. **Serial fast path.** Products smaller than [`PAR_MIN_FLOPS`] run on
 //!    the calling thread even when more threads are configured: band spawn
 //!    costs ~10µs, which swamps sub-millisecond products. The threshold was
@@ -26,8 +28,8 @@
 //! # Determinism
 //!
 //! Every output element is accumulated **over the inner dimension `p` in
-//! ascending order through a single accumulator chain**, in the tile path,
-//! the scalar-edge path, and every band split. Consequently the blocked,
+//! ascending order through a single accumulator chain**, in every tile
+//! height, every strip width, and every band split. Consequently the blocked,
 //! banded, multi-threaded result is *bit-for-bit identical* to the serial
 //! result for any thread count and any tile alignment — floating-point
 //! summation order never changes. (`accumulate=true` in the `_into` variants
@@ -53,16 +55,20 @@
 //!
 //! # ISA tiers
 //!
-//! The column-strip loop of the `a@b`/`aᵀ@b` tile path, the attention·V
-//! row fold, GELU and the softmax max/scale passes each dispatch through
-//! [`crate::simd::active_isa`] to an explicit AVX2 or AVX-512 micro-kernel
-//! ([`crate::simd`]) when the CPU (or the `INFUSERKI_ISA` knob) selects one.
+//! The column-strip loop of the `a@b`/`aᵀ@b` tile path, the attention row
+//! fold (Q·Kᵀ and scores·V), GELU and the softmax max/scale passes each
+//! dispatch through [`crate::simd::active_isa`] to an explicit AVX2 or
+//! AVX-512 micro-kernel ([`crate::simd`]) when the CPU (or the
+//! `INFUSERKI_ISA` knob) selects one.
 //! Every f32 tier is bitwise-equal to the scalar tier — SIMD lanes only ever
 //! span independent output elements, never an accumulation chain (see the
-//! `simd` module docs for the proof obligations). The dot-shaped kernels
-//! (`a@bᵀ`, score panels, [`dot_seq`]) run this module's scalar path in
-//! every tier: one output element per chain leaves nothing to lane out
-//! without reassociating.
+//! `simd` module docs for the proof obligations). Attention obeys the same
+//! rule on both sides: K panels are stored transposed, one column per key,
+//! so a Q·Kᵀ score row folds with lanes across keys exactly as a scores·V
+//! row folds with lanes across value columns — one micro-kernel, `av_row`.
+//! Only `a@bᵀ` over row-major operands ([`matmul_bt_into`]: the tied LM head,
+//! backward passes) still keeps its independent chains side by side in
+//! scalar registers rather than in lanes, identically in every tier.
 //!
 //! The pre-blocking seed kernels are preserved in [`reference`] as the
 //! correctness oracle for the property-test suite and the before/after
@@ -654,88 +660,7 @@ fn bt_tile<const R: usize, const C: usize>(
     }
 }
 
-/// Ascending-order dot product through one [`fmadd`] chain — the exact
-/// accumulation chain every matmul kernel in this module uses per output
-/// element (tile paths and scalar edges alike).
-#[inline]
-fn dot_seq(x: &[f32], y: &[f32]) -> f32 {
-    debug_assert_eq!(x.len(), y.len());
-    let mut s = 0.0f32;
-    for (&a, &b) in x.iter().zip(y.iter()) {
-        s = fmadd(a, b, s);
-    }
-    s
-}
-
 // ---- column-window kernels (per-head attention over cached K/V) ------------
-
-/// `out = a[r0..r1, lo..hi] @ (b[:, lo..hi])ᵀ` — per-head attention scores
-/// against cached K, reading both operands through the column window
-/// `lo..hi` in place. Replaces the `slice_rows`/`slice_cols` copies the
-/// attention head loop would otherwise make of packed Q and of the *entire*
-/// cached K every call (an O(history) copy per head per decode step).
-///
-/// Bitwise contract: every output element is the single ascending-`p`
-/// [`fmadd`] chain shared by all matmul kernels in this module, so the result
-/// is bit-for-bit what
-/// `matmul_bt(&a.slice_rows(r0, r1).slice_cols(lo, hi), &b.slice_cols(lo, hi))`
-/// returns, at any thread count. Runs serial — per-head score blocks sit far
-/// below the parallel threshold.
-pub fn matmul_bt_cols(
-    a: &Matrix,
-    r0: usize,
-    r1: usize,
-    b: &Matrix,
-    lo: usize,
-    hi: usize,
-) -> Matrix {
-    assert!(r0 <= r1 && r1 <= a.rows(), "matmul_bt_cols: row window");
-    assert!(
-        lo <= hi && hi <= a.cols() && hi <= b.cols(),
-        "matmul_bt_cols: column window"
-    );
-    let m = r1 - r0;
-    let n = b.rows();
-    let (ka, kb) = (a.cols(), b.cols());
-    let (ad, bd) = (a.data(), b.data());
-    let mut out = Matrix::zeros(m, n);
-    let od = out.data_mut();
-    // A row's column window is a contiguous slice, so the TR×TR dot-product
-    // tiling of `matmul_bt_band` carries over unchanged.
-    let arow = |i: usize| &ad[(r0 + i) * ka + lo..(r0 + i) * ka + hi];
-    let brow = |j: usize| &bd[j * kb + lo..j * kb + hi];
-    let i_main = m - m % TR;
-    let j_main = n - n % TR;
-    for ib in (0..i_main).step_by(TR) {
-        let ar: [&[f32]; TR] = std::array::from_fn(|r| arow(ib + r));
-        for jb in (0..j_main).step_by(TR) {
-            let br: [&[f32]; TR] = std::array::from_fn(|c| brow(jb + c));
-            let mut acc = [[0.0f32; TR]; TR];
-            for p in 0..hi - lo {
-                for (r, acc_row) in acc.iter_mut().enumerate() {
-                    let av = ar[r][p];
-                    for (c, s) in acc_row.iter_mut().enumerate() {
-                        *s = fmadd(av, br[c][p], *s);
-                    }
-                }
-            }
-            for (r, acc_row) in acc.iter().enumerate() {
-                od[(ib + r) * n + jb..(ib + r) * n + jb + TR].copy_from_slice(acc_row);
-            }
-        }
-        for (r, ar_row) in ar.iter().enumerate() {
-            for j in j_main..n {
-                od[(ib + r) * n + j] = dot_seq(ar_row, brow(j));
-            }
-        }
-    }
-    for i in i_main..m {
-        for j in 0..n {
-            od[i * n + j] = dot_seq(arow(i), brow(j));
-        }
-    }
-    out
-}
 
 /// `out[row0.., lo..hi] = a @ b[:, lo..hi]` — the per-head attention·V
 /// product written straight into the merged-heads matrix's column window,
@@ -746,7 +671,7 @@ pub fn matmul_bt_cols(
 /// identical to [`matmul`] over a materialized `b.slice_cols(lo, hi)`, and
 /// deliberately *without* the seed kernel's zero-skip branch (skipping
 /// `av == 0.0` turns `-0.0 + 0.0·x` into `-0.0` where the chain produces
-/// `+0.0`). Serial, like [`matmul_bt_cols`].
+/// `+0.0`). Serial: per-head products sit far below the parallel threshold.
 pub fn matmul_cols_into(
     a: &Matrix,
     b: &Matrix,
@@ -769,54 +694,60 @@ pub fn matmul_cols_into(
     matmul_cols_seg_into(a, 0, kk, b, lo, hi, out, row0, false);
 }
 
-/// `out[:, col0..col0+b_rows] = a[r0..r1, lo..hi] @ (b[0..b_rows, lo..hi])ᵀ`
-/// — the score-panel form of [`matmul_bt_cols`] for a *paged* K cache: `b` is
-/// one fixed-size KV block of which only the first `b_rows` rows hold tokens,
-/// and the panel lands at column offset `col0` of a scores matrix assembled
-/// from several blocks.
+/// `out[0..r1-r0, col0..col0+keys] = a[r0..r1, lo..hi] @ kt[lo..hi, 0..keys]`
+/// — one per-head score panel against a K panel stored *transposed*
+/// (`kt: [d_model, capacity]`, one column per cached key, of which the first
+/// `keys` hold tokens): a paged KV block, or the hook's virtual-prefix panel.
+/// The panel lands at column offset `col0` of a scores matrix assembled from
+/// several such panels.
 ///
-/// Bitwise contract: each output element is the single ascending-`p`
-/// [`dot_seq`] chain every matmul kernel here uses, and score elements depend
-/// on exactly one Q row and one K row — so a scores matrix assembled
-/// panel-by-panel from blocks is bit-for-bit the [`matmul_bt_cols`] result
-/// over the same rows stored contiguously. Serial, like the other per-head
-/// kernels.
+/// With keys along the columns a score row is the same row fold as
+/// attention·V — `Σ_p q[lo+p] · kt[lo+p][0..keys]`, lanes across keys — so
+/// both halves of attention run [`av_row`] in every tier.
+///
+/// Bitwise contract: each output element is one ascending-`p` [`fmadd`]
+/// chain from `0.0` over the head's `hi - lo` dimensions — the chain
+/// [`matmul_bt`] computes for the same Q row and K row — and depends on
+/// exactly one Q row and one key, so a scores matrix assembled
+/// panel-by-panel is bit-for-bit the product over the same keys stored
+/// contiguously. Serial, like the other per-head kernels.
 #[allow(clippy::too_many_arguments)]
-pub fn matmul_bt_cols_panel(
+pub fn matmul_kt_panel(
     a: &Matrix,
     r0: usize,
     r1: usize,
-    b: &Matrix,
-    b_rows: usize,
+    kt: &Matrix,
+    keys: usize,
     lo: usize,
     hi: usize,
     out: &mut Matrix,
     col0: usize,
 ) {
+    assert!(r0 <= r1 && r1 <= a.rows(), "matmul_kt_panel: row window");
     assert!(
-        r0 <= r1 && r1 <= a.rows(),
-        "matmul_bt_cols_panel: row window"
+        lo <= hi && hi <= a.cols() && hi <= kt.rows(),
+        "matmul_kt_panel: head window"
     );
-    assert!(
-        lo <= hi && hi <= a.cols() && hi <= b.cols(),
-        "matmul_bt_cols_panel: column window"
-    );
-    assert!(b_rows <= b.rows(), "matmul_bt_cols_panel: b row count");
+    assert!(keys <= kt.cols(), "matmul_kt_panel: key count");
     let m = r1 - r0;
     assert!(
-        m <= out.rows() && col0 + b_rows <= out.cols(),
-        "matmul_bt_cols_panel: out window"
+        m <= out.rows() && col0 + keys <= out.cols(),
+        "matmul_kt_panel: out window"
     );
-    let (ka, kb) = (a.cols(), b.cols());
-    let on = out.cols();
-    let (ad, bd) = (a.data(), b.data());
+    let (ka, kn, on) = (a.cols(), kt.cols(), out.cols());
+    let (ad, kd) = (a.data(), kt.data());
     let od = out.data_mut();
+    let isa = simd::active_isa();
     for i in 0..m {
-        let arow = &ad[(r0 + i) * ka + lo..(r0 + i) * ka + hi];
-        let orow = &mut od[i * on + col0..i * on + col0 + b_rows];
-        for (j, o) in orow.iter_mut().enumerate() {
-            *o = dot_seq(arow, &bd[j * kb + lo..j * kb + hi]);
-        }
+        av_row(
+            &ad[(r0 + i) * ka + lo..(r0 + i) * ka + hi],
+            &kd[lo * kn..],
+            0,
+            kn,
+            &mut od[i * on + col0..i * on + col0 + keys],
+            false,
+            isa,
+        );
     }
 }
 
@@ -879,10 +810,12 @@ pub fn matmul_cols_seg_into(
     }
 }
 
-/// One output row of the attention·V fold, dispatched to the `isa` tier:
+/// One output row of the attention row fold, dispatched to the `isa` tier:
 /// `orow[j] (+)= Σ_p a[p] · bd[p·bn + lo + j]`, `p` ascending through one
 /// [`fmadd`] chain per output element (each SIMD lane owns one independent
-/// column's chain, so all tiers are bitwise-equal).
+/// column's chain, so all tiers are bitwise-equal). Scores·V folds a score
+/// row over a V block's rows; Q·Kᵀ folds a query row's head window over a
+/// transposed K panel's rows ([`matmul_kt_panel`]).
 #[inline(always)]
 fn av_row(
     a: &[f32],
@@ -893,12 +826,20 @@ fn av_row(
     accumulate: bool,
     isa: Isa,
 ) {
+    if a.is_empty() {
+        if !accumulate {
+            orow.fill(0.0);
+        }
+        return;
+    }
+    // Every tier indexes up to the last folded row's window; check it once.
+    assert!(
+        (a.len() - 1) * bn + lo + orow.len() <= bd.len(),
+        "av_row: fold runs past the panel"
+    );
     #[cfg(target_arch = "x86_64")]
     if isa != Isa::Scalar {
-        // Bounds: the deepest B read is (seg-1)·bn + lo + orow.len() =
-        // (seg-1)·bn + hi ≤ b.rows()·b.cols() = bd.len() (the caller
-        // asserted seg ≤ b.rows() and hi ≤ b.cols()). CPU support is
-        // guaranteed by `active_isa`.
+        // Bounds: asserted above. CPU support is guaranteed by `active_isa`.
         unsafe {
             match isa {
                 Isa::Avx2 => simd::x86::av_row_avx2(
@@ -938,9 +879,9 @@ fn av_row(
 
 /// Dot product of two equal-length slices (unrolled by 4 for the vectorizer).
 ///
-/// Note: the 4-lane split changes summation order vs [`dot_seq`]; it is used
-/// where raw speed matters and bit-stability across code paths does not
-/// (e.g. softmax backward).
+/// Note: the 4-lane split is *not* the matmul kernels' single ascending
+/// chain; it is used where raw speed matters and bit-stability across code
+/// paths does not (e.g. softmax backward).
 #[inline]
 pub fn dot(x: &[f32], y: &[f32]) -> f32 {
     debug_assert_eq!(x.len(), y.len());
@@ -1431,40 +1372,6 @@ mod tests {
         let x: Vec<f32> = (0..7).map(|i| i as f32).collect();
         let y = vec![1.0f32; 7];
         assert_eq!(dot(&x, &y), 21.0);
-        assert_eq!(dot_seq(&x, &y), 21.0);
-    }
-
-    #[test]
-    fn matmul_bt_cols_bitwise_matches_sliced_matmul_bt() {
-        // Window shapes spanning tile boundaries on both axes, including the
-        // single-query decode shape and ragged histories.
-        for &(ra, hist, d, lo, hi) in &[
-            (1usize, 1usize, 8usize, 0usize, 4usize),
-            (1, 23, 12, 4, 8),
-            (5, 9, 16, 8, 16),
-            (7, 17, 16, 0, 16),
-            (4, 4, 6, 2, 6),
-        ] {
-            let a = Matrix::from_vec(
-                ra + 2,
-                d,
-                ((0..(ra + 2) * d).map(|i| (i as f32 * 0.31).sin())).collect(),
-            );
-            let b = Matrix::from_vec(
-                hist,
-                d,
-                ((0..hist * d).map(|i| (i as f32 * 0.57).cos())).collect(),
-            );
-            let strided = matmul_bt_cols(&a, 1, 1 + ra, &b, lo, hi);
-            let sliced = matmul_bt(
-                &a.slice_rows(1, 1 + ra).slice_cols(lo, hi),
-                &b.slice_cols(lo, hi),
-            );
-            assert_eq!(strided.shape(), sliced.shape(), "{ra}x{hist} w={lo}..{hi}");
-            for (x, y) in strided.data().iter().zip(sliced.data().iter()) {
-                assert_eq!(x.to_bits(), y.to_bits(), "{ra}x{hist} w={lo}..{hi}");
-            }
-        }
     }
 
     #[test]
@@ -1506,15 +1413,19 @@ mod tests {
     }
 
     #[test]
-    fn matmul_bt_cols_panel_assembles_bitwise_scores_from_blocks() {
+    fn matmul_kt_panel_assembles_bitwise_scores_from_blocks() {
         // Split the cached history into fixed-size blocks (last one ragged),
-        // compute one score panel per block, and check the assembled matrix
-        // is bit-for-bit the contiguous-history kernel's output.
+        // store each block's K rows transposed, compute one score panel per
+        // block, and check the assembled matrix is bit-for-bit `a@bᵀ` over
+        // the sliced head window of the contiguous history. Shapes span the
+        // single-query decode shape, ragged histories and every fill level.
         for &(ra, hist, d, blk, lo, hi) in &[
             (1usize, 1usize, 8usize, 4usize, 0usize, 4usize),
             (1, 23, 12, 4, 4, 8),
             (5, 9, 16, 2, 8, 16),
             (7, 17, 16, 8, 0, 16),
+            (4, 4, 6, 16, 2, 6),
+            (3, 41, 32, 16, 16, 32),
         ] {
             let a = Matrix::from_vec(
                 ra + 2,
@@ -1526,16 +1437,24 @@ mod tests {
                 d,
                 ((0..hist * d).map(|i| (i as f32 * 0.57).cos())).collect(),
             );
-            let contiguous = matmul_bt_cols(&a, 1, 1 + ra, &k, lo, hi);
-            let mut paged = Matrix::zeros(ra, hist);
+            let contiguous = matmul_bt(
+                &a.slice_rows(1, 1 + ra).slice_cols(lo, hi),
+                &k.slice_cols(lo, hi),
+            );
+            // Stale garbage in the sink: a panel must overwrite its window.
+            let mut paged = Matrix::full(ra, hist, f32::NAN);
             let mut col = 0;
             while col < hist {
                 let filled = blk.min(hist - col);
-                // Blocks are full-size with only `filled` valid rows, like a
-                // partially-written KV block.
-                let mut block = Matrix::full(blk, d, f32::NAN);
-                block.copy_rows_from(0, &k.slice_rows(col, col + filled));
-                matmul_bt_cols_panel(&a, 1, 1 + ra, &block, filled, lo, hi, &mut paged, col);
+                // Blocks are full-size with only `filled` valid key columns,
+                // like a partially-written KV block.
+                let mut block = Matrix::full(d, blk, f32::NAN);
+                for j in 0..filled {
+                    for p in 0..d {
+                        block.set(p, j, k.get(col + j, p));
+                    }
+                }
+                matmul_kt_panel(&a, 1, 1 + ra, &block, filled, lo, hi, &mut paged, col);
                 col += filled;
             }
             for (x, y) in paged.data().iter().zip(contiguous.data().iter()) {

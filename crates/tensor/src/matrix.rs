@@ -158,6 +158,17 @@ impl Matrix {
         self.data.iter_mut().for_each(|v| *v = 0.0);
     }
 
+    /// Re-shapes to `rows × cols` in place, reusing the allocation (it only
+    /// grows when `rows * cols` exceeds every earlier size). Element values
+    /// afterwards are unspecified — stale or zero — so this is for scratch
+    /// the caller overwrites before reading, e.g. one attention-scores buffer
+    /// shared by every (sequence, head) of a forward.
+    pub fn reset_shape(&mut self, rows: usize, cols: usize) {
+        self.data.resize(rows * cols, 0.0);
+        self.rows = rows;
+        self.cols = cols;
+    }
+
     /// In-place element-wise `self += other`.
     ///
     /// # Panics

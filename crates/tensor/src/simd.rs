@@ -3,7 +3,7 @@
 //! The scalar/autovec kernels in [`crate::kernels`] stay the portable
 //! fallback and the semantic reference; this module adds explicit
 //! `std::arch` AVX2 and AVX-512 micro-kernels for the hot inner loops
-//! (matmul column strips, attention AV panels, GELU, softmax max/scale and
+//! (matmul column strips, the attention row fold, GELU, softmax max/scale and
 //! the fused int8 dequant-matmul strips of [`crate::quant`]), selected once
 //! per kernel call by [`active_isa`].
 //!
@@ -25,10 +25,12 @@
 //! keeps the exact single ascending-`p` accumulation chain the scalar
 //! kernels define, with the same fused-or-not multiply-add per build
 //! (see [`crate::kernels::fmadd`]): fused `vfmadd` intrinsics when the build
-//! targets FMA, separate multiply + add intrinsics otherwise. Dot-shaped
-//! kernels (`a@bᵀ`, score panels), whose single-element chains cannot be
-//! lane-parallelized without reassociating, run the shared scalar path in
-//! every tier.
+//! targets FMA, separate multiply + add intrinsics otherwise. Where an
+//! operand's layout would put a chain along the lanes, the layout changes,
+//! not the rule: attention keys are cached transposed so score rows lane
+//! across keys. Partial strips mask their unused lanes off every load and
+//! store, so there is no scalar remainder path to keep in step. Only `a@bᵀ`
+//! over row-major operands runs the shared scalar path in every tier.
 //!
 //! Two value-level (not bit-level) caveats, both invisible to finite
 //! workloads: the vectorized softmax max-scan may return the other sign of
@@ -198,7 +200,7 @@ pub fn active_isa() -> Isa {
 /// must uphold the pointer-range contracts documented per function.
 #[cfg(target_arch = "x86_64")]
 pub(crate) mod x86 {
-    use crate::kernels::{fmadd, gelu, tanh_poly as tp};
+    use crate::kernels::{gelu, tanh_poly as tp};
     use core::arch::x86_64::*;
 
     /// One multiply-add chain step on 8 lanes, matching
@@ -457,14 +459,16 @@ pub(crate) mod x86 {
         }
     }
 
-    // ---- attention AV row fold ---------------------------------------------
+    // ---- attention row fold -----------------------------------------------
 
-    /// One output row of the attention·V window product:
-    /// `out[0..w] (+)= Σ_p a[p] · b[p*bstride..+w]`, `p` ascending. Vector
-    /// chunks hold their output columns in a register across the whole fold
-    /// (each lane one independent chain, continued from the prior `out`
-    /// value when `accumulate`); the ragged tail runs the identical scalar
-    /// chain.
+    /// One output row of an attention window product:
+    /// `out[0..w] (+)= Σ_p a[p] · b[p*bstride..+w]`, `p` ascending. Each
+    /// 8-column chunk holds its output columns in a register across the
+    /// whole fold (each lane one independent chain, continued from the prior
+    /// `out` value when `accumulate`); the last chunk masks the lanes at or
+    /// past `w` off every load and store. Serves both halves of attention:
+    /// scores·V (`a` a score row, `b` a V block) and Q·Kᵀ (`a` a query row's
+    /// head window, `b` a transposed K panel).
     ///
     /// # Safety
     /// Requires AVX2. `a` readable for `seg` floats, `b` for
@@ -479,26 +483,24 @@ pub(crate) mod x86 {
         w: usize,
         accumulate: bool,
     ) {
-        let mut c = 0;
-        while c + 8 <= w {
+        for c in (0..w).step_by(8) {
+            let mask = mask256(w - c);
             let mut acc = if accumulate {
-                _mm256_loadu_ps(out.add(c))
+                _mm256_maskload_ps(out.add(c), mask)
             } else {
                 _mm256_setzero_ps()
             };
             let mut bp = b.add(c);
             for p in 0..seg {
-                acc = madd256(_mm256_set1_ps(*a.add(p)), _mm256_loadu_ps(bp), acc);
+                acc = madd256(_mm256_set1_ps(*a.add(p)), _mm256_maskload_ps(bp, mask), acc);
                 bp = bp.add(bstride);
             }
-            _mm256_storeu_ps(out.add(c), acc);
-            c += 8;
+            _mm256_maskstore_ps(out.add(c), mask, acc);
         }
-        av_row_tail(a, seg, b, bstride, out, c, w, accumulate);
     }
 
-    /// 512-bit form of [`av_row_avx2`]: 16-wide chunks, then the shared
-    /// scalar tail (head windows here are 8–64 columns, so the tail is cold).
+    /// 512-bit form of [`av_row_avx2`]: 16-column chunks, the last one
+    /// masked.
     ///
     /// # Safety
     /// Requires AVX-512F; same pointer contracts as [`av_row_avx2`].
@@ -512,58 +514,23 @@ pub(crate) mod x86 {
         w: usize,
         accumulate: bool,
     ) {
-        let mut c = 0;
-        while c + 16 <= w {
+        for c in (0..w).step_by(16) {
+            let mask = mask512(w - c);
             let mut acc = if accumulate {
-                _mm512_loadu_ps(out.add(c))
+                _mm512_maskz_loadu_ps(mask, out.add(c))
             } else {
                 _mm512_setzero_ps()
             };
             let mut bp = b.add(c);
             for p in 0..seg {
-                acc = madd512(_mm512_set1_ps(*a.add(p)), _mm512_loadu_ps(bp), acc);
+                acc = madd512(
+                    _mm512_set1_ps(*a.add(p)),
+                    _mm512_maskz_loadu_ps(mask, bp),
+                    acc,
+                );
                 bp = bp.add(bstride);
             }
-            _mm512_storeu_ps(out.add(c), acc);
-            c += 16;
-        }
-        if c + 8 <= w {
-            let mut acc = if accumulate {
-                _mm256_loadu_ps(out.add(c))
-            } else {
-                _mm256_setzero_ps()
-            };
-            let mut bp = b.add(c);
-            for p in 0..seg {
-                acc = madd256(_mm256_set1_ps(*a.add(p)), _mm256_loadu_ps(bp), acc);
-                bp = bp.add(bstride);
-            }
-            _mm256_storeu_ps(out.add(c), acc);
-            c += 8;
-        }
-        av_row_tail(a, seg, b, bstride, out, c, w, accumulate);
-    }
-
-    /// Scalar column tail of the AV row fold — the exact
-    /// [`crate::kernels::fmadd`] chain of the scalar kernel.
-    #[allow(clippy::too_many_arguments)]
-    #[inline(always)]
-    unsafe fn av_row_tail(
-        a: *const f32,
-        seg: usize,
-        b: *const f32,
-        bstride: usize,
-        out: *mut f32,
-        c0: usize,
-        w: usize,
-        accumulate: bool,
-    ) {
-        for j in c0..w {
-            let mut s = if accumulate { *out.add(j) } else { 0.0 };
-            for p in 0..seg {
-                s = fmadd(*a.add(p), *b.add(p * bstride + j), s);
-            }
-            *out.add(j) = s;
+            _mm512_mask_storeu_ps(out.add(c), mask, acc);
         }
     }
 
