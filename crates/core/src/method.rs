@@ -217,9 +217,9 @@ impl InfuserKiMethod {
         let mut h_tilde = sub_in.clone();
         for (i, rng) in batch.ranges().enumerate() {
             if let Some(carry) = &sts[i].carry {
-                let mut rows = h_tilde.slice_rows(rng.start, rng.end);
-                rows.add_assign(carry);
-                h_tilde.copy_rows_from(rng.start, &rows);
+                for (h, &c) in h_tilde.row_span_mut(rng).iter_mut().zip(carry.data()) {
+                    *h += c;
+                }
             }
         }
         // Eq. 2, one packed adapter forward.
@@ -236,10 +236,13 @@ impl InfuserKiMethod {
             };
             let mut pooled = Matrix::zeros(gate_src.rows(), gate_src.cols());
             for (i, rng) in batch.ranges().enumerate() {
-                let chunk = gate_src.slice_rows(rng.start, rng.end);
                 let (sums, count) = &mut sts[i].gates[offset];
-                let p = infer::cumulative_mean_rows_continue(sums, count, &chunk);
-                pooled.copy_rows_from(rng.start, &p);
+                infer::cumulative_mean_rows_continue(
+                    sums,
+                    count,
+                    gate_src.row_span(rng.clone()),
+                    pooled.row_span_mut(rng),
+                );
             }
             let logits = self.infusers[offset].apply(&pooled);
             let r = logits.map(kernels::sigmoid);

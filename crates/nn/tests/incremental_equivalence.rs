@@ -220,23 +220,37 @@ fn forked_caches_evolve_independently_and_correctly() {
     kernels::set_num_threads(1);
     let m = model(14);
     let prefix = tokens(9);
-    let suffixes: Vec<Vec<usize>> = vec![vec![1, 2], vec![3, 4, 5], vec![6]];
-    for (name, hook) in hooks() {
-        let (cache, _) = m.prefill(&prefix, hook.as_ref());
-        for (si, suffix) in suffixes.iter().enumerate() {
-            let mut branch = cache.fork();
-            let logits = m.extend_cached(suffix, hook.as_ref(), &mut branch);
-            let mut whole = prefix.clone();
-            whole.extend_from_slice(suffix);
-            let full = full_logits(&m, &whole, hook.as_ref());
-            for (i, row) in (prefix.len()..whole.len()).enumerate() {
-                let a = Matrix::row_vec(full.row(row).to_vec());
-                let b = Matrix::row_vec(logits.row(i).to_vec());
-                assert_bitwise(&a, &b, &format!("{name}, branch {si}, row {row}"));
+    // The last suffix runs past the forked partial block into fresh ones
+    // when blocks are 4 rows; the others stay inside it.
+    let suffixes: Vec<Vec<usize>> = vec![
+        vec![1, 2],
+        vec![3, 4, 5],
+        vec![6],
+        vec![9, 10, 11, 12, 13, 14],
+    ];
+    // One block spanning the whole context, then 4-row blocks: the 9-token
+    // prefix ends one row into a block every branch shares, so each branch
+    // copies that partial (transposed) K panel on write before appending.
+    for block_rows in [m.config().max_seq, 4] {
+        for (name, hook) in hooks() {
+            let name = format!("{name}, block {block_rows}");
+            let mut cache = m.new_cache_in(hook.as_ref(), m.new_pool(block_rows));
+            m.extend_cached(&prefix, hook.as_ref(), &mut cache);
+            for (si, suffix) in suffixes.iter().enumerate() {
+                let mut branch = cache.fork();
+                let logits = m.extend_cached(suffix, hook.as_ref(), &mut branch);
+                let mut whole = prefix.clone();
+                whole.extend_from_slice(suffix);
+                let full = full_logits(&m, &whole, hook.as_ref());
+                for (i, row) in (prefix.len()..whole.len()).enumerate() {
+                    let a = Matrix::row_vec(full.row(row).to_vec());
+                    let b = Matrix::row_vec(logits.row(i).to_vec());
+                    assert_bitwise(&a, &b, &format!("{name}, branch {si}, row {row}"));
+                }
             }
+            // The parent cache is untouched by branch extension.
+            assert_eq!(cache.tokens(), prefix.len());
         }
-        // The parent cache is untouched by branch extension.
-        assert_eq!(cache.tokens(), prefix.len());
     }
     kernels::set_num_threads(0);
 }

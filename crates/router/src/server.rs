@@ -316,12 +316,23 @@ fn error_line(id: Option<u64>, detail: &str) -> String {
     json_line(&obj(fields))
 }
 
-/// Writes one line (appending `\n`) under the shared write lock.
-fn send_line(stream: &Arc<Mutex<TcpStream>>, line: &str) -> std::io::Result<()> {
+/// Writes one line (appending `\n`) under the shared write lock, as a
+/// single write: a reply split across two segments would leave the second
+/// waiting on the peer's delayed ACK.
+fn send_line<W: Write>(stream: &Mutex<W>, line: &str) -> std::io::Result<()> {
+    let mut framed = String::with_capacity(line.len() + 1);
+    framed.push_str(line);
+    framed.push('\n');
     let mut s = stream.lock().unwrap();
-    s.write_all(line.as_bytes())?;
-    s.write_all(b"\n")?;
+    s.write_all(framed.as_bytes())?;
     s.flush()
+}
+
+/// Set-up every accepted connection gets before it is served: replies are
+/// short lines the peer is waiting on, so Nagle's algorithm is off.
+fn accepted(stream: TcpStream) -> std::io::Result<TcpStream> {
+    stream.set_nodelay(true)?;
+    Ok(stream)
 }
 
 /// Serves one connection: reads request lines, submits through `client`,
@@ -491,7 +502,7 @@ pub fn run(
         if stop.load(Ordering::SeqCst) {
             break;
         }
-        let stream = match conn {
+        let stream = match conn.and_then(accepted) {
             Ok(s) => s,
             Err(_) => continue,
         };
@@ -511,6 +522,39 @@ pub fn run(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn send_line_issues_one_write_per_reply() {
+        #[derive(Default)]
+        struct Counting {
+            writes: usize,
+            bytes: Vec<u8>,
+        }
+        impl Write for Counting {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.writes += 1;
+                self.bytes.extend_from_slice(buf);
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let sink = Mutex::new(Counting::default());
+        send_line(&sink, r#"{"id":1,"status":"ok"}"#).unwrap();
+        send_line(&sink, "{}").unwrap();
+        let sink = sink.into_inner().unwrap();
+        assert_eq!(sink.writes, 2, "one write per reply, newline included");
+        assert_eq!(sink.bytes, b"{\"id\":1,\"status\":\"ok\"}\n{}\n");
+    }
+
+    #[test]
+    fn accepted_streams_have_nagle_off() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let _peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        assert!(accepted(stream).unwrap().nodelay().unwrap());
+    }
 
     #[test]
     fn outcome_lines_render_expected_shapes() {

@@ -49,14 +49,15 @@ pub fn layer_norm(x: &Matrix, gain: &Matrix, bias: &Matrix, eps: f32) -> Matrix 
     assert_eq!(gain.shape(), (1, d), "layer_norm: gain shape");
     assert_eq!(bias.shape(), (1, d), "layer_norm: bias shape");
     let mut v = Matrix::zeros(x.rows(), d);
+    let (gain, bias) = (gain.row(0), bias.row(0));
     for r in 0..x.rows() {
         let row = x.row(r);
         let mean = row.iter().sum::<f32>() / d as f32;
         let var = row.iter().map(|&x| (x - mean) * (x - mean)).sum::<f32>() / d as f32;
         let inv = 1.0 / (var + eps).sqrt();
-        let out = v.row_mut(r);
-        for c in 0..d {
-            out[c] = (row[c] - mean) * inv * gain.get(0, c) + bias.get(0, c);
+        let affine = gain.iter().zip(bias);
+        for ((o, &x), (&g, &b)) in v.row_mut(r).iter_mut().zip(row).zip(affine) {
+            *o = (x - mean) * inv * g + b;
         }
     }
     v
@@ -94,31 +95,39 @@ pub fn causal_mask_in_place(m: &mut Matrix, offset: usize) {
 pub fn cumulative_mean_rows(x: &Matrix) -> Matrix {
     let mut sums = vec![0.0f32; x.cols()];
     let mut count = 0usize;
-    cumulative_mean_rows_continue(&mut sums, &mut count, x)
+    let mut out = Matrix::zeros(x.rows(), x.cols());
+    cumulative_mean_rows_continue(&mut sums, &mut count, x.data(), out.data_mut());
+    out
 }
 
-/// Continuation form of [`cumulative_mean_rows`]: folds `chunk`'s rows into
-/// running `(sums, count)` state and returns the cumulative means of the new
-/// rows. Feeding a sequence through in any chunking yields the same rows as
-/// one full-sequence call, bitwise.
+/// Continuation form of [`cumulative_mean_rows`]: folds `chunk`'s rows
+/// (row-major, `sums.len()` wide) into running `(sums, count)` state and
+/// writes the cumulative means of the new rows into `out`, row for row — in
+/// place in a packed batch, each sequence's row span pools into the same
+/// span of the destination. Feeding a sequence through in any chunking
+/// yields the same rows as one full-sequence call, bitwise.
 pub fn cumulative_mean_rows_continue(
     sums: &mut [f32],
     count: &mut usize,
-    chunk: &Matrix,
-) -> Matrix {
-    assert_eq!(sums.len(), chunk.cols(), "cum_mean: width mismatch");
-    let mut out = Matrix::zeros(chunk.rows(), chunk.cols());
-    for r in 0..chunk.rows() {
-        for (s, &x) in sums.iter_mut().zip(chunk.row(r).iter()) {
+    chunk: &[f32],
+    out: &mut [f32],
+) {
+    let d = sums.len();
+    assert_eq!(chunk.len(), out.len(), "cum_mean: destination mismatch");
+    assert!(
+        d > 0 && chunk.len().is_multiple_of(d),
+        "cum_mean: width mismatch"
+    );
+    for (row, out_row) in chunk.chunks_exact(d).zip(out.chunks_exact_mut(d)) {
+        for (s, &x) in sums.iter_mut().zip(row) {
             *s += x;
         }
         *count += 1;
         let scale = 1.0 / *count as f32;
-        for (o, &s) in out.row_mut(r).iter_mut().zip(sums.iter()) {
+        for (o, &s) in out_row.iter_mut().zip(sums.iter()) {
             *o = s * scale;
         }
     }
-    out
 }
 
 /// Per-row scaling `out[t] = a[t] * s[t]` with `s [n,1]` — the value
@@ -147,20 +156,20 @@ mod tests {
         let full = cumulative_mean_rows(&x);
         let mut sums = vec![0.0; 2];
         let mut count = 0;
-        let a = cumulative_mean_rows_continue(
+        let mut chunked = Matrix::zeros(4, 2);
+        cumulative_mean_rows_continue(
             &mut sums,
             &mut count,
-            &Matrix::from_vec(1, 2, vec![1.0, 2.0]),
+            x.row_span(0..1),
+            chunked.row_span_mut(0..1),
         );
-        let b = cumulative_mean_rows_continue(
+        cumulative_mean_rows_continue(
             &mut sums,
             &mut count,
-            &Matrix::from_vec(3, 2, vec![3.0, 5.0, -1.0, 0.5, 2.0, 8.0]),
+            x.row_span(1..4),
+            chunked.row_span_mut(1..4),
         );
-        assert_eq!(full.row(0), a.row(0));
-        for r in 0..3 {
-            assert_eq!(full.row(r + 1), b.row(r));
-        }
+        assert_eq!(full, chunked);
     }
 
     #[test]

@@ -144,6 +144,19 @@ impl Matrix {
         &mut self.data[r * self.cols..(r + 1) * self.cols]
     }
 
+    /// Contiguous view of rows `range` (row-major) — one sequence's rows of
+    /// a packed ragged batch, read in place.
+    #[inline]
+    pub fn row_span(&self, range: std::ops::Range<usize>) -> &[f32] {
+        &self.data[range.start * self.cols..range.end * self.cols]
+    }
+
+    /// Mutable form of [`Matrix::row_span`].
+    #[inline]
+    pub fn row_span_mut(&mut self, range: std::ops::Range<usize>) -> &mut [f32] {
+        &mut self.data[range.start * self.cols..range.end * self.cols]
+    }
+
     /// The value of a `[1,1]` matrix.
     ///
     /// # Panics

@@ -90,7 +90,10 @@ proptest! {
         }
     }
 
-    /// The attention·V window fold (contiguous and segmented forms).
+    /// The attention row fold: the scores·V window fold (contiguous and
+    /// segmented forms) and the Q·Kᵀ score fold over transposed K panels —
+    /// one whole-history panel (a hook prefix: any length, rarely a multiple
+    /// of 16) and 16-key blocks whose last one is filled 1..=16.
     #[test]
     fn av_fold_bitwise_across_tiers(
         ra in 1usize..8,
@@ -105,6 +108,11 @@ proptest! {
             .map(|i| ((i as f32 + (seed % 100) as f32) * 0.41).sin()).collect());
         let v = Matrix::from_vec(hist, d, (0..hist * d)
             .map(|i| (i as f32 * 0.23).cos()).collect());
+        // `v` doubles as the keys and `q` as the queries of the score fold.
+        let q = Matrix::from_vec(ra, d, (0..ra * d)
+            .map(|i| ((i as f32 + (seed % 100) as f32) * 0.29).cos()).collect());
+        let kt = v.transposed();
+        const BLOCK: usize = 16;
         let run = || {
             let mut merged = Matrix::full(ra, d, 7.5);
             kernels::matmul_cols_into(&attn, &v, lo, hi, &mut merged, 0);
@@ -115,14 +123,31 @@ proptest! {
             kernels::matmul_cols_seg_into(
                 &attn, split, hist, &v.slice_rows(split, hist), lo, hi, &mut seg, 0, split > 0,
             );
-            (merged, seg)
+            let mut panel = Matrix::full(ra, hist, 7.5);
+            kernels::matmul_kt_panel(&q, 0, ra, &kt, hist, lo, hi, &mut panel, 0);
+            let mut paged = Matrix::full(ra, hist, 7.5);
+            for col in (0..hist).step_by(BLOCK) {
+                let filled = BLOCK.min(hist - col);
+                // A block holds `BLOCK` key columns, stale past `filled`.
+                let mut block = Matrix::full(d, BLOCK, f32::NAN);
+                for p in 0..d {
+                    block.row_mut(p)[..filled].copy_from_slice(&kt.row(p)[col..col + filled]);
+                }
+                kernels::matmul_kt_panel(&q, 0, ra, &block, filled, lo, hi, &mut paged, col);
+            }
+            (merged, seg, panel, paged)
         };
         let scalar = under(simd::Isa::Scalar, run);
         assert_bits_eq(&scalar.0, &scalar.1, "segmented fold vs contiguous (scalar)");
+        assert_bits_eq(&scalar.2, &scalar.3, "paged score fold vs one panel (scalar)");
+        let dense = kernels::matmul_bt(&q.slice_cols(lo, hi), &v.slice_cols(lo, hi));
+        assert_bits_eq(&scalar.2, &dense, "score fold vs a@bT over the head window (scalar)");
         for isa in simd_tiers() {
             let tier = under(isa, run);
             assert_bits_eq(&tier.0, &scalar.0, &format!("av fold {ra}x{hist}x{d} {}", isa.name()));
             assert_bits_eq(&tier.1, &scalar.1, &format!("av seg fold {ra}x{hist}x{d} {}", isa.name()));
+            assert_bits_eq(&tier.2, &scalar.2, &format!("score panel {ra}x{hist}x{d} {}", isa.name()));
+            assert_bits_eq(&tier.3, &scalar.3, &format!("paged scores {ra}x{hist}x{d} {}", isa.name()));
         }
     }
 
@@ -180,6 +205,53 @@ proptest! {
         for isa in simd_tiers() {
             let tier = under(isa, || qw.matmul(&x));
             assert_bits_eq(&tier, &scalar, &format!("qmatmul {m}x{k}x{n} bs={bs} {}", isa.name()));
+        }
+    }
+}
+
+/// The shapes the strip remainders exist for, swept exhaustively where the
+/// properties above sample: packed row counts 1..=17 (every remainder tile
+/// height), widths that are one partial strip (1, 10, 15), exact strips,
+/// and strips plus a partial one (17, 26), at the model's inner sizes —
+/// dense and fused-int8, `accumulate` both ways, every tier bitwise equal.
+#[test]
+fn remainder_tiles_and_partial_strips_bitwise_across_tiers() {
+    let _g = guard();
+    let wave = |rows: usize, cols: usize, f: f32| {
+        Matrix::from_vec(
+            rows,
+            cols,
+            (0..rows * cols).map(|i| (i as f32 * f).sin()).collect(),
+        )
+    };
+    for k in [1usize, 10, 16, 64, 192] {
+        for n in [1usize, 10, 15, 16, 17, 26, 192] {
+            let b = wave(k, n, 0.57);
+            let qb = quant::QuantizedMatrix::quantize(&b, quant::QuantSpec::default());
+            for m in 1usize..=17 {
+                let a = wave(m, k, 0.31);
+                let at = a.transposed();
+                let init = wave(m, n, 0.11);
+                for accumulate in [false, true] {
+                    let run = || {
+                        let mut out = init.clone();
+                        kernels::matmul_into(&a, &b, &mut out, accumulate);
+                        let mut out_at = init.clone();
+                        kernels::matmul_at_into(&at, &b, &mut out_at, accumulate);
+                        let mut out_q = init.clone();
+                        qb.matmul_into(&a, &mut out_q, accumulate);
+                        (out, out_at, out_q)
+                    };
+                    let scalar = under(simd::Isa::Scalar, run);
+                    for isa in simd_tiers() {
+                        let tier = under(isa, run);
+                        let ctx = format!("{m}x{k}x{n} acc={accumulate} {}", isa.name());
+                        assert_bits_eq(&tier.0, &scalar.0, &format!("matmul {ctx}"));
+                        assert_bits_eq(&tier.1, &scalar.1, &format!("matmul_at {ctx}"));
+                        assert_bits_eq(&tier.2, &scalar.2, &format!("qmatmul {ctx}"));
+                    }
+                }
+            }
         }
     }
 }

@@ -17,7 +17,7 @@
 #![recursion_limit = "256"]
 
 use infuserki_tensor::kernels::{self, reference};
-use infuserki_tensor::Matrix;
+use infuserki_tensor::{Matrix, QuantSpec, QuantizedMatrix};
 use proptest::prelude::*;
 
 const REL_TOL: f32 = 1e-4;
@@ -193,6 +193,75 @@ fn explicit_degenerate_shapes_match_reference() {
                     <= REL_TOL,
                 "matmul_at at {m}x{n}x{k}"
             );
+        }
+    }
+}
+
+/// Row invariance, the property the batched engine and the deletion of the
+/// scalar edge paths both rest on: row `i` of a product over a packed
+/// operand is bit-for-bit the product of row `i` alone, whatever tile height
+/// the row lands in (packed row counts 1..=17 cross every remainder tile)
+/// and whatever strip width the columns end on — and both agree with the
+/// `reference` chain within the documented tolerance. All three products
+/// that run the strips, `accumulate` both ways.
+#[test]
+fn packed_rows_are_bitwise_the_rows_alone() {
+    let wave = |rows: usize, cols: usize, f: f32| {
+        Matrix::from_vec(
+            rows,
+            cols,
+            (0..rows * cols).map(|i| (i as f32 * f).sin()).collect(),
+        )
+    };
+    let assert_row_bits = |packed: &Matrix, i: usize, alone: &Matrix, ctx: &str| {
+        for (j, (x, y)) in packed.row(i).iter().zip(alone.row(0)).enumerate() {
+            assert_eq!(
+                x.to_bits(),
+                y.to_bits(),
+                "{ctx}: row {i} col {j}: {x} vs {y}"
+            );
+        }
+    };
+    for k in [1usize, 10, 16, 64, 192] {
+        for n in [1usize, 10, 15, 16, 17, 26, 192] {
+            let b = wave(k, n, 0.57);
+            let qb = QuantizedMatrix::quantize(&b, QuantSpec::default());
+            let qb_dense = qb.dequantize();
+            for m in 1usize..=17 {
+                let a = wave(m, k, 0.31);
+                let at = a.transposed();
+                let prior = wave(m, n, 0.11);
+                for accumulate in [false, true] {
+                    let ctx = format!("{m}x{k}x{n} acc={accumulate}");
+                    let mut want = reference::matmul(&a, &b);
+                    let mut want_q = reference::matmul(&a, &qb_dense);
+                    if accumulate {
+                        want.add_assign(&prior);
+                        want_q.add_assign(&prior);
+                    }
+                    let mut packed = prior.clone();
+                    kernels::matmul_into(&a, &b, &mut packed, accumulate);
+                    let mut packed_at = prior.clone();
+                    kernels::matmul_at_into(&at, &b, &mut packed_at, accumulate);
+                    let mut packed_q = prior.clone();
+                    qb.matmul_into(&a, &mut packed_q, accumulate);
+                    assert!(max_rel_err(&packed, &want) <= REL_TOL, "matmul {ctx}");
+                    assert!(max_rel_err(&packed_at, &want) <= REL_TOL, "matmul_at {ctx}");
+                    assert!(max_rel_err(&packed_q, &want_q) <= REL_TOL, "qmatmul {ctx}");
+                    for i in 0..m {
+                        let row = a.slice_rows(i, i + 1);
+                        let mut alone = prior.slice_rows(i, i + 1);
+                        kernels::matmul_into(&row, &b, &mut alone, accumulate);
+                        assert_row_bits(&packed, i, &alone, &format!("matmul {ctx}"));
+                        let mut alone = prior.slice_rows(i, i + 1);
+                        kernels::matmul_at_into(&row.transposed(), &b, &mut alone, accumulate);
+                        assert_row_bits(&packed_at, i, &alone, &format!("matmul_at {ctx}"));
+                        let mut alone = prior.slice_rows(i, i + 1);
+                        qb.matmul_into(&row, &mut alone, accumulate);
+                        assert_row_bits(&packed_q, i, &alone, &format!("qmatmul {ctx}"));
+                    }
+                }
+            }
         }
     }
 }
