@@ -506,13 +506,36 @@ fn strip<const R: usize>(
         return;
     }
     let _ = isa;
-    // `p`-outer over fixed-width accumulators: the `NR`-lane inner loops
-    // have a constant trip count whatever `w` is, which is what lets the
-    // compiler keep them in vector registers.
+    let acc = if w == NR {
+        strip_scalar::<R, _>(apack, bd.chunks_exact(n), |brow| {
+            brow[jb..jb + NR].try_into().expect("NR block")
+        })
+    } else {
+        strip_scalar::<R, _>(apack, bd.chunks_exact(n), |brow| {
+            let mut bs = [0.0f32; NR];
+            bs[..w].copy_from_slice(&brow[jb..jb + w]);
+            bs
+        })
+    };
+    store_strip(&acc, chunk, ib, jb, w, n, accumulate);
+}
+
+/// The scalar tier's strip body, shared with the fused int8 strip: `p`-outer
+/// over `[f32; NR]` accumulators, `load_b` producing row `p`'s `NR` B values
+/// (zero-padded past the strip's width). The `NR`-lane inner loops have a
+/// constant trip count whatever the strip's width, which is what lets the
+/// compiler keep them in vector registers; callers instantiate it once with
+/// a fixed-size full-strip loader and once with a padding one, so the
+/// full-width loop never carries the partial strip's variable-length copy.
+#[inline(always)]
+pub(crate) fn strip_scalar<const R: usize, B>(
+    apack: &[f32],
+    b_rows: impl Iterator<Item = B>,
+    load_b: impl Fn(B) -> [f32; NR],
+) -> [[f32; NR]; R] {
     let mut acc = [[0.0f32; NR]; R];
-    let mut bs = [0.0f32; NR];
-    for (ap, brow) in apack.chunks_exact(R).zip(bd.chunks_exact(n)) {
-        bs[..w].copy_from_slice(&brow[jb..jb + w]);
+    for (ap, brow) in apack.chunks_exact(R).zip(b_rows) {
+        let bs = load_b(brow);
         for (r, acc_row) in acc.iter_mut().enumerate() {
             let av = ap[r];
             for (s, &bv) in acc_row.iter_mut().zip(bs.iter()) {
@@ -520,6 +543,21 @@ fn strip<const R: usize>(
             }
         }
     }
+    acc
+}
+
+/// Writes (or adds) the first `w` columns of a strip's accumulators into
+/// rows `ib..ib+R` of `chunk` at column `jb`.
+#[inline(always)]
+pub(crate) fn store_strip<const R: usize>(
+    acc: &[[f32; NR]; R],
+    chunk: &mut [f32],
+    ib: usize,
+    jb: usize,
+    w: usize,
+    n: usize,
+    accumulate: bool,
+) {
     for (r, acc_row) in acc.iter().enumerate() {
         let orow = &mut chunk[(ib + r) * n + jb..(ib + r) * n + jb + w];
         if accumulate {

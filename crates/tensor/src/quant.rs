@@ -331,30 +331,25 @@ impl QuantizedMatrix {
             return;
         }
         let _ = isa;
-        let mut acc = [[0.0f32; kernels::NR]; R];
-        let mut bs = [0.0f32; kernels::NR];
-        for (p, ap) in apack.chunks_exact(R).enumerate() {
-            let scale = self.scales[p * bpr + blk];
-            for (b, &qv) in bs.iter_mut().zip(&self.q[p * n + jb..p * n + jb + w]) {
-                *b = qv as f32 * scale;
-            }
-            for (r, acc_row) in acc.iter_mut().enumerate() {
-                let av = ap[r];
-                for (s, &bv) in acc_row.iter_mut().zip(bs.iter()) {
-                    *s = kernels::fmadd(av, bv, *s);
+        // Row `p`'s strip of weights with its scale, dequantized by `deq`
+        // into the zero-padded `[f32; NR]` the shared strip body folds.
+        let rows =
+            (0..apack.len() / R).map(|p| (&self.q[p * n + jb..], self.scales[p * bpr + blk]));
+        let acc = if w == kernels::NR {
+            kernels::strip_scalar::<R, _>(apack, rows, |(q, scale)| {
+                let q: &[i8; kernels::NR] = q[..kernels::NR].try_into().expect("NR block");
+                q.map(|qv| qv as f32 * scale)
+            })
+        } else {
+            kernels::strip_scalar::<R, _>(apack, rows, |(q, scale)| {
+                let mut bs = [0.0f32; kernels::NR];
+                for (b, &qv) in bs.iter_mut().zip(&q[..w]) {
+                    *b = qv as f32 * scale;
                 }
-            }
-        }
-        for (r, acc_row) in acc.iter().enumerate() {
-            let orow = &mut chunk[(ib + r) * n + jb..(ib + r) * n + jb + w];
-            if accumulate {
-                for (o, &v) in orow.iter_mut().zip(acc_row.iter()) {
-                    *o += v;
-                }
-            } else {
-                orow.copy_from_slice(&acc_row[..w]);
-            }
-        }
+                bs
+            })
+        };
+        kernels::store_strip(&acc, chunk, ib, jb, w, n, accumulate);
     }
 }
 

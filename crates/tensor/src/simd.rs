@@ -352,8 +352,11 @@ pub(crate) mod x86 {
     /// last weight row ends at the end of the buffer).
     #[inline(always)]
     unsafe fn load_q<const N: usize>(q: *const i8, w: usize) -> [i8; N] {
+        if w >= N {
+            return core::ptr::read_unaligned(q as *const [i8; N]);
+        }
         let mut buf = [0i8; N];
-        core::ptr::copy_nonoverlapping(q, buf.as_mut_ptr(), w.min(N));
+        core::ptr::copy_nonoverlapping(q, buf.as_mut_ptr(), w);
         buf
     }
 
