@@ -591,19 +591,35 @@ fn bench_router_load() -> PerfRecord {
 /// even neighbours [`shape_gate`] compares each against.
 const DECODE_LANES: &[usize] = &[1, 2, 3, 4, 6, 7, 8, 9, 10, 14, 15, 16, 17, 18];
 
-fn median(xs: &mut [f64]) -> f64 {
-    xs.sort_by(f64::total_cmp);
-    xs[xs.len() / 2]
+/// Per-column medians of 240 samples taken in rounds — one sample of every
+/// column per round, after 8 untimed warm-up rounds — so a host that changes
+/// speed mid-run does so under every column of a ratio. `sample(col)`
+/// returns seconds.
+fn round_robin_medians(columns: usize, mut sample: impl FnMut(usize) -> f64) -> Vec<f64> {
+    const ROUNDS: usize = 240;
+    let mut samples = vec![Vec::with_capacity(ROUNDS); columns];
+    for round in 0..ROUNDS + 8 {
+        for (col, xs) in samples.iter_mut().enumerate() {
+            let dt = sample(col);
+            if round >= 8 {
+                xs.push(dt);
+            }
+        }
+    }
+    samples
+        .iter_mut()
+        .map(|xs| {
+            xs.sort_by(f64::total_cmp);
+            xs[xs.len() / 2]
+        })
+        .collect()
 }
 
 /// One hooked decode step on the 12-layer world geometry (random-init base,
 /// nudged InfuserKI method at the paper's d′ = 10) per lane count, every
 /// lane at 32 cached tokens; and the adapter down-projection's product
-/// shape beside the one-strip shape. Medians of 240 samples taken in
-/// rounds — one sample of every lane count (or width) per round — so a host
-/// that changes speed mid-run does so under every column of a ratio.
+/// shape beside the one-strip shape.
 fn bench_decode_lanes() -> PerfRecord {
-    const ROUNDS: usize = 240;
     let mut rng = ChaCha8Rng::seed_from_u64(15);
     let base = TransformerLm::new(ModelConfig::default(), &mut rng);
     let mut method = InfuserKiMethod::new(InfuserKiConfig::for_model(base.n_layers()), &base, 8);
@@ -626,28 +642,19 @@ fn bench_decode_lanes() -> PerfRecord {
         .iter()
         .map(|&n| base.prefill_batch(&prompts[..n], &hook).0)
         .collect();
-    let mut samples = vec![Vec::with_capacity(ROUNDS); DECODE_LANES.len()];
-    for round in 0..ROUNDS + 8 {
-        for ((&n, cache), xs) in DECODE_LANES.iter().zip(&caches).zip(&mut samples) {
-            // Every sample forks, so the position never moves.
-            let mut c = cache.fork();
-            let t0 = Instant::now();
-            std::hint::black_box(
-                base.decode_step_batch(&tokens[..n], &hook, &mut c)
-                    .get(0, 0),
-            );
-            let dt = t0.elapsed().as_secs_f64();
-            if round >= 8 {
-                xs.push(dt);
-            }
-        }
-    }
+    let step_s = round_robin_medians(DECODE_LANES.len(), |col| {
+        // Every sample forks, so the position never moves.
+        let mut c = caches[col].fork();
+        let t0 = Instant::now();
+        let logits = base.decode_step_batch(&tokens[..DECODE_LANES[col]], &hook, &mut c);
+        std::hint::black_box(logits.get(0, 0));
+        t0.elapsed().as_secs_f64()
+    });
     let mut record = PerfRecord::new("decode_lanes");
-    for (&n, xs) in DECODE_LANES.iter().zip(&mut samples) {
-        let us = median(xs) * 1e6;
+    for (&n, s) in DECODE_LANES.iter().zip(&step_s) {
         record = record
-            .metric(format!("us_b{n}"), us)
-            .metric(format!("us_per_lane_b{n}"), us / n as f64);
+            .metric(format!("us_b{n}"), s * 1e6)
+            .metric(format!("us_per_lane_b{n}"), s * 1e6 / n as f64);
     }
 
     let a = init::normal(16, 64, 0.5, &mut rng);
@@ -657,22 +664,17 @@ fn bench_decode_lanes() -> PerfRecord {
         .map(|&w| init::normal(64, w, 0.5, &mut rng))
         .collect();
     let mut outs: Vec<Matrix> = widths.iter().map(|&w| Matrix::zeros(16, w)).collect();
-    let mut samples = vec![Vec::with_capacity(ROUNDS); widths.len()];
-    for round in 0..ROUNDS + 8 {
-        for ((b, out), xs) in bs.iter().zip(&mut outs).zip(&mut samples) {
-            let t0 = Instant::now();
-            for _ in 0..50 {
-                kernels::matmul_into(&a, b, out, false);
-            }
-            let dt = t0.elapsed().as_secs_f64() / 50.0;
-            std::hint::black_box(out.get(0, 0));
-            if round >= 8 {
-                xs.push(dt);
-            }
+    let matmul_s = round_robin_medians(widths.len(), |col| {
+        let t0 = Instant::now();
+        for _ in 0..50 {
+            kernels::matmul_into(&a, &bs[col], &mut outs[col], false);
         }
-    }
-    for (&w, xs) in widths.iter().zip(&mut samples) {
-        record = record.metric(format!("matmul_16x64x{w}_us"), median(xs) * 1e6);
+        let dt = t0.elapsed().as_secs_f64() / 50.0;
+        std::hint::black_box(outs[col].get(0, 0));
+        dt
+    });
+    for (&w, s) in widths.iter().zip(&matmul_s) {
+        record = record.metric(format!("matmul_16x64x{w}_us"), s * 1e6);
     }
     record
 }
@@ -689,39 +691,43 @@ fn shape_gate(fresh: &PerfSuite) -> Result<Vec<String>, Vec<String>> {
     let us = |n: usize| rec.get(&format!("us_b{n}"));
     let mut ok = Vec::new();
     let mut bad = Vec::new();
-    for &n in DECODE_LANES.iter().filter(|&&n| n % 2 == 1) {
-        let evens: Vec<f64> = [n - 1, n + 1].into_iter().filter_map(us).collect();
-        let (Some(odd), false) = (us(n), evens.is_empty()) else {
-            bad.push(format!(
-                "decode_lanes is missing {n} lanes or its even neighbours"
-            ));
-            continue;
-        };
-        let even = evens.iter().sum::<f64>() / evens.len() as f64;
+    let mut check = |what: String, cost: f64, beside: f64, limit: f64| {
         let line = format!(
-            "decode_lanes: {n} lanes {odd:.0} us = {:.2}x its even neighbours' {even:.0} us (limit 1.25x)",
-            odd / even
+            "decode_lanes: {what}: {:.2}x (limit {limit}x)",
+            cost / beside
         );
-        if odd > 1.25 * even {
+        if cost > limit * beside {
             bad.push(line);
         } else {
             ok.push(line);
         }
+    };
+    for &n in DECODE_LANES.iter().filter(|&&n| n % 2 == 1) {
+        let evens: Vec<f64> = [n - 1, n + 1].into_iter().filter_map(us).collect();
+        let (Some(odd), false) = (us(n), evens.is_empty()) else {
+            return Err(vec![format!(
+                "decode_lanes is missing {n} lanes or its even neighbours"
+            )]);
+        };
+        let even = evens.iter().sum::<f64>() / evens.len() as f64;
+        check(
+            format!("{n} lanes {odd:.0} us vs its even neighbours' {even:.0} us"),
+            odd,
+            even,
+            1.25,
+        );
     }
-    match (rec.get("matmul_16x64x10_us"), rec.get("matmul_16x64x16_us")) {
-        (Some(narrow), Some(strip)) => {
-            let line = format!(
-                "decode_lanes: [16x64].[64x10] {narrow:.2} us = {:.2}x [16x64].[64x16] {strip:.2} us (limit 2x)",
-                narrow / strip
-            );
-            if narrow > 2.0 * strip {
-                bad.push(line);
-            } else {
-                ok.push(line);
-            }
-        }
-        _ => bad.push("decode_lanes is missing the width probes".to_string()),
-    }
+    let (Some(narrow), Some(strip)) =
+        (rec.get("matmul_16x64x10_us"), rec.get("matmul_16x64x16_us"))
+    else {
+        return Err(vec!["decode_lanes is missing the width probes".to_string()]);
+    };
+    check(
+        format!("[16x64].[64x10] {narrow:.2} us vs [16x64].[64x16] {strip:.2} us"),
+        narrow,
+        strip,
+        2.0,
+    );
     if bad.is_empty() {
         Ok(ok)
     } else {

@@ -217,6 +217,7 @@ impl InfuserKiMethod {
         let mut h_tilde = sub_in.clone();
         for (i, rng) in batch.ranges().enumerate() {
             if let Some(carry) = &sts[i].carry {
+                debug_assert_eq!(carry.rows(), rng.len(), "carry spans its chunk");
                 for (h, &c) in h_tilde.row_span_mut(rng).iter_mut().zip(carry.data()) {
                     *h += c;
                 }

@@ -368,10 +368,11 @@ pub(crate) fn fmadd(a: f32, b: f32, c: f32) -> f32 {
 ///
 /// Computes `chunk[i - rows.start][j] (+)= Σ_p load_a(p, i) · b[p][j]` for
 /// `i ∈ rows`, `j ∈ 0..n`, `p` ascending: register tiles of `MR` rows (the
-/// last one exactly as tall as the row remainder) by up to `NR` columns over an A panel packed to `[p][r]` layout (contiguous
-/// inner-loop reads, no bounds-checked gather in the hot loop), with the
-/// column-strip inner loop dispatched to the `isa` tier. There is no other
-/// path: row and column remainders are narrower tiles of the same kernel.
+/// last one exactly as tall as the row remainder) by up to `NR` columns over
+/// an A panel packed to `[p][r]` layout (contiguous inner-loop reads, no
+/// bounds-checked gather in the hot loop), with the column-strip inner loop
+/// dispatched to the `isa` tier. There is no other path: row and column
+/// remainders are narrower tiles of the same kernel.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
 fn matmul_band(

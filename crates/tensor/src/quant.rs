@@ -202,9 +202,8 @@ impl QuantizedMatrix {
 
     /// One row band of the fused product — the quantized mirror of the dense
     /// kernel's band: identical row tiles (`MR`, then one of exactly the
-    /// remainder's height), identical column
-    /// strips (additionally cut at scale-block boundaries, see
-    /// [`Self::qtile_rows`]).
+    /// remainder's height), identical column strips (additionally cut at
+    /// scale-block boundaries, see [`Self::qtile_rows`]).
     #[allow(clippy::too_many_arguments)]
     fn band(
         &self,
@@ -331,8 +330,9 @@ impl QuantizedMatrix {
             return;
         }
         let _ = isa;
-        // Row `p`'s strip of weights with its scale, dequantized by `deq`
-        // into the zero-padded `[f32; NR]` the shared strip body folds.
+        // Row `p`'s strip of weights with its scale; the loaders below
+        // dequantize it into the zero-padded `[f32; NR]` the shared strip
+        // body folds.
         let rows =
             (0..apack.len() / R).map(|p| (&self.q[p * n + jb..], self.scales[p * bpr + blk]));
         let acc = if w == kernels::NR {
