@@ -19,6 +19,7 @@ use infuserki_kg::{synth_metaqa, synth_umls, MetaQaConfig, TripleStore, UmlsConf
 use infuserki_nn::layers::Module;
 use infuserki_nn::optim::{AdamW, AdamWConfig};
 use infuserki_nn::{train_epoch, LmSample, ModelConfig, NoHook, Trainable, TransformerLm};
+use infuserki_tensor::kernels::NUMERICS_VERSION;
 use infuserki_tensor::{NodeId, Param, Tape};
 use infuserki_text::templates::TemplateSet;
 use infuserki_text::{prompts, Tokenizer};
@@ -105,11 +106,19 @@ impl WorldConfig {
         }
     }
 
-    /// Stable cache key derived from every field.
+    /// Stable cache key derived from every field and from the kernels'
+    /// [`NUMERICS_VERSION`]: a base model pre-trained under other numerics
+    /// is not bitwise the one a fresh build would pre-train, so it must not
+    /// be found.
     pub fn cache_key(&self) -> String {
+        self.cache_key_under(NUMERICS_VERSION)
+    }
+
+    fn cache_key_under(&self, numerics_version: u32) -> String {
         let json = serde_json::to_string(self).expect("config serializes");
         let mut h = DefaultHasher::new();
         json.hash(&mut h);
+        numerics_version.hash(&mut h);
         format!("{:016x}", h.finish())
     }
 }
@@ -416,5 +425,19 @@ mod tests {
         let c = WorldConfig::tiny(Domain::MetaQa, 1).cache_key();
         assert_ne!(a, b);
         assert_ne!(a, c);
+    }
+
+    #[test]
+    fn cache_key_changes_with_numerics_version() {
+        let cfg = WorldConfig::tiny(Domain::Umls, 1);
+        assert_eq!(cfg.cache_key(), cfg.cache_key_under(NUMERICS_VERSION));
+        assert_ne!(
+            cfg.cache_key_under(NUMERICS_VERSION),
+            cfg.cache_key_under(NUMERICS_VERSION + 1)
+        );
+        assert_ne!(
+            cfg.cache_key_under(NUMERICS_VERSION),
+            cfg.cache_key_under(NUMERICS_VERSION - 1)
+        );
     }
 }

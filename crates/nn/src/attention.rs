@@ -92,14 +92,21 @@ impl CausalSelfAttention {
     /// against that sequence's own cached history, so batch members cannot
     /// attend to each other.
     ///
-    /// Bitwise contract: scores are assembled panel-per-block against K
-    /// panels stored transposed ([`kernels::matmul_kt_panel`] — each element
-    /// is one ascending chain over the head's dimensions and depends on one
-    /// Q row and one key only) and the attention·V product folds prefix-then-
-    /// blocks in ascending order through one continued accumulation chain
-    /// ([`kernels::matmul_cols_seg_into`]) — the same row-fold micro-kernel
-    /// both times — so the output rows are bit-for-bit what the
-    /// contiguous-cache kernels produced.
+    /// The walk is block outer, heads inner: per (sequence, block) one
+    /// [`kernels::qk_heads_panel`] call reads the transposed K panel once and
+    /// writes every head's score columns into the query-major scores buffer
+    /// `[m·n_heads, keys]`; one [`kernels::softmax_heads_causal_in_place`]
+    /// call per sequence applies the `1/√d_h` scale and the causal softmax to
+    /// every head's rows; and one [`kernels::av_heads_seg_into`] call per
+    /// (sequence, block) continues every head's attention·V chain.
+    ///
+    /// Bitwise contract: each score is one ascending chain over its head's
+    /// dimensions and depends on one Q row and one key only; the softmax
+    /// computes `v · scale` per element exactly as the tape's scale node
+    /// does; and the attention·V product folds prefix-then-blocks in
+    /// ascending order through one continued accumulation chain per output
+    /// element — so the output rows are bit-for-bit what the per-head,
+    /// contiguous-cache tape forward produces.
     pub fn forward_batch(
         &self,
         x: &Matrix,
@@ -129,26 +136,22 @@ impl CausalSelfAttention {
         let b_rows = pool.block_rows();
         let scale = 1.0 / (self.head_dim as f32).sqrt();
         let mut merged = Matrix::zeros(x.rows(), self.n_heads * self.head_dim);
-        // One scores buffer for every (sequence, head) of this call, sized
-        // for the largest: the panels below overwrite every element the
-        // softmax and the AV fold later read, so it is never cleared.
+        // One scores buffer for every sequence of this call, sized for the
+        // largest: the panels below overwrite every element the softmax and
+        // the AV fold later read, so it is never cleared.
         let widest = seqs
             .iter()
             .zip(batch.ranges())
             .map(|(seq, rng)| rng.len() * (prefix_len + seq.tokens + rng.len()))
             .max()
             .unwrap_or(0);
-        let mut scores = Matrix::zeros(1, widest);
+        let mut scores = Matrix::zeros(1, self.n_heads * widest);
         for (s, seq) in seqs.iter().enumerate() {
             let rng = batch.range(s);
             let m = rng.len();
             seq.write_chunk(pool, self.layer, &k, &v, rng.start, m);
             let tokens_after = seq.tokens + m;
-            // Columns visible to this chunk's first row: prefix + previously
-            // cached tokens — the causal-mask offset of these rows in a full
-            // forward over this sequence.
-            let offset = prefix_len + seq.tokens;
-            scores.reset_shape(m, prefix_len + tokens_after);
+            scores.reset_shape(m * self.n_heads, prefix_len + tokens_after);
             // (block, tokens it holds) in history order.
             let blocks = || {
                 seq.table
@@ -156,74 +159,36 @@ impl CausalSelfAttention {
                     .enumerate()
                     .map(|(j, &id)| (pool.block(id), b_rows.min(tokens_after - j * b_rows)))
             };
-            for h in 0..self.n_heads {
-                let lo = h * self.head_dim;
-                let hi = lo + self.head_dim;
-                if prefix_len > 0 {
-                    kernels::matmul_kt_panel(
-                        &q,
-                        rng.start,
-                        rng.end,
-                        pkt,
-                        prefix_len,
-                        lo,
-                        hi,
-                        &mut scores,
-                        0,
-                    );
-                }
-                let mut col = prefix_len;
-                for (data, filled) in blocks() {
-                    kernels::matmul_kt_panel(
-                        &q,
-                        rng.start,
-                        rng.end,
-                        &data.k[self.layer],
-                        filled,
-                        lo,
-                        hi,
-                        &mut scores,
-                        col,
-                    );
-                    col += filled;
-                }
-                scores.scale_assign(scale);
-                kernels::softmax_rows_causal_in_place(&mut scores, offset);
-                // Fold the AV product prefix-then-blocks in ascending order;
-                // the first segment resets `merged`'s head window, the rest
-                // continue the same chain. `m >= 1` guarantees at least one
-                // block, so the reset always fires.
-                let mut accumulate = false;
-                if prefix_len > 0 {
-                    kernels::matmul_cols_seg_into(
-                        &scores,
-                        0,
-                        prefix_len,
-                        pv,
-                        lo,
-                        hi,
-                        &mut merged,
-                        rng.start,
-                        false,
-                    );
-                    accumulate = true;
-                }
-                let mut col = prefix_len;
-                for (data, filled) in blocks() {
-                    kernels::matmul_cols_seg_into(
-                        &scores,
-                        col,
-                        col + filled,
-                        &data.v[self.layer],
-                        lo,
-                        hi,
-                        &mut merged,
-                        rng.start,
-                        accumulate,
-                    );
-                    accumulate = true;
-                    col += filled;
-                }
+            let panel = |kt: &Matrix, keys: usize, scores: &mut Matrix, col: usize| {
+                kernels::qk_heads_panel(&q, rng.start, rng.end, kt, keys, self.n_heads, scores, col)
+            };
+            if prefix_len > 0 {
+                panel(pkt, prefix_len, &mut scores, 0);
+            }
+            let mut col = prefix_len;
+            for (data, filled) in blocks() {
+                panel(&data.k[self.layer], filled, &mut scores, col);
+                col += filled;
+            }
+            // Columns visible to this chunk's first row: prefix + previously
+            // cached tokens — the causal-mask offset of these rows in a full
+            // forward over this sequence.
+            let offset = prefix_len + seq.tokens;
+            kernels::softmax_heads_causal_in_place(&mut scores, self.n_heads, offset, scale);
+            // Fold the AV product prefix-then-blocks in ascending order: the
+            // segment at column 0 starts `merged`'s rows from zero, the rest
+            // continue the same chains.
+            let mut fold = |v: &Matrix, lo: usize, hi: usize| {
+                let (n_heads, row0) = (self.n_heads, rng.start);
+                kernels::av_heads_seg_into(&scores, lo, hi, v, n_heads, &mut merged, row0, lo > 0)
+            };
+            if prefix_len > 0 {
+                fold(pv, 0, prefix_len);
+            }
+            let mut col = prefix_len;
+            for (data, filled) in blocks() {
+                fold(&data.v[self.layer], col, col + filled);
+                col += filled;
             }
         }
         self.wo.apply(&merged)

@@ -84,9 +84,11 @@ impl TransformerBlock {
         let a_raw = self
             .attn
             .forward_batch(&a_in, batch, hook, pool, seqs, prefix);
-        let a_out = hook.infer_attn_output(self.layer, &a_in, a_raw, batch, states);
-        let mut x = x.clone();
-        x.add_assign(&a_out);
+        // The residual sums into the hook's owned output: `a_out + x` is
+        // `x + a_out` bit for bit, without a copy of `x` per layer.
+        let mut x_out = hook.infer_attn_output(self.layer, &a_in, a_raw, batch, states);
+        x_out.add_assign(x);
+        let mut x = x_out;
 
         // FFN sublayer.
         let f_in = self.ln2.apply(&x);

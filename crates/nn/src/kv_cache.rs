@@ -17,15 +17,15 @@
 //! pins full blocks the same way, which is what lets a new request adopt a
 //! cached prefix and skip its prefill.
 //!
-//! Bitwise contract: the per-head kernels assemble scores and the attention·V
-//! product block-by-block through single ascending accumulation chains
-//! (`matmul_kt_panel` / `matmul_cols_seg_into` — one row-fold micro-kernel;
-//! K panels are stored transposed so both fold with lanes across
-//! independent outputs), so a sequence read through its block table produces
-//! bit-for-bit the rows a contiguous cache produced — sharing and layout
-//! change storage, never arithmetic.
+//! Bitwise contract: the all-heads kernels assemble scores and the
+//! attention·V product block-by-block through single ascending accumulation
+//! chains (`qk_heads_panel` / `av_heads_seg_into` — one row-fold micro-kernel
+//! that walks a block once for every head; K panels are stored transposed so
+//! both fold with lanes across independent outputs), so a sequence read
+//! through its block table produces bit-for-bit the rows a contiguous cache
+//! produced — sharing and layout change storage, never arithmetic.
 
-use std::collections::HashSet;
+use std::cell::Cell;
 use std::sync::Arc;
 
 use infuserki_obs as obs;
@@ -122,6 +122,9 @@ pub struct KvCache {
     pub(crate) seqs: Vec<SeqKv>,
     pub(crate) states: Vec<Option<Box<dyn HookState>>>,
     block_rows: usize,
+    /// Scratch for [`KvCache::rows_used`]'s distinct-block count, kept so
+    /// the per-step gauge update allocates nothing once warm.
+    distinct_scratch: Cell<Vec<BlockId>>,
 }
 
 impl KvCache {
@@ -161,6 +164,7 @@ impl KvCache {
                 .collect(),
             states: (0..n_seqs).map(|_| hook.make_state()).collect(),
             block_rows,
+            distinct_scratch: Cell::default(),
         }
     }
 
@@ -264,6 +268,7 @@ impl KvCache {
             seqs: indices.iter().map(|&i| self.seqs[i].clone()).collect(),
             states: indices.iter().map(|&i| self.states[i].clone()).collect(),
             block_rows: self.block_rows,
+            distinct_scratch: Cell::default(),
         }
     }
 
@@ -322,12 +327,14 @@ impl KvCache {
     /// admission accounting charges. The gauge the scheduler exports.
     pub fn rows_used(&self) -> usize {
         let max_prefix = self.prefix.iter().map(|(_, v)| v.rows()).max().unwrap_or(0);
-        let distinct: HashSet<BlockId> = self
-            .seqs
-            .iter()
-            .flat_map(|s| s.table.iter().copied())
-            .collect();
-        distinct.len() * self.block_rows + self.n_seqs() * max_prefix
+        let mut ids = self.distinct_scratch.take();
+        ids.clear();
+        ids.extend(self.seqs.iter().flat_map(|s| s.table.iter().copied()));
+        ids.sort_unstable();
+        ids.dedup();
+        let distinct = ids.len();
+        self.distinct_scratch.set(ids);
+        distinct * self.block_rows + self.n_seqs() * max_prefix
     }
 
     /// Rows the pool's allocations can hold without new system allocation
@@ -383,6 +390,7 @@ impl Clone for KvCache {
             seqs: self.seqs.clone(),
             states: self.states.clone(),
             block_rows: self.block_rows,
+            distinct_scratch: Cell::default(),
         }
     }
 }

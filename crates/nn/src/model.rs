@@ -59,6 +59,14 @@ pub struct TransformerLm {
     pos_embed: Embedding,
     blocks: Vec<TransformerBlock>,
     ln_f: LayerNorm,
+    /// The tied LM head as the engine multiplies by it: the token embedding
+    /// transposed, `[d_model, vocab]`, so logits fold with lanes across the
+    /// vocabulary. Built by the first cached forward, never serialized, and
+    /// dropped by [`Module::visit_mut`] — the only `&mut` route to the
+    /// embedding — so an optimizer step or a checkpoint load is always
+    /// followed by a rebuild from the current table.
+    #[serde(skip)]
+    lm_head_t: std::sync::OnceLock<Matrix>,
 }
 
 impl TransformerLm {
@@ -77,6 +85,7 @@ impl TransformerLm {
             ln_f: LayerNorm::new("ln_f", cfg.d_model, cfg.ln_eps),
             blocks,
             cfg,
+            lm_head_t: std::sync::OnceLock::new(),
         }
     }
 
@@ -299,7 +308,12 @@ impl TransformerLm {
             seq.tokens += len;
         }
         let h = self.ln_f.apply(&x);
-        let logits = kernels::matmul_bt(&h, self.tok_embed.table().data());
+        // Weight-tied head through the transposed table: per logit the same
+        // ascending-`p` chain as the tape's `h @ Eᵀ`, so bitwise equal to it.
+        let e_t = self
+            .lm_head_t
+            .get_or_init(|| self.tok_embed.table().data().transposed());
+        let logits = kernels::matmul(&h, e_t);
         let em = engine_metrics();
         let new_tokens: usize = lens.iter().sum();
         if is_decode {
@@ -510,6 +524,8 @@ impl Module for TransformerLm {
     }
 
     fn visit_mut(&mut self, f: &mut dyn FnMut(&mut Param)) {
+        // The visitor may rewrite the embedding: drop its transposed copy.
+        self.lm_head_t.take();
         self.tok_embed.visit_mut(f);
         self.pos_embed.visit_mut(f);
         for b in &mut self.blocks {
@@ -624,6 +640,85 @@ mod tests {
         let b = loaded.forward(&[1, 2, 3], &NoHook, &mut t2);
         assert_eq!(t1.value(a).data(), t2.value(b).data());
         let _ = std::fs::remove_dir_all(dir);
+    }
+
+    /// Tape logits (`h @ Eᵀ` by `matmul_bt`) of the whole sequence.
+    fn tape_logits(m: &TransformerLm, tokens: &[usize]) -> Matrix {
+        let mut t = Tape::new();
+        let y = m.forward(tokens, &NoHook, &mut t);
+        t.value(y).clone()
+    }
+
+    /// One SGD-like pass over every parameter, embedding included.
+    fn nudge(m: &mut TransformerLm) {
+        m.visit_mut(&mut |p| {
+            for (i, w) in p.data_mut().data_mut().iter_mut().enumerate() {
+                *w += 0.01 * ((i % 7) as f32 - 3.0);
+            }
+        });
+    }
+
+    #[test]
+    fn lm_head_through_transposed_table_is_bitwise_matmul_bt() {
+        // Vocabularies off and on the 16-column strip width, and the row
+        // counts of a decode step, a short chunk and a ragged prefill.
+        for vocab in [50usize, 106, 500, 2048] {
+            let mut rng = ChaCha8Rng::seed_from_u64(vocab as u64);
+            let m = TransformerLm::new(ModelConfig::tiny(vocab), &mut rng);
+            for n in [1usize, 5, 17] {
+                let tokens: Vec<usize> = (0..n).map(|i| (i * 31 + 7) % vocab).collect();
+                let (_, cached) = m.prefill(&tokens, &NoHook);
+                assert_eq!(
+                    cached.data(),
+                    tape_logits(&m, &tokens).data(),
+                    "vocab {vocab} n {n}"
+                );
+            }
+            let e = m.tok_embed.table().data();
+            assert_eq!(m.lm_head_t.get(), Some(&e.transposed()));
+        }
+    }
+
+    #[test]
+    fn parameter_update_and_reload_drop_the_lm_head_table() {
+        let mut m = model();
+        let tokens = [1usize, 2, 3, 4];
+        let (_, before) = m.prefill(&tokens, &NoHook);
+        assert!(
+            m.lm_head_t.get().is_some(),
+            "first cached forward builds it"
+        );
+
+        // A clone owns a copy: updating the clone must not leave either
+        // model multiplying by the other's embedding.
+        let mut tuned = m.clone();
+        nudge(&mut tuned);
+        assert!(tuned.lm_head_t.get().is_none(), "visit_mut drops it");
+        let (_, after) = tuned.prefill(&tokens, &NoHook);
+        assert_eq!(after.data(), tape_logits(&tuned, &tokens).data());
+        assert_ne!(
+            after.data(),
+            before.data(),
+            "logits follow the new embedding"
+        );
+        let (_, again) = m.prefill(&tokens, &NoHook);
+        assert_eq!(again.data(), before.data(), "the original is untouched");
+
+        // The same through the owner itself: step, then forward.
+        nudge(&mut m);
+        let (_, stepped) = m.prefill(&tokens, &NoHook);
+        assert_eq!(stepped.data(), after.data());
+
+        // A checkpoint never carries the table; the loaded model rebuilds it.
+        let dir = std::env::temp_dir().join(format!("infuserki_lmhead_{}", std::process::id()));
+        let path = dir.join("model.json");
+        m.save(&path).unwrap();
+        assert!(!fs::read_to_string(&path).unwrap().contains("lm_head_t"));
+        let loaded = TransformerLm::load(&path).unwrap();
+        assert!(loaded.lm_head_t.get().is_none());
+        let (_, reloaded) = loaded.prefill(&tokens, &NoHook);
+        assert_eq!(reloaded.data(), stepped.data());
+        let _ = fs::remove_dir_all(dir);
     }
 
     #[test]

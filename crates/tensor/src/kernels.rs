@@ -55,20 +55,31 @@
 //!
 //! # ISA tiers
 //!
-//! The column-strip loop of the `a@b`/`aᵀ@b` tile path, the attention row
-//! fold (Q·Kᵀ and scores·V), GELU and the softmax max/scale passes each
-//! dispatch through [`crate::simd::active_isa`] to an explicit AVX2 or
-//! AVX-512 micro-kernel ([`crate::simd`]) when the CPU (or the
-//! `INFUSERKI_ISA` knob) selects one.
+//! The column-strip loop of the `a@b`/`aᵀ@b` tile path, the attention
+//! all-heads row fold (Q·Kᵀ and scores·V), GELU, `exp` and the row softmax
+//! each dispatch through [`crate::simd::active_isa`] to an explicit AVX2 or
+//! AVX-512 micro-kernel ([`crate::simd`]) when the CPU (or
+//! the `INFUSERKI_ISA` knob) selects one.
 //! Every f32 tier is bitwise-equal to the scalar tier — SIMD lanes only ever
 //! span independent output elements, never an accumulation chain (see the
 //! `simd` module docs for the proof obligations). Attention obeys the same
 //! rule on both sides: K panels are stored transposed, one column per key,
 //! so a Q·Kᵀ score row folds with lanes across keys exactly as a scores·V
-//! row folds with lanes across value columns — one micro-kernel, `av_row`.
-//! Only `a@bᵀ` over row-major operands ([`matmul_bt_into`]: the tied LM head,
-//! backward passes) still keeps its independent chains side by side in
-//! scalar registers rather than in lanes, identically in every tier.
+//! row folds with lanes across value columns — one micro-kernel
+//! ([`fold_heads`]), which walks a panel once for every head. The tied LM
+//! head obeys it through a layout change too: the engine multiplies by a
+//! transposed copy of the embedding table with [`matmul_into`].
+//! [`matmul_bt_into`] (`a@bᵀ` over row-major operands: the tape's LM head,
+//! backward passes) keeps its independent chains side by side in scalar
+//! registers rather than in lanes, identically in every tier — the same
+//! ascending-`p` chain per element, so the two LM heads agree bitwise.
+//!
+//! Transcendentals are polynomials, not libm calls: [`tanh_fast`] and
+//! [`exp_fast`] are fixed sequences of plain multiplies, adds and bit
+//! operations with constants shared verbatim with the vector tiers, so they
+//! too are bitwise-equal across tiers (and across FMA / non-FMA builds — they
+//! never fuse). `exp_fast` is the bit-reference for the whole row-softmax
+//! family; bump [`NUMERICS_VERSION`] when any kernel changes values.
 //!
 //! The pre-blocking seed kernels are preserved in [`reference`] as the
 //! correctness oracle for the property-test suite and the before/after
@@ -80,6 +91,13 @@ use infuserki_obs as obs;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
+
+/// Version of the values these kernels produce. Bump when any kernel changes
+/// values (a different polynomial, a reordered chain): everything that caches
+/// results computed through them — the pre-trained base model under
+/// `artifacts/` — folds it into its key, so a cached result is never reused
+/// across a numerics change. 2: the softmax family's `exp` is [`exp_fast`].
+pub const NUMERICS_VERSION: u32 = 2;
 
 /// Output-row tile height of the register micro-kernel.
 pub(crate) const MR: usize = 8;
@@ -699,219 +717,217 @@ fn bt_tile<const R: usize, const C: usize>(
     }
 }
 
-// ---- column-window kernels (per-head attention over cached K/V) ------------
+// ---- all-heads row folds (attention over cached K/V) -----------------------
 
-/// `out[row0.., lo..hi] = a @ b[:, lo..hi]` — the per-head attention·V
-/// product written straight into the merged-heads matrix's column window,
-/// reading cached V in place (no `slice_cols` copy of the history, no
-/// per-head output temporary).
-///
-/// Bitwise contract: per output element one ascending-`p` [`fmadd`] chain —
-/// identical to [`matmul`] over a materialized `b.slice_cols(lo, hi)`, and
-/// deliberately *without* the seed kernel's zero-skip branch (skipping
-/// `av == 0.0` turns `-0.0 + 0.0·x` into `-0.0` where the chain produces
-/// `+0.0`). Serial: per-head products sit far below the parallel threshold.
-pub fn matmul_cols_into(
-    a: &Matrix,
-    b: &Matrix,
-    lo: usize,
-    hi: usize,
-    out: &mut Matrix,
-    row0: usize,
-) {
-    let (m, kk) = a.shape();
-    assert_eq!(b.rows(), kk, "matmul_cols_into: inner dims");
-    assert!(
-        lo <= hi && hi <= b.cols(),
-        "matmul_cols_into: column window"
-    );
-    assert!(
-        row0 + m <= out.rows() && hi <= out.cols(),
-        "matmul_cols_into: out window"
-    );
-    // The full product is the single-segment case of the paged fold.
-    matmul_cols_seg_into(a, 0, kk, b, lo, hi, out, row0, false);
-}
-
-/// `out[0..r1-r0, col0..col0+keys] = a[r0..r1, lo..hi] @ kt[lo..hi, 0..keys]`
-/// — one per-head score panel against a K panel stored *transposed*
+/// Every head's score panel against one K panel stored *transposed*
 /// (`kt: [d_model, capacity]`, one column per cached key, of which the first
-/// `keys` hold tokens): a paged KV block, or the hook's virtual-prefix panel.
-/// The panel lands at column offset `col0` of a scores matrix assembled from
-/// several such panels.
-///
-/// With keys along the columns a score row is the same row fold as
-/// attention·V — `Σ_p q[lo+p] · kt[lo+p][0..keys]`, lanes across keys — so
-/// both halves of attention run [`av_row`] in every tier.
+/// `keys` hold tokens — a paged KV block, or the hook's virtual-prefix
+/// panel), in one walk over the panel: heads are row bands of it. For query
+/// row `i` of `q[r0..r1]` and head `h` (dimensions `h·d_h..(h+1)·d_h`,
+/// `d_h = q.cols() / n_heads`),
+/// `out[i·n_heads + h, col0..col0+keys] = q[r0+i, head h] @ kt[head h, 0..keys]`
+/// — `out` is the query-major scores matrix `[m·n_heads, total keys]` that
+/// [`softmax_heads_causal_in_place`] and [`av_heads_seg_into`] read,
+/// assembled from several such panels.
 ///
 /// Bitwise contract: each output element is one ascending-`p` [`fmadd`]
-/// chain from `0.0` over the head's `hi - lo` dimensions — the chain
-/// [`matmul_bt`] computes for the same Q row and K row — and depends on
-/// exactly one Q row and one key, so a scores matrix assembled
-/// panel-by-panel is bit-for-bit the product over the same keys stored
-/// contiguously. Serial, like the other per-head kernels.
+/// chain from `0.0` over the head's `d_h` dimensions — the chain
+/// [`matmul_bt`] computes for the same Q row and K row over the sliced head
+/// window — and depends on exactly one Q row and one key, so a scores matrix
+/// assembled panel-by-panel is bit-for-bit the product over the same keys
+/// stored contiguously. Key columns at or past `keys` are never read.
+/// Serial: one panel sits far below the parallel threshold.
 #[allow(clippy::too_many_arguments)]
-pub fn matmul_kt_panel(
-    a: &Matrix,
+pub fn qk_heads_panel(
+    q: &Matrix,
     r0: usize,
     r1: usize,
     kt: &Matrix,
     keys: usize,
-    lo: usize,
-    hi: usize,
+    n_heads: usize,
     out: &mut Matrix,
     col0: usize,
 ) {
-    assert!(r0 <= r1 && r1 <= a.rows(), "matmul_kt_panel: row window");
+    assert!(r0 <= r1 && r1 <= q.rows(), "qk_heads_panel: row window");
+    let d = q.cols();
     assert!(
-        lo <= hi && hi <= a.cols() && hi <= kt.rows(),
-        "matmul_kt_panel: head window"
+        n_heads > 0 && d.is_multiple_of(n_heads) && kt.rows() == d,
+        "qk_heads_panel: head split"
     );
-    assert!(keys <= kt.cols(), "matmul_kt_panel: key count");
+    assert!(keys <= kt.cols(), "qk_heads_panel: key count");
     let m = r1 - r0;
     assert!(
-        m <= out.rows() && col0 + keys <= out.cols(),
-        "matmul_kt_panel: out window"
+        m * n_heads <= out.rows() && col0 + keys <= out.cols(),
+        "qk_heads_panel: out window"
     );
-    let (ka, kn, on) = (a.cols(), kt.cols(), out.cols());
-    let (ad, kd) = (a.data(), kt.data());
-    let od = out.data_mut();
-    let isa = simd::active_isa();
-    for i in 0..m {
-        av_row(
-            &ad[(r0 + i) * ka + lo..(r0 + i) * ka + hi],
-            &kd[lo * kn..],
-            0,
-            kn,
-            &mut od[i * on + col0..i * on + col0 + keys],
-            false,
-            isa,
-        );
-    }
+    let (hd, kn, on) = (d / n_heads, kt.cols(), out.cols());
+    let g = HeadFold {
+        rows: m,
+        heads: n_heads,
+        seg: hd,
+        w: keys,
+        a0: r0 * d,
+        a_row: d,
+        a_head: hd,
+        b0: 0,
+        b_head: hd * kn,
+        b_stride: kn,
+        o0: col0,
+        o_row: n_heads * on,
+        o_head: on,
+        accumulate: false,
+    };
+    fold_heads(q.data(), kt.data(), out.data_mut(), &g);
 }
 
-/// Segment-continuation form of [`matmul_cols_into`] for a *paged* V cache:
-/// folds score columns `a_lo..a_hi` against the first `a_hi - a_lo` rows of
-/// `b` (one KV block, or the virtual-prefix panel) into `out`'s column window
-/// `lo..hi`. With `accumulate == false` the window is zeroed first; with
-/// `true` the chain continues on top of earlier segments.
+/// Every head's attention·V product over one segment of a *paged* V cache:
+/// folds score columns `a_lo..a_hi` of the query-major scores matrix `a`
+/// (`[m·n_heads, keys]`, row `i·n_heads + h`) against the first
+/// `a_hi - a_lo` rows of `v` (one KV block, or the virtual-prefix panel)
+/// into `out[row0 + i, head h]`, reading cached V in place. With
+/// `accumulate == false` the chains start from `0.0`; with `true` they
+/// continue on top of earlier segments.
 ///
 /// Bitwise contract: calling this once per segment in ascending column order
-/// (prefix panel first, then each block) extends every output element's
-/// single ascending-`p` [`fmadd`] chain with exactly the terms
-/// [`matmul_cols_into`] would fold over the same history stored contiguously
-/// — so the segmented product is bit-identical. Masked score columns are
-/// exact `+0.0` and must still pass through the chain (same no-zero-skip rule
-/// as [`matmul_cols_into`]).
+/// (prefix panel first, then each block) gives every output element the
+/// single ascending-`p` [`fmadd`] chain [`matmul`] folds for that head over
+/// the same history stored contiguously — so the segmented product is
+/// bit-identical. Masked score columns are exact `+0.0` and must still pass
+/// through the chain: skipping `av == 0.0`, as the seed kernel did, turns
+/// `-0.0 + 0.0·x` into `-0.0` where the chain produces `+0.0`. Rows of `v`
+/// at or past the segment length are never read.
 #[allow(clippy::too_many_arguments)]
-pub fn matmul_cols_seg_into(
+pub fn av_heads_seg_into(
     a: &Matrix,
     a_lo: usize,
     a_hi: usize,
-    b: &Matrix,
-    lo: usize,
-    hi: usize,
+    v: &Matrix,
+    n_heads: usize,
     out: &mut Matrix,
     row0: usize,
     accumulate: bool,
 ) {
-    let m = a.rows();
     assert!(
         a_lo <= a_hi && a_hi <= a.cols(),
-        "matmul_cols_seg_into: a window"
+        "av_heads_seg_into: a window"
+    );
+    let d = v.cols();
+    assert!(
+        n_heads > 0 && d.is_multiple_of(n_heads) && a.rows().is_multiple_of(n_heads),
+        "av_heads_seg_into: head split"
     );
     let seg = a_hi - a_lo;
-    assert!(seg <= b.rows(), "matmul_cols_seg_into: b row count");
+    assert!(seg <= v.rows(), "av_heads_seg_into: v row count");
+    let m = a.rows() / n_heads;
     assert!(
-        lo <= hi && hi <= b.cols(),
-        "matmul_cols_seg_into: column window"
+        row0 + m <= out.rows() && out.cols() == d,
+        "av_heads_seg_into: out window"
     );
-    assert!(
-        row0 + m <= out.rows() && hi <= out.cols(),
-        "matmul_cols_seg_into: out window"
-    );
-    let ka = a.cols();
-    let on = out.cols();
-    let bn = b.cols();
-    let (ad, bd) = (a.data(), b.data());
-    let od = out.data_mut();
-    let isa = simd::active_isa();
-    for i in 0..m {
-        av_row(
-            &ad[i * ka + a_lo..i * ka + a_hi],
-            bd,
-            lo,
-            bn,
-            &mut od[(row0 + i) * on + lo..(row0 + i) * on + hi],
-            accumulate,
-            isa,
-        );
-    }
+    let (hd, ka) = (d / n_heads, a.cols());
+    let g = HeadFold {
+        rows: m,
+        heads: n_heads,
+        seg,
+        w: hd,
+        a0: a_lo,
+        a_row: n_heads * ka,
+        a_head: ka,
+        b0: 0,
+        b_head: hd,
+        b_stride: d,
+        o0: row0 * d,
+        o_row: d,
+        o_head: hd,
+        accumulate,
+    };
+    fold_heads(a.data(), v.data(), out.data_mut(), &g);
 }
 
-/// One output row of the attention row fold, dispatched to the `isa` tier:
-/// `orow[j] (+)= Σ_p a[p] · bd[p·bn + lo + j]`, `p` ascending through one
-/// [`fmadd`] chain per output element (each SIMD lane owns one independent
-/// column's chain, so all tiers are bitwise-equal). Scores·V folds a score
-/// row over a V block's rows; Q·Kᵀ folds a query row's head window over a
-/// transposed K panel's rows ([`matmul_kt_panel`]).
-#[inline(always)]
-fn av_row(
-    a: &[f32],
-    bd: &[f32],
-    lo: usize,
-    bn: usize,
-    orow: &mut [f32],
-    accumulate: bool,
-    isa: Isa,
-) {
-    if a.is_empty() {
-        if !accumulate {
-            orow.fill(0.0);
-        }
+/// Geometry of one all-heads row fold ([`fold_heads`]): offsets and strides,
+/// in elements, into the three flat buffers.
+#[derive(Clone, Copy)]
+pub(crate) struct HeadFold {
+    /// Query rows.
+    pub rows: usize,
+    /// Heads per query row.
+    pub heads: usize,
+    /// Chain length: terms folded per output element.
+    pub seg: usize,
+    /// Output elements per (row, head).
+    pub w: usize,
+    pub a0: usize,
+    pub a_row: usize,
+    pub a_head: usize,
+    pub b0: usize,
+    pub b_head: usize,
+    pub b_stride: usize,
+    pub o0: usize,
+    pub o_row: usize,
+    pub o_head: usize,
+    /// Continue the chains from `out`'s values instead of `0.0`.
+    pub accumulate: bool,
+}
+
+/// The attention row fold for every (query row, head) of one panel, in one
+/// dispatched call: for `i < rows`, `h < heads`, `j < w`,
+/// `out[o0 + i·o_row + h·o_head + j] (+)= Σ_p a[a0 + i·a_row + h·a_head + p] ·
+/// b[b0 + h·b_head + p·b_stride + j]`, `p` ascending through one [`fmadd`]
+/// chain per output element. SIMD lanes span the `w` independent outputs of
+/// a (row, head), and up to four heads' chains advance side by side, so all
+/// tiers are bitwise-equal. Scores·V folds score rows over a V block's rows;
+/// Q·Kᵀ folds a query row's head windows over a transposed K panel's rows.
+fn fold_heads(a: &[f32], b: &[f32], out: &mut [f32], g: &HeadFold) {
+    if g.rows == 0 || g.heads == 0 || g.w == 0 {
         return;
     }
-    // Every tier indexes up to the last folded row's window; check it once.
+    // Every tier indexes up to the last fold's windows; check them once.
+    let last = |n: usize, step: usize| (n - 1) * step;
     assert!(
-        (a.len() - 1) * bn + lo + orow.len() <= bd.len(),
-        "av_row: fold runs past the panel"
+        g.a0 + last(g.rows, g.a_row) + last(g.heads, g.a_head) + g.seg <= a.len(),
+        "fold_heads: a window"
     );
+    assert!(
+        g.seg == 0 || g.b0 + last(g.heads, g.b_head) + last(g.seg, g.b_stride) + g.w <= b.len(),
+        "fold_heads: fold runs past the panel"
+    );
+    assert!(
+        g.o0 + last(g.rows, g.o_row) + last(g.heads, g.o_head) + g.w <= out.len(),
+        "fold_heads: out window"
+    );
+    let isa = simd::active_isa();
     #[cfg(target_arch = "x86_64")]
     if isa != Isa::Scalar {
-        // Bounds: asserted above. CPU support is guaranteed by `active_isa`.
+        // SAFETY: the three windows are asserted above; CPU support is
+        // guaranteed by `active_isa`.
         unsafe {
+            let (a, b, out) = (
+                a.as_ptr().add(g.a0),
+                b.as_ptr().add(g.b0),
+                out.as_mut_ptr().add(g.o0),
+            );
             match isa {
-                Isa::Avx2 => simd::x86::av_row_avx2(
-                    a.as_ptr(),
-                    a.len(),
-                    bd.as_ptr().add(lo),
-                    bn,
-                    orow.as_mut_ptr(),
-                    orow.len(),
-                    accumulate,
-                ),
-                Isa::Avx512 => simd::x86::av_row_avx512(
-                    a.as_ptr(),
-                    a.len(),
-                    bd.as_ptr().add(lo),
-                    bn,
-                    orow.as_mut_ptr(),
-                    orow.len(),
-                    accumulate,
-                ),
+                Isa::Avx2 => simd::x86::fold_heads_avx2(a, b, out, g),
+                Isa::Avx512 => simd::x86::fold_heads_avx512(a, b, out, g),
                 Isa::Scalar => unreachable!(),
             }
         }
         return;
     }
     let _ = isa;
-    if !accumulate {
-        orow.fill(0.0);
-    }
-    for (p, &av) in a.iter().enumerate() {
-        let brow = &bd[p * bn + lo..p * bn + lo + orow.len()];
-        for (o, &bv) in orow.iter_mut().zip(brow.iter()) {
-            *o = fmadd(av, bv, *o);
+    for i in 0..g.rows {
+        for h in 0..g.heads {
+            let a0 = g.a0 + i * g.a_row + h * g.a_head;
+            let o0 = g.o0 + i * g.o_row + h * g.o_head;
+            let orow = &mut out[o0..o0 + g.w];
+            if !g.accumulate {
+                orow.fill(0.0);
+            }
+            for (p, &av) in a[a0..a0 + g.seg].iter().enumerate() {
+                let b0 = g.b0 + h * g.b_head + p * g.b_stride;
+                for (o, &bv) in orow.iter_mut().zip(&b[b0..b0 + g.w]) {
+                    *o = fmadd(av, bv, *o);
+                }
+            }
         }
     }
 }
@@ -1021,95 +1037,193 @@ pub fn softmax_rows(x: &Matrix) -> Matrix {
     out
 }
 
-/// Max over a slice, dispatched to the `isa` tier. All tiers return the
-/// same *value* as the scalar `f32::max` fold (max is order-insensitive over
-/// finite floats); on a `±0.0` tie the SIMD tiers may pick the other zero's
-/// sign, which the softmax callers provably absorb (`exp(v - ±0.0)` reads
-/// only the value).
-#[inline(always)]
-fn max_slice(xs: &[f32], isa: Isa) -> f32 {
-    #[cfg(target_arch = "x86_64")]
-    match isa {
-        Isa::Scalar => {}
-        Isa::Avx2 => return unsafe { simd::x86::max_slice_avx2(xs) },
-        Isa::Avx512 => return unsafe { simd::x86::max_slice_avx512(xs) },
-    }
-    let _ = isa;
-    xs.iter().cloned().fold(f32::NEG_INFINITY, f32::max)
+/// The range-reduced polynomial `exp` constants, shared verbatim with the
+/// vector tiers in [`crate::simd`] — one source of truth, like
+/// [`tanh_poly`], so a coefficient tweak can never bitwise-desync the scalar
+/// and SIMD paths.
+pub(crate) mod exp_poly {
+    /// Inputs above this clamp to it: `exp_fast(HI)` is already `+∞`.
+    pub const HI: f32 = 89.0;
+    /// The cutoff. Inputs below this clamp to it, and `exp_fast(LO)` rounds
+    /// to exactly `+0.0` (`e^-104 < 2^-150`, half the smallest subnormal).
+    pub const LO: f32 = -104.0;
+    pub const LOG2E: f32 = std::f32::consts::LOG2_E;
+    /// `1.5·2^23`: adding it rounds to the nearest integer (ties to even)
+    /// and leaves that integer in the low mantissa bits.
+    pub const ROUND: f32 = 12_582_912.0;
+    /// Cody–Waite split of `ln 2`: `LN2_HI` has nine significant bits, so
+    /// `n · LN2_HI` is exact for every `|n| ≤ 150`.
+    pub const LN2_HI: f32 = 0.693_359_4;
+    pub const LN2_LO: f32 = -2.121_944_4e-4;
+    /// Cephes `expf` minimax coefficients of `(e^r - 1 - r) / r²` on
+    /// `|r| ≤ ln 2 / 2`, highest degree first.
+    pub const P: [f32; 6] = [
+        1.987_569_1e-4,
+        1.398_2e-3,
+        8.333_452e-3,
+        4.166_579_6e-2,
+        1.666_666_5e-1,
+        5e-1,
+    ];
 }
 
-/// `xs[i] *= s`, dispatched to the `isa` tier — elementwise, so every tier
-/// is bitwise-equal.
+/// Branch-free `e^x`: `x = n·ln 2 + r` by Cody–Waite reduction, a degree-5
+/// polynomial for `e^r`, and `2^n` applied through the exponent bits in two
+/// halves so results below the normal range round once, gradually, instead
+/// of flushing. Measured against `f64::exp`: under 1 ulp (0.99) over
+/// `[-104, 88]`, monotone, `exp_fast(0.0) == 1.0`, exactly `+0.0` for every
+/// input below [`exp_poly::LO`] (`-1e9`-masked scores, `-∞`), `+∞` from
+/// `128·ln 2` up, NaN for NaN.
+///
+/// The libm `expf` it replaces is a scalar black box; this is plain
+/// multiplies, adds and integer operations — never fused, so one build's
+/// scalar tier, its vector tiers ([`exp_slice`]) and an FMA-less build all
+/// produce the same bits. Every member of the row-softmax family calls it,
+/// which keeps the tape, `tensor::infer` and the KV-cached engine bitwise
+/// equal to each other.
+#[inline]
+pub fn exp_fast(x: f32) -> f32 {
+    use exp_poly::*;
+    // Comparisons, not `f32::min`/`max`: NaN must fall through both.
+    let x = if x > HI { HI } else { x };
+    let x = if x < LO { LO } else { x };
+    let t = x * LOG2E + ROUND;
+    let m = t - ROUND;
+    let n = (t.to_bits() as i32).wrapping_sub(ROUND.to_bits() as i32);
+    let r = (x - m * LN2_HI) - m * LN2_LO;
+    let mut y = P[0];
+    for &c in &P[1..] {
+        y = y * r + c;
+    }
+    let y = (y * (r * r) + r) + 1.0;
+    // 2^n as 2^(n>>1) · 2^(n - (n>>1)): both factors are normal floats for
+    // every n in [-150, 128], the first product is exact, and the second
+    // rounds once — correctly into the subnormals, or up to +∞.
+    let n1 = n >> 1;
+    let pow2 = |k: i32| f32::from_bits((k.wrapping_add(127) << 23) as u32);
+    (y * pow2(n1)) * pow2(n.wrapping_sub(n1))
+}
+
+/// `xs[i] = exp_fast(xs[i] · scale - shift)`, dispatched to the `isa` tier:
+/// the softmax numerator pass, with the score scale folded in. The vector
+/// tiers replicate [`exp_fast`]'s operation sequence lane by lane, so every
+/// tier is bitwise-equal.
 #[inline(always)]
-fn scale_slice(xs: &mut [f32], s: f32, isa: Isa) {
+fn exp_scaled_slice(xs: &mut [f32], scale: f32, shift: f32, isa: Isa) {
     #[cfg(target_arch = "x86_64")]
     match isa {
         Isa::Scalar => {}
-        Isa::Avx2 => return unsafe { simd::x86::scale_slice_avx2(xs, s) },
-        Isa::Avx512 => return unsafe { simd::x86::scale_slice_avx512(xs, s) },
+        // SAFETY: CPU support is guaranteed by `active_isa`.
+        Isa::Avx2 => return unsafe { simd::x86::exp_scaled_slice_avx2(xs, scale, shift) },
+        Isa::Avx512 => return unsafe { simd::x86::exp_scaled_slice_avx512(xs, scale, shift) },
     }
     let _ = isa;
     for v in xs.iter_mut() {
-        *v *= s;
+        *v = exp_fast(*v * scale - shift);
     }
 }
 
-/// In-place row-wise softmax (allocation-free form of [`softmax_rows`]).
+/// In-place [`exp_fast`] over a slice, dispatched to the active SIMD tier
+/// (bitwise-equal in every tier).
+pub fn exp_slice(xs: &mut [f32]) {
+    // `x · 1.0 - 0.0` is `x` exactly.
+    exp_scaled_slice(xs, 1.0, 0.0, simd::active_isa());
+}
+
+/// Softmax of `scale · row[..valid]` for every `stride`-long row of `data`,
+/// exact zeros written over `row[valid..]` without reading it. The one body
+/// behind the in-place softmax family, dispatched to the `isa` tier (the
+/// vector tiers take rows four at a time so their latencies overlap).
 ///
-/// The max scan and the `1/sum` scale pass dispatch to the active SIMD tier;
-/// the `exp` + sum pass stays scalar in every tier (libm `expf` is the
-/// bit-reference, and the sum is one ascending accumulation chain).
-pub fn softmax_rows_in_place(out: &mut Matrix) {
-    let isa = simd::active_isa();
-    for r in 0..out.rows() {
-        let row = out.row_mut(r);
-        let max = max_slice(row, isa);
-        let mut sum = 0.0;
-        for v in row.iter_mut() {
-            *v = (*v - max).exp();
-            sum += *v;
+/// Per row: max scan, [`exp_fast`] of `v · scale - max · scale`, the sum as
+/// one ascending scalar chain from `0.0` (in every tier), and a multiply by
+/// `1/sum`.
+/// `max(s·x) = s·max(x)` bitwise for `s > 0` (rounding is monotone), so
+/// scaling the max instead of the row changes no bit against scaling first.
+/// Every tier returns the same max *value* as the `f32::max` fold here (max
+/// is order-insensitive over finite floats); on a `±0.0` tie the vector
+/// tiers may pick the other zero's sign, which `exp_fast(v - ±0.0)` absorbs.
+fn softmax_rows_span(data: &mut [f32], stride: usize, valid: usize, scale: f32, isa: Isa) {
+    assert!(
+        0 < valid && valid <= stride && data.len().is_multiple_of(stride),
+        "softmax_rows_span: row geometry"
+    );
+    #[cfg(target_arch = "x86_64")]
+    match isa {
+        Isa::Scalar => {}
+        // SAFETY: CPU support is guaranteed by `active_isa`; the geometry the
+        // tier functions rely on is asserted above.
+        Isa::Avx2 => return unsafe { simd::x86::softmax_rows_avx2(data, stride, valid, scale) },
+        Isa::Avx512 => {
+            return unsafe { simd::x86::softmax_rows_avx512(data, stride, valid, scale) }
         }
-        let inv = 1.0 / sum;
-        scale_slice(row, inv, isa);
     }
-}
-
-/// In-place row-wise softmax under a causal mask: row `r` softmaxes its
-/// first `offset + r + 1` entries (its causally visible prefix) and writes
-/// exact zeros over the tail, without reading the tail at all.
-///
-/// Bitwise-identical to masking the tail to `-∞` and running full-row
-/// [`softmax_rows_in_place`]: masked entries never win the row max, their
-/// `exp(-∞) = +0.0` terms extend the sum's accumulation chain only with
-/// exact-zero additions (which cannot change any accumulated bit — the sum
-/// is never `-0.0`), and `+0.0 × inv` is `+0.0`. Skipping them drops half
-/// the `exp` calls of a square prefill score block and the masking pass.
-pub fn softmax_rows_causal_in_place(out: &mut Matrix, offset: usize) {
-    let isa = simd::active_isa();
-    let n = out.cols();
-    for r in 0..out.rows() {
-        let valid = (offset + r + 1).min(n);
-        let row = out.row_mut(r);
+    let _ = isa;
+    for row in data.chunks_exact_mut(stride) {
         let (head, tail) = row.split_at_mut(valid);
-        let max = max_slice(head, isa);
+        let max = head.iter().cloned().fold(f32::NEG_INFINITY, f32::max) * scale;
         let mut sum = 0.0;
         for v in head.iter_mut() {
-            *v = (*v - max).exp();
+            *v = exp_fast(*v * scale - max);
             sum += *v;
         }
         let inv = 1.0 / sum;
-        scale_slice(head, inv, isa);
+        for v in head.iter_mut() {
+            *v *= inv;
+        }
         tail.fill(0.0);
     }
 }
 
-/// Row-wise log-softmax (numerically stable log-sum-exp form).
+/// In-place row-wise softmax (allocation-free form of [`softmax_rows`]).
+pub fn softmax_rows_in_place(out: &mut Matrix) {
+    let n = out.cols();
+    if n > 0 {
+        softmax_rows_span(out.data_mut(), n, n, 1.0, simd::active_isa());
+    }
+}
+
+/// In-place causal softmax of a query-major all-heads scores matrix
+/// (`[m·n_heads, keys]`, row `i·n_heads + h` as [`qk_heads_panel`] writes
+/// it), with the `1/√d_h` score scale folded in: every row of query `i`
+/// softmaxes `scale ·` its first `offset + i + 1` entries (its causally
+/// visible prefix) and gets exact zeros over the tail, which is never read.
+///
+/// Bitwise-identical, head by head, to scaling the scores by `scale`
+/// (`v · scale` per element, as here), masking the tail to `-1e9` or `-∞`
+/// and running full-row [`softmax_rows_in_place`]: masked entries never win
+/// the row max, their `exp_fast(..) = +0.0` terms extend the sum's chain only
+/// with exact-zero additions (which cannot change any accumulated bit — the
+/// sum is never `-0.0`), and `+0.0 × inv` is `+0.0`. Skipping them drops half
+/// the `exp` work of a square prefill score block and the masking pass.
+pub fn softmax_heads_causal_in_place(out: &mut Matrix, n_heads: usize, offset: usize, scale: f32) {
+    let n = out.cols();
+    assert!(
+        n_heads > 0 && out.rows().is_multiple_of(n_heads),
+        "softmax_heads_causal_in_place: head split"
+    );
+    assert!(scale > 0.0, "softmax_heads_causal_in_place: scale");
+    if n == 0 {
+        return;
+    }
+    let isa = simd::active_isa();
+    for (i, query) in out.data_mut().chunks_exact_mut(n_heads * n).enumerate() {
+        softmax_rows_span(query, n, (offset + i + 1).min(n), scale, isa);
+    }
+}
+
+/// Row-wise log-softmax (numerically stable log-sum-exp form; the sum is one
+/// ascending chain over [`exp_fast`] terms).
 pub fn log_softmax_rows(x: &Matrix) -> Matrix {
+    let isa = simd::active_isa();
     let mut out = x.clone();
+    let mut e = vec![0.0f32; x.cols()];
     for r in 0..out.rows() {
         let row = out.row_mut(r);
         let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-        let lse = max + row.iter().map(|&v| (v - max).exp()).sum::<f32>().ln();
+        e.copy_from_slice(row);
+        exp_scaled_slice(&mut e, 1.0, max, isa);
+        let lse = max + e.iter().fold(0.0f32, |s, &v| s + v).ln();
         for v in row.iter_mut() {
             *v -= lse;
         }
@@ -1204,10 +1318,11 @@ pub fn gelu_slice(xs: &mut [f32]) {
 /// Derivative of [`gelu`] (same [`tanh_fast`] inner tanh).
 #[inline]
 pub fn gelu_grad(v: f32) -> f32 {
-    const C: f32 = 0.797_884_6;
-    let u = C * (v + 0.044_715 * v * v * v);
+    const C: f32 = tanh_poly::GELU_C;
+    const K: f32 = tanh_poly::GELU_K;
+    let u = C * (v + K * v * v * v);
     let t = tanh_fast(u);
-    let du = C * (1.0 + 3.0 * 0.044_715 * v * v);
+    let du = C * (1.0 + 3.0 * K * v * v);
     0.5 * (1.0 + t) + 0.5 * v * (1.0 - t * t) * du
 }
 
@@ -1413,75 +1528,80 @@ mod tests {
         assert_eq!(dot(&x, &y), 21.0);
     }
 
-    #[test]
-    fn matmul_cols_into_bitwise_matches_sliced_matmul() {
-        for &(ra, hist, d, lo, hi) in &[
-            (1usize, 1usize, 8usize, 0usize, 4usize),
-            (1, 23, 12, 4, 8),
-            (5, 9, 16, 8, 16),
-            (7, 17, 16, 0, 16),
-        ] {
-            let attn = Matrix::from_vec(
-                ra,
-                hist,
-                ((0..ra * hist).map(|i| (i as f32 * 0.41).sin())).collect(),
-            );
-            let v = Matrix::from_vec(
-                hist,
-                d,
-                ((0..hist * d).map(|i| (i as f32 * 0.23).cos())).collect(),
-            );
-            // Pre-fill the sink with garbage: the kernel must overwrite its
-            // window and leave everything else alone.
-            let mut merged = Matrix::full(ra + 1, d, 7.5);
-            matmul_cols_into(&attn, &v, lo, hi, &mut merged, 1);
-            let sliced = matmul(&attn, &v.slice_cols(lo, hi));
-            for r in 0..ra {
-                for (c, y) in sliced.row(r).iter().enumerate() {
-                    let x = merged.get(1 + r, lo + c);
-                    assert_eq!(x.to_bits(), y.to_bits(), "{ra}x{hist} w={lo}..{hi}");
-                }
-            }
-            assert!(merged.row(0).iter().all(|&x| x == 7.5));
-            for c in 0..d {
-                if !(lo..hi).contains(&c) {
-                    assert_eq!(merged.get(1, c), 7.5);
-                }
-            }
+    fn wave(rows: usize, cols: usize, f: f32) -> Matrix {
+        Matrix::from_vec(
+            rows,
+            cols,
+            (0..rows * cols).map(|i| (i as f32 * f).sin()).collect(),
+        )
+    }
+
+    /// Head `h`'s rows of a query-major all-heads matrix (row `i·n_heads + h`).
+    fn head_rows(m: &Matrix, n_heads: usize, h: usize) -> Matrix {
+        let mut out = Matrix::zeros(m.rows() / n_heads, m.cols());
+        for i in 0..out.rows() {
+            out.row_mut(i).copy_from_slice(m.row(i * n_heads + h));
+        }
+        out
+    }
+
+    /// `(query rows, history, d_model, block rows, heads)`: the single-query
+    /// decode shape, ragged histories, every fill level, head widths on and
+    /// off the vector widths.
+    const HEAD_SHAPES: &[(usize, usize, usize, usize, usize)] = &[
+        (1, 1, 8, 4, 2),
+        (1, 23, 12, 4, 3),
+        (5, 9, 16, 2, 2),
+        (7, 17, 16, 8, 1),
+        (4, 4, 6, 16, 3),
+        (3, 41, 64, 16, 4),
+        (2, 19, 40, 16, 5),
+    ];
+
+    fn assert_bits(x: &[f32], y: &[f32], ctx: &str) {
+        assert_eq!(x.len(), y.len(), "{ctx}");
+        for (i, (a, b)) in x.iter().zip(y).enumerate() {
+            assert_eq!(a.to_bits(), b.to_bits(), "{ctx}: elem {i}");
         }
     }
 
     #[test]
-    fn matmul_kt_panel_assembles_bitwise_scores_from_blocks() {
+    fn av_heads_bitwise_matches_sliced_matmul_per_head() {
+        for &(ra, hist, d, _, nh) in HEAD_SHAPES {
+            let hd = d / nh;
+            let attn = wave(ra * nh, hist, 0.41);
+            let v = wave(hist, d, 0.23);
+            // Pre-fill the sink with garbage: the kernel must overwrite its
+            // rows and leave everything else alone.
+            let mut merged = Matrix::full(ra + 1, d, 7.5);
+            av_heads_seg_into(&attn, 0, hist, &v, nh, &mut merged, 1, false);
+            for h in 0..nh {
+                let (lo, hi) = (h * hd, (h + 1) * hd);
+                let sliced = matmul(&head_rows(&attn, nh, h), &v.slice_cols(lo, hi));
+                let got = merged.slice_rows(1, 1 + ra).slice_cols(lo, hi);
+                assert_bits(
+                    got.data(),
+                    sliced.data(),
+                    &format!("{ra}x{hist} head {h}/{nh}"),
+                );
+            }
+            assert!(merged.row(0).iter().all(|&x| x == 7.5));
+        }
+    }
+
+    #[test]
+    fn qk_heads_panel_assembles_bitwise_scores_from_blocks() {
         // Split the cached history into fixed-size blocks (last one ragged),
-        // store each block's K rows transposed, compute one score panel per
-        // block, and check the assembled matrix is bit-for-bit `a@bᵀ` over
-        // the sliced head window of the contiguous history. Shapes span the
-        // single-query decode shape, ragged histories and every fill level.
-        for &(ra, hist, d, blk, lo, hi) in &[
-            (1usize, 1usize, 8usize, 4usize, 0usize, 4usize),
-            (1, 23, 12, 4, 4, 8),
-            (5, 9, 16, 2, 8, 16),
-            (7, 17, 16, 8, 0, 16),
-            (4, 4, 6, 16, 2, 6),
-            (3, 41, 32, 16, 16, 32),
-        ] {
-            let a = Matrix::from_vec(
-                ra + 2,
-                d,
-                ((0..(ra + 2) * d).map(|i| (i as f32 * 0.31).sin())).collect(),
-            );
-            let k = Matrix::from_vec(
-                hist,
-                d,
-                ((0..hist * d).map(|i| (i as f32 * 0.57).cos())).collect(),
-            );
-            let contiguous = matmul_bt(
-                &a.slice_rows(1, 1 + ra).slice_cols(lo, hi),
-                &k.slice_cols(lo, hi),
-            );
+        // store each block's K rows transposed, compute one all-heads score
+        // panel per block, and check each head's assembled rows are
+        // bit-for-bit `a@bᵀ` over the sliced head window of the contiguous
+        // history.
+        for &(ra, hist, d, blk, nh) in HEAD_SHAPES {
+            let hd = d / nh;
+            let a = wave(ra + 2, d, 0.31);
+            let k = wave(hist, d, 0.57);
             // Stale garbage in the sink: a panel must overwrite its window.
-            let mut paged = Matrix::full(ra, hist, f32::NAN);
+            let mut paged = Matrix::full(ra * nh, hist, f32::NAN);
             let mut col = 0;
             while col < hist {
                 let filled = blk.min(hist - col);
@@ -1493,86 +1613,161 @@ mod tests {
                         block.set(p, j, k.get(col + j, p));
                     }
                 }
-                matmul_kt_panel(&a, 1, 1 + ra, &block, filled, lo, hi, &mut paged, col);
+                qk_heads_panel(&a, 1, 1 + ra, &block, filled, nh, &mut paged, col);
                 col += filled;
             }
-            for (x, y) in paged.data().iter().zip(contiguous.data().iter()) {
-                assert_eq!(x.to_bits(), y.to_bits(), "{ra}x{hist} b={blk} w={lo}..{hi}");
+            for h in 0..nh {
+                let (lo, hi) = (h * hd, (h + 1) * hd);
+                let contiguous = matmul_bt(
+                    &a.slice_rows(1, 1 + ra).slice_cols(lo, hi),
+                    &k.slice_cols(lo, hi),
+                );
+                assert_bits(
+                    head_rows(&paged, nh, h).data(),
+                    contiguous.data(),
+                    &format!("{ra}x{hist} b={blk} head {h}/{nh}"),
+                );
             }
         }
     }
 
     #[test]
-    fn matmul_cols_seg_into_continues_the_chain_bitwise() {
-        // Fold the attention·V product segment-by-segment (reset on the
+    fn av_heads_seg_into_continues_the_chain_bitwise() {
+        // Fold the attention·V product segment-by-segment (from zero on the
         // first, accumulate after) and check against the single contiguous
         // fold — the chain must extend, not restart.
-        for &(ra, hist, d, blk, lo, hi) in &[
-            (1usize, 1usize, 8usize, 4usize, 0usize, 4usize),
-            (1, 23, 12, 4, 4, 8),
-            (5, 9, 16, 2, 8, 16),
-            (7, 17, 16, 8, 0, 16),
-        ] {
-            let attn = Matrix::from_vec(
-                ra,
-                hist,
-                ((0..ra * hist).map(|i| (i as f32 * 0.41).sin())).collect(),
-            );
-            let v = Matrix::from_vec(
-                hist,
-                d,
-                ((0..hist * d).map(|i| (i as f32 * 0.23).cos())).collect(),
-            );
+        for &(ra, hist, d, blk, nh) in HEAD_SHAPES {
+            let attn = wave(ra * nh, hist, 0.41);
+            let v = wave(hist, d, 0.23);
             let mut contiguous = Matrix::full(ra + 1, d, 7.5);
-            matmul_cols_into(&attn, &v, lo, hi, &mut contiguous, 1);
+            av_heads_seg_into(&attn, 0, hist, &v, nh, &mut contiguous, 1, false);
             let mut paged = Matrix::full(ra + 1, d, 7.5);
             let mut col = 0;
             while col < hist {
                 let filled = blk.min(hist - col);
                 let mut block = Matrix::full(blk, d, f32::NAN);
                 block.copy_rows_from(0, &v.slice_rows(col, col + filled));
-                matmul_cols_seg_into(
-                    &attn,
-                    col,
-                    col + filled,
-                    &block,
-                    lo,
-                    hi,
-                    &mut paged,
-                    1,
-                    col > 0,
-                );
+                av_heads_seg_into(&attn, col, col + filled, &block, nh, &mut paged, 1, col > 0);
                 col += filled;
             }
-            for (x, y) in paged.data().iter().zip(contiguous.data().iter()) {
-                assert_eq!(x.to_bits(), y.to_bits(), "{ra}x{hist} b={blk} w={lo}..{hi}");
-            }
-            assert!(paged.row(0).iter().all(|&x| x == 7.5));
+            assert_bits(
+                paged.data(),
+                contiguous.data(),
+                &format!("{ra}x{hist} b={blk} h={nh}"),
+            );
         }
     }
 
     #[test]
-    fn causal_softmax_bitwise_matches_mask_then_full_softmax() {
-        for &(rows, cols, offset) in &[(1usize, 1usize, 0usize), (5, 5, 0), (4, 7, 3), (7, 9, 2)] {
+    fn causal_softmax_bitwise_matches_scale_mask_then_full_softmax() {
+        for &(rows, cols, offset, nh, scale) in &[
+            (1usize, 1usize, 0usize, 1usize, 1.0f32),
+            (5, 5, 0, 1, 1.0),
+            (4, 7, 3, 2, 0.25),
+            (7, 9, 2, 3, 0.353_553_4),
+            (3, 40, 37, 4, 0.25),
+        ] {
             let x = Matrix::from_vec(
-                rows,
+                rows * nh,
                 cols,
-                (0..rows * cols)
-                    .map(|i| (i as f32 * 0.63).sin() * 3.0)
+                (0..rows * nh * cols)
+                    .map(|i| (i as f32 * 0.63).sin() * 12.0)
                     .collect(),
             );
-            let mut masked = x.clone();
-            crate::infer::causal_mask_in_place(&mut masked, offset);
-            softmax_rows_in_place(&mut masked);
             let mut causal = x.clone();
-            softmax_rows_causal_in_place(&mut causal, offset);
-            for (r, (a, b)) in masked.data().iter().zip(causal.data()).enumerate() {
-                assert_eq!(
-                    a.to_bits(),
-                    b.to_bits(),
-                    "{rows}x{cols} off {offset} elem {r}"
+            softmax_heads_causal_in_place(&mut causal, nh, offset, scale);
+            for h in 0..nh {
+                // The tape's sequence: scale, mask to -1e9, full-row softmax.
+                let mut masked = head_rows(&x, nh, h);
+                masked.scale_assign(scale);
+                crate::infer::causal_mask_in_place(&mut masked, offset);
+                softmax_rows_in_place(&mut masked);
+                assert_bits(
+                    head_rows(&causal, nh, h).data(),
+                    masked.data(),
+                    &format!("{rows}x{cols} off {offset} head {h}/{nh}"),
                 );
             }
+        }
+    }
+
+    #[test]
+    fn exp_fast_tracks_f64_exp_within_two_ulp() {
+        // ulp of the correctly rounded f32 result (2^-149 in the subnormals).
+        let ulps = |x: f32| {
+            let want = (x as f64).exp();
+            let w = want as f32;
+            let exp = ((w.to_bits() >> 23) & 0xff) as i32;
+            let ulp = 2f64.powi(exp.max(1) - 127 - 23);
+            ((exp_fast(x) as f64) - want).abs() / ulp
+        };
+        // Dense sweeps of [-104, 0] and (0, 88]: 2^-14 apart, so ~6·10^-5
+        // relative (hundreds of ulp) between neighbours.
+        let step = 1.0 / 16384.0;
+        let mut worst = 0.0f64;
+        let mut prev = 0.0f32;
+        for i in 0..=(192 * 16384) {
+            let x = -104.0 + i as f32 * step;
+            if x > 88.0 {
+                break;
+            }
+            let y = exp_fast(x);
+            assert!(y >= prev, "not monotone at {x}: {prev} then {y}");
+            prev = y;
+            worst = worst.max(ulps(x));
+        }
+        // Measured max: 0.99 ulp.
+        assert!(worst <= 2.0, "max error {worst} ulp");
+        assert_eq!(exp_fast(0.0).to_bits(), 1.0f32.to_bits());
+        assert_eq!(exp_fast(-0.0).to_bits(), 1.0f32.to_bits());
+        assert_eq!(exp_fast(1.0), std::f32::consts::E);
+        assert_eq!(exp_fast(89.0), f32::INFINITY);
+        assert_eq!(exp_fast(f32::INFINITY), f32::INFINITY);
+        assert!(exp_fast(f32::NAN).is_nan());
+    }
+
+    #[test]
+    fn exp_fast_is_exact_positive_zero_below_the_cutoff() {
+        // The tape masks with -1e9 and the "masked softmax ≡ causal softmax"
+        // bitwise equivalence needs `exp(-1e9 - max)` to be exactly +0.0.
+        let below = f32::from_bits(exp_poly::LO.to_bits() + 1);
+        for x in [
+            exp_poly::LO,
+            below,
+            -104.5,
+            -150.0,
+            -1e9,
+            -1e9 - 30.0,
+            -1e9 + 30.0,
+            f32::MIN,
+            f32::NEG_INFINITY,
+        ] {
+            assert_eq!(exp_fast(x).to_bits(), 0, "exp_fast({x})");
+        }
+        // Just above it the result is the smallest subnormal, not a flush.
+        assert_eq!(exp_fast(-103.0).to_bits(), 1);
+    }
+
+    #[test]
+    fn softmax_family_agrees_on_one_exp() {
+        // softmax, its in-place form, log-softmax and `exp_slice` are all
+        // built on `exp_fast`: spot-check them against each other.
+        let x = wave(3, 11, 0.77);
+        let s = softmax_rows(&x);
+        let ls = log_softmax_rows(&x);
+        for r in 0..3 {
+            let max = x.row(r).iter().cloned().fold(f32::NEG_INFINITY, f32::max);
+            let mut e: Vec<f32> = x.row(r).iter().map(|&v| v - max).collect();
+            exp_slice(&mut e);
+            let by_hand: Vec<f32> = x.row(r).iter().map(|&v| exp_fast(v - max)).collect();
+            assert_bits(&e, &by_hand, "exp_slice vs exp_fast");
+            let sum = e.iter().fold(0.0f32, |a, &v| a + v);
+            let inv = 1.0 / sum;
+            let want: Vec<f32> = e.iter().map(|&v| v * inv).collect();
+            assert_bits(s.row(r), &want, "softmax row");
+            let lse = max + sum.ln();
+            let want: Vec<f32> = x.row(r).iter().map(|&v| v - lse).collect();
+            assert_bits(ls.row(r), &want, "log-softmax row");
         }
     }
 
@@ -1605,7 +1800,7 @@ mod tests {
     }
 
     #[test]
-    fn matmul_cols_into_keeps_signed_zero_of_the_chain() {
+    fn av_heads_keeps_signed_zero_of_the_chain() {
         // Signed zeros are where accumulation-order shortcuts (like the seed
         // kernel's zero-skip branch) diverge from the fused chain; the
         // strided kernel must track the blocked kernel bit-for-bit here too.
@@ -1613,7 +1808,7 @@ mod tests {
         let mut v = m(2, 1, &[5.0, 0.0]);
         v.set(1, 0, -0.0);
         let mut out = Matrix::zeros(1, 1);
-        matmul_cols_into(&attn, &v, 0, 1, &mut out, 0);
+        av_heads_seg_into(&attn, 0, 2, &v, 1, &mut out, 0, false);
         let dense = matmul(&attn, &v);
         assert_eq!(out.get(0, 0).to_bits(), dense.get(0, 0).to_bits());
     }

@@ -3,9 +3,9 @@
 //! The scalar/autovec kernels in [`crate::kernels`] stay the portable
 //! fallback and the semantic reference; this module adds explicit
 //! `std::arch` AVX2 and AVX-512 micro-kernels for the hot inner loops
-//! (matmul column strips, the attention row fold, GELU, softmax max/scale and
-//! the fused int8 dequant-matmul strips of [`crate::quant`]), selected once
-//! per kernel call by [`active_isa`].
+//! (matmul column strips, the attention all-heads row fold, GELU, `exp`,
+//! the row softmax and the fused int8 dequant-matmul strips of
+//! [`crate::quant`]), selected once per kernel call by [`active_isa`].
 //!
 //! # Tier selection
 //!
@@ -28,9 +28,18 @@
 //! targets FMA, separate multiply + add intrinsics otherwise. Where an
 //! operand's layout would put a chain along the lanes, the layout changes,
 //! not the rule: attention keys are cached transposed so score rows lane
-//! across keys. Partial strips mask their unused lanes off every load and
-//! store, so there is no scalar remainder path to keep in step. Only `a@bᵀ`
-//! over row-major operands runs the shared scalar path in every tier.
+//! across keys, and the engine's tied LM head multiplies by a transposed
+//! copy of the embedding table. Partial strips mask their unused lanes off
+//! every load and store, so there is no scalar remainder path to keep in
+//! step. Only `a@bᵀ` over row-major operands (the tape's LM head, backward
+//! passes) runs the shared scalar path in every tier — the same chain per
+//! element as the transposed-table product.
+//!
+//! Transcendentals follow the same discipline one level down: the vector
+//! `tanh` and `exp` replicate the scalar polynomial's operation sequence lane
+//! by lane — plain multiplies and adds, never fused (the scalar forms use
+//! `*`/`+`, which Rust never contracts) — from constants shared verbatim
+//! with `kernels`, so they are bitwise-equal to it in every build.
 //!
 //! Two value-level (not bit-level) caveats, both invisible to finite
 //! workloads: the vectorized softmax max-scan may return the other sign of
@@ -200,7 +209,7 @@ pub fn active_isa() -> Isa {
 /// must uphold the pointer-range contracts documented per function.
 #[cfg(target_arch = "x86_64")]
 pub(crate) mod x86 {
-    use crate::kernels::{gelu, tanh_poly as tp};
+    use crate::kernels::{exp_poly as ep, gelu, tanh_poly as tp, HeadFold};
     use core::arch::x86_64::*;
 
     /// One multiply-add chain step on 8 lanes, matching
@@ -462,78 +471,124 @@ pub(crate) mod x86 {
         }
     }
 
-    // ---- attention row fold -----------------------------------------------
+    // ---- attention all-heads row fold ---------------------------------------
 
-    /// One output row of an attention window product:
-    /// `out[0..w] (+)= Σ_p a[p] · b[p*bstride..+w]`, `p` ascending. Each
-    /// 8-column chunk holds its output columns in a register across the
-    /// whole fold (each lane one independent chain, continued from the prior
-    /// `out` value when `accumulate`); the last chunk masks the lanes at or
-    /// past `w` off every load and store. Serves both halves of attention:
-    /// scores·V (`a` a score row, `b` a V block) and Q·Kᵀ (`a` a query row's
-    /// head window, `b` a transposed K panel).
-    ///
-    /// # Safety
-    /// Requires AVX2. `a` readable for `seg` floats, `b` for
-    /// `(seg-1)*bstride + w`, `out` writable for `w`.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn av_row_avx2(
+    /// `H` heads' row folds of one query row, side by side: for `h < H`,
+    /// `out[h·o_head..+w] (+)= Σ_p a[h·a_head + p] · b[h·b_head + p·b_stride..+w]`,
+    /// `p` ascending. Each 8-column chunk holds every head's output columns
+    /// in registers across the whole fold — each lane one independent chain
+    /// (continued from the prior `out` value when `accumulate`), the `H`
+    /// heads' chains interleaved to hide the multiply-add latency; the last
+    /// chunk masks the lanes at or past `w` off every load and store.
+    #[inline(always)]
+    unsafe fn fold_group256<const H: usize>(
         a: *const f32,
-        seg: usize,
         b: *const f32,
-        bstride: usize,
         out: *mut f32,
-        w: usize,
-        accumulate: bool,
+        g: &HeadFold,
     ) {
-        for c in (0..w).step_by(8) {
-            let mask = mask256(w - c);
-            let mut acc = if accumulate {
-                _mm256_maskload_ps(out.add(c), mask)
-            } else {
-                _mm256_setzero_ps()
-            };
-            let mut bp = b.add(c);
-            for p in 0..seg {
-                acc = madd256(_mm256_set1_ps(*a.add(p)), _mm256_maskload_ps(bp, mask), acc);
-                bp = bp.add(bstride);
+        for c in (0..g.w).step_by(8) {
+            let mask = mask256(g.w - c);
+            let mut acc = [_mm256_setzero_ps(); H];
+            if g.accumulate {
+                for (h, s) in acc.iter_mut().enumerate() {
+                    *s = _mm256_maskload_ps(out.add(h * g.o_head + c), mask);
+                }
             }
-            _mm256_maskstore_ps(out.add(c), mask, acc);
+            for p in 0..g.seg {
+                let bp = b.add(p * g.b_stride + c);
+                for (h, s) in acc.iter_mut().enumerate() {
+                    *s = madd256(
+                        _mm256_set1_ps(*a.add(h * g.a_head + p)),
+                        _mm256_maskload_ps(bp.add(h * g.b_head), mask),
+                        *s,
+                    );
+                }
+            }
+            for (h, &s) in acc.iter().enumerate() {
+                _mm256_maskstore_ps(out.add(h * g.o_head + c), mask, s);
+            }
         }
     }
 
-    /// 512-bit form of [`av_row_avx2`]: 16-column chunks, the last one
-    /// masked.
+    /// 16-lane sibling of [`fold_group256`].
+    #[inline(always)]
+    unsafe fn fold_group512<const H: usize>(
+        a: *const f32,
+        b: *const f32,
+        out: *mut f32,
+        g: &HeadFold,
+    ) {
+        for c in (0..g.w).step_by(16) {
+            let mask = mask512(g.w - c);
+            let mut acc = [_mm512_setzero_ps(); H];
+            if g.accumulate {
+                for (h, s) in acc.iter_mut().enumerate() {
+                    *s = _mm512_maskz_loadu_ps(mask, out.add(h * g.o_head + c));
+                }
+            }
+            for p in 0..g.seg {
+                let bp = b.add(p * g.b_stride + c);
+                for (h, s) in acc.iter_mut().enumerate() {
+                    *s = madd512(
+                        _mm512_set1_ps(*a.add(h * g.a_head + p)),
+                        _mm512_maskz_loadu_ps(mask, bp.add(h * g.b_head)),
+                        *s,
+                    );
+                }
+            }
+            for (h, &s) in acc.iter().enumerate() {
+                _mm512_mask_storeu_ps(out.add(h * g.o_head + c), mask, s);
+            }
+        }
+    }
+
+    /// The all-heads attention row fold ([`crate::kernels::fold_heads`]):
+    /// every (query row, head) of one panel, heads four at a time. Serves
+    /// both halves of attention: scores·V (`a` score rows, `b` a V block) and
+    /// Q·Kᵀ (`a` query rows' head windows, `b` a transposed K panel).
     ///
     /// # Safety
-    /// Requires AVX-512F; same pointer contracts as [`av_row_avx2`].
-    #[target_feature(enable = "avx2,avx512f")]
-    pub unsafe fn av_row_avx512(
-        a: *const f32,
-        seg: usize,
-        b: *const f32,
-        bstride: usize,
-        out: *mut f32,
-        w: usize,
-        accumulate: bool,
-    ) {
-        for c in (0..w).step_by(16) {
-            let mask = mask512(w - c);
-            let mut acc = if accumulate {
-                _mm512_maskz_loadu_ps(mask, out.add(c))
-            } else {
-                _mm512_setzero_ps()
-            };
-            let mut bp = b.add(c);
-            for p in 0..seg {
-                acc = madd512(
-                    _mm512_set1_ps(*a.add(p)),
-                    _mm512_maskz_loadu_ps(mask, bp),
-                    acc,
-                );
-                bp = bp.add(bstride);
+    /// Requires AVX2. `a`, `b` and `out` point at the fold's `a0`/`b0`/`o0`
+    /// origins; from there `a` must be readable for
+    /// `(rows-1)·a_row + (heads-1)·a_head + seg` floats, `b` (when
+    /// `seg > 0`) for `(heads-1)·b_head + (seg-1)·b_stride + w`, and `out`
+    /// writable for `(rows-1)·o_row + (heads-1)·o_head + w`.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn fold_heads_avx2(a: *const f32, b: *const f32, out: *mut f32, g: &HeadFold) {
+        for i in 0..g.rows {
+            for h in (0..g.heads).step_by(4) {
+                let a = a.add(i * g.a_row + h * g.a_head);
+                let b = b.add(h * g.b_head);
+                let out = out.add(i * g.o_row + h * g.o_head);
+                match g.heads - h {
+                    1 => fold_group256::<1>(a, b, out, g),
+                    2 => fold_group256::<2>(a, b, out, g),
+                    3 => fold_group256::<3>(a, b, out, g),
+                    _ => fold_group256::<4>(a, b, out, g),
+                }
             }
-            _mm512_mask_storeu_ps(out.add(c), mask, acc);
+        }
+    }
+
+    /// 512-bit form of [`fold_heads_avx2`]: 16-column chunks.
+    ///
+    /// # Safety
+    /// Requires AVX-512F; same pointer contracts as [`fold_heads_avx2`].
+    #[target_feature(enable = "avx2,avx512f")]
+    pub unsafe fn fold_heads_avx512(a: *const f32, b: *const f32, out: *mut f32, g: &HeadFold) {
+        for i in 0..g.rows {
+            for h in (0..g.heads).step_by(4) {
+                let a = a.add(i * g.a_row + h * g.a_head);
+                let b = b.add(h * g.b_head);
+                let out = out.add(i * g.o_row + h * g.o_head);
+                match g.heads - h {
+                    1 => fold_group512::<1>(a, b, out, g),
+                    2 => fold_group512::<2>(a, b, out, g),
+                    3 => fold_group512::<3>(a, b, out, g),
+                    _ => fold_group512::<4>(a, b, out, g),
+                }
+            }
         }
     }
 
@@ -646,105 +701,248 @@ pub(crate) mod x86 {
         }
     }
 
-    // ---- softmax helpers ---------------------------------------------------
+    // ---- elementwise exp ---------------------------------------------------
 
-    /// Max over a slice: lanewise vector max, then an ordered scalar fold of
-    /// the lanes and the tail. For finite inputs the result *value* equals
-    /// the scalar fold's (max is order-insensitive), differing at most in
-    /// the sign of a `±0.0` winner — which the softmax subtraction provably
-    /// cannot propagate into an output bit.
+    /// 8-lane [`crate::kernels::exp_fast`]: the identical clamps, magic-number
+    /// rounding, Cody–Waite reduction, Horner polynomial and two-step
+    /// exponent-bit scale, operation for operation and never fused.
+    #[inline(always)]
+    unsafe fn exp_fast256(x: __m256) -> __m256 {
+        // `min`/`max` return their second operand when either is NaN, so
+        // with `x` second NaN lanes fall through both clamps, as the scalar
+        // comparisons let them.
+        let x = _mm256_min_ps(_mm256_set1_ps(ep::HI), x);
+        let x = _mm256_max_ps(_mm256_set1_ps(ep::LO), x);
+        let round = _mm256_set1_ps(ep::ROUND);
+        let t = _mm256_add_ps(_mm256_mul_ps(x, _mm256_set1_ps(ep::LOG2E)), round);
+        let m = _mm256_sub_ps(t, round);
+        let n = _mm256_sub_epi32(_mm256_castps_si256(t), _mm256_castps_si256(round));
+        let r = _mm256_sub_ps(
+            _mm256_sub_ps(x, _mm256_mul_ps(m, _mm256_set1_ps(ep::LN2_HI))),
+            _mm256_mul_ps(m, _mm256_set1_ps(ep::LN2_LO)),
+        );
+        let mut y = _mm256_set1_ps(ep::P[0]);
+        for &c in &ep::P[1..] {
+            y = _mm256_add_ps(_mm256_mul_ps(y, r), _mm256_set1_ps(c));
+        }
+        let y = _mm256_add_ps(
+            _mm256_add_ps(_mm256_mul_ps(y, _mm256_mul_ps(r, r)), r),
+            _mm256_set1_ps(1.0),
+        );
+        let n1 = _mm256_srai_epi32::<1>(n);
+        let bias = _mm256_set1_epi32(127);
+        let pow2 = |k| _mm256_castsi256_ps(_mm256_slli_epi32::<23>(_mm256_add_epi32(k, bias)));
+        _mm256_mul_ps(_mm256_mul_ps(y, pow2(n1)), pow2(_mm256_sub_epi32(n, n1)))
+    }
+
+    /// 16-lane sibling of [`exp_fast256`].
+    #[inline(always)]
+    unsafe fn exp_fast512(x: __m512) -> __m512 {
+        let x = _mm512_min_ps(_mm512_set1_ps(ep::HI), x);
+        let x = _mm512_max_ps(_mm512_set1_ps(ep::LO), x);
+        let round = _mm512_set1_ps(ep::ROUND);
+        let t = _mm512_add_ps(_mm512_mul_ps(x, _mm512_set1_ps(ep::LOG2E)), round);
+        let m = _mm512_sub_ps(t, round);
+        let n = _mm512_sub_epi32(_mm512_castps_si512(t), _mm512_castps_si512(round));
+        let r = _mm512_sub_ps(
+            _mm512_sub_ps(x, _mm512_mul_ps(m, _mm512_set1_ps(ep::LN2_HI))),
+            _mm512_mul_ps(m, _mm512_set1_ps(ep::LN2_LO)),
+        );
+        let mut y = _mm512_set1_ps(ep::P[0]);
+        for &c in &ep::P[1..] {
+            y = _mm512_add_ps(_mm512_mul_ps(y, r), _mm512_set1_ps(c));
+        }
+        let y = _mm512_add_ps(
+            _mm512_add_ps(_mm512_mul_ps(y, _mm512_mul_ps(r, r)), r),
+            _mm512_set1_ps(1.0),
+        );
+        let n1 = _mm512_srai_epi32::<1>(n);
+        let bias = _mm512_set1_epi32(127);
+        let pow2 = |k| _mm512_castsi512_ps(_mm512_slli_epi32::<23>(_mm512_add_epi32(k, bias)));
+        _mm512_mul_ps(_mm512_mul_ps(y, pow2(n1)), pow2(_mm512_sub_epi32(n, n1)))
+    }
+
+    /// `xs[i] = exp_fast(xs[i] · scale - shift)`, 8 lanes at a time; the last
+    /// chunk masks its unused lanes off the load and the store.
     ///
     /// # Safety
     /// Requires AVX2.
     #[target_feature(enable = "avx2")]
-    pub unsafe fn max_slice_avx2(xs: &[f32]) -> f32 {
+    pub unsafe fn exp_scaled_slice_avx2(xs: &mut [f32], scale: f32, shift: f32) {
         let n = xs.len();
-        let p = xs.as_ptr();
-        let mut m = f32::NEG_INFINITY;
-        let mut i = 0;
-        if n >= 8 {
-            let mut mv = _mm256_loadu_ps(p);
-            i = 8;
-            while i + 8 <= n {
-                mv = _mm256_max_ps(mv, _mm256_loadu_ps(p.add(i)));
-                i += 8;
-            }
-            let mut lanes = [0.0f32; 8];
-            _mm256_storeu_ps(lanes.as_mut_ptr(), mv);
-            for &l in &lanes {
-                m = m.max(l);
-            }
+        let ptr = xs.as_mut_ptr();
+        let (scale, shift) = (_mm256_set1_ps(scale), _mm256_set1_ps(shift));
+        for c in (0..n).step_by(8) {
+            let mask = mask256(n - c);
+            let v = _mm256_maskload_ps(ptr.add(c), mask);
+            let e = exp_fast256(_mm256_sub_ps(_mm256_mul_ps(v, scale), shift));
+            _mm256_maskstore_ps(ptr.add(c), mask, e);
         }
-        for &x in &xs[i..] {
-            m = m.max(x);
-        }
-        m
     }
 
-    /// 16-lane form of [`max_slice_avx2`].
+    /// 16-lane form of [`exp_scaled_slice_avx2`].
     ///
     /// # Safety
     /// Requires AVX-512F.
     #[target_feature(enable = "avx2,avx512f")]
-    pub unsafe fn max_slice_avx512(xs: &[f32]) -> f32 {
+    pub unsafe fn exp_scaled_slice_avx512(xs: &mut [f32], scale: f32, shift: f32) {
         let n = xs.len();
-        let p = xs.as_ptr();
-        let mut m = f32::NEG_INFINITY;
-        let mut i = 0;
-        if n >= 16 {
-            let mut mv = _mm512_loadu_ps(p);
-            i = 16;
-            while i + 16 <= n {
-                mv = _mm512_max_ps(mv, _mm512_loadu_ps(p.add(i)));
-                i += 16;
-            }
-            let mut lanes = [0.0f32; 16];
-            _mm512_storeu_ps(lanes.as_mut_ptr(), mv);
-            for &l in &lanes {
-                m = m.max(l);
-            }
+        let ptr = xs.as_mut_ptr();
+        let (scale, shift) = (_mm512_set1_ps(scale), _mm512_set1_ps(shift));
+        for c in (0..n).step_by(16) {
+            let mask = mask512(n - c);
+            let v = _mm512_maskz_loadu_ps(mask, ptr.add(c));
+            let e = exp_fast512(_mm512_sub_ps(_mm512_mul_ps(v, scale), shift));
+            _mm512_mask_storeu_ps(ptr.add(c), mask, e);
         }
-        for &x in &xs[i..] {
-            m = m.max(x);
-        }
-        m
     }
 
-    /// `xs[i] *= s` — elementwise, so bitwise-identical to the scalar loop.
+    // ---- row softmax ---------------------------------------------------------
+
+    /// Max of the 8 lanes, by halving — the same *value* as any other fold
+    /// order (the sign of a `±0.0` winner aside).
+    #[inline(always)]
+    unsafe fn reduce_max256(v: __m256) -> f32 {
+        let m = _mm_max_ps(_mm256_castps256_ps128(v), _mm256_extractf128_ps::<1>(v));
+        let m = _mm_max_ps(m, _mm_movehl_ps(m, m));
+        _mm_cvtss_f32(_mm_max_ss(m, _mm_shuffle_ps::<1>(m, m)))
+    }
+
+    /// Sums of `G` equal-length rows, each one ascending chain from `0.0`,
+    /// advanced side by side so the adds of different rows overlap.
+    #[inline(always)]
+    fn row_sums<const G: usize>(rows: &[f32], stride: usize, len: usize) -> [f32; G] {
+        let rows: [&[f32]; G] = std::array::from_fn(|g| &rows[g * stride..g * stride + len]);
+        let mut sums = [0.0f32; G];
+        for j in 0..len {
+            for (s, row) in sums.iter_mut().zip(&rows) {
+                *s += row[j];
+            }
+        }
+        sums
+    }
+
+    /// Softmax of `scale · row[..valid]` for `G` rows `stride` apart, zeros
+    /// over the tails: [`crate::kernels::softmax_rows_span`]'s per-row
+    /// sequence with the `G` rows' max scans, `exp` passes, sum chains
+    /// ([`row_sums`], scalar and ascending as in every tier) and scale passes
+    /// side by side. Lanes at or past `valid` are masked off every load and
+    /// store.
+    #[inline(always)]
+    unsafe fn softmax_group256<const G: usize>(
+        rows: &mut [f32],
+        stride: usize,
+        valid: usize,
+        scale: f32,
+    ) {
+        let p = rows.as_mut_ptr();
+        let ninf = _mm256_set1_ps(f32::NEG_INFINITY);
+        let mut maxv = [ninf; G];
+        for c in (0..valid).step_by(8) {
+            let mask = mask256(valid - c);
+            for (g, m) in maxv.iter_mut().enumerate() {
+                let v = _mm256_maskload_ps(p.add(g * stride + c), mask);
+                *m = _mm256_max_ps(*m, _mm256_blendv_ps(ninf, v, _mm256_castsi256_ps(mask)));
+            }
+        }
+        let scale_v = _mm256_set1_ps(scale);
+        let shift = maxv.map(|m| _mm256_set1_ps(reduce_max256(m) * scale));
+        for c in (0..valid).step_by(8) {
+            let mask = mask256(valid - c);
+            for (g, &shift) in shift.iter().enumerate() {
+                let v = _mm256_maskload_ps(p.add(g * stride + c), mask);
+                let e = exp_fast256(_mm256_sub_ps(_mm256_mul_ps(v, scale_v), shift));
+                _mm256_maskstore_ps(p.add(g * stride + c), mask, e);
+            }
+        }
+        for g in 0..G {
+            rows[g * stride + valid..(g + 1) * stride].fill(0.0);
+        }
+        let sums = row_sums::<G>(rows, stride, valid);
+        let p = rows.as_mut_ptr();
+        for (g, &sum) in sums.iter().enumerate() {
+            let inv = _mm256_set1_ps(1.0 / sum);
+            for c in (0..valid).step_by(8) {
+                let mask = mask256(valid - c);
+                let v = _mm256_maskload_ps(p.add(g * stride + c), mask);
+                _mm256_maskstore_ps(p.add(g * stride + c), mask, _mm256_mul_ps(v, inv));
+            }
+        }
+    }
+
+    /// 16-lane sibling of [`softmax_group256`].
+    #[inline(always)]
+    unsafe fn softmax_group512<const G: usize>(
+        rows: &mut [f32],
+        stride: usize,
+        valid: usize,
+        scale: f32,
+    ) {
+        let p = rows.as_mut_ptr();
+        let mut maxv = [_mm512_set1_ps(f32::NEG_INFINITY); G];
+        for c in (0..valid).step_by(16) {
+            let mask = mask512(valid - c);
+            for (g, m) in maxv.iter_mut().enumerate() {
+                let v = _mm512_maskz_loadu_ps(mask, p.add(g * stride + c));
+                *m = _mm512_mask_max_ps(*m, mask, *m, v);
+            }
+        }
+        let scale_v = _mm512_set1_ps(scale);
+        let shift = maxv.map(|m| _mm512_set1_ps(_mm512_reduce_max_ps(m) * scale));
+        for c in (0..valid).step_by(16) {
+            let mask = mask512(valid - c);
+            for (g, &shift) in shift.iter().enumerate() {
+                let v = _mm512_maskz_loadu_ps(mask, p.add(g * stride + c));
+                let e = exp_fast512(_mm512_sub_ps(_mm512_mul_ps(v, scale_v), shift));
+                _mm512_mask_storeu_ps(p.add(g * stride + c), mask, e);
+            }
+        }
+        for g in 0..G {
+            rows[g * stride + valid..(g + 1) * stride].fill(0.0);
+        }
+        let sums = row_sums::<G>(rows, stride, valid);
+        let p = rows.as_mut_ptr();
+        for (g, &sum) in sums.iter().enumerate() {
+            let inv = _mm512_set1_ps(1.0 / sum);
+            for c in (0..valid).step_by(16) {
+                let mask = mask512(valid - c);
+                let v = _mm512_maskz_loadu_ps(mask, p.add(g * stride + c));
+                _mm512_mask_storeu_ps(p.add(g * stride + c), mask, _mm512_mul_ps(v, inv));
+            }
+        }
+    }
+
+    /// [`crate::kernels::softmax_rows_span`] for the AVX2 tier: rows four at
+    /// a time through [`softmax_group256`].
     ///
     /// # Safety
-    /// Requires AVX2.
+    /// Requires AVX2. `data.len()` must be a multiple of `stride` and
+    /// `0 < valid <= stride`.
     #[target_feature(enable = "avx2")]
-    pub unsafe fn scale_slice_avx2(xs: &mut [f32], s: f32) {
-        let n = xs.len();
-        let ptr = xs.as_mut_ptr();
-        let sv = _mm256_set1_ps(s);
-        let mut i = 0;
-        while i + 8 <= n {
-            _mm256_storeu_ps(ptr.add(i), _mm256_mul_ps(_mm256_loadu_ps(ptr.add(i)), sv));
-            i += 8;
-        }
-        for x in &mut xs[i..] {
-            *x *= s;
+    pub unsafe fn softmax_rows_avx2(data: &mut [f32], stride: usize, valid: usize, scale: f32) {
+        for group in data.chunks_mut(4 * stride) {
+            match group.len() / stride {
+                1 => softmax_group256::<1>(group, stride, valid, scale),
+                2 => softmax_group256::<2>(group, stride, valid, scale),
+                3 => softmax_group256::<3>(group, stride, valid, scale),
+                _ => softmax_group256::<4>(group, stride, valid, scale),
+            }
         }
     }
 
-    /// 16-lane form of [`scale_slice_avx2`].
+    /// 512-bit form of [`softmax_rows_avx2`].
     ///
     /// # Safety
-    /// Requires AVX-512F.
+    /// Requires AVX-512F; same slice contract as [`softmax_rows_avx2`].
     #[target_feature(enable = "avx2,avx512f")]
-    pub unsafe fn scale_slice_avx512(xs: &mut [f32], s: f32) {
-        let n = xs.len();
-        let ptr = xs.as_mut_ptr();
-        let sv = _mm512_set1_ps(s);
-        let mut i = 0;
-        while i + 16 <= n {
-            _mm512_storeu_ps(ptr.add(i), _mm512_mul_ps(_mm512_loadu_ps(ptr.add(i)), sv));
-            i += 16;
-        }
-        for x in &mut xs[i..] {
-            *x *= s;
+    pub unsafe fn softmax_rows_avx512(data: &mut [f32], stride: usize, valid: usize, scale: f32) {
+        for group in data.chunks_mut(4 * stride) {
+            match group.len() / stride {
+                1 => softmax_group512::<1>(group, stride, valid, scale),
+                2 => softmax_group512::<2>(group, stride, valid, scale),
+                3 => softmax_group512::<3>(group, stride, valid, scale),
+                _ => softmax_group512::<4>(group, stride, valid, scale),
+            }
         }
     }
 }

@@ -90,21 +90,24 @@ proptest! {
         }
     }
 
-    /// The attention row fold: the scores·V window fold (contiguous and
+    /// The all-heads attention row fold: the scores·V fold (contiguous and
     /// segmented forms) and the Q·Kᵀ score fold over transposed K panels —
     /// one whole-history panel (a hook prefix: any length, rarely a multiple
-    /// of 16) and 16-key blocks whose last one is filled 1..=16.
+    /// of 16) and 16-key blocks whose last one is filled 1..=16 with stale
+    /// NaN past the fill — for 1..=4 heads of any width (rarely a multiple of
+    /// a vector). Scalar tier bitwise vs `a@bᵀ` / `a@b` over each head's
+    /// sliced window; every tier bitwise vs scalar.
     #[test]
     fn av_fold_bitwise_across_tiers(
         ra in 1usize..8,
-        hist in 1usize..30,
-        d in 1usize..24,
+        hist in 1usize..40,
+        hd in 1usize..24,
+        nh in 1usize..5,
         seed in 0u64..100,
     ) {
         let _g = guard();
-        let lo = d / 3;
-        let hi = d;
-        let attn = Matrix::from_vec(ra, hist, (0..ra * hist)
+        let d = hd * nh;
+        let attn = Matrix::from_vec(ra * nh, hist, (0..ra * nh * hist)
             .map(|i| ((i as f32 + (seed % 100) as f32) * 0.41).sin()).collect());
         let v = Matrix::from_vec(hist, d, (0..hist * d)
             .map(|i| (i as f32 * 0.23).cos()).collect());
@@ -115,61 +118,79 @@ proptest! {
         const BLOCK: usize = 16;
         let run = || {
             let mut merged = Matrix::full(ra, d, 7.5);
-            kernels::matmul_cols_into(&attn, &v, lo, hi, &mut merged, 0);
-            // Segmented: split the history at an awkward point and continue.
-            let split = hist / 2;
+            kernels::av_heads_seg_into(&attn, 0, hist, &v, nh, &mut merged, 0, false);
+            let mut panel = Matrix::full(ra * nh, hist, 7.5);
+            kernels::qk_heads_panel(&q, 0, ra, &kt, hist, nh, &mut panel, 0);
+            // Segmented: 16-token blocks, stale NaN past each block's fill.
             let mut seg = Matrix::full(ra, d, 7.5);
-            kernels::matmul_cols_seg_into(&attn, 0, split, &v, lo, hi, &mut seg, 0, false);
-            kernels::matmul_cols_seg_into(
-                &attn, split, hist, &v.slice_rows(split, hist), lo, hi, &mut seg, 0, split > 0,
-            );
-            let mut panel = Matrix::full(ra, hist, 7.5);
-            kernels::matmul_kt_panel(&q, 0, ra, &kt, hist, lo, hi, &mut panel, 0);
-            let mut paged = Matrix::full(ra, hist, 7.5);
+            let mut paged = Matrix::full(ra * nh, hist, 7.5);
             for col in (0..hist).step_by(BLOCK) {
                 let filled = BLOCK.min(hist - col);
-                // A block holds `BLOCK` key columns, stale past `filled`.
-                let mut block = Matrix::full(d, BLOCK, f32::NAN);
+                let mut vblock = Matrix::full(BLOCK, d, f32::NAN);
+                vblock.copy_rows_from(0, &v.slice_rows(col, col + filled));
+                kernels::av_heads_seg_into(
+                    &attn, col, col + filled, &vblock, nh, &mut seg, 0, col > 0,
+                );
+                // A K block holds `BLOCK` key columns, stale past `filled`.
+                let mut kblock = Matrix::full(d, BLOCK, f32::NAN);
                 for p in 0..d {
-                    block.row_mut(p)[..filled].copy_from_slice(&kt.row(p)[col..col + filled]);
+                    kblock.row_mut(p)[..filled].copy_from_slice(&kt.row(p)[col..col + filled]);
                 }
-                kernels::matmul_kt_panel(&q, 0, ra, &block, filled, lo, hi, &mut paged, col);
+                kernels::qk_heads_panel(&q, 0, ra, &kblock, filled, nh, &mut paged, col);
             }
             (merged, seg, panel, paged)
         };
         let scalar = under(simd::Isa::Scalar, run);
         assert_bits_eq(&scalar.0, &scalar.1, "segmented fold vs contiguous (scalar)");
         assert_bits_eq(&scalar.2, &scalar.3, "paged score fold vs one panel (scalar)");
-        let dense = kernels::matmul_bt(&q.slice_cols(lo, hi), &v.slice_cols(lo, hi));
-        assert_bits_eq(&scalar.2, &dense, "score fold vs a@bT over the head window (scalar)");
+        for h in 0..nh {
+            let (lo, hi) = (h * hd, (h + 1) * hd);
+            // Head `h`'s rows of a query-major matrix: `i·nh + h`.
+            let head_rows = |m: &Matrix| {
+                let mut out = Matrix::zeros(ra, m.cols());
+                for i in 0..ra {
+                    out.row_mut(i).copy_from_slice(m.row(i * nh + h));
+                }
+                out
+            };
+            let dense = kernels::matmul_bt(&q.slice_cols(lo, hi), &v.slice_cols(lo, hi));
+            assert_bits_eq(&head_rows(&scalar.2), &dense,
+                &format!("score fold vs a@bT over head {h}'s window (scalar)"));
+            let dense = kernels::matmul(&head_rows(&attn), &v.slice_cols(lo, hi));
+            assert_bits_eq(&scalar.0.slice_cols(lo, hi), &dense,
+                &format!("av fold vs a@b over head {h}'s window (scalar)"));
+        }
         for isa in simd_tiers() {
             let tier = under(isa, run);
-            assert_bits_eq(&tier.0, &scalar.0, &format!("av fold {ra}x{hist}x{d} {}", isa.name()));
-            assert_bits_eq(&tier.1, &scalar.1, &format!("av seg fold {ra}x{hist}x{d} {}", isa.name()));
-            assert_bits_eq(&tier.2, &scalar.2, &format!("score panel {ra}x{hist}x{d} {}", isa.name()));
-            assert_bits_eq(&tier.3, &scalar.3, &format!("paged scores {ra}x{hist}x{d} {}", isa.name()));
+            let ctx = format!("{ra}x{hist}x{hd}x{nh} {}", isa.name());
+            assert_bits_eq(&tier.0, &scalar.0, &format!("av fold {ctx}"));
+            assert_bits_eq(&tier.1, &scalar.1, &format!("av seg fold {ctx}"));
+            assert_bits_eq(&tier.2, &scalar.2, &format!("score panel {ctx}"));
+            assert_bits_eq(&tier.3, &scalar.3, &format!("paged scores {ctx}"));
         }
     }
 
-    /// Softmax (plain and causal) and GELU over ragged rows.
+    /// Softmax (plain and the fused all-heads causal form) and GELU over
+    /// ragged rows.
     #[test]
     fn softmax_and_gelu_bitwise_across_tiers(
         rows in 1usize..10,
         cols in 1usize..40,
         offset in 0usize..6,
+        nh in 1usize..5,
         seed in 0u64..50,
     ) {
         let _g = guard();
-        let x = Matrix::from_vec(rows, cols, (0..rows * cols)
+        let x = Matrix::from_vec(rows * nh, cols, (0..rows * nh * cols)
             .map(|i| ((i as f32 + (seed % 50) as f32) * 0.63).sin() * 4.0).collect());
         let run = || {
             let mut s = x.clone();
             kernels::softmax_rows_in_place(&mut s);
             let mut c = x.clone();
-            kernels::softmax_rows_causal_in_place(&mut c, offset);
+            kernels::softmax_heads_causal_in_place(&mut c, nh, offset, 0.25);
             let mut g = x.clone();
             kernels::gelu_slice(g.data_mut());
-            (s, c, g)
+            (s, c, g, kernels::log_softmax_rows(&x))
         };
         let scalar = under(simd::Isa::Scalar, run);
         for isa in simd_tiers() {
@@ -177,6 +198,7 @@ proptest! {
             assert_bits_eq(&tier.0, &scalar.0, &format!("softmax {rows}x{cols} {}", isa.name()));
             assert_bits_eq(&tier.1, &scalar.1, &format!("causal softmax {rows}x{cols} {}", isa.name()));
             assert_bits_eq(&tier.2, &scalar.2, &format!("gelu {rows}x{cols} {}", isa.name()));
+            assert_bits_eq(&tier.3, &scalar.3, &format!("log-softmax {rows}x{cols} {}", isa.name()));
         }
     }
 
@@ -252,6 +274,62 @@ fn remainder_tiles_and_partial_strips_bitwise_across_tiers() {
                     }
                 }
             }
+        }
+    }
+}
+
+/// `exp` over a slice and the fused all-heads causal softmax at every row
+/// length 1..=97 — every vector-tail length 1..=15 beside zero to six full
+/// vectors — with inputs that reach the subnormal results, the cutoff, the
+/// `-1e9` mask value and both infinities: every tier bitwise equal to the
+/// scalar tier, and the scalar slice bitwise `exp_fast` per element.
+#[test]
+fn exp_and_fused_softmax_bitwise_across_tiers_at_every_length() {
+    let _g = guard();
+    let specials = [0.0, -0.0, -87.4, -95.0, -103.99, -104.0, -1e9, 88.7, 89.5];
+    for len in 1usize..=97 {
+        let mut xs: Vec<f32> = (0..len)
+            .map(|i| (i as f32 * 0.71).sin() * 30.0 - 20.0)
+            .collect();
+        for (x, s) in xs.iter_mut().step_by(7).zip(specials) {
+            *x = s;
+        }
+        xs[len / 2] = f32::NEG_INFINITY;
+        let exp = || {
+            let mut e = xs.clone();
+            kernels::exp_slice(&mut e);
+            Matrix::row_vec(e)
+        };
+        let nh = 1 + len % 4;
+        let rows = 3;
+        let scores = Matrix::from_vec(
+            rows * nh,
+            len,
+            (0..rows * nh * len)
+                .map(|i| (i as f32 * 0.37).sin() * 40.0)
+                .collect(),
+        );
+        let softmax = || {
+            let mut s = scores.clone();
+            // The last query row sees the whole row, earlier ones less.
+            kernels::softmax_heads_causal_in_place(&mut s, nh, len.saturating_sub(rows), 0.25);
+            s
+        };
+        let scalar = under(simd::Isa::Scalar, || (exp(), softmax()));
+        let by_hand = Matrix::row_vec(xs.iter().map(|&x| kernels::exp_fast(x)).collect());
+        assert_bits_eq(
+            &scalar.0,
+            &by_hand,
+            &format!("exp_slice vs exp_fast, len {len}"),
+        );
+        for isa in simd_tiers() {
+            let tier = under(isa, || (exp(), softmax()));
+            assert_bits_eq(&tier.0, &scalar.0, &format!("exp len {len} {}", isa.name()));
+            assert_bits_eq(
+                &tier.1,
+                &scalar.1,
+                &format!("fused softmax len {len} {}", isa.name()),
+            );
         }
     }
 }
