@@ -16,13 +16,16 @@
 //! | `run_all`| everything above, appending to EXPERIMENTS.md |
 //!
 //! Criterion microbenches live in `benches/` (substrate performance and
-//! design-choice ablations).
+//! design-choice ablations). `perf_suite` is CI's ratio gate: within-run
+//! ratios only, no arguments, no committed baseline. Speed itself — tok/s,
+//! latency, CPU per request — is measured at the wire by the system
+//! benchmark (`benchmark/`, `BENCHMARK.json`) and recorded as paired runs in
+//! `results/BENCH_<pr>.json`, not here.
 
 pub mod cli;
 pub mod extensions;
 pub mod figs;
 pub mod runner;
-pub mod swap;
 pub mod tables;
 
 pub use cli::{parse_args, Scale};

@@ -1,13 +1,10 @@
 //! Full MCQ evaluation of one method: NR, RR, per-template F1, F1_Unseen.
 
-use std::sync::mpsc;
-
 use infuserki_core::dataset::McqBank;
 use infuserki_core::detect::{answer_mcq_batch, MCQ_BATCH};
 use infuserki_nn::{LayerHook, TransformerLm};
-use infuserki_serve::{GenerateSpec, Outcome, Request, RequestKind, Scheduler, ServeConfig};
 use infuserki_text::templates::{N_QA_TEMPLATES, UNSEEN_TEMPLATES};
-use infuserki_text::{format_mcq_prompt, Tokenizer};
+use infuserki_text::Tokenizer;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
@@ -75,72 +72,6 @@ pub fn answer_template(
         .concat()
 }
 
-/// Answers every MCQ of one template through the continuous-batching
-/// scheduler instead of fixed [`MCQ_BATCH`] chunks: questions are enqueued
-/// as greedy generate requests and the scheduler packs/retires decode lanes
-/// under its KV-row budget. With one kernel thread the token streams — and
-/// therefore the extracted choices — are bitwise identical to
-/// [`answer_template`].
-///
-/// Panics if a question is rejected: admission limits small enough to turn
-/// away an eval probe are a harness misconfiguration, not a model outcome.
-pub fn answer_template_scheduled(
-    model: &TransformerLm,
-    hook: &dyn LayerHook,
-    tokenizer: &Tokenizer,
-    bank: &McqBank,
-    template: usize,
-    cfg: ServeConfig,
-) -> Vec<McqOutcome> {
-    let wave = cfg.queue_capacity.max(1);
-    let mut sched = Scheduler::new(model, hook, cfg).expect("serve config valid for eval");
-    let mut outcomes = Vec::with_capacity(bank.template(template).len());
-    // Waves of at most the queue capacity, so enqueueing never overflows.
-    for chunk in bank.template(template).chunks(wave) {
-        let mut rxs = Vec::with_capacity(chunk.len());
-        for (id, mcq) in chunk.iter().enumerate() {
-            let prompt = tokenizer.encode_strict(&format_mcq_prompt(mcq));
-            let max_new = mcq
-                .options
-                .iter()
-                .map(|o| tokenizer.encode(o).len())
-                .max()
-                .unwrap_or(4)
-                + 2;
-            let (tx, rx) = mpsc::channel();
-            sched.enqueue(Request::new(
-                id as u64,
-                RequestKind::Generate(GenerateSpec::greedy(
-                    prompt,
-                    max_new,
-                    Some(infuserki_text::tokenizer::EOS),
-                )),
-                tx,
-            ));
-            rxs.push(rx);
-        }
-        sched.run_until_idle();
-        for (rx, mcq) in rxs.into_iter().zip(chunk) {
-            let outcome = rx
-                .try_recv()
-                .expect("scheduler answers every probe before going idle")
-                .outcome;
-            let pred = match outcome {
-                Outcome::Generated { tokens } => {
-                    let text = tokenizer.decode(&tokens);
-                    infuserki_text::prompts::extract_choice(&text, &mcq.options)
-                }
-                other => panic!("MCQ probe did not complete: {other:?}"),
-            };
-            outcomes.push(McqOutcome {
-                gold: mcq.correct,
-                pred,
-            });
-        }
-    }
-    outcomes
-}
-
 /// Evaluates a method over the bank: NR/RR on the detection template (T1),
 /// macro-F1 on every template, and F1_Unseen.
 ///
@@ -197,30 +128,6 @@ mod tests {
         }
         let row = eval.row("vanilla");
         assert!(row.starts_with("vanilla"));
-        let _ = std::fs::remove_dir_all(dir);
-    }
-
-    #[test]
-    fn scheduled_answers_match_batched_answers() {
-        let dir = std::env::temp_dir().join(format!("infuserki_sched_{}", std::process::id()));
-        let w = build_world_in(&WorldConfig::tiny(Domain::MetaQa, 3), &dir);
-        infuserki_tensor::kernels::set_num_threads(1);
-        let direct = answer_template(&w.base, &NoHook, &w.tokenizer, &w.bank, 0);
-        // A deliberately tight config: chunked prefill, few lanes, waves of
-        // seven — the scheduler still reproduces every choice bitwise.
-        let cfg = ServeConfig {
-            prefill_chunk: 8,
-            max_batch: 4,
-            queue_capacity: 7,
-            ..ServeConfig::default()
-        };
-        let scheduled = answer_template_scheduled(&w.base, &NoHook, &w.tokenizer, &w.bank, 0, cfg);
-        infuserki_tensor::kernels::set_num_threads(0);
-        assert_eq!(direct.len(), scheduled.len());
-        for (i, (d, s)) in direct.iter().zip(&scheduled).enumerate() {
-            assert_eq!(d.gold, s.gold, "gold mismatch at {i}");
-            assert_eq!(d.pred, s.pred, "pred mismatch at {i}");
-        }
         let _ = std::fs::remove_dir_all(dir);
     }
 

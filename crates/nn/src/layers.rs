@@ -97,9 +97,9 @@ impl Linear {
             if let Some(b) = &self.b {
                 // Same bias pass as `infer::affine`: one `+=` per element
                 // after the matmul chain.
-                let brow = b.data().row(0).to_vec();
+                let brow = b.data().row(0);
                 for r in 0..v.rows() {
-                    for (o, &bv) in v.row_mut(r).iter_mut().zip(brow.iter()) {
+                    for (o, &bv) in v.row_mut(r).iter_mut().zip(brow) {
                         *o += bv;
                     }
                 }

@@ -494,58 +494,6 @@ pub fn beam_search_uncached(
         .unwrap_or_default()
 }
 
-/// Top-k sampling: draws each next token from the renormalized top-`k`
-/// distribution with `temperature` scaling. Deterministic given `rng`.
-#[allow(clippy::too_many_arguments)]
-pub fn sample_top_k(
-    model: &TransformerLm,
-    hook: &dyn LayerHook,
-    prompt: &[usize],
-    max_new: usize,
-    k: usize,
-    temperature: f32,
-    eos: Option<usize>,
-    rng: &mut impl rand::Rng,
-) -> Vec<usize> {
-    assert!(k >= 1, "k must be at least 1");
-    assert!(temperature > 0.0, "temperature must be positive");
-    let mut tokens = prompt.to_vec();
-    let mut out = Vec::with_capacity(max_new);
-    for _ in 0..max_new {
-        if tokens.len() >= model.config().max_seq {
-            break;
-        }
-        let mut tape = Tape::new();
-        let logits = model.forward(&tokens, hook, &mut tape);
-        let v = tape.value(logits);
-        let mut last: Vec<f32> = v.row(v.rows() - 1).to_vec();
-        for x in &mut last {
-            *x /= temperature;
-        }
-        let mut idx: Vec<usize> = (0..last.len()).collect();
-        idx.sort_by(|&a, &b| last[b].total_cmp(&last[a]));
-        idx.truncate(k);
-        let max = last[idx[0]];
-        let weights: Vec<f32> = idx.iter().map(|&i| (last[i] - max).exp()).collect();
-        let total: f32 = weights.iter().sum();
-        let mut draw = rng.gen_range(0.0..total);
-        let mut next = idx[0];
-        for (pos, &w) in weights.iter().enumerate() {
-            if draw < w {
-                next = idx[pos];
-                break;
-            }
-            draw -= w;
-        }
-        if Some(next) == eos {
-            break;
-        }
-        out.push(next);
-        tokens.push(next);
-    }
-    out
-}
-
 /// Index of the maximum element (first on ties).
 pub fn argmax(xs: &[f32]) -> usize {
     let mut best = 0;
@@ -652,26 +600,6 @@ mod tests {
             score(&beam),
             score(&greedy)
         );
-    }
-
-    #[test]
-    fn top_k_sampling_is_seeded_and_bounded() {
-        let m = model();
-        let mut r1 = ChaCha8Rng::seed_from_u64(4);
-        let mut r2 = ChaCha8Rng::seed_from_u64(4);
-        let a = sample_top_k(&m, &NoHook, &[1], 5, 3, 1.0, None, &mut r1);
-        let b = sample_top_k(&m, &NoHook, &[1], 5, 3, 1.0, None, &mut r2);
-        assert_eq!(a, b);
-        assert!(a.iter().all(|&t| t < 30));
-    }
-
-    #[test]
-    fn top_k_one_is_greedy() {
-        let m = model();
-        let mut rng = ChaCha8Rng::seed_from_u64(5);
-        let sampled = sample_top_k(&m, &NoHook, &[2, 3], 4, 1, 1.0, None, &mut rng);
-        let greedy = greedy_decode(&m, &NoHook, &[2, 3], 4, None);
-        assert_eq!(sampled, greedy);
     }
 
     #[test]

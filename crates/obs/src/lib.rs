@@ -3,7 +3,7 @@
 //! The workspace's shared observability layer: a metrics registry
 //! (counters, gauges, fixed-bucket histograms with quantile estimates),
 //! RAII tracing spans exported as Chrome trace-event JSON, and
-//! machine-readable perf records for the CI bench-regression gate.
+//! machine-readable perf records for CI's ratio gate.
 //!
 //! Three design constraints shape everything here:
 //!

@@ -1,13 +1,8 @@
-//! Machine-readable perf records for the CI bench-regression gate.
+//! Machine-readable perf records for CI's ratio gate.
 //!
-//! Bench binaries build a [`PerfSuite`] of named records (each a flat map
-//! of metric name → value, higher-is-better for throughputs) and write it
-//! as a `BENCH_<suite>.json` artifact. The gate binary compares a fresh
-//! suite against the committed `results/bench_baseline.json`; this module
-//! only *emits* — parsing lives with the gate, which has the serde_json
-//! shim.
-
-use std::path::Path;
+//! The `perf_suite` binary builds a [`PerfSuite`] of named records (each a
+//! flat map of metric name → value), prints it as JSON and gates ratios of
+//! its metrics; this module only holds and *emits* the records.
 
 use crate::{json_number, json_string};
 
@@ -17,7 +12,7 @@ use crate::{json_number, json_string};
 pub struct PerfRecord {
     /// Bench name, e.g. `"matmul_256"`.
     pub name: String,
-    /// Flat metric map; throughput metrics are higher-is-better.
+    /// Flat metric map.
     pub metrics: Vec<(String, f64)>,
 }
 
@@ -45,7 +40,7 @@ impl PerfRecord {
     }
 }
 
-/// A named set of [`PerfRecord`]s — the unit the regression gate compares.
+/// A named set of [`PerfRecord`]s — what the ratio gate reads.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PerfSuite {
     /// Suite name, e.g. `"perf_suite"`.
@@ -96,15 +91,6 @@ impl PerfSuite {
         }
         out.push_str("}}");
         out
-    }
-
-    /// Writes the suite JSON to `path`, creating parent directories.
-    pub fn write(&self, path: impl AsRef<Path>) -> std::io::Result<()> {
-        let path = path.as_ref();
-        if let Some(dir) = path.parent() {
-            std::fs::create_dir_all(dir)?;
-        }
-        std::fs::write(path, self.to_json())
     }
 }
 

@@ -139,9 +139,9 @@ impl Tape {
         assert_eq!(vb.rows(), 1, "add_row_broadcast: rhs must be [1,d]");
         assert_eq!(va.cols(), vb.cols(), "add_row_broadcast: col mismatch");
         let mut v = va.clone();
+        let brow = vb.row(0);
         for r in 0..v.rows() {
-            let brow = vb.row(0).to_vec();
-            for (x, y) in v.row_mut(r).iter_mut().zip(brow.iter()) {
+            for (x, y) in v.row_mut(r).iter_mut().zip(brow) {
                 *x += y;
             }
         }
@@ -349,8 +349,7 @@ impl Tape {
             assert_eq!(vp.rows(), n, "concat_cols: row mismatch");
             let w = vp.cols();
             for r in 0..n {
-                let src = vp.row(r).to_vec();
-                v.row_mut(r)[off..off + w].copy_from_slice(&src);
+                v.row_mut(r)[off..off + w].copy_from_slice(vp.row(r));
             }
             off += w;
         }
@@ -363,8 +362,7 @@ impl Tape {
         assert!(start < end && end <= va.cols(), "slice_cols: bad range");
         let mut v = Matrix::zeros(va.rows(), end - start);
         for r in 0..va.rows() {
-            let src = va.row(r)[start..end].to_vec();
-            v.row_mut(r).copy_from_slice(&src);
+            v.row_mut(r).copy_from_slice(&va.row(r)[start..end]);
         }
         self.push(Op::SliceCols(a, start, end), v)
     }
