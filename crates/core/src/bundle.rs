@@ -144,7 +144,13 @@ impl KnowledgeBundle {
     /// for the model's vocabulary. Returns a description of the first
     /// violation.
     pub fn verify(&self, base: &TransformerLm) -> Result<(), String> {
-        let want = base_model_digest(base)?;
+        self.verify_with_digest(base, &base_model_digest(base)?)
+    }
+
+    /// [`verify`](Self::verify) for a caller that holds `base` frozen and
+    /// keeps its [`base_model_digest`]: the digest serializes every base
+    /// weight, which is far more work than the rest of the check.
+    pub fn verify_with_digest(&self, base: &TransformerLm, want: &str) -> Result<(), String> {
         if self.base_model_hash != want {
             return Err(format!(
                 "bundle '{}' was built against base {} but the serving base is {}",
@@ -238,6 +244,13 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(99);
         let other = TransformerLm::new(ModelConfig::tiny(24), &mut rng);
         let err = bundle.verify(&other).unwrap_err();
+        assert!(err.contains("built against base"), "got: {err}");
+        // The digest-taking form compares against what it is handed.
+        let kept = base_model_digest(&b).unwrap();
+        bundle.verify_with_digest(&b, &kept).unwrap();
+        let err = bundle
+            .verify_with_digest(&b, &base_model_digest(&other).unwrap())
+            .unwrap_err();
         assert!(err.contains("built against base"), "got: {err}");
     }
 
