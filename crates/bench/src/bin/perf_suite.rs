@@ -352,11 +352,12 @@ struct Ratio {
 /// * a build that targets AVX2 or wider (this repo's `-C target-cpu=native`)
 ///   autovectorises the scalar tier into the same instructions the tiers
 ///   write by hand, and the tier must only not lose: AVX-512 tier on an
-///   AVX-512 build 0.90–1.05×, AVX2 tier on an AVX2 build 0.84–0.91×; with
-///   detection preferring the AVX2 kernels on AVX-512 hardware 1.27–1.43×.
-///   Limit 1.15×.
+///   AVX-512 build 0.73–0.81× (its two-strip pass is a register tile the
+///   autovectoriser does not build; 0.90–1.05× on one strip), AVX2 tier on
+///   an AVX2 build 0.87–0.90×; with detection preferring the AVX2 kernels on
+///   AVX-512 hardware 1.26–1.43×. Limit 1.15×.
 /// * a baseline build (CI's `RUSTFLAGS=""`, SSE2) is where the tiers have to
-///   pay: AVX-512 tier 0.36–0.38×, AVX2 tier 0.50–0.57×; with the matmul
+///   pay: AVX-512 tier 0.28–0.41×, AVX2 tier 0.49–0.59×; with the matmul
 ///   strip ignoring the tier 1.00×. Limit 0.78×.
 const TIER_RATIO: Ratio = Ratio {
     what: "dispatched SIMD tier vs scalar tier, 256^3 matmul",
@@ -383,14 +384,17 @@ const RATIOS: &[Ratio] = &[
         beside: ("decode_lanes", "matmul_16x64x16_us"),
         limit: 2.0,
     },
-    // A cached token is cheap beside the rest of the step: at most 0.7 % of
-    // the 16-token step each. The one-pass attention core 1.36×; the core on
-    // per-head fold calls and libm `exp` 1.51×.
+    // A cached token is cheap beside the rest of the step: at most 0.9 % of
+    // the 16-token step each. Healthy 1.46–1.53× native, 1.34–1.38×
+    // baseline (the reading rises whenever the history-independent part of
+    // the step gets cheaper: 1.36× before the AVX-512 strip pair, with the
+    // attention core unchanged); the core on per-head fold calls and libm
+    // `exp` 1.84–1.88× native, 1.67–1.76× baseline.
     Ratio {
         what: "16-lane step over 80 cached tokens vs over 16",
         cost: ("decode_history", "us_t80"),
         beside: ("decode_history", "us_t16"),
-        limit: 1.45,
+        limit: 1.6,
     },
     // Lanes share a step's weight reads and per-call overhead. Healthy
     // 0.29–0.46×; `decode_step_batch` stepping its lanes one at a time
@@ -402,23 +406,25 @@ const RATIOS: &[Ratio] = &[
         limit: 0.7,
     },
     // The fused int8 dequant-matmul costs no more than the f32 product.
-    // Healthy 0.89–0.99×; `Linear::apply` dequantizing the matrix and then
-    // running the f32 product 2.13–2.22×.
+    // Healthy 0.95–1.01× native, 0.97–1.01× baseline; `Linear::apply`
+    // dequantizing the matrix and then running the f32 product 2.65–2.72×
+    // native, 2.49–2.55× baseline.
     Ratio {
         what: "hooked 16-lane step, int8 frozen base vs f32",
         cost: ("decode_variants", "us_hooked_int8"),
         beside: ("decode_variants", "us_hooked"),
-        limit: 1.5,
+        limit: 1.75,
     },
     // Eq. 1–6 on the packed batch are a small patch beside the frozen base.
-    // Healthy 1.14–1.27×; `InfuserKiMethod` off its packed `infer_*_output`
-    // overrides, on the trait's scratch-tape-per-sequence defaults,
-    // 1.71–1.95×.
+    // Healthy 1.07–1.10× native, 1.05–1.09× baseline; `InfuserKiMethod` off
+    // its packed `infer_*_output` overrides, on the trait's
+    // scratch-tape-per-sequence defaults, 1.63–1.66× native, 1.57–1.59×
+    // baseline.
     Ratio {
         what: "16-lane step under the InfuserKI hook vs without a hook",
         cost: ("decode_variants", "us_hooked"),
         beside: ("decode_variants", "us_bare"),
-        limit: 1.5,
+        limit: 1.33,
     },
     // Adopting a cached template's blocks replaces prefilling them. Healthy
     // 0.20–0.32×; the scheduler's admission lookup never hitting (inserts

@@ -7,7 +7,7 @@
 //! "knows" the current question — the infuser reads exactly that state.
 
 use infuserki_nn::layers::{Linear, Module};
-use infuserki_tensor::{Matrix, NodeId, Param, Tape};
+use infuserki_tensor::{kernels, Matrix, NodeId, Param, Tape};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -51,8 +51,8 @@ impl InfuserMlp {
     /// inference engine: maps pooled rows `[n, d]` to logits `[n, 1]`.
     /// Bitwise-identical to the tape path row for row.
     pub fn apply(&self, x: &Matrix) -> Matrix {
-        let h = self.l1.apply(x);
-        let a = h.map(f32::tanh);
+        let mut a = self.l1.apply(x);
+        kernels::tanh_slice(a.data_mut());
         self.l2.apply(&a)
     }
 
@@ -134,5 +134,38 @@ mod tests {
         let sn = inf.score(xn, &mut t);
         assert!(t.value(sp).scalar_value() > 0.85);
         assert!(t.value(sn).scalar_value() < 0.15);
+    }
+
+    /// The tape's `tanh` and the engine's gate are one function: the same
+    /// rows give the same bits through `logit` and through `apply`, at the
+    /// world's gate geometry (hidden 16) and off the vector width (hidden 5),
+    /// with hidden pre-activations out past the polynomial's clamp.
+    #[test]
+    fn tape_logit_and_apply_agree_bitwise() {
+        for (d, hidden) in [(64, 16), (7, 5)] {
+            let mut rng = ChaCha8Rng::seed_from_u64(3);
+            let mut inf = InfuserMlp::new(0, d, hidden, &mut rng);
+            inf.visit_mut(&mut |p| {
+                for w in p.data_mut().data_mut() {
+                    *w = *w * 9.0 + 0.03;
+                }
+            });
+            let x = Matrix::from_vec(
+                17,
+                d,
+                (0..17 * d).map(|i| (i as f32 * 0.37).sin() * 3.0).collect(),
+            );
+            let mut t = Tape::new();
+            let leaf = t.leaf(x.clone());
+            let z = inf.logit(leaf, &mut t);
+            assert!(inf.l1.apply(&x).data().iter().any(|v| v.abs() > 8.0));
+            let bits = |m: &Matrix| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(t.value(z)), bits(&inf.apply(&x)));
+            // Row by row, as the engine pools one row per sequence.
+            for r in 0..x.rows() {
+                let row = inf.apply(&x.slice_rows(r, r + 1));
+                assert_eq!(bits(&row), bits(&t.value(z).slice_rows(r, r + 1)));
+            }
+        }
     }
 }

@@ -277,15 +277,13 @@ impl TransformerLm {
         }
         let mut x = self.tok_embed.gather(&ids);
         x.add_assign(&self.pos_embed.gather(&positions));
-        // Split the cache borrows: the layer loop reads the shared prefix
-        // panels and block tables while the per-sequence hook states thread
-        // through every sublayer call.
-        let mut states = std::mem::take(&mut cache.states);
-        let prefix = cache.prefix.clone();
         {
             // One pool lock for the whole forward: make every sequence's
             // append span writable (copy-on-write shared partial tails,
-            // allocate fresh tail blocks), then run the layers.
+            // allocate fresh tail blocks), then run the layers. The cache's
+            // fields are borrowed disjointly: the layer loop reads the shared
+            // prefix panels and block tables while the per-sequence hook
+            // states thread through every sublayer call.
             let pool_handle = cache.pool.clone();
             let mut pool = pool_handle.lock();
             for (seq, &len) in cache.seqs.iter_mut().zip(&lens) {
@@ -298,12 +296,11 @@ impl TransformerLm {
                     hook,
                     &mut pool,
                     &cache.seqs,
-                    &prefix[l],
-                    &mut states,
+                    &cache.prefix[l],
+                    &mut cache.states,
                 );
             }
         }
-        cache.states = states;
         for (seq, len) in cache.seqs.iter_mut().zip(&lens) {
             seq.tokens += len;
         }

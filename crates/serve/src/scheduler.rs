@@ -186,9 +186,9 @@ impl EngineLimits {
 enum LaneRole {
     /// Feeding a generate request's prompt, `fed` tokens in.
     GenPrefill { fed: usize },
-    /// Decoding: `pending` is the token about to be fed (already pushed to
-    /// the output, exactly as the single-path loop carries it).
-    GenDecode { pending: usize },
+    /// Decoding: the token about to be fed is the last one pushed to the
+    /// request's output, exactly as the single-path loop carries it.
+    GenDecode,
     /// Feeding an MCQ request's prompt.
     McqPrefill { fed: usize },
     /// Extending option `opt`'s branch with its score script
@@ -926,9 +926,10 @@ impl<'a> Scheduler<'a> {
         }
     }
 
-    /// The tokens lane `lane` feeds this step (always non-empty).
+    /// The tokens lane `lane` feeds this step (always non-empty), borrowed
+    /// from its request's prompt, option script or output.
     /// `prefix_enabled`/`stateful` are its group's chunk-alignment flags.
-    fn lane_chunk(&self, lane: &Lane, prefix_enabled: bool, stateful: bool) -> Vec<usize> {
+    fn lane_chunk(&self, lane: &Lane, prefix_enabled: bool, stateful: bool) -> &[usize] {
         let inf = self.slots[lane.slot]
             .as_ref()
             .expect("lane has a live slot");
@@ -936,17 +937,17 @@ impl<'a> Scheduler<'a> {
         match lane.role {
             LaneRole::GenPrefill { fed } => {
                 let p = &gen_spec(&inf.req).prompt;
-                p[fed..self.prefill_end(fed, p.len(), prefix_enabled, stateful)].to_vec()
+                &p[fed..self.prefill_end(fed, p.len(), prefix_enabled, stateful)]
             }
-            LaneRole::GenDecode { pending } => vec![pending],
+            LaneRole::GenDecode => &inf.out[inf.out.len() - 1..],
             LaneRole::McqPrefill { fed } => {
                 let p = &mcq_spec(&inf.req).prompt;
-                p[fed..self.prefill_end(fed, p.len(), prefix_enabled, stateful)].to_vec()
+                &p[fed..self.prefill_end(fed, p.len(), prefix_enabled, stateful)]
             }
             LaneRole::McqBranch { opt, fed } => {
                 let o = &mcq_spec(&inf.req).options[opt];
                 let script = &o[..o.len() - 1];
-                script[fed..(fed + chunk).min(script.len())].to_vec()
+                &script[fed..(fed + chunk).min(script.len())]
             }
         }
     }
@@ -993,12 +994,12 @@ impl<'a> Scheduler<'a> {
     /// `(finished, prefill_tokens, decode_tokens)`. A group whose last lane
     /// retires is left empty for the caller to drop (releasing its cache).
     fn advance_group(&mut self, g: &mut VersionGroup<'a>) -> (usize, u64, u64) {
-        let chunks: Vec<Vec<usize>> = g
+        let chunks: Vec<&[usize]> = g
             .lanes
             .iter()
             .map(|l| self.lane_chunk(l, g.prefix_enabled, g.hook_stateful))
             .collect();
-        let lens: Vec<usize> = chunks.iter().map(Vec::len).collect();
+        let lens: Vec<usize> = chunks.iter().map(|c| c.len()).collect();
         let cache = &mut g.cache;
         let logits = self
             .model
@@ -1085,12 +1086,12 @@ impl<'a> Scheduler<'a> {
                             keep.push(i);
                             new_lanes.push(Lane {
                                 slot: lane.slot,
-                                role: LaneRole::GenDecode { pending: tok },
+                                role: LaneRole::GenDecode,
                             });
                         }
                     }
                 }
-                LaneRole::GenDecode { .. } => {
+                LaneRole::GenDecode => {
                     let tok = argmax(logits.row(batch.last_row(i)));
                     match self.greedy_advance(lane.slot, tok, max_seq) {
                         Advance::Finished { emitted } => {
@@ -1103,7 +1104,7 @@ impl<'a> Scheduler<'a> {
                             keep.push(i);
                             new_lanes.push(Lane {
                                 slot: lane.slot,
-                                role: LaneRole::GenDecode { pending: tok },
+                                role: LaneRole::GenDecode,
                             });
                         }
                     }

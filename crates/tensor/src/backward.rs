@@ -310,10 +310,11 @@ fn backward_op(
             accumulate(&mut grads_before[a.index()], da);
         }
         Op::Tanh(a) => {
-            let mut da = gout.clone();
-            for (g, &x) in da.data_mut().iter_mut().zip(val(*a).data().iter()) {
-                let y = x.tanh();
-                *g *= 1.0 - y * y;
+            // y = tanh(x) as the forward computed it, then g · (1 − y²).
+            let mut da = val(*a).clone();
+            kernels::tanh_slice(da.data_mut());
+            for (y, &g) in da.data_mut().iter_mut().zip(gout.data().iter()) {
+                *y = g * (1.0 - *y * *y);
             }
             accumulate(&mut grads_before[a.index()], da);
         }

@@ -33,9 +33,9 @@ pub fn affine(x: &Matrix, w: &Matrix, bias: &Matrix) -> Matrix {
     assert_eq!(w.cols(), bias.cols(), "affine: bias col mismatch");
     let mut v = Matrix::zeros(x.rows(), w.cols());
     kernels::matmul_into(x, w, &mut v, false);
-    let brow = bias.row(0).to_vec();
+    let brow = bias.row(0);
     for r in 0..v.rows() {
-        for (o, &b) in v.row_mut(r).iter_mut().zip(brow.iter()) {
+        for (o, &b) in v.row_mut(r).iter_mut().zip(brow) {
             *o += b;
         }
     }

@@ -11,7 +11,8 @@
 //!    `split_at_mut`), so no synchronization is needed beyond the join.
 //! 2. **Register tiling.** Inside a band, outputs are computed in `MR×NR`
 //!    tiles ([`matmul_into`]/[`matmul_at_into`]: 8 output rows × 16 columns,
-//!    sized for one-ZMM-wide column strips under AVX-512;
+//!    one ZMM register per row; the AVX-512 tier takes two such strips per
+//!    pass, an 8×32 tile in 16 of its 32 registers — see [`pass_width`];
 //!    [`matmul_bt_into`]: 4×4 dot-product tiles). Each tile's accumulators
 //!    live in registers across the entire inner dimension, so per-`p` traffic
 //!    is loads only — the seed kernel re-read and re-wrote the output row on
@@ -97,7 +98,8 @@ use std::sync::OnceLock;
 /// results computed through them — the pre-trained base model under
 /// `artifacts/` — folds it into its key, so a cached result is never reused
 /// across a numerics change. 2: the softmax family's `exp` is [`exp_fast`].
-pub const NUMERICS_VERSION: u32 = 2;
+/// 3: `Tape::tanh` and the infuser gate are [`tanh_fast`], not libm `tanhf`.
+pub const NUMERICS_VERSION: u32 = 3;
 
 /// Output-row tile height of the register micro-kernel.
 pub(crate) const MR: usize = 8;
@@ -326,8 +328,8 @@ pub fn matmul_into(a: &Matrix, b: &Matrix, out: &mut Matrix, accumulate: bool) {
     let (ad, bd) = (a.data(), b.data());
     let isa = simd::active_isa();
     run_banded(out.data_mut(), m, n, flops, |rows, chunk| {
-        // a-value loader: row i0+r of `a`, entry p (row-major, stride k).
-        matmul_band(|p, i| ad[i * k + p], bd, rows, chunk, k, n, accumulate, isa);
+        // Output row `i` reads row `i` of `a`: row stride k, entries adjacent.
+        matmul_band(ad, k, 1, bd, rows, chunk, k, n, accumulate, isa);
     });
 }
 
@@ -357,8 +359,8 @@ pub fn matmul_at_into(a: &Matrix, b: &Matrix, out: &mut Matrix, accumulate: bool
     let (ad, bd) = (a.data(), b.data());
     let isa = simd::active_isa();
     run_banded(out.data_mut(), m, n, flops, |rows, chunk| {
-        // a-value loader: column i0+r of `a`, entry p (row-major, stride m).
-        matmul_band(|p, i| ad[p * m + i], bd, rows, chunk, k, n, accumulate, isa);
+        // Output row `i` reads column `i` of `a`: rows adjacent, entries m apart.
+        matmul_band(ad, 1, m, bd, rows, chunk, k, n, accumulate, isa);
     });
 }
 
@@ -382,19 +384,84 @@ pub(crate) fn fmadd(a: f32, b: f32, c: f32) -> f32 {
     }
 }
 
-/// Shared banded kernel for `a@b` and `aᵀ@b`.
+/// The A operand of one row tile as the AVX-512 strips read it, in place:
+/// the value multiplying tile row `r` at inner index `p` is
+/// `ptr[r·rs + p·ps]`.
+#[cfg(target_arch = "x86_64")]
+#[derive(Clone, Copy)]
+pub(crate) struct TileA {
+    pub ptr: *const f32,
+    pub rs: usize,
+    pub ps: usize,
+}
+
+#[cfg(target_arch = "x86_64")]
+impl TileA {
+    /// The `R`-row tile at output row `i0` of an operand whose element
+    /// `(p, i)` is `ad[i·rs + p·ps]`, with every read `r < R`, `p < k`
+    /// checked to lie inside `ad` — the bound the strips' raw reads rely on.
+    #[inline(always)]
+    pub(crate) fn new<const R: usize>(
+        ad: &[f32],
+        rs: usize,
+        ps: usize,
+        i0: usize,
+        k: usize,
+    ) -> Self {
+        assert!(
+            k == 0 || (i0 + R - 1) * rs + (k - 1) * ps < ad.len(),
+            "matmul tile: A operand out of range"
+        );
+        // `min`: an empty operand (`k = 0`) has no row `i0` to point at.
+        let ptr = ad[(i0 * rs).min(ad.len())..].as_ptr();
+        TileA { ptr, rs, ps }
+    }
+}
+
+/// The packing scratch a band of inner size `k` needs on the `isa` tier:
+/// `O(k·MR)`, reused across the band's row tiles; empty on the AVX-512 tier,
+/// which reads A in place (see [`tile_rows`]).
+#[inline(always)]
+pub(crate) fn pack_scratch(k: usize, isa: Isa) -> Vec<f32> {
+    vec![0.0; if isa == Isa::Avx512 { 0 } else { k * MR }]
+}
+
+/// Packs the `R`-row tile at output row `i0` of an operand whose element
+/// `(p, i)` is `ad[i·rs + p·ps]` into the first `k·R` floats of `apack`, at
+/// `[p][r]`, and returns that slice.
+#[inline(always)]
+pub(crate) fn pack_a<'a, const R: usize>(
+    ad: &[f32],
+    rs: usize,
+    ps: usize,
+    i0: usize,
+    k: usize,
+    apack: &'a mut [f32],
+) -> &'a [f32] {
+    let apack = &mut apack[..k * R];
+    for (p, ap) in apack.chunks_exact_mut(R).enumerate() {
+        for (r, slot) in ap.iter_mut().enumerate() {
+            *slot = ad[(i0 + r) * rs + p * ps];
+        }
+    }
+    apack
+}
+
+/// Shared banded kernel for `a@b` and `aᵀ@b`; element `(p, i)` of the A
+/// operand is `ad[i·a_rs + p·a_ps]`.
 ///
-/// Computes `chunk[i - rows.start][j] (+)= Σ_p load_a(p, i) · b[p][j]` for
+/// Computes `chunk[i - rows.start][j] (+)= Σ_p A(p, i) · b[p][j]` for
 /// `i ∈ rows`, `j ∈ 0..n`, `p` ascending: register tiles of `MR` rows (the
-/// last one exactly as tall as the row remainder) by up to `NR` columns over
-/// an A panel packed to `[p][r]` layout (contiguous inner-loop reads, no
-/// bounds-checked gather in the hot loop), with the column-strip inner loop
-/// dispatched to the `isa` tier. There is no other path: row and column
-/// remainders are narrower tiles of the same kernel.
+/// last one exactly as tall as the row remainder) by up to
+/// [`pass_width`] columns, with the column-strip inner loop dispatched to the
+/// `isa` tier. There is no other path: row and column remainders are narrower
+/// tiles of the same kernel.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
 fn matmul_band(
-    load_a: impl Fn(usize, usize) -> f32,
+    ad: &[f32],
+    a_rs: usize,
+    a_ps: usize,
     bd: &[f32],
     rows: Range<usize>,
     chunk: &mut [f32],
@@ -404,13 +471,12 @@ fn matmul_band(
     isa: Isa,
 ) {
     let mb = rows.len();
-    // O(k·MR) packing scratch, reused across the band's row tiles.
-    let mut apack = vec![0.0f32; k * MR];
+    let mut apack = pack_scratch(k, isa);
     let mut ib = 0;
     macro_rules! tile {
         ($r:expr) => {
             tile_rows::<{ $r }>(
-                &load_a, bd, rows.start, ib, chunk, k, n, accumulate, &mut apack, isa,
+                ad, a_rs, a_ps, bd, rows.start, ib, chunk, k, n, accumulate, &mut apack, isa,
             )
         };
     }
@@ -435,17 +501,41 @@ fn matmul_band(
     }
 }
 
-/// One `R`-row block of [`matmul_band`]: packs `R` rows of A and sweeps the
-/// output columns in `NR`-wide strips with register accumulators; the last
-/// strip is `n % NR` wide when `n` is not a multiple of `NR` (all of a
-/// product narrower than one strip). Per output element the accumulation is
-/// the same single ascending-`p` [`fmadd`] chain for every `R` and every
-/// strip width, so neither the height of the tile a row lands in nor where
-/// a strip boundary falls ever changes a result bit.
+/// Output columns one strip pass of the `isa` tier covers: two `NR` strips
+/// on the AVX-512 tier, whose 32 registers hold an `MR×2·NR` accumulator
+/// tile with room for the operands, one strip everywhere else (AVX2's 16
+/// registers already split an `MR×NR` strip into two halves; the scalar
+/// tier's `[f32; NR]` loops are what the auto-vectorizer keeps in registers).
+#[inline(always)]
+pub(crate) fn pass_width(isa: Isa) -> usize {
+    match isa {
+        Isa::Avx512 => 2 * NR,
+        Isa::Avx2 | Isa::Scalar => NR,
+    }
+}
+
+/// One `R`-row block of [`matmul_band`]: sweeps the output columns in passes
+/// of [`pass_width`] columns with register accumulators; the last pass is as
+/// wide as what is left (all of a product narrower than one pass). Per
+/// output element the accumulation is the same single ascending-`p`
+/// [`fmadd`] chain for every `R`, every pass width and every tier, so neither
+/// the height of the tile a row lands in nor where a strip boundary falls
+/// ever changes a result bit.
+///
+/// The AVX2 and scalar tiers fold over a `[p][r]` packed copy of the tile's
+/// A rows ([`pack_a`]): `k·R` scalar moves per tile that make every later
+/// read one pointer plus a constant, which pays when many passes re-read the
+/// tile (and the scalar tier's safe strip body wants the slice). The AVX-512
+/// tier reads the rows in place ([`TileA`]): its pair makes a quarter of the
+/// AVX2 tier's passes and uses each broadcast twice, and measures 1.2–2×
+/// faster that way (`[192×192]·[192×64]` 68 → 35 µs — packing was half that
+/// product), where the AVX2 tier measures 1.1–1.3× slower.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
 fn tile_rows<const R: usize>(
-    load_a: &impl Fn(usize, usize) -> f32,
+    ad: &[f32],
+    a_rs: usize,
+    a_ps: usize,
     bd: &[f32],
     row0: usize,
     ib: usize,
@@ -456,87 +546,55 @@ fn tile_rows<const R: usize>(
     apack: &mut [f32],
     isa: Isa,
 ) {
-    let apack = &mut apack[..k * R];
-    for (p, ap) in apack.chunks_exact_mut(R).enumerate() {
-        for (r, slot) in ap.iter_mut().enumerate() {
-            *slot = load_a(p, row0 + ib + r);
-        }
-    }
-    for jb in (0..n).step_by(NR) {
-        let w = NR.min(n - jb);
-        strip::<R>(apack, bd, jb, w, k, n, chunk, ib, accumulate, isa);
-    }
-}
-
-/// One `R×w` column strip of [`tile_rows`] (`1 ≤ w ≤ NR`), dispatched to
-/// the `isa` tier. All tiers compute the identical per-element ascending-`p`
-/// [`fmadd`] chain — lanes span the strip's `w` independent output columns
-/// only (see [`crate::simd`]); a strip narrower than `NR` masks its unused
-/// lanes off (vector tiers) or leaves them computing on zero padding that is
-/// never stored (scalar tier).
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn strip<const R: usize>(
-    apack: &[f32],
-    bd: &[f32],
-    jb: usize,
-    w: usize,
-    k: usize,
-    n: usize,
-    chunk: &mut [f32],
-    ib: usize,
-    accumulate: bool,
-    isa: Isa,
-) {
-    debug_assert!((1..=NR).contains(&w) && jb + w <= n);
+    assert!(bd.len() == k * n && (ib + R) * n <= chunk.len());
+    let passes = (0..n)
+        .step_by(pass_width(isa))
+        .map(|jb| (jb, pass_width(isa).min(n - jb)));
+    // SAFETY (both vector arms): the deepest B read is
+    // (k-1)·n + jb + w ≤ k·n = bd.len() and the deepest out access
+    // (ib+R-1)·n + jb + w ≤ (ib+R)·n ≤ chunk.len(), both asserted above with
+    // jb + w ≤ n; A reads are checked by `TileA::new`, or stay inside the
+    // k·R floats `pack_a` returns. CPU support is guaranteed by `active_isa`.
     #[cfg(target_arch = "x86_64")]
-    if isa != Isa::Scalar {
-        // Bounds (checked by the callers' invariants, restated here):
-        // apack holds k·R floats; the deepest B read is
-        // (k-1)·n + jb + w ≤ k·n = bd.len(); the deepest out access is
-        // (ib+R-1)·n + jb + w ≤ chunk.len() since ib+R ≤ band rows and
-        // jb + w ≤ n. CPU support is guaranteed by `active_isa`.
-        unsafe {
-            let out = chunk.as_mut_ptr().add(ib * n + jb);
-            match isa {
-                Isa::Avx2 => simd::x86::strip_avx2::<R>(
-                    apack.as_ptr(),
-                    bd.as_ptr().add(jb),
-                    n,
-                    k,
-                    out,
-                    n,
-                    w,
-                    accumulate,
-                ),
-                Isa::Avx512 => simd::x86::strip_avx512::<R>(
-                    apack.as_ptr(),
-                    bd.as_ptr().add(jb),
-                    n,
-                    k,
-                    out,
-                    n,
-                    w,
-                    accumulate,
-                ),
-                Isa::Scalar => unreachable!(),
+    if isa == Isa::Avx512 {
+        let a = TileA::new::<R>(ad, a_rs, a_ps, row0 + ib, k);
+        for (jb, w) in passes {
+            unsafe {
+                let b = bd.as_ptr().add(jb);
+                let out = chunk.as_mut_ptr().add(ib * n + jb);
+                if w > NR {
+                    simd::x86::strip_avx512::<R, 2>(a, b, n, k, out, n, w, accumulate)
+                } else {
+                    simd::x86::strip_avx512::<R, 1>(a, b, n, k, out, n, w, accumulate)
+                }
             }
         }
         return;
     }
-    let _ = isa;
-    let acc = if w == NR {
-        strip_scalar::<R, _>(apack, bd.chunks_exact(n), |brow| {
-            brow[jb..jb + NR].try_into().expect("NR block")
-        })
-    } else {
-        strip_scalar::<R, _>(apack, bd.chunks_exact(n), |brow| {
-            let mut bs = [0.0f32; NR];
-            bs[..w].copy_from_slice(&brow[jb..jb + w]);
-            bs
-        })
-    };
-    store_strip(&acc, chunk, ib, jb, w, n, accumulate);
+    let apack = pack_a::<R>(ad, a_rs, a_ps, row0 + ib, k, apack);
+    for (jb, w) in passes {
+        #[cfg(target_arch = "x86_64")]
+        if isa == Isa::Avx2 {
+            unsafe {
+                let b = bd.as_ptr().add(jb);
+                let out = chunk.as_mut_ptr().add(ib * n + jb);
+                simd::x86::strip_avx2::<R>(apack.as_ptr(), b, n, k, out, n, w, accumulate);
+            }
+            continue;
+        }
+        let acc = if w == NR {
+            strip_scalar::<R, _>(apack, bd.chunks_exact(n), |brow| {
+                brow[jb..jb + NR].try_into().expect("NR block")
+            })
+        } else {
+            strip_scalar::<R, _>(apack, bd.chunks_exact(n), |brow| {
+                let mut bs = [0.0f32; NR];
+                bs[..w].copy_from_slice(&brow[jb..jb + w]);
+                bs
+            })
+        };
+        store_strip(&acc, chunk, ib, jb, w, n, accumulate);
+    }
 }
 
 /// The scalar tier's strip body, shared with the fused int8 strip: `p`-outer
@@ -1242,16 +1300,6 @@ pub fn sigmoid(v: f32) -> f32 {
     }
 }
 
-/// Branch-free rational tanh (odd `x·P(x²)/Q(x²)`, saturating clamp at
-/// ±7.905 where f32 tanh rounds to ±1), accurate to a few ulp — the
-/// polynomial Eigen and XNNPACK use for their vectorized tanh.
-///
-/// The libm `tanhf` call it replaces is a scalar black box the
-/// auto-vectorizer cannot touch, which made [`gelu`] the single largest
-/// cost of a prefill (more than all its GEMMs combined). This form is pure
-/// clamped polynomial arithmetic, so an elementwise map over a matrix
-/// compiles to SIMD. Like every kernel here it is exactly reproducible:
-/// same input, same bits, on every path that calls it.
 /// The rational-tanh / GELU polynomial constants, shared verbatim with the
 /// vector tiers in [`crate::simd`] — one source of truth, so a coefficient
 /// tweak can never bitwise-desync the scalar and SIMD paths.
@@ -1275,6 +1323,16 @@ pub(crate) mod tanh_poly {
     pub const GELU_K: f32 = 0.044_715;
 }
 
+/// Branch-free rational tanh (odd `x·P(x²)/Q(x²)`, saturating clamp at
+/// ±7.905 where f32 tanh rounds to ±1), accurate to a few ulp — the
+/// polynomial Eigen and XNNPACK use for their vectorized tanh.
+///
+/// The libm `tanhf` call it replaces is a scalar black box the
+/// auto-vectorizer cannot touch, which made [`gelu`] the single largest
+/// cost of a prefill (more than all its GEMMs combined). This form is pure
+/// clamped polynomial arithmetic, so an elementwise map over a matrix
+/// compiles to SIMD. Like every kernel here it is exactly reproducible:
+/// same input, same bits, on every path that calls it.
 #[inline]
 pub fn tanh_fast(x: f32) -> f32 {
     use tanh_poly::*;
@@ -1283,6 +1341,27 @@ pub fn tanh_fast(x: f32) -> f32 {
     let p = ((((((A13 * x2 + A11) * x2 + A9) * x2 + A7) * x2 + A5) * x2 + A3) * x2 + A1) * x;
     let q = ((B6 * x2 + B4) * x2 + B2) * x2 + B0;
     p / q
+}
+
+/// In-place [`tanh_fast`] over a slice, dispatched to the active SIMD tier —
+/// the one `tanh` of the workspace: `Tape::tanh`, its backward and the
+/// infuser gate's engine path all call it, so tape and engine agree bitwise.
+/// The vector tiers replicate [`tanh_fast`]'s operation sequence lane by lane
+/// (plain multiplies and adds, never fused; the division exact), so every
+/// tier is bitwise-equal; NaNs stay NaN.
+pub fn tanh_slice(xs: &mut [f32]) {
+    let isa = simd::active_isa();
+    #[cfg(target_arch = "x86_64")]
+    match isa {
+        Isa::Scalar => {}
+        // SAFETY: CPU support is guaranteed by `active_isa`.
+        Isa::Avx2 => return unsafe { simd::x86::tanh_slice_avx2(xs) },
+        Isa::Avx512 => return unsafe { simd::x86::tanh_slice_avx512(xs) },
+    }
+    let _ = isa;
+    for v in xs.iter_mut() {
+        *v = tanh_fast(*v);
+    }
 }
 
 /// tanh-approximation GELU (the variant used by GPT-style models), with the
@@ -1454,7 +1533,7 @@ mod tests {
         for band in row_bands(64, 3) {
             let (chunk, tail) = rest.split_at_mut(band.len() * 29);
             rest = tail;
-            matmul_band(|p, i| ad[i * 33 + p], bd, band, chunk, 33, 29, false, isa);
+            matmul_band(ad, 33, 1, bd, band, chunk, 33, 29, false, isa);
         }
         assert_eq!(serial.data(), banded.data());
     }

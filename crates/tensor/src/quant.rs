@@ -216,7 +216,7 @@ impl QuantizedMatrix {
         isa: Isa,
     ) {
         let mb = rows.len();
-        let mut apack = vec![0.0f32; k * kernels::MR];
+        let mut apack = kernels::pack_scratch(k, isa);
         let mut ib = 0;
         macro_rules! tile {
             ($r:expr) => {
@@ -242,11 +242,11 @@ impl QuantizedMatrix {
         }
     }
 
-    /// Quantized mirror of the dense kernel's `tile_rows`. Strips are cut at
-    /// `NR` columns and at every scale-block boundary, so one scale per
-    /// weight row covers a strip whatever the block size (the default 64
-    /// never cuts a strip short; a block size below `NR` makes every strip
-    /// that narrow).
+    /// Quantized mirror of the dense kernel's `tile_rows`. Passes are cut at
+    /// [`kernels::pass_width`] columns and at every scale-block boundary, so
+    /// one scale per weight row covers a pass whatever the block size (the
+    /// default 64 never cuts one short — two 32-column passes sit inside a
+    /// block; a block size below `NR` makes every strip that narrow).
     #[allow(clippy::too_many_arguments)]
     fn qtile_rows<const R: usize>(
         &self,
@@ -260,96 +260,81 @@ impl QuantizedMatrix {
         apack: &mut [f32],
         isa: Isa,
     ) {
-        let apack = &mut apack[..k * R];
-        for (p, ap) in apack.chunks_exact_mut(R).enumerate() {
-            for (r, slot) in ap.iter_mut().enumerate() {
-                *slot = xd[(row0 + ib + r) * k + p];
-            }
-        }
-        let mut jb = 0;
-        while jb < n {
-            let block_end = (jb / self.block_size + 1) * self.block_size;
-            let w = kernels::NR.min(n - jb).min(block_end - jb);
-            self.qstrip::<R>(apack, jb, w, k, n, chunk, ib, accumulate, isa);
-            jb += w;
-        }
-    }
-
-    /// One `R×w` fused-dequant column strip (`1 ≤ w ≤ NR`, inside one scale
-    /// block), dispatched to the `isa` tier.
-    #[allow(clippy::too_many_arguments)]
-    fn qstrip<const R: usize>(
-        &self,
-        apack: &[f32],
-        jb: usize,
-        w: usize,
-        k: usize,
-        n: usize,
-        chunk: &mut [f32],
-        ib: usize,
-        accumulate: bool,
-        isa: Isa,
-    ) {
         let bpr = self.bpr();
-        let blk = jb / self.block_size;
+        assert!(
+            self.q.len() == k * n && self.scales.len() == k * bpr && (ib + R) * n <= chunk.len()
+        );
+        // The pass starting at column `jb`: its width and its scale block.
+        let pass = |jb: usize| {
+            let blk = jb / self.block_size;
+            let block_end = (blk + 1) * self.block_size;
+            let w = kernels::pass_width(isa).min(n - jb).min(block_end - jb);
+            (w, blk)
+        };
+        let mut jb = 0;
+        // SAFETY (both vector arms): the deepest q read is
+        // (k-1)·n + jb + w ≤ k·n, the deepest scale read
+        // (k-1)·bpr + blk < k·bpr, the deepest out access
+        // (ib+R-1)·n + jb + w ≤ (ib+R)·n — all inside the lengths asserted
+        // above; jb + w stays inside block `blk` for every row; A reads are
+        // checked by `TileA::new`, or stay inside the k·R floats `pack_a`
+        // returns. CPU support is guaranteed by `active_isa`.
         #[cfg(target_arch = "x86_64")]
-        if isa != Isa::Scalar {
-            // Bounds: deepest q read (k-1)·n + jb + w ≤ k·n; deepest scale
-            // read (k-1)·bpr + blk < k·bpr; out as in the dense strip. The
-            // caller guarantees jb+w stays inside block `blk` for all rows.
-            unsafe {
-                let out = chunk.as_mut_ptr().add(ib * n + jb);
-                match isa {
-                    Isa::Avx2 => simd::x86::qstrip_avx2::<R>(
-                        apack.as_ptr(),
-                        self.q.as_ptr().add(jb),
-                        n,
-                        self.scales.as_ptr().add(blk),
-                        bpr,
-                        k,
-                        out,
-                        n,
-                        w,
-                        accumulate,
-                    ),
-                    Isa::Avx512 => simd::x86::qstrip_avx512::<R>(
-                        apack.as_ptr(),
-                        self.q.as_ptr().add(jb),
-                        n,
-                        self.scales.as_ptr().add(blk),
-                        bpr,
-                        k,
-                        out,
-                        n,
-                        w,
-                        accumulate,
-                    ),
-                    Isa::Scalar => unreachable!(),
+        if isa == Isa::Avx512 {
+            use simd::x86::qstrip_avx512;
+            let a = kernels::TileA::new::<R>(xd, k, 1, row0 + ib, k);
+            while jb < n {
+                let (w, blk) = pass(jb);
+                unsafe {
+                    let q = self.q.as_ptr().add(jb);
+                    let scales = self.scales.as_ptr().add(blk);
+                    let out = chunk.as_mut_ptr().add(ib * n + jb);
+                    if w > kernels::NR {
+                        qstrip_avx512::<R, 2>(a, q, n, scales, bpr, k, out, n, w, accumulate)
+                    } else {
+                        qstrip_avx512::<R, 1>(a, q, n, scales, bpr, k, out, n, w, accumulate)
+                    }
                 }
+                jb += w;
             }
             return;
         }
-        let _ = isa;
-        // Row `p`'s strip of weights with its scale; the loaders below
-        // dequantize it into the zero-padded `[f32; NR]` the shared strip
-        // body folds.
-        let rows =
-            (0..apack.len() / R).map(|p| (&self.q[p * n + jb..], self.scales[p * bpr + blk]));
-        let acc = if w == kernels::NR {
-            kernels::strip_scalar::<R, _>(apack, rows, |(q, scale)| {
-                let q: &[i8; kernels::NR] = q[..kernels::NR].try_into().expect("NR block");
-                q.map(|qv| qv as f32 * scale)
-            })
-        } else {
-            kernels::strip_scalar::<R, _>(apack, rows, |(q, scale)| {
-                let mut bs = [0.0f32; kernels::NR];
-                for (b, &qv) in bs.iter_mut().zip(&q[..w]) {
-                    *b = qv as f32 * scale;
+        let apack = kernels::pack_a::<R>(xd, k, 1, row0 + ib, k, apack);
+        while jb < n {
+            let (w, blk) = pass(jb);
+            #[cfg(target_arch = "x86_64")]
+            if isa == Isa::Avx2 {
+                unsafe {
+                    let q = self.q.as_ptr().add(jb);
+                    let scales = self.scales.as_ptr().add(blk);
+                    let out = chunk.as_mut_ptr().add(ib * n + jb);
+                    let ap = apack.as_ptr();
+                    simd::x86::qstrip_avx2::<R>(ap, q, n, scales, bpr, k, out, n, w, accumulate);
                 }
-                bs
-            })
-        };
-        kernels::store_strip(&acc, chunk, ib, jb, w, n, accumulate);
+                jb += w;
+                continue;
+            }
+            // Row `p`'s strip of weights with its scale; the loaders below
+            // dequantize it into the zero-padded `[f32; NR]` the shared strip
+            // body folds.
+            let rows = (0..k).map(|p| (&self.q[p * n + jb..], self.scales[p * bpr + blk]));
+            let acc = if w == kernels::NR {
+                kernels::strip_scalar::<R, _>(apack, rows, |(q, scale)| {
+                    let q: &[i8; kernels::NR] = q[..kernels::NR].try_into().expect("NR block");
+                    q.map(|qv| qv as f32 * scale)
+                })
+            } else {
+                kernels::strip_scalar::<R, _>(apack, rows, |(q, scale)| {
+                    let mut bs = [0.0f32; kernels::NR];
+                    for (b, &qv) in bs.iter_mut().zip(&q[..w]) {
+                        *b = qv as f32 * scale;
+                    }
+                    bs
+                })
+            };
+            kernels::store_strip(&acc, chunk, ib, jb, w, n, accumulate);
+            jb += w;
+        }
     }
 }
 

@@ -209,7 +209,7 @@ pub fn active_isa() -> Isa {
 /// must uphold the pointer-range contracts documented per function.
 #[cfg(target_arch = "x86_64")]
 pub(crate) mod x86 {
-    use crate::kernels::{exp_poly as ep, gelu, tanh_poly as tp, HeadFold};
+    use crate::kernels::{exp_poly as ep, gelu, tanh_poly as tp, HeadFold, TileA};
     use core::arch::x86_64::*;
 
     /// One multiply-add chain step on 8 lanes, matching
@@ -260,6 +260,13 @@ pub(crate) mod x86 {
         } else {
             (1u16 << w) - 1
         }
+    }
+
+    /// Lane masks of the `S` adjacent 16-column strips of a `w`-column pass
+    /// (`16·(S-1) < w ≤ 16·S`): all lanes but for the last strip's.
+    #[inline(always)]
+    fn masks512<const S: usize>(w: usize) -> [__mmask16; S] {
+        core::array::from_fn(|s| mask512(w - s * 16))
     }
 
     // ---- dense f32 matmul strips -------------------------------------------
@@ -314,14 +321,22 @@ pub(crate) mod x86 {
         }
     }
 
-    /// 512-bit form of [`strip_avx2`]: one ZMM register per output row.
+    /// 512-bit form of [`strip_avx2`], `S` adjacent 16-column strips per pass
+    /// (`S ∈ {1, 2}`, `16·(S-1) < w ≤ 16·S`; only the last strip can be
+    /// partial). Per inner step `S` B loads and `R` A broadcasts feed `R·S`
+    /// multiply-adds into `R·S` register accumulators: at `S = 2` every
+    /// broadcast serves two chains and the 8-row tile holds 16 of the 32 zmm
+    /// registers as accumulators, which turns the loop from load-bound
+    /// (9 loads per 8 multiply-adds at `S = 1`) to multiply-add-bound
+    /// (10 per 16). Each output element is still its own ascending-`p`
+    /// [`madd512`] chain, so `S` never changes a result bit.
     ///
     /// # Safety
     /// Requires AVX-512F; same pointer contracts as [`strip_avx2`].
     #[allow(clippy::too_many_arguments)]
     #[target_feature(enable = "avx2,avx512f")]
-    pub unsafe fn strip_avx512<const R: usize>(
-        apack: *const f32,
+    pub unsafe fn strip_avx512<const R: usize, const S: usize>(
+        a: TileA,
         b: *const f32,
         bstride: usize,
         k: usize,
@@ -330,26 +345,47 @@ pub(crate) mod x86 {
         w: usize,
         accumulate: bool,
     ) {
-        let mask = mask512(w);
-        let mut acc = [_mm512_setzero_ps(); R];
+        let masks = masks512::<S>(w);
+        let mut acc = [[_mm512_setzero_ps(); S]; R];
         let mut bp = b;
-        let mut ap = apack;
+        let mut ap = a.ptr;
         for _ in 0..k {
-            let bv = _mm512_maskz_loadu_ps(mask, bp);
-            for (r, s) in acc.iter_mut().enumerate() {
-                *s = madd512(_mm512_set1_ps(*ap.add(r)), bv, *s);
+            let mut bv = [_mm512_setzero_ps(); S];
+            for (s, v) in bv.iter_mut().enumerate() {
+                *v = _mm512_maskz_loadu_ps(masks[s], bp.add(s * 16));
+            }
+            for (r, row) in acc.iter_mut().enumerate() {
+                let av = _mm512_set1_ps(*ap.add(r * a.rs));
+                for (c, &v) in row.iter_mut().zip(&bv) {
+                    *c = madd512(av, v, *c);
+                }
             }
             bp = bp.add(bstride);
-            ap = ap.add(R);
+            ap = ap.add(a.ps);
         }
-        for (r, &s) in acc.iter().enumerate() {
-            let o = out.add(r * ostride);
-            let v = if accumulate {
-                _mm512_add_ps(_mm512_maskz_loadu_ps(mask, o), s)
-            } else {
-                s
-            };
-            _mm512_mask_storeu_ps(o, mask, v);
+        store_strips512(&acc, &masks, out, ostride, accumulate);
+    }
+
+    /// Writes (or adds into) `out` the `R×S` accumulators of a 512-bit strip
+    /// pass: row `r`, strip `s` at `out[r*ostride + 16*s..]` under `masks[s]`.
+    #[inline(always)]
+    unsafe fn store_strips512<const R: usize, const S: usize>(
+        acc: &[[__m512; S]; R],
+        masks: &[__mmask16; S],
+        out: *mut f32,
+        ostride: usize,
+        accumulate: bool,
+    ) {
+        for (r, row) in acc.iter().enumerate() {
+            for (s, (&c, &mask)) in row.iter().zip(masks).enumerate() {
+                let o = out.add(r * ostride + s * 16);
+                let v = if accumulate {
+                    _mm512_add_ps(_mm512_maskz_loadu_ps(mask, o), c)
+                } else {
+                    c
+                };
+                _mm512_mask_storeu_ps(o, mask, v);
+            }
         }
     }
 
@@ -425,14 +461,16 @@ pub(crate) mod x86 {
         }
     }
 
-    /// 512-bit form of [`qstrip_avx2`].
+    /// 512-bit form of [`qstrip_avx2`], `S` adjacent strips per pass as
+    /// [`strip_avx512`] (`16·(S-1) < w ≤ 16·S`, the whole pass inside one
+    /// quantization block per row, so one scale broadcast serves every strip).
     ///
     /// # Safety
     /// Requires AVX-512F; same pointer contracts as [`qstrip_avx2`].
     #[allow(clippy::too_many_arguments)]
     #[target_feature(enable = "avx2,avx512f")]
-    pub unsafe fn qstrip_avx512<const R: usize>(
-        apack: *const f32,
+    pub unsafe fn qstrip_avx512<const R: usize, const S: usize>(
+        a: TileA,
         q: *const i8,
         qstride: usize,
         scales: *const f32,
@@ -443,32 +481,30 @@ pub(crate) mod x86 {
         w: usize,
         accumulate: bool,
     ) {
-        let mask = mask512(w);
-        let mut acc = [_mm512_setzero_ps(); R];
+        let masks = masks512::<S>(w);
+        let mut acc = [[_mm512_setzero_ps(); S]; R];
         let mut qp = q;
         let mut sp = scales;
-        let mut ap = apack;
+        let mut ap = a.ptr;
         for _ in 0..k {
-            let qb = load_q::<16>(qp, w);
-            let qi = _mm_loadu_si128(qb.as_ptr() as *const __m128i);
-            let qf = _mm512_cvtepi32_ps(_mm512_cvtepi8_epi32(qi));
-            let bv = _mm512_mul_ps(qf, _mm512_set1_ps(*sp));
-            for (r, s) in acc.iter_mut().enumerate() {
-                *s = madd512(_mm512_set1_ps(*ap.add(r)), bv, *s);
+            let scale = _mm512_set1_ps(*sp);
+            let mut bv = [_mm512_setzero_ps(); S];
+            for (s, v) in bv.iter_mut().enumerate() {
+                let qb = load_q::<16>(qp.add(s * 16), w - s * 16);
+                let qi = _mm_loadu_si128(qb.as_ptr() as *const __m128i);
+                *v = _mm512_mul_ps(_mm512_cvtepi32_ps(_mm512_cvtepi8_epi32(qi)), scale);
+            }
+            for (r, row) in acc.iter_mut().enumerate() {
+                let av = _mm512_set1_ps(*ap.add(r * a.rs));
+                for (c, &v) in row.iter_mut().zip(&bv) {
+                    *c = madd512(av, v, *c);
+                }
             }
             qp = qp.add(qstride);
             sp = sp.add(sstride);
-            ap = ap.add(R);
+            ap = ap.add(a.ps);
         }
-        for (r, &s) in acc.iter().enumerate() {
-            let o = out.add(r * ostride);
-            let v = if accumulate {
-                _mm512_add_ps(_mm512_maskz_loadu_ps(mask, o), s)
-            } else {
-                s
-            };
-            _mm512_mask_storeu_ps(o, mask, v);
-        }
+        store_strips512(&acc, &masks, out, ostride, accumulate);
     }
 
     // ---- attention all-heads row fold ---------------------------------------
@@ -592,7 +628,7 @@ pub(crate) mod x86 {
         }
     }
 
-    // ---- elementwise GELU --------------------------------------------------
+    // ---- elementwise tanh and GELU ---------------------------------------
 
     /// 8-lane [`crate::kernels::tanh_fast`]: the identical clamp and
     /// mul/add-ordered rational polynomial, deliberately *never* fused —
@@ -698,6 +734,43 @@ pub(crate) mod x86 {
         }
         for x in &mut xs[i..] {
             *x = gelu(*x);
+        }
+    }
+
+    /// In-place [`crate::kernels::tanh_fast`] over a slice, 8 lanes at a
+    /// time; the last chunk masks its unused lanes off the load and the
+    /// store. NaN lanes (which [`tanh_fast256`]'s clamp makes finite) are
+    /// blended back to the input.
+    ///
+    /// # Safety
+    /// Requires AVX2.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn tanh_slice_avx2(xs: &mut [f32]) {
+        let n = xs.len();
+        let ptr = xs.as_mut_ptr();
+        for c in (0..n).step_by(8) {
+            let mask = mask256(n - c);
+            let v = _mm256_maskload_ps(ptr.add(c), mask);
+            let nan = _mm256_cmp_ps::<_CMP_UNORD_Q>(v, v);
+            let t = _mm256_blendv_ps(tanh_fast256(v), v, nan);
+            _mm256_maskstore_ps(ptr.add(c), mask, t);
+        }
+    }
+
+    /// 16-lane form of [`tanh_slice_avx2`].
+    ///
+    /// # Safety
+    /// Requires AVX-512F.
+    #[target_feature(enable = "avx2,avx512f")]
+    pub unsafe fn tanh_slice_avx512(xs: &mut [f32]) {
+        let n = xs.len();
+        let ptr = xs.as_mut_ptr();
+        for c in (0..n).step_by(16) {
+            let mask = mask512(n - c);
+            let v = _mm512_maskz_loadu_ps(mask, ptr.add(c));
+            let nan = _mm512_cmp_ps_mask::<_CMP_UNORD_Q>(v, v);
+            let t = _mm512_mask_blend_ps(nan, tanh_fast512(v), v);
+            _mm512_mask_storeu_ps(ptr.add(c), mask, t);
         }
     }
 

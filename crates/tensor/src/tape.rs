@@ -245,9 +245,11 @@ impl Tape {
         self.push(Op::Sigmoid(a), v)
     }
 
-    /// Element-wise tanh.
+    /// Element-wise tanh, through [`kernels::tanh_slice`] — the polynomial
+    /// the engine's infuser gate runs, so the two stay bitwise equal.
     pub fn tanh(&mut self, a: NodeId) -> NodeId {
-        let v = self.value(a).map(f32::tanh);
+        let mut v = self.value(a).clone();
+        kernels::tanh_slice(v.data_mut());
         self.push(Op::Tanh(a), v)
     }
 

@@ -231,13 +231,11 @@ proptest! {
     }
 }
 
-/// The shapes the strip remainders exist for, swept exhaustively where the
-/// properties above sample: packed row counts 1..=17 (every remainder tile
-/// height), widths that are one partial strip (1, 10, 15), exact strips,
-/// and strips plus a partial one (17, 26), at the model's inner sizes —
-/// dense and fused-int8, `accumulate` both ways, every tier bitwise equal.
-#[test]
-fn remainder_tiles_and_partial_strips_bitwise_across_tiers() {
+/// Dense `a@b` / `aᵀ@b` and the fused int8 product at every packed row count
+/// 1..=17 (every remainder tile height) for each inner size in `ks`, width in
+/// `ns` and quantization block size in `block_sizes`, `accumulate` both
+/// ways: every tier bitwise equal to the scalar tier.
+fn sweep_products_across_tiers(ks: &[usize], ns: &[usize], block_sizes: &[usize]) {
     let _g = guard();
     let wave = |rows: usize, cols: usize, f: f32| {
         Matrix::from_vec(
@@ -246,10 +244,15 @@ fn remainder_tiles_and_partial_strips_bitwise_across_tiers() {
             (0..rows * cols).map(|i| (i as f32 * f).sin()).collect(),
         )
     };
-    for k in [1usize, 10, 16, 64, 192] {
-        for n in [1usize, 10, 15, 16, 17, 26, 192] {
+    for &k in ks {
+        for &n in ns {
             let b = wave(k, n, 0.57);
-            let qb = quant::QuantizedMatrix::quantize(&b, quant::QuantSpec::default());
+            let qbs: Vec<_> = block_sizes
+                .iter()
+                .map(|&block_size| {
+                    quant::QuantizedMatrix::quantize(&b, quant::QuantSpec { block_size })
+                })
+                .collect();
             for m in 1usize..=17 {
                 let a = wave(m, k, 0.31);
                 let at = a.transposed();
@@ -260,8 +263,14 @@ fn remainder_tiles_and_partial_strips_bitwise_across_tiers() {
                         kernels::matmul_into(&a, &b, &mut out, accumulate);
                         let mut out_at = init.clone();
                         kernels::matmul_at_into(&at, &b, &mut out_at, accumulate);
-                        let mut out_q = init.clone();
-                        qb.matmul_into(&a, &mut out_q, accumulate);
+                        let out_q: Vec<Matrix> = qbs
+                            .iter()
+                            .map(|qb| {
+                                let mut out_q = init.clone();
+                                qb.matmul_into(&a, &mut out_q, accumulate);
+                                out_q
+                            })
+                            .collect();
                         (out, out_at, out_q)
                     };
                     let scalar = under(simd::Isa::Scalar, run);
@@ -270,9 +279,87 @@ fn remainder_tiles_and_partial_strips_bitwise_across_tiers() {
                         let ctx = format!("{m}x{k}x{n} acc={accumulate} {}", isa.name());
                         assert_bits_eq(&tier.0, &scalar.0, &format!("matmul {ctx}"));
                         assert_bits_eq(&tier.1, &scalar.1, &format!("matmul_at {ctx}"));
-                        assert_bits_eq(&tier.2, &scalar.2, &format!("qmatmul {ctx}"));
+                        for ((t, s), bs) in tier.2.iter().zip(&scalar.2).zip(block_sizes) {
+                            assert_bits_eq(t, s, &format!("qmatmul bs={bs} {ctx}"));
+                        }
                     }
                 }
+            }
+        }
+    }
+}
+
+/// The shapes the strip remainders exist for, swept exhaustively where the
+/// properties above sample: widths that are one partial strip (1, 10, 15),
+/// exact strips, and strips plus a partial one (17, 26), at the model's
+/// inner sizes.
+#[test]
+fn remainder_tiles_and_partial_strips_bitwise_across_tiers() {
+    let default_block = quant::QuantSpec::default().block_size;
+    sweep_products_across_tiers(
+        &[1, 10, 16, 64, 192],
+        &[1, 10, 15, 16, 17, 26, 192],
+        &[default_block],
+    );
+}
+
+/// The AVX-512 tier's two-strip pass against the one-strip scalar reference:
+/// widths either side of one pair (31, 32, 33), a pair plus a strip (47, 48),
+/// either side of two pairs (63, 64, 65), the world vocabulary (106: three
+/// pairs and a 10-wide strip) and the model's widest product (192). The
+/// int8 blocks cut passes short at 24 and 40 columns (a full strip beside a
+/// partial one) as well as at the default 64 (two whole pairs).
+#[test]
+fn strip_pairs_bitwise_across_tiers() {
+    let default_block = quant::QuantSpec::default().block_size;
+    sweep_products_across_tiers(
+        &[1, 10, 64, 192],
+        &[31, 32, 33, 47, 48, 63, 64, 65, 106, 192],
+        &[default_block, 24, 40],
+    );
+}
+
+/// `tanh_slice` at every length 1..=67 — every vector-tail length beside
+/// zero to four full vectors — with both zeros, both clamp edges and a step
+/// past them, both infinities and NaN among the inputs: every tier bitwise
+/// equal to scalar `tanh_fast` per element (NaN stays NaN).
+#[test]
+fn tanh_slice_bitwise_across_tiers_at_every_length() {
+    let _g = guard();
+    const CLAMP: f32 = 7.905_311;
+    let specials = [
+        0.0,
+        -0.0,
+        CLAMP,
+        -CLAMP,
+        CLAMP + 1e-3,
+        -CLAMP - 1e-3,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        f32::NAN,
+        f32::MIN_POSITIVE,
+        1e-42,
+    ];
+    for len in 1usize..=67 {
+        let mut xs: Vec<f32> = (0..len).map(|i| (i as f32 * 0.71).sin() * 9.0).collect();
+        // Rotate the specials through the positions so each meets every lane.
+        for (i, x) in xs.iter_mut().enumerate().skip(len % 3).step_by(3) {
+            *x = specials[(i + len) % specials.len()];
+        }
+        let by_hand: Vec<f32> = xs.iter().map(|&x| kernels::tanh_fast(x)).collect();
+        for isa in std::iter::once(simd::Isa::Scalar).chain(simd_tiers()) {
+            let tier = under(isa, || {
+                let mut t = xs.clone();
+                kernels::tanh_slice(&mut t);
+                t
+            });
+            for (i, (t, h)) in tier.iter().zip(&by_hand).enumerate() {
+                assert!(
+                    t.to_bits() == h.to_bits() || (t.is_nan() && h.is_nan()),
+                    "tanh len {len} elem {i} ({}) {}: {t} vs {h}",
+                    xs[i],
+                    isa.name()
+                );
             }
         }
     }
