@@ -15,12 +15,11 @@
 //! | `fig7`   | Fig. 7 — case-study option probabilities      |
 //! | `run_all`| everything above, appending to EXPERIMENTS.md |
 //!
-//! Criterion microbenches live in `benches/` (substrate performance and
-//! design-choice ablations). `perf_suite` is CI's ratio gate: within-run
-//! ratios only, no arguments, no committed baseline. Speed itself — tok/s,
-//! latency, CPU per request — is measured at the wire by the system
-//! benchmark (`benchmark/`, `BENCHMARK.json`) and recorded as paired runs in
-//! `results/BENCH_<pr>.json`, not here.
+//! `perf_suite` is CI's ratio gate: within-run ratios only, no arguments, no
+//! committed baseline. Speed itself — tok/s, latency, CPU per request — is
+//! measured at the wire by the system benchmark (`benchmark/`,
+//! `BENCHMARK.json`) and recorded as paired runs in `results/BENCH_<pr>.json`,
+//! not here.
 
 pub mod cli;
 pub mod extensions;

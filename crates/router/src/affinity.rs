@@ -6,13 +6,23 @@
 //! whole blocks cached (at least one token must remain for the request's
 //! own logits), so that is exactly the span worth hashing — two prompts
 //! that share it will hit each other's cached KV blocks when they land on
-//! the same replica. The span is additionally capped at a configured
-//! number of blocks so a template and its long continuations agree.
+//! the same replica. The span is additionally capped at
+//! [`AFFINITY_BLOCKS`] blocks so a template and its long continuations agree.
 //!
 //! Replica choice is rendezvous (highest-random-weight) hashing: each
 //! replica scores `mix(chunk_hash, replica)` and the highest live score
 //! wins. Unlike modular hashing, removing a dead replica only remaps the
 //! prefixes that replica owned — every other template keeps its warm cache.
+
+/// How many leading prompt blocks (of `serve.block_rows` tokens each) at
+/// most feed the affinity hash. Longer prompts hash the same leading chunk,
+/// so a template and its continuations agree on a home replica.
+pub const AFFINITY_BLOCKS: usize = 4;
+
+/// Load slack for affinity dispatch: when the affinity target's outstanding
+/// count exceeds the least-loaded replica's by more than this, the request
+/// goes least-loaded instead.
+pub const IMBALANCE_SLACK: usize = 4;
 
 /// FNV-1a over token ids (each hashed as little-endian `u64` bytes).
 pub fn fnv1a64(tokens: &[usize]) -> u64 {

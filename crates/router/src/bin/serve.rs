@@ -159,6 +159,13 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             usage()
         ));
     }
+    if args.router.tenant_bucket_capacity > 0.0 && !args.router.rate_limited() {
+        return Err(format!(
+            "--tenant-burst needs --tenant-rate R > 0 (a burst without a rate \
+             shapes nothing)\n{}",
+            usage()
+        ));
+    }
     Ok(args)
 }
 

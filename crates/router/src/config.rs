@@ -1,5 +1,5 @@
-//! Router configuration: replica count, per-tenant shaping knobs, and
-//! affinity tuning on top of the per-replica [`ServeConfig`].
+//! Router configuration: replica count and per-tenant shaping knobs on top
+//! of the per-replica [`ServeConfig`].
 
 use infuserki_serve::ServeConfig;
 
@@ -26,14 +26,6 @@ pub struct RouterConfig {
     /// spends one token; an empty bucket delays (shapes) the tenant's queue
     /// rather than rejecting. 0 disables rate limiting.
     pub tenant_refill_per_sec: f64,
-    /// How many leading prompt blocks (of `serve.block_rows` tokens each)
-    /// at most feed the affinity hash. Longer prompts hash the same leading
-    /// chunk, so a template and its continuations agree on a home replica.
-    pub affinity_blocks: usize,
-    /// Load slack for affinity dispatch: when the affinity target's
-    /// outstanding count exceeds the least-loaded replica's by more than
-    /// this, the request goes least-loaded instead.
-    pub imbalance_slack: usize,
 }
 
 impl Default for RouterConfig {
@@ -45,8 +37,6 @@ impl Default for RouterConfig {
             max_tenant_inflight: 0,
             tenant_bucket_capacity: 0.0,
             tenant_refill_per_sec: 0.0,
-            affinity_blocks: 4,
-            imbalance_slack: 4,
         }
     }
 }
@@ -60,9 +50,6 @@ impl RouterConfig {
         }
         if self.tenant_queue_capacity == 0 {
             return Err("router: tenant_queue_capacity must be at least 1".into());
-        }
-        if self.affinity_blocks == 0 {
-            return Err("router: affinity_blocks must be at least 1".into());
         }
         if self.tenant_refill_per_sec < 0.0 || self.tenant_bucket_capacity < 0.0 {
             return Err("router: token-bucket knobs must be non-negative".into());
@@ -100,9 +87,6 @@ mod tests {
         assert!(c.validate().is_err());
         c.replicas = 1;
         c.tenant_queue_capacity = 0;
-        assert!(c.validate().is_err());
-        c.tenant_queue_capacity = 8;
-        c.affinity_blocks = 0;
         assert!(c.validate().is_err());
     }
 

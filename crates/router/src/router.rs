@@ -672,11 +672,11 @@ fn dispatch_one(inner: &Inner, p: Pending) {
         RequestKind::Mcq(m) => &m.prompt,
     };
     let block_rows = inner.cfg.serve.block_rows;
-    let choice = match affinity::prefix_hash(prompt, block_rows, inner.cfg.affinity_blocks) {
+    let choice = match affinity::prefix_hash(prompt, block_rows, affinity::AFFINITY_BLOCKS) {
         Some(h) => match affinity::rendezvous_pick(h, &alive) {
             Some(target) => {
                 let min_load = least_loaded(&alive).map(|i| inner.load_of(i)).unwrap_or(0);
-                if inner.load_of(target) <= min_load + inner.cfg.imbalance_slack {
+                if inner.load_of(target) <= min_load + affinity::IMBALANCE_SLACK {
                     inner.metrics.affinity_hits.inc();
                     Some(target)
                 } else {

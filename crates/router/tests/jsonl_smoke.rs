@@ -3,7 +3,8 @@
 //! protocol, verify the generate tokens against the in-process
 //! single-sequence sampler, then shut the server down cleanly — at one
 //! replica and at two, which must answer in the same shapes. A second test
-//! checks that tenant shaping is live at the default single replica.
+//! checks that tenant shaping is live at the default single replica, a third
+//! that a flag pair that would do nothing is a usage error.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -248,6 +249,22 @@ fn tenant_queue_bound_is_live_at_one_replica() {
     assert!(bounced >= 1, "burst never hit the tenant queue bound");
     assert!(small_ok, "the other tenant was not served");
     writer.write_all(b"{\"op\":\"shutdown\"}\n").unwrap();
+}
+
+/// `--tenant-burst` only sizes the bucket `--tenant-rate` refills; alone it
+/// would shape nothing, so it is refused rather than ignored.
+#[test]
+fn tenant_burst_without_rate_is_a_usage_error() {
+    let out = Command::new(env!("CARGO_BIN_EXE_serve"))
+        .args(["--demo", "--port", "0", "--tenant-burst", "8"])
+        .output()
+        .expect("serve binary spawns");
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("--tenant-burst needs --tenant-rate"),
+        "{stderr}"
+    );
 }
 
 fn wait_with_timeout(child: &mut Child, timeout: Duration) -> Option<std::process::ExitStatus> {

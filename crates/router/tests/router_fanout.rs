@@ -126,7 +126,6 @@ fn replica_death_mid_request_fails_typed_and_survivors_serve() {
     kernels::set_num_threads(1);
     let cfg = fleet_cfg(2);
     let block_rows = cfg.serve.block_rows;
-    let affinity_blocks = cfg.affinity_blocks;
     let (client, handle) =
         spawn_router(cfg, |_| (demo_model(), SlowHook(Duration::from_millis(2)))).unwrap();
     // Build one prompt homed on each replica, so we know exactly which
@@ -135,7 +134,7 @@ fn replica_death_mid_request_fails_typed_and_survivors_serve() {
     let mut homed: [Option<Vec<usize>>; 2] = [None, None];
     'outer: for seed in 0..64usize {
         let prompt: Vec<usize> = (0..9).map(|i| (seed * 13 + i) % 32).collect();
-        let h = affinity::prefix_hash(&prompt, block_rows, affinity_blocks).unwrap();
+        let h = affinity::prefix_hash(&prompt, block_rows, affinity::AFFINITY_BLOCKS).unwrap();
         let home = affinity::rendezvous_pick(h, &alive).unwrap();
         if homed[home].is_none() {
             homed[home] = Some(prompt);

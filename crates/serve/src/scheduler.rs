@@ -395,11 +395,6 @@ impl<'a> Scheduler<'a> {
             ..
         } = bundle;
         let hook: HookArc<'static> = Arc::new(method);
-        if !hook.supports_incremental() {
-            return Err(ControlError::Incompatible(format!(
-                "bundle '{name}' hook does not support KV-cached incremental decoding"
-            )));
-        }
         // EngineLimits (and every client's synchronous validation) bake in
         // the base hook's prefix-row width; a bundle changing it would make
         // admitted reservations wrong for its lanes.
@@ -425,7 +420,7 @@ impl<'a> Scheduler<'a> {
     /// Promotes a staged version to active after the NR regression gate
     /// passes: on the bundle's held-out known-set probes, the candidate must
     /// answer at least as many correctly as the currently active version
-    /// (the paper's knowledge-retention criterion, enforced online). The
+    /// (the paper's knowledge-retention test, enforced online). The
     /// gate runs single-request sampler calls on the scheduler thread — a
     /// promote blocks the batch for the probe forwards, which is the price
     /// of gating on the exact serving weights.

@@ -22,9 +22,8 @@
 //!    product costs the same per row whatever its row count or width.
 //! 3. **Serial fast path.** Products smaller than [`PAR_MIN_FLOPS`] run on
 //!    the calling thread even when more threads are configured: band spawn
-//!    costs ~10µs, which swamps sub-millisecond products. The threshold was
-//!    tuned on the microbench suite (`cargo bench -p infuserki-bench`): at
-//!    64³ spawning loses, at 256³ it amortizes.
+//!    costs ~10µs, which swamps sub-millisecond products: at 64³ spawning
+//!    loses, at 256³ it amortizes.
 //!
 //! # Determinism
 //!
@@ -83,8 +82,7 @@
 //! family; bump [`NUMERICS_VERSION`] when any kernel changes values.
 //!
 //! The pre-blocking seed kernels are preserved in [`reference`] as the
-//! correctness oracle for the property-test suite and the before/after
-//! microbenches.
+//! correctness oracle for the property-test suite.
 
 use crate::matrix::Matrix;
 use crate::simd::{self, Isa};
@@ -108,10 +106,10 @@ pub(crate) const NR: usize = 16;
 
 /// Products below this many FLOPs (`2·m·n·k`) stay on the calling thread.
 ///
-/// Empirically (microbench suite, see module docs): a 64×64×192 product
-/// (~1.6 MFLOP) finishes in well under the ~10µs a scoped-thread spawn
-/// costs, while 256³ (~33 MFLOP) amortizes spawning comfortably. The
-/// break-even sits near a few MFLOP; 8 MFLOP adds safety margin.
+/// A 64×64×192 product (~1.6 MFLOP) finishes in well under the ~10µs a
+/// scoped-thread spawn costs, while 256³ (~33 MFLOP) amortizes spawning
+/// comfortably. The break-even sits near a few MFLOP; 8 MFLOP adds safety
+/// margin.
 const PAR_MIN_FLOPS: usize = 8_000_000;
 
 /// Runtime thread-count override; 0 = unset (use env/default).
@@ -1019,8 +1017,7 @@ pub fn dot(x: &[f32], y: &[f32]) -> f32 {
 
 pub mod reference {
     //! The pre-blocking seed kernels, kept verbatim as the correctness
-    //! oracle for the equivalence property tests and as the baseline for
-    //! the before/after microbenches.
+    //! oracle for the equivalence property tests.
 
     use crate::matrix::Matrix;
 

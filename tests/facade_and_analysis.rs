@@ -52,3 +52,56 @@ fn analysis_paths_work_end_to_end() {
     assert_eq!(loaded.config(), w.base.config());
     let _ = std::fs::remove_dir_all(dir);
 }
+
+/// The docs quote only targets that exist: every `--bin X` / `--bench X` /
+/// `--example X` in the four documents has a source file, and every file
+/// under `results/` is named in `results/README.md`.
+#[test]
+fn docs_quote_only_targets_and_results_that_exist() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let read =
+        |p: &str| std::fs::read_to_string(root.join(p)).unwrap_or_else(|e| panic!("{p}: {e}"));
+    let crates = std::fs::read_dir(root.join("crates")).unwrap();
+    let mut packages: Vec<_> = crates.map(|e| e.unwrap().path()).collect();
+    packages.push(root.to_path_buf());
+    for doc in [
+        "README.md",
+        "DESIGN.md",
+        "EXPERIMENTS.md",
+        "results/README.md",
+    ] {
+        let text = read(doc);
+        // Whitespace tokens, so a target wrapped onto the next line still counts.
+        let mut toks = text.split_whitespace();
+        while let Some(tok) = toks.next() {
+            let dir = match tok.trim_start_matches(|c| c != '-') {
+                "--bin" => "src/bin",
+                "--bench" => "benches",
+                "--example" => "examples",
+                _ => continue,
+            };
+            let next = toks.next().unwrap_or("");
+            let name: String = next
+                .chars()
+                .take_while(|c| c.is_ascii_alphanumeric() || *c == '_')
+                .collect();
+            let file = format!("{name}.rs");
+            // `--bin <name>` is a placeholder, not a target.
+            assert!(
+                next.starts_with('<') || packages.iter().any(|p| p.join(dir).join(&file).is_file()),
+                "{doc} quotes `{tok} {name}`, which has no source file"
+            );
+        }
+    }
+    // Named by its own stem (`table1`) or as a numbered family (`BENCH_<pr>`).
+    let index = read("results/README.md");
+    for entry in std::fs::read_dir(root.join("results")).unwrap() {
+        let file = entry.unwrap().file_name().into_string().unwrap();
+        let stem = file.split('.').next().unwrap();
+        let family = format!("{}<", stem.trim_end_matches(|c: char| c.is_ascii_digit()));
+        assert!(
+            file == "README.md" || index.contains(stem) || index.contains(&family),
+            "results/{file} is not named in results/README.md"
+        );
+    }
+}
