@@ -1,6 +1,7 @@
 //! Router-level metrics, backed by an instance `obs::Registry` exactly
 //! like [`infuserki_serve::ServeMetrics`] — every handle is atomic, so the
-//! dispatcher and replica pumps update them lock-free and any thread
+//! dispatcher and the replicas' scheduler threads (through the accounting
+//! each dispatched request carries) update them lock-free and any thread
 //! snapshots concurrently.
 
 use std::sync::Arc;
@@ -13,7 +14,8 @@ pub struct RouterMetrics {
     registry: obs::Registry,
     /// Requests accepted into a tenant queue.
     pub submitted: Arc<obs::Counter>,
-    /// Requests handed to a replica scheduler.
+    /// Requests handed to a replica scheduler (a hand-off a dead replica
+    /// bounced, then failed over, counts once per replica tried).
     pub dispatched: Arc<obs::Counter>,
     /// Dispatches that followed the prefix-affinity target.
     pub affinity_hits: Arc<obs::Counter>,

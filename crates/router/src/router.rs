@@ -3,36 +3,39 @@
 //!
 //! # Threads
 //!
-//! * N scheduler threads (one per replica, from
-//!   [`infuserki_serve::spawn_scheduler`]).
-//! * N *pump* threads: each replica's responses funnel through one channel;
-//!   the pump translates internal router ids back to caller ids and
-//!   channels, and detects replica death (the channel disconnects when the
-//!   scheduler thread drops its request senders).
 //! * One *dispatcher* thread: drains tenant queues round-robin (one request
 //!   per tenant per sweep — the fair share), spends token-bucket tokens,
-//!   and picks a replica per request (affinity first, least-loaded
+//!   and hands each request to a replica (affinity first, least-loaded
 //!   fallback).
+//! * N scheduler threads (one per replica, from
+//!   [`infuserki_serve::spawn_scheduler`]). A request reaches its replica
+//!   with the caller's own id and channel, so the scheduler answers the
+//!   caller directly; the router's accounting is attached at dispatch and
+//!   runs on the scheduler thread as the request is answered.
 //!
 //! # Failure semantics
 //!
-//! A dead replica (detected by a failed submit or a disconnected response
-//! channel) is excluded from dispatch; its outstanding requests are
-//! answered with [`RejectReason::ReplicaFailed`] — a typed, retryable
-//! error — and survivors keep serving. Rendezvous hashing means only the
-//! dead replica's prefixes are remapped.
+//! Every request is answered exactly once. One a scheduler drops
+//! unanswered — its thread crashed, panicked or exited — answers itself
+//! [`RejectReason::ReplicaFailed`] (a typed, retryable error), and its
+//! accounting marks the replica dead before the caller sees that answer,
+//! whether or not any other traffic arrives. A hand-off to a replica that
+//! is already gone comes back to the dispatcher, which marks the replica
+//! dead and fails the same request over to a survivor. Dead replicas are
+//! excluded from dispatch; rendezvous hashing means only their prefixes
+//! are remapped.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{self, Receiver, Sender};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::mpsc::{self, Sender};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use infuserki_nn::{LayerHook, TransformerLm};
 use infuserki_serve::{
     spawn_scheduler, BundleInfo, CancelToken, Client, ControlError, ControlOp, ControlOutcome,
-    ControlPlane, EngineLimits, Outcome, RejectReason, RequestId, RequestKind, Response,
+    ControlPlane, EngineLimits, Outcome, RejectReason, Request, RequestId, RequestKind, Response,
     ResponseHandle, SchedulerHandle, SubmitError, SubmitOpts,
 };
 
@@ -43,40 +46,18 @@ use crate::metrics::RouterMetrics;
 /// Tenant id used when a submission carries none.
 pub const DEFAULT_TENANT: &str = "";
 
-/// A request parked in a tenant queue, waiting for dispatch.
-struct Pending {
-    caller_id: RequestId,
-    kind: RequestKind,
-    opts: SubmitOpts,
-    cancel: CancelToken,
-    tx: Sender<Response>,
-    tenant: String,
-}
-
-/// Book-keeping for one dispatched request, until its replica responds.
-struct Outstanding {
-    caller_id: RequestId,
-    tenant: String,
-    tx: Sender<Response>,
-}
-
 /// One scheduler replica plus its routing state.
 struct Replica {
     client: Client,
-    /// Master clone of the replica's response sender. Dropped on death so
-    /// the pump's receiver disconnects once the scheduler's own per-request
-    /// senders are gone too.
-    resp_tx: Mutex<Option<Sender<Response>>>,
-    /// Internal router id → caller book-keeping.
-    outstanding: Mutex<HashMap<u64, Outstanding>>,
     alive: AtomicBool,
 }
 
 /// Per-tenant shaping state.
 struct TenantState {
-    queue: VecDeque<Pending>,
+    queue: VecDeque<Request>,
     tokens: f64,
     last_refill: Instant,
+    /// Dispatched, unanswered requests; counted only under an in-flight cap.
     inflight: usize,
 }
 
@@ -105,11 +86,11 @@ struct Inner {
     limits: EngineLimits,
     replicas: Vec<Replica>,
     tenants: Mutex<TenantTable>,
-    /// Signalled on enqueue and on request completion (freed capacity).
+    /// Signalled on enqueue and, under an in-flight cap, on request
+    /// completion (freed capacity).
     cv: Condvar,
     stop: AtomicBool,
     metrics: RouterMetrics,
-    next_rid: AtomicU64,
 }
 
 impl Inner {
@@ -124,18 +105,21 @@ impl Inner {
         self.metrics.replica_outstanding[i].get().max(0) as usize
     }
 
-    /// Marks a replica dead (idempotent) and drops its master sender so the
-    /// pump can observe full disconnection.
+    /// Marks a replica dead (idempotent).
     fn mark_dead(&self, i: usize) {
         if self.replicas[i].alive.swap(false, Ordering::SeqCst) {
             self.metrics.replicas_alive.add(-1);
         }
-        *self.replicas[i].resp_tx.lock().unwrap() = None;
     }
 
-    /// Decrements a tenant's in-flight count and wakes the dispatcher.
+    /// Returns a dispatched request's in-flight slot to its tenant and wakes
+    /// the dispatcher — only under an in-flight cap; uncapped tenants are
+    /// not counted. Never panics (a poisoned lock is still usable).
     fn finish_one(&self, tenant: &str) {
-        let mut t = self.tenants.lock().unwrap();
+        if self.cfg.max_tenant_inflight == 0 {
+            return;
+        }
+        let mut t = self.tenants.lock().unwrap_or_else(PoisonError::into_inner);
         if let Some(state) = t.map.get_mut(tenant) {
             state.inflight = state.inflight.saturating_sub(1);
         }
@@ -189,13 +173,15 @@ impl RouterClient {
     ) -> Result<ResponseHandle, SubmitError> {
         let (tx, rx) = mpsc::channel();
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let cancel = self.submit_with_sender(id, kind, opts, tenant, tx)?;
+        let cancel = CancelToken::new();
+        self.submit_with_sender(id, kind, opts, tenant, tx, cancel.clone())?;
         Ok(ResponseHandle::new(id, rx, cancel))
     }
 
-    /// Submission for callers that own the response channel (the TCP
-    /// server). Validates synchronously against the shared limits and the
-    /// tenant's queue bound, then parks the request for the dispatcher.
+    /// Submission for callers that own the response channel and the
+    /// cancellation token (the TCP server). Validates synchronously against
+    /// the shared limits and the tenant's queue bound, then parks the
+    /// request for the dispatcher.
     pub fn submit_with_sender(
         &self,
         id: RequestId,
@@ -203,22 +189,14 @@ impl RouterClient {
         opts: SubmitOpts,
         tenant: Option<&str>,
         tx: Sender<Response>,
-    ) -> Result<CancelToken, SubmitError> {
+        cancel: CancelToken,
+    ) -> Result<(), SubmitError> {
         let inner = &self.inner;
         inner
             .limits
             .validate(&kind)
             .map_err(SubmitError::Rejected)?;
-        let tenant = tenant.unwrap_or(DEFAULT_TENANT).to_string();
-        let cancel = CancelToken::new();
-        let pending = Pending {
-            caller_id: id,
-            kind,
-            opts,
-            cancel: cancel.clone(),
-            tx,
-            tenant: tenant.clone(),
-        };
+        let tenant = tenant.unwrap_or(DEFAULT_TENANT);
         {
             let mut t = inner.tenants.lock().unwrap();
             // Checked under the lock the dispatcher drains under: a request
@@ -227,23 +205,28 @@ impl RouterClient {
             if inner.stop.load(Ordering::SeqCst) {
                 return Err(SubmitError::Rejected(RejectReason::ShuttingDown));
             }
-            if !t.map.contains_key(&tenant) {
-                t.map.insert(tenant.clone(), TenantState::new(&inner.cfg));
-                t.order.push(tenant.clone());
+            if !t.map.contains_key(tenant) {
+                t.map
+                    .insert(tenant.to_string(), TenantState::new(&inner.cfg));
+                t.order.push(tenant.to_string());
             }
-            let state = t.map.get_mut(&tenant).expect("tenant just ensured");
+            let state = t.map.get_mut(tenant).expect("tenant just ensured");
             if state.queue.len() >= inner.cfg.tenant_queue_capacity {
                 inner.metrics.rejected_tenant_queue_full.inc();
                 return Err(SubmitError::Rejected(RejectReason::TenantQueueFull {
                     capacity: inner.cfg.tenant_queue_capacity,
                 }));
             }
-            state.queue.push_back(pending);
+            // Built only once it is sure to be queued: a `Request` dropped
+            // unanswered would answer the caller `ReplicaFailed`.
+            let mut req = Request::new(id, kind, tx).with_opts(opts);
+            req.cancel = cancel;
+            state.queue.push_back(req);
             inner.metrics.submitted.inc();
             inner.metrics.tenant_queued.add(1);
         }
         inner.cv.notify_all();
-        Ok(cancel)
+        Ok(())
     }
 
     /// Promote with a fault injected at one replica: that replica receives
@@ -421,7 +404,6 @@ impl ControlPlane for RouterClient {
 pub struct RouterHandle {
     inner: Arc<Inner>,
     dispatcher: Option<JoinHandle<()>>,
-    pumps: Vec<JoinHandle<()>>,
     scheds: Vec<SchedulerHandle>,
 }
 
@@ -433,26 +415,18 @@ impl RouterHandle {
         if let Some(d) = self.dispatcher.take() {
             let _ = d.join();
         }
-        // Scheduler drains deliver every in-flight response into the pump
-        // channels before the threads exit...
+        // Each scheduler's drain answers its in-flight requests before the
+        // thread exits.
         for s in self.scheds.drain(..) {
             s.shutdown();
-        }
-        // ...then dropping the master senders lets the pumps observe full
-        // disconnection and exit once they have relayed everything.
-        for r in &self.inner.replicas {
-            *r.resp_tx.lock().unwrap() = None;
-        }
-        for p in self.pumps.drain(..) {
-            let _ = p.join();
         }
     }
 }
 
 /// Spawns `cfg.replicas` schedulers (the factory builds each replica's
 /// model + hook; deterministic factories give identical replicas, which is
-/// what the bitwise routing contract assumes), the per-replica pumps, and
-/// the dispatcher. Returns the cloneable client plus the owning handle.
+/// what the bitwise routing contract assumes) and the dispatcher. Returns
+/// the cloneable client plus the owning handle.
 pub fn spawn_router<H, F>(
     cfg: RouterConfig,
     mut factory: F,
@@ -465,20 +439,15 @@ where
     let metrics = RouterMetrics::new(cfg.replicas);
     let mut replicas = Vec::with_capacity(cfg.replicas);
     let mut scheds = Vec::with_capacity(cfg.replicas);
-    let mut rxs = Vec::with_capacity(cfg.replicas);
     for i in 0..cfg.replicas {
         let (model, hook) = factory(i);
         let (client, handle) = spawn_scheduler(model, hook, cfg.serve.clone())
             .map_err(|e| format!("router: replica {i}: {e}"))?;
-        let (tx, rx) = mpsc::channel::<Response>();
         replicas.push(Replica {
             client,
-            resp_tx: Mutex::new(Some(tx)),
-            outstanding: Mutex::new(HashMap::new()),
             alive: AtomicBool::new(true),
         });
         scheds.push(handle);
-        rxs.push(rx);
     }
     metrics.replicas_alive.set(cfg.replicas as i64);
     let limits = replicas[0].client.limits().clone();
@@ -494,17 +463,7 @@ where
         cv: Condvar::new(),
         stop: AtomicBool::new(false),
         metrics,
-        next_rid: AtomicU64::new(0),
     });
-    let mut pumps = Vec::with_capacity(inner.replicas.len());
-    for (i, rx) in rxs.into_iter().enumerate() {
-        let pump_inner = Arc::clone(&inner);
-        let pump = std::thread::Builder::new()
-            .name(format!("infuserki-router-pump{i}"))
-            .spawn(move || pump_loop(&pump_inner, i, rx))
-            .map_err(|e| format!("router: failed to spawn pump {i}: {e}"))?;
-        pumps.push(pump);
-    }
     let disp_inner = Arc::clone(&inner);
     let dispatcher = std::thread::Builder::new()
         .name("infuserki-router-dispatch".into())
@@ -517,52 +476,16 @@ where
     let handle = RouterHandle {
         inner,
         dispatcher: Some(dispatcher),
-        pumps,
         scheds,
     };
     Ok((client, handle))
 }
 
-/// Relays one replica's responses back to their callers; on disconnection
-/// (replica death) flushes every outstanding request with a typed error.
-fn pump_loop(inner: &Inner, i: usize, rx: Receiver<Response>) {
-    while let Ok(resp) = rx.recv() {
-        let out = inner.replicas[i]
-            .outstanding
-            .lock()
-            .unwrap()
-            .remove(&resp.id);
-        if let Some(o) = out {
-            inner.metrics.replica_outstanding[i].add(-1);
-            let _ = o.tx.send(Response {
-                id: o.caller_id,
-                outcome: resp.outcome,
-            });
-            inner.finish_one(&o.tenant);
-        }
-    }
-    // Every sender is gone: either a clean shutdown (outstanding is empty)
-    // or the scheduler thread died mid-request.
-    inner.mark_dead(i);
-    let drained: Vec<Outstanding> = {
-        let mut map = inner.replicas[i].outstanding.lock().unwrap();
-        map.drain().map(|(_, o)| o).collect()
-    };
-    for o in drained {
-        inner.metrics.replica_outstanding[i].add(-1);
-        inner.metrics.failed_replica.inc();
-        let _ = o.tx.send(Response {
-            id: o.caller_id,
-            outcome: Outcome::Rejected(RejectReason::ReplicaFailed),
-        });
-        inner.finish_one(&o.tenant);
-    }
-}
-
 /// One fair-share collection: starting at the rotating cursor, take at most
 /// one dispatchable request per tenant per sweep, spending tokens and
-/// charging in-flight, until a full sweep takes nothing.
-fn collect_dispatchable(inner: &Inner, t: &mut TenantTable) -> Vec<Pending> {
+/// charging in-flight, until a full sweep takes nothing. Each request comes
+/// with its tenant's name.
+fn collect_dispatchable(inner: &Inner, t: &mut TenantTable) -> Vec<(String, Request)> {
     let cfg = &inner.cfg;
     let now = Instant::now();
     if cfg.rate_limited() {
@@ -573,6 +496,7 @@ fn collect_dispatchable(inner: &Inner, t: &mut TenantTable) -> Vec<Pending> {
             state.last_refill = now;
         }
     }
+    let capped = cfg.max_tenant_inflight > 0;
     let n = t.order.len();
     let mut batch = Vec::new();
     if n == 0 {
@@ -581,12 +505,12 @@ fn collect_dispatchable(inner: &Inner, t: &mut TenantTable) -> Vec<Pending> {
     loop {
         let mut took = false;
         for k in 0..n {
-            let name = t.order[(t.cursor + k) % n].clone();
-            let state = t.map.get_mut(&name).expect("ring names are table keys");
+            let name = &t.order[(t.cursor + k) % n];
+            let state = t.map.get_mut(name).expect("ring names are table keys");
             if state.queue.is_empty() {
                 continue;
             }
-            if cfg.max_tenant_inflight > 0 && state.inflight >= cfg.max_tenant_inflight {
+            if capped && state.inflight >= cfg.max_tenant_inflight {
                 continue;
             }
             if cfg.rate_limited() && state.tokens < 1.0 {
@@ -595,10 +519,12 @@ fn collect_dispatchable(inner: &Inner, t: &mut TenantTable) -> Vec<Pending> {
             if cfg.rate_limited() {
                 state.tokens -= 1.0;
             }
-            state.inflight += 1;
-            let p = state.queue.pop_front().expect("queue checked non-empty");
+            if capped {
+                state.inflight += 1;
+            }
+            let req = state.queue.pop_front().expect("queue checked non-empty");
             inner.metrics.tenant_queued.add(-1);
-            batch.push(p);
+            batch.push((name.clone(), req));
             took = true;
         }
         t.cursor = (t.cursor + 1) % n;
@@ -608,19 +534,18 @@ fn collect_dispatchable(inner: &Inner, t: &mut TenantTable) -> Vec<Pending> {
     }
 }
 
-fn dispatcher_loop(inner: &Inner) {
+fn dispatcher_loop(inner: &Arc<Inner>) {
     let mut guard = inner.tenants.lock().unwrap();
     loop {
         if inner.stop.load(Ordering::SeqCst) {
             // Reject everything still queued, like the scheduler's drain.
+            // Queued requests carry no router accounting yet, so answering
+            // them under the tenant lock never re-enters it.
             for state in guard.map.values_mut() {
-                while let Some(p) = state.queue.pop_front() {
+                for req in state.queue.drain(..) {
                     inner.metrics.tenant_queued.add(-1);
                     inner.metrics.rejected_shutdown.inc();
-                    let _ = p.tx.send(Response {
-                        id: p.caller_id,
-                        outcome: Outcome::Rejected(RejectReason::ShuttingDown),
-                    });
+                    req.respond(Outcome::Rejected(RejectReason::ShuttingDown));
                 }
             }
             return;
@@ -629,7 +554,7 @@ fn dispatcher_loop(inner: &Inner) {
         if batch.is_empty() {
             let queued = guard.map.values().any(|s| !s.queue.is_empty());
             // Short wait while throttled/capped (tokens refill on a clock);
-            // long wait when idle (enqueue and completion both notify).
+            // long wait when idle (enqueue and capped completion notify).
             let wait = if queued {
                 Duration::from_millis(5)
             } else {
@@ -639,8 +564,8 @@ fn dispatcher_loop(inner: &Inner) {
             continue;
         }
         drop(guard);
-        for p in batch {
-            dispatch_one(inner, p);
+        for (tenant, req) in batch {
+            dispatch_one(inner, tenant, req);
         }
         guard = inner.tenants.lock().unwrap();
     }
@@ -648,14 +573,11 @@ fn dispatcher_loop(inner: &Inner) {
 
 /// Picks a replica (affinity first, least-loaded fallback) and forwards one
 /// request, failing over to survivors when a replica turns out dead.
-fn dispatch_one(inner: &Inner, p: Pending) {
-    if p.cancel.is_cancelled() {
+fn dispatch_one(inner: &Arc<Inner>, tenant: String, mut req: Request) {
+    if req.cancel.is_cancelled() {
         inner.metrics.cancelled_queued.inc();
-        let _ = p.tx.send(Response {
-            id: p.caller_id,
-            outcome: Outcome::Cancelled,
-        });
-        inner.finish_one(&p.tenant);
+        inner.finish_one(&tenant);
+        req.respond(Outcome::Cancelled);
         return;
     }
     let alive = inner.alive_flags();
@@ -667,7 +589,7 @@ fn dispatch_one(inner: &Inner, p: Pending) {
             .min_by_key(|&(i, _)| inner.load_of(i))
             .map(|(i, _)| i)
     };
-    let prompt = match &p.kind {
+    let prompt = match &req.kind {
         RequestKind::Generate(g) => &g.prompt,
         RequestKind::Mcq(m) => &m.prompt,
     };
@@ -694,89 +616,42 @@ fn dispatch_one(inner: &Inner, p: Pending) {
             pick
         }
     };
-    let Some(mut target) = choice else {
-        inner.metrics.failed_replica.inc();
-        let _ = p.tx.send(Response {
-            id: p.caller_id,
-            outcome: Outcome::Rejected(RejectReason::ReplicaFailed),
-        });
-        inner.finish_one(&p.tenant);
-        return;
-    };
-    // Failover ring: the chosen replica first, then every other live one.
-    let mut tried = vec![false; inner.replicas.len()];
-    loop {
-        tried[target] = true;
-        match try_forward(inner, target, &p) {
+    // Failover: a replica that bounces the hand-off is marked dead, so the
+    // next pick is the least-loaded survivor.
+    let m = &inner.metrics;
+    let mut target = choice;
+    while let Some(i) = target {
+        // Counted before the hand-off: the answer can reach the caller
+        // before `submit_request` returns. A bounced hand-off counts too.
+        m.replica_outstanding[i].add(1);
+        m.dispatched.inc();
+        m.replica_dispatched[i].inc();
+        let (acct, tenant) = (Arc::clone(inner), tenant.clone());
+        req.on_answer = Some(Box::new(move |outcome: &Outcome| {
+            // Runs on the answering scheduler thread, possibly mid-unwind:
+            // atomics only, plus the tenant lock under an in-flight cap.
+            acct.metrics.replica_outstanding[i].add(-1);
+            if matches!(outcome, Outcome::Rejected(RejectReason::ReplicaFailed)) {
+                // Only a request its scheduler dropped unanswered says this.
+                acct.metrics.failed_replica.inc();
+                acct.mark_dead(i);
+            }
+            acct.finish_one(&tenant);
+        }));
+        match inner.replicas[i].client.submit_request(req) {
             Ok(()) => return,
-            Err(SubmitError::Rejected(reason)) => {
-                let _ = p.tx.send(Response {
-                    id: p.caller_id,
-                    outcome: Outcome::Rejected(reason),
-                });
-                inner.finish_one(&p.tenant);
-                return;
-            }
-            Err(SubmitError::Disconnected) => {
-                inner.mark_dead(target);
-                match inner
-                    .alive_flags()
-                    .iter()
-                    .enumerate()
-                    .filter(|&(i, &up)| up && !tried[i])
-                    .min_by_key(|&(i, _)| inner.load_of(i))
-                    .map(|(i, _)| i)
-                {
-                    Some(next) => target = next,
-                    None => {
-                        inner.metrics.failed_replica.inc();
-                        let _ = p.tx.send(Response {
-                            id: p.caller_id,
-                            outcome: Outcome::Rejected(RejectReason::ReplicaFailed),
-                        });
-                        inner.finish_one(&p.tenant);
-                        return;
-                    }
-                }
+            Err(back) => {
+                req = back;
+                req.on_answer = None;
+                m.replica_outstanding[i].add(-1);
+                inner.mark_dead(i);
+                target = least_loaded(&inner.alive_flags());
             }
         }
     }
-}
-
-/// Forwards one pending request to replica `i` under a fresh internal id.
-fn try_forward(inner: &Inner, i: usize, p: &Pending) -> Result<(), SubmitError> {
-    let replica = &inner.replicas[i];
-    let tx = replica
-        .resp_tx
-        .lock()
-        .unwrap()
-        .clone()
-        .ok_or(SubmitError::Disconnected)?;
-    let rid = inner.next_rid.fetch_add(1, Ordering::Relaxed);
-    replica.outstanding.lock().unwrap().insert(
-        rid,
-        Outstanding {
-            caller_id: p.caller_id,
-            tenant: p.tenant.clone(),
-            tx: p.tx.clone(),
-        },
-    );
-    inner.metrics.replica_outstanding[i].add(1);
-    match replica
-        .client
-        .submit_with_parts(rid, p.kind.clone(), p.opts, p.cancel.clone(), tx)
-    {
-        Ok(()) => {
-            inner.metrics.dispatched.inc();
-            inner.metrics.replica_dispatched[i].inc();
-            Ok(())
-        }
-        Err(e) => {
-            replica.outstanding.lock().unwrap().remove(&rid);
-            inner.metrics.replica_outstanding[i].add(-1);
-            Err(e)
-        }
-    }
+    m.failed_replica.inc();
+    inner.finish_one(&tenant);
+    req.respond(Outcome::Rejected(RejectReason::ReplicaFailed));
 }
 
 #[cfg(test)]
@@ -930,6 +805,50 @@ mod tests {
         h2.cancel();
         assert!(matches!(h1.wait().unwrap(), Outcome::Generated { .. }));
         assert!(matches!(h2.wait().unwrap(), Outcome::Cancelled));
+        handle.shutdown();
+    }
+
+    #[test]
+    fn token_bucket_shapes_a_burst_and_spares_other_tenants() {
+        // 20 req/s with a burst of 2: `a`'s first two go at once, then one
+        // every 50 ms, so its sixth waits for four refills (200 ms).
+        let cfg = RouterConfig {
+            tenant_refill_per_sec: 20.0,
+            tenant_bucket_capacity: 2.0,
+            ..small_cfg(1)
+        };
+        let (client, handle) = spawn_router(cfg, demo_pair).unwrap();
+        let (tx, rx) = mpsc::channel();
+        let one = |i: usize| RequestKind::Generate(GenerateSpec::greedy(vec![1 + i, 2], 1, None));
+        let submitted = Instant::now();
+        for (id, tenant) in (0..6).map(|i| (i, "a")).chain([(100, "b")]) {
+            client
+                .submit_with_sender(
+                    id,
+                    one(id as usize % 7),
+                    SubmitOpts::default(),
+                    Some(tenant),
+                    tx.clone(),
+                    CancelToken::new(),
+                )
+                .unwrap();
+        }
+        let arrivals: Vec<(u64, Duration)> = (0..7)
+            .map(|_| {
+                let resp = rx.recv_timeout(Duration::from_secs(10)).unwrap();
+                assert!(matches!(resp.outcome, Outcome::Generated { .. }));
+                (resp.id, submitted.elapsed())
+            })
+            .collect();
+        let pos = |id: u64| arrivals.iter().position(|&(i, _)| i == id).unwrap();
+        assert!(
+            pos(100) < pos(3),
+            "b queued behind a's shaped backlog: {arrivals:?}"
+        );
+        assert!(
+            arrivals[pos(5)].1 >= Duration::from_millis(190),
+            "a's sixth request beat its bucket: {arrivals:?}"
+        );
         handle.shutdown();
     }
 

@@ -45,7 +45,8 @@
 //! stops the accept loop; the binary then drains the fleet.
 //!
 //! The front-end adds no protocol state beyond a per-connection id→cancel
-//! map: every submission funnels through the same in-process
+//! map, whose entries leave as their replies are written: every submission
+//! funnels through the same in-process
 //! [`RouterClient`] the library offers, so wire requests and in-process
 //! requests share the same tenant queues, budgets and batches.
 
@@ -335,24 +336,34 @@ fn accepted(stream: TcpStream) -> std::io::Result<TcpStream> {
     Ok(stream)
 }
 
+/// A connection's id → cancel-token table. An entry lives from just before
+/// its request is submitted until just before its reply line is written.
+type CancelTable = Mutex<HashMap<u64, CancelToken>>;
+
 /// Serves one connection: reads request lines, submits through `client`,
 /// and writes responses as they complete. Returns `true` if the peer asked
 /// the whole server to shut down.
-fn handle_connection(stream: TcpStream, client: &RouterClient) -> std::io::Result<bool> {
+fn handle_connection(
+    stream: TcpStream,
+    client: &RouterClient,
+    cancels: Arc<CancelTable>,
+) -> std::io::Result<bool> {
     let reader = BufReader::new(stream.try_clone()?);
     let writer = Arc::new(Mutex::new(stream));
-    // All of this connection's requests respond through one channel; the
-    // pump thread turns responses into wire lines in completion order.
+    // All of this connection's requests are answered on one channel; the
+    // writer thread turns answers into wire lines in completion order.
     let (tx, rx) = mpsc::channel::<Response>();
-    let pump_writer = Arc::clone(&writer);
-    let pump = std::thread::spawn(move || {
-        while let Ok(resp) = rx.recv() {
-            if send_line(&pump_writer, &outcome_line(resp.id, &resp.outcome)).is_err() {
-                break;
+    let replies = {
+        let (writer, cancels) = (Arc::clone(&writer), Arc::clone(&cancels));
+        std::thread::spawn(move || {
+            while let Ok(resp) = rx.recv() {
+                cancels.lock().unwrap().remove(&resp.id);
+                if send_line(&writer, &outcome_line(resp.id, &resp.outcome)).is_err() {
+                    break;
+                }
             }
-        }
-    });
-    let mut cancels: HashMap<u64, CancelToken> = HashMap::new();
+        })
+    };
     let mut shutdown_all = false;
     for (line_no, line) in reader.lines().enumerate() {
         let line = match line {
@@ -403,22 +414,27 @@ fn handle_connection(stream: TcpStream, client: &RouterClient) -> std::io::Resul
                     }
                 };
                 let tenant = value.get_field("tenant").and_then(Value::as_str);
-                match client.submit_with_sender(id, kind, opts, tenant, tx.clone()) {
-                    Ok(cancel) => {
-                        cancels.insert(id, cancel);
-                    }
-                    Err(SubmitError::Rejected(reason)) => {
-                        send_line(&writer, &outcome_line(id, &Outcome::Rejected(reason)))?;
-                    }
-                    Err(SubmitError::Disconnected) => {
-                        send_line(&writer, &error_line(Some(id), "scheduler unavailable"))?;
-                    }
+                // In the table before the request can be answered, so the
+                // writer's removal never precedes the insert.
+                let cancel = CancelToken::new();
+                cancels.lock().unwrap().insert(id, cancel.clone());
+                if let Err(e) =
+                    client.submit_with_sender(id, kind, opts, tenant, tx.clone(), cancel)
+                {
+                    cancels.lock().unwrap().remove(&id);
+                    let line = match e {
+                        SubmitError::Rejected(reason) => {
+                            outcome_line(id, &Outcome::Rejected(reason))
+                        }
+                        SubmitError::Disconnected => error_line(Some(id), "scheduler unavailable"),
+                    };
+                    send_line(&writer, &line)?;
                 }
             }
             "cancel" => match field_usize(&value, "id") {
                 Ok(id) => {
                     let id = id as u64;
-                    if let Some(c) = cancels.get(&id) {
+                    if let Some(c) = cancels.lock().unwrap().get(&id) {
                         c.cancel();
                     }
                     let ack = obj(vec![
@@ -484,7 +500,7 @@ fn handle_connection(stream: TcpStream, client: &RouterClient) -> std::io::Resul
         }
     }
     drop(tx);
-    let _ = pump.join();
+    let _ = replies.join();
     Ok(shutdown_all)
 }
 
@@ -509,7 +525,7 @@ pub fn run(
         let client = client.clone();
         let stop_flag = Arc::clone(&stop);
         std::thread::spawn(move || {
-            if let Ok(true) = handle_connection(stream, &client) {
+            if let Ok(true) = handle_connection(stream, &client, Default::default()) {
                 stop_flag.store(true, Ordering::SeqCst);
                 // Wake the accept loop so it observes the flag.
                 let _ = TcpStream::connect(addr);
@@ -522,6 +538,77 @@ pub fn run(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{spawn_router, RouterConfig};
+
+    /// Slows every forward without changing outputs, so a long request is
+    /// reliably still in flight when its cancel arrives.
+    struct SlowHook;
+
+    impl infuserki_nn::LayerHook for SlowHook {
+        fn infer_attn_q_delta(
+            &self,
+            _layer: usize,
+            _x: &infuserki_tensor::Matrix,
+        ) -> Option<infuserki_tensor::Matrix> {
+            std::thread::sleep(Duration::from_millis(1));
+            None
+        }
+    }
+
+    #[test]
+    fn cancel_table_empties_as_replies_land_and_still_cancels_in_flight_ids() {
+        let (client, handle) = spawn_router(RouterConfig::default(), |_| {
+            (infuserki_serve::demo_model(), SlowHook)
+        })
+        .unwrap();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let cancels = Arc::new(CancelTable::default());
+        let server = {
+            let (client, cancels) = (client.clone(), Arc::clone(&cancels));
+            std::thread::spawn(move || {
+                let (stream, _) = listener.accept().unwrap();
+                handle_connection(accepted(stream).unwrap(), &client, cancels).unwrap()
+            })
+        };
+        let mut lines = BufReader::new(peer.try_clone().unwrap()).lines();
+        let mut peer = peer;
+        let n = 8;
+        for id in 0..n {
+            writeln!(
+                peer,
+                r#"{{"op":"generate","id":{id},"prompt":[1,2,3],"max_new":2}}"#
+            )
+            .unwrap();
+        }
+        for _ in 0..n {
+            let line = lines.next().unwrap().unwrap();
+            assert!(line.contains(r#""status":"ok""#), "{line}");
+        }
+        assert!(cancels.lock().unwrap().is_empty(), "every replied id left");
+
+        writeln!(
+            peer,
+            r#"{{"op":"generate","id":99,"prompt":[1,2,3],"max_new":100}}"#
+        )
+        .unwrap();
+        writeln!(peer, r#"{{"op":"cancel","id":99}}"#).unwrap();
+        let mut got: Vec<String> = (0..2).map(|_| lines.next().unwrap().unwrap()).collect();
+        got.sort();
+        assert_eq!(
+            got,
+            [
+                r#"{"id":99,"status":"cancel_requested"}"#,
+                r#"{"id":99,"status":"cancelled"}"#
+            ]
+        );
+        assert!(cancels.lock().unwrap().is_empty());
+
+        writeln!(peer, r#"{{"op":"shutdown"}}"#).unwrap();
+        assert!(lines.next().unwrap().unwrap().contains("shutting_down"));
+        assert!(server.join().unwrap(), "the peer asked for shutdown");
+        handle.shutdown();
+    }
 
     #[test]
     fn send_line_issues_one_write_per_reply() {

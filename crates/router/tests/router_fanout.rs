@@ -1,7 +1,8 @@
 //! Fan-out edge cases of the multi-replica router: tenant fairness under an
-//! aggressive tenant, replica death mid-request, and all-or-none group
-//! promotion with an injected partial failure.
+//! aggressive tenant, replica death and scheduler panics mid-request, and
+//! all-or-none group promotion with an injected partial failure.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Barrier, Mutex};
 use std::time::Duration;
 
@@ -9,8 +10,8 @@ use infuserki_core::{InfuserKiConfig, InfuserKiMethod, KnowledgeBundle};
 use infuserki_nn::{sampler, LayerHook, NoHook, TransformerLm};
 use infuserki_router::{affinity, spawn_router, RouterConfig};
 use infuserki_serve::{
-    demo_model, ControlError, ControlPlane, GenerateSpec, Outcome, RejectReason, RequestKind,
-    ServeConfig, SubmitError, SubmitOpts,
+    demo_model, CancelToken, ControlError, ControlPlane, GenerateSpec, Outcome, RejectReason,
+    RequestKind, ServeConfig, SubmitError, SubmitOpts,
 };
 use infuserki_tensor::kernels;
 
@@ -48,6 +49,18 @@ impl LayerHook for SlowHook {
     }
 }
 
+/// A 9-token prompt whose affinity home, with both of two replicas alive,
+/// is replica `home`.
+fn homed_prompt(home: usize, block_rows: usize) -> Vec<usize> {
+    (0..64usize)
+        .map(|seed| (0..9).map(|i| (seed * 13 + i) % 32).collect::<Vec<usize>>())
+        .find(|p| {
+            let h = affinity::prefix_hash(p, block_rows, affinity::AFFINITY_BLOCKS).unwrap();
+            affinity::rendezvous_pick(h, &[true, true]) == Some(home)
+        })
+        .expect("a prompt homed on each replica")
+}
+
 /// An aggressive tenant floods 30 requests before a polite tenant submits
 /// 4. Round-robin fair share must interleave the polite tenant's requests
 /// near the front instead of behind the whole backlog.
@@ -72,6 +85,7 @@ fn aggressive_tenant_cannot_starve_polite_tenant() {
                 SubmitOpts::default(),
                 Some("aggressive"),
                 tx.clone(),
+                CancelToken::new(),
             )
             .unwrap();
     }
@@ -84,6 +98,7 @@ fn aggressive_tenant_cannot_starve_polite_tenant() {
                 SubmitOpts::default(),
                 Some("polite"),
                 tx.clone(),
+                CancelToken::new(),
             )
             .unwrap();
     }
@@ -128,23 +143,9 @@ fn replica_death_mid_request_fails_typed_and_survivors_serve() {
     let block_rows = cfg.serve.block_rows;
     let (client, handle) =
         spawn_router(cfg, |_| (demo_model(), SlowHook(Duration::from_millis(2)))).unwrap();
-    // Build one prompt homed on each replica, so we know exactly which
-    // request dies and which survives.
-    let alive = vec![true, true];
-    let mut homed: [Option<Vec<usize>>; 2] = [None, None];
-    'outer: for seed in 0..64usize {
-        let prompt: Vec<usize> = (0..9).map(|i| (seed * 13 + i) % 32).collect();
-        let h = affinity::prefix_hash(&prompt, block_rows, affinity::AFFINITY_BLOCKS).unwrap();
-        let home = affinity::rendezvous_pick(h, &alive).unwrap();
-        if homed[home].is_none() {
-            homed[home] = Some(prompt);
-            if homed.iter().all(Option::is_some) {
-                break 'outer;
-            }
-        }
-    }
-    let doomed_prompt = homed[0].clone().expect("a prompt homed on replica 0");
-    let safe_prompt = homed[1].clone().expect("a prompt homed on replica 1");
+    // One prompt homed on each replica, so we know exactly which request
+    // dies and which survives.
+    let (doomed_prompt, safe_prompt) = (homed_prompt(0, block_rows), homed_prompt(1, block_rows));
     let doomed = client
         .submit(gen(doomed_prompt, 48), SubmitOpts::default(), None)
         .unwrap();
@@ -180,6 +181,73 @@ fn replica_death_mid_request_fails_typed_and_survivors_serve() {
         )
         .unwrap();
     assert!(matches!(after.wait().unwrap(), Outcome::Generated { .. }));
+    handle.shutdown();
+    kernels::set_num_threads(0);
+}
+
+/// Slows every forward like [`SlowHook`] and, when armed, panics on the
+/// scheduler thread after `panic_at` layer calls.
+struct PanicHook {
+    armed: bool,
+    calls: AtomicUsize,
+    panic_at: usize,
+}
+
+impl LayerHook for PanicHook {
+    fn infer_attn_q_delta(
+        &self,
+        _layer: usize,
+        _x: &infuserki_tensor::Matrix,
+    ) -> Option<infuserki_tensor::Matrix> {
+        std::thread::sleep(Duration::from_millis(2));
+        if self.armed && self.calls.fetch_add(1, Ordering::Relaxed) >= self.panic_at {
+            panic!("injected scheduler-thread panic");
+        }
+        None
+    }
+}
+
+/// A hook panics mid-decode on replica 0 of 2 and nothing else is ever
+/// submitted: the request homed there must still be answered with the
+/// typed `ReplicaFailed` — with the replica already counted dead — while
+/// the request on replica 1 completes untouched.
+#[test]
+fn scheduler_panic_answers_replica_failed_without_further_traffic() {
+    let _g = THREADS.lock().unwrap();
+    kernels::set_num_threads(1);
+    let cfg = fleet_cfg(2);
+    let block_rows = cfg.serve.block_rows;
+    let (client, handle) = spawn_router(cfg, |i| {
+        let hook = PanicHook {
+            armed: i == 0,
+            calls: AtomicUsize::new(0),
+            // Two layers per forward: the tenth decode step or so.
+            panic_at: 20,
+        };
+        (demo_model(), hook)
+    })
+    .unwrap();
+    let (doomed_prompt, safe_prompt) = (homed_prompt(0, block_rows), homed_prompt(1, block_rows));
+    let doomed = client
+        .submit(gen(doomed_prompt, 48), SubmitOpts::default(), None)
+        .unwrap();
+    let safe = client
+        .submit(gen(safe_prompt.clone(), 48), SubmitOpts::default(), None)
+        .unwrap();
+    match doomed.wait_timeout(Duration::from_secs(5)) {
+        Ok(Some(Outcome::Rejected(RejectReason::ReplicaFailed))) => {}
+        other => panic!("doomed request got {other:?}, wanted ReplicaFailed within 5 s"),
+    }
+    assert_eq!(client.replicas_alive(), 1, "dead before its answer arrived");
+    let reference = demo_model();
+    match safe.wait().unwrap() {
+        Outcome::Generated { tokens } => {
+            let want = sampler::greedy_decode(&reference, &NoHook, &safe_prompt, 48, None);
+            assert_eq!(tokens, want, "survivor's response must be unaffected");
+        }
+        other => panic!("safe request got {other:?}"),
+    }
+    assert_eq!(client.metrics().failed_replica.get(), 1);
     handle.shutdown();
     kernels::set_num_threads(0);
 }

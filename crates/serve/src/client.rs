@@ -6,8 +6,9 @@
 //! validates synchronously against the shared [`EngineLimits`] (so
 //! impossible requests fail fast with [`SubmitError`]), then hands the
 //! request to the scheduler, which delivers exactly one [`Response`] on the
-//! returned [`ResponseHandle`]'s channel. The scheduler thread steps while
-//! work exists and blocks on its inbox when idle — no spinning.
+//! returned [`ResponseHandle`]'s channel — [`crate::RejectReason::ReplicaFailed`]
+//! if the thread dies holding it. The scheduler thread steps while work
+//! exists and blocks on its inbox when idle — no spinning.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender, TryRecvError};
@@ -38,8 +39,9 @@ enum Msg {
     Control(ControlRequest),
     Shutdown,
     /// Abandon ship without draining: the thread exits immediately, dropping
-    /// every queued and in-flight request (their response senders die with
-    /// them). Failure-injection hook for replica-death tests; never sent in
+    /// every queued and in-flight request, each of which answers
+    /// `ReplicaFailed` as it drops — exactly what a panic on the thread
+    /// does. Failure-injection hook for replica-death tests; never sent in
     /// production paths.
     Crash,
 }
@@ -56,7 +58,7 @@ pub struct ResponseHandle {
 
 impl ResponseHandle {
     /// Wraps the receiving end of a submission whose sender and `cancel`
-    /// token went to [`Client::submit_with_parts`] (or a front over it).
+    /// token went into a [`Request`] (or a front's submission).
     pub fn new(id: RequestId, rx: Receiver<Response>, cancel: CancelToken) -> Self {
         ResponseHandle { id, rx, cancel }
     }
@@ -141,44 +143,37 @@ impl Client {
         kind: RequestKind,
         opts: SubmitOpts,
     ) -> Result<ResponseHandle, SubmitError> {
+        self.limits.validate(&kind).map_err(SubmitError::Rejected)?;
         let (tx, rx) = mpsc::channel();
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let cancel = CancelToken::new();
-        self.submit_with_parts(id, kind, opts, cancel.clone(), tx)?;
+        let req = Request::new(id, kind, tx).with_opts(opts);
+        let cancel = req.cancel.clone();
+        self.submit_request(req)
+            .map_err(|_| SubmitError::Disconnected)?;
         Ok(ResponseHandle::new(id, rx, cancel))
     }
 
-    /// Fully-assembled submission: the caller owns the id, the response
-    /// channel *and* the cancellation token. The router front needs this
-    /// form — it hands out the token while the request is still waiting in
-    /// a tenant queue, before any scheduler has seen it.
-    pub fn submit_with_parts(
-        &self,
-        id: RequestId,
-        kind: RequestKind,
-        opts: SubmitOpts,
-        cancel: CancelToken,
-        tx: Sender<Response>,
-    ) -> Result<(), SubmitError> {
-        self.limits.validate(&kind).map_err(SubmitError::Rejected)?;
-        let mut req = Request::new(id, kind, tx).with_priority(opts.priority);
-        req.cancel = cancel;
-        if let Some(d) = opts.deadline {
-            req = req.with_deadline(d);
-        }
-        if let Some(v) = opts.bundle {
-            req = req.with_bundle(v);
-        }
+    /// Hands a built request to the scheduler thread, which answers it
+    /// exactly once on its own channel (enqueue-time rejections included).
+    /// Resets `submitted_at`, so TTFT counts from the hand-off. A scheduler
+    /// that is gone hands the request back, unanswered.
+    // The fat `Err` is the point: the caller gets the request back intact
+    // to fail it over or answer it.
+    #[allow(clippy::result_large_err)]
+    pub fn submit_request(&self, mut req: Request) -> Result<(), Request> {
+        req.submitted_at = Instant::now();
         self.tx
             .send(Msg::Request(req))
-            .map_err(|_| SubmitError::Disconnected)?;
-        Ok(())
+            .map_err(|mpsc::SendError(msg)| match msg {
+                Msg::Request(req) => req,
+                _ => unreachable!("a request was sent"),
+            })
     }
 
     /// Failure injection: makes the scheduler thread exit *immediately*,
-    /// without draining — queued and in-flight requests are dropped on the
-    /// floor and their response channels disconnect, exactly like a crashed
-    /// process. Only for replica-death tests.
+    /// without draining, exactly like a crashed process: queued and
+    /// in-flight requests drop, answering
+    /// [`crate::RejectReason::ReplicaFailed`]. Only for replica-death tests.
     #[doc(hidden)]
     pub fn crash_for_test(&self) {
         let _ = self.tx.send(Msg::Crash);
@@ -254,8 +249,8 @@ impl Drop for SchedulerHandle {
 /// submission client plus the thread handle.
 ///
 /// The thread loop: drain the inbox without blocking, step while work
-/// exists, block on the inbox when idle. On shutdown it finishes in-flight
-/// work, rejects the remaining queue and exits.
+/// exists, block on the inbox when idle. On shutdown it rejects the
+/// remaining queue, finishes in-flight work and exits.
 pub fn spawn_scheduler<H>(
     model: TransformerLm,
     hook: H,
@@ -284,10 +279,18 @@ where
             };
             let _ = init_tx.send(Ok((sched.limits().clone(), sched.metrics())));
             let mut draining = false;
-            loop {
-                // Drain the inbox without blocking while work is live.
+            while !draining {
+                // Take every waiting message, blocking for the first only
+                // when idle; then step.
+                let mut block = !sched.has_work();
                 loop {
-                    match rx.try_recv() {
+                    let msg = if block {
+                        rx.recv().map_err(|_| TryRecvError::Disconnected)
+                    } else {
+                        rx.try_recv()
+                    };
+                    block = false;
+                    match msg {
                         Ok(Msg::Request(r)) => sched.enqueue(r),
                         Ok(Msg::Control(c)) => {
                             let _ = c.tx.send(if draining {
@@ -309,30 +312,12 @@ where
                         }
                     }
                 }
-                if draining {
-                    sched.reject_queued_for_shutdown();
-                    while sched.has_work() {
-                        sched.step();
-                    }
-                    return;
-                }
-                if sched.has_work() {
+                if !draining && sched.has_work() {
                     sched.step();
-                    continue;
-                }
-                // Idle: block until something arrives.
-                match rx.recv() {
-                    Ok(Msg::Request(r)) => sched.enqueue(r),
-                    Ok(Msg::Control(c)) => {
-                        let _ = c.tx.send(sched.handle_control(c.op));
-                    }
-                    Ok(Msg::Shutdown) | Err(_) => {
-                        draining = true;
-                        sched.begin_drain();
-                    }
-                    Ok(Msg::Crash) => return,
                 }
             }
+            sched.reject_queued_for_shutdown();
+            sched.run_until_idle();
         })
         .map_err(|e| format!("serve: failed to spawn scheduler thread: {e}"))?;
     let (limits, metrics) = match init_rx.recv() {
@@ -415,5 +400,41 @@ mod tests {
             outcome,
             Outcome::Generated { .. } | Outcome::Rejected(crate::RejectReason::ShuttingDown)
         ));
+    }
+
+    /// Holds the scheduler inside its first forward until the test lets go.
+    struct Gate(std::sync::Mutex<Option<(Sender<()>, Receiver<()>)>>);
+
+    impl LayerHook for Gate {
+        fn infer_attn_q_delta(
+            &self,
+            _layer: usize,
+            _x: &infuserki_tensor::Matrix,
+        ) -> Option<infuserki_tensor::Matrix> {
+            if let Some((entered, release)) = self.0.lock().unwrap().take() {
+                let _ = entered.send(());
+                let _ = release.recv();
+            }
+            None
+        }
+    }
+
+    #[test]
+    fn crashed_scheduler_answers_pending_requests_replica_failed() {
+        let (entered_tx, entered) = mpsc::channel();
+        let (release, release_rx) = mpsc::channel();
+        let gate = Gate(std::sync::Mutex::new(Some((entered_tx, release_rx))));
+        let (client, handle) = spawn_scheduler(demo_model(), gate, ServeConfig::default()).unwrap();
+        // One token per step: the request is still live when the crash,
+        // queued while its first forward is held, is read after that step.
+        let g = client.generate(vec![1, 2], 4, None).unwrap();
+        entered.recv().unwrap();
+        client.crash_for_test();
+        release.send(()).unwrap();
+        assert_eq!(
+            g.wait(),
+            Ok(Outcome::Rejected(crate::RejectReason::ReplicaFailed))
+        );
+        handle.shutdown();
     }
 }

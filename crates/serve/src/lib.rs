@@ -46,8 +46,8 @@ pub use registry::{
     GateReport, HookArc,
 };
 pub use request::{
-    CancelToken, GenerateSpec, McqSpec, Outcome, RejectReason, Request, RequestId, RequestKind,
-    Response, SubmitError,
+    CancelToken, GenerateSpec, McqSpec, OnAnswer, Outcome, RejectReason, Request, RequestId,
+    RequestKind, Response, SubmitError,
 };
 pub use scheduler::{EngineLimits, Scheduler, StepReport};
 

@@ -119,7 +119,8 @@ mod tests {
     use std::sync::mpsc;
 
     fn req(id: u64, priority: i32) -> Request {
-        // Receiver dropped immediately: queue tests never respond.
+        // Receiver dropped immediately: the answer each request sends as
+        // it drops goes nowhere.
         let (tx, _rx) = mpsc::channel();
         Request::new(
             id,

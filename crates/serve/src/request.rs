@@ -110,8 +110,10 @@ pub enum RejectReason {
         /// The configured per-tenant queue capacity.
         capacity: usize,
     },
-    /// The replica executing the request died before responding (router
-    /// front; survivors keep serving, so a retry may succeed).
+    /// The scheduler holding the request went away — crashed, panicked or
+    /// exited — before answering: every [`Request`] dropped unanswered says
+    /// this, and the router front says it when no replica is left to take a
+    /// request. Survivors keep serving, so a retry may succeed.
     ReplicaFailed,
 }
 
@@ -175,9 +177,16 @@ pub struct Response {
     pub outcome: Outcome,
 }
 
+/// Completion work attached to a [`Request`]: runs once, on the answering
+/// thread, just before the answer is sent. It must not panic — it may run
+/// while a crashed scheduler thread unwinds.
+pub type OnAnswer = Box<dyn FnOnce(&Outcome) + Send>;
+
 /// A scheduled unit of work: spec plus scheduling metadata and the channel
-/// its single terminal [`Response`] is delivered on.
-#[derive(Debug)]
+/// its single terminal [`Response`] is delivered on. It is answered exactly
+/// once: [`Request::respond`] consumes it, and a request dropped unanswered
+/// (its scheduler crashed, panicked or exited) answers itself
+/// [`RejectReason::ReplicaFailed`].
 pub struct Request {
     /// Identifier echoed on the response.
     pub id: RequestId,
@@ -195,10 +204,22 @@ pub struct Request {
     pub bundle: Option<u32>,
     /// Cooperative cancellation flag.
     pub cancel: CancelToken,
-    /// Submission timestamp (TTFT baseline).
+    /// Submission timestamp (TTFT baseline); reset when a [`crate::Client`]
+    /// hands the request to its scheduler.
     pub submitted_at: Instant,
-    /// Response channel.
-    pub tx: mpsc::Sender<Response>,
+    /// Completion work, run as the request is answered.
+    pub on_answer: Option<OnAnswer>,
+    /// Response channel; `None` once answered.
+    tx: Option<mpsc::Sender<Response>>,
+}
+
+impl std::fmt::Debug for Request {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Request")
+            .field("id", &self.id)
+            .field("kind", &self.kind)
+            .finish_non_exhaustive()
+    }
 }
 
 impl Request {
@@ -212,8 +233,17 @@ impl Request {
             bundle: None,
             cancel: CancelToken::new(),
             submitted_at: Instant::now(),
-            tx,
+            on_answer: None,
+            tx: Some(tx),
         }
+    }
+
+    /// Applies a submission's priority, deadline and bundle pin.
+    pub fn with_opts(mut self, opts: crate::SubmitOpts) -> Self {
+        self.priority = opts.priority;
+        self.deadline = opts.deadline;
+        self.bundle = opts.bundle;
+        self
     }
 
     /// Sets the scheduling priority.
@@ -235,8 +265,18 @@ impl Request {
     }
 
     /// Delivers the terminal outcome (ignoring a hung-up receiver).
-    pub(crate) fn respond(&self, outcome: Outcome) {
-        let _ = self.tx.send(Response {
+    pub fn respond(mut self, outcome: Outcome) {
+        self.answer(outcome);
+    }
+
+    fn answer(&mut self, outcome: Outcome) {
+        let Some(tx) = self.tx.take() else {
+            return;
+        };
+        if let Some(f) = self.on_answer.take() {
+            f(&outcome);
+        }
+        let _ = tx.send(Response {
             id: self.id,
             outcome,
         });
@@ -245,6 +285,12 @@ impl Request {
     /// Whether the deadline (if any) has passed at `now`.
     pub(crate) fn expired_at(&self, now: Instant) -> bool {
         self.deadline.is_some_and(|d| d <= now)
+    }
+}
+
+impl Drop for Request {
+    fn drop(&mut self) {
+        self.answer(Outcome::Rejected(RejectReason::ReplicaFailed));
     }
 }
 
@@ -311,5 +357,31 @@ mod tests {
                 outcome: Outcome::Cancelled
             }
         );
+        assert!(rx.recv().is_err(), "answered exactly once");
+    }
+
+    #[test]
+    fn dropped_request_answers_replica_failed_after_its_hook() {
+        let (tx, rx) = mpsc::channel();
+        let (seen_tx, seen_rx) = mpsc::channel();
+        let mut req = Request::new(
+            4,
+            RequestKind::Generate(GenerateSpec::greedy(vec![1], 2, None)),
+            tx,
+        );
+        let rx = Arc::new(std::sync::Mutex::new(rx));
+        let probe = Arc::clone(&rx);
+        req.on_answer = Some(Box::new(move |o: &Outcome| {
+            // The hook runs before the answer is on the channel.
+            let early = probe.lock().unwrap().try_recv().is_err();
+            let _ = seen_tx.send((o.clone(), early));
+        }));
+        drop(req);
+        let failed = Outcome::Rejected(RejectReason::ReplicaFailed);
+        assert_eq!(seen_rx.recv().unwrap(), (failed.clone(), true));
+        assert!(seen_rx.recv().is_err(), "the hook runs once");
+        let rx = rx.lock().unwrap();
+        assert_eq!(rx.recv().unwrap().outcome, failed);
+        assert!(rx.recv().is_err(), "answered exactly once");
     }
 }

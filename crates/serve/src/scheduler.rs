@@ -254,7 +254,9 @@ struct VersionGroup<'a> {
 
 /// The continuous-batching scheduler. Single-threaded by design: drive it
 /// directly for deterministic tests, or hand it to [`crate::spawn_scheduler`]
-/// to run on its own thread behind a [`crate::Client`].
+/// to run on its own thread behind a [`crate::Client`]. Dropping it — a
+/// panic unwinding its thread included — answers every request it still
+/// holds [`RejectReason::ReplicaFailed`].
 pub struct Scheduler<'a> {
     model: &'a TransformerLm,
     /// Knowledge versions; version 0 is the construction hook.

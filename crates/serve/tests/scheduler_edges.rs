@@ -239,6 +239,29 @@ fn priority_beats_arrival_order() {
 }
 
 #[test]
+fn dropped_scheduler_answers_everything_it_holds() {
+    kernels::set_num_threads(1);
+    let m = model();
+    let cfg = ServeConfig {
+        max_batch: 1,
+        ..ServeConfig::default()
+    };
+    let mut sched = Scheduler::new(&m, &NoHook, cfg).unwrap();
+    let rxs: Vec<_> = (0..3)
+        .map(|i| submit(&mut sched, i, gen(vec![1 + i as usize], 8)))
+        .collect();
+    sched.step(); // request 0 admitted, requests 1 and 2 queued
+    assert!(rxs.iter().all(|rx| rx.try_recv().is_err()));
+    drop(sched);
+    for rx in &rxs {
+        assert_eq!(
+            rx.try_recv().unwrap().outcome,
+            Outcome::Rejected(RejectReason::ReplicaFailed)
+        );
+    }
+}
+
+#[test]
 fn drain_rejects_queued_but_finishes_running() {
     kernels::set_num_threads(1);
     let m = model();
