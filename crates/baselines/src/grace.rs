@@ -3,15 +3,19 @@
 //! activates when the current activation falls inside a stored key's radius,
 //! otherwise the base model runs untouched.
 //!
-//! Reproduction notes: keys are mean-pooled FFN-sublayer inputs at the host
-//! layer; each entry's value is a trainable vector added (broadcast) to the
-//! FFN output when the entry fires. Conflict-driven radius splitting is
-//! simplified to radius shrinking against the nearest differing key; the
-//! deferral behaviour — the property the paper contrasts with InfuserKI's
-//! *soft* infuser gate — is exact.
+//! Reproduction notes: as in the GRACE paper, keys are a token's own
+//! activation — each row's FFN-sublayer input at the host layer — so the hook
+//! is row-local and runs on the KV-cached engine like every other hook. An
+//! edit's key is that input at the sample's first supervised row (the last
+//! prompt row, which predicts the answer). Each entry's value is a trainable
+//! vector added to the FFN output of the rows inside its ε-ball. Conflict-
+//! driven radius splitting is simplified to radius shrinking against the
+//! nearest differing key; the deferral behaviour — the property the paper
+//! contrasts with InfuserKI's *soft* infuser gate — is exact.
 
 use infuserki_nn::optim::{AdamW, AdamWConfig};
 use infuserki_nn::{ForwardTrace, LayerHook, LmSample, NoHook, TransformerLm};
+use infuserki_tensor::op::IGNORE_INDEX;
 use infuserki_tensor::{Matrix, NodeId, Param, Tape};
 use serde::{Deserialize, Serialize};
 
@@ -78,14 +82,21 @@ impl Grace {
         self.entries.is_empty()
     }
 
-    /// The pooled activation GRACE keys on, for `tokens`.
-    pub fn query_activation(&self, base: &TransformerLm, tokens: &[usize]) -> Vec<f32> {
+    /// An edit's key: the host layer's FFN input at the sample's first
+    /// supervised row. The hook itself runs only at the host layer, so the
+    /// base forward computes the same row any later hooked forward keys on.
+    fn edit_key(&self, base: &TransformerLm, sample: &LmSample) -> Vec<f32> {
+        let row = sample
+            .targets
+            .iter()
+            .position(|&t| t != IGNORE_INDEX)
+            .expect("apply_edit: sample has no supervised row");
         let mut tape = Tape::new();
         let mut trace = ForwardTrace::new();
-        base.forward_traced(tokens, &NoHook, &mut tape, &mut trace);
-        let node = trace.ffn_inputs[self.cfg.layer];
-        let pooled = tape.mean_rows(node);
-        tape.value(pooled).row(0).to_vec()
+        base.forward_traced(&sample.tokens, &NoHook, &mut tape, &mut trace);
+        tape.value(trace.ffn_inputs[self.cfg.layer])
+            .row(row)
+            .to_vec()
     }
 
     fn nearest(&self, query: &[f32]) -> Option<(usize, f32)> {
@@ -96,20 +107,26 @@ impl Grace {
             .min_by(|a, b| a.1.total_cmp(&b.1))
     }
 
+    /// The entry whose ε-ball holds `query`; `None` defers to the base.
+    fn firing(&self, query: &[f32]) -> Option<usize> {
+        let (i, d) = self.nearest(query)?;
+        (d <= self.entries[i].radius).then_some(i)
+    }
+
     /// Applies one edit: creates or reuses a codebook entry for the sample's
-    /// activation, then fits its value vector to the gold completion.
+    /// key activation, then fits its value vector to the gold completion.
     /// Returns the entry index used.
     pub fn apply_edit(&mut self, base: &TransformerLm, sample: &LmSample) -> usize {
-        let query = self.query_activation(base, &sample.tokens);
-        let idx = match self.nearest(&query) {
-            Some((i, d)) if d <= self.entries[i].radius => i,
-            nearest => {
+        let query = self.edit_key(base, sample);
+        let idx = match self.firing(&query) {
+            Some(i) => i,
+            None => {
                 // New entry; shrink against the closest existing key so the
                 // ε-balls stay disjoint (simplified conflict handling).
-                let radius = match nearest {
-                    Some((_, d)) => self.cfg.init_radius.min(d * 0.5),
-                    None => self.cfg.init_radius,
-                };
+                let init = self.cfg.init_radius;
+                let radius = self
+                    .nearest(&query)
+                    .map_or(init, |(_, d)| init.min(d * 0.5));
                 self.entries.push(Entry {
                     key: query,
                     value: Param::new(
@@ -163,27 +180,26 @@ impl LayerHook for Grace {
         tape: &mut Tape,
         _trace: &mut ForwardTrace,
     ) -> NodeId {
-        if layer != self.cfg.layer || self.entries.is_empty() {
+        if layer != self.cfg.layer {
             return ffn_out;
         }
-        // Deferral: fire only inside the nearest entry's ε-ball.
-        let pooled = tape.mean_rows(ffn_in);
-        let query = tape.value(pooled).row(0).to_vec();
-        let Some((i, d)) = self.nearest(&query) else {
-            return ffn_out;
-        };
-        if d > self.entries[i].radius {
-            return ffn_out;
+        // Deferral, row by row: a row fires the entry whose ε-ball holds its
+        // own FFN input. The output is reassembled from runs of rows sharing
+        // one decision; deferred runs are the base rows, copied unchanged.
+        let x = tape.value(ffn_in);
+        let fired: Vec<Option<usize>> = (0..x.rows()).map(|r| self.firing(x.row(r))).collect();
+        let mut out: Option<NodeId> = None;
+        let mut start = 0;
+        for run in fired.chunk_by(|a, b| a == b) {
+            let mut part = tape.slice_rows(ffn_out, start, start + run.len());
+            start += run.len();
+            if let Some(i) = run[0] {
+                let v = tape.param(&self.entries[i].value);
+                part = tape.add_row_broadcast(part, v);
+            }
+            out = Some(out.map_or(part, |prev| tape.concat_rows(prev, part)));
         }
-        let v = tape.param(&self.entries[i].value);
-        tape.add_row_broadcast(ffn_out, v)
-    }
-
-    /// GRACE keys on the *full-sequence* mean of the FFN input — a row's
-    /// output depends on tokens after it, so the hook cannot run under the
-    /// KV-cached incremental engine. Samplers fall back to full recompute.
-    fn supports_incremental(&self) -> bool {
-        false
+        out.expect("a non-empty FFN output has at least one run")
     }
 }
 
@@ -231,6 +247,24 @@ mod tests {
         let plain = b.forward(&[3, 4], &NoHook, &mut t1);
         let hooked = b.forward(&[3, 4], &g, &mut t2);
         assert_ne!(t1.value(plain).data(), t2.value(hooked).data());
+    }
+
+    #[test]
+    fn edit_fires_at_its_key_row_and_earlier_rows_stay_base() {
+        let b = base();
+        let mut cfg = GraceConfig::for_model(b.n_layers());
+        cfg.init_radius = 1e-4; // only the keyed activation itself fires
+        let mut g = Grace::new(cfg, &b);
+        // Tokens [3, 4, 5]; the first supervised row, and so the key, is 2.
+        g.apply_edit(&b, &LmSample::from_completion(&[3, 4, 5], &[6]));
+        let (mut t1, mut t2) = (Tape::new(), Tape::new());
+        let plain = b.forward(&[3, 4, 5], &NoHook, &mut t1);
+        let hooked = b.forward(&[3, 4, 5], &g, &mut t2);
+        let (plain, hooked) = (t1.value(plain), t2.value(hooked));
+        for r in 0..2 {
+            assert_eq!(plain.row(r), hooked.row(r), "row {r} must defer");
+        }
+        assert_ne!(plain.row(2), hooked.row(2), "the key row must fire");
     }
 
     #[test]

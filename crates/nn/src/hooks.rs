@@ -95,12 +95,13 @@ impl Clone for Box<dyn HookState> {
 ///
 /// The defaults emulate the tape hook on a throwaway scratch tape, one
 /// sequence at a time. That is bitwise-correct for every row-local,
-/// stateless hook (LoRA deltas, prefix K/V, CALINET/T-Patcher corrections)
-/// under any chunking and any batch composition.
-/// Hooks with cross-layer or cross-chunk state override the pair natively
-/// (InfuserKI fuses its adapter/infuser matmuls across the batch while
-/// keeping carry and gate statistics strictly per sequence) or opt out of
-/// incremental decoding entirely ([`LayerHook::supports_incremental`], GRACE).
+/// stateless hook (LoRA deltas, prefix K/V, CALINET/T-Patcher corrections,
+/// GRACE's per-row ε-ball lookup) under any chunking and any batch
+/// composition. Hooks with cross-layer or cross-chunk state override the
+/// pair natively (InfuserKI fuses its adapter/infuser matmuls across the
+/// batch while keeping carry and gate statistics strictly per sequence).
+/// Every hook runs on the KV-cached engine, so output row `t` may depend
+/// only on tokens up to `t`.
 ///
 /// The *projection* hooks (`infer_attn_q_delta`, `infer_attn_v_delta`) are
 /// applied to the packed `[total, d]` chunk directly, so they must be
@@ -152,14 +153,6 @@ pub trait LayerHook: Sync {
         _trace: &mut ForwardTrace,
     ) -> NodeId {
         ffn_out
-    }
-
-    /// Whether this hook can run under the KV-cached incremental engine.
-    /// Hooks whose output at a position depends on *future* or full-sequence
-    /// statistics (GRACE's ε-ball lookup over the sequence mean) return
-    /// `false`; cached samplers then fall back to full recomputation.
-    fn supports_incremental(&self) -> bool {
-        true
     }
 
     /// Fresh per-cache state for the `infer_*` path, if this hook needs any.
@@ -300,10 +293,6 @@ impl<H: LayerHook + ?Sized> LayerHook for &H {
         trace: &mut ForwardTrace,
     ) -> NodeId {
         (**self).ffn_output(layer, ffn_in, ffn_out, tape, trace)
-    }
-
-    fn supports_incremental(&self) -> bool {
-        (**self).supports_incremental()
     }
 
     fn make_state(&self) -> Option<Box<dyn HookState>> {

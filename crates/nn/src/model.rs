@@ -147,22 +147,14 @@ impl TransformerLm {
     }
 
     /// Builds an empty KV cache for incremental decoding with `hook`.
-    ///
-    /// # Panics
-    /// Panics if the hook does not support incremental decoding
-    /// ([`LayerHook::supports_incremental`]); callers that may receive such
-    /// hooks should check first and fall back to full recomputation.
     pub fn new_cache(&self, hook: &dyn LayerHook) -> KvCache {
         self.new_cache_batch(hook, 1)
     }
 
     /// Builds an empty KV cache over `n_seqs` independent sequences.
-    ///
-    /// # Panics
-    /// Panics if the hook does not support incremental decoding (see
-    /// [`Self::new_cache`]).
     pub fn new_cache_batch(&self, hook: &dyn LayerHook, n_seqs: usize) -> KvCache {
-        self.new_cache_batch_in(hook, n_seqs, self.new_pool(DEFAULT_BLOCK_ROWS))
+        let pool = self.new_pool(DEFAULT_BLOCK_ROWS);
+        KvCache::new(self.cfg.n_layers, self.cfg.d_model, hook, n_seqs, pool)
     }
 
     /// A fresh block pool sized for this model. A serving scheduler creates
@@ -175,26 +167,8 @@ impl TransformerLm {
     /// Builds an empty cache over an existing (shared) block pool — the
     /// serving path, where admission, MCQ fan-out and the prefix index all
     /// trade blocks through one pool.
-    ///
-    /// # Panics
-    /// Panics if the hook does not support incremental decoding (see
-    /// [`Self::new_cache`]).
     pub fn new_cache_in(&self, hook: &dyn LayerHook, pool: PoolHandle) -> KvCache {
-        self.new_cache_batch_in(hook, 1, pool)
-    }
-
-    /// Batched form of [`Self::new_cache_in`].
-    pub fn new_cache_batch_in(
-        &self,
-        hook: &dyn LayerHook,
-        n_seqs: usize,
-        pool: PoolHandle,
-    ) -> KvCache {
-        assert!(
-            hook.supports_incremental(),
-            "hook does not support KV-cached incremental decoding"
-        );
-        KvCache::new(self.cfg.n_layers, self.cfg.d_model, hook, n_seqs, pool)
+        KvCache::new(self.cfg.n_layers, self.cfg.d_model, hook, 1, pool)
     }
 
     /// Widest per-layer prefix-tuning K/V block `hook` prepends to a

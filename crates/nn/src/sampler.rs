@@ -23,9 +23,8 @@ use crate::model::TransformerLm;
 ///
 /// Runs on the KV-cached incremental engine: the prompt is prefilled once and
 /// each new token costs a single-row decode step. Produces exactly the tokens
-/// of [`greedy_decode_uncached`] (the pre-cache full-recompute path, kept as
-/// the differential-test reference); hooks that cannot decode incrementally
-/// fall back to it automatically.
+/// of [`greedy_decode_uncached`], the full-recompute differential-test
+/// reference.
 pub fn greedy_decode(
     model: &TransformerLm,
     hook: &dyn LayerHook,
@@ -56,8 +55,7 @@ pub fn greedy_decode_batch<S: AsRef<[usize]>>(
 /// sequences as they hit `eos`, their own `max_new[i]` budget, or the model's
 /// context limit. Returns one completion per prompt, each exactly the tokens
 /// [`greedy_decode`] produces for that prompt alone (bitwise logits equality
-/// at one kernel thread). Hooks without incremental support fall back to the
-/// per-prompt uncached path.
+/// at one kernel thread).
 pub fn greedy_decode_batch_limits<S: AsRef<[usize]>>(
     model: &TransformerLm,
     hook: &dyn LayerHook,
@@ -70,16 +68,6 @@ pub fn greedy_decode_batch_limits<S: AsRef<[usize]>>(
         max_new.len(),
         "greedy_decode_batch: limit/prompt mismatch"
     );
-    if prompts.is_empty() {
-        return Vec::new();
-    }
-    if !hook.supports_incremental() {
-        return prompts
-            .iter()
-            .zip(max_new)
-            .map(|(p, &l)| greedy_decode_uncached(model, hook, p.as_ref(), l, eos))
-            .collect();
-    }
     let max_seq = model.config().max_seq;
     let mut outs: Vec<Vec<usize>> = prompts.iter().map(|_| Vec::new()).collect();
     // `live` maps cache sequence slots to prompt indices; prompts with no
@@ -137,7 +125,7 @@ pub fn greedy_decode_batch_limits<S: AsRef<[usize]>>(
 
 /// The pre-cache greedy decoder: recomputes the full forward pass for every
 /// generated token. Reference implementation for the differential equivalence
-/// suite and the fallback for hooks without incremental support.
+/// suites only; no cached entry point calls it.
 pub fn greedy_decode_uncached(
     model: &TransformerLm,
     hook: &dyn LayerHook,
@@ -188,9 +176,8 @@ pub fn score_options(
 /// cache in one further ragged batch — an MCQ template of N questions pays
 /// two batched forwards instead of N prefill + 4N extension calls. Returns
 /// one score vector per question, each matching [`score_options`] on that
-/// question alone (bitwise at one kernel thread). Questions with empty
-/// prompts, or hooks without incremental support, fall back to the uncached
-/// path exactly as the single-question entry point does.
+/// question alone (bitwise at one kernel thread). Panics if a question's
+/// prompt is empty: no prompt row would predict its options' first tokens.
 pub fn score_options_batch<S: AsRef<[usize]>>(
     model: &TransformerLm,
     hook: &dyn LayerHook,
@@ -202,59 +189,41 @@ pub fn score_options_batch<S: AsRef<[usize]>>(
         options.len(),
         "score_options_batch: prompt/option mismatch"
     );
+    for (q, p) in prompts.iter().enumerate() {
+        assert!(
+            !p.as_ref().is_empty(),
+            "score_options_batch: question {q} has an empty prompt"
+        );
+    }
     if prompts.is_empty() {
         return Vec::new();
     }
-    if !hook.supports_incremental() {
-        return prompts
-            .iter()
-            .zip(options)
-            .map(|(p, opts)| score_options_uncached(model, hook, p.as_ref(), opts))
-            .collect();
-    }
-    let mut scores: Vec<Vec<f32>> = vec![Vec::new(); prompts.len()];
-    let cached: Vec<usize> = (0..prompts.len())
-        .filter(|&q| !prompts[q].as_ref().is_empty())
-        .collect();
-    for q in 0..prompts.len() {
-        if prompts[q].as_ref().is_empty() {
-            scores[q] = score_options_uncached(model, hook, prompts[q].as_ref(), options[q]);
-        }
-    }
-    if cached.is_empty() {
-        return scores;
-    }
-    let cached_prompts: Vec<&[usize]> = cached.iter().map(|&q| prompts[q].as_ref()).collect();
-    let (cache, logits) = model.prefill_batch(&cached_prompts, hook);
-    let lens: Vec<usize> = cached_prompts.iter().map(|p| p.len()).collect();
+    let (cache, logits) = model.prefill_batch(prompts, hook);
+    let lens: Vec<usize> = prompts.iter().map(|p| p.as_ref().len()).collect();
     let pbatch = SeqBatch::from_lens(&lens);
     // Each prompt's last row predicts its options' first tokens; log-softmax
     // is row-local, so normalizing the extracted row matches the full path.
-    for (bi, &q) in cached.iter().enumerate() {
-        let last_lp =
-            kernels::log_softmax_rows(&Matrix::row_vec(logits.row(pbatch.last_row(bi)).to_vec()));
-        scores[q] = options[q]
-            .iter()
-            .map(|opt| {
-                assert!(!opt.is_empty(), "completion_logprob: empty completion");
-                last_lp.get(0, opt[0])
-            })
-            .collect();
-    }
-    // Multi-token options branch their prompt's cache (`gather` duplicates
-    // the prefilled sequence once per option) and all branches extend
-    // together as one ragged batch.
+    // Multi-token options also branch their prompt's cache (`gather`
+    // duplicates the prefilled sequence once per option) and all branches
+    // extend together as one ragged batch.
+    let mut scores: Vec<Vec<f32>> = Vec::with_capacity(prompts.len());
     let mut src: Vec<usize> = Vec::new();
     let mut which: Vec<(usize, usize)> = Vec::new();
     let mut chunks: Vec<&[usize]> = Vec::new();
-    for (bi, &q) in cached.iter().enumerate() {
-        for (oi, opt) in options[q].iter().enumerate() {
+    for (q, opts) in options.iter().enumerate() {
+        let last_lp =
+            kernels::log_softmax_rows(&Matrix::row_vec(logits.row(pbatch.last_row(q)).to_vec()));
+        let mut first = Vec::with_capacity(opts.len());
+        for (oi, opt) in opts.iter().enumerate() {
+            assert!(!opt.is_empty(), "completion_logprob: empty completion");
+            first.push(last_lp.get(0, opt[0]));
             if opt.len() > 1 {
-                src.push(bi);
+                src.push(q);
                 which.push((q, oi));
                 chunks.push(&opt[..opt.len() - 1]);
             }
         }
+        scores.push(first);
     }
     if !chunks.is_empty() {
         let mut branches = cache.gather(&src);
@@ -274,8 +243,7 @@ pub fn score_options_batch<S: AsRef<[usize]>>(
 }
 
 /// The pre-cache option scorer: one full forward per option. Reference
-/// implementation for the differential suite and the non-incremental
-/// fallback.
+/// implementation for the differential suites only.
 pub fn score_options_uncached(
     model: &TransformerLm,
     hook: &dyn LayerHook,
@@ -318,9 +286,6 @@ pub fn beam_search(
     eos: Option<usize>,
 ) -> Vec<usize> {
     assert!(beam_width >= 1, "beam width must be at least 1");
-    if !hook.supports_incremental() {
-        return beam_search_uncached(model, hook, prompt, max_new, beam_width, eos);
-    }
     struct Beam {
         tokens: Vec<usize>,
         score: f32,
@@ -414,8 +379,7 @@ pub fn beam_search(
 }
 
 /// The pre-cache beam search: a full-sequence forward per live beam per step.
-/// Reference implementation for the differential suite and the
-/// non-incremental fallback.
+/// Reference implementation for the differential suites only.
 pub fn beam_search_uncached(
     model: &TransformerLm,
     hook: &dyn LayerHook,
@@ -561,6 +525,18 @@ mod tests {
         let scores = score_options(&m, &NoHook, &[1, 2], &opts);
         assert_eq!(scores.len(), 3);
         assert!(scores.iter().all(|s| s.is_finite() && *s < 0.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "question 0 has an empty prompt")]
+    fn score_options_refuses_an_empty_prompt_before_one_token_options() {
+        score_options(&model(), &NoHook, &[], &[vec![5], vec![6, 7]]);
+    }
+
+    #[test]
+    #[should_panic(expected = "question 0 has an empty prompt")]
+    fn score_options_refuses_an_empty_prompt_before_longer_options() {
+        score_options(&model(), &NoHook, &[], &[vec![6, 7], vec![5]]);
     }
 
     #[test]

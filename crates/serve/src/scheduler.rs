@@ -286,18 +286,14 @@ pub struct Scheduler<'a> {
 }
 
 impl<'a> Scheduler<'a> {
-    /// Builds a scheduler over `model` + `hook` (which must support
-    /// incremental decoding); `hook` becomes knowledge version 0, active.
-    /// Fails on invalid config.
+    /// Builds a scheduler over `model` + `hook`; `hook` becomes knowledge
+    /// version 0, active. Any hook serves. Fails on invalid config.
     pub fn new(
         model: &'a TransformerLm,
         hook: &'a dyn LayerHook,
         cfg: ServeConfig,
     ) -> Result<Self, String> {
         cfg.validate()?;
-        if !hook.supports_incremental() {
-            return Err("serve: hook does not support KV-cached incremental decoding".into());
-        }
         let limits = EngineLimits {
             vocab_size: model.config().vocab_size,
             max_seq: model.config().max_seq,

@@ -3,8 +3,8 @@
 //! non-trivially nudged weights) must produce, through the batched samplers
 //! and batched model entry points, exactly what looping the single-sequence
 //! path produces — bitwise with serial kernels, within 1e-5 with parallel
-//! row-banded kernels. GRACE declares itself incompatible and the batched
-//! entry points fall back to per-sequence full recomputation.
+//! row-banded kernels. GRACE, with an edit that fires, runs the same batched
+//! paths.
 //!
 //! The InfuserKI cases are the sharpest: its hook carries per-sequence state
 //! (the cross-layer adapter carry and the cumulative gate sums), so any
@@ -20,8 +20,8 @@ use infuserki::baselines::lora::{LoraConfig, LoraMethod};
 use infuserki::baselines::prefix::{PrefixConfig, PrefixTuning};
 use infuserki::baselines::VisitTrainable;
 use infuserki::core::{GateInput, InfuserKiConfig, InfuserKiMethod, Placement};
-use infuserki::nn::{sampler, LayerHook, LmSample, ModelConfig, TransformerLm};
-use infuserki::tensor::kernels;
+use infuserki::nn::{sampler, LayerHook, LmSample, ModelConfig, NoHook, TransformerLm};
+use infuserki::tensor::{kernels, Tape};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -101,6 +101,30 @@ fn infuserki_variants() -> Vec<(&'static str, TransformerLm, InfuserKiMethod)> {
     out
 }
 
+/// GRACE with one edit, keyed on row 2 of the first prompt.
+fn grace(b: &TransformerLm) -> Grace {
+    let mut g = Grace::new(GraceConfig::for_model(b.n_layers()), b);
+    g.apply_edit(b, &LmSample::from_completion(&[3, 10, 17], &[24, 31]));
+    g
+}
+
+/// A bitwise match proves nothing unless the hook changes some rows of
+/// `tokens` and defers on others.
+fn assert_fires_and_defers(b: &TransformerLm, hook: &dyn LayerHook, tokens: &[usize]) {
+    let (mut t1, mut t2) = (Tape::new(), Tape::new());
+    let plain = b.forward(tokens, &NoHook, &mut t1);
+    let hooked = b.forward(tokens, hook, &mut t2);
+    let (plain, hooked) = (t1.value(plain), t2.value(hooked));
+    let fired = (0..tokens.len())
+        .filter(|&r| plain.row(r) != hooked.row(r))
+        .count();
+    assert!(
+        fired > 0 && fired < tokens.len(),
+        "hook changed {fired} of {} rows",
+        tokens.len()
+    );
+}
+
 /// A ragged batch of prompts (lengths 6, 9, 1, 4) with distinct contents.
 fn prompts() -> Vec<Vec<usize>> {
     vec![
@@ -151,7 +175,6 @@ fn lora_batched_sampling_is_bitwise_identical() {
     kernels::set_num_threads(1);
     let b = base();
     let m = lora(&b);
-    assert!(m.supports_incremental());
     assert_batched_matches_looped(&b, &m, "lora");
     kernels::set_num_threads(0);
 }
@@ -162,7 +185,6 @@ fn prefix_batched_sampling_is_bitwise_identical() {
     kernels::set_num_threads(1);
     let b = base();
     let m = prefix(&b);
-    assert!(m.supports_incremental());
     assert_batched_matches_looped(&b, &m, "prefix");
     kernels::set_num_threads(0);
 }
@@ -174,7 +196,6 @@ fn infuserki_batched_sampling_is_bitwise_identical() {
     let b = base();
     let m = infuserki(&b);
     let hook = m.hook();
-    assert!(hook.supports_incremental());
     assert_batched_matches_looped(&b, &hook, "infuserki hook");
     // `hook()` is the method itself; the bare method must take the same path.
     assert_batched_matches_looped(&b, &m, "infuserki method");
@@ -232,16 +253,12 @@ fn infuserki_batched_sampling_close_with_parallel_kernels() {
 }
 
 #[test]
-fn grace_opts_out_and_batched_entry_points_fall_back() {
+fn grace_batched_sampling_is_bitwise_identical() {
     let _g = THREADS.lock().unwrap();
     kernels::set_num_threads(1);
     let b = base();
-    let mut g = Grace::new(GraceConfig::for_model(b.n_layers()), &b);
-    let sample = LmSample::from_completion(&[3, 10, 17], &[24, 31]);
-    g.apply_edit(&b, &sample);
-    assert!(!g.supports_incremental());
-    // Batched entry points must route to the uncached per-sequence path and
-    // still agree with the single-question calls.
+    let g = grace(&b);
+    assert_fires_and_defers(&b, &g, &prompts()[0]);
     assert_batched_matches_looped(&b, &g, "grace");
     kernels::set_num_threads(0);
 }

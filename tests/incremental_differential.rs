@@ -1,8 +1,7 @@
 //! Cross-crate differential suite: every *real* knowledge-integration method
-//! (LoRA, prefix tuning, InfuserKI — with non-trivially nudged weights) runs
-//! bitwise-identically through the KV-cached samplers and the tape path with
-//! serial kernels; GRACE (non-causal ε-ball lookup) declares itself
-//! incompatible and the cached samplers fall back to full recomputation.
+//! (LoRA, prefix tuning, InfuserKI — with non-trivially nudged weights — and
+//! GRACE with an edit that fires) runs bitwise-identically through the
+//! KV-cached samplers and the tape path with serial kernels.
 //!
 //! The kernel thread override is process-global; this file serializes every
 //! test behind one lock.
@@ -14,7 +13,7 @@ use infuserki::baselines::lora::{LoraConfig, LoraMethod};
 use infuserki::baselines::prefix::{PrefixConfig, PrefixTuning};
 use infuserki::baselines::VisitTrainable;
 use infuserki::core::{GateInput, InfuserKiConfig, InfuserKiMethod, Placement};
-use infuserki::nn::{sampler, LayerHook, LmSample, ModelConfig, TransformerLm};
+use infuserki::nn::{sampler, LayerHook, LmSample, ModelConfig, NoHook, TransformerLm};
 use infuserki::tensor::{kernels, Tape};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -96,6 +95,30 @@ fn infuserki_variants() -> Vec<(&'static str, TransformerLm, InfuserKiMethod)> {
     out
 }
 
+/// GRACE with one edit, keyed on row 2 of the suite prompt.
+fn grace(b: &TransformerLm) -> Grace {
+    let mut g = Grace::new(GraceConfig::for_model(b.n_layers()), b);
+    g.apply_edit(b, &LmSample::from_completion(&[3, 10, 17], &[24, 31]));
+    g
+}
+
+/// A bitwise match proves nothing unless the hook changes some rows of
+/// `tokens` and defers on others.
+fn assert_fires_and_defers(b: &TransformerLm, hook: &dyn LayerHook, tokens: &[usize]) {
+    let (mut t1, mut t2) = (Tape::new(), Tape::new());
+    let plain = b.forward(tokens, &NoHook, &mut t1);
+    let hooked = b.forward(tokens, hook, &mut t2);
+    let (plain, hooked) = (t1.value(plain), t2.value(hooked));
+    let fired = (0..tokens.len())
+        .filter(|&r| plain.row(r) != hooked.row(r))
+        .count();
+    assert!(
+        fired > 0 && fired < tokens.len(),
+        "hook changed {fired} of {} rows",
+        tokens.len()
+    );
+}
+
 fn prompt() -> Vec<usize> {
     vec![3, 10, 17, 24, 31, 2]
 }
@@ -129,7 +152,6 @@ fn lora_cached_sampling_is_bitwise_identical() {
     kernels::set_num_threads(1);
     let b = base();
     let m = lora(&b);
-    assert!(m.supports_incremental());
     assert_samplers_agree(&b, &m, "lora");
     kernels::set_num_threads(0);
 }
@@ -140,7 +162,6 @@ fn prefix_cached_sampling_is_bitwise_identical() {
     kernels::set_num_threads(1);
     let b = base();
     let m = prefix(&b);
-    assert!(m.supports_incremental());
     assert_samplers_agree(&b, &m, "prefix");
     kernels::set_num_threads(0);
 }
@@ -152,7 +173,6 @@ fn infuserki_cached_sampling_is_bitwise_identical() {
     let b = base();
     let m = infuserki(&b);
     let hook = m.hook();
-    assert!(hook.supports_incremental());
     assert_samplers_agree(&b, &hook, "infuserki hook");
     // `hook()` is the method itself; the bare method must take the same path.
     assert_samplers_agree(&b, &m, "infuserki method");
@@ -212,15 +232,12 @@ fn infuserki_forked_option_scoring_shares_gate_statistics_correctly() {
 }
 
 #[test]
-fn grace_opts_out_and_samplers_fall_back() {
+fn grace_cached_sampling_is_bitwise_identical() {
     let _g = THREADS.lock().unwrap();
     kernels::set_num_threads(1);
     let b = base();
-    let mut g = Grace::new(GraceConfig::for_model(b.n_layers()), &b);
-    let sample = LmSample::from_completion(&[3, 10, 17], &[24, 31]);
-    g.apply_edit(&b, &sample);
-    assert!(!g.supports_incremental());
-    // Cached entry points must route to the uncached path and still answer.
+    let g = grace(&b);
+    assert_fires_and_defers(&b, &g, &prompt());
     assert_samplers_agree(&b, &g, "grace");
     kernels::set_num_threads(0);
 }

@@ -6,9 +6,9 @@
 //! serial kernels; MCQ scores within 1e-5 with parallel row-banded kernels
 //! (the same convention as `tests/batch_differential.rs`).
 //!
-//! Hooks with per-sequence state (InfuserKI) and per-layer cache prefixes
-//! (prefix tuning, which makes the KV-row cost accounting nontrivial) are
-//! exercised alongside the bare model.
+//! Hooks with per-sequence state (InfuserKI), per-layer cache prefixes
+//! (prefix tuning, which makes the KV-row cost accounting nontrivial) and
+//! per-row ε-ball deferral (GRACE) are exercised alongside the bare model.
 //!
 //! The kernel thread override is process-global; this file serializes every
 //! test behind one lock.
@@ -17,14 +17,15 @@ use std::collections::HashMap;
 use std::sync::mpsc::{Receiver, TryRecvError};
 use std::sync::Mutex;
 
+use infuserki::baselines::grace::{Grace, GraceConfig};
 use infuserki::baselines::prefix::{PrefixConfig, PrefixTuning};
 use infuserki::core::{InfuserKiConfig, InfuserKiMethod};
-use infuserki::nn::{sampler, LayerHook, ModelConfig, TransformerLm};
+use infuserki::nn::{sampler, LayerHook, LmSample, ModelConfig, NoHook, TransformerLm};
 use infuserki::serve::{
     CancelToken, GenerateSpec, McqSpec, MetricsSnapshot, Outcome, Request, RequestKind, Response,
     Scheduler, ServeConfig,
 };
-use infuserki::tensor::kernels;
+use infuserki::tensor::{kernels, Tape};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -70,6 +71,25 @@ fn infuserki_hook(b: &TransformerLm) -> InfuserKiMethod {
 
 fn prefix_hook(b: &TransformerLm) -> PrefixTuning {
     PrefixTuning::new(PrefixConfig::default(), b)
+}
+
+/// GRACE with three edits and a radius wide enough that some rows of the
+/// random and template prompts fire while others defer.
+fn grace_hook(b: &TransformerLm) -> Grace {
+    let cfg = GraceConfig {
+        init_radius: 5.0,
+        ..GraceConfig::for_model(b.n_layers())
+    };
+    let mut g = Grace::new(cfg, b);
+    g.apply_edits(
+        b,
+        &[
+            LmSample::from_completion(&[3, 10, 17], &[24, 31]),
+            LmSample::from_completion(&[5, 12], &[19]),
+            LmSample::from_completion(&[7, 14, 21, 28], &[35]),
+        ],
+    );
+    g
 }
 
 /// One randomized request mix: mostly generates, a third MCQs.
@@ -294,6 +314,24 @@ fn verify(
     );
 }
 
+/// How many of the schedule's prompts `hook` changes anywhere: a bitwise
+/// match under a hook that never fires would prove nothing.
+fn prompts_changed(model: &TransformerLm, hook: &dyn LayerHook, kinds: &[RequestKind]) -> usize {
+    kinds
+        .iter()
+        .filter(|kind| {
+            let prompt = match kind {
+                RequestKind::Generate(g) => &g.prompt,
+                RequestKind::Mcq(m) => &m.prompt,
+            };
+            let (mut t1, mut t2) = (Tape::new(), Tape::new());
+            let plain = model.forward(prompt, &NoHook, &mut t1);
+            let hooked = model.forward(prompt, hook, &mut t2);
+            t1.value(plain) != t2.value(hooked)
+        })
+        .count()
+}
+
 /// Small-knob configs that force chunked prefill, slot contention and
 /// (for the tight-budget variant) head-of-line budget waits.
 fn tight_cfg(prefill_chunk: usize, max_batch: usize, kv_budget_rows: usize) -> ServeConfig {
@@ -407,6 +445,35 @@ fn shared_prefix_schedules_are_bitwise_with_infuserki_state() {
         result.snapshot.prefix_hits > 0,
         "stateful template schedule never hit the prefix cache"
     );
+    kernels::set_num_threads(0);
+}
+
+#[test]
+fn scheduler_is_bitwise_with_grace_edits() {
+    let _g = THREADS.lock().unwrap();
+    kernels::set_num_threads(1);
+    let b = base();
+    let g = grace_hook(&b);
+    // GRACE's per-row ε-ball lookup is row-local and stateless, so it runs
+    // through the continuous batch and the prefix cache with no hook state.
+    for seed in std::iter::once(1111u64).chain(extra_seeds(1111)) {
+        let result = run_schedule(&b, &g, seed, tight_cfg(3, 3, 256), 10);
+        verify(&b, &g, &result, true, "grace");
+        assert!(
+            prompts_changed(&b, &g, &result.kinds) > 0,
+            "seed {seed}: grace never fired"
+        );
+        let result = run_template_schedule(&b, &g, seed, tight_cfg(3, 4, 256), 12);
+        verify(&b, &g, &result, true, "shared-grace");
+        assert!(
+            prompts_changed(&b, &g, &result.kinds) > 0,
+            "seed {seed}: grace never fired"
+        );
+        assert!(
+            result.snapshot.prefix_hits > 0,
+            "seed {seed}: grace template schedule never hit the prefix cache"
+        );
+    }
     kernels::set_num_threads(0);
 }
 
