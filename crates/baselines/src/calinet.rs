@@ -3,8 +3,8 @@
 //! trained to correct false factual predictions while the base stays frozen.
 
 use infuserki_nn::layers::{Linear, Module};
-use infuserki_nn::{ForwardTrace, LayerHook, TransformerLm};
-use infuserki_tensor::{NodeId, Param, Tape};
+use infuserki_nn::{Exec, LayerHook, TransformerLm, Val};
+use infuserki_tensor::Param;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
@@ -63,21 +63,14 @@ impl Calinet {
 }
 
 impl LayerHook for Calinet {
-    fn ffn_output(
-        &self,
-        layer: usize,
-        ffn_in: NodeId,
-        ffn_out: NodeId,
-        tape: &mut Tape,
-        _trace: &mut ForwardTrace,
-    ) -> NodeId {
+    fn ffn_output(&self, layer: usize, ffn_in: &Val, ffn_out: Val, e: &mut Exec) -> Val {
         if layer != self.cfg.layer {
             return ffn_out;
         }
-        let k = self.keys.forward(ffn_in, tape);
-        let a = tape.gelu(k);
-        let delta = self.values.forward(a, tape);
-        tape.add(ffn_out, delta)
+        let k = self.keys.forward(ffn_in, e);
+        let a = e.gelu(k);
+        let delta = self.values.forward(&a, e);
+        e.add(ffn_out, &delta)
     }
 }
 
@@ -93,6 +86,7 @@ mod tests {
     use super::*;
     use crate::common::train_patched;
     use infuserki_nn::{LmSample, ModelConfig, NoHook};
+    use infuserki_tensor::Tape;
 
     fn base() -> TransformerLm {
         let mut rng = ChaCha8Rng::seed_from_u64(4);

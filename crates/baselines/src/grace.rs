@@ -14,9 +14,9 @@
 //! contrasts with InfuserKI's *soft* infuser gate — is exact.
 
 use infuserki_nn::optim::{AdamW, AdamWConfig};
-use infuserki_nn::{ForwardTrace, LayerHook, LmSample, NoHook, TransformerLm};
+use infuserki_nn::{Exec, ForwardTrace, LayerHook, LmSample, NoHook, TransformerLm, Val};
 use infuserki_tensor::op::IGNORE_INDEX;
-use infuserki_tensor::{Matrix, NodeId, Param, Tape};
+use infuserki_tensor::{Matrix, Param, Tape};
 use serde::{Deserialize, Serialize};
 
 use crate::common::VisitTrainable;
@@ -172,32 +172,27 @@ fn euclid(a: &[f32], b: &[f32]) -> f32 {
 }
 
 impl LayerHook for Grace {
-    fn ffn_output(
-        &self,
-        layer: usize,
-        ffn_in: NodeId,
-        ffn_out: NodeId,
-        tape: &mut Tape,
-        _trace: &mut ForwardTrace,
-    ) -> NodeId {
+    fn ffn_output(&self, layer: usize, ffn_in: &Val, ffn_out: Val, e: &mut Exec) -> Val {
         if layer != self.cfg.layer {
             return ffn_out;
         }
         // Deferral, row by row: a row fires the entry whose ε-ball holds its
         // own FFN input. The output is reassembled from runs of rows sharing
         // one decision; deferred runs are the base rows, copied unchanged.
-        let x = tape.value(ffn_in);
+        let x = e.value(ffn_in);
         let fired: Vec<Option<usize>> = (0..x.rows()).map(|r| self.firing(x.row(r))).collect();
-        let mut out: Option<NodeId> = None;
+        let mut out: Option<Val> = None;
         let mut start = 0;
         for run in fired.chunk_by(|a, b| a == b) {
-            let mut part = tape.slice_rows(ffn_out, start, start + run.len());
+            let mut part = e.slice_rows(&ffn_out, start, start + run.len());
             start += run.len();
             if let Some(i) = run[0] {
-                let v = tape.param(&self.entries[i].value);
-                part = tape.add_row_broadcast(part, v);
+                part = e.add_row_param(part, &self.entries[i].value);
             }
-            out = Some(out.map_or(part, |prev| tape.concat_rows(prev, part)));
+            out = Some(match out {
+                None => part,
+                Some(prev) => e.concat_rows(&prev, &part),
+            });
         }
         out.expect("a non-empty FFN output has at least one run")
     }

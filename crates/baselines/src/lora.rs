@@ -2,8 +2,8 @@
 //! and value projections, frozen base weights.
 
 use infuserki_nn::layers::{Linear, Module};
-use infuserki_nn::{LayerHook, TransformerLm};
-use infuserki_tensor::{NodeId, Param, Tape};
+use infuserki_nn::{Exec, LayerHook, TransformerLm, Val};
+use infuserki_tensor::Param;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
@@ -46,10 +46,10 @@ impl LoraPair {
         }
     }
 
-    fn delta(&self, x: NodeId, scale: f32, tape: &mut Tape) -> NodeId {
-        let low = self.a.forward(x, tape);
-        let up = self.b.forward(low, tape);
-        tape.scale(up, scale)
+    fn delta(&self, x: &Val, scale: f32, e: &mut Exec) -> Val {
+        let low = self.a.forward(x, e);
+        let up = self.b.forward(&low, e);
+        e.scale(up, scale)
     }
 }
 
@@ -81,12 +81,12 @@ impl LoraMethod {
 }
 
 impl LayerHook for LoraMethod {
-    fn attn_q_delta(&self, layer: usize, x: NodeId, tape: &mut Tape) -> Option<NodeId> {
-        Some(self.q[layer].delta(x, self.scale(), tape))
+    fn attn_q_delta(&self, layer: usize, x: &Val, e: &mut Exec) -> Option<Val> {
+        Some(self.q[layer].delta(x, self.scale(), e))
     }
 
-    fn attn_v_delta(&self, layer: usize, x: NodeId, tape: &mut Tape) -> Option<NodeId> {
-        Some(self.v[layer].delta(x, self.scale(), tape))
+    fn attn_v_delta(&self, layer: usize, x: &Val, e: &mut Exec) -> Option<Val> {
+        Some(self.v[layer].delta(x, self.scale(), e))
     }
 }
 
@@ -104,6 +104,7 @@ mod tests {
     use super::*;
     use crate::common::train_patched;
     use infuserki_nn::{LmSample, ModelConfig, NoHook};
+    use infuserki_tensor::Tape;
 
     fn base() -> TransformerLm {
         let mut rng = ChaCha8Rng::seed_from_u64(1);

@@ -1,8 +1,8 @@
 //! Prefix Tuning (Li & Liang 2021): learnable key/value rows prepended to
 //! every attention layer; base weights frozen.
 
-use infuserki_nn::{LayerHook, TransformerLm};
-use infuserki_tensor::{init, NodeId, Param, Tape};
+use infuserki_nn::{Exec, LayerHook, TransformerLm, Val};
+use infuserki_tensor::{init, Param};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
@@ -68,9 +68,9 @@ impl PrefixTuning {
 }
 
 impl LayerHook for PrefixTuning {
-    fn prefix_kv(&self, layer: usize, tape: &mut Tape) -> Option<(NodeId, NodeId)> {
-        let k = tape.param(&self.keys[layer]);
-        let v = tape.param(&self.values[layer]);
+    fn prefix_kv(&self, layer: usize, e: &mut Exec) -> Option<(Val, Val)> {
+        let k = e.param(&self.keys[layer]);
+        let v = e.param(&self.values[layer]);
         Some((k, v))
     }
 }
@@ -88,6 +88,7 @@ mod tests {
     use super::*;
     use crate::common::train_patched;
     use infuserki_nn::{LmSample, ModelConfig, NoHook};
+    use infuserki_tensor::Tape;
 
     fn base() -> TransformerLm {
         let mut rng = ChaCha8Rng::seed_from_u64(2);

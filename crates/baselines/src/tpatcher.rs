@@ -2,8 +2,8 @@
 //! to the **last** FFN layer — one-mistake-one-neuron model editing.
 
 use infuserki_nn::layers::{Linear, Module};
-use infuserki_nn::{ForwardTrace, LayerHook, TransformerLm};
-use infuserki_tensor::{NodeId, Param, Tape};
+use infuserki_nn::{Exec, LayerHook, TransformerLm, Val};
+use infuserki_tensor::Param;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
@@ -56,21 +56,14 @@ impl TPatcher {
 }
 
 impl LayerHook for TPatcher {
-    fn ffn_output(
-        &self,
-        layer: usize,
-        ffn_in: NodeId,
-        ffn_out: NodeId,
-        tape: &mut Tape,
-        _trace: &mut ForwardTrace,
-    ) -> NodeId {
+    fn ffn_output(&self, layer: usize, ffn_in: &Val, ffn_out: Val, e: &mut Exec) -> Val {
         if layer != self.last_layer {
             return ffn_out;
         }
-        let k = self.keys.forward(ffn_in, tape);
-        let a = tape.relu(k);
-        let delta = self.values.forward(a, tape);
-        tape.add(ffn_out, delta)
+        let k = self.keys.forward(ffn_in, e);
+        let a = e.relu(k);
+        let delta = self.values.forward(&a, e);
+        e.add(ffn_out, &delta)
     }
 }
 
@@ -86,6 +79,7 @@ mod tests {
     use super::*;
     use crate::common::train_patched;
     use infuserki_nn::{LmSample, ModelConfig, NoHook};
+    use infuserki_tensor::Tape;
 
     fn base() -> TransformerLm {
         let mut rng = ChaCha8Rng::seed_from_u64(5);

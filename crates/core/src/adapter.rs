@@ -8,7 +8,8 @@
 //! on the base model — integration starts from the unmodified LLM.
 
 use infuserki_nn::layers::{Linear, Module};
-use infuserki_tensor::{Matrix, NodeId, Param, Tape};
+use infuserki_nn::{Exec, Val};
+use infuserki_tensor::Param;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -36,18 +37,10 @@ impl AdapterLayer {
     }
 
     /// `H_A^l = σ(H̃_A^l W_down) W_up` (Eq. 2).
-    pub fn forward(&self, h_tilde: NodeId, tape: &mut Tape) -> NodeId {
-        let z = self.down.forward(h_tilde, tape);
-        let a = tape.relu(z);
-        self.up.forward(a, tape)
-    }
-
-    /// Tape-free counterpart of [`Self::forward`] for the incremental
-    /// inference engine. Bitwise-identical to the tape path.
-    pub fn apply(&self, h_tilde: &Matrix) -> Matrix {
-        let z = self.down.apply(h_tilde);
-        let a = z.map(|v| v.max(0.0));
-        self.up.apply(&a)
+    pub fn forward(&self, h_tilde: &Val, e: &mut Exec) -> Val {
+        let z = self.down.forward(h_tilde, e);
+        let a = e.relu(z);
+        self.up.forward(&a, e)
     }
 
     /// Bottleneck width `d'`.
@@ -81,7 +74,7 @@ impl Module for AdapterLayer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use infuserki_tensor::Matrix;
+    use infuserki_tensor::{Matrix, Tape};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -91,7 +84,7 @@ mod tests {
         let a = AdapterLayer::new(0, 8, 3, &mut rng);
         let mut t = Tape::new();
         let x = t.leaf(Matrix::full(4, 8, 0.7));
-        let y = a.forward(x, &mut t);
+        let y = Exec::on_tape(&mut t, |e| a.forward(&x.into(), e));
         assert_eq!(t.value(y).shape(), (4, 8));
         assert!(t.value(y).data().iter().all(|&v| v == 0.0));
     }
@@ -119,7 +112,7 @@ mod tests {
         a.up.weight_mut().data_mut().data_mut()[0] = 0.5;
         let mut t = Tape::new();
         let x = t.leaf(Matrix::full(1, 4, 1.0));
-        let y = a.forward(x, &mut t);
+        let y = Exec::on_tape(&mut t, |e| a.forward(&x.into(), e));
         let ones = t.leaf(Matrix::from_vec(4, 1, vec![1.0; 4]));
         let loss = t.matmul(y, ones);
         t.backward(loss);

@@ -7,7 +7,8 @@
 //! "knows" the current question — the infuser reads exactly that state.
 
 use infuserki_nn::layers::{Linear, Module};
-use infuserki_tensor::{kernels, Matrix, NodeId, Param, Tape};
+use infuserki_nn::{Exec, Val};
+use infuserki_tensor::Param;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -34,26 +35,12 @@ impl InfuserMlp {
         }
     }
 
-    /// Pre-sigmoid logit for a pooled state `x: [1, d]`.
-    pub fn logit(&self, x: NodeId, tape: &mut Tape) -> NodeId {
-        let h = self.l1.forward(x, tape);
-        let a = tape.tanh(h);
-        self.l2.forward(a, tape)
-    }
-
-    /// Infusing score `r = σ(logit)` ∈ [0, 1] (Eq. 4).
-    pub fn score(&self, x: NodeId, tape: &mut Tape) -> NodeId {
-        let z = self.logit(x, tape);
-        tape.sigmoid(z)
-    }
-
-    /// Tape-free counterpart of [`Self::logit`] for the incremental
-    /// inference engine: maps pooled rows `[n, d]` to logits `[n, 1]`.
-    /// Bitwise-identical to the tape path row for row.
-    pub fn apply(&self, x: &Matrix) -> Matrix {
-        let mut a = self.l1.apply(x);
-        kernels::tanh_slice(a.data_mut());
-        self.l2.apply(&a)
+    /// Pre-sigmoid logits `[n, 1]` for pooled states `x: [n, d]`, row by
+    /// row; the infusing score is `r = σ(logit)` ∈ [0, 1] (Eq. 4).
+    pub fn logit(&self, x: &Val, e: &mut Exec) -> Val {
+        let h = self.l1.forward(x, e);
+        let a = e.tanh(h);
+        self.l2.forward(&a, e)
     }
 
     /// True when the layers chain `d_model → hidden → 1`.
@@ -77,9 +64,21 @@ impl Module for InfuserMlp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use infuserki_tensor::Matrix;
+    use infuserki_tensor::{Matrix, NodeId, Tape};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
+
+    fn logit(inf: &InfuserMlp, t: &mut Tape, x: NodeId) -> NodeId {
+        Exec::on_tape(t, |e| inf.logit(&x.into(), e))
+    }
+
+    /// The infusing score `σ(logit)`.
+    fn score(inf: &InfuserMlp, t: &mut Tape, x: NodeId) -> NodeId {
+        Exec::on_tape(t, |e| {
+            let z = inf.logit(&x.into(), e);
+            e.sigmoid(z)
+        })
+    }
 
     #[test]
     fn score_in_unit_interval() {
@@ -87,7 +86,7 @@ mod tests {
         let inf = InfuserMlp::new(0, 8, 4, &mut rng);
         let mut t = Tape::new();
         let x = t.leaf(Matrix::full(1, 8, 2.0));
-        let s = inf.score(x, &mut t);
+        let s = score(&inf, &mut t, x);
         let v = t.value(s).scalar_value();
         assert!((0.0..=1.0).contains(&v));
     }
@@ -98,7 +97,7 @@ mod tests {
         let inf = InfuserMlp::new(0, 6, 3, &mut rng);
         let mut t = Tape::new();
         let x = t.leaf(Matrix::zeros(1, 6));
-        let z = inf.logit(x, &mut t);
+        let z = logit(&inf, &mut t, x);
         assert_eq!(t.value(z).shape(), (1, 1));
     }
 
@@ -119,8 +118,8 @@ mod tests {
             let mut t = Tape::new();
             let xp = t.leaf(pos.clone());
             let xn = t.leaf(neg.clone());
-            let zp = inf.logit(xp, &mut t);
-            let zn = inf.logit(xn, &mut t);
+            let zp = logit(&inf, &mut t, xp);
+            let zn = logit(&inf, &mut t, xn);
             let z = t.concat_rows(zp, zn);
             let loss = t.bce_with_logits(z, &[1.0, 0.0]);
             t.backward(loss);
@@ -130,18 +129,22 @@ mod tests {
         let mut t = Tape::new();
         let xp = t.leaf(pos);
         let xn = t.leaf(neg);
-        let sp = inf.score(xp, &mut t);
-        let sn = inf.score(xn, &mut t);
+        let sp = score(&inf, &mut t, xp);
+        let sn = score(&inf, &mut t, xn);
         assert!(t.value(sp).scalar_value() > 0.85);
         assert!(t.value(sn).scalar_value() < 0.15);
     }
 
     /// The tape's `tanh` and the engine's gate are one function: the same
-    /// rows give the same bits through `logit` and through `apply`, at the
-    /// world's gate geometry (hidden 16) and off the vector width (hidden 5),
-    /// with hidden pre-activations out past the polynomial's clamp.
+    /// rows give the same bits through `logit` on the tape and eagerly, at
+    /// the world's gate geometry (hidden 16) and off the vector width
+    /// (hidden 5), with hidden pre-activations out past the polynomial's
+    /// clamp.
     #[test]
-    fn tape_logit_and_apply_agree_bitwise() {
+    fn tape_and_eager_logit_agree_bitwise() {
+        let eager = |f: &dyn Fn(&Val, &mut Exec) -> Val, x: &Matrix| {
+            f(&Val::Mat(x.clone()), &mut Exec::eager()).into_mat()
+        };
         for (d, hidden) in [(64, 16), (7, 5)] {
             let mut rng = ChaCha8Rng::seed_from_u64(3);
             let mut inf = InfuserMlp::new(0, d, hidden, &mut rng);
@@ -157,13 +160,15 @@ mod tests {
             );
             let mut t = Tape::new();
             let leaf = t.leaf(x.clone());
-            let z = inf.logit(leaf, &mut t);
-            assert!(inf.l1.apply(&x).data().iter().any(|v| v.abs() > 8.0));
+            let z = logit(&inf, &mut t, leaf);
+            let hidden_pre = eager(&|v, e| inf.l1.forward(v, e), &x);
+            assert!(hidden_pre.data().iter().any(|v| v.abs() > 8.0));
             let bits = |m: &Matrix| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(t.value(z)), bits(&inf.apply(&x)));
-            // Row by row, as the engine pools one row per sequence.
+            let eager_logit = |x: &Matrix| eager(&|v, e| inf.logit(v, e), x);
+            assert_eq!(bits(t.value(z)), bits(&eager_logit(&x)));
+            // Row by row, as a decode step pools one row per sequence.
             for r in 0..x.rows() {
-                let row = inf.apply(&x.slice_rows(r, r + 1));
+                let row = eager_logit(&x.slice_rows(r, r + 1));
                 assert_eq!(bits(&row), bits(&t.value(z).slice_rows(r, r + 1)));
             }
         }

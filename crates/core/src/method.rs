@@ -3,8 +3,8 @@
 //! model's forward pass.
 
 use infuserki_nn::layers::{Linear, Module};
-use infuserki_nn::{ForwardTrace, HookState, LayerHook, TransformerLm};
-use infuserki_tensor::{infer, init, kernels, Matrix, NodeId, Param, SeqBatch, Tape};
+use infuserki_nn::{Exec, ForwardTrace, LayerHook, TransformerLm, Val};
+use infuserki_tensor::{init, NodeId, Param, Tape};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
@@ -143,27 +143,24 @@ impl InfuserKiMethod {
     }
 
     /// Core of Eq. 1–6: combines the carry, runs the adapter, applies the
-    /// gate, and fuses with the sublayer output.
-    fn adapt(
-        &self,
-        layer: usize,
-        sub_in: NodeId,
-        sub_out: NodeId,
-        tape: &mut Tape,
-        trace: &mut ForwardTrace,
-    ) -> NodeId {
+    /// gate, and fuses with the sublayer output. Written once: on the tape
+    /// it also records the adapter output and the last row's gate logit and
+    /// score for the losses and probes; eagerly it runs the same ops over a
+    /// packed batch, where everything but the gate's pooling is row-local.
+    fn adapt(&self, layer: usize, sub_in: &Val, sub_out: Val, e: &mut Exec) -> Val {
         let offset = self.cfg.placement.offset(layer);
         // Eq. 1: H̃_A^l = H_A^{l-1} + H_P^l (carry starts at zero ⇒ identity).
-        let h_tilde = match trace.adapter_carry {
-            Some(carry) => tape.add(carry, sub_in),
-            None => sub_in,
+        let h_tilde = match e.trace().adapter_carry.take() {
+            Some(carry) => e.add(carry, sub_in),
+            None => sub_in.clone(),
         };
         // Eq. 2.
-        let h_a = self.adapters[offset].forward(h_tilde, tape);
-        trace.adapter_carry = Some(h_a);
-        trace.adapter_outputs.push((layer, h_a));
+        let h_a = self.adapters[offset].forward(&h_tilde, e);
+        if e.is_tape() {
+            e.trace().adapter_outputs.push((layer, h_a.node()));
+        }
 
-        if self.cfg.ablation.use_infuser {
+        let out = if self.cfg.ablation.use_infuser {
             // Eq. 4, made causal: the paper pools the *full* sequence, which
             // row `t` cannot see under autoregressive decoding. We gate row
             // `t` by its cumulative prefix mean `Mean(gate_src[0..=t])`
@@ -172,91 +169,22 @@ impl InfuserKiMethod {
             // BCE) are unchanged, while every row becomes KV-cacheable.
             let gate_src = match self.cfg.gate_input {
                 GateInput::SublayerIn => sub_in,
-                GateInput::SublayerOut => sub_out,
-            };
-            let pooled = tape.cum_mean_rows(gate_src);
-            let logits = self.infusers[offset].logit(pooled, tape);
-            let n = tape.value(logits).rows();
-            let last_logit = tape.slice_rows(logits, n - 1, n);
-            trace.gate_logits.push((layer, last_logit));
-            let r = tape.sigmoid(logits);
-            let last_r = tape.slice_rows(r, n - 1, n);
-            trace.gate_scores.push((layer, last_r));
-            // Eq. 6: H_O^l = r^l · H_A^l + FFN(H_P^l), per row.
-            let gated = tape.mul_col_broadcast(h_a, r);
-            tape.add(gated, sub_out)
-        } else {
-            // Eq. 3 (w/o-Ro ablation): plain additive fusion.
-            tape.add(h_a, sub_out)
-        }
-    }
-
-    /// Tape-free counterpart of [`Self::adapt`] for the KV-cached incremental
-    /// engine, over packed chunks (a single sequence is a batch of one).
-    /// Bitwise-identical row for row to the tape path under any chunking: the
-    /// adapter carry is row-local (it crosses *layers*, not tokens), and the
-    /// cumulative gate statistics in each state continue that sequence's
-    /// prefix means across chunks exactly. The carry add, adapter forward,
-    /// infuser MLP, sigmoid and gating are all row-local, so they run once
-    /// over the packed matrix; only the per-state bookkeeping (carry slices,
-    /// cumulative gate sums) dispatches per sequence, and no state leaks
-    /// across batch members.
-    fn adapt_incremental_batch(
-        &self,
-        layer: usize,
-        sub_in: &Matrix,
-        sub_out: Matrix,
-        batch: &SeqBatch,
-        states: &mut [Option<Box<dyn HookState>>],
-    ) -> Matrix {
-        let offset = self.cfg.placement.offset(layer);
-        let mut sts: Vec<&mut InfuserInferState> = states.iter_mut().map(downcast_state).collect();
-        // Eq. 1, packed: each sequence's carry adds into its own row block
-        // (f32 addition commutes, so `sub_in + carry` matches the tape
-        // path's `carry + sub_in` bit for bit).
-        let mut h_tilde = sub_in.clone();
-        for (i, rng) in batch.ranges().enumerate() {
-            if let Some(carry) = &sts[i].carry {
-                debug_assert_eq!(carry.rows(), rng.len(), "carry spans its chunk");
-                for (h, &c) in h_tilde.row_span_mut(rng).iter_mut().zip(carry.data()) {
-                    *h += c;
-                }
-            }
-        }
-        // Eq. 2, one packed adapter forward.
-        let h_a = self.adapters[offset].apply(&h_tilde);
-        for (i, rng) in batch.ranges().enumerate() {
-            sts[i].carry = Some(h_a.slice_rows(rng.start, rng.end));
-        }
-        if self.cfg.ablation.use_infuser {
-            // Eq. 4 (causal form — see `adapt`). The cumulative means are the
-            // only token-crossing statistic, so they pool per sequence.
-            let gate_src = match self.cfg.gate_input {
-                GateInput::SublayerIn => sub_in,
                 GateInput::SublayerOut => &sub_out,
             };
-            let mut pooled = Matrix::zeros(gate_src.rows(), gate_src.cols());
-            for (i, rng) in batch.ranges().enumerate() {
-                let (sums, count) = &mut sts[i].gates[offset];
-                infer::cumulative_mean_rows_continue(
-                    sums,
-                    count,
-                    gate_src.row_span(rng.clone()),
-                    pooled.row_span_mut(rng),
-                );
-            }
-            let logits = self.infusers[offset].apply(&pooled);
-            let r = logits.map(kernels::sigmoid);
-            // Eq. 6.
-            let mut out = infer::mul_col_broadcast(&h_a, &r);
-            out.add_assign(&sub_out);
-            out
+            let pooled = e.cum_mean_rows(gate_src, layer);
+            let logits = self.infusers[offset].logit(&pooled, e);
+            record_last_row(e, &logits, |t| &mut t.gate_logits, layer);
+            let r = e.sigmoid(logits);
+            record_last_row(e, &r, |t| &mut t.gate_scores, layer);
+            // Eq. 6: H_O^l = r^l · H_A^l + FFN(H_P^l), per row.
+            let gated = e.mul_col_broadcast(&h_a, &r);
+            e.add(gated, &sub_out)
         } else {
-            // Eq. 3 (w/o-Ro ablation).
-            let mut out = h_a;
-            out.add_assign(&sub_out);
-            out
-        }
+            // Eq. 3 (w/o-Ro ablation): plain additive fusion.
+            e.add(h_a.clone(), &sub_out)
+        };
+        e.trace().adapter_carry = Some(h_a);
+        out
     }
 
     // ---- loss builders -------------------------------------------------------
@@ -308,7 +236,7 @@ impl InfuserKiMethod {
         let v_t = tape.mean_selected_rows(h_a, &tail_rows);
         // v^r = [v^h, v^t] (Qin et al. 2021 relational representation).
         let v_r = tape.concat_cols(&[v_h, v_t]);
-        let proj = self.rc_proj.forward(v_r, tape);
+        let proj = Exec::on_tape(tape, |e| self.rc_proj.forward(&v_r.into(), e));
         let rel = tape.param(&self.rel_embed);
         let sim = tape.matmul_bt(proj, rel);
         let scaled = tape.scale(sim, 1.0 / self.cfg.tau);
@@ -353,117 +281,40 @@ impl InfuserKiMethod {
     }
 }
 
-/// Per-cache incremental hook state: the cross-layer adapter carry (reset at
-/// the start of each chunk — it flows across layers within one forward, not
-/// across tokens) and, per adapted layer, the running column sums and row
-/// count behind the cumulative gate means (persist across chunks — they pool
-/// over every token seen so far, matching the tape path's prefix means).
-#[derive(Clone)]
-struct InfuserInferState {
-    carry: Option<Matrix>,
-    gates: Vec<(Vec<f32>, usize)>,
-}
-
-impl HookState for InfuserInferState {
-    fn clone_box(&self) -> Box<dyn HookState> {
-        Box::new(self.clone())
+/// On the tape, records `v`'s last row under `layer` in the trace list
+/// `list` picks (Eq. 5's BCE and the Fig. 6 probe read these); an eager
+/// forward records nothing.
+fn record_last_row(
+    e: &mut Exec,
+    v: &Val,
+    list: fn(&mut ForwardTrace) -> &mut Vec<(usize, NodeId)>,
+    layer: usize,
+) {
+    if !e.is_tape() {
+        return;
     }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
-
-    fn begin_chunk(&mut self) {
-        self.carry = None;
-    }
+    let n = e.value(v).rows();
+    let last = e.slice_rows(v, n - 1, n).node();
+    list(e.trace()).push((layer, last));
 }
 
 /// The one place InfuserKI meets the engine: both sublayer sites route to
-/// [`InfuserKiMethod::adapt`] (tape) or
-/// [`InfuserKiMethod::adapt_incremental_batch`] (KV-cached), or pass the
-/// sublayer output through when the placement does not cover `(site, layer)`.
+/// [`InfuserKiMethod::adapt`], or pass the sublayer output through when the
+/// placement does not cover `(site, layer)`.
 impl LayerHook for InfuserKiMethod {
-    fn ffn_output(
-        &self,
-        layer: usize,
-        ffn_in: NodeId,
-        ffn_out: NodeId,
-        tape: &mut Tape,
-        trace: &mut ForwardTrace,
-    ) -> NodeId {
+    fn ffn_output(&self, layer: usize, ffn_in: &Val, ffn_out: Val, e: &mut Exec) -> Val {
         if !self.adapts(Site::Ffn, layer) {
             return ffn_out;
         }
-        self.adapt(layer, ffn_in, ffn_out, tape, trace)
+        self.adapt(layer, ffn_in, ffn_out, e)
     }
 
-    fn attn_output(
-        &self,
-        layer: usize,
-        attn_in: NodeId,
-        attn_out: NodeId,
-        tape: &mut Tape,
-        trace: &mut ForwardTrace,
-    ) -> NodeId {
+    fn attn_output(&self, layer: usize, attn_in: &Val, attn_out: Val, e: &mut Exec) -> Val {
         if !self.adapts(Site::Attention, layer) {
             return attn_out;
         }
-        self.adapt(layer, attn_in, attn_out, tape, trace)
+        self.adapt(layer, attn_in, attn_out, e)
     }
-
-    // `check_fits` guarantees a non-empty adapter stack of the model's width.
-    fn make_state(&self) -> Option<Box<dyn HookState>> {
-        Some(Box::new(InfuserInferState {
-            carry: None,
-            gates: vec![(vec![0.0; self.adapters[0].d_model()], 0); self.adapters.len()],
-        }))
-    }
-
-    // The infuser state is a pure function of the token prefix: the carry
-    // resets at every `begin_chunk` and the cumulative gate sums depend only
-    // on the tokens already fed, so a snapshot taken after a prefix can be
-    // adopted by any request sharing that prefix.
-    fn prefix_cache_safe(&self) -> bool {
-        true
-    }
-
-    fn infer_ffn_output(
-        &self,
-        layer: usize,
-        ffn_in: &Matrix,
-        ffn_out: Matrix,
-        batch: &SeqBatch,
-        states: &mut [Option<Box<dyn HookState>>],
-    ) -> Matrix {
-        if !self.adapts(Site::Ffn, layer) {
-            return ffn_out;
-        }
-        self.adapt_incremental_batch(layer, ffn_in, ffn_out, batch, states)
-    }
-
-    fn infer_attn_output(
-        &self,
-        layer: usize,
-        attn_in: &Matrix,
-        attn_out: Matrix,
-        batch: &SeqBatch,
-        states: &mut [Option<Box<dyn HookState>>],
-    ) -> Matrix {
-        if !self.adapts(Site::Attention, layer) {
-            return attn_out;
-        }
-        self.adapt_incremental_batch(layer, attn_in, attn_out, batch, states)
-    }
-}
-
-/// Extracts the [`InfuserInferState`] a cache built via `make_state` carries.
-fn downcast_state(state: &mut Option<Box<dyn HookState>>) -> &mut InfuserInferState {
-    state
-        .as_mut()
-        .expect("InfuserKI incremental inference requires hook state")
-        .as_any_mut()
-        .downcast_mut::<InfuserInferState>()
-        .expect("hook state is not InfuserInferState")
 }
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
 //! Finite-difference gradient checks over the method's composite paths:
-//! the adapter bottleneck (`σ(x W_down + b) W_up`) and the infuser gate
-//! (`adapter(h) · σ(MLP(Mean(h)))`), end to end through the real
-//! `AdapterLayer` / `InfuserMlp` modules rather than per-op.
+//! the adapter bottleneck (`σ(x W_down + b) W_up`) and the causal infuser
+//! gate (`adapter(h) · σ(MLP(CumMean(h)))`, row by row), end to end through
+//! the real `AdapterLayer` / `InfuserMlp` modules rather than per-op.
 //!
 //! Per-op rules are already covered in `crates/tensor/tests/grad_properties.rs`;
 //! what these checks pin down is the composition the paper's training loop
@@ -11,6 +11,7 @@
 use infuserki_core::adapter::AdapterLayer;
 use infuserki_core::infuser::InfuserMlp;
 use infuserki_nn::layers::Module;
+use infuserki_nn::Exec;
 use infuserki_tensor::check::check_gradient;
 use infuserki_tensor::{Matrix, NodeId, Tape};
 use proptest::prelude::*;
@@ -59,7 +60,7 @@ proptest! {
         let h = Matrix::from_vec(2, 6, v);
         let adapter = live_adapter(6, 3, 11);
         let res = check_gradient(&h, EPS, |t, x| {
-            let y = adapter.forward(x, t);
+            let y = Exec::on_tape(t, |e| adapter.forward(&x.into(), e));
             reduce(t, y)
         });
         prop_assert!(res.within(TOL), "{:?}", res);
@@ -95,14 +96,18 @@ proptest! {
         let mut rng = ChaCha8Rng::seed_from_u64(13);
         let infuser = InfuserMlp::new(0, 6, 4, &mut rng);
         let res = check_gradient(&pooled, EPS, |t, x| {
-            infuser.score(x, t)
+            Exec::on_tape(t, |e| {
+                let z = infuser.logit(&x.into(), e);
+                e.sigmoid(z)
+            })
         });
         prop_assert!(res.within(TOL), "{:?}", res);
     }
 
     /// The full infuser-gated residual path the method trains through:
-    /// `h + adapter(h) · σ(MLP(Mean(h)))` — gradients flow into `h` through
-    /// the residual, the bottleneck, the pooling, and the `[1,1]` gate.
+    /// `h + adapter(h) · σ(MLP(CumMean(h)))`, each row gated by its own
+    /// prefix mean — gradients flow into `h` through the residual, the
+    /// bottleneck, the causal pooling, and the `[n,1]` gate column.
     #[test]
     fn grad_infuser_gated_adapter_wrt_input(v in proptest::collection::vec(-1.2f32..1.2, 3 * 6)) {
         let h = Matrix::from_vec(3, 6, v);
@@ -110,11 +115,15 @@ proptest! {
         let mut rng = ChaCha8Rng::seed_from_u64(19);
         let infuser = InfuserMlp::new(0, 6, 4, &mut rng);
         let res = check_gradient(&h, EPS, |t, x| {
-            let a = adapter.forward(x, t);
-            let pooled = t.mean_rows(x);
-            let r = infuser.score(pooled, t);
-            let gated = t.mul_scalar_node(a, r);
-            let out = t.add(x, gated);
+            let out = Exec::on_tape(t, |e| {
+                let x = x.into();
+                let a = adapter.forward(&x, e);
+                let pooled = e.cum_mean_rows(&x, 0);
+                let z = infuser.logit(&pooled, e);
+                let r = e.sigmoid(z);
+                let gated = e.mul_col_broadcast(&a, &r);
+                e.add(x, &gated)
+            });
             reduce(t, out)
         });
         prop_assert!(res.within(TOL), "{:?}", res);

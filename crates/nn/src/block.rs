@@ -1,14 +1,13 @@
 //! Pre-LN transformer decoder block with hook points on both sublayers.
 
-use infuserki_tensor::{Matrix, NodeId, Param, SeqBatch, Tape};
+use infuserki_tensor::Param;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 use crate::attention::CausalSelfAttention;
-use crate::block_alloc::BlockPool;
+use crate::exec::{Exec, Val};
 use crate::ffn::FeedForward;
-use crate::hooks::{ForwardTrace, HookState, LayerHook};
-use crate::kv_cache::SeqKv;
+use crate::hooks::LayerHook;
 use crate::layers::{LayerNorm, Module};
 use crate::ModelConfig;
 
@@ -34,67 +33,30 @@ impl TransformerBlock {
         }
     }
 
-    /// Forward one block, recording sublayer states in `trace`.
-    pub fn forward(
-        &self,
-        x: NodeId,
-        hook: &dyn LayerHook,
-        tape: &mut Tape,
-        trace: &mut ForwardTrace,
-    ) -> NodeId {
+    /// Forward one block; on the tape it records the FFN sublayer's input
+    /// and output and the block output in the trace. Eagerly the residual
+    /// adds run in place in `x`'s storage.
+    pub fn forward(&self, x: Val, hook: &dyn LayerHook, e: &mut Exec) -> Val {
         // Attention sublayer.
-        let a_in = self.ln1.forward(x, tape);
-        let a_raw = self.attn.forward(a_in, hook, tape);
-        let a_out = hook.attn_output(self.layer, a_in, a_raw, tape, trace);
-        let x = tape.add(x, a_out);
+        let a_in = self.ln1.forward(&x, e);
+        let a_raw = self.attn.forward(&a_in, hook, e);
+        let a_out = hook.attn_output(self.layer, &a_in, a_raw, e);
+        let x = e.add(x, &a_out);
 
         // FFN sublayer — `H_P^l` in the paper's notation is `f_in`.
-        let f_in = self.ln2.forward(x, tape);
-        let f_raw = self.ffn.forward(f_in, tape);
-        trace.ffn_inputs.push(f_in);
-        trace.ffn_outputs.push(f_raw);
-        let f_out = hook.ffn_output(self.layer, f_in, f_raw, tape, trace);
-        let x = tape.add(x, f_out);
+        let f_in = self.ln2.forward(&x, e);
+        let f_raw = self.ffn.forward(&f_in, e);
+        if e.is_tape() {
+            let trace = e.trace();
+            trace.ffn_inputs.push(f_in.node());
+            trace.ffn_outputs.push(f_raw.node());
+        }
+        let f_out = hook.ffn_output(self.layer, &f_in, f_raw, e);
+        let x = e.add(x, &f_out);
 
-        trace.block_outputs.push(x);
-        x
-    }
-
-    /// Incremental forward over packed chunks (layout in `batch`; a single
-    /// sequence is a batch of one). LayerNorm, FFN and the residual adds are
-    /// row-local and run packed. Attention dispatches per sequence inside
-    /// [`CausalSelfAttention::forward_batch`]. The sublayer-output hooks get
-    /// the packed matrices and decide for themselves what crosses rows.
-    /// `seqs`/`states` hold one entry per sequence; `pool` is the block pool
-    /// their tables point into, and `prefix` this layer's shared virtual
-    /// prefix K/V panel.
-    #[allow(clippy::too_many_arguments)]
-    pub fn forward_batch(
-        &self,
-        x: &Matrix,
-        batch: &SeqBatch,
-        hook: &dyn LayerHook,
-        pool: &mut BlockPool,
-        seqs: &[SeqKv],
-        prefix: &(Matrix, Matrix),
-        states: &mut [Option<Box<dyn HookState>>],
-    ) -> Matrix {
-        // Attention sublayer.
-        let a_in = self.ln1.apply(x);
-        let a_raw = self
-            .attn
-            .forward_batch(&a_in, batch, hook, pool, seqs, prefix);
-        // The residual sums into the hook's owned output: `a_out + x` is
-        // `x + a_out` bit for bit, without a copy of `x` per layer.
-        let mut x_out = hook.infer_attn_output(self.layer, &a_in, a_raw, batch, states);
-        x_out.add_assign(x);
-        let mut x = x_out;
-
-        // FFN sublayer.
-        let f_in = self.ln2.apply(&x);
-        let f_raw = self.ffn.apply(&f_in);
-        let f_out = hook.infer_ffn_output(self.layer, &f_in, f_raw, batch, states);
-        x.add_assign(&f_out);
+        if e.is_tape() {
+            e.trace().block_outputs.push(x.node());
+        }
         x
     }
 
@@ -143,8 +105,8 @@ impl Module for TransformerBlock {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hooks::NoHook;
-    use infuserki_tensor::Matrix;
+    use crate::hooks::{ForwardTrace, NoHook};
+    use infuserki_tensor::{Matrix, NodeId, Tape};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -154,13 +116,21 @@ mod tests {
         TransformerBlock::new(0, &cfg, &mut rng)
     }
 
+    /// One tape forward of `b` over `x`, returning the output and the trace.
+    fn forward(b: &TransformerBlock, t: &mut Tape, x: NodeId) -> (NodeId, ForwardTrace) {
+        let mut e = Exec::tape(t);
+        let y = b.forward(x.into(), &NoHook, &mut e).node();
+        let mut trace = ForwardTrace::new();
+        e.swap_trace(&mut trace);
+        (y, trace)
+    }
+
     #[test]
     fn forward_records_trace() {
         let b = block();
         let mut t = Tape::new();
-        let mut trace = ForwardTrace::new();
         let x = t.leaf(Matrix::full(4, 16, 0.1));
-        let y = b.forward(x, &NoHook, &mut t, &mut trace);
+        let (y, trace) = forward(&b, &mut t, x);
         assert_eq!(t.value(y).shape(), (4, 16));
         assert_eq!(trace.ffn_inputs.len(), 1);
         assert_eq!(trace.ffn_outputs.len(), 1);
@@ -174,9 +144,8 @@ mod tests {
         // it (residual). Check the former.
         let b = block();
         let mut t = Tape::new();
-        let mut trace = ForwardTrace::new();
         let x = t.leaf(Matrix::full(2, 16, 0.4));
-        let y = b.forward(x, &NoHook, &mut t, &mut trace);
+        let (y, _) = forward(&b, &mut t, x);
         assert_ne!(t.value(y).data(), t.value(x).data());
         assert!(t.value(y).all_finite());
     }

@@ -46,9 +46,15 @@ impl BlockId {
 /// first `filled` tokens valid (fill is tracked by the owning sequence's
 /// token count, not here — every sequence sharing a block agrees on its fill
 /// by construction).
+///
+/// `sums` row `l` holds layer `l`'s running column sums of the gate's pooled
+/// input after the block's last filled row ([`crate::Exec::cum_mean_rows`]):
+/// the one statistic a sequence carries across chunks, kept beside the rows
+/// it summarizes so it forks, copies-on-write and is adopted with them.
 pub struct BlockData {
     pub k: Vec<Matrix>,
     pub v: Vec<Matrix>,
+    pub sums: Matrix,
 }
 
 impl BlockData {
@@ -123,6 +129,7 @@ impl BlockPool {
             v: (0..self.n_layers)
                 .map(|_| Matrix::zeros(self.block_rows, self.d_model))
                 .collect(),
+            sums: Matrix::zeros(self.n_layers, self.d_model),
         }
     }
 
@@ -204,9 +211,9 @@ impl BlockPool {
 
     /// Copy-on-write: allocates a fresh block and copies the first `filled`
     /// tokens of every layer's K/V panel from `src` (columns of the
-    /// transposed K panel, rows of the V panel). The source's refcount is
-    /// untouched — the caller swaps its table entry and releases its own
-    /// reference.
+    /// transposed K panel, rows of the V panel) and the gate sums at that
+    /// fill. The source's refcount is untouched — the caller swaps its table
+    /// entry and releases its own reference.
     pub fn copy_block(&mut self, src: BlockId, filled: usize) -> BlockId {
         assert!(filled <= self.block_rows, "copy_block: fill out of range");
         assert!(self.refs(src) > 0, "copy_block: source is freed");
@@ -236,6 +243,7 @@ impl BlockPool {
                 }
                 dd.v[l].data_mut()[..row_len].copy_from_slice(&sd.v[l].data()[..row_len]);
             }
+            dd.sums.data_mut().copy_from_slice(sd.sums.data());
         }
         dst
     }
@@ -335,6 +343,10 @@ impl PoolHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Exec, LayerHook, ModelConfig, TransformerLm, Val};
+    use infuserki_tensor::Tape;
+    use rand::SeedableRng;
+    use rand_chacha::ChaCha8Rng;
 
     #[test]
     fn alloc_release_reuses_freelist_storage() {
@@ -390,6 +402,73 @@ mod tests {
         p.release(a);
         p.release(a);
         p.release(b);
+    }
+
+    #[test]
+    fn copy_block_carries_the_pooled_sums() {
+        let mut p = BlockPool::new(2, 3, 4);
+        let a = p.alloc();
+        p.block_mut(a)
+            .sums
+            .row_mut(1)
+            .copy_from_slice(&[1.0, -2.0, 3.5]);
+        p.retain(a);
+        let b = p.copy_block(a, 1);
+        assert_eq!(p.block(b).sums.row(1), &[1.0, -2.0, 3.5]);
+        assert_eq!(p.block(b).sums.row(0), &[0.0; 3]);
+        p.release(a);
+        p.release(a);
+        p.release(b);
+    }
+
+    /// Pools each FFN input by its causal prefix mean into the FFN output:
+    /// the one statistic that crosses chunks, as InfuserKI's gate uses it.
+    struct MeanGate;
+
+    impl LayerHook for MeanGate {
+        fn ffn_output(&self, layer: usize, ffn_in: &Val, ffn_out: Val, e: &mut Exec) -> Val {
+            let pooled = e.cum_mean_rows(ffn_in, layer);
+            e.add(ffn_out, &pooled)
+        }
+    }
+
+    #[test]
+    fn gathered_branches_keep_their_own_sums_after_diverging() {
+        let mut rng = ChaCha8Rng::seed_from_u64(7);
+        let m = TransformerLm::new(ModelConfig::tiny(20), &mut rng);
+        // Five prompt tokens at 4-row blocks: the second block is a one-row
+        // tail the two branches share until each appends to it.
+        let prompt = [1usize, 2, 3, 4, 5];
+        let mut cache = m.new_cache_in(&MeanGate, m.new_pool(4));
+        m.extend_cached(&prompt, &MeanGate, &mut cache);
+        let shared = cache.seq_table(0)[1];
+        let pool = cache.pool_handle();
+        let before = pool.lock().block(shared).sums.clone();
+        let mut branches = cache.gather(&[0, 0]);
+        let tails = [[6usize, 7], [8, 9]];
+        let logits = m.extend_cached_batch(&tails, &MeanGate, &mut branches);
+        {
+            let p = pool.lock();
+            let (t0, t1) = (branches.seq_table(0)[1], branches.seq_table(1)[1]);
+            assert!(
+                t0 != shared && t1 != shared && t0 != t1,
+                "both copied on write"
+            );
+            assert_eq!(
+                p.block(shared).sums,
+                before,
+                "the shared tail is never written"
+            );
+            assert_ne!(p.block(t0).sums, p.block(t1).sums);
+        }
+        // Each branch's rows are its own sequence's, bitwise.
+        for (i, tail) in tails.iter().enumerate() {
+            let whole: Vec<usize> = prompt.iter().chain(tail).copied().collect();
+            let mut tape = Tape::new();
+            let full = m.forward(&whole, &MeanGate, &mut tape);
+            let want = tape.value(full).slice_rows(prompt.len(), whole.len());
+            assert_eq!(logits.slice_rows(2 * i, 2 * i + 2), want, "branch {i}");
+        }
     }
 
     #[test]

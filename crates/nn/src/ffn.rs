@@ -2,10 +2,11 @@
 //! the transformer's factual-knowledge store (Dai et al. 2022; Geva et al.
 //! 2021) and the anchor point for knowledge adapters.
 
-use infuserki_tensor::{kernels, Matrix, NodeId, Param, Tape};
+use infuserki_tensor::Param;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
+use crate::exec::{Exec, Val};
 use crate::layers::{Linear, Module};
 
 /// Two-layer GELU MLP: `W2(gelu(W1 x + b1)) + b2`.
@@ -24,33 +25,18 @@ impl FeedForward {
         }
     }
 
-    /// `FFN(x)`.
-    pub fn forward(&self, x: NodeId, tape: &mut Tape) -> NodeId {
-        let h = self.w1.forward(x, tape);
-        let a = tape.gelu(h);
-        self.w2.forward(a, tape)
-    }
-
-    /// Tape-free `FFN(x)` (KV-cached inference): same projections and the
-    /// same [`kernels::gelu_slice`] map as the tape path (in place, SIMD-
-    /// dispatched, bitwise-equal to the scalar [`kernels::gelu`] map in every
-    /// tier). Row-local, so it is batch-transparent: applied to a packed
-    /// multi-sequence matrix, each row's output is bitwise (at one kernel
-    /// thread) what it would be with that sequence alone.
-    pub fn apply(&self, x: &Matrix) -> Matrix {
-        let mut h = self.w1.apply(x);
-        kernels::gelu_slice(h.data_mut());
-        self.w2.apply(&h)
+    /// `FFN(x)`. Row-local, so it is batch-transparent: applied eagerly to a
+    /// packed multi-sequence matrix, each row's output is bitwise (at one
+    /// kernel thread) what it would be with that sequence alone.
+    pub fn forward(&self, x: &Val, e: &mut Exec) -> Val {
+        let h = self.w1.forward(x, e);
+        let a = e.gelu(h);
+        self.w2.forward(&a, e)
     }
 
     /// Inner width (T-Patcher appends neurons logically after this).
     pub fn d_ff(&self) -> usize {
         self.w1.shape().1
-    }
-
-    /// First projection (up into the FFN's key space).
-    pub fn w1(&self) -> &Linear {
-        &self.w1
     }
 
     /// Second projection (down from the FFN's value space).
@@ -79,7 +65,7 @@ impl Module for FeedForward {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use infuserki_tensor::Matrix;
+    use infuserki_tensor::{Matrix, Tape};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -89,7 +75,7 @@ mod tests {
         let f = FeedForward::new(0, 8, 16, 0.2, &mut rng);
         let mut t = Tape::new();
         let x = t.leaf(Matrix::full(3, 8, 0.5));
-        let y = f.forward(x, &mut t);
+        let y = Exec::on_tape(&mut t, |e| f.forward(&x.into(), e));
         assert_eq!(t.value(y).shape(), (3, 8));
         assert_eq!(f.d_ff(), 16);
     }
@@ -106,7 +92,7 @@ mod tests {
                 m.set(1, c, second_row);
             }
             let x = t.leaf(m);
-            let y = f.forward(x, &mut t);
+            let y = Exec::on_tape(&mut t, |e| f.forward(&x.into(), e));
             t.value(y).row(0).to_vec()
         };
         assert_eq!(run(1.0), run(-1.0));

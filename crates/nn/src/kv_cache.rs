@@ -32,7 +32,8 @@ use infuserki_obs as obs;
 use infuserki_tensor::Matrix;
 
 use crate::block_alloc::{BlockId, BlockPool, PoolHandle};
-use crate::hooks::{HookState, LayerHook};
+use crate::exec::Exec;
+use crate::hooks::LayerHook;
 
 /// Counts cache branch points (`fork` + `gather`) in the global registry —
 /// one cheap `fetch_add` per branch, so MCQ option-scoring fan-out is
@@ -47,11 +48,8 @@ fn fork_counter() -> &'static std::sync::Arc<obs::Counter> {
 /// partially filled unless `tokens` is a multiple of `B`. Invariant:
 /// `table.len() == ceil(tokens / B)` between forward passes (during a pass,
 /// `prepare_append` extends the table ahead of the writes).
-///
-/// Public only because the per-layer forward passes take slices of these;
-/// construction and mutation stay inside the crate.
 #[derive(Clone)]
-pub struct SeqKv {
+pub(crate) struct SeqKv {
     pub(crate) table: Vec<BlockId>,
     pub(crate) tokens: usize,
 }
@@ -112,7 +110,9 @@ impl SeqKv {
 }
 
 /// A forkable decoding cache over `n_seqs` independent sequences: block
-/// tables into a shared [`BlockPool`] plus optional per-sequence hook state.
+/// tables into a shared [`BlockPool`]. Everything a sequence carries across
+/// chunks lives in its blocks — the K/V rows and the gate's running sums
+/// ([`crate::Exec::cum_mean_rows`]) — so sharing a block shares both.
 pub struct KvCache {
     pub(crate) pool: PoolHandle,
     /// Per-layer hook prefix panels, K transposed like a block's
@@ -120,7 +120,6 @@ pub struct KvCache {
     /// when the hook provides none. Shared, never mutated.
     pub(crate) prefix: Arc<Vec<(Matrix, Matrix)>>,
     pub(crate) seqs: Vec<SeqKv>,
-    pub(crate) states: Vec<Option<Box<dyn HookState>>>,
     block_rows: usize,
     /// Scratch for [`KvCache::rows_used`]'s distinct-block count, kept so
     /// the per-step gauge update allocates nothing once warm.
@@ -129,7 +128,7 @@ pub struct KvCache {
 
 impl KvCache {
     /// Builds an empty cache for `n_seqs` sequences over `pool`, querying
-    /// the hook for per-layer prefix K/V rows and per-sequence state.
+    /// the hook for per-layer prefix K/V rows.
     pub(crate) fn new(
         n_layers: usize,
         d_model: usize,
@@ -144,11 +143,13 @@ impl KvCache {
             assert_eq!(p.d_model(), d_model, "KvCache: pool width mismatch");
             p.block_rows()
         };
+        let mut e = Exec::eager();
         let prefix = (0..n_layers)
             .map(|l| {
-                let (k, v) = hook
-                    .infer_prefix_kv(l)
-                    .unwrap_or_else(|| (Matrix::zeros(0, d_model), Matrix::zeros(0, d_model)));
+                let (k, v) = hook.prefix_kv(l, &mut e).map_or_else(
+                    || (Matrix::zeros(0, d_model), Matrix::zeros(0, d_model)),
+                    |(k, v)| (k.into_mat(), v.into_mat()),
+                );
                 assert_eq!(k.shape(), v.shape(), "prefix K/V shape mismatch");
                 (k.transposed(), v)
             })
@@ -162,7 +163,6 @@ impl KvCache {
                     tokens: 0,
                 })
                 .collect(),
-            states: (0..n_seqs).map(|_| hook.make_state()).collect(),
             block_rows,
             distinct_scratch: Cell::default(),
         }
@@ -205,23 +205,11 @@ impl KvCache {
         &self.seqs[i].table
     }
 
-    /// A clone of sequence `i`'s hook state (the prefix index stores these
-    /// alongside cached blocks so stateful hooks can resume mid-sequence).
-    pub fn clone_state(&self, i: usize) -> Option<Box<dyn HookState>> {
-        self.states[i].clone()
-    }
-
     /// Seeds empty sequence `i` with a cached prefix: `blocks` (full blocks
-    /// covering exactly `tokens` positions) are adopted by reference and the
-    /// hook state snapshot restored. This is the serving-side prefix-cache
-    /// hit: the adopted positions are never re-prefilled.
-    pub fn adopt_prefix(
-        &mut self,
-        i: usize,
-        blocks: &[BlockId],
-        tokens: usize,
-        state: Option<Box<dyn HookState>>,
-    ) {
+    /// covering exactly `tokens` positions) are adopted by reference, with
+    /// the gate sums they hold. This is the serving-side prefix-cache hit:
+    /// the adopted positions are never re-prefilled.
+    pub fn adopt_prefix(&mut self, i: usize, blocks: &[BlockId], tokens: usize) {
         let seq = &mut self.seqs[i];
         assert_eq!(seq.tokens, 0, "adopt_prefix: sequence already has tokens");
         assert!(seq.table.is_empty(), "adopt_prefix: sequence has blocks");
@@ -237,7 +225,6 @@ impl KvCache {
         drop(pool);
         seq.table.extend_from_slice(blocks);
         seq.tokens = tokens;
-        self.states[i] = state;
     }
 
     /// An independent copy sharing this cache's history — the branch point
@@ -266,7 +253,6 @@ impl KvCache {
             pool: self.pool.clone(),
             prefix: self.prefix.clone(),
             seqs: indices.iter().map(|&i| self.seqs[i].clone()).collect(),
-            states: indices.iter().map(|&i| self.states[i].clone()).collect(),
             block_rows: self.block_rows,
             distinct_scratch: Cell::default(),
         }
@@ -298,7 +284,6 @@ impl KvCache {
         }
         drop(pool);
         retain_by_index(&mut self.seqs, keep);
-        retain_by_index(&mut self.states, keep);
     }
 
     /// Pre-allocates pool blocks for `extra` more token rows on every
@@ -371,7 +356,6 @@ impl KvCache {
         // Move the references over; `other` drops with empty tables, so the
         // refcounts transfer rather than decrement.
         self.seqs.append(&mut other.seqs);
-        self.states.append(&mut other.states);
     }
 }
 
@@ -388,7 +372,6 @@ impl Clone for KvCache {
             pool: self.pool.clone(),
             prefix: self.prefix.clone(),
             seqs: self.seqs.clone(),
-            states: self.states.clone(),
             block_rows: self.block_rows,
             distinct_scratch: Cell::default(),
         }
@@ -609,7 +592,7 @@ mod tests {
         append(&mut donor, 0, 4, 3.0);
         let blocks: Vec<BlockId> = donor.seq_table(0).to_vec();
         let mut taker = KvCache::new(1, 4, &NoHook, 1, pool.clone());
-        taker.adopt_prefix(0, &blocks, 4, None);
+        taker.adopt_prefix(0, &blocks, 4);
         assert_eq!(taker.tokens(), 4);
         assert_eq!(pool.lock().refs(blocks[0]), 2);
         drop(donor);

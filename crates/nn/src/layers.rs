@@ -1,10 +1,10 @@
 //! Primitive layers: linear projections, embeddings, layer norm.
 
-use infuserki_tensor::{
-    infer, init, kernels, Matrix, NodeId, Param, QuantSpec, QuantizedMatrix, Tape,
-};
+use infuserki_tensor::{init, Matrix, Param, QuantSpec, QuantizedMatrix};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
+
+use crate::exec::{Exec, Val};
 
 /// Visitor over a module's trainable parameters.
 ///
@@ -27,9 +27,9 @@ pub trait Module {
 /// Affine projection `y = x W + b`.
 ///
 /// A frozen projection can additionally carry packed int8 weights
-/// ([`Linear::quantize_frozen`]): [`Linear::apply`] then runs the fused
-/// dequant-matmul, while `w` holds the *dequantized* f32 values — so the
-/// tape path, checkpoints and any code reading `weight()` see exactly the
+/// ([`Linear::quantize_frozen`]): an eager [`Linear::forward`] then runs the
+/// fused dequant-matmul, while `w` holds the *dequantized* f32 values — so
+/// the tape, checkpoints and any code reading `weight()` see exactly the
 /// numbers inference folds, and the two stay bitwise consistent. The packed
 /// form is rebuilt at load, not serialized (`#[serde(skip)]`).
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -67,49 +67,13 @@ impl Linear {
         }
     }
 
-    /// Applies the projection on the tape. With a bias this records the fused
-    /// [`Tape::affine`] node (one output allocation, one backward dispatch);
-    /// without one it falls back to a plain matmul.
-    pub fn forward(&self, x: NodeId, tape: &mut Tape) -> NodeId {
-        let w = tape.param(&self.w);
-        match &self.b {
-            Some(b) => {
-                let bn = tape.param(b);
-                tape.affine(x, w, bn)
-            }
-            None => tape.matmul(x, w),
-        }
-    }
-
-    /// Tape-free projection on a plain matrix (KV-cached inference). Shares
-    /// its arithmetic with the tape path ([`infer::affine`] / the same matmul
-    /// kernel), so outputs are bitwise identical row for row — and therefore
-    /// batch-transparent: rows of a packed multi-sequence matrix project
-    /// exactly as they would alone.
-    ///
-    /// A quantized projection routes through the fused int8 dequant-matmul,
-    /// which is bitwise-identical to the dense product over the dequantized
-    /// `w` this layer then holds — so the contract above survives
-    /// quantization unchanged.
-    pub fn apply(&self, x: &Matrix) -> Matrix {
-        if let Some(qw) = &self.qw {
-            let mut v = qw.matmul(x);
-            if let Some(b) = &self.b {
-                // Same bias pass as `infer::affine`: one `+=` per element
-                // after the matmul chain.
-                let brow = b.data().row(0);
-                for r in 0..v.rows() {
-                    for (o, &bv) in v.row_mut(r).iter_mut().zip(brow) {
-                        *o += bv;
-                    }
-                }
-            }
-            return v;
-        }
-        match &self.b {
-            Some(b) => infer::affine(x, self.w.data(), b.data()),
-            None => kernels::matmul(x, self.w.data()),
-        }
+    /// `x W + b` ([`Exec::linear`]): on the tape the fused affine node (a
+    /// plain matmul without a bias); eagerly the same arithmetic, row-local
+    /// and therefore batch-transparent, through the fused int8
+    /// dequant-matmul once [`Linear::quantize_frozen`] has run — bitwise the
+    /// dense product over the dequantized `w` this layer then holds.
+    pub fn forward(&self, x: &Val, e: &mut Exec) -> Val {
+        e.linear(x, &self.w, self.b.as_ref(), self.qw.as_ref())
     }
 
     /// Quantizes this projection's weights to packed int8 blocks and replaces
@@ -187,20 +151,8 @@ impl Embedding {
     }
 
     /// Gathers rows for `ids`.
-    pub fn forward(&self, ids: &[usize], tape: &mut Tape) -> NodeId {
-        let t = tape.param(&self.table);
-        tape.embedding(t, ids)
-    }
-
-    /// Tape-free row gather (KV-cached inference).
-    pub fn gather(&self, ids: &[usize]) -> Matrix {
-        let t = self.table.data();
-        let mut out = Matrix::zeros(ids.len(), t.cols());
-        for (r, &id) in ids.iter().enumerate() {
-            assert!(id < t.rows(), "embedding id {id} out of range");
-            out.row_mut(r).copy_from_slice(t.row(id));
-        }
-        out
+    pub fn forward(&self, ids: &[usize], e: &mut Exec) -> Val {
+        e.embedding(&self.table, ids)
     }
 
     /// The raw table parameter (tied LM head reads it).
@@ -242,18 +194,10 @@ impl LayerNorm {
         }
     }
 
-    /// Normalizes each row of `x`.
-    pub fn forward(&self, x: NodeId, tape: &mut Tape) -> NodeId {
-        let g = tape.param(&self.gain);
-        let b = tape.param(&self.bias);
-        tape.layer_norm(x, g, b, self.eps)
-    }
-
-    /// Tape-free normalization (KV-cached inference); same arithmetic as the
-    /// tape path via [`infer::layer_norm`]. Normalization statistics are
-    /// per-row, so packed multi-sequence input normalizes batch-transparently.
-    pub fn apply(&self, x: &Matrix) -> Matrix {
-        infer::layer_norm(x, self.gain.data(), self.bias.data(), self.eps)
+    /// Normalizes each row of `x` (per-row statistics, so packed
+    /// multi-sequence input normalizes batch-transparently).
+    pub fn forward(&self, x: &Val, e: &mut Exec) -> Val {
+        e.layer_norm(x, &self.gain, &self.bias, self.eps)
     }
 }
 
@@ -272,6 +216,7 @@ impl Module for LayerNorm {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use infuserki_tensor::Tape;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -281,7 +226,7 @@ mod tests {
         let lin = Linear::new("l", 3, 2, 0.1, true, &mut rng);
         let mut t = Tape::new();
         let x = t.leaf(Matrix::zeros(4, 3));
-        let y = lin.forward(x, &mut t);
+        let y = Exec::on_tape(&mut t, |e| lin.forward(&x.into(), e));
         assert_eq!(t.value(y).shape(), (4, 2));
         // zero input → output equals bias (zero here)
         assert!(t.value(y).data().iter().all(|&v| v == 0.0));
@@ -292,7 +237,7 @@ mod tests {
         let lin = Linear::zeros("z", 3, 3, false);
         let mut t = Tape::new();
         let x = t.leaf(Matrix::full(2, 3, 5.0));
-        let y = lin.forward(x, &mut t);
+        let y = Exec::on_tape(&mut t, |e| lin.forward(&x.into(), e));
         assert!(t.value(y).data().iter().all(|&v| v == 0.0));
     }
 
@@ -310,7 +255,7 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(1);
         let e = Embedding::new("e", 5, 4, 0.5, &mut rng);
         let mut t = Tape::new();
-        let x = e.forward(&[3, 3, 0], &mut t);
+        let x = Exec::on_tape(&mut t, |ex| e.forward(&[3, 3, 0], ex));
         assert_eq!(t.value(x).shape(), (3, 4));
         assert_eq!(t.value(x).row(0), t.value(x).row(1));
         assert_eq!(e.vocab(), 5);
@@ -321,7 +266,7 @@ mod tests {
         let ln = LayerNorm::new("ln", 4, 1e-5);
         let mut t = Tape::new();
         let x = t.leaf(Matrix::from_vec(1, 4, vec![1.0, 2.0, 3.0, 4.0]));
-        let y = ln.forward(x, &mut t);
+        let y = Exec::on_tape(&mut t, |e| ln.forward(&x.into(), e));
         let v = t.value(y);
         let mean: f32 = v.row(0).iter().sum::<f32>() / 4.0;
         assert!(mean.abs() < 1e-4);

@@ -8,12 +8,15 @@
 //! attention and FFN sublayers. The InfuserKI adapters, LoRA, QLoRA, prefix
 //! tuning, CALINET and T-Patcher all inject themselves through these hooks,
 //! so a single frozen base model serves every method — mirroring how the
-//! paper patches a frozen LLaMa-2.
+//! paper patches a frozen LLaMa-2. The model and every hook are written once
+//! against an [`exec::Exec`], which records them on the autograd tape for
+//! training or runs them eagerly over the paged KV cache for inference.
 
 pub mod attention;
 pub mod block;
 pub mod block_alloc;
 pub mod config;
+pub mod exec;
 pub mod ffn;
 pub mod hooks;
 pub mod kv_cache;
@@ -26,7 +29,8 @@ pub mod trainer;
 
 pub use block_alloc::{BlockId, BlockPool, PoolHandle};
 pub use config::ModelConfig;
-pub use hooks::{ForwardTrace, HookState, LayerHook, NoHook};
+pub use exec::{Exec, Val};
+pub use hooks::{ForwardTrace, LayerHook, NoHook};
 pub use kv_cache::KvCache;
 pub use model::TransformerLm;
 pub use optim::{AdamW, AdamWConfig};

@@ -6,12 +6,13 @@ use std::path::Path;
 
 use infuserki_obs as obs;
 use infuserki_tensor::op::IGNORE_INDEX;
-use infuserki_tensor::{kernels, Matrix, NodeId, Param, QuantSpec, SeqBatch, Tape, TensorError};
+use infuserki_tensor::{Matrix, NodeId, Param, QuantSpec, SeqBatch, Tape, TensorError};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 use crate::block::TransformerBlock;
 use crate::block_alloc::PoolHandle;
+use crate::exec::{Exec, Paged, Val};
 use crate::hooks::{ForwardTrace, LayerHook};
 use crate::kv_cache::KvCache;
 use crate::layers::{Embedding, LayerNorm, Module};
@@ -109,7 +110,21 @@ impl TransformerLm {
         &mut self.blocks
     }
 
-    /// Full forward pass with hooks and trace capture.
+    /// The forward, written once: token and position embeddings, the blocks
+    /// under `hook`, the final LayerNorm and the weight-tied head. `e`
+    /// decides whether it records a tape or runs eagerly over a cache.
+    fn run(&self, ids: &[usize], positions: &[usize], hook: &dyn LayerHook, e: &mut Exec) -> Val {
+        let te = self.tok_embed.forward(ids, e);
+        let pe = self.pos_embed.forward(positions, e);
+        let mut x = e.add(te, &pe);
+        for block in &self.blocks {
+            x = block.forward(x, hook, e);
+        }
+        let h = self.ln_f.forward(&x, e);
+        e.tied_head(&h, self.tok_embed.table(), &self.lm_head_t)
+    }
+
+    /// Full forward pass on the tape, with hooks and trace capture.
     ///
     /// Returns the `[n, vocab]` logits node. `tokens` must be non-empty and
     /// no longer than `max_seq`.
@@ -127,17 +142,12 @@ impl TransformerLm {
             tokens.len(),
             self.cfg.max_seq
         );
-        let te = self.tok_embed.forward(tokens, tape);
         let positions: Vec<usize> = (0..tokens.len()).collect();
-        let pe = self.pos_embed.forward(&positions, tape);
-        let mut x = tape.add(te, pe);
-        for block in &self.blocks {
-            x = block.forward(x, hook, tape, trace);
-        }
-        let h = self.ln_f.forward(x, tape);
-        // Weight-tied head: logits = h @ E^T.
-        let e = tape.param(self.tok_embed.table());
-        tape.matmul_bt(h, e)
+        let mut e = Exec::tape(tape);
+        e.swap_trace(trace);
+        let logits = self.run(tokens, &positions, hook, &mut e).node();
+        e.swap_trace(trace);
+        logits
     }
 
     /// Forward pass discarding the trace.
@@ -176,8 +186,9 @@ impl TransformerLm {
     /// adds this to a request's prompt + decode budget when charging it
     /// against a KV-row budget, since every cached sequence pays it.
     pub fn max_prefix_rows(&self, hook: &dyn LayerHook) -> usize {
+        let mut e = Exec::eager();
         (0..self.cfg.n_layers)
-            .filter_map(|l| hook.infer_prefix_kv(l).map(|(k, _)| k.rows()))
+            .filter_map(|l| hook.prefix_kv(l, &mut e).map(|(k, _)| k.into_mat().rows()))
             .max()
             .unwrap_or(0)
     }
@@ -246,45 +257,27 @@ impl TransformerLm {
             ids.extend_from_slice(chunk);
             positions.extend(start..start + chunk.len());
         }
-        for s in cache.states.iter_mut().flatten() {
-            s.begin_chunk();
-        }
-        let mut x = self.tok_embed.gather(&ids);
-        x.add_assign(&self.pos_embed.gather(&positions));
-        {
+        let logits = {
             // One pool lock for the whole forward: make every sequence's
             // append span writable (copy-on-write shared partial tails,
-            // allocate fresh tail blocks), then run the layers. The cache's
-            // fields are borrowed disjointly: the layer loop reads the shared
-            // prefix panels and block tables while the per-sequence hook
-            // states thread through every sublayer call.
+            // allocate fresh tail blocks), then run the model eagerly over
+            // the shared prefix panels and block tables.
             let pool_handle = cache.pool.clone();
             let mut pool = pool_handle.lock();
             for (seq, &len) in cache.seqs.iter_mut().zip(&lens) {
                 seq.prepare_append(&mut pool, len);
             }
-            for (l, block) in self.blocks.iter().enumerate() {
-                x = block.forward_batch(
-                    &x,
-                    &batch,
-                    hook,
-                    &mut pool,
-                    &cache.seqs,
-                    &cache.prefix[l],
-                    &mut cache.states,
-                );
-            }
-        }
+            let mut e = Exec::paged(Paged {
+                batch: &batch,
+                pool: &mut pool,
+                seqs: &cache.seqs,
+                prefix: &cache.prefix,
+            });
+            self.run(&ids, &positions, hook, &mut e).into_mat()
+        };
         for (seq, len) in cache.seqs.iter_mut().zip(&lens) {
             seq.tokens += len;
         }
-        let h = self.ln_f.apply(&x);
-        // Weight-tied head through the transposed table: per logit the same
-        // ascending-`p` chain as the tape's `h @ Eᵀ`, so bitwise equal to it.
-        let e_t = self
-            .lm_head_t
-            .get_or_init(|| self.tok_embed.table().data().transposed());
-        let logits = kernels::matmul(&h, e_t);
         let em = engine_metrics();
         let new_tokens: usize = lens.iter().sum();
         if is_decode {
@@ -379,46 +372,6 @@ impl TransformerLm {
     ) -> NodeId {
         let (tokens, targets) = completion_sample(prompt, completion);
         self.lm_loss(&tokens, &targets, hook, tape)
-    }
-
-    /// Log-probability (natural log) the model assigns to `completion`
-    /// following `prompt`, summed over completion tokens. Used for MCQ option
-    /// scoring.
-    pub fn completion_logprob(
-        &self,
-        prompt: &[usize],
-        completion: &[usize],
-        hook: &dyn LayerHook,
-    ) -> f32 {
-        assert!(
-            !completion.is_empty(),
-            "completion_logprob: empty completion"
-        );
-        let mut tape = Tape::new();
-        let mut tokens = prompt.to_vec();
-        tokens.extend_from_slice(completion);
-        // Drop the final token's prediction: nothing follows it.
-        let input = &tokens[..tokens.len() - 1];
-        let logits = self.forward(input, hook, &mut tape);
-        self.sum_completion_logprob(&tape, logits, prompt.len(), completion)
-    }
-
-    fn sum_completion_logprob(
-        &self,
-        tape: &Tape,
-        logits: NodeId,
-        prompt_len: usize,
-        completion: &[usize],
-    ) -> f32 {
-        let v = tape.value(logits);
-        let lp = infuserki_tensor::kernels::log_softmax_rows(v);
-        let mut total = 0.0;
-        for (i, &tok) in completion.iter().enumerate() {
-            // Row prompt_len-1+i predicts completion[i].
-            let row = prompt_len - 1 + i;
-            total += lp.get(row, tok);
-        }
-        total
     }
 
     /// Saves the model (config + all parameters) as JSON.
@@ -568,13 +521,6 @@ mod tests {
         let loss = m.completion_loss(&[1, 2], &[3, 4], &NoHook, &mut t);
         let v = t.value(loss).scalar_value();
         assert!(v.is_finite() && v > 0.0);
-    }
-
-    #[test]
-    fn logprob_is_negative_and_finite() {
-        let m = model();
-        let lp = m.completion_logprob(&[1, 2], &[3], &NoHook);
-        assert!(lp < 0.0 && lp.is_finite());
     }
 
     #[test]

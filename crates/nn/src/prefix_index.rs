@@ -2,17 +2,15 @@
 //!
 //! Nodes are keyed by `block_rows`-token chunks: a node at depth `d`
 //! represents the token prefix formed by the chunks on its root path and
-//! pins exactly one *full* KV block (the `d`-th block of that prefix) plus a
-//! hook-state snapshot taken at the node's token boundary. A new request
-//! whose prompt starts with an indexed prefix adopts the path's blocks by
-//! reference ([`crate::KvCache::adopt_prefix`]) and prefills only the
-//! remainder.
+//! pins exactly one *full* KV block (the `d`-th block of that prefix). A
+//! block carries everything a sequence needs to resume after it — its K/V
+//! rows and the gate's running sums — so a new request whose prompt starts
+//! with an indexed prefix adopts the path's blocks by reference
+//! ([`crate::KvCache::adopt_prefix`]) and prefills only the remainder.
 //!
-//! Only whole blocks are indexed — insertion happens at block-aligned
-//! prefill-chunk boundaries, so every node's state snapshot is exact for its
-//! depth. Lookup never consumes the entire prompt: at least one token is
-//! left to feed so the engine produces last-position logits for the request
-//! itself.
+//! Only whole blocks are indexed. Lookup never consumes the entire prompt:
+//! at least one token is left to feed so the engine produces last-position
+//! logits for the request itself.
 //!
 //! Eviction is LRU over *unpinned leaves*: a leaf whose block has no owner
 //! besides the index (`refs == 1`) can be dropped; blocks still referenced
@@ -21,9 +19,9 @@
 //! invariant that every indexed path is fully materialized.
 
 use std::collections::HashMap;
+use std::convert::Infallible;
 
 use crate::block_alloc::{BlockId, BlockPool};
-use crate::hooks::HookState;
 
 struct Node {
     /// Namespace tag of the tree this node belongs to (inherited from its
@@ -35,9 +33,6 @@ struct Node {
     /// The full KV block for this chunk's positions (one index reference
     /// held).
     block: BlockId,
-    /// Hook state snapshot at this node's token boundary (`None` for
-    /// stateless hooks).
-    state: Option<Box<dyn HookState>>,
     parent: Option<usize>,
     children: HashMap<Vec<usize>, usize>,
     /// Logical timestamp of the last lookup/insert touching this node.
@@ -45,11 +40,10 @@ struct Node {
 }
 
 /// A prefix-cache hit: `blocks` cover the first `tokens` positions of the
-/// prompt; `state` is the hook state at that boundary.
+/// prompt.
 pub struct PrefixMatch {
     pub blocks: Vec<BlockId>,
     pub tokens: usize,
-    pub state: Option<Box<dyn HookState>>,
 }
 
 /// Radix (chunk-trie) index from token prefixes to pinned KV blocks.
@@ -57,8 +51,7 @@ pub struct PrefixMatch {
 /// The index is partitioned into disjoint namespaces by a caller-supplied
 /// `tag` (the serving layer uses the knowledge-bundle version): entries
 /// inserted under one tag are invisible to lookups under another, because KV
-/// blocks and hook-state snapshots are only reusable by requests running the
-/// *same* hook weights. All namespaces share one LRU clock and one eviction
+/// blocks are only reusable by requests running the *same* hook weights. All namespaces share one LRU clock and one eviction
 /// pool, so a hot tag naturally displaces a cold one under budget pressure.
 /// The untagged [`PrefixIndex::lookup`]/[`PrefixIndex::insert`] operate on
 /// tag 0.
@@ -130,9 +123,9 @@ impl PrefixIndex {
     /// Longest prefix of `prompt` indexed under `tag`, capped so at least
     /// one prompt token remains un-matched (the engine must still feed
     /// something to get the request's own logits). Touches the matched
-    /// path's LRU stamps and returns cloned state from the deepest matched
-    /// node. Does *not* take block references — the caller adopts them
-    /// (which does) while it holds the scheduler single-threaded.
+    /// path's LRU stamps. Does *not* take block references — the caller
+    /// adopts them (which does) while it holds the scheduler
+    /// single-threaded.
     pub fn lookup_in(&mut self, tag: u64, prompt: &[usize]) -> Option<PrefixMatch> {
         let b = self.block_rows;
         let now = self.tick();
@@ -155,39 +148,36 @@ impl PrefixIndex {
                 None => break,
             }
         }
-        at.map(|id| PrefixMatch {
+        at.map(|_| PrefixMatch {
             blocks,
             tokens: matched,
-            state: self.node(id).state.clone(),
         })
     }
 
     /// Indexes a full-block prefix in namespace 0. See
-    /// [`PrefixIndex::insert_in`].
+    /// [`PrefixIndex::insert_in`]. The last argument is a vestige that only
+    /// `&None` fills; nothing is stored for it.
     pub fn insert(
         &mut self,
         pool: &mut BlockPool,
         tokens: &[usize],
         blocks: &[BlockId],
-        state: &Option<Box<dyn HookState>>,
+        _: &Option<Infallible>,
     ) {
-        self.insert_in(pool, 0, tokens, blocks, state)
+        self.insert_in(pool, 0, tokens, blocks)
     }
 
     /// Indexes under `tag` the full-block prefix `tokens` (length must be a
-    /// nonzero multiple of `block_rows`) whose blocks are `blocks`, with
-    /// `state` the hook state at the boundary. Existing path nodes are kept
-    /// (first writer wins — equivalent content by the determinism contract,
-    /// which holds *within* a namespace); only a missing final node takes a
-    /// new block reference. Insertion is incremental: callers index every
-    /// boundary in order during prefill, so at most the last node is new.
+    /// nonzero multiple of `block_rows`) whose blocks are `blocks`. Existing
+    /// path nodes are kept (first writer wins — equivalent content by the
+    /// determinism contract, which holds *within* a namespace); each missing
+    /// node takes a new block reference.
     pub fn insert_in(
         &mut self,
         pool: &mut BlockPool,
         tag: u64,
         tokens: &[usize],
         blocks: &[BlockId],
-        state: &Option<Box<dyn HookState>>,
     ) {
         let b = self.block_rows;
         assert!(
@@ -212,18 +202,11 @@ impl PrefixIndex {
                     id
                 }
                 None => {
-                    // `state` is the snapshot at the final boundary; it is
-                    // only stored verbatim on interior nodes when it is
-                    // `None` (stateless hook). Stateful hooks insert one
-                    // boundary at a time during aligned prefill, so a fresh
-                    // node is always the last of its walk.
-                    debug_assert!(d + 1 == blocks.len() || state.is_none());
                     pool.retain(blocks[d]);
                     let node = Node {
                         tag,
                         chunk: chunk.to_vec(),
                         block: blocks[d],
-                        state: state.clone(),
                         parent: at,
                         children: HashMap::new(),
                         last_used: now,
@@ -399,8 +382,8 @@ mod tests {
         let mut p = pool();
         let a = blocks(&mut p, 1);
         let b = blocks(&mut p, 1);
-        idx.insert_in(&mut p, 1, &[1, 2], &a, &None);
-        idx.insert_in(&mut p, 2, &[1, 2], &b, &None);
+        idx.insert_in(&mut p, 1, &[1, 2], &a);
+        idx.insert_in(&mut p, 2, &[1, 2], &b);
         // Identical tokens, different tag → different trees, different
         // blocks: a request under bundle 2 must never adopt bundle 1's KV.
         assert_eq!(idx.len(), 2);
@@ -419,8 +402,8 @@ mod tests {
         let mut p = pool();
         let a = blocks(&mut p, 1);
         let b = blocks(&mut p, 1);
-        idx.insert_in(&mut p, 7, &[1, 2], &a, &None);
-        idx.insert_in(&mut p, 8, &[1, 2], &b, &None);
+        idx.insert_in(&mut p, 7, &[1, 2], &a);
+        idx.insert_in(&mut p, 8, &[1, 2], &b);
         p.release(a[0]);
         p.release(b[0]);
         // The tag-7 root is colder; it goes first, and its removal must not

@@ -12,7 +12,7 @@
 //! are batch-of-1 wrappers, and at one kernel thread the batched paths are
 //! bitwise-equal to looping them (see `tests/batch_equivalence.rs`).
 
-use infuserki_tensor::{kernels, Matrix, SeqBatch, Tape};
+use infuserki_tensor::{kernels, Matrix, SeqBatch};
 
 use crate::hooks::LayerHook;
 use crate::kv_cache::KvCache;
@@ -23,8 +23,8 @@ use crate::model::TransformerLm;
 ///
 /// Runs on the KV-cached incremental engine: the prompt is prefilled once and
 /// each new token costs a single-row decode step. Produces exactly the tokens
-/// of [`greedy_decode_uncached`], the full-recompute differential-test
-/// reference.
+/// a full tape forward per generated token would (the differential suites'
+/// reference).
 pub fn greedy_decode(
     model: &TransformerLm,
     hook: &dyn LayerHook,
@@ -123,42 +123,12 @@ pub fn greedy_decode_batch_limits<S: AsRef<[usize]>>(
     outs
 }
 
-/// The pre-cache greedy decoder: recomputes the full forward pass for every
-/// generated token. Reference implementation for the differential equivalence
-/// suites only; no cached entry point calls it.
-pub fn greedy_decode_uncached(
-    model: &TransformerLm,
-    hook: &dyn LayerHook,
-    prompt: &[usize],
-    max_new: usize,
-    eos: Option<usize>,
-) -> Vec<usize> {
-    let mut tokens = prompt.to_vec();
-    let mut out = Vec::with_capacity(max_new);
-    for _ in 0..max_new {
-        if tokens.len() >= model.config().max_seq {
-            break;
-        }
-        let mut tape = Tape::new();
-        let logits = model.forward(&tokens, hook, &mut tape);
-        let v = tape.value(logits);
-        let last = v.row(v.rows() - 1);
-        let next = argmax(last);
-        if Some(next) == eos {
-            break;
-        }
-        out.push(next);
-        tokens.push(next);
-    }
-    out
-}
-
 /// Sums each candidate completion's log-likelihood after `prompt`.
 ///
 /// Shared-prefix scoring: the prompt is prefilled into a KV cache once, and
 /// every option is scored from its own fork of that cache — so an MCQ with
-/// four options pays for one prompt forward instead of four. Matches
-/// [`score_options_uncached`] row for row (bitwise at one kernel thread).
+/// four options pays for one prompt forward instead of four. Matches one
+/// full tape forward per option row for row (bitwise at one kernel thread).
 pub fn score_options(
     model: &TransformerLm,
     hook: &dyn LayerHook,
@@ -242,20 +212,6 @@ pub fn score_options_batch<S: AsRef<[usize]>>(
     scores
 }
 
-/// The pre-cache option scorer: one full forward per option. Reference
-/// implementation for the differential suites only.
-pub fn score_options_uncached(
-    model: &TransformerLm,
-    hook: &dyn LayerHook,
-    prompt: &[usize],
-    options: &[Vec<usize>],
-) -> Vec<f32> {
-    options
-        .iter()
-        .map(|opt| model.completion_logprob(prompt, opt, hook))
-        .collect()
-}
-
 /// Normalizes per-option log-likelihoods into a probability distribution
 /// (length-normalized to avoid favoring short options).
 pub fn option_probabilities(scores: &[f32], lengths: &[usize]) -> Vec<f32> {
@@ -276,7 +232,8 @@ pub fn option_probabilities(scores: &[f32], lengths: &[usize]) -> Vec<f32> {
 /// Each live beam carries its own fork of the prompt's KV cache, so a step
 /// costs one single-row decode per expansion instead of a full-sequence
 /// forward per beam. Candidate ordering, pruning and final selection are the
-/// same as [`beam_search_uncached`], so the chosen sequence is identical.
+/// same as a full tape forward per beam would give, so the chosen sequence
+/// is identical.
 pub fn beam_search(
     model: &TransformerLm,
     hook: &dyn LayerHook,
@@ -356,86 +313,6 @@ pub fn beam_search(
                     done: false,
                     branch,
                 });
-            }
-        }
-        // Length-normalized pruning so longer beams are not starved.
-        candidates.sort_by(|a, b| {
-            let an = a.score / (a.tokens.len().max(1) as f32);
-            let bn = b.score / (b.tokens.len().max(1) as f32);
-            bn.total_cmp(&an)
-        });
-        candidates.truncate(beam_width);
-        beams = candidates;
-    }
-    beams
-        .into_iter()
-        .max_by(|a, b| {
-            let an = a.score / (a.tokens.len().max(1) as f32);
-            let bn = b.score / (b.tokens.len().max(1) as f32);
-            an.total_cmp(&bn)
-        })
-        .map(|b| b.tokens)
-        .unwrap_or_default()
-}
-
-/// The pre-cache beam search: a full-sequence forward per live beam per step.
-/// Reference implementation for the differential suites only.
-pub fn beam_search_uncached(
-    model: &TransformerLm,
-    hook: &dyn LayerHook,
-    prompt: &[usize],
-    max_new: usize,
-    beam_width: usize,
-    eos: Option<usize>,
-) -> Vec<usize> {
-    assert!(beam_width >= 1, "beam width must be at least 1");
-    #[derive(Clone)]
-    struct Beam {
-        tokens: Vec<usize>,
-        score: f32,
-        done: bool,
-    }
-    let mut beams = vec![Beam {
-        tokens: Vec::new(),
-        score: 0.0,
-        done: false,
-    }];
-    for _ in 0..max_new {
-        if beams.iter().all(|b| b.done) {
-            break;
-        }
-        let mut candidates: Vec<Beam> = Vec::new();
-        for beam in &beams {
-            if beam.done {
-                candidates.push(beam.clone());
-                continue;
-            }
-            let mut input = prompt.to_vec();
-            input.extend(&beam.tokens);
-            if input.len() >= model.config().max_seq {
-                let mut b = beam.clone();
-                b.done = true;
-                candidates.push(b);
-                continue;
-            }
-            let mut tape = Tape::new();
-            let logits = model.forward(&input, hook, &mut tape);
-            let v = tape.value(logits);
-            let last = kernels::log_softmax_rows(&infuserki_tensor::Matrix::row_vec(
-                v.row(v.rows() - 1).to_vec(),
-            ));
-            // Top beam_width expansions of this beam.
-            let mut idx: Vec<usize> = (0..last.cols()).collect();
-            idx.sort_by(|&a, &b| last.get(0, b).total_cmp(&last.get(0, a)));
-            for &tok in idx.iter().take(beam_width) {
-                let mut b = beam.clone();
-                b.score += last.get(0, tok);
-                if Some(tok) == eos {
-                    b.done = true;
-                } else {
-                    b.tokens.push(tok);
-                }
-                candidates.push(b);
             }
         }
         // Length-normalized pruning so longer beams are not starved.
@@ -568,7 +445,7 @@ mod tests {
             if seq.is_empty() {
                 return f32::NEG_INFINITY;
             }
-            m.completion_logprob(&[3], seq, &NoHook) / seq.len() as f32
+            score_options(&m, &NoHook, &[3], &[seq.to_vec()])[0] / seq.len() as f32
         };
         assert!(
             score(&beam) >= score(&greedy) - 1e-4,

@@ -14,9 +14,12 @@
 
 use std::sync::Mutex;
 
-use infuserki_nn::hooks::{ForwardTrace, LayerHook};
-use infuserki_nn::{sampler, ModelConfig, NoHook, TransformerLm};
-use infuserki_tensor::{init, kernels, Matrix, NodeId, Tape};
+#[path = "support/hooks.rs"]
+mod hooks;
+
+use hooks::hooks;
+use infuserki_nn::{sampler, ModelConfig, TransformerLm};
+use infuserki_tensor::{kernels, Matrix};
 use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -50,100 +53,6 @@ fn assert_close(a: &Matrix, b: &Matrix, tol: f32, ctx: &str) {
     for (i, (x, y)) in a.data().iter().zip(b.data()).enumerate() {
         assert!((x - y).abs() <= tol, "{ctx}: element {i}: {x} vs {y}");
     }
-}
-
-// ---- synthetic hooks covering each interception point ----------------------
-
-/// LoRA-shaped: dense additive deltas on the q and v projections.
-struct QvDelta {
-    dq: Matrix,
-    dv: Matrix,
-}
-
-impl QvDelta {
-    fn new(d: usize) -> Self {
-        let mut rng = ChaCha8Rng::seed_from_u64(77);
-        QvDelta {
-            dq: init::normal(d, d, 0.05, &mut rng),
-            dv: init::normal(d, d, 0.05, &mut rng),
-        }
-    }
-}
-
-impl LayerHook for QvDelta {
-    fn attn_q_delta(&self, _layer: usize, x: NodeId, tape: &mut Tape) -> Option<NodeId> {
-        let w = tape.leaf(self.dq.clone());
-        Some(tape.matmul(x, w))
-    }
-
-    fn attn_v_delta(&self, _layer: usize, x: NodeId, tape: &mut Tape) -> Option<NodeId> {
-        let w = tape.leaf(self.dv.clone());
-        Some(tape.matmul(x, w))
-    }
-}
-
-/// Prefix-tuning-shaped: learnable K/V rows prepended at every layer.
-struct PrefixRows {
-    k: Matrix,
-    v: Matrix,
-}
-
-impl PrefixRows {
-    fn new(p: usize, d: usize) -> Self {
-        let mut rng = ChaCha8Rng::seed_from_u64(78);
-        PrefixRows {
-            k: init::normal(p, d, 0.05, &mut rng),
-            v: init::normal(p, d, 0.05, &mut rng),
-        }
-    }
-}
-
-impl LayerHook for PrefixRows {
-    fn prefix_kv(&self, _layer: usize, tape: &mut Tape) -> Option<(NodeId, NodeId)> {
-        let k = tape.leaf(self.k.clone());
-        let v = tape.leaf(self.v.clone());
-        Some((k, v))
-    }
-}
-
-/// CALINET/T-Patcher-shaped: row-local rewrites of both sublayer outputs,
-/// exercising the default per-sequence slicing of `infer_*_output`.
-struct OutputTweak;
-
-impl LayerHook for OutputTweak {
-    fn attn_output(
-        &self,
-        _layer: usize,
-        _attn_in: NodeId,
-        attn_out: NodeId,
-        tape: &mut Tape,
-        _trace: &mut ForwardTrace,
-    ) -> NodeId {
-        tape.scale(attn_out, 1.1)
-    }
-
-    fn ffn_output(
-        &self,
-        _layer: usize,
-        ffn_in: NodeId,
-        ffn_out: NodeId,
-        tape: &mut Tape,
-        _trace: &mut ForwardTrace,
-    ) -> NodeId {
-        let bent = tape.gelu(ffn_in);
-        let scaled = tape.scale(bent, 0.25);
-        tape.add(ffn_out, scaled)
-    }
-}
-
-fn hooks() -> Vec<(&'static str, Box<dyn LayerHook>)> {
-    let d = ModelConfig::tiny(VOCAB).d_model;
-    vec![
-        ("nohook", Box::new(NoHook)),
-        ("qv_delta", Box::new(QvDelta::new(d))),
-        ("prefix", Box::new(PrefixRows::new(3, d))),
-        ("output_tweak", Box::new(OutputTweak)),
-    ]
 }
 
 // ---- shared checkers --------------------------------------------------------

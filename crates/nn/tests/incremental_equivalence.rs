@@ -9,9 +9,15 @@
 
 use std::sync::Mutex;
 
-use infuserki_nn::hooks::{ForwardTrace, LayerHook};
-use infuserki_nn::{sampler, ModelConfig, NoHook, TransformerLm};
-use infuserki_tensor::{init, kernels, Matrix, NodeId, Tape};
+#[path = "support/hooks.rs"]
+mod hooks;
+#[path = "support/reference.rs"]
+mod reference;
+
+use hooks::hooks;
+use infuserki_nn::hooks::LayerHook;
+use infuserki_nn::{sampler, ModelConfig, TransformerLm};
+use infuserki_tensor::{kernels, Matrix, Tape};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -50,100 +56,6 @@ fn assert_close(a: &[f32], b: &[f32], tol: f32, ctx: &str) {
     for (i, (x, y)) in a.iter().zip(b).enumerate() {
         assert!((x - y).abs() <= tol, "{ctx}: element {i}: {x} vs {y}");
     }
-}
-
-// ---- synthetic hooks covering each interception point ----------------------
-
-/// LoRA-shaped: dense additive deltas on the q and v projections.
-struct QvDelta {
-    dq: Matrix,
-    dv: Matrix,
-}
-
-impl QvDelta {
-    fn new(d: usize) -> Self {
-        let mut rng = ChaCha8Rng::seed_from_u64(77);
-        QvDelta {
-            dq: init::normal(d, d, 0.05, &mut rng),
-            dv: init::normal(d, d, 0.05, &mut rng),
-        }
-    }
-}
-
-impl LayerHook for QvDelta {
-    fn attn_q_delta(&self, _layer: usize, x: NodeId, tape: &mut Tape) -> Option<NodeId> {
-        let w = tape.leaf(self.dq.clone());
-        Some(tape.matmul(x, w))
-    }
-
-    fn attn_v_delta(&self, _layer: usize, x: NodeId, tape: &mut Tape) -> Option<NodeId> {
-        let w = tape.leaf(self.dv.clone());
-        Some(tape.matmul(x, w))
-    }
-}
-
-/// Prefix-tuning-shaped: learnable K/V rows prepended at every layer.
-struct PrefixRows {
-    k: Matrix,
-    v: Matrix,
-}
-
-impl PrefixRows {
-    fn new(p: usize, d: usize) -> Self {
-        let mut rng = ChaCha8Rng::seed_from_u64(78);
-        PrefixRows {
-            k: init::normal(p, d, 0.05, &mut rng),
-            v: init::normal(p, d, 0.05, &mut rng),
-        }
-    }
-}
-
-impl LayerHook for PrefixRows {
-    fn prefix_kv(&self, _layer: usize, tape: &mut Tape) -> Option<(NodeId, NodeId)> {
-        let k = tape.leaf(self.k.clone());
-        let v = tape.leaf(self.v.clone());
-        Some((k, v))
-    }
-}
-
-/// CALINET/T-Patcher-shaped: row-local rewrites of both sublayer outputs,
-/// exercising the default scratch-tape `infer_*` emulation.
-struct OutputTweak;
-
-impl LayerHook for OutputTweak {
-    fn attn_output(
-        &self,
-        _layer: usize,
-        _attn_in: NodeId,
-        attn_out: NodeId,
-        tape: &mut Tape,
-        _trace: &mut ForwardTrace,
-    ) -> NodeId {
-        tape.scale(attn_out, 1.1)
-    }
-
-    fn ffn_output(
-        &self,
-        _layer: usize,
-        ffn_in: NodeId,
-        ffn_out: NodeId,
-        tape: &mut Tape,
-        _trace: &mut ForwardTrace,
-    ) -> NodeId {
-        let bent = tape.gelu(ffn_in);
-        let scaled = tape.scale(bent, 0.25);
-        tape.add(ffn_out, scaled)
-    }
-}
-
-fn hooks() -> Vec<(&'static str, Box<dyn LayerHook>)> {
-    let d = ModelConfig::tiny(VOCAB).d_model;
-    vec![
-        ("nohook", Box::new(NoHook)),
-        ("qv_delta", Box::new(QvDelta::new(d))),
-        ("prefix", Box::new(PrefixRows::new(3, d))),
-        ("output_tweak", Box::new(OutputTweak)),
-    ]
 }
 
 // ---- the differential suite ------------------------------------------------
@@ -285,7 +197,7 @@ fn cached_samplers_match_uncached_on_synthetic_hooks() {
     let options: Vec<Vec<usize>> = vec![vec![1], vec![2, 3], vec![4, 5, 6], vec![7, 8]];
     for (name, hook) in hooks() {
         let cached = sampler::score_options(&m, hook.as_ref(), &prompt, &options);
-        let naive = sampler::score_options_uncached(&m, hook.as_ref(), &prompt, &options);
+        let naive = reference::score_options_uncached(&m, hook.as_ref(), &prompt, &options);
         for (i, (a, b)) in cached.iter().zip(&naive).enumerate() {
             assert!(
                 a.to_bits() == b.to_bits(),
@@ -293,10 +205,10 @@ fn cached_samplers_match_uncached_on_synthetic_hooks() {
             );
         }
         let g_cached = sampler::greedy_decode(&m, hook.as_ref(), &prompt, 10, None);
-        let g_naive = sampler::greedy_decode_uncached(&m, hook.as_ref(), &prompt, 10, None);
+        let g_naive = reference::greedy_decode_uncached(&m, hook.as_ref(), &prompt, 10, None);
         assert_eq!(g_cached, g_naive, "{name}: greedy divergence");
         let b_cached = sampler::beam_search(&m, hook.as_ref(), &prompt, 8, 3, None);
-        let b_naive = sampler::beam_search_uncached(&m, hook.as_ref(), &prompt, 8, 3, None);
+        let b_naive = reference::beam_search_uncached(&m, hook.as_ref(), &prompt, 8, 3, None);
         assert_eq!(b_cached, b_naive, "{name}: beam divergence");
     }
     kernels::set_num_threads(0);

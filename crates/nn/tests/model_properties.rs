@@ -1,6 +1,9 @@
 //! Property tests on the transformer substrate: causality, determinism,
 //! finiteness, and loss/score consistency over randomized inputs.
 
+#[path = "support/reference.rs"]
+mod reference;
+
 use infuserki_nn::{sampler, ModelConfig, NoHook, TransformerLm};
 use infuserki_tensor::op::IGNORE_INDEX;
 use infuserki_tensor::Tape;
@@ -77,7 +80,7 @@ proptest! {
                                        completion in proptest::collection::vec(0..VOCAB, 1..4)) {
         // completion_logprob = -(mean CE loss) × (#completion tokens)
         let m = model(4);
-        let lp = m.completion_logprob(&prompt, &completion, &NoHook);
+        let lp = reference::completion_logprob(&m, &prompt, &completion, &NoHook);
         let mut tape = Tape::new();
         let loss = m.completion_loss(&prompt, &completion, &NoHook, &mut tape);
         let mean_ce = tape.value(loss).scalar_value();

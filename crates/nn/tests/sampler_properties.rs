@@ -5,6 +5,9 @@
 
 use std::sync::Mutex;
 
+#[path = "support/reference.rs"]
+mod reference;
+
 use infuserki_nn::{sampler, ModelConfig, NoHook, TransformerLm};
 use infuserki_tensor::kernels;
 use proptest::prelude::*;
@@ -74,7 +77,7 @@ proptest! {
         let options: Vec<Vec<usize>> =
             vec![vec![0], vec![1, 2], vec![3, 4, 5], vec![VOCAB - 1]];
         let cached = sampler::score_options(&m, &NoHook, &prompt, &options);
-        let naive = sampler::score_options_uncached(&m, &NoHook, &prompt, &options);
+        let naive = reference::score_options_uncached(&m, &NoHook, &prompt, &options);
         kernels::set_num_threads(0);
         for (i, (a, b)) in cached.iter().zip(&naive).enumerate() {
             prop_assert!(a.to_bits() == b.to_bits(), "option {i}: {a} vs {b}");

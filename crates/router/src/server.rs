@@ -545,11 +545,12 @@ mod tests {
     struct SlowHook;
 
     impl infuserki_nn::LayerHook for SlowHook {
-        fn infer_attn_q_delta(
+        fn attn_q_delta(
             &self,
             _layer: usize,
-            _x: &infuserki_tensor::Matrix,
-        ) -> Option<infuserki_tensor::Matrix> {
+            _x: &infuserki_nn::Val,
+            _e: &mut infuserki_nn::Exec,
+        ) -> Option<infuserki_nn::Val> {
             std::thread::sleep(Duration::from_millis(1));
             None
         }

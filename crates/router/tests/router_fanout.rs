@@ -39,11 +39,12 @@ fn gen(prompt: Vec<usize>, max_new: usize) -> RequestKind {
 struct SlowHook(Duration);
 
 impl LayerHook for SlowHook {
-    fn infer_attn_q_delta(
+    fn attn_q_delta(
         &self,
         _layer: usize,
-        _x: &infuserki_tensor::Matrix,
-    ) -> Option<infuserki_tensor::Matrix> {
+        _x: &infuserki_nn::Val,
+        _e: &mut infuserki_nn::Exec,
+    ) -> Option<infuserki_nn::Val> {
         std::thread::sleep(self.0);
         None
     }
@@ -194,11 +195,12 @@ struct PanicHook {
 }
 
 impl LayerHook for PanicHook {
-    fn infer_attn_q_delta(
+    fn attn_q_delta(
         &self,
         _layer: usize,
-        _x: &infuserki_tensor::Matrix,
-    ) -> Option<infuserki_tensor::Matrix> {
+        _x: &infuserki_nn::Val,
+        _e: &mut infuserki_nn::Exec,
+    ) -> Option<infuserki_nn::Val> {
         std::thread::sleep(Duration::from_millis(2));
         if self.armed && self.calls.fetch_add(1, Ordering::Relaxed) >= self.panic_at {
             panic!("injected scheduler-thread panic");

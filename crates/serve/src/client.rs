@@ -406,11 +406,12 @@ mod tests {
     struct Gate(std::sync::Mutex<Option<(Sender<()>, Receiver<()>)>>);
 
     impl LayerHook for Gate {
-        fn infer_attn_q_delta(
+        fn attn_q_delta(
             &self,
             _layer: usize,
-            _x: &infuserki_tensor::Matrix,
-        ) -> Option<infuserki_tensor::Matrix> {
+            _x: &infuserki_nn::Val,
+            _e: &mut infuserki_nn::Exec,
+        ) -> Option<infuserki_nn::Val> {
             if let Some((entered, release)) = self.0.lock().unwrap().take() {
                 let _ = entered.send(());
                 let _ = release.recv();

@@ -26,8 +26,9 @@ pub struct ServeConfig {
     pub block_rows: usize,
     /// Cross-request prefix cache: index full prompt blocks in a radix tree
     /// so later requests with a matching token prefix skip that prefill.
-    /// Auto-disabled for hooks whose state is not prefix-determined
-    /// ([`infuserki_nn::LayerHook::prefix_cache_safe`]).
+    /// Safe for every hook: a block holds all a sequence carries past it
+    /// (its K/V rows and the gate's running sums), and entries are keyed by
+    /// bundle version.
     pub prefix_cache: bool,
     /// Maximum number of requests admitted into the running batch at once.
     /// MCQ option branches spawned by an already-admitted request do not

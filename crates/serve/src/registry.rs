@@ -49,11 +49,6 @@ pub struct BundleEntry<'a> {
     pub gate_probes: Vec<GateProbe>,
     /// The hook itself.
     pub hook: HookArc<'a>,
-    /// Cached [`LayerHook::prefix_cache_safe`] (the scheduler ANDs it with
-    /// its config to decide per-version prefix sharing).
-    pub prefix_cache_safe: bool,
-    /// Cached "has per-sequence hook state" ([`LayerHook::make_state`]).
-    pub stateful: bool,
     /// Requests admitted on this version (`serve.bundle.v<N>.requests`).
     pub served: Arc<obs::Counter>,
 }
@@ -120,8 +115,6 @@ impl<'a> BundleRegistry<'a> {
             config_fingerprint,
             stamp,
             gate_probes,
-            prefix_cache_safe: hook.prefix_cache_safe(),
-            stateful: hook.make_state().is_some(),
             hook,
             served,
         });

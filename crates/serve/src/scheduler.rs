@@ -238,15 +238,6 @@ pub struct StepReport {
 struct VersionGroup<'a> {
     version: u32,
     hook: HookArc<'a>,
-    /// Cross-request prefix sharing for this version: the config asked for
-    /// it *and* this hook's state is a pure function of the token prefix.
-    /// Index entries are keyed by `(version, tokens)`, so sharing never
-    /// crosses versions.
-    prefix_enabled: bool,
-    /// This version's hook carries per-sequence state; indexable prefill
-    /// chunks must then end on single block boundaries so each indexed node
-    /// stores the exact state snapshot at its own boundary.
-    hook_stateful: bool,
     /// The live ragged cache; lane `i` is cache sequence `i`.
     cache: KvCache,
     lanes: Vec<Lane>,
@@ -711,13 +702,6 @@ impl<'a> Scheduler<'a> {
                 .request
                 .bundle
                 .unwrap_or_else(|| self.registry.active_version());
-            let prefix_ok = {
-                let entry = self
-                    .registry
-                    .get(version)
-                    .expect("pins are validated at enqueue; versions never unload");
-                self.cfg.prefix_cache && entry.prefix_cache_safe
-            };
             let prompt = match &head.request.kind {
                 RequestKind::Generate(g) if g.beam_width <= 1 && g.max_new > 0 => {
                     Some(g.prompt.as_slice())
@@ -730,11 +714,10 @@ impl<'a> Scheduler<'a> {
                 // Re-run the lookup after every eviction: the evicted leaf
                 // may have been on the matched path, invalidating its
                 // blocks (they are only pinned at adoption, below). The
-                // lookup is namespaced by version: cached blocks and
-                // hook-state snapshots are only reusable under the exact
-                // hook that produced them.
+                // lookup is namespaced by version: cached blocks are only
+                // reusable under the exact hook that produced them.
                 let hit = match prompt {
-                    Some(p) if prefix_ok => self.index.lookup_in(version as u64, p),
+                    Some(p) if self.cfg.prefix_cache => self.index.lookup_in(version as u64, p),
                     _ => None,
                 };
                 let discount = hit.as_ref().map_or(0, |m| m.tokens);
@@ -862,8 +845,6 @@ impl<'a> Scheduler<'a> {
                 self.groups.push(VersionGroup {
                     version,
                     hook: entry.hook.clone(),
-                    prefix_enabled: self.cfg.prefix_cache && entry.prefix_cache_safe,
-                    hook_stateful: entry.stateful,
                     cache: self
                         .model
                         .new_cache_in(entry.hook.as_ref(), self.pool.clone()),
@@ -879,10 +860,10 @@ impl<'a> Scheduler<'a> {
         if let Some(m) = hit {
             let lane_idx = g.cache.n_seqs() - 1;
             fed = m.tokens;
-            g.cache.adopt_prefix(lane_idx, &m.blocks, m.tokens, m.state);
+            g.cache.adopt_prefix(lane_idx, &m.blocks, m.tokens);
             metrics.prefix_hits.inc();
             metrics.prefix_hit_tokens.add(m.tokens as u64);
-        } else if g.prefix_enabled {
+        } else if self.cfg.prefix_cache {
             metrics.prefix_misses.inc();
         }
         let role = match role {
@@ -894,23 +875,16 @@ impl<'a> Scheduler<'a> {
     }
 
     /// End of the prompt span a lane at `fed` feeds this step: up to
-    /// `prefill_chunk` tokens, cut back to a block boundary when the chunk
-    /// would cross one and the group's prefix cache is live. A prompt chunk
-    /// that *ends* on a boundary leaves an exact hook-state snapshot there
-    /// for the index; chunking is bitwise-invariant, so the cut changes no
-    /// output — it only splits the prefill across one more step.
-    fn prefill_end(&self, fed: usize, total: usize, prefix_enabled: bool, stateful: bool) -> usize {
-        let mut end = total.min(fed + self.cfg.prefill_chunk);
-        if !prefix_enabled {
+    /// `prefill_chunk` tokens, cut back to the last block boundary it crosses
+    /// when the prefix cache is on, so every full block the chunk fills is
+    /// indexed right after it. Chunking is bitwise-invariant, so the cut
+    /// changes no output — it only splits the prefill across one more step.
+    fn prefill_end(&self, fed: usize, total: usize) -> usize {
+        let end = total.min(fed + self.cfg.prefill_chunk);
+        if !self.cfg.prefix_cache {
             return end;
         }
         let b = self.cfg.block_rows;
-        if stateful {
-            // One indexable boundary per chunk: a chunk spanning several
-            // boundaries could only snapshot the state at its end, not at
-            // the interior boundaries it would index.
-            end = end.min(fed + (b - fed % b));
-        }
         let cut = end - end % b;
         if cut > fed {
             cut
@@ -921,8 +895,7 @@ impl<'a> Scheduler<'a> {
 
     /// The tokens lane `lane` feeds this step (always non-empty), borrowed
     /// from its request's prompt, option script or output.
-    /// `prefix_enabled`/`stateful` are its group's chunk-alignment flags.
-    fn lane_chunk(&self, lane: &Lane, prefix_enabled: bool, stateful: bool) -> &[usize] {
+    fn lane_chunk(&self, lane: &Lane) -> &[usize] {
         let inf = self.slots[lane.slot]
             .as_ref()
             .expect("lane has a live slot");
@@ -930,12 +903,12 @@ impl<'a> Scheduler<'a> {
         match lane.role {
             LaneRole::GenPrefill { fed } => {
                 let p = &gen_spec(&inf.req).prompt;
-                &p[fed..self.prefill_end(fed, p.len(), prefix_enabled, stateful)]
+                &p[fed..self.prefill_end(fed, p.len())]
             }
             LaneRole::GenDecode => &inf.out[inf.out.len() - 1..],
             LaneRole::McqPrefill { fed } => {
                 let p = &mcq_spec(&inf.req).prompt;
-                &p[fed..self.prefill_end(fed, p.len(), prefix_enabled, stateful)]
+                &p[fed..self.prefill_end(fed, p.len())]
             }
             LaneRole::McqBranch { opt, fed } => {
                 let o = &mcq_spec(&inf.req).options[opt];
@@ -987,11 +960,7 @@ impl<'a> Scheduler<'a> {
     /// `(finished, prefill_tokens, decode_tokens)`. A group whose last lane
     /// retires is left empty for the caller to drop (releasing its cache).
     fn advance_group(&mut self, g: &mut VersionGroup<'a>) -> (usize, u64, u64) {
-        let chunks: Vec<&[usize]> = g
-            .lanes
-            .iter()
-            .map(|l| self.lane_chunk(l, g.prefix_enabled, g.hook_stateful))
-            .collect();
+        let chunks: Vec<&[usize]> = g.lanes.iter().map(|l| self.lane_chunk(l)).collect();
         let lens: Vec<usize> = chunks.iter().map(|c| c.len()).collect();
         let cache = &mut g.cache;
         let logits = self
@@ -1000,11 +969,11 @@ impl<'a> Scheduler<'a> {
         let batch = SeqBatch::from_lens(&lens);
 
         // Index every prompt prefill that just reached a block boundary:
-        // its full blocks (plus the hook-state snapshot at the boundary)
-        // become adoptable by later requests with the same prefix — in this
-        // version's namespace only. This runs before retirement, so even a
-        // prompt finishing this step leaves its prefix behind.
-        if g.prefix_enabled {
+        // its full blocks (with the gate sums they hold) become adoptable by
+        // later requests with the same prefix — in this version's namespace
+        // only. This runs before retirement, so even a prompt finishing this
+        // step leaves its prefix behind.
+        if self.cfg.prefix_cache {
             let b = self.cfg.block_rows;
             let handle = self.pool.clone();
             let mut pool = handle.lock();
@@ -1019,13 +988,11 @@ impl<'a> Scheduler<'a> {
                 };
                 let t = fed + lens[i];
                 if t.is_multiple_of(b) {
-                    let state = cache.clone_state(i);
                     self.index.insert_in(
                         &mut pool,
                         g.version as u64,
                         &prompt[..t],
                         &cache.seq_table(i)[..t / b],
-                        &state,
                     );
                 }
             }

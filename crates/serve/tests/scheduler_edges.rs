@@ -1,11 +1,12 @@
 //! Scheduler edge cases: idle steps, budget rejections, cancellation
 //! mid-decode, deadline expiry during chunked prefill, queue backpressure,
-//! and priority ordering.
+//! priority ordering, and prefix-cache chunking under InfuserKI.
 
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
-use infuserki_nn::{ModelConfig, NoHook, TransformerLm};
+use infuserki_core::{InfuserKiConfig, InfuserKiMethod};
+use infuserki_nn::{sampler, ModelConfig, NoHook, TransformerLm};
 use infuserki_serve::{
     GenerateSpec, McqSpec, Outcome, RejectReason, Request, RequestKind, Response, Scheduler,
     ServeConfig,
@@ -290,4 +291,76 @@ fn drain_rejects_queued_but_finishes_running() {
         rx2.try_recv().unwrap().outcome,
         Outcome::Rejected(RejectReason::ShuttingDown)
     ));
+}
+
+/// InfuserKI through the prefix cache at 16-row blocks and 32-token chunks:
+/// a 40-token prompt prefills in two steps and indexes both of its block
+/// boundaries, and requests sharing its first 32 or 16 tokens adopt those
+/// blocks — with the gate sums they hold — and answer exactly what the
+/// single-sequence sampler does.
+#[test]
+fn infuserki_prefill_indexes_every_boundary_and_adopters_stay_bitwise() {
+    kernels::set_num_threads(1);
+    let mut rng = ChaCha8Rng::seed_from_u64(12);
+    let m = TransformerLm::new(
+        ModelConfig {
+            max_seq: 64,
+            ..ModelConfig::tiny(30)
+        },
+        &mut rng,
+    );
+    let mut c = InfuserKiConfig::for_model(m.n_layers());
+    c.bottleneck = 4;
+    c.infuser_hidden = 4;
+    c.rc_dim = 8;
+    let mut hook = InfuserKiMethod::new(c, &m, 5);
+    hook.visit_adapters_mut(&mut |p| {
+        for (i, w) in p.data_mut().data_mut().iter_mut().enumerate() {
+            *w += 0.01 * ((i % 7) as f32 - 3.0);
+        }
+    });
+    let cfg = ServeConfig {
+        block_rows: 16,
+        prefill_chunk: 32,
+        prefix_cache: true,
+        ..ServeConfig::default()
+    };
+    let mut sched = Scheduler::new(&m, &hook, cfg).unwrap();
+    let tokens = |r: &Response| match &r.outcome {
+        Outcome::Generated { tokens } => tokens.clone(),
+        other => panic!("unexpected outcome {other:?}"),
+    };
+
+    let first: Vec<usize> = (0..40).map(|i| (i * 7 + 3) % 30).collect();
+    let rx = submit(&mut sched, 0, gen(first.clone(), 1));
+    let mut steps = 0;
+    let resp = loop {
+        sched.step();
+        steps += 1;
+        if let Ok(r) = rx.try_recv() {
+            break r;
+        }
+    };
+    assert_eq!(steps, 2, "32 + 8 tokens, one block-aligned cut");
+    assert_eq!(
+        tokens(&resp),
+        sampler::greedy_decode(&m, &hook, &first, 1, None)
+    );
+
+    // Shares both blocks, then diverges.
+    let second: Vec<usize> = first[..32].iter().chain(&[5, 6, 7, 8]).copied().collect();
+    // Shares the first block only.
+    let third: Vec<usize> = first[..20].iter().chain(&[9, 9, 9]).copied().collect();
+    for (id, prompt, adopted) in [(1, &second, 32), (2, &third, 16)] {
+        let hits_before = sched.snapshot().prefix_hit_tokens;
+        let rx = submit(&mut sched, id, gen(prompt.clone(), 6));
+        sched.run_until_idle();
+        assert_eq!(sched.snapshot().prefix_hit_tokens - hits_before, adopted);
+        assert_eq!(
+            tokens(&rx.try_recv().unwrap()),
+            sampler::greedy_decode(&m, &hook, prompt, 6, None),
+            "request {id}"
+        );
+    }
+    kernels::set_num_threads(0);
 }

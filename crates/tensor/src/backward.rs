@@ -194,19 +194,6 @@ fn backward_op(
             accumulate(&mut grads_before[a.index()], da);
             accumulate(&mut grads_before[b.index()], db);
         }
-        Op::MulScalarNode(a, s) => {
-            let sv = val(*s).scalar_value();
-            let mut da = gout.clone();
-            da.scale_assign(sv);
-            accumulate(&mut grads_before[a.index()], da);
-            let ds: f32 = gout
-                .data()
-                .iter()
-                .zip(val(*a).data().iter())
-                .map(|(&g, &x)| g * x)
-                .sum();
-            accumulate(&mut grads_before[s.index()], Matrix::scalar(ds));
-        }
         Op::Scale(a, c) => {
             let mut da = gout.clone();
             da.scale_assign(*c);
@@ -291,13 +278,6 @@ fn backward_op(
             let mut da = gout.clone();
             for (g, &x) in da.data_mut().iter_mut().zip(val(*a).data().iter()) {
                 *g *= kernels::gelu_grad(x);
-            }
-            accumulate(&mut grads_before[a.index()], da);
-        }
-        Op::Silu(a) => {
-            let mut da = gout.clone();
-            for (g, &x) in da.data_mut().iter_mut().zip(val(*a).data().iter()) {
-                *g *= kernels::silu_grad(x);
             }
             accumulate(&mut grads_before[a.index()], da);
         }
@@ -513,24 +493,5 @@ mod tests {
         let y = t.scale(x, 2.0);
         t.backward(y);
         assert_eq!(t.grads().get(p.id()).unwrap().scalar_value(), 2.0);
-    }
-
-    #[test]
-    fn mul_scalar_node_grads() {
-        let mut t = Tape::new();
-        let pa = Param::new("a", Matrix::from_vec(1, 2, vec![3.0, 4.0]));
-        let ps = Param::new("s", Matrix::scalar(0.5));
-        let a = t.param(&pa);
-        let s = t.param(&ps);
-        let o = t.mul_scalar_node(a, s);
-        let m = t.mean_rows(o); // [1,2] mean over rows = identity here
-        let loss = t.matmul_bt(m, m); // sum of squares scaled
-        t.backward(loss);
-        let g = t.grads();
-        assert!(g.get(pa.id()).is_some());
-        assert!(g.get(ps.id()).is_some());
-        // loss = s^2 (9+16) = 25 s^2, so dL/ds = 50 s = 25 at s = 0.5
-        let gs = g.get(ps.id()).unwrap().scalar_value();
-        assert!((gs - 25.0).abs() < 1e-4, "gs = {gs}");
     }
 }

@@ -1402,19 +1402,6 @@ pub fn gelu_grad(v: f32) -> f32 {
     0.5 * (1.0 + t) + 0.5 * v * (1.0 - t * t) * du
 }
 
-/// SiLU / swish: `x * sigmoid(x)`.
-#[inline]
-pub fn silu(v: f32) -> f32 {
-    v * sigmoid(v)
-}
-
-/// Derivative of [`silu`].
-#[inline]
-pub fn silu_grad(v: f32) -> f32 {
-    let s = sigmoid(v);
-    s * (1.0 + v * (1.0 - s))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1592,8 +1579,6 @@ mod tests {
                 "gelu'({v}) = {} vs fd {fd_g}",
                 gelu_grad(v)
             );
-            let fd_s = (silu(v + eps) - silu(v - eps)) / (2.0 * eps);
-            assert!((silu_grad(v) - fd_s).abs() < 1e-2);
         }
     }
 

@@ -37,8 +37,6 @@ pub enum Op {
     Sub(NodeId, NodeId),
     /// Element-wise `a * b` (equal shapes).
     Mul(NodeId, NodeId),
-    /// `a * s` where `s` is a `[1,1]` node (differentiable scalar gate).
-    MulScalarNode(NodeId, NodeId),
     /// `a * c` for a compile-time constant `c`.
     Scale(NodeId, f32),
     /// Matrix transpose.
@@ -62,8 +60,6 @@ pub enum Op {
     Relu(NodeId),
     /// Element-wise GELU (tanh approximation).
     Gelu(NodeId),
-    /// Element-wise SiLU.
-    Silu(NodeId),
     /// Element-wise logistic sigmoid.
     Sigmoid(NodeId),
     /// Element-wise tanh.
@@ -135,7 +131,6 @@ impl Op {
             | Op::AddRowBroadcast(a, b)
             | Op::Sub(a, b)
             | Op::Mul(a, b)
-            | Op::MulScalarNode(a, b)
             | Op::MulColBroadcast(a, b)
             | Op::ConcatRows(a, b) => vec![*a, *b],
             Op::Scale(a, _)
@@ -144,7 +139,6 @@ impl Op {
             | Op::LogSoftmax(a)
             | Op::Relu(a)
             | Op::Gelu(a)
-            | Op::Silu(a)
             | Op::Sigmoid(a)
             | Op::Tanh(a)
             | Op::MeanRows(a)
@@ -173,7 +167,6 @@ impl Op {
             Op::AddRowBroadcast(..) => "add_row_bcast",
             Op::Sub(..) => "sub",
             Op::Mul(..) => "mul",
-            Op::MulScalarNode(..) => "mul_scalar_node",
             Op::Scale(..) => "scale",
             Op::Transpose(..) => "transpose",
             Op::Softmax(..) => "softmax",
@@ -181,7 +174,6 @@ impl Op {
             Op::LayerNorm { .. } => "layer_norm",
             Op::Relu(..) => "relu",
             Op::Gelu(..) => "gelu",
-            Op::Silu(..) => "silu",
             Op::Sigmoid(..) => "sigmoid",
             Op::Tanh(..) => "tanh",
             Op::Embedding { .. } => "embedding",

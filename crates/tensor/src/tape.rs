@@ -170,19 +170,6 @@ impl Tape {
         self.push(Op::Mul(a, b), v)
     }
 
-    /// `a * s` where `s` is a differentiable `[1,1]` node — the infuser gate.
-    pub fn mul_scalar_node(&mut self, a: NodeId, s: NodeId) -> NodeId {
-        assert_eq!(
-            self.value(s).shape(),
-            (1, 1),
-            "mul_scalar_node: gate must be [1,1]"
-        );
-        let sv = self.value(s).scalar_value();
-        let mut v = self.value(a).clone();
-        v.scale_assign(sv);
-        self.push(Op::MulScalarNode(a, s), v)
-    }
-
     /// `a * c` for a constant `c`.
     pub fn scale(&mut self, a: NodeId, c: f32) -> NodeId {
         let mut v = self.value(a).clone();
@@ -231,12 +218,6 @@ impl Tape {
         let mut v = self.value(a).clone();
         kernels::gelu_slice(v.data_mut());
         self.push(Op::Gelu(a), v)
-    }
-
-    /// Element-wise SiLU.
-    pub fn silu(&mut self, a: NodeId) -> NodeId {
-        let v = self.value(a).map(kernels::silu);
-        self.push(Op::Silu(a), v)
     }
 
     /// Element-wise logistic sigmoid.
@@ -542,14 +523,5 @@ mod tests {
         let loss = t.bce_with_logits(l, &[1.0, 0.0]);
         // -ln(0.5) for both rows
         assert!((t.value(loss).scalar_value() - std::f32::consts::LN_2).abs() < 1e-3);
-    }
-
-    #[test]
-    fn mul_scalar_node_scales() {
-        let mut t = Tape::new();
-        let a = t.leaf(Matrix::from_vec(1, 2, vec![2.0, 4.0]));
-        let s = t.leaf(Matrix::scalar(0.5));
-        let o = t.mul_scalar_node(a, s);
-        assert_eq!(t.value(o).data(), &[1.0, 2.0]);
     }
 }

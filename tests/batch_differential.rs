@@ -6,9 +6,10 @@
 //! row-banded kernels. GRACE, with an edit that fires, runs the same batched
 //! paths.
 //!
-//! The InfuserKI cases are the sharpest: its hook carries per-sequence state
-//! (the cross-layer adapter carry and the cumulative gate sums), so any
-//! cross-batch leak shows up as a bitwise divergence here.
+//! The InfuserKI cases are the sharpest: its gate pools each sequence's
+//! cumulative mean (running sums kept in that sequence's KV blocks) and its
+//! adapter carry crosses layers, so any cross-batch leak shows up as a
+//! bitwise divergence here.
 //!
 //! The kernel thread override is process-global; this file serializes every
 //! test behind one lock.

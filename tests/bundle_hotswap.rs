@@ -8,7 +8,7 @@
 //!   single-request sampler path under *that* hook, no matter what control
 //!   ops land while it is in flight.
 //! * **Per-version isolation** — two versions serving concurrently (A/B)
-//!   never adopt each other's prefix-cache blocks or hook-state snapshots,
+//!   never adopt each other's prefix-cache blocks (K/V rows and gate sums),
 //!   even for identical prompts: `PrefixIndex` entries are keyed by
 //!   `(bundle_version, tokens)`.
 //! * **Bitwise rollback** — after promote + rollback, unpinned requests
@@ -250,7 +250,7 @@ fn swap_under_load_pins_in_flight_requests_and_isolates_versions() {
     assert_eq!(v2, 2);
 
     // Identical prompts across versions: any cross-version reuse of cached
-    // blocks or hook-state snapshots diverges from the single-path replay.
+    // blocks (rows or gate sums) diverges from the single-path replay.
     let shared: Vec<usize> = vec![4, 5, 6, 7, 8, 9, 10, 11];
     let mcq_prompt = vec![2, 3, 4, 5];
     let mcq_options = vec![vec![6], vec![7, 8], vec![9, 10, 11]];
@@ -357,7 +357,7 @@ fn prefix_cache_entries_never_cross_versions() {
         .unwrap();
 
     // Two full 4-row blocks of shared prompt, so the index holds entries
-    // (with InfuserKI hook-state snapshots for v1) for both versions.
+    // (with InfuserKI's gate sums in v1's) for both versions.
     let prompt: Vec<usize> = vec![3, 1, 4, 1, 5, 9, 2, 6];
     for (round, (pin, hook)) in [
         (None, &NoHook as &dyn LayerHook),
@@ -664,7 +664,8 @@ fn empty_json_array(json: &str, key: &str) -> String {
 /// A bundle file with the right base hash but a truncated adapter stack must
 /// be refused at load with the typed `Incompatible` error. Staged, it would
 /// panic the scheduler thread at the first pinned request or gate probe
-/// (`adapters[0]` in `make_state`) and take the replica down with it.
+/// (the hook indexes its adapters by placement) and take the replica down
+/// with it.
 #[test]
 fn mis_shaped_bundle_is_refused_at_load_and_serving_continues() {
     let _g = THREADS.lock().unwrap();

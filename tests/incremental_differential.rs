@@ -8,6 +8,9 @@
 
 use std::sync::Mutex;
 
+#[path = "../crates/nn/tests/support/reference.rs"]
+mod reference;
+
 use infuserki::baselines::grace::{Grace, GraceConfig};
 use infuserki::baselines::lora::{LoraConfig, LoraMethod};
 use infuserki::baselines::prefix::{PrefixConfig, PrefixTuning};
@@ -131,7 +134,7 @@ fn assert_samplers_agree(b: &TransformerLm, hook: &dyn LayerHook, name: &str) {
     let p = prompt();
     let opts = options();
     let cached = sampler::score_options(b, hook, &p, &opts);
-    let naive = sampler::score_options_uncached(b, hook, &p, &opts);
+    let naive = reference::score_options_uncached(b, hook, &p, &opts);
     for (i, (x, y)) in cached.iter().zip(&naive).enumerate() {
         assert!(
             x.to_bits() == y.to_bits(),
@@ -139,10 +142,10 @@ fn assert_samplers_agree(b: &TransformerLm, hook: &dyn LayerHook, name: &str) {
         );
     }
     let g_cached = sampler::greedy_decode(b, hook, &p, 12, None);
-    let g_naive = sampler::greedy_decode_uncached(b, hook, &p, 12, None);
+    let g_naive = reference::greedy_decode_uncached(b, hook, &p, 12, None);
     assert_eq!(g_cached, g_naive, "{name}: greedy divergence");
     let bm_cached = sampler::beam_search(b, hook, &p, 8, 3, None);
-    let bm_naive = sampler::beam_search_uncached(b, hook, &p, 8, 3, None);
+    let bm_naive = reference::beam_search_uncached(b, hook, &p, 8, 3, None);
     assert_eq!(bm_cached, bm_naive, "{name}: beam divergence");
 }
 
@@ -220,7 +223,7 @@ fn infuserki_forked_option_scoring_shares_gate_statistics_correctly() {
         let opts = options();
         let cached = sampler::score_options(&b, &hook, &p, &opts);
         for (i, opt) in opts.iter().enumerate() {
-            let naive = b.completion_logprob(&p, opt, &hook);
+            let naive = reference::completion_logprob(&b, &p, opt, &hook);
             assert!(
                 cached[i].to_bits() == naive.to_bits(),
                 "option {i}: {} vs {naive}",

@@ -6,7 +6,7 @@
 //! serial kernels; MCQ scores within 1e-5 with parallel row-banded kernels
 //! (the same convention as `tests/batch_differential.rs`).
 //!
-//! Hooks with per-sequence state (InfuserKI), per-layer cache prefixes
+//! Hooks with a per-sequence gate statistic (InfuserKI), per-layer cache prefixes
 //! (prefix tuning, which makes the KV-row cost accounting nontrivial) and
 //! per-row ε-ball deferral (GRACE) are exercised alongside the bare model.
 //!
@@ -437,8 +437,9 @@ fn shared_prefix_schedules_are_bitwise_with_infuserki_state() {
     let b = base();
     let m = infuserki_hook(&b);
     let hook = m.hook();
-    // The infuser carry/gate state is a pure function of the token prefix,
-    // so adopted snapshots must resume mid-prompt without any divergence.
+    // The infuser gate sums live in the adopted blocks and are a pure
+    // function of the token prefix, so adopters resume mid-prompt without
+    // any divergence.
     let result = run_template_schedule(&b, &hook, 909, tight_cfg(3, 4, 256), 12);
     verify(&b, &hook, &result, true, "shared-infuserki");
     assert!(
@@ -454,8 +455,8 @@ fn scheduler_is_bitwise_with_grace_edits() {
     kernels::set_num_threads(1);
     let b = base();
     let g = grace_hook(&b);
-    // GRACE's per-row ε-ball lookup is row-local and stateless, so it runs
-    // through the continuous batch and the prefix cache with no hook state.
+    // GRACE's per-row ε-ball lookup is row-local, so it runs through the
+    // continuous batch and the prefix cache as written.
     for seed in std::iter::once(1111u64).chain(extra_seeds(1111)) {
         let result = run_schedule(&b, &g, seed, tight_cfg(3, 3, 256), 10);
         verify(&b, &g, &result, true, "grace");
