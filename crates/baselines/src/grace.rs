@@ -16,7 +16,7 @@
 use infuserki_nn::optim::{AdamW, AdamWConfig};
 use infuserki_nn::{Exec, ForwardTrace, LayerHook, LmSample, NoHook, TransformerLm, Val};
 use infuserki_tensor::op::IGNORE_INDEX;
-use infuserki_tensor::{Matrix, Param, Tape};
+use infuserki_tensor::{Matrix, Param, Tape, TrainableSet};
 use serde::{Deserialize, Serialize};
 
 use crate::common::VisitTrainable;
@@ -138,19 +138,19 @@ impl Grace {
                 self.entries.len() - 1
             }
         };
-        // Fit the value vector on this edit.
+        // Fit the value vector on this edit: it is the only gradient the
+        // tape computes, so the clip reads its norm alone.
         let mut opt = AdamW::new(AdamWConfig {
             lr: self.cfg.lr,
             weight_decay: 0.0,
             ..AdamWConfig::default()
         });
+        let trainable: TrainableSet = std::iter::once(self.entries[idx].value.id()).collect();
         for _ in 0..self.cfg.steps_per_edit {
-            let mut tape = Tape::new();
+            let mut tape = Tape::with_trainable(trainable.clone());
             let loss = base.lm_loss(&sample.tokens, &sample.targets, &*self, &mut tape);
             tape.backward(loss);
-            let mut grads = tape.grads();
-            grads.scale(1.0);
-            opt.step(&grads, |f| f(&mut self.entries[idx].value));
+            opt.step(&tape.grads(), |f| f(&mut self.entries[idx].value));
         }
         idx
     }

@@ -39,10 +39,11 @@ impl EwcPenalty {
             fn visit_trainable(&mut self, _f: &mut dyn FnMut(&mut Param)) {}
         }
         let probe = Probe(model);
+        let every = model.trainable_set();
         let indices: Vec<usize> = (0..known_samples.len()).collect();
         let mut fisher: HashMap<ParamId, Matrix> = HashMap::new();
         for chunk in indices.chunks(8) {
-            let (_, grads) = compute_batch_grads(&probe, known_samples, chunk);
+            let (_, grads) = compute_batch_grads(&probe, known_samples, chunk, &every);
             for (id, g) in grads.iter() {
                 let sq = g.map(|v| v * v);
                 match fisher.get_mut(id) {
@@ -118,6 +119,7 @@ pub fn train_full_ft_ewc(
     seed: u64,
 ) -> Vec<f32> {
     let penalty = EwcPenalty::estimate(model, known_samples, lambda);
+    let every = model.trainable_set();
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let mut opt = AdamW::new(AdamWConfig {
         lr,
@@ -139,7 +141,7 @@ pub fn train_full_ft_ewc(
             }
             let (loss_sum, mut grads) = {
                 let probe = Probe(model);
-                compute_batch_grads(&probe, new_samples, chunk)
+                compute_batch_grads(&probe, new_samples, chunk, &every)
             };
             grads.scale(1.0 / chunk.len() as f32);
             penalty.add_penalty_grads(model, &mut grads);
@@ -256,6 +258,7 @@ pub fn train_full_ft_distill(
         known_idx: Some(i),
     }));
 
+    let every = model.trainable_set();
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let mut opt = AdamW::new(AdamWConfig {
         lr,
@@ -275,7 +278,7 @@ pub fn train_full_ft_distill(
                     teacher_probs: &teacher_probs,
                     alpha,
                 };
-                compute_batch_grads(&dm, &samples, chunk)
+                compute_batch_grads(&dm, &samples, chunk, &every)
             };
             grads.scale(1.0 / chunk.len() as f32);
             opt.step(&grads, |f| model.visit_mut(f));

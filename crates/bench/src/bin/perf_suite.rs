@@ -2,7 +2,7 @@
 //!
 //! One mode, no options: it runs the benches below, prints their records as
 //! JSON on stdout (through `infuserki_obs::PerfSuite`) and exits 1 if one of
-//! eight ratios is over its limit; any argument is a usage error (exit 2).
+//! nine ratios is over its limit; any argument is a usage error (exit 2).
 //! Both sides of a ratio are sampled in the same [`round_robin_medians`]
 //! rounds, so the host's speed cancels and nothing is compared against a
 //! committed number. Absolute speed is the system benchmark's job
@@ -21,6 +21,9 @@
 //!   int8-quantized frozen base and beside the hook-less step (µs).
 //! * `prefix_cache` — a closed loop of shared-template prompts through the
 //!   scheduler with the cross-request prefix cache on and off (ms per loop).
+//! * `train_backward` — loss, backward and `grads()` of one hooked
+//!   InfuserKI QA sample on a tape masked to the adapters and on a full
+//!   `Tape::new()` tape (µs).
 //!
 //! The ratios and their limits: [`TIER_RATIO`], [`RATIOS`] and the odd-lane
 //! rule in [`ratio_gate`].
@@ -35,10 +38,10 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use infuserki_core::{InfuserKiConfig, InfuserKiMethod};
-use infuserki_nn::{KvCache, LayerHook, ModelConfig, NoHook, TransformerLm};
+use infuserki_nn::{KvCache, LayerHook, LmSample, ModelConfig, NoHook, TransformerLm};
 use infuserki_obs::{PerfRecord, PerfSuite};
 use infuserki_serve::{spawn_scheduler, Outcome, ServeConfig};
-use infuserki_tensor::{init, kernels, simd, Isa, Matrix, Param, QuantSpec};
+use infuserki_tensor::{init, kernels, simd, Isa, Matrix, Param, QuantSpec, Tape, TrainableSet};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -69,6 +72,7 @@ fn run_suite(tier: Isa) -> PerfSuite {
     suite.push(bench_decode_history());
     suite.push(bench_decode_variants());
     suite.push(bench_prefix_cache());
+    suite.push(bench_train_backward());
     suite
 }
 
@@ -341,6 +345,39 @@ fn bench_prefix_cache() -> PerfRecord {
         .metric("hit_rate_on", snap.prefix_hits as f64 / eligible as f64)
 }
 
+/// One QA training sample's tape work on [`hooked_world_model`] (world
+/// vocabulary): the hooked LM loss of a 20-token prompt and a 2-token
+/// answer, `backward` and `grads()`, on a tape masked to the adapters (the
+/// QA phase's trainable set, as `train_epoch` builds it) and on a full
+/// `Tape::new()` tape.
+fn bench_train_backward() -> PerfRecord {
+    const VOCAB: usize = 106;
+    let mut rng = ChaCha8Rng::seed_from_u64(23);
+    let (base, mut method) = hooked_world_model(VOCAB, &mut rng);
+    let prompt: Vec<usize> = (0..20).map(|_| rng.gen_range(2..VOCAB)).collect();
+    let sample = LmSample::from_completion(&prompt, &[7, 9]);
+    let mut adapters = Vec::new();
+    method.visit_adapters_mut(&mut |p| adapters.push(p.id()));
+    let adapters: TrainableSet = adapters.into_iter().collect();
+    let hook = method.hook();
+    let sides = [Some(adapters), None];
+    let tape_s = round_robin_medians(sides.len(), |col| {
+        let t0 = Instant::now();
+        let mut tape = sides[col]
+            .clone()
+            .map_or_else(Tape::new, Tape::with_trainable);
+        let loss = base.lm_loss(&sample.tokens, &sample.targets, hook, &mut tape);
+        tape.backward(loss);
+        let grads = tape.grads();
+        std::hint::black_box(grads.len());
+        drop(tape);
+        t0.elapsed().as_secs_f64()
+    });
+    PerfRecord::new("train_backward")
+        .metric("us_masked", tape_s[0] * 1e6)
+        .metric("us_full", tape_s[1] * 1e6)
+}
+
 /// One gated ratio: `cost` may be at most `limit` × `beside`, each a
 /// `(record, metric)` of the fresh suite.
 struct Ratio {
@@ -439,6 +476,18 @@ const RATIOS: &[Ratio] = &[
         cost: ("prefix_cache", "ms_on"),
         beside: ("prefix_cache", "ms_off"),
         limit: 0.65,
+    },
+    // A frozen base gets no weight gradients: the tape masked to the
+    // trainable set skips every frozen `dW` and the backward below the
+    // lowest adapter. Healthy 0.74× native, 0.72–0.73× baseline; the mask
+    // off (every node differentiated, as on `Tape::new()`, which is what a
+    // training loop falling back to full tapes costs) 1.00× native, where
+    // both sides do the same work.
+    Ratio {
+        what: "QA sample loss+backward+grads, tape masked to the adapters vs full tape",
+        cost: ("train_backward", "us_masked"),
+        beside: ("train_backward", "us_full"),
+        limit: 0.85,
     },
 ];
 
@@ -548,6 +597,11 @@ mod tests {
                 .metric("ms_on", 3.0)
                 .metric("ms_off", 10.0),
         );
+        suite.push(
+            PerfRecord::new("train_backward")
+                .metric("us_masked", 7000.0)
+                .metric("us_full", 10000.0),
+        );
         suite
     }
 
@@ -576,7 +630,7 @@ mod tests {
     fn healthy_records_pass() {
         let (ok, bad) = ratio_gate(&healthy(), Isa::Avx2);
         assert!(bad.is_empty(), "{bad:?}");
-        // Seven table ratios and one line per odd lane count.
+        // The tier ratio, the table ratios and one line per odd lane count.
         let odd = DECODE_LANES.iter().filter(|&&n| n % 2 == 1).count();
         assert_eq!(ok.len(), 1 + RATIOS.len() + odd, "{ok:?}");
     }
@@ -592,6 +646,7 @@ mod tests {
             ("decode_variants", "us_hooked_int8", 2.0, "int8"),
             ("decode_variants", "us_bare", 0.7, "hook vs without"),
             ("prefix_cache", "ms_on", 3.0, "prefix cache on vs off"),
+            ("train_backward", "us_masked", 1.4, "masked to the adapters"),
             (
                 "decode_lanes",
                 "us_b7",

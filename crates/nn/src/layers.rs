@@ -1,6 +1,6 @@
 //! Primitive layers: linear projections, embeddings, layer norm.
 
-use infuserki_tensor::{init, Matrix, Param, QuantSpec, QuantizedMatrix};
+use infuserki_tensor::{init, Matrix, Param, QuantSpec, QuantizedMatrix, TrainableSet};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -21,6 +21,14 @@ pub trait Module {
         let mut n = 0;
         self.visit(&mut |p| n += p.numel());
         n
+    }
+
+    /// Every parameter of the module, as the set a full-model training loop
+    /// differentiates towards ([`crate::compute_batch_grads`]).
+    fn trainable_set(&self) -> TrainableSet {
+        let mut ids = Vec::new();
+        self.visit(&mut |p| ids.push(p.id()));
+        ids.into_iter().collect()
     }
 }
 

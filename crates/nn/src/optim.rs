@@ -79,7 +79,11 @@ impl AdamW {
     /// parameters without a gradient entry are left untouched.
     ///
     /// Gradients should already be averaged over the batch; this method only
-    /// applies clipping and the AdamW rule.
+    /// applies clipping and the AdamW rule. The clip reads the global norm
+    /// of every gradient in `grads`, so `grads` should hold exactly the
+    /// parameters `visit` yields: [`crate::train_epoch`] passes the
+    /// trainable set's gradients and nothing else, as standard PEFT
+    /// practice clips over the adapter gradients alone.
     pub fn step(&mut self, grads: &Gradients, visit: impl FnOnce(&mut dyn FnMut(&mut Param))) {
         self.step += 1;
         let clip_scale = match self.cfg.clip_norm {

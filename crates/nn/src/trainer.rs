@@ -5,11 +5,14 @@
 //! tapes and exposes its trainable parameters; the loop shuffles, batches,
 //! accumulates gradients (in parallel with rayon — each sample gets its own
 //! tape, and [`infuserki_tensor::Gradients`] merge by parameter id), and
-//! applies AdamW.
+//! applies AdamW. Each tape differentiates towards the trainable parameters
+//! only ([`Tape::with_trainable`]), so a frozen base costs a forward and the
+//! backward above the lowest trainable parameter, and AdamW clips over the
+//! trainable gradients alone.
 
 use infuserki_obs as obs;
 use infuserki_tensor::op::IGNORE_INDEX;
-use infuserki_tensor::{Gradients, NodeId, Param, Tape};
+use infuserki_tensor::{Gradients, NodeId, Param, Tape, TrainableSet};
 use rand::seq::SliceRandom;
 use rand::Rng;
 use rayon::prelude::*;
@@ -53,7 +56,8 @@ pub trait Trainable: Sync {
     fn loss(&self, sample: &Self::Sample, tape: &mut Tape) -> NodeId;
 
     /// Visits every parameter the optimizer may update. Frozen base-model
-    /// parameters are simply not visited.
+    /// parameters are simply not visited, and [`train_epoch`] computes no
+    /// gradient for them.
     fn visit_trainable(&mut self, f: &mut dyn FnMut(&mut Param));
 }
 
@@ -94,6 +98,10 @@ impl LmSample {
 
 /// Runs one epoch over `samples`: shuffle, batch, accumulate, step.
 /// Returns the mean per-sample loss.
+///
+/// The trainable set is read once, from [`Trainable::visit_trainable`], and
+/// every batch's gradients are computed for it alone: frozen parameters get
+/// none, and the optimizer clips over exactly the gradients it applies.
 pub fn train_epoch<T: Trainable>(
     model: &mut T,
     samples: &[T::Sample],
@@ -102,6 +110,9 @@ pub fn train_epoch<T: Trainable>(
     rng: &mut impl Rng,
 ) -> f32 {
     assert!(batch_size > 0, "train_epoch: batch_size must be positive");
+    let mut ids = Vec::new();
+    model.visit_trainable(&mut |p| ids.push(p.id()));
+    let trainable: TrainableSet = ids.into_iter().collect();
     let mut order: Vec<usize> = (0..samples.len()).collect();
     order.shuffle(rng);
     let mut total_loss = 0.0f64;
@@ -109,7 +120,7 @@ pub fn train_epoch<T: Trainable>(
     for chunk in order.chunks(batch_size) {
         let _sp = obs::enabled().then(|| obs::span("train.step"));
         let t0 = std::time::Instant::now();
-        let (loss_sum, mut grads) = compute_batch_grads(model, samples, chunk);
+        let (loss_sum, mut grads) = compute_batch_grads(model, samples, chunk, &trainable);
         grads.scale(1.0 / chunk.len() as f32);
         opt.step(&grads, |f| model.visit_trainable(f));
         record_step(loss_sum / chunk.len() as f32, &grads, t0.elapsed());
@@ -126,6 +137,11 @@ pub fn train_epoch<T: Trainable>(
 /// Computes summed loss and accumulated gradients for one batch without
 /// stepping — exposed for tests and custom loops.
 ///
+/// Each sample's tape is [`Tape::with_trainable`]`(trainable)`: the result
+/// holds a gradient for each parameter of `trainable` the loss reaches and
+/// for no other, each bitwise what a full [`Tape::new`] backward computes.
+/// A full-model loop passes every parameter of the model.
+///
 /// Per-sample losses and gradients are computed in parallel but reduced
 /// sequentially in index order, with the loss summed in f64 — the result is
 /// identical at any thread count, so a training run replays bit-for-bit
@@ -134,11 +150,12 @@ pub fn compute_batch_grads<T: Trainable>(
     model: &T,
     samples: &[T::Sample],
     indices: &[usize],
+    trainable: &TrainableSet,
 ) -> (f32, Gradients) {
     let per: Vec<(f32, Gradients)> = indices
         .par_iter()
         .map(|&i| {
-            let mut tape = Tape::new();
+            let mut tape = Tape::with_trainable(trainable.clone());
             let loss = model.loss(&samples[i], &mut tape);
             let lv = tape.value(loss).scalar_value();
             tape.backward(loss);
@@ -242,8 +259,9 @@ mod tests {
             LmSample::from_completion(&[1], &[2]),
             LmSample::from_completion(&[1], &[2]),
         ];
-        let (l1, g1) = compute_batch_grads(&model, &samples, &[0]);
-        let (l2, g2) = compute_batch_grads(&model, &samples, &[0, 1]);
+        let all = model.0.trainable_set();
+        let (l1, g1) = compute_batch_grads(&model, &samples, &[0], &all);
+        let (l2, g2) = compute_batch_grads(&model, &samples, &[0, 1], &all);
         assert!((l2 - 2.0 * l1).abs() < 1e-4);
         // Identical samples → doubled gradients.
         for (id, g) in g1.iter() {

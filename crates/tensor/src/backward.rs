@@ -1,4 +1,11 @@
 //! Reverse-mode differentiation over a recorded tape.
+//!
+//! `backward` visits only nodes that need a gradient (see the tape module's
+//! docs) and writes a parent's contribution only when that parent needs it.
+//! No product, delta or zero matrix is built for any other target. A node
+//! that needs a gradient has every child that needs one, so a needed slot
+//! receives the same contributions in the same order whichever constructor
+//! built the tape: the masked gradients are bitwise the full ones.
 
 use crate::kernels;
 use crate::matrix::Matrix;
@@ -53,7 +60,8 @@ impl Tape {
     /// [`Tape::grads`]).
     ///
     /// Nodes recorded after `root` are ignored; nodes that do not contribute
-    /// to `root` keep a `None` gradient. Safe to call once per tape.
+    /// to `root`, or need no gradient, keep a `None` gradient. Safe to call
+    /// once per tape.
     ///
     /// # Panics
     /// Panics if `root` is not a `[1,1]` node.
@@ -64,6 +72,9 @@ impl Tape {
             "backward: root must be a scalar loss"
         );
         self.grads = (0..self.nodes.len()).map(|_| None).collect();
+        if !self.needs_grad(root) {
+            return;
+        }
         self.grads[root.index()] = Some(Matrix::scalar(1.0));
 
         for i in (0..=root.index()).rev() {
@@ -81,7 +92,8 @@ impl Tape {
     }
 
     /// Extracts per-parameter gradients (leaf nodes carrying a `ParamId`)
-    /// into a mergeable map. Call after [`Tape::backward`].
+    /// into a mergeable map. Call after [`Tape::backward`]. On a
+    /// [`Tape::with_trainable`] tape it holds only parameters of the set.
     pub fn grads(&self) -> Gradients {
         let mut out = Gradients::new();
         for (i, node) in self.nodes.iter().enumerate() {
@@ -96,7 +108,9 @@ impl Tape {
 }
 
 /// Propagates `gout` (gradient of node `i`'s output) into `grads_before`
-/// (slots for nodes with index < i).
+/// (slots for nodes with index < i), for the parents that need it. Node `i`
+/// needs a gradient (it has one), so a single-parent op's parent does too;
+/// only ops with several parents check.
 fn backward_op(
     op: &Op,
     nodes: &[crate::tape::Node],
@@ -104,95 +118,121 @@ fn backward_op(
     grads_before: &mut [Option<Matrix>],
 ) {
     let val = |id: NodeId| -> &Matrix { &nodes[id.index()].value };
+    let needs = |id: &NodeId| nodes[id.index()].needs_grad;
     match op {
         Op::Leaf { .. } => {}
         Op::MatMul(a, b) => {
             // y = a @ b: dA = g @ bᵀ, dB = aᵀ @ g — both written straight
             // into the gradient slots (no temporaries on the re-visit path).
             let (va, vb) = (val(*a), val(*b));
-            accumulate_product(
-                &mut grads_before[a.index()],
-                gout.rows(),
-                vb.rows(),
-                |o, acc| {
-                    kernels::matmul_bt_into(gout, vb, o, acc);
-                },
-            );
-            accumulate_product(
-                &mut grads_before[b.index()],
-                va.cols(),
-                gout.cols(),
-                |o, acc| {
-                    kernels::matmul_at_into(va, gout, o, acc);
-                },
-            );
+            if needs(a) {
+                accumulate_product(
+                    &mut grads_before[a.index()],
+                    gout.rows(),
+                    vb.rows(),
+                    |o, acc| {
+                        kernels::matmul_bt_into(gout, vb, o, acc);
+                    },
+                );
+            }
+            if needs(b) {
+                accumulate_product(
+                    &mut grads_before[b.index()],
+                    va.cols(),
+                    gout.cols(),
+                    |o, acc| {
+                        kernels::matmul_at_into(va, gout, o, acc);
+                    },
+                );
+            }
         }
         Op::MatMulBt(a, b) => {
             // y = a @ bᵀ: dA = g @ b, dB = gᵀ @ a
             let (va, vb) = (val(*a), val(*b));
-            accumulate_product(
-                &mut grads_before[a.index()],
-                gout.rows(),
-                vb.cols(),
-                |o, acc| {
-                    kernels::matmul_into(gout, vb, o, acc);
-                },
-            );
-            accumulate_product(
-                &mut grads_before[b.index()],
-                gout.cols(),
-                va.cols(),
-                |o, acc| {
-                    kernels::matmul_at_into(gout, va, o, acc);
-                },
-            );
+            if needs(a) {
+                accumulate_product(
+                    &mut grads_before[a.index()],
+                    gout.rows(),
+                    vb.cols(),
+                    |o, acc| {
+                        kernels::matmul_into(gout, vb, o, acc);
+                    },
+                );
+            }
+            if needs(b) {
+                accumulate_product(
+                    &mut grads_before[b.index()],
+                    gout.cols(),
+                    va.cols(),
+                    |o, acc| {
+                        kernels::matmul_at_into(gout, va, o, acc);
+                    },
+                );
+            }
         }
         Op::Affine { x, w, bias } => {
             // y = x @ w + 1·biasᵀ: dX = g @ wᵀ, dW = xᵀ @ g, dbias = Σ_rows g
             let (vx, vw) = (val(*x), val(*w));
-            accumulate_product(
-                &mut grads_before[x.index()],
-                gout.rows(),
-                vw.rows(),
-                |o, acc| {
-                    kernels::matmul_bt_into(gout, vw, o, acc);
-                },
-            );
-            accumulate_product(
-                &mut grads_before[w.index()],
-                vx.cols(),
-                gout.cols(),
-                |o, acc| {
-                    kernels::matmul_at_into(vx, gout, o, acc);
-                },
-            );
-            accumulate_col_sums(&mut grads_before[bias.index()], gout);
+            if needs(x) {
+                accumulate_product(
+                    &mut grads_before[x.index()],
+                    gout.rows(),
+                    vw.rows(),
+                    |o, acc| {
+                        kernels::matmul_bt_into(gout, vw, o, acc);
+                    },
+                );
+            }
+            if needs(w) {
+                accumulate_product(
+                    &mut grads_before[w.index()],
+                    vx.cols(),
+                    gout.cols(),
+                    |o, acc| {
+                        kernels::matmul_at_into(vx, gout, o, acc);
+                    },
+                );
+            }
+            if needs(bias) {
+                accumulate_col_sums(&mut grads_before[bias.index()], gout);
+            }
         }
         Op::Add(a, b) => {
-            accumulate(&mut grads_before[a.index()], gout.clone());
-            accumulate(&mut grads_before[b.index()], gout.clone());
+            for p in [a, b] {
+                if needs(p) {
+                    accumulate(&mut grads_before[p.index()], gout.clone());
+                }
+            }
         }
         Op::AddRowBroadcast(a, b) => {
-            accumulate(&mut grads_before[a.index()], gout.clone());
-            accumulate_col_sums(&mut grads_before[b.index()], gout);
+            if needs(a) {
+                accumulate(&mut grads_before[a.index()], gout.clone());
+            }
+            if needs(b) {
+                accumulate_col_sums(&mut grads_before[b.index()], gout);
+            }
         }
         Op::Sub(a, b) => {
-            accumulate(&mut grads_before[a.index()], gout.clone());
-            let mut db = gout.clone();
-            db.scale_assign(-1.0);
-            accumulate(&mut grads_before[b.index()], db);
+            if needs(a) {
+                accumulate(&mut grads_before[a.index()], gout.clone());
+            }
+            if needs(b) {
+                let mut db = gout.clone();
+                db.scale_assign(-1.0);
+                accumulate(&mut grads_before[b.index()], db);
+            }
         }
         Op::Mul(a, b) => {
-            let mut da = gout.clone();
-            for (x, y) in da.data_mut().iter_mut().zip(val(*b).data().iter()) {
-                *x *= y;
+            // Each side is gout times the other side's value.
+            for (p, other) in [(a, b), (b, a)] {
+                if needs(p) {
+                    let mut dp = gout.clone();
+                    for (x, y) in dp.data_mut().iter_mut().zip(val(*other).data().iter()) {
+                        *x *= y;
+                    }
+                    accumulate(&mut grads_before[p.index()], dp);
+                }
             }
-            let mut db = gout.clone();
-            for (x, y) in db.data_mut().iter_mut().zip(val(*a).data().iter()) {
-                *x *= y;
-            }
-            accumulate(&mut grads_before[a.index()], da);
-            accumulate(&mut grads_before[b.index()], db);
         }
         Op::Scale(a, c) => {
             let mut da = gout.clone();
@@ -233,9 +273,10 @@ fn backward_op(
             let vx = val(*x);
             let vg = val(*gain);
             let (n, d) = vx.shape();
-            let mut dx = Matrix::zeros(n, d);
-            let mut dgain = Matrix::zeros(1, d);
-            let mut dbias = Matrix::zeros(1, d);
+            let zeros_if = |needed: bool, rows: usize| needed.then(|| Matrix::zeros(rows, d));
+            let mut dx = zeros_if(needs(x), n);
+            let mut dgain = zeros_if(needs(gain), 1);
+            let mut dbias = zeros_if(needs(bias), 1);
             for r in 0..n {
                 let row = vx.row(r);
                 let mean = row.iter().sum::<f32>() / d as f32;
@@ -252,18 +293,29 @@ fn backward_op(
                     dxhat[c] = gr[c] * vg.get(0, c);
                     mean_dxhat += dxhat[c];
                     mean_dxhat_xhat += dxhat[c] * xhat[c];
-                    dgain.row_mut(0)[c] += gr[c] * xhat[c];
-                    dbias.row_mut(0)[c] += gr[c];
                 }
+                if let Some(dgain) = &mut dgain {
+                    for (o, (&g, &xh)) in dgain.row_mut(0).iter_mut().zip(gr.iter().zip(&xhat)) {
+                        *o += g * xh;
+                    }
+                }
+                if let Some(dbias) = &mut dbias {
+                    for (o, &g) in dbias.row_mut(0).iter_mut().zip(gr) {
+                        *o += g;
+                    }
+                }
+                let Some(dx) = &mut dx else { continue };
                 mean_dxhat /= d as f32;
                 mean_dxhat_xhat /= d as f32;
                 for (c, o) in dx.row_mut(r).iter_mut().enumerate() {
                     *o = inv * (dxhat[c] - mean_dxhat - xhat[c] * mean_dxhat_xhat);
                 }
             }
-            accumulate(&mut grads_before[x.index()], dx);
-            accumulate(&mut grads_before[gain.index()], dgain);
-            accumulate(&mut grads_before[bias.index()], dbias);
+            for (p, dp) in [(x, dx), (gain, dgain), (bias, dbias)] {
+                if let Some(dp) = dp {
+                    accumulate(&mut grads_before[p.index()], dp);
+                }
+            }
         }
         Op::Relu(a) => {
             let mut da = gout.clone();
@@ -339,21 +391,25 @@ fn backward_op(
         }
         Op::MulColBroadcast(a, s) => {
             // out[t] = a[t] * s[t]: da[t] = g[t]*s[t], ds[t] = <g[t], a[t]>
-            let vs = val(*s);
-            let mut da = gout.clone();
-            for r in 0..da.rows() {
-                let sv = vs.get(r, 0);
-                for x in da.row_mut(r) {
-                    *x *= sv;
+            if needs(a) {
+                let vs = val(*s);
+                let mut da = gout.clone();
+                for r in 0..da.rows() {
+                    let sv = vs.get(r, 0);
+                    for x in da.row_mut(r) {
+                        *x *= sv;
+                    }
                 }
+                accumulate(&mut grads_before[a.index()], da);
             }
-            accumulate(&mut grads_before[a.index()], da);
-            let va = val(*a);
-            let mut ds = Matrix::zeros(gout.rows(), 1);
-            for r in 0..gout.rows() {
-                ds.set(r, 0, kernels::dot(gout.row(r), va.row(r)));
+            if needs(s) {
+                let va = val(*a);
+                let mut ds = Matrix::zeros(gout.rows(), 1);
+                for r in 0..gout.rows() {
+                    ds.set(r, 0, kernels::dot(gout.row(r), va.row(r)));
+                }
+                accumulate(&mut grads_before[s.index()], ds);
             }
-            accumulate(&mut grads_before[s.index()], ds);
         }
         Op::MeanSelectedRows(a, rows) => {
             let va = val(*a);
@@ -369,21 +425,28 @@ fn backward_op(
         Op::ConcatRows(a, b) => {
             let na = val(*a).rows();
             let cols = gout.cols();
-            let da = Matrix::from_vec(na, cols, gout.data()[..na * cols].to_vec());
-            let db = Matrix::from_vec(gout.rows() - na, cols, gout.data()[na * cols..].to_vec());
-            accumulate(&mut grads_before[a.index()], da);
-            accumulate(&mut grads_before[b.index()], db);
+            if needs(a) {
+                let da = Matrix::from_vec(na, cols, gout.data()[..na * cols].to_vec());
+                accumulate(&mut grads_before[a.index()], da);
+            }
+            if needs(b) {
+                let db =
+                    Matrix::from_vec(gout.rows() - na, cols, gout.data()[na * cols..].to_vec());
+                accumulate(&mut grads_before[b.index()], db);
+            }
         }
         Op::ConcatCols(parts) => {
             let mut off = 0;
-            for &p in parts {
-                let vp = val(p);
+            for p in parts {
+                let vp = val(*p);
                 let w = vp.cols();
-                let mut dp = Matrix::zeros(vp.rows(), w);
-                for r in 0..vp.rows() {
-                    dp.row_mut(r).copy_from_slice(&gout.row(r)[off..off + w]);
+                if needs(p) {
+                    let mut dp = Matrix::zeros(vp.rows(), w);
+                    for r in 0..vp.rows() {
+                        dp.row_mut(r).copy_from_slice(&gout.row(r)[off..off + w]);
+                    }
+                    accumulate(&mut grads_before[p.index()], dp);
                 }
-                accumulate(&mut grads_before[p.index()], dp);
                 off += w;
             }
         }
@@ -441,7 +504,7 @@ fn backward_op(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::param::Param;
+    use crate::param::{Param, TrainableSet};
 
     #[test]
     fn backward_through_matmul_chain() {
@@ -482,6 +545,91 @@ mod tests {
         assert!((gl.get(0, 0) - 1.0 / 3.0).abs() < 1e-5);
         assert!((gl.get(0, 1) + 2.0 / 3.0).abs() < 1e-5);
         assert!(gl.get(0, 1) < 0.0, "target logit should be pushed up");
+    }
+
+    /// A two-layer net: embedding, layer norm and affine under a frozen
+    /// first layer, then a trainable gain, affine and gated product.
+    fn two_layer_loss(t: &mut Tape, ps: &[Param]) -> NodeId {
+        let [table, w0, b0, g1, w1, b1, gate] = ps else {
+            unreachable!("seven params")
+        };
+        let (table, w0, b0) = (t.param(table), t.param(w0), t.param(b0));
+        let x = t.embedding(table, &[2, 0, 1]);
+        let h = t.affine(x, w0, b0);
+        let (g1, b1n) = (t.param(g1), t.param(b1));
+        let n = t.layer_norm(h, g1, b0, 1e-5);
+        let w1 = t.param(w1);
+        let y = t.affine(n, w1, b1n);
+        let gate = t.param(gate);
+        let s = t.sigmoid(gate);
+        let gated = t.mul_col_broadcast(y, s);
+        let both = t.concat_cols(&[gated, h]);
+        t.cross_entropy(both, &[0, 3, 1])
+    }
+
+    fn two_layer_params() -> Vec<Param> {
+        let m = |r, c, k: f32| {
+            Matrix::from_vec(r, c, (0..r * c).map(|i| (i as f32 * k).sin()).collect())
+        };
+        vec![
+            Param::new("table", m(3, 2, 0.7)),
+            Param::new("w0", m(2, 2, 1.3)),
+            Param::new("b0", m(1, 2, 0.4)),
+            Param::new("g1", m(1, 2, 0.9)),
+            Param::new("w1", m(2, 2, 2.1)),
+            Param::new("b1", m(1, 2, 0.2)),
+            Param::new("gate", m(3, 1, 1.7)),
+        ]
+    }
+
+    #[test]
+    fn masked_gradients_are_bitwise_the_full_ones() {
+        let ps = two_layer_params();
+        let mut full = Tape::new();
+        let loss = two_layer_loss(&mut full, &ps);
+        full.backward(loss);
+        let gf = full.grads();
+        assert_eq!(gf.len(), ps.len());
+        // Every subset that leaves the first layer frozen, plus the full set.
+        for trained in [
+            vec![3, 4, 5, 6],
+            vec![4],
+            vec![3, 6],
+            vec![2],
+            (0..7).collect(),
+        ] {
+            let set: TrainableSet = trained.iter().map(|&i| ps[i].id()).collect();
+            let mut t = Tape::with_trainable(set);
+            let loss = two_layer_loss(&mut t, &ps);
+            t.backward(loss);
+            let gm = t.grads();
+            assert_eq!(gm.len(), trained.len(), "{trained:?}");
+            for &i in &trained {
+                let (m, f) = (gm.get(ps[i].id()).unwrap(), gf.get(ps[i].id()).unwrap());
+                let bits = |x: &Matrix| x.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(m), bits(f), "{} with {trained:?}", ps[i].name());
+            }
+        }
+    }
+
+    #[test]
+    fn frozen_layers_get_no_backward() {
+        let ps = two_layer_params();
+        let set: TrainableSet = std::iter::once(ps[6].id()).collect();
+        let mut t = Tape::with_trainable(set);
+        let loss = two_layer_loss(&mut t, &ps);
+        t.backward(loss);
+        let first_layer = (0..t.len())
+            .map(|i| NodeId(i as u32))
+            .take_while(|&id| !matches!(t.op(id), Op::LayerNorm { .. }));
+        for id in first_layer {
+            assert!(t.grad(id).is_none(), "{} got a gradient", t.op(id).name());
+        }
+        // Nothing trainable reaches the loss: no gradient anywhere.
+        let mut none = Tape::with_trainable(TrainableSet::default());
+        let loss = two_layer_loss(&mut none, &ps);
+        none.backward(loss);
+        assert!(none.grads().is_empty() && none.grad(loss).is_none());
     }
 
     #[test]

@@ -17,6 +17,10 @@
 //!   leafed into a tape once per forward pass (cached by [`Tape::param`]);
 //!   after `backward`, [`Tape::grads`] extracts per-parameter gradients into a
 //!   mergeable [`Gradients`] map, enabling data-parallel batch accumulation.
+//!   [`Tape::new`] differentiates towards every node;
+//!   [`Tape::with_trainable`] towards the parameters of a [`TrainableSet`]
+//!   only, so a frozen base gets no weight gradients and no backward below
+//!   the lowest trainable parameter.
 //!
 //! Gradient correctness for every op is property-tested against central finite
 //! differences (see `tests/` and [`check`]).
@@ -39,7 +43,7 @@ pub use batch::SeqBatch;
 pub use error::TensorError;
 pub use matrix::Matrix;
 pub use op::Op;
-pub use param::{Gradients, Param, ParamId, ParamSet};
+pub use param::{Gradients, Param, ParamId, ParamSet, TrainableSet};
 pub use quant::{QuantSpec, QuantizedMatrix};
 pub use simd::Isa;
 pub use tape::{NodeId, Tape};

@@ -121,10 +121,11 @@ pub enum Op {
 pub const IGNORE_INDEX: usize = usize::MAX;
 
 impl Op {
-    /// Parent node ids of this op, in evaluation order.
-    pub fn parents(&self) -> Vec<NodeId> {
+    /// True when `f` holds for some parent node. Parents are visited in
+    /// evaluation order up to the first hit, without allocating.
+    pub fn any_parent(&self, mut f: impl FnMut(NodeId) -> bool) -> bool {
         match self {
-            Op::Leaf { .. } => vec![],
+            Op::Leaf { .. } => false,
             Op::MatMul(a, b)
             | Op::MatMulBt(a, b)
             | Op::Add(a, b)
@@ -132,7 +133,7 @@ impl Op {
             | Op::Sub(a, b)
             | Op::Mul(a, b)
             | Op::MulColBroadcast(a, b)
-            | Op::ConcatRows(a, b) => vec![*a, *b],
+            | Op::ConcatRows(a, b) => f(*a) || f(*b),
             Op::Scale(a, _)
             | Op::Transpose(a)
             | Op::Softmax(a)
@@ -146,13 +147,12 @@ impl Op {
             | Op::MeanSelectedRows(a, _)
             | Op::SliceCols(a, _, _)
             | Op::SliceRows(a, _, _)
-            | Op::CausalMask { a, .. } => vec![*a],
-            Op::LayerNorm { x, gain, bias, .. } => vec![*x, *gain, *bias],
-            Op::Affine { x, w, bias } => vec![*x, *w, *bias],
-            Op::Embedding { weight, .. } => vec![*weight],
-            Op::ConcatCols(parts) => parts.clone(),
-            Op::CrossEntropy { logits, .. } => vec![*logits],
-            Op::BceWithLogits { logits, .. } => vec![*logits],
+            | Op::CausalMask { a, .. } => f(*a),
+            Op::LayerNorm { x, gain, bias, .. } => f(*x) || f(*gain) || f(*bias),
+            Op::Affine { x, w, bias } => f(*x) || f(*w) || f(*bias),
+            Op::Embedding { weight, .. } => f(*weight),
+            Op::ConcatCols(parts) => parts.iter().any(|&p| f(p)),
+            Op::CrossEntropy { logits, .. } | Op::BceWithLogits { logits, .. } => f(*logits),
         }
     }
 
@@ -196,17 +196,53 @@ impl Op {
 mod tests {
     use super::*;
 
+    /// Every parent of `op`, in evaluation order.
+    fn parents(op: &Op) -> Vec<NodeId> {
+        let mut out = Vec::new();
+        op.any_parent(|p| {
+            out.push(p);
+            false
+        });
+        out
+    }
+
     #[test]
     fn parents_of_leaf_is_empty() {
-        assert!(Op::Leaf { param: None }.parents().is_empty());
+        assert!(parents(&Op::Leaf { param: None }).is_empty());
     }
 
     #[test]
     fn parents_of_binary_ops() {
         let a = NodeId(0);
         let b = NodeId(1);
-        assert_eq!(Op::MatMul(a, b).parents(), vec![a, b]);
-        assert_eq!(Op::ConcatCols(vec![a, b]).parents(), vec![a, b]);
+        assert_eq!(parents(&Op::MatMul(a, b)), vec![a, b]);
+        assert_eq!(parents(&Op::ConcatCols(vec![a, b])), vec![a, b]);
+        let c = NodeId(2);
+        let ln = Op::LayerNorm {
+            x: a,
+            gain: b,
+            bias: c,
+            eps: 1e-5,
+        };
+        assert_eq!(parents(&ln), vec![a, b, c]);
+    }
+
+    #[test]
+    fn any_parent_stops_at_the_first_hit() {
+        let (a, b, c) = (NodeId(0), NodeId(1), NodeId(2));
+        let mut seen = Vec::new();
+        let hit = Op::Affine {
+            x: a,
+            w: b,
+            bias: c,
+        }
+        .any_parent(|p| {
+            seen.push(p);
+            p == b
+        });
+        assert!(hit);
+        assert_eq!(seen, vec![a, b]);
+        assert!(!Op::Leaf { param: None }.any_parent(|_| true));
     }
 
     #[test]

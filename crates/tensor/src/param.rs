@@ -1,7 +1,8 @@
 //! Trainable parameters and gradient accumulation.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
@@ -156,6 +157,37 @@ impl ParamSet {
             }
         }
         Ok(matched)
+    }
+}
+
+/// The parameters a training step updates. A tape built with
+/// [`Tape::with_trainable`](crate::Tape::with_trainable) differentiates
+/// towards these leaves only. Clones share one set, so handing a copy to
+/// every per-sample tape costs no allocation.
+#[derive(Debug, Clone, Default)]
+pub struct TrainableSet(Arc<HashSet<ParamId>>);
+
+impl TrainableSet {
+    /// True when `id` is in the set.
+    #[inline]
+    pub fn contains(&self, id: ParamId) -> bool {
+        self.0.contains(&id)
+    }
+
+    /// Number of parameters in the set.
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// True when the set holds no parameters.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+}
+
+impl FromIterator<ParamId> for TrainableSet {
+    fn from_iter<I: IntoIterator<Item = ParamId>>(ids: I) -> Self {
+        TrainableSet(Arc::new(ids.into_iter().collect()))
     }
 }
 

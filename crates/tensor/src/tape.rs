@@ -1,4 +1,11 @@
 //! The autograd tape: eager forward evaluation + recorded graph.
+//!
+//! Every node carries a "needs a gradient" flag, set when it is recorded.
+//! On a [`Tape::new`] tape every node needs one, so every parameter leaf
+//! gets a gradient. On a [`Tape::with_trainable`] tape a leaf needs one
+//! only when it is a parameter in the [`TrainableSet`], and any other node
+//! when one of its parents does: frozen weights get no gradient, and the
+//! layers below the lowest trainable parameter get no backward at all.
 
 use std::collections::HashMap;
 
@@ -6,7 +13,7 @@ use crate::infer;
 use crate::kernels;
 use crate::matrix::Matrix;
 use crate::op::{Op, IGNORE_INDEX};
-use crate::param::{Param, ParamId};
+use crate::param::{Param, ParamId, TrainableSet};
 
 /// Index of a node on a [`Tape`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -23,6 +30,7 @@ impl NodeId {
 pub(crate) struct Node {
     pub(crate) op: Op,
     pub(crate) value: Matrix,
+    pub(crate) needs_grad: bool,
 }
 
 /// A single forward pass: values are computed eagerly as ops are recorded;
@@ -30,18 +38,33 @@ pub(crate) struct Node {
 ///
 /// One tape per (sample, forward); tapes are cheap to create and are dropped
 /// after gradient extraction. Parameters are leafed in at most once per tape
-/// via [`Tape::param`].
+/// via [`Tape::param`]. Which nodes `backward` differentiates towards is
+/// fixed by the constructor: see the module docs.
 #[derive(Default)]
 pub struct Tape {
     pub(crate) nodes: Vec<Node>,
     pub(crate) grads: Vec<Option<Matrix>>,
     leaf_cache: HashMap<ParamId, NodeId>,
+    /// `None`: every node needs a gradient.
+    trainable: Option<TrainableSet>,
 }
 
 impl Tape {
-    /// An empty tape.
+    /// An empty tape whose `backward` reaches every node, so every
+    /// parameter leaf gets a gradient.
     pub fn new() -> Self {
         Tape::default()
+    }
+
+    /// An empty tape whose `backward` computes only what the parameters in
+    /// `trainable` need: other leaves get no gradient, and [`Tape::grads`]
+    /// holds exactly the trainable gradients, each bitwise the one a
+    /// [`Tape::new`] tape computes.
+    pub fn with_trainable(trainable: TrainableSet) -> Self {
+        Tape {
+            trainable: Some(trainable),
+            ..Tape::default()
+        }
     }
 
     /// Number of recorded nodes.
@@ -70,22 +93,39 @@ impl Tape {
         &self.nodes[id.index()].op
     }
 
+    /// Whether [`backward`](Self::backward) differentiates towards `id`.
+    pub(crate) fn needs_grad(&self, id: NodeId) -> bool {
+        self.nodes[id.index()].needs_grad
+    }
+
     fn push(&mut self, op: Op, value: Matrix) -> NodeId {
         debug_assert!(value.all_finite() || matches!(op, Op::CausalMask { .. }));
+        let needs_grad = match (&self.trainable, &op) {
+            (None, _) => true,
+            (Some(set), Op::Leaf { param }) => param.is_some_and(|p| set.contains(p)),
+            (Some(_), op) => op.any_parent(|p| self.nodes[p.index()].needs_grad),
+        };
         let id = NodeId(self.nodes.len() as u32);
-        self.nodes.push(Node { op, value });
+        self.nodes.push(Node {
+            op,
+            value,
+            needs_grad,
+        });
         id
     }
 
     // ---- leaves ------------------------------------------------------------
 
-    /// Records a constant input value (no gradient extraction).
+    /// Records a constant input value (no gradient extraction; no gradient
+    /// at all on a [`Tape::with_trainable`] tape).
     pub fn leaf(&mut self, value: Matrix) -> NodeId {
         self.push(Op::Leaf { param: None }, value)
     }
 
-    /// Leafs a trainable parameter into the tape, copying its current data.
-    /// Repeated calls with the same parameter return the cached node.
+    /// Leafs a parameter into the tape, copying its current data. Repeated
+    /// calls with the same parameter return the cached node. It needs a
+    /// gradient unless the tape was built with a [`TrainableSet`] that does
+    /// not hold it.
     pub fn param(&mut self, p: &Param) -> NodeId {
         if let Some(&id) = self.leaf_cache.get(&p.id()) {
             return id;
@@ -442,6 +482,25 @@ mod tests {
         let b = t.param(&p);
         assert_eq!(a, b);
         assert_eq!(t.len(), 1);
+    }
+
+    #[test]
+    fn needs_grad_follows_the_trainable_set() {
+        let frozen = Param::new("w", Matrix::full(2, 2, 0.5));
+        let trained = Param::new("a", Matrix::full(2, 2, 0.25));
+        let set: TrainableSet = std::iter::once(trained.id()).collect();
+        let mut t = Tape::with_trainable(set);
+        let x = t.leaf(Matrix::full(1, 2, 1.0));
+        let w = t.param(&frozen);
+        let h = t.matmul(x, w);
+        let a = t.param(&trained);
+        let y = t.matmul(h, a);
+        assert!(!t.needs_grad(x) && !t.needs_grad(w) && !t.needs_grad(h));
+        assert!(t.needs_grad(a) && t.needs_grad(y));
+
+        let mut full = Tape::new();
+        let c = full.leaf(Matrix::scalar(1.0));
+        assert!(full.needs_grad(c), "Tape::new differentiates every node");
     }
 
     #[test]
