@@ -2,7 +2,7 @@
 //!
 //! One mode, no options: it runs the benches below, prints their records as
 //! JSON on stdout (through `infuserki_obs::PerfSuite`) and exits 1 if one of
-//! nine ratios is over its limit; any argument is a usage error (exit 2).
+//! ten ratios is over its limit; any argument is a usage error (exit 2).
 //! Both sides of a ratio are sampled in the same [`round_robin_medians`]
 //! rounds, so the host's speed cancels and nothing is compared against a
 //! committed number. Absolute speed is the system benchmark's job
@@ -23,7 +23,7 @@
 //!   scheduler with the cross-request prefix cache on and off (ms per loop).
 //! * `train_backward` — loss, backward and `grads()` of one hooked
 //!   InfuserKI QA sample on a tape masked to the adapters and on a full
-//!   `Tape::new()` tape (µs).
+//!   `Tape::new()` tape, beside the masked tape's loss alone (µs).
 //!
 //! The ratios and their limits: [`TIER_RATIO`], [`RATIOS`] and the odd-lane
 //! rule in [`ratio_gate`].
@@ -349,7 +349,7 @@ fn bench_prefix_cache() -> PerfRecord {
 /// vocabulary): the hooked LM loss of a 20-token prompt and a 2-token
 /// answer, `backward` and `grads()`, on a tape masked to the adapters (the
 /// QA phase's trainable set, as `train_epoch` builds it) and on a full
-/// `Tape::new()` tape.
+/// `Tape::new()` tape; and the masked tape's loss with no backward.
 fn bench_train_backward() -> PerfRecord {
     const VOCAB: usize = 106;
     let mut rng = ChaCha8Rng::seed_from_u64(23);
@@ -360,22 +360,29 @@ fn bench_train_backward() -> PerfRecord {
     method.visit_adapters_mut(&mut |p| adapters.push(p.id()));
     let adapters: TrainableSet = adapters.into_iter().collect();
     let hook = method.hook();
-    let sides = [Some(adapters), None];
+    // (trainable set, whether to run the backward)
+    let sides = [
+        (Some(adapters.clone()), true),
+        (None, true),
+        (Some(adapters), false),
+    ];
     let tape_s = round_robin_medians(sides.len(), |col| {
+        let (set, backward) = &sides[col];
         let t0 = Instant::now();
-        let mut tape = sides[col]
-            .clone()
-            .map_or_else(Tape::new, Tape::with_trainable);
+        let mut tape = set.clone().map_or_else(Tape::new, Tape::with_trainable);
         let loss = base.lm_loss(&sample.tokens, &sample.targets, hook, &mut tape);
-        tape.backward(loss);
-        let grads = tape.grads();
-        std::hint::black_box(grads.len());
+        if *backward {
+            tape.backward(loss);
+            std::hint::black_box(tape.grads().len());
+        }
+        std::hint::black_box(tape.value(loss).get(0, 0));
         drop(tape);
         t0.elapsed().as_secs_f64()
     });
     PerfRecord::new("train_backward")
         .metric("us_masked", tape_s[0] * 1e6)
         .metric("us_full", tape_s[1] * 1e6)
+        .metric("us_forward", tape_s[2] * 1e6)
 }
 
 /// One gated ratio: `cost` may be at most `limit` × `beside`, each a
@@ -479,15 +486,28 @@ const RATIOS: &[Ratio] = &[
     },
     // A frozen base gets no weight gradients: the tape masked to the
     // trainable set skips every frozen `dW` and the backward below the
-    // lowest adapter. Healthy 0.74× native, 0.72–0.73× baseline; the mask
-    // off (every node differentiated, as on `Tape::new()`, which is what a
-    // training loop falling back to full tapes costs) 1.00× native, where
+    // lowest adapter. Healthy 0.69–0.72× native, 0.69–0.70× baseline (0.74×
+    // while the backward's `g·Wᵀ` ran on a scalar dot-product tile); the
+    // mask off (every node differentiated, as on `Tape::new()`, which is what
+    // a training loop falling back to full tapes costs) 1.00× native, where
     // both sides do the same work.
     Ratio {
         what: "QA sample loss+backward+grads, tape masked to the adapters vs full tape",
         cost: ("train_backward", "us_masked"),
         beside: ("train_backward", "us_full"),
         limit: 0.85,
+    },
+    // The backward multiplies on the strip kernel: every `g·Wᵀ` and `g·bᵀ`
+    // runs as `matmul_into` over the operand's transpose, a weight's built
+    // once per value. Healthy 1.76–1.78× native, 1.73–1.85× baseline; the
+    // transpose rebuilt on every product 2.05–2.11× native; the scalar 4×4
+    // dot-product tile restored for every `a·bᵀ` 3.05–3.23× native,
+    // 2.64–2.96× baseline.
+    Ratio {
+        what: "QA sample loss+backward+grads vs its loss alone, tape masked to the adapters",
+        cost: ("train_backward", "us_masked"),
+        beside: ("train_backward", "us_forward"),
+        limit: 2.3,
     },
 ];
 
@@ -600,7 +620,8 @@ mod tests {
         suite.push(
             PerfRecord::new("train_backward")
                 .metric("us_masked", 7000.0)
-                .metric("us_full", 10000.0),
+                .metric("us_full", 10000.0)
+                .metric("us_forward", 3500.0),
         );
         suite
     }
@@ -646,7 +667,8 @@ mod tests {
             ("decode_variants", "us_hooked_int8", 2.0, "int8"),
             ("decode_variants", "us_bare", 0.7, "hook vs without"),
             ("prefix_cache", "ms_on", 3.0, "prefix cache on vs off"),
-            ("train_backward", "us_masked", 1.4, "masked to the adapters"),
+            ("train_backward", "us_full", 0.8, "vs full tape"),
+            ("train_backward", "us_forward", 0.5, "vs its loss alone"),
             (
                 "decode_lanes",
                 "us_b7",

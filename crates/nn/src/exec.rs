@@ -27,8 +27,6 @@
 //!   it writes — so the statistic forks, copies-on-write and is adopted from
 //!   the prefix cache together with the K/V rows it summarizes.
 
-use std::sync::OnceLock;
-
 use infuserki_tensor::{infer, kernels, Matrix, NodeId, Param, QuantizedMatrix, SeqBatch, Tape};
 
 use crate::block_alloc::BlockPool;
@@ -273,16 +271,16 @@ impl<'a> Exec<'a> {
     }
 
     /// The weight-tied LM head `h Eᵀ`: `matmul_bt` on the tape; eagerly a
-    /// plain matmul by the transposed table `table_t` caches, whose
-    /// per-logit ascending chain is the same, so the logits are bitwise
-    /// equal.
-    pub(crate) fn tied_head(&mut self, h: &Val, table: &Param, table_t: &OnceLock<Matrix>) -> Val {
+    /// plain matmul by the table's own transpose ([`Param::transposed`],
+    /// `[d_model, vocab]`, so logits fold with lanes across the vocabulary)
+    /// — the product the tape runs too, so the logits are bitwise equal.
+    pub(crate) fn tied_head(&mut self, h: &Val, table: &Param) -> Val {
         self.op(
             |t| {
                 let e = t.param(table);
                 t.matmul_bt(h.node(), e)
             },
-            || kernels::matmul(mat(h), table_t.get_or_init(|| table.data().transposed())),
+            || kernels::matmul(mat(h), table.transposed()),
         )
     }
 

@@ -60,14 +60,6 @@ pub struct TransformerLm {
     pos_embed: Embedding,
     blocks: Vec<TransformerBlock>,
     ln_f: LayerNorm,
-    /// The tied LM head as the engine multiplies by it: the token embedding
-    /// transposed, `[d_model, vocab]`, so logits fold with lanes across the
-    /// vocabulary. Built by the first cached forward, never serialized, and
-    /// dropped by [`Module::visit_mut`] — the only `&mut` route to the
-    /// embedding — so an optimizer step or a checkpoint load is always
-    /// followed by a rebuild from the current table.
-    #[serde(skip)]
-    lm_head_t: std::sync::OnceLock<Matrix>,
 }
 
 impl TransformerLm {
@@ -86,7 +78,6 @@ impl TransformerLm {
             ln_f: LayerNorm::new("ln_f", cfg.d_model, cfg.ln_eps),
             blocks,
             cfg,
-            lm_head_t: std::sync::OnceLock::new(),
         }
     }
 
@@ -121,7 +112,7 @@ impl TransformerLm {
             x = block.forward(x, hook, e);
         }
         let h = self.ln_f.forward(&x, e);
-        e.tied_head(&h, self.tok_embed.table(), &self.lm_head_t)
+        e.tied_head(&h, self.tok_embed.table())
     }
 
     /// Full forward pass on the tape, with hooks and trace capture.
@@ -448,8 +439,6 @@ impl Module for TransformerLm {
     }
 
     fn visit_mut(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        // The visitor may rewrite the embedding: drop its transposed copy.
-        self.lm_head_t.take();
         self.tok_embed.visit_mut(f);
         self.pos_embed.visit_mut(f);
         for b in &mut self.blocks {
@@ -576,7 +565,7 @@ mod tests {
     }
 
     #[test]
-    fn lm_head_through_transposed_table_is_bitwise_matmul_bt() {
+    fn cached_lm_head_is_bitwise_the_tape_head() {
         // Vocabularies off and on the 16-column strip width, and the row
         // counts of a decode step, a short chunk and a ragged prefill.
         for vocab in [50usize, 106, 500, 2048] {
@@ -591,26 +580,22 @@ mod tests {
                     "vocab {vocab} n {n}"
                 );
             }
-            let e = m.tok_embed.table().data();
-            assert_eq!(m.lm_head_t.get(), Some(&e.transposed()));
         }
     }
 
     #[test]
-    fn parameter_update_and_reload_drop_the_lm_head_table() {
+    fn lm_head_follows_parameter_updates_and_reloads() {
+        // The table's transpose lives on its `Param` (see the tensor crate's
+        // `param` tests); here the logits must follow every route that
+        // changes or replaces the embedding.
         let mut m = model();
         let tokens = [1usize, 2, 3, 4];
         let (_, before) = m.prefill(&tokens, &NoHook);
-        assert!(
-            m.lm_head_t.get().is_some(),
-            "first cached forward builds it"
-        );
 
-        // A clone owns a copy: updating the clone must not leave either
-        // model multiplying by the other's embedding.
+        // A clone shares the built table: updating the clone must not leave
+        // either model multiplying by the other's embedding.
         let mut tuned = m.clone();
         nudge(&mut tuned);
-        assert!(tuned.lm_head_t.get().is_none(), "visit_mut drops it");
         let (_, after) = tuned.prefill(&tokens, &NoHook);
         assert_eq!(after.data(), tape_logits(&tuned, &tokens).data());
         assert_ne!(
@@ -626,13 +611,11 @@ mod tests {
         let (_, stepped) = m.prefill(&tokens, &NoHook);
         assert_eq!(stepped.data(), after.data());
 
-        // A checkpoint never carries the table; the loaded model rebuilds it.
+        // A loaded model rebuilds the table from the saved embedding.
         let dir = std::env::temp_dir().join(format!("infuserki_lmhead_{}", std::process::id()));
         let path = dir.join("model.json");
         m.save(&path).unwrap();
-        assert!(!fs::read_to_string(&path).unwrap().contains("lm_head_t"));
         let loaded = TransformerLm::load(&path).unwrap();
-        assert!(loaded.lm_head_t.get().is_none());
         let (_, reloaded) = loaded.prefill(&tokens, &NoHook);
         assert_eq!(reloaded.data(), stepped.data());
         let _ = fs::remove_dir_all(dir);

@@ -11,7 +11,7 @@ use crate::kernels;
 use crate::matrix::Matrix;
 use crate::op::{Op, IGNORE_INDEX};
 use crate::param::Gradients;
-use crate::tape::{NodeId, Tape};
+use crate::tape::{Node, NodeId, Tape};
 
 fn accumulate(slot: &mut Option<Matrix>, delta: Matrix) {
     match slot {
@@ -86,8 +86,7 @@ impl Tape {
                 Some(g) => g,
                 None => continue,
             };
-            let node = &self.nodes[i];
-            backward_op(&node.op, &self.nodes, gout, before);
+            backward_op(&self.nodes[i], &self.nodes, gout, before);
         }
     }
 
@@ -107,31 +106,31 @@ impl Tape {
     }
 }
 
-/// Propagates `gout` (gradient of node `i`'s output) into `grads_before`
-/// (slots for nodes with index < i), for the parents that need it. Node `i`
-/// needs a gradient (it has one), so a single-parent op's parent does too;
-/// only ops with several parents check.
-fn backward_op(
-    op: &Op,
-    nodes: &[crate::tape::Node],
-    gout: &Matrix,
-    grads_before: &mut [Option<Matrix>],
-) {
+/// Propagates `gout` (gradient of `node`'s output) into `grads_before`
+/// (slots for earlier nodes), for the parents that need it. `node` needs a
+/// gradient (it has one), so a single-parent op's parent does too; only ops
+/// with several parents check. Every `g·bᵀ` runs as `g·(bᵀ)` on the strip
+/// kernel over the operand's transpose ([`Node::transposed`]).
+fn backward_op(node: &Node, nodes: &[Node], gout: &Matrix, grads_before: &mut [Option<Matrix>]) {
     let val = |id: NodeId| -> &Matrix { &nodes[id.index()].value };
     let needs = |id: &NodeId| nodes[id.index()].needs_grad;
-    match op {
+    // The node's own forward value, for ops whose derivative is in terms of
+    // their output: bitwise what the backward would recompute.
+    let y = &node.value;
+    match &node.op {
         Op::Leaf { .. } => {}
         Op::MatMul(a, b) => {
             // y = a @ b: dA = g @ bᵀ, dB = aᵀ @ g — both written straight
             // into the gradient slots (no temporaries on the re-visit path).
-            let (va, vb) = (val(*a), val(*b));
+            let va = val(*a);
             if needs(a) {
+                let bt = nodes[b.index()].transposed();
                 accumulate_product(
                     &mut grads_before[a.index()],
                     gout.rows(),
-                    vb.rows(),
+                    bt.cols(),
                     |o, acc| {
-                        kernels::matmul_bt_into(gout, vb, o, acc);
+                        kernels::matmul_into(gout, &bt, o, acc);
                     },
                 );
             }
@@ -172,14 +171,15 @@ fn backward_op(
         }
         Op::Affine { x, w, bias } => {
             // y = x @ w + 1·biasᵀ: dX = g @ wᵀ, dW = xᵀ @ g, dbias = Σ_rows g
-            let (vx, vw) = (val(*x), val(*w));
+            let vx = val(*x);
             if needs(x) {
+                let wt = nodes[w.index()].transposed();
                 accumulate_product(
                     &mut grads_before[x.index()],
                     gout.rows(),
-                    vw.rows(),
+                    wt.cols(),
                     |o, acc| {
-                        kernels::matmul_bt_into(gout, vw, o, acc);
+                        kernels::matmul_into(gout, &wt, o, acc);
                     },
                 );
             }
@@ -243,8 +243,6 @@ fn backward_op(
             accumulate(&mut grads_before[a.index()], gout.transposed());
         }
         Op::Softmax(a) => {
-            // y known from the node's own forward; recompute from the input.
-            let y = kernels::softmax_rows(val(*a));
             let mut da = Matrix::zeros(y.rows(), y.cols());
             for r in 0..y.rows() {
                 let yr = y.row(r);
@@ -277,6 +275,8 @@ fn backward_op(
             let mut dx = zeros_if(needs(x), n);
             let mut dgain = zeros_if(needs(gain), 1);
             let mut dbias = zeros_if(needs(bias), 1);
+            let mut xhat = vec![0.0f32; d];
+            let mut dxhat = vec![0.0f32; d];
             for r in 0..n {
                 let row = vx.row(r);
                 let mean = row.iter().sum::<f32>() / d as f32;
@@ -286,8 +286,6 @@ fn backward_op(
                 // dgain, dbias and the two per-row means of dxhat statistics
                 let mut mean_dxhat = 0.0f32;
                 let mut mean_dxhat_xhat = 0.0f32;
-                let mut xhat = vec![0.0f32; d];
-                let mut dxhat = vec![0.0f32; d];
                 for c in 0..d {
                     xhat[c] = (row[c] - mean) * inv;
                     dxhat[c] = gr[c] * vg.get(0, c);
@@ -335,16 +333,14 @@ fn backward_op(
         }
         Op::Sigmoid(a) => {
             let mut da = gout.clone();
-            for (g, &x) in da.data_mut().iter_mut().zip(val(*a).data().iter()) {
-                let y = kernels::sigmoid(x);
+            for (g, &y) in da.data_mut().iter_mut().zip(y.data()) {
                 *g *= y * (1.0 - y);
             }
             accumulate(&mut grads_before[a.index()], da);
         }
         Op::Tanh(a) => {
-            // y = tanh(x) as the forward computed it, then g · (1 − y²).
-            let mut da = val(*a).clone();
-            kernels::tanh_slice(da.data_mut());
+            // g · (1 − y²).
+            let mut da = y.clone();
             for (y, &g) in da.data_mut().iter_mut().zip(gout.data().iter()) {
                 *y = g * (1.0 - *y * *y);
             }
@@ -630,6 +626,98 @@ mod tests {
         let loss = two_layer_loss(&mut none, &ps);
         none.backward(loss);
         assert!(none.grads().is_empty() && none.grad(loss).is_none());
+    }
+
+    fn bits(m: &Matrix) -> Vec<u32> {
+        m.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    fn wave(rows: usize, cols: usize, f: f32) -> Matrix {
+        Matrix::from_vec(
+            rows,
+            cols,
+            (0..rows * cols).map(|i| (i as f32 * f).sin()).collect(),
+        )
+    }
+
+    /// `a·bᵀ` as one ascending-`p` [`kernels::fmadd`] chain from `+0.0` per
+    /// element, plus `prior` once after the chain.
+    fn chain_bt(a: &Matrix, b: &Matrix, prior: Option<&Matrix>) -> Matrix {
+        let mut out = Matrix::zeros(a.rows(), b.rows());
+        for i in 0..a.rows() {
+            for j in 0..b.rows() {
+                let s = (a.row(i).iter().zip(b.row(j)))
+                    .fold(0.0, |s, (&x, &y)| kernels::fmadd(x, y, s));
+                out.set(i, j, prior.map_or(s, |p| p.get(i, j) + s));
+            }
+        }
+        out
+    }
+
+    /// Every product with a transposed right operand — the `matmul_bt`
+    /// node, `MatMul`'s `dA = g·bᵀ` and `Affine`'s `dX = g·Wᵀ` — is bitwise
+    /// the chain oracle, over a parameter's shared transpose and over a
+    /// plain node's, with the gradient slot empty or already holding a
+    /// contribution.
+    #[test]
+    fn every_transposed_product_is_the_ascending_chain() {
+        for m in 1..=9 {
+            for width in 1..=33 {
+                for inner in [1usize, 5, 16, 33] {
+                    let ctx = format!("{m} rows, width {width}, inner {inner}");
+                    let a = wave(m, inner, 0.37);
+                    let b = Param::new("b", wave(width, inner, 0.71));
+                    let mut t = Tape::new();
+                    let an = t.leaf(a.clone());
+                    let (bp, bl) = (t.param(&b), t.leaf(b.data().clone()));
+                    let want = bits(&chain_bt(&a, b.data(), None));
+                    for bn in [bp, bl] {
+                        let y = t.matmul_bt(an, bn);
+                        assert_eq!(bits(t.value(y)), want, "matmul_bt, {ctx}");
+                    }
+                    let w = Param::new("w", wave(width, inner, 0.29));
+                    let bias = Param::new("bias", wave(1, inner, 0.13));
+                    for (affine, w_param, accumulate) in
+                        (0..8).map(|c| (c & 1 > 0, c & 2 > 0, c & 4 > 0))
+                    {
+                        let mut t = Tape::new();
+                        let x = t.leaf(wave(m, width, 0.43));
+                        let wn = if w_param {
+                            t.param(&w)
+                        } else {
+                            t.leaf(w.data().clone())
+                        };
+                        let y = if affine {
+                            let bn = t.param(&bias);
+                            t.affine(x, wn, bn)
+                        } else {
+                            t.matmul(x, wn)
+                        };
+                        // A later reader of `x` fills its slot first, so the
+                        // product accumulates onto that contribution.
+                        let later = accumulate.then(|| t.scale(x, 0.5));
+                        let logits = match later {
+                            Some(z) => t.concat_cols(&[y, z]),
+                            None => y,
+                        };
+                        let targets: Vec<usize> = (0..m).map(|i| i % inner).collect();
+                        let loss = t.cross_entropy(logits, &targets);
+                        t.backward(loss);
+                        let prior = later.map(|z| {
+                            let mut p = t.grad(z).unwrap().clone();
+                            p.scale_assign(0.5);
+                            p
+                        });
+                        let want = chain_bt(t.grad(y).unwrap(), w.data(), prior.as_ref());
+                        assert_eq!(
+                            bits(t.grad(x).unwrap()),
+                            bits(&want),
+                            "affine {affine}, param {w_param}, accumulate {accumulate}, {ctx}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

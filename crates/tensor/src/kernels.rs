@@ -3,19 +3,23 @@
 //!
 //! # Blocking design
 //!
-//! All three products (`a@b`, `a@bᵀ`, `aᵀ@b`) share the same structure:
+//! There are two products, `a@b` and `aᵀ@b`, and they share one kernel. A
+//! product with a transposed right operand, `a@bᵀ`, is `a@(bᵀ)` over a
+//! transposed copy: a parameter owns its transpose
+//! ([`crate::Param::transposed`], built once per value), and the tape
+//! transposes any other operand once, at the op. Both products are built
+//! the same way:
 //!
 //! 1. **Row-band parallelism.** Output rows are split into contiguous,
 //!    near-equal bands, one band per worker thread, run under
 //!    `std::thread::scope`. Bands write disjoint `out` slices (via
 //!    `split_at_mut`), so no synchronization is needed beyond the join.
 //! 2. **Register tiling.** Inside a band, outputs are computed in `MR×NR`
-//!    tiles ([`matmul_into`]/[`matmul_at_into`]: 8 output rows × 16 columns,
-//!    one ZMM register per row; the AVX-512 tier takes two such strips per
-//!    pass, an 8×32 tile in 16 of its 32 registers — see [`pass_width`];
-//!    [`matmul_bt_into`]: 4×4 dot-product tiles). Each tile's accumulators
-//!    live in registers across the entire inner dimension, so per-`p` traffic
-//!    is loads only — the seed kernel re-read and re-wrote the output row on
+//!    tiles (8 output rows × 16 columns, one ZMM register per row; the
+//!    AVX-512 tier takes two such strips per pass, an 8×32 tile in 16 of its
+//!    32 registers — see [`pass_width`]). Each tile's accumulators live in
+//!    registers across the entire inner dimension, so per-`p` traffic is
+//!    loads only — the seed kernel re-read and re-wrote the output row on
 //!    every step of the inner dimension. There are no scalar edges: a row
 //!    remainder is one tile of exactly its height, a column remainder one
 //!    strip of exactly its width (masked lanes in the vector tiers), so a
@@ -39,8 +43,8 @@
 //! multiply-add when the build targets it (see `.cargo/config.toml`), plain
 //! multiply + add otherwise. The choice is per *build*, never per call, so
 //! reproducibility holds within any given binary; against the plain-chain
-//! [`reference`] oracle an FMA build agrees to (tighter than) the documented
-//! `1e-4` relative tolerance.
+//! seed kernels the test suite keeps as its oracle, an FMA build agrees to
+//! (tighter than) the documented `1e-4` relative tolerance.
 //!
 //! # Thread knob
 //!
@@ -62,17 +66,16 @@
 //! the `INFUSERKI_ISA` knob) selects one.
 //! Every f32 tier is bitwise-equal to the scalar tier — SIMD lanes only ever
 //! span independent output elements, never an accumulation chain (see the
-//! `simd` module docs for the proof obligations). Attention obeys the same
-//! rule on both sides: K panels are stored transposed, one column per key,
-//! so a Q·Kᵀ score row folds with lanes across keys exactly as a scores·V
-//! row folds with lanes across value columns — one micro-kernel
-//! ([`fold_heads`]), which walks a panel once for every head. The tied LM
-//! head obeys it through a layout change too: the engine multiplies by a
-//! transposed copy of the embedding table with [`matmul_into`].
-//! [`matmul_bt_into`] (`a@bᵀ` over row-major operands: the tape's LM head,
-//! backward passes) keeps its independent chains side by side in scalar
-//! registers rather than in lanes, identically in every tier — the same
-//! ascending-`p` chain per element, so the two LM heads agree bitwise.
+//! `simd` module docs for the proof obligations). Every `a@bᵀ` obeys the
+//! rule through a layout change, so no product stays scalar in any tier:
+//! K panels are stored transposed, one column per key, so a Q·Kᵀ score row
+//! folds with lanes across keys exactly as a scores·V row folds with lanes
+//! across value columns — one micro-kernel ([`fold_heads`]), which walks a
+//! panel once for every head. The tied LM head, the tape's attention scores
+//! and the backward's `g·bᵀ` and `g·Wᵀ` multiply by a transposed operand
+//! with [`matmul_into`]. The transposed layout changes no bit: each output
+//! element is the same ascending-`p` chain from `+0.0` whichever layout `b`
+//! was stored in, so the engine's and the tape's LM heads agree bitwise.
 //!
 //! Transcendentals are polynomials, not libm calls: [`tanh_fast`] and
 //! [`exp_fast`] are fixed sequences of plain multiplies, adds and bit
@@ -80,9 +83,6 @@
 //! too are bitwise-equal across tiers (and across FMA / non-FMA builds — they
 //! never fuse). `exp_fast` is the bit-reference for the whole row-softmax
 //! family; bump [`NUMERICS_VERSION`] when any kernel changes values.
-//!
-//! The pre-blocking seed kernels are preserved in [`reference`] as the
-//! correctness oracle for the property-test suite.
 
 use crate::matrix::Matrix;
 use crate::simd::{self, Isa};
@@ -645,134 +645,6 @@ pub(crate) fn store_strip<const R: usize>(
     }
 }
 
-// ---- a @ b^T ---------------------------------------------------------------
-
-/// `out = a @ bᵀ` where `a: [m, k]`, `b: [n, k]` — avoids materializing the
-/// transpose; each dot product walks two contiguous rows.
-pub fn matmul_bt(a: &Matrix, b: &Matrix) -> Matrix {
-    assert_eq!(
-        a.cols(),
-        b.cols(),
-        "matmul_bt: inner dims {}x{} @ ({}x{})^T",
-        a.rows(),
-        a.cols(),
-        b.rows(),
-        b.cols()
-    );
-    let mut out = Matrix::zeros(a.rows(), b.rows());
-    matmul_bt_into(a, b, &mut out, false);
-    out
-}
-
-/// `out (+)= a @ bᵀ`; allocation-free, `out: [a.rows, b.rows]`.
-pub fn matmul_bt_into(a: &Matrix, b: &Matrix, out: &mut Matrix, accumulate: bool) {
-    let (m, k) = a.shape();
-    let n = b.rows();
-    assert_eq!(b.cols(), k, "matmul_bt_into: inner dims");
-    assert_eq!(out.shape(), (m, n), "matmul_bt_into: out shape");
-    let flops = 2 * m * n * k;
-    let (ad, bd) = (a.data(), b.data());
-    run_banded(out.data_mut(), m, n, flops, |rows, chunk| {
-        matmul_bt_band(ad, bd, rows, chunk, k, n, accumulate);
-    });
-}
-
-/// Tile height/width of the dot-product micro-kernel (`a@bᵀ`).
-const TR: usize = 4;
-
-/// Banded `a@bᵀ` kernel: `R×C` tiles of simultaneous dot products, so each
-/// loaded `a`/`b` value feeds several accumulators and every tile carries
-/// enough independent chains to hide the multiply-add latency. Row blocks
-/// are `TR` tall, the last one exactly as tall as the remainder; there is no
-/// per-element edge path. Per-element accumulation is a single ascending-`p`
-/// chain whatever tile the element lands in.
-fn matmul_bt_band(
-    ad: &[f32],
-    bd: &[f32],
-    rows: Range<usize>,
-    chunk: &mut [f32],
-    k: usize,
-    n: usize,
-    accumulate: bool,
-) {
-    let mb = rows.len();
-    let mut ib = 0;
-    while mb - ib >= TR {
-        bt_rows::<TR, TR>(ad, bd, rows.start, ib, chunk, k, n, accumulate);
-        ib += TR;
-    }
-    // Shorter blocks take wider tiles: the chains per tile stay near TR².
-    match mb - ib {
-        0 => {}
-        1 => bt_rows::<1, 8>(ad, bd, rows.start, ib, chunk, k, n, accumulate),
-        2 => bt_rows::<2, 8>(ad, bd, rows.start, ib, chunk, k, n, accumulate),
-        3 => bt_rows::<3, TR>(ad, bd, rows.start, ib, chunk, k, n, accumulate),
-        _ => unreachable!("row remainder is below TR"),
-    }
-}
-
-/// One `R`-row block of [`matmul_bt_band`]: `R×C` tiles across the output
-/// columns, then `R×1` tiles for the `n % C` columns left.
-#[allow(clippy::too_many_arguments)]
-fn bt_rows<const R: usize, const C: usize>(
-    ad: &[f32],
-    bd: &[f32],
-    row0: usize,
-    ib: usize,
-    chunk: &mut [f32],
-    k: usize,
-    n: usize,
-    accumulate: bool,
-) {
-    let arows: [&[f32]; R] = std::array::from_fn(|r| {
-        let i = row0 + ib + r;
-        &ad[i * k..(i + 1) * k]
-    });
-    let j_main = n - n % C;
-    for jb in (0..j_main).step_by(C) {
-        bt_tile::<R, C>(&arows, bd, jb, chunk, ib, k, n, accumulate);
-    }
-    for j in j_main..n {
-        bt_tile::<R, 1>(&arows, bd, j, chunk, ib, k, n, accumulate);
-    }
-}
-
-/// `chunk[ib+r][jb+c] (+)= Σ_p arows[r][p] · b[jb+c][p]` for `r < R`,
-/// `c < C`: `R·C` independent ascending-`p` [`fmadd`] chains side by side.
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn bt_tile<const R: usize, const C: usize>(
-    arows: &[&[f32]; R],
-    bd: &[f32],
-    jb: usize,
-    chunk: &mut [f32],
-    ib: usize,
-    k: usize,
-    n: usize,
-    accumulate: bool,
-) {
-    let brows: [&[f32]; C] = std::array::from_fn(|c| &bd[(jb + c) * k..(jb + c + 1) * k]);
-    let mut acc = [[0.0f32; C]; R];
-    for p in 0..k {
-        for (r, acc_row) in acc.iter_mut().enumerate() {
-            let av = arows[r][p];
-            for (c, s) in acc_row.iter_mut().enumerate() {
-                *s = fmadd(av, brows[c][p], *s);
-            }
-        }
-    }
-    for (r, acc_row) in acc.iter().enumerate() {
-        let orow = &mut chunk[(ib + r) * n + jb..(ib + r) * n + jb + C];
-        for (o, &v) in orow.iter_mut().zip(acc_row.iter()) {
-            if accumulate {
-                *o += v;
-            } else {
-                *o = v;
-            }
-        }
-    }
-}
-
 // ---- all-heads row folds (attention over cached K/V) -----------------------
 
 /// Every head's score panel against one K panel stored *transposed*
@@ -788,8 +660,8 @@ fn bt_tile<const R: usize, const C: usize>(
 ///
 /// Bitwise contract: each output element is one ascending-`p` [`fmadd`]
 /// chain from `0.0` over the head's `d_h` dimensions — the chain
-/// [`matmul_bt`] computes for the same Q row and K row over the sliced head
-/// window — and depends on exactly one Q row and one key, so a scores matrix
+/// [`matmul`] computes for the same Q row and the transposed K rows over the
+/// sliced head window — and depends on exactly one Q row and one key, so a scores matrix
 /// assembled panel-by-panel is bit-for-bit the product over the same keys
 /// stored contiguously. Key columns at or past `keys` are never read.
 /// Serial: one panel sits far below the parallel threshold.
@@ -1013,74 +885,6 @@ pub fn dot(x: &[f32], y: &[f32]) -> f32 {
         acc += x[i] * y[i];
     }
     acc
-}
-
-pub mod reference {
-    //! The pre-blocking seed kernels, kept verbatim as the correctness
-    //! oracle for the equivalence property tests.
-
-    use crate::matrix::Matrix;
-
-    /// Seed `a @ b`: serial `ikj` loop with a zero-skip branch.
-    pub fn matmul(a: &Matrix, b: &Matrix) -> Matrix {
-        assert_eq!(a.cols(), b.rows(), "reference matmul: inner dims");
-        let (m, k) = a.shape();
-        let n = b.cols();
-        let mut out = Matrix::zeros(m, n);
-        let bd = b.data();
-        for i in 0..m {
-            let arow = a.row(i);
-            let orow = out.row_mut(i);
-            for (p, &av) in arow.iter().enumerate().take(k) {
-                if av == 0.0 {
-                    continue;
-                }
-                let brow = &bd[p * n..(p + 1) * n];
-                for (o, &bv) in orow.iter_mut().zip(brow.iter()) {
-                    *o += av * bv;
-                }
-            }
-        }
-        out
-    }
-
-    /// Seed `a @ bᵀ`: per-element dot products.
-    pub fn matmul_bt(a: &Matrix, b: &Matrix) -> Matrix {
-        assert_eq!(a.cols(), b.cols(), "reference matmul_bt: inner dims");
-        let m = a.rows();
-        let n = b.rows();
-        let mut out = Matrix::zeros(m, n);
-        for i in 0..m {
-            let arow = a.row(i);
-            let orow = out.row_mut(i);
-            for (j, o) in orow.iter_mut().enumerate() {
-                *o = arow.iter().zip(b.row(j).iter()).map(|(&x, &y)| x * y).sum();
-            }
-        }
-        out
-    }
-
-    /// Seed `aᵀ @ b`: `p`-outer accumulation.
-    pub fn matmul_at(a: &Matrix, b: &Matrix) -> Matrix {
-        assert_eq!(a.rows(), b.rows(), "reference matmul_at: inner dims");
-        let (k, m) = a.shape();
-        let n = b.cols();
-        let mut out = Matrix::zeros(m, n);
-        for p in 0..k {
-            let arow = a.row(p);
-            let brow = b.row(p);
-            for (i, &av) in arow.iter().enumerate() {
-                if av == 0.0 {
-                    continue;
-                }
-                let orow = &mut out.data_mut()[i * n..(i + 1) * n];
-                for (o, &bv) in orow.iter_mut().zip(brow.iter()) {
-                    *o += av * bv;
-                }
-            }
-        }
-        out
-    }
 }
 
 // ---- softmax & activations -------------------------------------------------
@@ -1426,13 +1230,6 @@ mod tests {
     }
 
     #[test]
-    fn matmul_bt_matches_explicit_transpose() {
-        let a = m(2, 3, &[1., 2., 3., 4., 5., 6.]);
-        let b = m(4, 3, &[1., 0., 1., 0., 1., 0., 2., 2., 2., -1., 1., 0.]);
-        assert_eq!(matmul_bt(&a, &b), matmul(&a, &b.transposed()));
-    }
-
-    #[test]
     fn matmul_at_matches_explicit_transpose() {
         let a = m(3, 2, &[1., 2., 3., 4., 5., 6.]);
         let b = m(3, 4, &[1., 0., 1., 0., 0., 1., 0., 1., 2., 2., 2., 2.]);
@@ -1447,17 +1244,6 @@ mod tests {
         matmul_into(&a, &b, &mut out, true);
         assert_eq!(out.scalar_value(), 15.0);
         matmul_into(&a, &b, &mut out, false);
-        assert_eq!(out.scalar_value(), 5.0);
-    }
-
-    #[test]
-    fn matmul_bt_into_accumulates() {
-        let a = m(1, 2, &[1., 1.]);
-        let b = m(1, 2, &[2., 3.]);
-        let mut out = Matrix::full(1, 1, 10.0);
-        matmul_bt_into(&a, &b, &mut out, true);
-        assert_eq!(out.scalar_value(), 15.0);
-        matmul_bt_into(&a, &b, &mut out, false);
         assert_eq!(out.scalar_value(), 5.0);
     }
 
@@ -1478,28 +1264,6 @@ mod tests {
         let a = m(1, 2, &[1., 1.]);
         let b = m(3, 1, &[1., 1., 1.]);
         let _ = matmul(&a, &b);
-    }
-
-    #[test]
-    fn blocked_matches_reference_on_awkward_shapes() {
-        // Shapes straddling tile boundaries: 1×1, non-multiples of MR/NR/TR.
-        for &(mm, kk, nn) in &[(1, 1, 1), (5, 7, 9), (4, 8, 8), (13, 3, 17), (3, 16, 5)] {
-            let a = Matrix::from_vec(
-                mm,
-                kk,
-                (0..mm * kk).map(|i| (i as f32 * 0.37).sin()).collect(),
-            );
-            let b = Matrix::from_vec(
-                kk,
-                nn,
-                (0..kk * nn).map(|i| (i as f32 * 0.73).cos()).collect(),
-            );
-            let fast = matmul(&a, &b);
-            let slow = reference::matmul(&a, &b);
-            for (x, y) in fast.data().iter().zip(slow.data().iter()) {
-                assert!((x - y).abs() <= 1e-5 * y.abs().max(1.0), "{mm}x{kk}x{nn}");
-            }
-        }
     }
 
     #[test]
@@ -1679,9 +1443,9 @@ mod tests {
             }
             for h in 0..nh {
                 let (lo, hi) = (h * hd, (h + 1) * hd);
-                let contiguous = matmul_bt(
+                let contiguous = matmul(
                     &a.slice_rows(1, 1 + ra).slice_cols(lo, hi),
-                    &k.slice_cols(lo, hi),
+                    &k.slice_cols(lo, hi).transposed(),
                 );
                 assert_bits(
                     head_rows(&paged, nh, h).data(),

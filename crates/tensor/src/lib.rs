@@ -21,6 +21,10 @@
 //!   [`Tape::with_trainable`] towards the parameters of a [`TrainableSet`]
 //!   only, so a frozen base gets no weight gradients and no backward below
 //!   the lowest trainable parameter.
+//! * Two matrix products, `a@b` and `aᵀ@b` ([`kernels`]). Every `a@bᵀ` —
+//!   [`Tape::matmul_bt`] and the backward's `g·bᵀ`, `g·Wᵀ` — multiplies by a
+//!   transposed operand: a [`Param`] owns its value's
+//!   ([`Param::transposed`]), any other operand is transposed at the op.
 //!
 //! Gradient correctness for every op is property-tested against central finite
 //! differences (see `tests/` and [`check`]).

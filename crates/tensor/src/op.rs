@@ -16,7 +16,8 @@ pub enum Op {
     Leaf { param: Option<ParamId> },
     /// `a @ b`.
     MatMul(NodeId, NodeId),
-    /// `a @ b^T` (fused; avoids materializing the transpose).
+    /// `a @ b^T`, computed as `a @ (b^T)` over `b`'s transpose (a parameter's
+    /// own, or one built at the op).
     MatMulBt(NodeId, NodeId),
     /// Fused `x @ w + bias` with `bias [1,d]` broadcast over rows — the
     /// linear-layer hot path as a single node (one output allocation, one

@@ -2,7 +2,7 @@
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use serde::{Deserialize, Serialize};
 
@@ -17,17 +17,29 @@ static NEXT_PARAM_ID: AtomicU64 = AtomicU64::new(1);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct ParamId(u64);
 
+/// A parameter value's transpose, built on first use. One cell is shared by
+/// every clone of the parameter and every tape leaf of it.
+pub(crate) type Transpose = Arc<OnceLock<Matrix>>;
+
 /// A named trainable matrix.
 ///
 /// Deserialized parameters receive a *fresh* id — identity is per-process,
 /// while names provide the stable cross-checkpoint key (see
 /// [`ParamSet::load_state_from`]).
+///
+/// A parameter also owns its value's transpose ([`Param::transposed`]): the
+/// right operand of every `x·Wᵀ` product, built once per value and never
+/// serialized. [`Param::data_mut`], the only way to change the value, drops
+/// it, so a frozen weight builds it once per process and a trained one once
+/// per optimizer step.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Param {
     #[serde(skip, default = "fresh_id")]
     id: ParamId,
     name: String,
     data: Matrix,
+    #[serde(skip)]
+    transposed: Transpose,
 }
 
 fn fresh_id() -> ParamId {
@@ -41,6 +53,7 @@ impl Param {
             id: fresh_id(),
             name: name.into(),
             data,
+            transposed: Transpose::default(),
         }
     }
 
@@ -61,10 +74,26 @@ impl Param {
         &self.data
     }
 
-    /// Mutable value (used by optimizers).
+    /// Mutable value (used by optimizers). Drops the transpose: the next
+    /// [`Param::transposed`] builds it from the new value. Clones made
+    /// before keep theirs, which is still the transpose of their value.
     #[inline]
     pub fn data_mut(&mut self) -> &mut Matrix {
+        self.transposed = Transpose::default();
         &mut self.data
+    }
+
+    /// The value transposed, `[cols, rows]`, built by the first call after
+    /// the value last changed and shared with every clone and tape leaf of
+    /// this value — the operand that lets `x·Wᵀ` run as a plain `x·(Wᵀ)` on
+    /// the strip kernel. Concurrent first calls build it once.
+    pub fn transposed(&self) -> &Matrix {
+        self.transposed.get_or_init(|| self.data.transposed())
+    }
+
+    /// The shared transpose cell, for a tape leaf of this value.
+    pub(crate) fn transpose_cell(&self) -> Transpose {
+        Arc::clone(&self.transposed)
     }
 
     /// Number of scalar elements.
@@ -152,7 +181,7 @@ impl ParamSet {
                         src.data.shape()
                     ));
                 }
-                p.data = src.data.clone();
+                *p.data_mut() = src.data.clone();
                 matched += 1;
             }
         }
@@ -356,6 +385,59 @@ mod tests {
             rev.add(p.id(), p.data().clone());
         }
         assert_eq!(fwd.global_norm().to_bits(), rev.global_norm().to_bits());
+    }
+
+    /// Whether `p`'s transpose has been built (without building it).
+    fn built(p: &Param) -> bool {
+        p.transposed.get().is_some()
+    }
+
+    #[test]
+    fn the_transpose_follows_the_value() {
+        let mut p = Param::new("w", Matrix::from_vec(2, 3, vec![1., 2., 3., 4., 5., 6.]));
+        assert!(!built(&p), "built on first use only");
+        assert_eq!(p.transposed(), &p.data().transposed());
+        assert!(built(&p));
+
+        // A clone shares the built transpose, and a cell built through one
+        // copy is built for both.
+        let clone = p.clone();
+        assert!(Arc::ptr_eq(&p.transposed, &clone.transposed));
+        let fresh = Param::new("v", Matrix::zeros(1, 2));
+        let fresh_clone = fresh.clone();
+        fresh_clone.transposed();
+        assert!(built(&fresh));
+
+        // `data_mut` drops it: the next call builds the new value's, and a
+        // clone made before keeps the transpose of its own value.
+        p.data_mut().set(0, 1, 9.0);
+        assert!(!built(&p));
+        assert_eq!(p.transposed().get(1, 0), 9.0);
+        assert_eq!(clone.transposed(), &clone.data().transposed());
+        assert_eq!(clone.transposed().get(1, 0), 2.0);
+
+        // So does a checkpoint restore.
+        let mut set = ParamSet::new();
+        set.push(p.clone());
+        set.get(0).transposed();
+        let mut src = ParamSet::new();
+        src.add("w", Matrix::full(2, 3, 0.5));
+        set.load_state_from(&src).unwrap();
+        assert!(!built(set.get(0)));
+        assert_eq!(set.get(0).transposed(), &Matrix::full(3, 2, 0.5));
+    }
+
+    #[test]
+    fn a_saved_param_never_carries_its_transpose() {
+        let p = Param::new("w", Matrix::from_vec(1, 2, vec![5.0, 6.0]));
+        let before = serde_json::to_string(&p).unwrap();
+        p.transposed();
+        let json = serde_json::to_string(&p).unwrap();
+        assert_eq!(json, before, "building the transpose changes no byte");
+        assert!(!json.contains("transposed"), "{json}");
+        let q: Param = serde_json::from_str(&json).unwrap();
+        assert!(!built(&q), "a loaded param starts without one");
+        assert_eq!(q.transposed(), &p.data().transposed());
     }
 
     #[test]

@@ -6,14 +6,22 @@
 //! only when it is a parameter in the [`TrainableSet`], and any other node
 //! when one of its parents does: frozen weights get no gradient, and the
 //! layers below the lowest trainable parameter get no backward at all.
+//!
+//! A parameter leaf also carries its [`Param`]'s transpose cell. Every
+//! product with a transposed right operand — [`Tape::matmul_bt`], and in
+//! `backward` the `g·bᵀ` of a matmul and the `g·Wᵀ` of an affine — is a
+//! plain [`kernels::matmul_into`] over that transpose, built once per
+//! parameter value and shared by every tape of it; any other operand is
+//! transposed once, at the op.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 use crate::infer;
 use crate::kernels;
 use crate::matrix::Matrix;
 use crate::op::{Op, IGNORE_INDEX};
-use crate::param::{Param, ParamId, TrainableSet};
+use crate::param::{Param, ParamId, TrainableSet, Transpose};
 
 /// Index of a node on a [`Tape`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -31,6 +39,19 @@ pub(crate) struct Node {
     pub(crate) op: Op,
     pub(crate) value: Matrix,
     pub(crate) needs_grad: bool,
+    /// A parameter leaf's shared transpose cell; `None` on other nodes.
+    transpose: Option<Transpose>,
+}
+
+impl Node {
+    /// The value transposed: a parameter leaf's shared transpose (built here
+    /// if no tape or owner has built it yet), any other node's built now.
+    pub(crate) fn transposed(&self) -> Cow<'_, Matrix> {
+        match &self.transpose {
+            Some(cell) => Cow::Borrowed(cell.get_or_init(|| self.value.transposed())),
+            None => Cow::Owned(self.value.transposed()),
+        }
+    }
 }
 
 /// A single forward pass: values are computed eagerly as ops are recorded;
@@ -110,6 +131,7 @@ impl Tape {
             op,
             value,
             needs_grad,
+            transpose: None,
         });
         id
     }
@@ -122,10 +144,11 @@ impl Tape {
         self.push(Op::Leaf { param: None }, value)
     }
 
-    /// Leafs a parameter into the tape, copying its current data. Repeated
-    /// calls with the same parameter return the cached node. It needs a
-    /// gradient unless the tape was built with a [`TrainableSet`] that does
-    /// not hold it.
+    /// Leafs a parameter into the tape, copying its current data and
+    /// sharing its transpose cell ([`Param::transposed`]). Repeated calls
+    /// with the same parameter return the cached node. It needs a gradient
+    /// unless the tape was built with a [`TrainableSet`] that does not hold
+    /// it.
     pub fn param(&mut self, p: &Param) -> NodeId {
         if let Some(&id) = self.leaf_cache.get(&p.id()) {
             return id;
@@ -136,6 +159,7 @@ impl Tape {
             },
             p.data().clone(),
         );
+        self.nodes[id.index()].transpose = Some(p.transpose_cell());
         self.leaf_cache.insert(p.id(), id);
         id
     }
@@ -148,9 +172,10 @@ impl Tape {
         self.push(Op::MatMul(a, b), v)
     }
 
-    /// `a @ b^T` without materializing the transpose.
+    /// `a @ bᵀ`, computed as `a @ (bᵀ)` over `b`'s transpose (see the module
+    /// docs): a parameter's shared one, or one built here.
     pub fn matmul_bt(&mut self, a: NodeId, b: NodeId) -> NodeId {
-        let v = kernels::matmul_bt(self.value(a), self.value(b));
+        let v = kernels::matmul(self.value(a), &self.nodes[b.index()].transposed());
         self.push(Op::MatMulBt(a, b), v)
     }
 

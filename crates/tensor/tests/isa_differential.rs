@@ -1,12 +1,19 @@
 //! ISA-dispatch differential suite: every dispatched kernel, run under every
 //! tier the host supports, must be **bit-for-bit** the scalar tier's output —
 //! across ragged shapes (proptest), at the banded thread counts, and for the
-//! fused int8 dequant-matmul. Plus the loud-failure contract of the
-//! `INFUSERKI_ISA` knob: an invalid value aborts with a clear message
-//! (checked end-to-end in a subprocess), never a silent fallback.
+//! fused int8 dequant-matmul, and for the gradients of a hooked LM loss, so
+//! the backward's products dispatch by tier too. Plus the loud-failure
+//! contract of the `INFUSERKI_ISA` knob: an invalid value aborts with a
+//! clear message (checked end-to-end in a subprocess), never a silent
+//! fallback.
 
-use infuserki_tensor::{kernels, quant, simd, Matrix};
+use infuserki_core::{InfuserKiConfig, InfuserKiMethod};
+use infuserki_nn::layers::Module;
+use infuserki_nn::{LmSample, ModelConfig, TransformerLm};
+use infuserki_tensor::{kernels, quant, simd, Matrix, Param, Tape};
 use proptest::prelude::*;
+use rand::{Rng, SeedableRng};
+use rand_chacha::ChaCha8Rng;
 use std::sync::Mutex;
 
 /// Serializes tests that flip the process-global tier override. (The bitwise
@@ -153,7 +160,9 @@ proptest! {
                 }
                 out
             };
-            let dense = kernels::matmul_bt(&q.slice_cols(lo, hi), &v.slice_cols(lo, hi));
+            let dense = under(simd::Isa::Scalar, || {
+                kernels::matmul(&q.slice_cols(lo, hi), &v.slice_cols(lo, hi).transposed())
+            });
             assert_bits_eq(&head_rows(&scalar.2), &dense,
                 &format!("score fold vs a@bT over head {h}'s window (scalar)"));
             let dense = kernels::matmul(&head_rows(&attn), &v.slice_cols(lo, hi));
@@ -417,6 +426,63 @@ fn exp_and_fused_softmax_bitwise_across_tiers_at_every_length() {
                 &scalar.1,
                 &format!("fused softmax len {len} {}", isa.name()),
             );
+        }
+    }
+}
+
+/// Every gradient of one InfuserKI-hooked LM loss on a full `Tape::new()`
+/// tape, per tier: the forward's `a·bᵀ` products (attention scores, the
+/// tied LM head), every `g·Wᵀ` and `g·bᵀ` of the backward and every frozen
+/// `dW` all run on the dispatched strips. A 2-layer base whose widths sit
+/// off the strip width (d = 40, heads of 8, d_ff = 72), every hook module
+/// nudged off its init.
+#[test]
+fn hooked_lm_gradients_bitwise_across_tiers() {
+    let _g = guard();
+    let mut rng = ChaCha8Rng::seed_from_u64(33);
+    let cfg = ModelConfig {
+        d_model: 40,
+        n_heads: 5,
+        d_ff: 72,
+        ..ModelConfig::tiny(53)
+    };
+    let base = TransformerLm::new(cfg, &mut rng);
+    let mut method = InfuserKiMethod::new(InfuserKiConfig::for_model(base.n_layers()), &base, 4);
+    let mut bump = |p: &mut Param| {
+        for w in p.data_mut().data_mut() {
+            *w += rng.gen_range(-0.1f32..0.1);
+        }
+    };
+    method.visit_adapters_mut(&mut bump);
+    method.visit_infusers_mut(&mut bump);
+    let prompt: Vec<usize> = (0..19).map(|i| (i * 7 + 3) % 53).collect();
+    let sample = LmSample::from_completion(&prompt, &[5, 11]);
+    let grads = || {
+        let mut t = Tape::new();
+        let loss = base.lm_loss(&sample.tokens, &sample.targets, method.hook(), &mut t);
+        t.backward(loss);
+        let g = t.grads();
+        let mut out = Vec::new();
+        base.visit(&mut |p| out.push((p.name().to_string(), g.get(p.id()).cloned())));
+        method.visit_all(&mut |p| out.push((p.name().to_string(), g.get(p.id()).cloned())));
+        out
+    };
+    let scalar = under(simd::Isa::Scalar, grads);
+    // Everything but the relation-classification head, which this loss
+    // does not reach.
+    let missing: Vec<_> = scalar
+        .iter()
+        .filter(|(_, g)| g.is_none())
+        .map(|(n, _)| n)
+        .collect();
+    assert!(missing.iter().all(|n| n.starts_with("rc.")), "{missing:?}");
+    for isa in simd_tiers() {
+        for ((name, want), (_, got)) in scalar.iter().zip(under(isa, grads)) {
+            let ctx = format!("d{name} on {}", isa.name());
+            match (want, got) {
+                (Some(want), Some(got)) => assert_bits_eq(&got, want, &ctx),
+                (want, got) => assert_eq!(want.is_some(), got.is_some(), "{ctx}"),
+            }
         }
     }
 }

@@ -1,10 +1,12 @@
 //! Equivalence suite for the blocked/parallel kernels in `kernels.rs`.
 //!
-//! Every optimized product (`matmul`, `matmul_bt`, `matmul_at`, and their
-//! `_into` accumulate variants) is compared against the preserved seed
-//! kernels in `kernels::reference` over randomized shapes, including the
-//! degenerate ones the tiling logic must survive: `k = 0`, `1×1`, tall/skinny
-//! operands, and dimensions that are not multiples of the register tile.
+//! Every optimized product (`matmul`, `matmul_at`, and their `_into`
+//! accumulate variants) is compared against the preserved seed kernels in
+//! `support/reference.rs` over randomized shapes, including the degenerate
+//! ones the tiling logic must survive: `k = 0`, `1×1`, tall/skinny operands,
+//! and dimensions that are not multiples of the register tile. The
+//! transposed-operand cases run `a·bᵀ` the way the workspace does — `matmul`
+//! over `bᵀ` — against the seed's per-element dot products over `b`.
 //!
 //! The blocked kernels are designed to be *bitwise* identical to the serial
 //! reference (each output element is one ascending-`p` accumulation chain in
@@ -16,7 +18,10 @@
 // exceed the default limit of 128.
 #![recursion_limit = "256"]
 
-use infuserki_tensor::kernels::{self, reference};
+#[path = "support/reference.rs"]
+mod reference;
+
+use infuserki_tensor::kernels;
 use infuserki_tensor::{Matrix, QuantSpec, QuantizedMatrix};
 use proptest::prelude::*;
 
@@ -77,11 +82,12 @@ proptest! {
     }
 
     #[test]
-    fn matmul_bt_matches_reference((_m, _n, a, b) in mm_case()) {
-        // b is [k,n]; the bt kernel wants [n,k], so transpose the operand.
-        let bt = b.transposed();
-        let got = kernels::matmul_bt(&a, &bt);
-        let want = reference::matmul_bt(&a, &bt);
+    fn transposed_operand_matches_reference((_m, _n, a, b) in mm_case()) {
+        // `a·cᵀ` for a row-major `c = bᵀ` `[n,k]`: `matmul` over its
+        // transpose, against the seed's dot products over `c` itself.
+        let c = b.transposed();
+        let got = kernels::matmul(&a, &c.transposed());
+        let want = reference::matmul_bt(&a, &c);
         prop_assert!(max_rel_err(&got, &want) <= REL_TOL);
     }
 
@@ -116,14 +122,14 @@ proptest! {
     }
 
     #[test]
-    fn matmul_bt_into_accumulate_equals_naive_plus_prior((_m, _n, a, b) in mm_case()) {
-        let bt = b.transposed();
-        let prior_data: Vec<f32> = (0..a.rows() * bt.rows())
+    fn transposed_operand_accumulate_equals_naive_plus_prior((_m, _n, a, b) in mm_case()) {
+        let c = b.transposed();
+        let prior_data: Vec<f32> = (0..a.rows() * c.rows())
             .map(|i| 0.1 * (i % 11) as f32 - 0.5)
             .collect();
-        let mut out = Matrix::from_vec(a.rows(), bt.rows(), prior_data.clone());
-        kernels::matmul_bt_into(&a, &bt, &mut out, true);
-        let mut want = reference::matmul_bt(&a, &bt);
+        let mut out = Matrix::from_vec(a.rows(), c.rows(), prior_data.clone());
+        kernels::matmul_into(&a, &c.transposed(), &mut out, true);
+        let mut want = reference::matmul_bt(&a, &c);
         for (w, p) in want.data_mut().iter_mut().zip(prior_data.iter()) {
             *w += p;
         }
@@ -181,11 +187,13 @@ fn explicit_degenerate_shapes_match_reference() {
         let want = reference::matmul(&a, &b);
         assert!(max_rel_err(&got, &want) <= REL_TOL, "matmul at {m}x{n}x{k}");
         if k > 0 {
-            let bt = b.transposed();
+            let c = b.transposed();
             assert!(
-                max_rel_err(&kernels::matmul_bt(&a, &bt), &reference::matmul_bt(&a, &bt))
-                    <= REL_TOL,
-                "matmul_bt at {m}x{n}x{k}"
+                max_rel_err(
+                    &kernels::matmul(&a, &c.transposed()),
+                    &reference::matmul_bt(&a, &c)
+                ) <= REL_TOL,
+                "transposed operand at {m}x{n}x{k}"
             );
             let at = a.transposed();
             assert!(
@@ -193,6 +201,29 @@ fn explicit_degenerate_shapes_match_reference() {
                     <= REL_TOL,
                 "matmul_at at {m}x{n}x{k}"
             );
+        }
+    }
+}
+
+/// Shapes straddling tile boundaries: `1×1` and non-multiples of the
+/// `MR×NR` tile, against the seed `ikj` loop.
+#[test]
+fn blocked_matches_reference_on_awkward_shapes() {
+    for &(mm, kk, nn) in &[(1, 1, 1), (5, 7, 9), (4, 8, 8), (13, 3, 17), (3, 16, 5)] {
+        let a = Matrix::from_vec(
+            mm,
+            kk,
+            (0..mm * kk).map(|i| (i as f32 * 0.37).sin()).collect(),
+        );
+        let b = Matrix::from_vec(
+            kk,
+            nn,
+            (0..kk * nn).map(|i| (i as f32 * 0.73).cos()).collect(),
+        );
+        let fast = kernels::matmul(&a, &b);
+        let slow = reference::matmul(&a, &b);
+        for (x, y) in fast.data().iter().zip(slow.data().iter()) {
+            assert!((x - y).abs() <= 1e-5 * y.abs().max(1.0), "{mm}x{kk}x{nn}");
         }
     }
 }
@@ -291,7 +322,8 @@ fn thread_override_is_bitwise_invisible() {
 
     kernels::set_num_threads(1);
     let serial = kernels::matmul(&a, &b);
-    let serial_bt = kernels::matmul_bt(&a, &b);
+    let bt = b.transposed();
+    let serial_bt = kernels::matmul(&a, &bt);
     let serial_at = kernels::matmul_at(&a, &b);
     for threads in [2, 3, 5, 8] {
         kernels::set_num_threads(threads);
@@ -301,7 +333,7 @@ fn thread_override_is_bitwise_invisible() {
             "{threads} threads"
         );
         assert_eq!(
-            kernels::matmul_bt(&a, &b).data(),
+            kernels::matmul(&a, &bt).data(),
             serial_bt.data(),
             "{threads} threads"
         );
