@@ -20,18 +20,31 @@
 //!   that answers fewer probes correctly than the currently active version
 //!   is refused promotion.
 //!
+//! Both hashes are FNV-1a 64, a specified hash, so a digest is the same on
+//! every run, host and toolchain. The config fingerprint hashes the method
+//! config's JSON. The base-model hash ([`base_model_digest`]) hashes the
+//! model config's JSON, then every parameter in visit order: its name, its
+//! shape and the bits of each weight, so it reads the weights in place
+//! instead of writing them out as text. Every length and count in that byte
+//! stream is a little-endian `u64`, and every weight a little-endian `u32`
+//! of its `f32` bits.
+//!
+//! Format 2 (this one) introduced those digests; a format-1 file fails
+//! [`KnowledgeBundle::load`] with the format error, not a hash mismatch.
+//!
 //! Bundles serialize as plain JSON through the workspace serde shim, same as
 //! every other artifact in the repo.
 
+use infuserki_nn::layers::Module;
 use infuserki_nn::TransformerLm;
 use serde::{Deserialize, Serialize};
-use std::hash::{Hash, Hasher};
 
 use crate::method::InfuserKiMethod;
 
-/// Current bundle format version. Bump on incompatible schema changes;
-/// [`KnowledgeBundle::verify`] rejects mismatches.
-pub const BUNDLE_FORMAT: u32 = 1;
+/// Current bundle format version. Bump on incompatible schema changes or a
+/// change to what a digest covers; [`KnowledgeBundle::load`] rejects
+/// mismatches.
+pub const BUNDLE_FORMAT: u32 = 2;
 
 /// NR/RR scores stamped on a bundle at training/eval time (fractions in
 /// `[0, 1]`; NR = known-set retention, RR = unknown-set acquisition).
@@ -73,22 +86,59 @@ pub struct KnowledgeBundle {
     pub method: InfuserKiMethod,
 }
 
-/// Deterministic 64-bit hex digest of a serializable value. Uses
-/// `DefaultHasher`, which is fixed-key SipHash in this workspace's std — the
-/// same digest on every run and host, which is what makes the base-model
-/// hash a portable compatibility check. Returned as a hex *string* because
-/// the serde_json shim stores numbers as f64 (u64 digests above 2^53 would
+/// FNV-1a 64 over a byte stream. Rendered as a hex *string* because the
+/// serde_json shim stores numbers as f64 (u64 digests above 2^53 would
 /// silently lose bits).
-fn hex_digest<T: Serialize>(value: &T) -> Result<String, String> {
-    let json = serde_json::to_string(value).map_err(|e| e.to_string())?;
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    json.hash(&mut h);
-    Ok(format!("{:016x}", h.finish()))
+struct Fnv1a(u64);
+
+impl Fnv1a {
+    fn new() -> Self {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    /// Writes a length or count.
+    fn write_len(&mut self, n: usize) {
+        self.write(&(n as u64).to_le_bytes());
+    }
+
+    fn hex(&self) -> String {
+        format!("{:016x}", self.0)
+    }
 }
 
-/// The hex digest [`KnowledgeBundle`] records for a frozen base model.
+/// The config fingerprint [`KnowledgeBundle`] records: FNV-1a 64 over the
+/// method config's JSON.
+fn config_fingerprint<T: Serialize>(config: &T) -> Result<String, String> {
+    let json = serde_json::to_string(config).map_err(|e| e.to_string())?;
+    let mut h = Fnv1a::new();
+    h.write(json.as_bytes());
+    Ok(h.hex())
+}
+
+/// The hex digest [`KnowledgeBundle`] records for a frozen base model:
+/// FNV-1a 64 over the model config's JSON, then each parameter's name,
+/// shape and weight bits (the byte stream the module doc specifies).
 pub fn base_model_digest(base: &TransformerLm) -> Result<String, String> {
-    hex_digest(base)
+    let json = serde_json::to_string(base.config()).map_err(|e| e.to_string())?;
+    let mut h = Fnv1a::new();
+    h.write_len(json.len());
+    h.write(json.as_bytes());
+    base.visit(&mut |p| {
+        h.write_len(p.name().len());
+        h.write(p.name().as_bytes());
+        h.write_len(p.data().rows());
+        h.write_len(p.data().cols());
+        for &x in p.data().data() {
+            h.write(&x.to_bits().to_le_bytes());
+        }
+    });
+    Ok(h.hex())
 }
 
 impl KnowledgeBundle {
@@ -104,7 +154,7 @@ impl KnowledgeBundle {
         Ok(KnowledgeBundle {
             format: BUNDLE_FORMAT,
             name: name.into(),
-            config_fingerprint: hex_digest(method.config())?,
+            config_fingerprint: config_fingerprint(method.config())?,
             base_model_hash: base_model_digest(base)?,
             stamp,
             gate_probes,
@@ -144,13 +194,7 @@ impl KnowledgeBundle {
     /// for the model's vocabulary. Returns a description of the first
     /// violation.
     pub fn verify(&self, base: &TransformerLm) -> Result<(), String> {
-        self.verify_with_digest(base, &base_model_digest(base)?)
-    }
-
-    /// [`verify`](Self::verify) for a caller that holds `base` frozen and
-    /// keeps its [`base_model_digest`]: the digest serializes every base
-    /// weight, which is far more work than the rest of the check.
-    pub fn verify_with_digest(&self, base: &TransformerLm, want: &str) -> Result<(), String> {
+        let want = base_model_digest(base)?;
         if self.base_model_hash != want {
             return Err(format!(
                 "bundle '{}' was built against base {} but the serving base is {}",
@@ -245,13 +289,6 @@ mod tests {
         let other = TransformerLm::new(ModelConfig::tiny(24), &mut rng);
         let err = bundle.verify(&other).unwrap_err();
         assert!(err.contains("built against base"), "got: {err}");
-        // The digest-taking form compares against what it is handed.
-        let kept = base_model_digest(&b).unwrap();
-        bundle.verify_with_digest(&b, &kept).unwrap();
-        let err = bundle
-            .verify_with_digest(&b, &base_model_digest(&other).unwrap())
-            .unwrap_err();
-        assert!(err.contains("built against base"), "got: {err}");
     }
 
     #[test]
@@ -281,5 +318,126 @@ mod tests {
         let err = KnowledgeBundle::load(&path).unwrap_err();
         std::fs::remove_file(&path).ok();
         assert!(err.contains("format"), "got: {err}");
+    }
+
+    fn temp_path(name: &str) -> std::path::PathBuf {
+        std::env::temp_dir().join(format!("ki_bundle_{name}_{}.json", std::process::id()))
+    }
+
+    /// A tiny model whose every weight is a fixed function of its position,
+    /// so the pinned digest depends on the byte stream alone, not on init.
+    fn fixed_base() -> TransformerLm {
+        let mut m = TransformerLm::new(ModelConfig::tiny(8), &mut ChaCha8Rng::seed_from_u64(0));
+        let mut k = 0u32;
+        m.visit_mut(&mut |p| {
+            for x in p.data_mut().data_mut() {
+                *x = (k % 17) as f32 * 0.125 - 1.0;
+                k += 1;
+            }
+        });
+        m
+    }
+
+    #[test]
+    fn digests_are_pinned_fnv1a() {
+        let mut h = Fnv1a::new();
+        assert_eq!(h.hex(), "cbf29ce484222325");
+        h.write(b"a");
+        assert_eq!(h.hex(), "af63dc4c8601ec8c");
+        let b = fixed_base();
+        assert_eq!(base_model_digest(&b).unwrap(), "4f865df28b816fe4");
+        let mut c = InfuserKiConfig::for_model(2);
+        c.bottleneck = 4;
+        c.infuser_hidden = 4;
+        c.rc_dim = 8;
+        assert_eq!(config_fingerprint(&c).unwrap(), "f4b5d09de5c6560d");
+    }
+
+    #[test]
+    fn base_digest_survives_save_and_load() {
+        let b = base();
+        let path = temp_path("digest_rt");
+        b.save(&path).unwrap();
+        let loaded = TransformerLm::load(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        assert_eq!(
+            base_model_digest(&loaded).unwrap(),
+            base_model_digest(&b).unwrap()
+        );
+    }
+
+    #[test]
+    fn base_digest_sees_every_bit_every_name_and_the_config() {
+        let b = base();
+        let want = base_model_digest(&b).unwrap();
+        // Flip one bit of one weight: the lowest mantissa bit, and the sign
+        // of a zero (+0.0 and -0.0 compare equal but are different bits).
+        let mut flipped = b.clone();
+        let mut first = true;
+        flipped.visit_mut(&mut |p| {
+            if std::mem::take(&mut first) {
+                let x = &mut p.data_mut().data_mut()[5];
+                *x = f32::from_bits(x.to_bits() ^ 1);
+            }
+        });
+        assert_ne!(base_model_digest(&flipped).unwrap(), want);
+        let mut zeroed = b.clone();
+        let mut signed = b.clone();
+        for (m, zero) in [(&mut zeroed, 0.0f32), (&mut signed, -0.0f32)] {
+            let mut first = true;
+            m.visit_mut(&mut |p| {
+                if std::mem::take(&mut first) {
+                    p.data_mut().data_mut()[5] = zero;
+                }
+            });
+        }
+        assert_ne!(
+            base_model_digest(&zeroed).unwrap(),
+            base_model_digest(&signed).unwrap()
+        );
+        // Rename one parameter, keeping its value.
+        let mut renamed = b.clone();
+        let mut first = true;
+        renamed.visit_mut(&mut |p| {
+            if std::mem::take(&mut first) {
+                *p = infuserki_tensor::Param::new("renamed", p.data().clone());
+            }
+        });
+        assert_ne!(base_model_digest(&renamed).unwrap(), want);
+        // Change only the config: `ln_eps` does not touch initialization, so
+        // every weight stays bit-identical.
+        let mk = |ln_eps| {
+            let cfg = ModelConfig {
+                ln_eps,
+                ..ModelConfig::tiny(24)
+            };
+            TransformerLm::new(cfg, &mut ChaCha8Rng::seed_from_u64(3))
+        };
+        let (x, y) = (mk(1e-5), mk(1e-6));
+        let bits = |m: &TransformerLm| {
+            let mut v = Vec::new();
+            m.visit(&mut |p| v.extend(p.data().data().iter().map(|x| x.to_bits())));
+            v
+        };
+        assert_eq!(bits(&x), bits(&y));
+        assert_ne!(
+            base_model_digest(&x).unwrap(),
+            base_model_digest(&y).unwrap()
+        );
+    }
+
+    #[test]
+    fn load_refuses_format_1() {
+        let b = base();
+        let mut bundle = KnowledgeBundle::new("old", method(&b), &b, None, vec![]).unwrap();
+        bundle.format = 1;
+        let path = temp_path("fmt1");
+        bundle.save(&path).unwrap();
+        let err = KnowledgeBundle::load(&path).unwrap_err();
+        std::fs::remove_file(&path).ok();
+        assert!(
+            err.contains("has format 1 but this build reads format 2"),
+            "got: {err}"
+        );
     }
 }

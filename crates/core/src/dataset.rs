@@ -21,19 +21,25 @@ pub struct McqBank {
 }
 
 impl McqBank {
-    /// Builds the bank for `triples` against `store`.
+    /// Builds the bank for `triples` against `store`. Each triple's
+    /// distractor ranking is computed once and shared by its five templates.
     pub fn build(store: &TripleStore, triples: &[Triple], seed: u64) -> Self {
         let builder = McqBuilder::new(store);
+        let pools: Vec<_> = triples
+            .iter()
+            .map(|&t| builder.distractor_pool(t))
+            .collect();
         let mcqs = (0..N_QA_TEMPLATES)
             .map(|tpl| {
                 triples
                     .iter()
+                    .zip(&pools)
                     .enumerate()
-                    .map(|(i, &t)| {
+                    .map(|(i, (&t, pool))| {
                         let mut rng = ChaCha8Rng::seed_from_u64(
                             seed ^ (i as u64).wrapping_mul(0x9e37_79b9) ^ ((tpl as u64) << 56),
                         );
-                        builder.build(t, tpl, &mut rng)
+                        builder.build_with(t, pool, tpl, &mut rng)
                     })
                     .collect()
             })
@@ -272,6 +278,121 @@ mod tests {
         let bank2 = McqBank::build(&store, store.triples(), 42);
         assert_eq!(bank.mcq(2, 7).options, bank2.mcq(2, 7).options);
         assert_eq!(bank.mcq(2, 7).correct, bank2.mcq(2, 7).correct);
+    }
+
+    /// The seed's per-MCQ algorithm, kept as it was (as a free function) as
+    /// the reference the shared-ranking bank must reproduce: one ranking per
+    /// MCQ, with the edit distances recomputed inside the sort comparator.
+    fn reference_mcq(store: &TripleStore, triple: Triple, tpl: usize, rng: &mut ChaCha8Rng) -> Mcq {
+        use infuserki_kg::EntityId;
+        use infuserki_text::levenshtein;
+        let head_name = store.entity_name(triple.head).to_string();
+        let gold_name = store.entity_name(triple.tail).to_string();
+        let question = TemplateSet::question(store.relation_name(triple.relation), &head_name, tpl);
+        let mut pool: Vec<EntityId> = store
+            .tail_pool(triple.relation)
+            .into_iter()
+            .filter(|&e| e != triple.tail && e != triple.head)
+            .collect();
+        if pool.len() < 3 {
+            for i in 0..store.n_entities() {
+                let e = EntityId(i as u32);
+                if e != triple.tail && e != triple.head && !pool.contains(&e) {
+                    pool.push(e);
+                }
+                if pool.len() >= 10 {
+                    break;
+                }
+            }
+        }
+        let names: Vec<&str> = pool.iter().map(|&e| store.entity_name(e)).collect();
+        let d1 = (0..names.len())
+            .min_by_key(|&i| levenshtein(&head_name, names[i]))
+            .unwrap();
+        let mut by_gold: Vec<usize> = (0..names.len()).filter(|&i| i != d1).collect();
+        by_gold.sort_by_key(|&i| levenshtein(&gold_name, names[i]));
+        by_gold.truncate(10);
+        by_gold.shuffle(rng);
+        let mut options: Vec<String> = vec![gold_name, names[d1].to_string()];
+        options.extend(by_gold.iter().take(2).map(|&i| names[i].to_string()));
+        let mut order = [0usize, 1, 2, 3];
+        order.shuffle(rng);
+        let mut display: [String; 4] = Default::default();
+        let mut correct = 0;
+        for (pos, &src) in order.iter().enumerate() {
+            if src == 0 {
+                correct = pos;
+            }
+            display[pos] = options[src].clone();
+        }
+        Mcq {
+            question,
+            options: display,
+            correct,
+            triple,
+            template_idx: tpl,
+        }
+    }
+
+    fn assert_bank_matches_reference(store: &TripleStore, triples: &[Triple], seed: u64) {
+        let bank = McqBank::build(store, triples, seed);
+        for tpl in 0..N_QA_TEMPLATES {
+            for (i, &t) in triples.iter().enumerate() {
+                let mut rng = ChaCha8Rng::seed_from_u64(
+                    seed ^ (i as u64).wrapping_mul(0x9e37_79b9) ^ ((tpl as u64) << 56),
+                );
+                let want = reference_mcq(store, t, tpl, &mut rng);
+                let got = bank.mcq(tpl, i);
+                assert_eq!(got.question, want.question, "question of ({tpl}, {i})");
+                assert_eq!(got.options, want.options, "options of ({tpl}, {i})");
+                assert_eq!(got.correct, want.correct, "correct of ({tpl}, {i})");
+                assert_eq!(got.triple, want.triple);
+                assert_eq!(got.template_idx, want.template_idx);
+            }
+        }
+    }
+
+    #[test]
+    fn bank_matches_the_per_mcq_reference() {
+        for (n, seed) in [(40, 7), (300, 8)] {
+            let store = synth_umls(&UmlsConfig::with_triplets(n, seed));
+            assert_bank_matches_reference(&store, store.triples(), seed ^ 0x1c2e);
+        }
+        // Hand-built: `treats` has two tails (its pools are topped up from
+        // the entity universe); the `causes` tails tie pairwise in edit
+        // distance to each gold and head; and the 40 `links` tails tie in
+        // long runs, in pools past the size where a sort stops being an
+        // insertion sort. Stable tie order decides every one of them.
+        let mut store = TripleStore::default();
+        let facts = [
+            ("abc", "treats", "abd"),
+            ("abe", "treats", "abf"),
+            ("abg", "treats", "abd"),
+            ("xa", "causes", "ya"),
+            ("xb", "causes", "yb"),
+            ("xc", "causes", "yc"),
+            ("xd", "causes", "yd"),
+            ("xe", "causes", "ya"),
+            ("xf", "causes", "zz"),
+        ];
+        let links: Vec<(String, String)> = (0..40)
+            .map(|i| {
+                (
+                    format!("h{:02}", (i * 7) % 40),
+                    format!("t{:02}", (i * 13) % 40),
+                )
+            })
+            .collect();
+        let facts = facts
+            .into_iter()
+            .chain(links.iter().map(|(h, t)| (h.as_str(), "links", t.as_str())));
+        for (h, r, t) in facts {
+            let h = store.intern_entity(h);
+            let r = store.intern_relation(r);
+            let t = store.intern_entity(t);
+            store.insert(Triple::new(h, r, t));
+        }
+        assert_bank_matches_reference(&store, store.triples(), 3);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! model — facts integrated earlier answer correctly and are skipped — and
 //! only the genuinely new unknowns are trained, into the same adapters.
 
-use infuserki_kg::{Triple, TripleStore};
+use infuserki_kg::TripleStore;
 use infuserki_nn::TransformerLm;
 use infuserki_text::Tokenizer;
 use serde::{Deserialize, Serialize};
@@ -50,25 +50,28 @@ impl IncrementalReport {
     }
 }
 
-/// Integrates `new_triples` into an existing `method`.
+/// Integrates the triples of `bank` — the MCQ bank its caller built over
+/// `store` for the round's new triples — into an existing `method`.
 ///
 /// Detection runs with the method's hook attached, so knowledge from earlier
 /// rounds is treated as known — the unnecessary-overlap avoidance the paper
-/// contrasts with whole-graph fine-tuning. All entity/relation names must be
-/// within `tokenizer`'s vocabulary (the closed-world invariant).
+/// contrasts with whole-graph fine-tuning. Detection asks template 0 of
+/// `bank`, and training phrases its questions from the same bank, so a
+/// caller that keeps `bank` (to phrase gate probes, say) quizzes exactly what
+/// was taught. All entity/relation names must be within `tokenizer`'s
+/// vocabulary (the closed-world invariant).
 pub fn integrate_more(
     base: &TransformerLm,
     method: &mut InfuserKiMethod,
     store: &TripleStore,
-    new_triples: &[Triple],
+    bank: &McqBank,
     tokenizer: &Tokenizer,
     tc: &TrainConfig,
 ) -> IncrementalReport {
-    let bank = McqBank::build(store, new_triples, tc.seed ^ 0x1c2e);
     let detection = detect_unknown(base, &method.hook(), tokenizer, bank.template(0));
     let data = KiDataset::build(
         store,
-        &bank,
+        bank,
         tokenizer,
         &detection.known,
         &detection.unknown,
@@ -80,7 +83,7 @@ pub fn integrate_more(
         train_infuserki(base, method, &data, tc)
     };
     IncrementalReport {
-        presented: new_triples.len(),
+        presented: bank.len(),
         already_known: detection.known.len(),
         newly_integrated: detection.unknown.len(),
         training,
@@ -91,7 +94,7 @@ pub fn integrate_more(
 mod tests {
     use super::*;
     use crate::config::InfuserKiConfig;
-    use infuserki_kg::{synth_umls, UmlsConfig};
+    use infuserki_kg::{synth_umls, Triple, UmlsConfig};
     use infuserki_nn::ModelConfig;
     use infuserki_text::prompts;
     use infuserki_text::templates::TemplateSet;
@@ -139,7 +142,9 @@ mod tests {
     fn incremental_round_partitions_and_trains() {
         let (base, mut method, store, tok) = setup();
         let batch: Vec<Triple> = store.triples()[..20].to_vec();
-        let report = integrate_more(&base, &mut method, &store, &batch, &tok, &quick_tc());
+        let tc = quick_tc();
+        let bank = McqBank::build(&store, &batch, tc.seed ^ 0x1c2e);
+        let report = integrate_more(&base, &mut method, &store, &bank, &tok, &tc);
         assert_eq!(report.presented, 20);
         assert_eq!(report.already_known + report.newly_integrated, 20);
         if report.newly_integrated > 0 {
@@ -158,8 +163,9 @@ mod tests {
             lr: 3e-3,
             ..quick_tc()
         };
-        let first = integrate_more(&base, &mut method, &store, &batch, &tok, &tc);
-        let second = integrate_more(&base, &mut method, &store, &batch, &tok, &tc);
+        let bank = McqBank::build(&store, &batch, tc.seed ^ 0x1c2e);
+        let first = integrate_more(&base, &mut method, &store, &bank, &tok, &tc);
+        let second = integrate_more(&base, &mut method, &store, &bank, &tok, &tc);
         assert!(
             second.newly_integrated <= first.newly_integrated,
             "round 2 should not rediscover more unknowns: {} vs {}",
@@ -191,7 +197,8 @@ mod tests {
     #[test]
     fn empty_batch_is_a_no_op() {
         let (base, mut method, store, tok) = setup();
-        let report = integrate_more(&base, &mut method, &store, &[], &tok, &quick_tc());
+        let bank = McqBank::build(&store, &[], 0);
+        let report = integrate_more(&base, &mut method, &store, &bank, &tok, &quick_tc());
         assert_eq!(report.presented, 0);
         assert_eq!(report.newly_integrated, 0);
         assert!(report.training.qa_losses.is_empty());

@@ -12,12 +12,14 @@
 //!    world state, not training work.
 //! 2. **Trigger** — a round starts when the queue passes `min_batch` or the
 //!    oldest queued delta passes `max_age_ms`.
-//! 3. **Train** — rebuild the vocab-filtered live store, run
-//!    [`integrate_more`] (detection with the patched model, so facts from
-//!    earlier rounds are skipped), and score held-out probes.
+//! 3. **Train** — rebuild the vocab-filtered live store, build the round's
+//!    one [`McqBank`], run [`integrate_more`] on it (detection with the
+//!    patched model, so facts from earlier rounds are skipped), and score
+//!    held-out probes.
 //! 4. **Package** — wrap the method in a [`KnowledgeBundle`] whose gate
-//!    probes are the new facts' MCQs plus probes carried from earlier
-//!    rounds, and persist the round's [`IncrementalReport`] next to it.
+//!    probes are the new facts' MCQs (template 0 of the same bank) plus
+//!    probes carried from earlier rounds, and persist the round's
+//!    [`IncrementalReport`] next to it.
 //! 5. **Publish** — hand the bundle to a [`BundlePublisher`]
 //!    (load→stage→promote in a serving process). The promote-time NR gate
 //!    is the safety valve: a refused bundle leaves the previous version
@@ -386,13 +388,7 @@ impl<P: BundlePublisher> UpdatePipeline<P> {
     fn delta_in_vocab(&self, delta: &TripleDelta) -> bool {
         self.text_in_vocab(&delta.subject)
             && self.text_in_vocab(&delta.object)
-            && TemplateSet::vocabulary_lines(&delta.relation)
-                .iter()
-                .all(|line| {
-                    split_words(line)
-                        .iter()
-                        .all(|w| w == "x" || w == "y" || self.tokenizer.word_id(w).is_some())
-                })
+            && self.relation_in_vocab(&delta.relation)
     }
 
     fn text_in_vocab(&self, text: &str) -> bool {
@@ -400,22 +396,34 @@ impl<P: BundlePublisher> UpdatePipeline<P> {
         !words.is_empty() && words.iter().all(|w| self.tokenizer.word_id(w).is_some())
     }
 
+    /// Whether every template line of `relation` is phrasable (the `x`/`y`
+    /// slots are filled by entity names, checked separately).
+    fn relation_in_vocab(&self, relation: &str) -> bool {
+        TemplateSet::vocabulary_lines(relation).iter().all(|line| {
+            split_words(line)
+                .iter()
+                .all(|w| w == "x" || w == "y" || self.tokenizer.word_id(w).is_some())
+        })
+    }
+
     /// Rebuilds the vocab-filtered live training store (fresh interning in
     /// WAL order, so ids are deterministic given the same live set) and
-    /// maps the pending deltas into it.
+    /// maps the pending deltas into it. Each distinct entity and relation
+    /// is checked against the vocabulary once.
     fn live_training_store(&self) -> (TripleStore, Vec<Triple>) {
+        let names = &self.state.store;
+        let mut entity_ok: Vec<Option<bool>> = vec![None; names.n_entities()];
+        let mut relation_ok: Vec<Option<bool>> = vec![None; names.n_relations()];
         let mut live = TripleStore::default();
         for t in self.state.live_triples() {
-            let s = self.state.store.entity_name(t.head);
-            let r = self.state.store.relation_name(t.relation);
-            let o = self.state.store.entity_name(t.tail);
-            let in_vocab = self.text_in_vocab(s)
-                && self.text_in_vocab(o)
-                && TemplateSet::vocabulary_lines(r).iter().all(|line| {
-                    split_words(line)
-                        .iter()
-                        .all(|w| w == "x" || w == "y" || self.tokenizer.word_id(w).is_some())
-                });
+            let s = names.entity_name(t.head);
+            let r = names.relation_name(t.relation);
+            let o = names.entity_name(t.tail);
+            let in_vocab = *entity_ok[t.head.0 as usize]
+                .get_or_insert_with(|| self.text_in_vocab(s))
+                && *entity_ok[t.tail.0 as usize].get_or_insert_with(|| self.text_in_vocab(o))
+                && *relation_ok[t.relation.0 as usize]
+                    .get_or_insert_with(|| self.relation_in_vocab(r));
             if !in_vocab {
                 continue;
             }
@@ -458,20 +466,20 @@ impl<P: BundlePublisher> UpdatePipeline<P> {
         };
 
         let started = Instant::now();
+        let bank = McqBank::build(&live, &new_triples, tc.seed ^ 0x1c2e);
         let report = integrate_more(
             &self.base,
             &mut self.method,
             &live,
-            &new_triples,
+            &bank,
             &self.tokenizer,
             &tc,
         );
         self.metrics.integrate_ms.record_duration(started.elapsed());
 
         let started = Instant::now();
-        // The same bank `integrate_more` trained on (same seed derivation),
-        // so probes quiz exactly the phrasing that was taught.
-        let bank = McqBank::build(&live, &new_triples, tc.seed ^ 0x1c2e);
+        // Probes quiz exactly the phrasing that was taught: template 0 of
+        // the bank `integrate_more` detected and trained on.
         let new_probes: Vec<GateProbe> = bank
             .template(0)
             .iter()
@@ -691,6 +699,27 @@ mod tests {
         ds
     }
 
+    /// Appends up to `n` facts new to `world` (known entities, its first
+    /// relation) and returns how many were accepted.
+    fn append_novel(ds: &mut DurableStore, world: &TripleStore, n: usize) -> usize {
+        let names: Vec<&str> = world.entity_names().collect();
+        let rel = world.relation_name(world.triples()[0].relation);
+        let mut appended = 0;
+        for (i, &s) in names.iter().enumerate() {
+            for &o in names.iter().skip(i + 1) {
+                if appended == n {
+                    return appended;
+                }
+                if let crate::store::AppendOutcome::Accepted(_) =
+                    ds.append(&TripleDelta::add(s, rel, o)).unwrap()
+                {
+                    appended += 1;
+                }
+            }
+        }
+        appended
+    }
+
     #[test]
     fn baseline_wal_is_not_training_work() {
         let dir = tmp("baseline");
@@ -711,22 +740,7 @@ mod tests {
         assert_eq!(pipe.pending(), 0);
         assert_eq!(pipe.state().live_len(), world.len());
         // A post-startup append queues (below min_batch → waiting).
-        let names: Vec<&str> = world.entity_names().collect();
-        let rel = world.relation_name(world.triples()[0].relation);
-        let mut appended = 0;
-        'outer: for (i, &s) in names.iter().enumerate() {
-            for &o in names.iter().skip(i + 1) {
-                if appended == 1 {
-                    break 'outer;
-                }
-                if let crate::store::AppendOutcome::Accepted(_) =
-                    ds.append(&TripleDelta::add(s, rel, o)).unwrap()
-                {
-                    appended += 1;
-                }
-            }
-        }
-        assert_eq!(appended, 1);
+        assert_eq!(append_novel(&mut ds, &world, 1), 1);
         ds.sync().unwrap();
         assert_eq!(
             pipe.run_once().unwrap(),
@@ -751,22 +765,7 @@ mod tests {
         .unwrap();
         assert_eq!(pipe.run_once().unwrap(), RoundOutcome::Idle);
         // Two brand-new facts re-using known entities/relations.
-        let names: Vec<&str> = world.entity_names().collect();
-        let rel = world.relation_name(world.triples()[0].relation);
-        let mut appended = 0;
-        'outer: for (i, &s) in names.iter().enumerate() {
-            for &o in names.iter().skip(i + 1) {
-                if appended == 2 {
-                    break 'outer;
-                }
-                if let crate::store::AppendOutcome::Accepted(_) =
-                    ds.append(&TripleDelta::add(s, rel, o)).unwrap()
-                {
-                    appended += 1;
-                }
-            }
-        }
-        assert_eq!(appended, 2, "could not find two novel facts to append");
+        assert_eq!(append_novel(&mut ds, &world, 2), 2);
         ds.sync().unwrap();
         let outcome = pipe.run_once().unwrap();
         let RoundOutcome::Published {
@@ -801,6 +800,64 @@ mod tests {
     }
 
     #[test]
+    fn round_probes_are_template_zero_of_the_trained_bank() {
+        let dir = tmp("probes");
+        let (base, tok, world) = tiny_world();
+        let mut ds = seed_wal(&dir, &world);
+        let reg = Registry::new();
+        let cfg = quick_cfg(&dir);
+        assert!(cfg.max_gate_probes > 0);
+        let mut pipe = UpdatePipeline::new(
+            base.clone(),
+            tok.clone(),
+            &dir,
+            cfg.clone(),
+            CountingPublisher(AtomicU32::new(0)),
+            &reg,
+        )
+        .unwrap();
+        assert_eq!(pipe.run_once().unwrap(), RoundOutcome::Idle);
+        assert_eq!(append_novel(&mut ds, &world, 2), 2);
+        ds.sync().unwrap();
+        pipe.poll().unwrap();
+        let (live, new_triples) = pipe.live_training_store();
+        let outcome = pipe.run_once().unwrap();
+        let RoundOutcome::Published { name, path, .. } = outcome else {
+            panic!("expected publish, got {outcome:?}");
+        };
+        let bundle = KnowledgeBundle::load(&path).unwrap();
+        let report =
+            IncrementalReport::load(path.with_file_name(format!("{name}.report.json"))).unwrap();
+
+        // Round 1's bank, trained into an untrained twin of the method: the
+        // same report and the same weights say it is the bank the round
+        // trained on.
+        let tc = TrainConfig {
+            seed: cfg.train.seed ^ 1,
+            ..cfg.train.clone()
+        };
+        let bank = McqBank::build(&live, &new_triples, tc.seed ^ 0x1c2e);
+        let mut twin = InfuserKiMethod::new(cfg.method.clone().unwrap(), &base, cfg.max_relations);
+        let twin_report = integrate_more(&base, &mut twin, &live, &bank, &tok, &tc);
+        assert_eq!(
+            serde_json::to_string(&twin_report).unwrap(),
+            serde_json::to_string(&report).unwrap()
+        );
+        assert_eq!(
+            serde_json::to_string(&twin).unwrap(),
+            serde_json::to_string(&bundle.method).unwrap()
+        );
+        // Nothing is carried into round 1, so its probes are exactly
+        // template 0 of that bank.
+        let want: Vec<GateProbe> = bank
+            .template(0)
+            .iter()
+            .map(|m| probe_from_mcq(m, &tok))
+            .collect();
+        assert_eq!(bundle.gate_probes, want);
+    }
+
+    #[test]
     fn gate_refusal_drops_batch_and_keeps_ingesting() {
         let dir = tmp("refuse");
         let (base, tok, world) = tiny_world();
@@ -809,21 +866,7 @@ mod tests {
         let mut pipe =
             UpdatePipeline::new(base, tok, &dir, quick_cfg(&dir), RefusingPublisher, &reg).unwrap();
         assert_eq!(pipe.run_once().unwrap(), RoundOutcome::Idle);
-        let names: Vec<&str> = world.entity_names().collect();
-        let rel = world.relation_name(world.triples()[0].relation);
-        let mut appended = 0;
-        'outer: for (i, &s) in names.iter().enumerate() {
-            for &o in names.iter().skip(i + 1) {
-                if appended == 2 {
-                    break 'outer;
-                }
-                if let crate::store::AppendOutcome::Accepted(_) =
-                    ds.append(&TripleDelta::add(s, rel, o)).unwrap()
-                {
-                    appended += 1;
-                }
-            }
-        }
+        append_novel(&mut ds, &world, 2);
         ds.sync().unwrap();
         let outcome = pipe.run_once().unwrap();
         assert!(

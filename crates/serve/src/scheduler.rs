@@ -52,7 +52,7 @@ use std::time::Instant;
 
 use infuserki_obs as obs;
 
-use infuserki_core::{base_model_digest, KnowledgeBundle};
+use infuserki_core::KnowledgeBundle;
 use infuserki_nn::sampler::{argmax, beam_search, option_probabilities, score_options};
 use infuserki_nn::{KvCache, LayerHook, PoolHandle, PrefixIndex, PrefixMatch, TransformerLm};
 use infuserki_tensor::{kernels, Matrix, SeqBatch};
@@ -269,11 +269,6 @@ pub struct Scheduler<'a> {
     reserved_rows: usize,
     metrics: Arc<ServeMetrics>,
     draining: bool,
-    /// `base_model_digest(model)`, computed by the first `load_bundle` and
-    /// kept: the model is frozen for the scheduler's lifetime, and the digest
-    /// serializes every base weight on the scheduler thread (about 90 ms on
-    /// the 12-layer world model, during which nothing is served).
-    base_digest: Option<String>,
 }
 
 impl<'a> Scheduler<'a> {
@@ -314,7 +309,6 @@ impl<'a> Scheduler<'a> {
             reserved_rows: 0,
             metrics,
             draining: false,
-            base_digest: None,
         })
     }
 
@@ -366,14 +360,8 @@ impl<'a> Scheduler<'a> {
     /// not serve unpinned traffic until [`Scheduler::promote`].
     pub fn load_bundle(&mut self, path: &str) -> Result<BundleInfo, ControlError> {
         let bundle = KnowledgeBundle::load(path).map_err(ControlError::Bundle)?;
-        let base_digest = match &self.base_digest {
-            Some(d) => d,
-            None => self
-                .base_digest
-                .insert(base_model_digest(self.model).map_err(ControlError::Incompatible)?),
-        };
         bundle
-            .verify_with_digest(self.model, base_digest)
+            .verify(self.model)
             .map_err(ControlError::Incompatible)?;
         let KnowledgeBundle {
             name,

@@ -13,7 +13,7 @@ pub mod templates;
 pub mod tokenizer;
 
 pub use distance::levenshtein;
-pub use mcq::{Mcq, McqBuilder};
+pub use mcq::{DistractorPool, Mcq, McqBuilder};
 pub use prompts::{extract_option, format_mcq_prompt, option_token, OPTION_TOKENS};
 pub use templates::{FilledStatement, TemplateSet, N_QA_TEMPLATES};
 pub use tokenizer::Tokenizer;

@@ -10,7 +10,7 @@ use rand::seq::SliceRandom;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use crate::distance::levenshtein;
+use crate::distance::{levenshtein, rank_by_distance};
 use crate::templates::TemplateSet;
 
 /// A rendered multiple-choice question.
@@ -35,6 +35,16 @@ impl Mcq {
     }
 }
 
+/// The rng-free half of distractor choice for one triple: the candidate
+/// nearest the head entity, and the (up to) ten other candidates nearest the
+/// gold answer, nearest first. It depends only on the triple and the store,
+/// so a bank computes it once per triple and shares it across templates.
+#[derive(Debug, Clone)]
+pub struct DistractorPool {
+    near_head: String,
+    near_gold: Vec<String>,
+}
+
 /// Builds MCQs against a triple store.
 pub struct McqBuilder<'a> {
     store: &'a TripleStore,
@@ -50,44 +60,12 @@ impl<'a> McqBuilder<'a> {
     /// with `rng`. Distractor pools that are too small are topped up from the
     /// full entity set, so this always succeeds on stores with ≥ 4 entities.
     pub fn build(&self, triple: Triple, template_idx: usize, rng: &mut impl Rng) -> Mcq {
-        let head_name = self.store.entity_name(triple.head).to_string();
-        let gold_name = self.store.entity_name(triple.tail).to_string();
-        let question = TemplateSet::question(
-            self.store.relation_name(triple.relation),
-            &head_name,
-            template_idx,
-        );
-
-        let distractors = self.pick_distractors(&triple, &head_name, &gold_name, rng);
-        let mut options: Vec<String> = vec![gold_name];
-        options.extend(distractors);
-        debug_assert_eq!(options.len(), 4);
-        let mut order = [0usize, 1, 2, 3];
-        order.shuffle(rng);
-        let mut display: [String; 4] = Default::default();
-        let mut correct = 0;
-        for (pos, &src) in order.iter().enumerate() {
-            if src == 0 {
-                correct = pos;
-            }
-            display[pos] = options[src].clone();
-        }
-        Mcq {
-            question,
-            options: display,
-            correct,
-            triple,
-            template_idx,
-        }
+        self.build_with(triple, &self.distractor_pool(triple), template_idx, rng)
     }
 
-    fn pick_distractors(
-        &self,
-        triple: &Triple,
-        head_name: &str,
-        gold_name: &str,
-        rng: &mut impl Rng,
-    ) -> Vec<String> {
+    /// The rng-free half of [`build`](Self::build): ranks `triple`'s
+    /// candidates, computing each edit distance once.
+    pub fn distractor_pool(&self, triple: Triple) -> DistractorPool {
         // Candidate pool: tails of the same relation (type-consistent),
         // excluding the gold tail and the head itself.
         let mut pool: Vec<EntityId> = self
@@ -110,25 +88,65 @@ impl<'a> McqBuilder<'a> {
         }
         assert!(pool.len() >= 3, "need at least 3 distractor candidates");
 
-        let names: Vec<&str> = pool.iter().map(|&e| self.store.entity_name(e)).collect();
+        let mut names: Vec<&str> = pool.iter().map(|&e| self.store.entity_name(e)).collect();
 
-        // Distractor 1: minimal edit distance to the head entity.
+        // Distractor 1: minimal edit distance to the head entity (the first
+        // such candidate on ties).
+        let head_name = self.store.entity_name(triple.head);
         let d1 = (0..names.len())
             .min_by_key(|&i| levenshtein(head_name, names[i]))
             .expect("non-empty pool");
+        let near_head = names.remove(d1).to_string();
 
-        // Distractors 2–3: random among the 10 nearest to the gold answer.
-        let mut by_gold: Vec<usize> = (0..names.len()).filter(|&i| i != d1).collect();
-        by_gold.sort_by_key(|&i| levenshtein(gold_name, names[i]));
-        by_gold.truncate(10);
-        by_gold.shuffle(rng);
-
-        let mut out = vec![names[d1].to_string()];
-        for &i in by_gold.iter().take(2) {
-            out.push(names[i].to_string());
+        // Distractors 2–3 are drawn from the 10 nearest to the gold answer;
+        // the stable ranking keeps pool order on ties.
+        let gold_name = self.store.entity_name(triple.tail);
+        let near_gold = rank_by_distance(gold_name, &names)
+            .into_iter()
+            .take(10)
+            .map(|i| names[i].to_string())
+            .collect();
+        DistractorPool {
+            near_head,
+            near_gold,
         }
-        debug_assert_eq!(out.len(), 3);
-        out
+    }
+
+    /// The rng half of [`build`](Self::build): picks two of `pool`'s
+    /// gold-nearest candidates at random and shuffles the four options.
+    pub fn build_with(
+        &self,
+        triple: Triple,
+        pool: &DistractorPool,
+        template_idx: usize,
+        rng: &mut impl Rng,
+    ) -> Mcq {
+        let question = TemplateSet::question(
+            self.store.relation_name(triple.relation),
+            self.store.entity_name(triple.head),
+            template_idx,
+        );
+
+        let mut near_gold: Vec<&str> = pool.near_gold.iter().map(String::as_str).collect();
+        near_gold.shuffle(rng);
+        let options = [
+            self.store.entity_name(triple.tail),
+            pool.near_head.as_str(),
+            near_gold[0],
+            near_gold[1],
+        ];
+        let mut order = [0usize, 1, 2, 3];
+        order.shuffle(rng);
+        Mcq {
+            question,
+            options: order.map(|src| options[src].to_string()),
+            correct: order
+                .iter()
+                .position(|&src| src == 0)
+                .expect("gold is placed"),
+            triple,
+            template_idx,
+        }
     }
 }
 

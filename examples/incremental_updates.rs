@@ -38,11 +38,14 @@ fn main() {
     ];
 
     for (i, batch) in batches.iter().enumerate() {
+        // Each round builds its batch's MCQ bank once; `integrate_more`
+        // detects and trains on it, and a caller can phrase probes from it.
+        let bank = McqBank::build(&world.store, batch, tc.seed ^ 0x1c2e);
         let report = integrate_more(
             &world.base,
             &mut method,
             &world.store,
-            batch,
+            &bank,
             &world.tokenizer,
             &tc,
         );
