@@ -36,7 +36,7 @@
 //! every other artifact in the repo.
 
 use infuserki_nn::layers::Module;
-use infuserki_nn::TransformerLm;
+use infuserki_nn::{sampler, LayerHook, TransformerLm};
 use serde::{Deserialize, Serialize};
 
 use crate::method::InfuserKiMethod;
@@ -63,6 +63,52 @@ pub struct GateProbe {
     pub options: Vec<Vec<usize>>,
     /// Index of the correct option.
     pub correct: usize,
+}
+
+impl GateProbe {
+    /// Whether `hook` picks the correct option: the paper's detection-probe
+    /// scoring (length-normalized option likelihood, argmax) on the
+    /// single-request sampler path.
+    pub fn answered_by(&self, model: &TransformerLm, hook: &dyn LayerHook) -> bool {
+        let scores = sampler::score_options(model, hook, &self.prompt, &self.options);
+        let lens: Vec<usize> = self.options.iter().map(Vec::len).collect();
+        sampler::argmax(&sampler::option_probabilities(&scores, &lens)) == self.correct
+    }
+}
+
+/// The promote-time NR regression gate's result: held-out known-set probes
+/// answered correctly by the candidate vs the currently active version.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct GateReport {
+    /// Probes evaluated.
+    pub probes: usize,
+    /// Correct answers under the candidate (staged) version.
+    pub staged_correct: usize,
+    /// Correct answers under the active version.
+    pub active_correct: usize,
+}
+
+impl GateReport {
+    /// Scores every probe under the `staged` and the `active` hook.
+    pub fn score(
+        model: &TransformerLm,
+        staged: &dyn LayerHook,
+        active: &dyn LayerHook,
+        probes: &[GateProbe],
+    ) -> GateReport {
+        let correct = |hook| probes.iter().filter(|p| p.answered_by(model, hook)).count();
+        GateReport {
+            probes: probes.len(),
+            staged_correct: correct(staged),
+            active_correct: correct(active),
+        }
+    }
+
+    /// Whether the gate refuses the candidate: it answers fewer probes
+    /// correctly than the active version.
+    pub fn refuses(&self) -> bool {
+        self.staged_correct < self.active_correct
+    }
 }
 
 /// A versioned, self-describing knowledge artifact: the trained

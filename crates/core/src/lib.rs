@@ -24,7 +24,9 @@ pub mod infuser;
 pub mod method;
 pub mod trainer;
 
-pub use bundle::{base_model_digest, EvalStamp, GateProbe, KnowledgeBundle, BUNDLE_FORMAT};
+pub use bundle::{
+    base_model_digest, EvalStamp, GateProbe, GateReport, KnowledgeBundle, BUNDLE_FORMAT,
+};
 pub use config::{Ablation, GateInput, InfuserKiConfig, Placement, Site, TrainConfig};
 pub use dataset::{InfuserSample, KiDataset, McqBank, RcSample};
 pub use detect::{answer_mcq, answer_mcq_batch, detect_unknown, DetectionResult};

@@ -299,7 +299,7 @@ fn record_last_row(
 }
 
 /// The one place InfuserKI meets the engine: both sublayer sites route to
-/// [`InfuserKiMethod::adapt`], or pass the sublayer output through when the
+/// `InfuserKiMethod::adapt`, or pass the sublayer output through when the
 /// placement does not cover `(site, layer)`.
 impl LayerHook for InfuserKiMethod {
     fn ffn_output(&self, layer: usize, ffn_in: &Val, ffn_out: Val, e: &mut Exec) -> Val {

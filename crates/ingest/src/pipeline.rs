@@ -19,7 +19,7 @@
 //! 4. **Package** — wrap the method in a [`KnowledgeBundle`] whose gate
 //!    probes are the new facts' MCQs (template 0 of the same bank) plus
 //!    probes carried from earlier rounds, and persist the round's
-//!    [`IncrementalReport`] next to it.
+//!    [`IncrementalReport`](infuserki_core::IncrementalReport) next to it.
 //! 5. **Publish** — hand the bundle to a [`BundlePublisher`]
 //!    (load→stage→promote in a serving process). The promote-time NR gate
 //!    is the safety valve: a refused bundle leaves the previous version
@@ -29,11 +29,11 @@ use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use infuserki_core::{
-    integrate_more, EvalStamp, GateProbe, InfuserKiConfig, InfuserKiMethod, KnowledgeBundle,
-    McqBank, TrainConfig,
+    integrate_more, EvalStamp, GateProbe, GateReport, InfuserKiConfig, InfuserKiMethod,
+    KnowledgeBundle, McqBank, TrainConfig,
 };
 use infuserki_kg::{Triple, TripleStore};
-use infuserki_nn::{sampler, TransformerLm};
+use infuserki_nn::TransformerLm;
 use infuserki_obs::Registry;
 use infuserki_text::tokenizer::split_words;
 use infuserki_text::{format_mcq_prompt, prompts, templates::TemplateSet, Mcq, Tokenizer};
@@ -56,14 +56,7 @@ pub struct PublishReport {
 pub enum PublishError {
     /// The serving side's promote-time NR gate refused the bundle; the
     /// previous version keeps serving.
-    GateRefused {
-        /// Probes scored.
-        probes: u32,
-        /// Correct under the candidate.
-        staged_correct: u32,
-        /// Correct under the active version.
-        active_correct: u32,
-    },
+    GateRefused(GateReport),
     /// Any other failure (I/O, incompatible bundle, dead server).
     Other(String),
 }
@@ -71,13 +64,10 @@ pub enum PublishError {
 impl std::fmt::Display for PublishError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            PublishError::GateRefused {
-                probes,
-                staged_correct,
-                active_correct,
-            } => write!(
+            PublishError::GateRefused(g) => write!(
                 f,
-                "NR gate refused bundle: {staged_correct}/{probes} vs {active_correct}/{probes} active"
+                "NR gate refused bundle: {}/{} vs {}/{} active",
+                g.staged_correct, g.probes, g.active_correct, g.probes
             ),
             PublishError::Other(e) => write!(f, "{e}"),
         }
@@ -103,7 +93,7 @@ pub struct PipelineConfig {
     /// Age (ms) of the oldest queued delta that triggers a round of any
     /// size.
     pub max_age_ms: u64,
-    /// Poll cadence (ms) for the watcher thread driving [`run_once`].
+    /// Poll cadence (ms) for the watcher thread driving [`UpdatePipeline::run_once`].
     pub poll_ms: u64,
     /// Cap on gate probes per bundle (carried probes first, then this
     /// round's new-fact probes).
@@ -166,14 +156,7 @@ pub enum RoundOutcome {
     },
     /// A bundle was built but the NR gate refused it; the batch is dropped
     /// and the previous version keeps serving.
-    Refused {
-        /// Probes scored by the gate.
-        probes: u32,
-        /// Correct under the candidate.
-        staged_correct: u32,
-        /// Correct under the active version.
-        active_correct: u32,
-    },
+    Refused(GateReport),
 }
 
 /// A pipeline failure (distinct from a gate refusal, which is an outcome).
@@ -529,20 +512,12 @@ impl<P: BundlePublisher> UpdatePipeline<P> {
                     newly_integrated: report.newly_integrated,
                 })
             }
-            Err(PublishError::GateRefused {
-                probes,
-                staged_correct,
-                active_correct,
-            }) => {
+            Err(PublishError::GateRefused(gate)) => {
                 self.metrics.bundles_refused.inc();
                 // Safety valve: drop the regressing batch, keep serving the
                 // previous version, and keep ingesting.
                 self.clear_pending();
-                Ok(RoundOutcome::Refused {
-                    probes,
-                    staged_correct,
-                    active_correct,
-                })
+                Ok(RoundOutcome::Refused(gate))
             }
             Err(PublishError::Other(e)) => Err(PipelineError::Publish(e)),
         }
@@ -564,11 +539,7 @@ impl<P: BundlePublisher> UpdatePipeline<P> {
             }
             let correct = probes
                 .iter()
-                .filter(|p| {
-                    let scores = sampler::score_options(&self.base, &hook, &p.prompt, &p.options);
-                    let lens: Vec<usize> = p.options.iter().map(Vec::len).collect();
-                    sampler::argmax(&sampler::option_probabilities(&scores, &lens)) == p.correct
-                })
+                .filter(|p| p.answered_by(&self.base, &hook))
                 .count();
             correct as f32 / probes.len() as f32
         };
@@ -625,11 +596,11 @@ mod tests {
 
     impl BundlePublisher for RefusingPublisher {
         fn publish(&self, _path: &Path) -> Result<PublishReport, PublishError> {
-            Err(PublishError::GateRefused {
+            Err(PublishError::GateRefused(GateReport {
                 probes: 4,
                 staged_correct: 1,
                 active_correct: 3,
-            })
+            }))
         }
     }
 
@@ -872,10 +843,10 @@ mod tests {
         assert!(
             matches!(
                 outcome,
-                RoundOutcome::Refused {
+                RoundOutcome::Refused(GateReport {
                     staged_correct: 1,
                     ..
-                }
+                })
             ),
             "{outcome:?}"
         );

@@ -40,7 +40,7 @@ impl CausalSelfAttention {
     /// Forward over `x: [n, d_model]` (post-LN sublayer input). The hook may
     /// add low-rank deltas to the q/v projections and prepend prefix K/V
     /// rows. The projections and deltas are row-local, so eagerly they run
-    /// once over a packed batch; the attention core ([`Exec::attention`]) is
+    /// once over a packed batch; the attention core (`Exec::attention`) is
     /// the one stage that mixes rows, per sequence.
     pub fn forward(&self, x: &Val, hook: &dyn LayerHook, e: &mut Exec) -> Val {
         let mut q = self.wq.forward(x, e);

@@ -18,7 +18,7 @@
 //! composition. Two ops differ in *where* they read history, not in what
 //! they compute:
 //!
-//! - [`Exec::attention`] is per-head tape nodes over the whole sequence on
+//! - `Exec::attention` is per-head tape nodes over the whole sequence on
 //!   the tape, and the paged all-heads panels over each sequence's cached
 //!   blocks eagerly;
 //! - [`Exec::cum_mean_rows`] is the gate's causal prefix mean. Eagerly, each
@@ -124,7 +124,7 @@ impl<'a> Exec<'a> {
     }
 
     /// An eager `Exec` outside any cached forward (attention and the pooled
-    /// gate need [`Exec::paged`]).
+    /// gate need `Exec::paged`).
     pub fn eager() -> Exec<'static> {
         Exec {
             mode: Mode::Eager(None),

@@ -8,7 +8,7 @@
 //! Three design constraints shape everything here:
 //!
 //! 1. **Zero overhead when disabled.** Tracing is off by default; the
-//!    disabled hot path of [`span`] is a single relaxed atomic load and no
+//!    disabled hot path of [`span()`] is a single relaxed atomic load and no
 //!    allocation, timestamp, or lock. Metric handles are plain atomics —
 //!    an increment is one relaxed `fetch_add` — so always-on counters are
 //!    safe even inside the kernel dispatch path. See DESIGN.md §9 for the

@@ -41,12 +41,14 @@
 
 pub mod affinity;
 pub mod config;
+mod dispatch;
+mod fanout;
 pub mod metrics;
-pub mod router;
 pub mod server;
+mod tenants;
 pub mod watch;
 
 pub use config::RouterConfig;
+pub use dispatch::{spawn_router, RouterClient, RouterHandle};
 pub use metrics::RouterMetrics;
-pub use router::{spawn_router, RouterClient, RouterHandle};
 pub use watch::{load_tokenizer, spawn_watcher};

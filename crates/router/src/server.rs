@@ -64,7 +64,7 @@ use infuserki_serve::{
     GenerateSpec, McqSpec, Outcome, RejectReason, RequestKind, Response, SubmitError, SubmitOpts,
 };
 
-use crate::router::RouterClient;
+use crate::RouterClient;
 
 /// Serializes a `Value` tree as one line (no trailing newline).
 fn json_line(v: &Value) -> String {

@@ -29,7 +29,7 @@ use infuserki_ingest::{
 use infuserki_serve::{ControlError, ControlPlane};
 use infuserki_text::Tokenizer;
 
-use crate::router::RouterClient;
+use crate::RouterClient;
 
 impl BundlePublisher for RouterClient {
     /// Fleet-wide load → stage → all-or-none promote. The promote-time NR
@@ -46,11 +46,7 @@ impl BundlePublisher for RouterClient {
             Ok(_) => Ok(PublishReport {
                 version: info.version,
             }),
-            Err(ControlError::NrGateFailed { gate, .. }) => Err(PublishError::GateRefused {
-                probes: gate.probes as u32,
-                staged_correct: gate.staged_correct as u32,
-                active_correct: gate.active_correct as u32,
-            }),
+            Err(ControlError::NrGateFailed { gate, .. }) => Err(PublishError::GateRefused(gate)),
             Err(e) => Err(PublishError::Other(e.to_string())),
         }
     }
@@ -91,14 +87,10 @@ pub fn spawn_watcher(
                         "serve: watch-kg published `{name}` as version {version} \
                          ({newly_integrated} newly integrated)"
                     ),
-                    Ok(RoundOutcome::Refused {
-                        probes,
-                        staged_correct,
-                        active_correct,
-                    }) => eprintln!(
-                        "serve: watch-kg NR gate refused bundle \
-                         ({staged_correct}/{probes} vs {active_correct}/{probes} active); \
-                         previous version keeps serving"
+                    Ok(RoundOutcome::Refused(g)) => eprintln!(
+                        "serve: watch-kg NR gate refused bundle ({}/{} vs {}/{} active); \
+                         previous version keeps serving",
+                        g.staged_correct, g.probes, g.active_correct, g.probes
                     ),
                     Err(e) => eprintln!("serve: watch-kg error: {e}"),
                 }
@@ -120,7 +112,9 @@ pub fn spawn_watcher(
 mod tests {
     use super::*;
     use crate::{spawn_router, RouterConfig};
-    use infuserki_core::{GateProbe, InfuserKiConfig, InfuserKiMethod, KnowledgeBundle};
+    use infuserki_core::{
+        GateProbe, GateReport, InfuserKiConfig, InfuserKiMethod, KnowledgeBundle,
+    };
     use infuserki_nn::{sampler, LayerHook, ModelConfig, NoHook, TransformerLm};
     use infuserki_tensor::kernels;
     use rand::SeedableRng;
@@ -231,11 +225,11 @@ mod tests {
         let err = client.publish(&p_bad).unwrap_err();
         assert_eq!(
             err,
-            PublishError::GateRefused {
+            PublishError::GateRefused(GateReport {
                 probes: 3,
                 staged_correct: 0,
                 active_correct: 3,
-            }
+            })
         );
         // The refused bundle stays staged but never activates.
         let list = client.list_bundles().unwrap();

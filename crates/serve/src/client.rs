@@ -19,13 +19,14 @@ use std::time::{Duration, Instant};
 use infuserki_nn::{LayerHook, TransformerLm};
 
 use crate::config::ServeConfig;
+use crate::limits::EngineLimits;
 use crate::metrics::{MetricsSnapshot, ServeMetrics};
 use crate::registry::{ControlError, ControlOp, ControlOutcome, ControlPlane};
 use crate::request::{
     CancelToken, GenerateSpec, McqSpec, Outcome, Request, RequestId, RequestKind, Response,
     SubmitError,
 };
-use crate::scheduler::{EngineLimits, Scheduler};
+use crate::scheduler::Scheduler;
 
 /// A control-plane op plus the channel its result goes back on.
 struct ControlRequest {
@@ -38,12 +39,6 @@ enum Msg {
     Request(Request),
     Control(ControlRequest),
     Shutdown,
-    /// Abandon ship without draining: the thread exits immediately, dropping
-    /// every queued and in-flight request, each of which answers
-    /// `ReplicaFailed` as it drops — exactly what a panic on the thread
-    /// does. Failure-injection hook for replica-death tests; never sent in
-    /// production paths.
-    Crash,
 }
 
 /// Awaits the single terminal [`Response`] of one submitted request, and
@@ -67,11 +62,6 @@ impl ResponseHandle {
     /// at its next step unless the request already finished.
     pub fn cancel(&self) {
         self.cancel.cancel();
-    }
-
-    /// The cancellation token (cloneable, usable from other threads).
-    pub fn cancel_token(&self) -> CancelToken {
-        self.cancel.clone()
     }
 
     /// Blocks until the response arrives.
@@ -168,15 +158,6 @@ impl Client {
                 Msg::Request(req) => req,
                 _ => unreachable!("a request was sent"),
             })
-    }
-
-    /// Failure injection: makes the scheduler thread exit *immediately*,
-    /// without draining, exactly like a crashed process: queued and
-    /// in-flight requests drop, answering
-    /// [`crate::RejectReason::ReplicaFailed`]. Only for replica-death tests.
-    #[doc(hidden)]
-    pub fn crash_for_test(&self) {
-        let _ = self.tx.send(Msg::Crash);
     }
 
     /// Greedy generation convenience wrapper.
@@ -303,7 +284,6 @@ where
                             draining = true;
                             sched.begin_drain();
                         }
-                        Ok(Msg::Crash) => return,
                         Err(TryRecvError::Empty) => break,
                         Err(TryRecvError::Disconnected) => {
                             draining = true;
@@ -402,36 +382,27 @@ mod tests {
         ));
     }
 
-    /// Holds the scheduler inside its first forward until the test lets go.
-    struct Gate(std::sync::Mutex<Option<(Sender<()>, Receiver<()>)>>);
+    /// Panics on the scheduler thread in its first forward.
+    struct PanicHook;
 
-    impl LayerHook for Gate {
+    impl LayerHook for PanicHook {
         fn attn_q_delta(
             &self,
             _layer: usize,
             _x: &infuserki_nn::Val,
             _e: &mut infuserki_nn::Exec,
         ) -> Option<infuserki_nn::Val> {
-            if let Some((entered, release)) = self.0.lock().unwrap().take() {
-                let _ = entered.send(());
-                let _ = release.recv();
-            }
-            None
+            panic!("injected scheduler-thread panic");
         }
     }
 
     #[test]
     fn crashed_scheduler_answers_pending_requests_replica_failed() {
-        let (entered_tx, entered) = mpsc::channel();
-        let (release, release_rx) = mpsc::channel();
-        let gate = Gate(std::sync::Mutex::new(Some((entered_tx, release_rx))));
-        let (client, handle) = spawn_scheduler(demo_model(), gate, ServeConfig::default()).unwrap();
-        // One token per step: the request is still live when the crash,
-        // queued while its first forward is held, is read after that step.
+        let (client, handle) =
+            spawn_scheduler(demo_model(), PanicHook, ServeConfig::default()).unwrap();
+        // Its first forward panics the thread; the request, still held,
+        // answers as it drops.
         let g = client.generate(vec![1, 2], 4, None).unwrap();
-        entered.recv().unwrap();
-        client.crash_for_test();
-        release.send(()).unwrap();
         assert_eq!(
             g.wait(),
             Ok(Outcome::Rejected(crate::RejectReason::ReplicaFailed))

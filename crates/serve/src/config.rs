@@ -21,15 +21,14 @@ pub struct ServeConfig {
     /// may reserve at once.
     pub kv_budget_rows: usize,
     /// Token rows per paged-KV block — the granularity of allocation,
-    /// sharing and prefix-cache reuse. Smaller blocks share shorter common
-    /// prefixes but cost more per-block kernel dispatches.
+    /// sharing and prefix-cache reuse. Every full prompt block is indexed in
+    /// the cross-request prefix cache, so a later request with a matching
+    /// token prefix adopts it and skips that prefill; the cache is safe for
+    /// every hook (a block holds all a sequence carries past it: its K/V
+    /// rows and the gate's running sums; entries are keyed by bundle
+    /// version). Smaller blocks share shorter common prefixes but cost more
+    /// per-block kernel dispatches.
     pub block_rows: usize,
-    /// Cross-request prefix cache: index full prompt blocks in a radix tree
-    /// so later requests with a matching token prefix skip that prefill.
-    /// Safe for every hook: a block holds all a sequence carries past it
-    /// (its K/V rows and the gate's running sums), and entries are keyed by
-    /// bundle version.
-    pub prefix_cache: bool,
     /// Maximum number of requests admitted into the running batch at once.
     /// MCQ option branches spawned by an already-admitted request do not
     /// count against this cap (their rows were reserved at admission).
@@ -37,7 +36,9 @@ pub struct ServeConfig {
     /// Maximum prompt (or option-script) tokens fed per sequence per step.
     /// Chunked prefill: a long prompt advances `prefill_chunk` tokens per
     /// scheduler step while every decode lane still advances its one token,
-    /// so a newcomer with a huge prompt cannot stall the live batch.
+    /// so a newcomer with a huge prompt cannot stall the live batch. A
+    /// prompt chunk is cut back to the last block boundary it crosses, so
+    /// each full block is indexed the step it fills.
     pub prefill_chunk: usize,
     /// Bounded queue depth; submissions beyond it are rejected with
     /// [`crate::RejectReason::QueueFull`] (backpressure, not a hang).
@@ -52,7 +53,6 @@ impl Default for ServeConfig {
         ServeConfig {
             kv_budget_rows: 4096,
             block_rows: 16,
-            prefix_cache: true,
             max_batch: 16,
             prefill_chunk: 32,
             queue_capacity: 256,

@@ -30,8 +30,12 @@
 //!   `--watch-kg` — lives in `infuserki-router`, which dispatches over
 //!   N ≥ 1 of these.
 
+mod admission;
 pub mod client;
 pub mod config;
+mod control;
+mod lanes;
+pub mod limits;
 pub mod metrics;
 pub mod queue;
 pub mod registry;
@@ -40,16 +44,18 @@ pub mod scheduler;
 
 pub use client::{spawn_scheduler, Client, ResponseHandle, SchedulerHandle, SubmitOpts};
 pub use config::ServeConfig;
+pub use infuserki_core::GateReport;
+pub use limits::EngineLimits;
 pub use metrics::{MetricsSnapshot, ServeMetrics};
 pub use registry::{
     BundleEntry, BundleInfo, BundleRegistry, ControlError, ControlOp, ControlOutcome, ControlPlane,
-    GateReport, HookArc,
+    HookArc,
 };
 pub use request::{
     CancelToken, GenerateSpec, McqSpec, OnAnswer, Outcome, RejectReason, Request, RequestId,
     RequestKind, Response, SubmitError,
 };
-pub use scheduler::{EngineLimits, Scheduler, StepReport};
+pub use scheduler::{Scheduler, StepReport};
 
 use infuserki_nn::{ModelConfig, TransformerLm};
 use rand::SeedableRng;

@@ -69,8 +69,8 @@ pub struct ServeMetrics {
     pub prefix_hits: Arc<obs::Counter>,
     /// Prompt tokens skipped thanks to adopted prefixes.
     pub prefix_hit_tokens: Arc<obs::Counter>,
-    /// Admissions that found no cached prefix (counted only while the
-    /// prefix cache is enabled, so hits + misses = eligible admissions).
+    /// Admissions that opened a lane without adopting a cached prefix, so
+    /// hits + misses = admissions that opened a lane.
     pub prefix_misses: Arc<obs::Counter>,
     /// KV blocks currently allocated in the paged pool.
     pub blocks_live: Arc<obs::Gauge>,

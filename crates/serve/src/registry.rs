@@ -24,7 +24,7 @@
 
 use std::sync::Arc;
 
-use infuserki_core::{EvalStamp, GateProbe};
+use infuserki_core::{EvalStamp, GateProbe, GateReport};
 use infuserki_nn::LayerHook;
 use infuserki_obs as obs;
 
@@ -218,18 +218,6 @@ pub enum ControlOutcome {
     RolledBack { version: u32 },
     /// Registry contents.
     Bundles(Vec<BundleInfo>),
-}
-
-/// NR regression-gate result: held-out known-set probes answered correctly
-/// by the candidate vs the currently active version.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GateReport {
-    /// Probes evaluated.
-    pub probes: usize,
-    /// Correct answers under the candidate (staged) version.
-    pub staged_correct: usize,
-    /// Correct answers under the active version.
-    pub active_correct: usize,
 }
 
 /// Typed control-plane failure.

@@ -78,6 +78,16 @@ pub enum RequestKind {
     Mcq(McqSpec),
 }
 
+impl RequestKind {
+    /// The prompt tokens, whatever the kind.
+    pub fn prompt(&self) -> &[usize] {
+        match self {
+            RequestKind::Generate(g) => &g.prompt,
+            RequestKind::Mcq(m) => &m.prompt,
+        }
+    }
+}
+
 /// Why a request was turned away without running.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RejectReason {
@@ -319,7 +329,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn cancel_token_flips_once() {
+    fn cancellation_flag_flips_once() {
         let t = CancelToken::new();
         assert!(!t.is_cancelled());
         let t2 = t.clone();

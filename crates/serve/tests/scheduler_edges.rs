@@ -293,14 +293,8 @@ fn drain_rejects_queued_but_finishes_running() {
     ));
 }
 
-/// InfuserKI through the prefix cache at 16-row blocks and 32-token chunks:
-/// a 40-token prompt prefills in two steps and indexes both of its block
-/// boundaries, and requests sharing its first 32 or 16 tokens adopt those
-/// blocks — with the gate sums they hold — and answer exactly what the
-/// single-sequence sampler does.
-#[test]
-fn infuserki_prefill_indexes_every_boundary_and_adopters_stay_bitwise() {
-    kernels::set_num_threads(1);
+/// A 64-token-context model under a nudged InfuserKI hook.
+fn infuserki_model() -> (TransformerLm, InfuserKiMethod) {
     let mut rng = ChaCha8Rng::seed_from_u64(12);
     let m = TransformerLm::new(
         ModelConfig {
@@ -319,13 +313,28 @@ fn infuserki_prefill_indexes_every_boundary_and_adopters_stay_bitwise() {
             *w += 0.01 * ((i % 7) as f32 - 3.0);
         }
     });
-    let cfg = ServeConfig {
+    (m, hook)
+}
+
+/// 16-row blocks and 32-token chunks.
+fn block_cfg() -> ServeConfig {
+    ServeConfig {
         block_rows: 16,
         prefill_chunk: 32,
-        prefix_cache: true,
         ..ServeConfig::default()
-    };
-    let mut sched = Scheduler::new(&m, &hook, cfg).unwrap();
+    }
+}
+
+/// InfuserKI through the prefix cache at 16-row blocks and 32-token chunks:
+/// a 40-token prompt prefills in two steps and indexes both of its block
+/// boundaries, and requests sharing its first 32 or 16 tokens adopt those
+/// blocks — with the gate sums they hold — and answer exactly what the
+/// single-sequence sampler does.
+#[test]
+fn infuserki_prefill_indexes_every_boundary_and_adopters_stay_bitwise() {
+    kernels::set_num_threads(1);
+    let (m, hook) = infuserki_model();
+    let mut sched = Scheduler::new(&m, &hook, block_cfg()).unwrap();
     let tokens = |r: &Response| match &r.outcome {
         Outcome::Generated { tokens } => tokens.clone(),
         other => panic!("unexpected outcome {other:?}"),
@@ -362,5 +371,61 @@ fn infuserki_prefill_indexes_every_boundary_and_adopters_stay_bitwise() {
             "request {id}"
         );
     }
+    kernels::set_num_threads(0);
+}
+
+/// The MCQ lane machine at 16-row blocks and 32-token chunks: a 40-token
+/// prompt prefills in two steps (32 + 8, cut at the block boundary), the
+/// 1-token option is scored from the prompt's last row, and the 11-token
+/// option's 10-token branch script crosses position 48 in one step, because
+/// branches are not cut. An MCQ sharing the first 32 prompt tokens adopts
+/// them.
+#[test]
+fn infuserki_mcq_prompt_is_cut_at_blocks_and_branches_are_not() {
+    kernels::set_num_threads(1);
+    let (m, hook) = infuserki_model();
+    let mut sched = Scheduler::new(&m, &hook, block_cfg()).unwrap();
+    let prompt: Vec<usize> = (0..40).map(|i| (i * 11 + 5) % 30).collect();
+    let options = vec![vec![7], (0..11).map(|i| (i * 3 + 1) % 30).collect()];
+    let mcq = |prompt: &[usize]| {
+        RequestKind::Mcq(McqSpec {
+            prompt: prompt.to_vec(),
+            options: options.clone(),
+        })
+    };
+    let bits = |r: &Response| -> Vec<u32> {
+        match &r.outcome {
+            Outcome::McqScored { scores, .. } => scores.iter().map(|s| s.to_bits()).collect(),
+            other => panic!("unexpected outcome {other:?}"),
+        }
+    };
+    let want = |prompt: &[usize]| -> Vec<u32> {
+        sampler::score_options(&m, &hook, prompt, &options)
+            .iter()
+            .map(|s| s.to_bits())
+            .collect()
+    };
+
+    let rx = submit(&mut sched, 0, mcq(&prompt));
+    let mut steps = 0;
+    let resp = loop {
+        sched.step();
+        steps += 1;
+        if let Ok(r) = rx.try_recv() {
+            break r;
+        }
+    };
+    assert_eq!(
+        steps, 3,
+        "32 + 8 prompt tokens, then one 10-token branch step"
+    );
+    assert_eq!(bits(&resp), want(&prompt));
+
+    let second: Vec<usize> = prompt[..32].iter().chain(&[2, 4, 6]).copied().collect();
+    let hits_before = sched.snapshot().prefix_hit_tokens;
+    let rx = submit(&mut sched, 1, mcq(&second));
+    sched.run_until_idle();
+    assert_eq!(sched.snapshot().prefix_hit_tokens - hits_before, 32);
+    assert_eq!(bits(&rx.try_recv().unwrap()), want(&second));
     kernels::set_num_threads(0);
 }

@@ -17,14 +17,14 @@
 //! 2. **Register tiling.** Inside a band, outputs are computed in `MR×NR`
 //!    tiles (8 output rows × 16 columns, one ZMM register per row; the
 //!    AVX-512 tier takes two such strips per pass, an 8×32 tile in 16 of its
-//!    32 registers — see [`pass_width`]). Each tile's accumulators live in
+//!    32 registers — see `pass_width`). Each tile's accumulators live in
 //!    registers across the entire inner dimension, so per-`p` traffic is
 //!    loads only — the seed kernel re-read and re-wrote the output row on
 //!    every step of the inner dimension. There are no scalar edges: a row
 //!    remainder is one tile of exactly its height, a column remainder one
 //!    strip of exactly its width (masked lanes in the vector tiers), so a
 //!    product costs the same per row whatever its row count or width.
-//! 3. **Serial fast path.** Products smaller than [`PAR_MIN_FLOPS`] run on
+//! 3. **Serial fast path.** Products smaller than `PAR_MIN_FLOPS` run on
 //!    the calling thread even when more threads are configured: band spawn
 //!    costs ~10µs, which swamps sub-millisecond products: at 64³ spawning
 //!    loses, at 256³ it amortizes.
@@ -39,7 +39,7 @@
 //! summation order never changes. (`accumulate=true` in the `_into` variants
 //! adds the prior output value once, after the chain.)
 //!
-//! The chain's arithmetic is the [`fmadd`] helper: hardware fused
+//! The chain's arithmetic is the `fmadd` helper: hardware fused
 //! multiply-add when the build targets it (see `.cargo/config.toml`), plain
 //! multiply + add otherwise. The choice is per *build*, never per call, so
 //! reproducibility holds within any given binary; against the plain-chain
@@ -70,7 +70,7 @@
 //! rule through a layout change, so no product stays scalar in any tier:
 //! K panels are stored transposed, one column per key, so a Q·Kᵀ score row
 //! folds with lanes across keys exactly as a scores·V row folds with lanes
-//! across value columns — one micro-kernel ([`fold_heads`]), which walks a
+//! across value columns — one micro-kernel (`fold_heads`), which walks a
 //! panel once for every head. The tied LM head, the tape's attention scores
 //! and the backward's `g·bᵀ` and `g·Wᵀ` multiply by a transposed operand
 //! with [`matmul_into`]. The transposed layout changes no bit: each output
@@ -658,7 +658,7 @@ pub(crate) fn store_strip<const R: usize>(
 /// [`softmax_heads_causal_in_place`] and [`av_heads_seg_into`] read,
 /// assembled from several such panels.
 ///
-/// Bitwise contract: each output element is one ascending-`p` [`fmadd`]
+/// Bitwise contract: each output element is one ascending-`p` `fmadd`
 /// chain from `0.0` over the head's `d_h` dimensions — the chain
 /// [`matmul`] computes for the same Q row and the transposed K rows over the
 /// sliced head window — and depends on exactly one Q row and one key, so a scores matrix
@@ -718,7 +718,7 @@ pub fn qk_heads_panel(
 ///
 /// Bitwise contract: calling this once per segment in ascending column order
 /// (prefix panel first, then each block) gives every output element the
-/// single ascending-`p` [`fmadd`] chain [`matmul`] folds for that head over
+/// single ascending-`p` `fmadd` chain [`matmul`] folds for that head over
 /// the same history stored contiguously — so the segmented product is
 /// bit-identical. Masked score columns are exact `+0.0` and must still pass
 /// through the chain: skipping `av == 0.0`, as the seed kernel did, turns
@@ -931,7 +931,7 @@ pub(crate) mod exp_poly {
 /// halves so results below the normal range round once, gradually, instead
 /// of flushing. Measured against `f64::exp`: under 1 ulp (0.99) over
 /// `[-104, 88]`, monotone, `exp_fast(0.0) == 1.0`, exactly `+0.0` for every
-/// input below [`exp_poly::LO`] (`-1e9`-masked scores, `-∞`), `+∞` from
+/// input below `exp_poly::LO` (`-1e9`-masked scores, `-∞`), `+∞` from
 /// `128·ln 2` up, NaN for NaN.
 ///
 /// The libm `expf` it replaces is a scalar black box; this is plain

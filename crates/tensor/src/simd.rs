@@ -24,7 +24,7 @@
 //! map), never across the inner accumulation dimension. Each output element
 //! keeps the exact single ascending-`p` accumulation chain the scalar
 //! kernels define, with the same fused-or-not multiply-add per build
-//! (see [`crate::kernels::fmadd`]): fused `vfmadd` intrinsics when the build
+//! (see `crate::kernels::fmadd`): fused `vfmadd` intrinsics when the build
 //! targets FMA, separate multiply + add intrinsics otherwise. Where an
 //! operand's layout would put a chain along the lanes, the layout changes,
 //! not the rule: attention keys are cached transposed so score rows lane

@@ -336,8 +336,8 @@ impl Tape {
     }
 
     /// Cumulative prefix mean over rows: `out[t] = mean(x[0..=t])`,
-    /// `[n,d] -> [n,d]`. The causal counterpart of [`mean_rows`]
-    /// (`Self::mean_rows`): the last output row is bitwise identical to
+    /// `[n,d] -> [n,d]`. The causal counterpart of
+    /// [`mean_rows`](Self::mean_rows): the last output row is bitwise identical to
     /// `mean_rows`, earlier rows see only their prefix — which is what makes
     /// the infuser gate compatible with incremental (KV-cached) decoding.
     /// Value computation shared with the tape-free path via

@@ -293,7 +293,7 @@ pub mod collection {
     use crate::strategy::Strategy;
     use crate::test_runner::TestRng;
 
-    /// Accepted size specifications for [`vec`].
+    /// Accepted size specifications for [`vec()`].
     pub trait SizeRange {
         /// Inclusive (min, max) lengths.
         fn bounds(&self) -> (usize, usize);

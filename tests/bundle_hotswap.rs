@@ -91,7 +91,6 @@ fn cfg() -> ServeConfig {
         max_batch: 6,
         kv_budget_rows: 512,
         block_rows: 4,
-        prefix_cache: true,
         queue_capacity: 64,
         threads: None,
     }

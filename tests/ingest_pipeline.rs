@@ -10,7 +10,7 @@
 //!   REFUSED by the promote-time gate, the batch is dropped, the prior
 //!   version keeps serving, and requests still complete.
 
-use infuserki::core::{InfuserKiConfig, TrainConfig};
+use infuserki::core::{GateReport, InfuserKiConfig, TrainConfig};
 use infuserki::ingest::{
     AppendOutcome, DurableStore, PipelineConfig, RoundOutcome, StoreOptions, TripleDelta,
     UpdatePipeline,
@@ -154,15 +154,15 @@ fn pipeline_publishes_through_real_gate_then_refuses_regression() {
 
     assert_eq!(append_novel(&mut ds, &world, 2), 2);
     let outcome = pipe.run_once().unwrap();
-    let RoundOutcome::Refused {
+    let RoundOutcome::Refused(GateReport {
         probes,
         staged_correct,
         active_correct,
-    } = outcome
+    }) = outcome
     else {
         panic!("regressing candidate should be refused, got {outcome:?}");
     };
-    assert_eq!(probes as usize, carried);
+    assert_eq!(probes, carried);
     assert!(
         staged_correct < active_correct,
         "gate fired on a genuine regression: {staged_correct} vs {active_correct}"

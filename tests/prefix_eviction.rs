@@ -35,7 +35,6 @@ fn pressure_cfg() -> ServeConfig {
         max_batch: 2,
         kv_budget_rows: 48,
         block_rows: 4,
-        prefix_cache: true,
         queue_capacity: 64,
         threads: None,
     }

@@ -55,7 +55,6 @@ fn tight_cfg(prefill_chunk: usize, max_batch: usize, kv_budget_rows: usize) -> S
         max_batch,
         kv_budget_rows,
         block_rows: 4,
-        prefix_cache: true,
         queue_capacity: 64,
         threads: None,
     }

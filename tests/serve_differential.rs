@@ -343,7 +343,6 @@ fn tight_cfg(prefill_chunk: usize, max_batch: usize, kv_budget_rows: usize) -> S
         // even the 48-row schedule admissible, and short shared prefixes
         // are already indexable.
         block_rows: 4,
-        prefix_cache: true,
         queue_capacity: 64,
         threads: None,
     }
