@@ -2,7 +2,7 @@
 //!
 //! One mode, no options: it runs the benches below, prints their records as
 //! JSON on stdout (through `infuserki_obs::PerfSuite`) and exits 1 if one of
-//! eleven ratios is over its limit; any argument is a usage error (exit 2).
+//! twelve ratios is over its limit; any argument is a usage error (exit 2).
 //! Both sides of a ratio are sampled in the same [`round_robin_medians`]
 //! rounds, so the host's speed cancels and nothing is compared against a
 //! committed number. Absolute speed is the system benchmark's job
@@ -29,6 +29,8 @@
 //!   training: the MCQ bank for 8 new facts over a 2 000-triple store plus
 //!   one digest of the 12-layer base, beside `detect_unknown` on those 8
 //!   MCQs under the InfuserKI hook (ms).
+//! * `fleet_promote` — a gated promote of one bundle through a 3-replica
+//!   router beside the same promote on one scheduler (ms).
 //!
 //! The ratios and their limits: [`TIER_RATIO`], [`RATIOS`] and the odd-lane
 //! rule in [`ratio_gate`].
@@ -43,13 +45,15 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use infuserki_core::{
-    base_model_digest, detect_unknown, InfuserKiConfig, InfuserKiMethod, McqBank,
+    base_model_digest, detect_unknown, GateProbe, InfuserKiConfig, InfuserKiMethod,
+    KnowledgeBundle, McqBank,
 };
 use infuserki_eval::world::build_vocabulary;
 use infuserki_kg::{synth_umls, EntityId, Triple, TripleStore, UmlsConfig};
-use infuserki_nn::{KvCache, LayerHook, LmSample, ModelConfig, NoHook, TransformerLm};
+use infuserki_nn::{sampler, KvCache, LayerHook, LmSample, ModelConfig, NoHook, TransformerLm};
 use infuserki_obs::{PerfRecord, PerfSuite};
-use infuserki_serve::{spawn_scheduler, Outcome, ServeConfig};
+use infuserki_router::{spawn_router, RouterConfig};
+use infuserki_serve::{spawn_scheduler, ControlPlane, Outcome, ServeConfig};
 use infuserki_tensor::{init, kernels, simd, Isa, Matrix, Param, QuantSpec, Tape, TrainableSet};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -83,6 +87,7 @@ fn run_suite(tier: Isa) -> PerfSuite {
     suite.push(bench_prefix_cache());
     suite.push(bench_train_backward());
     suite.push(bench_round_bookkeeping());
+    suite.push(bench_fleet_promote());
     suite
 }
 
@@ -453,6 +458,68 @@ fn bench_round_bookkeeping() -> PerfRecord {
         .metric("ms_detect", secs[1] * 1e3)
 }
 
+/// A gated promote of one bundle (v0 → v1, NR gate on 4 probes, then an
+/// untimed rollback) on [`hooked_world_model`]'s base at the world
+/// vocabulary, through a 3-replica router and through one scheduler. The
+/// probes are keyed to the candidate's own answers, so the gate never
+/// refuses; with the fleet's verdict shared, both sides score it once.
+fn bench_fleet_promote() -> PerfRecord {
+    const VOCAB: usize = 106;
+    let mut rng = ChaCha8Rng::seed_from_u64(31);
+    let (base, method) = hooked_world_model(VOCAB, &mut rng);
+    let probes: Vec<GateProbe> = (0..4)
+        .map(|_| {
+            let prompt: Vec<usize> = (0..12).map(|_| rng.gen_range(2..VOCAB)).collect();
+            let options: Vec<Vec<usize>> = (0..4)
+                .map(|_| (0..2).map(|_| rng.gen_range(2..VOCAB)).collect())
+                .collect();
+            let scores = sampler::score_options(&base, method.hook(), &prompt, &options);
+            let correct = sampler::argmax(&sampler::option_probabilities(&scores, &[2; 4]));
+            GateProbe {
+                prompt,
+                options,
+                correct,
+            }
+        })
+        .collect();
+    let path = std::env::temp_dir().join(format!(
+        "perf_suite_fleet_promote_{}.bundle.json",
+        std::process::id()
+    ));
+    KnowledgeBundle::new("fleet-promote", method, &base, None, probes)
+        .expect("bundle builds against its base")
+        .save(&path)
+        .expect("bundle saves");
+    let (fleet, fleet_handle) = spawn_router(
+        RouterConfig {
+            replicas: 3,
+            ..RouterConfig::default()
+        },
+        |_| (base.clone(), NoHook),
+    )
+    .expect("router spawns");
+    let (single, single_handle) =
+        spawn_scheduler(base.clone(), NoHook, ServeConfig::default()).expect("scheduler spawns");
+    let planes: [&dyn ControlPlane; 2] = [&fleet, &single];
+    for plane in planes {
+        let path = path.to_str().expect("utf-8 temp path");
+        assert_eq!(plane.load_bundle(path).expect("bundle loads").version, 1);
+    }
+    let _ = std::fs::remove_file(&path);
+    let secs = round_robin_medians(planes.len(), |col| {
+        let t0 = Instant::now();
+        planes[col].promote(1).expect("the gate passes");
+        let dt = t0.elapsed().as_secs_f64();
+        planes[col].rollback().expect("v0 restored");
+        dt
+    });
+    fleet_handle.shutdown();
+    single_handle.shutdown();
+    PerfRecord::new("fleet_promote")
+        .metric("ms_fleet", secs[0] * 1e3)
+        .metric("ms_single", secs[1] * 1e3)
+}
+
 /// One gated ratio: `cost` may be at most `limit` × `beside`, each a
 /// `(record, metric)` of the fresh suite.
 struct Ratio {
@@ -591,6 +658,18 @@ const RATIOS: &[Ratio] = &[
         beside: ("round_bookkeeping", "ms_detect"),
         limit: 2.5,
     },
+    // A fleet promote scores the NR gate on one replica; the others swap
+    // on its verdict, which costs a control round trip each. Healthy
+    // 1.02× native, 1.01–1.04× baseline (1.41× once with a compile running
+    // beside it: each round trip waits for a thread to wake); every replica
+    // scoring the gate (no verdict sent) 3.00–3.09× native, 3.01–3.72×
+    // baseline.
+    Ratio {
+        what: "3-replica fleet promote vs single-scheduler promote",
+        cost: ("fleet_promote", "ms_fleet"),
+        beside: ("fleet_promote", "ms_single"),
+        limit: 1.6,
+    },
 ];
 
 /// Checks every ratio of `fresh` and returns (status lines, failures): the
@@ -710,6 +789,11 @@ mod tests {
                 .metric("ms_bank_digest", 5.0)
                 .metric("ms_detect", 20.0),
         );
+        suite.push(
+            PerfRecord::new("fleet_promote")
+                .metric("ms_fleet", 6.0)
+                .metric("ms_single", 5.0),
+        );
         suite
     }
 
@@ -762,6 +846,7 @@ mod tests {
                 20.0,
                 "round bookkeeping",
             ),
+            ("fleet_promote", "ms_fleet", 3.0, "fleet promote"),
             (
                 "decode_lanes",
                 "us_b7",

@@ -108,16 +108,6 @@ pub fn answer_mcq_batch(
         .collect()
 }
 
-/// True when the model answers `mcq` correctly.
-pub fn answers_correctly(
-    model: &TransformerLm,
-    hook: &dyn LayerHook,
-    tokenizer: &Tokenizer,
-    mcq: &Mcq,
-) -> bool {
-    answer_mcq(model, hook, tokenizer, mcq) == Some(mcq.correct)
-}
-
 /// Decode-batch width for MCQ probing: chunks of this many questions run as
 /// one ragged batch, and the chunks themselves spread across the thread pool.
 pub const MCQ_BATCH: usize = 16;

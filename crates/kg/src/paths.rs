@@ -26,11 +26,6 @@ impl TwoHopPath {
         self.first.head
     }
 
-    /// Bridge entity.
-    pub fn bridge(&self) -> EntityId {
-        self.first.tail
-    }
-
     /// End entity (the 2-hop answer).
     pub fn end(&self) -> EntityId {
         self.second.tail

@@ -11,8 +11,6 @@
 //! single-sample histogram reports that sample exactly.
 
 use std::collections::BTreeMap;
-use std::io::Write;
-use std::path::Path;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -411,21 +409,6 @@ impl Snapshot {
         }
         out.push('}');
         out
-    }
-
-    /// Appends this snapshot as one line to a JSONL file, creating it (and
-    /// parent directories) if needed.
-    pub fn write_jsonl(&self, path: impl AsRef<Path>) -> std::io::Result<()> {
-        let path = path.as_ref();
-        if let Some(dir) = path.parent() {
-            std::fs::create_dir_all(dir)?;
-        }
-        let mut f = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)?;
-        f.write_all(self.to_json().as_bytes())?;
-        f.write_all(b"\n")
     }
 }
 

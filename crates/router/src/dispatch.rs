@@ -185,10 +185,13 @@ impl RouterHandle {
     }
 }
 
-/// Spawns `cfg.replicas` schedulers (the factory builds each replica's
-/// model + hook; deterministic factories give identical replicas, which is
-/// what the bitwise routing contract assumes) and the dispatcher. Returns
-/// the cloneable client plus the owning handle.
+/// Spawns `cfg.replicas` schedulers and the dispatcher. Returns the
+/// cloneable client plus the owning handle.
+///
+/// The factory builds each replica's model + hook (the hook is the
+/// replica's version 0), and must build identical replicas: the bitwise
+/// routing contract assumes it, and a fleet promote scores the NR gate on
+/// one replica and applies that verdict to every other.
 pub fn spawn_router<H, F>(
     cfg: RouterConfig,
     mut factory: F,

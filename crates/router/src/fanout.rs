@@ -1,12 +1,16 @@
 //! The fleet's control plane: every control op fans out over the live
-//! replicas. Loads stage everywhere; promotes are all-or-none (any refusal
-//! rolls the already-promoted replicas back); rollbacks address every live
-//! replica and listings the first (the registries march in lockstep — all
-//! control traffic fans out).
+//! replicas. Loads stage everywhere; promotes are all-or-none: the first
+//! live replica scores the NR gate, so a gate refusal happens before any
+//! replica swaps, and every other replica swaps on that verdict (a swap
+//! that fails there rolls the already-promoted replicas back); rollbacks
+//! address every live replica and listings the first (the registries march
+//! in lockstep — all control traffic fans out).
 
 use std::sync::atomic::Ordering;
 
-use infuserki_serve::{BundleInfo, Client, ControlError, ControlOp, ControlOutcome, ControlPlane};
+use infuserki_serve::{
+    BundleInfo, Client, ControlError, ControlOp, ControlOutcome, ControlPlane, GateVerdict,
+};
 
 use crate::dispatch::{Inner, RouterClient};
 
@@ -24,7 +28,8 @@ impl Inner {
 impl RouterClient {
     /// Promote with a fault injected at one replica: that replica receives
     /// a `Promote` for a version that was never loaded, so its refusal
-    /// exercises the real all-or-none group rollback. Test hook.
+    /// exercises the real all-or-none group rollback (or, at the first live
+    /// replica, the refusal before any swap). Test hook.
     #[doc(hidden)]
     pub fn promote_with_fault(
         &self,
@@ -57,28 +62,43 @@ impl RouterClient {
             .ok_or(ControlError::Disconnected)
     }
 
-    /// Two-phase promote: every live replica promotes in turn; the first
-    /// refusal (NR gate, unknown version, anything) rolls the
-    /// already-promoted replicas back and returns the error — the fleet
-    /// either serves the new version everywhere or nowhere.
+    /// All-or-none promote, scored once. The first live replica runs the
+    /// NR gate; its refusal (gate, unknown version, anything) returns
+    /// before any replica has changed. Replicas are identical (same base,
+    /// verified by every load; same bundle files; same factory hook), so
+    /// its verdict holds fleet-wide, and every other live replica only
+    /// checks it was scored against its own active version and swaps. A
+    /// failure there (a dead or diverged replica) rolls the
+    /// already-promoted replicas back and returns the error: the fleet
+    /// serves the new version everywhere or nowhere.
     fn fan_promote(
         &self,
         version: u32,
         fault_replica: Option<usize>,
     ) -> Result<ControlOutcome, ControlError> {
+        let mut verdict: Option<GateVerdict> = None;
         let mut promoted: Vec<&Client> = Vec::new();
-        let mut first: Option<ControlOutcome> = None;
         for (i, client) in self.inner.live() {
             let v = if fault_replica == Some(i) {
                 u32::MAX // never a loaded version: forces a refusal
             } else {
                 version
             };
-            match client.control(ControlOp::Promote { version: v }) {
+            match client.control(ControlOp::Promote {
+                version: v,
+                verdict,
+            }) {
                 Ok(outcome) => {
-                    first.get_or_insert(outcome);
+                    let ControlOutcome::Promoted { replaced, gate, .. } = outcome else {
+                        unreachable!("promote returned {outcome:?}");
+                    };
+                    verdict.get_or_insert(GateVerdict {
+                        against: replaced,
+                        gate,
+                    });
                     promoted.push(client);
                 }
+                Err(e) if promoted.is_empty() => return Err(e),
                 Err(e) => {
                     for c in promoted {
                         // Rollback restores the pre-promote active version;
@@ -91,7 +111,13 @@ impl RouterClient {
                 }
             }
         }
-        first.ok_or(ControlError::Disconnected)
+        verdict
+            .map(|v| ControlOutcome::Promoted {
+                version,
+                replaced: v.against,
+                gate: v.gate,
+            })
+            .ok_or(ControlError::Disconnected)
     }
 
     fn fan_rollback(&self) -> Result<ControlOutcome, ControlError> {
@@ -109,7 +135,8 @@ impl ControlPlane for RouterClient {
     fn control(&self, op: ControlOp) -> Result<ControlOutcome, ControlError> {
         match op {
             ControlOp::LoadBundle { path } => self.fan_load(&path),
-            ControlOp::Promote { version } => self.fan_promote(version, None),
+            // The fleet reaches its own verdict; a caller's is not trusted.
+            ControlOp::Promote { version, .. } => self.fan_promote(version, None),
             ControlOp::Rollback => self.fan_rollback(),
             ControlOp::ListBundles => match self.inner.live().next() {
                 Some((_, client)) => client.control(ControlOp::ListBundles),

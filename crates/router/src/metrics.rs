@@ -31,7 +31,9 @@ pub struct RouterMetrics {
     pub cancelled_queued: Arc<obs::Counter>,
     /// Queued requests rejected when the router shut down.
     pub rejected_shutdown: Arc<obs::Counter>,
-    /// Fan-out promotes that rolled the whole group back after a refusal.
+    /// Fan-out promotes that rolled the whole group back after a swap
+    /// failed past the first replica (a gate refusal changes no replica
+    /// and is not counted).
     pub group_rollbacks: Arc<obs::Counter>,
     /// Replicas currently alive.
     pub replicas_alive: Arc<obs::Gauge>,

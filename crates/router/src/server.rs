@@ -244,7 +244,7 @@ fn control_line(result: &Result<ControlOutcome, ControlError>) -> String {
             ("status", str_v("bundle_loaded")),
             ("bundle", bundle_info_value(info)),
         ]),
-        Ok(ControlOutcome::Promoted { version, gate }) => obj(vec![
+        Ok(ControlOutcome::Promoted { version, gate, .. }) => obj(vec![
             ("status", str_v("promoted")),
             ("version", num(f64::from(*version))),
             ("gate", gate.as_ref().map_or(Value::Null, gate_value)),
@@ -466,7 +466,10 @@ fn handle_connection(
             }
             "promote" => match field_usize(&value, "version") {
                 Ok(v) if v <= u32::MAX as usize => {
-                    let res = client.control(ControlOp::Promote { version: v as u32 });
+                    let res = client.control(ControlOp::Promote {
+                        version: v as u32,
+                        verdict: None,
+                    });
                     send_line(&writer, &control_line(&res))?;
                 }
                 Ok(_) => send_line(
@@ -712,6 +715,13 @@ mod tests {
     fn control_lines_render_expected_shapes() {
         let rolled = control_line(&Ok(ControlOutcome::RolledBack { version: 0 }));
         assert_eq!(rolled, r#"{"status":"rolled_back","version":0}"#);
+        // The replaced version stays off the wire.
+        let promoted = control_line(&Ok(ControlOutcome::Promoted {
+            version: 2,
+            replaced: 1,
+            gate: None,
+        }));
+        assert_eq!(promoted, r#"{"status":"promoted","version":2,"gate":null}"#);
         let gate = GateReport {
             probes: 4,
             staged_correct: 1,

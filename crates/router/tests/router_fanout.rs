@@ -1,14 +1,15 @@
 //! Fan-out edge cases of the multi-replica router: tenant fairness under an
-//! aggressive tenant, a replica's scheduler panicking mid-request, and
-//! all-or-none group promotion with an injected partial failure.
+//! aggressive tenant, a replica's scheduler panicking mid-request,
+//! all-or-none group promotion with an injected partial failure, and a
+//! fleet promote that scores its gate on one replica.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Barrier, Mutex};
+use std::sync::{mpsc, Arc, Barrier, Mutex};
 use std::time::Duration;
 
-use infuserki_core::{InfuserKiConfig, InfuserKiMethod, KnowledgeBundle};
+use infuserki_core::{GateProbe, GateReport, InfuserKiConfig, InfuserKiMethod, KnowledgeBundle};
 use infuserki_nn::{sampler, LayerHook, NoHook, TransformerLm};
-use infuserki_router::{affinity, spawn_router, RouterConfig};
+use infuserki_router::{affinity, spawn_router, RouterClient, RouterConfig, RouterHandle};
 use infuserki_serve::{
     demo_model, CancelToken, ControlError, ControlPlane, GenerateSpec, Outcome, RejectReason,
     RequestKind, ServeConfig, SubmitError, SubmitOpts,
@@ -34,14 +35,14 @@ fn gen(prompt: Vec<usize>, max_new: usize) -> RequestKind {
     RequestKind::Generate(GenerateSpec::greedy(prompt, max_new, None))
 }
 
-/// A 9-token prompt whose affinity home, with both of two replicas alive,
-/// is replica `home`.
-fn homed_prompt(home: usize, block_rows: usize) -> Vec<usize> {
+/// A 9-token prompt whose affinity home, with all of `replicas` replicas
+/// alive, is replica `home`.
+fn homed_prompt(home: usize, replicas: usize, block_rows: usize) -> Vec<usize> {
     (0..64usize)
         .map(|seed| (0..9).map(|i| (seed * 13 + i) % 32).collect::<Vec<usize>>())
         .find(|p| {
             let h = affinity::prefix_hash(p, block_rows, affinity::AFFINITY_BLOCKS).unwrap();
-            affinity::rendezvous_pick(h, &[true, true]) == Some(home)
+            affinity::rendezvous_pick(h, &vec![true; replicas]) == Some(home)
         })
         .expect("a prompt homed on each replica")
 }
@@ -161,7 +162,10 @@ fn scheduler_panic_answers_replica_failed_without_further_traffic() {
         (demo_model(), hook)
     })
     .unwrap();
-    let (doomed_prompt, safe_prompt) = (homed_prompt(0, block_rows), homed_prompt(1, block_rows));
+    let (doomed_prompt, safe_prompt) = (
+        homed_prompt(0, 2, block_rows),
+        homed_prompt(1, 2, block_rows),
+    );
     let doomed = client
         .submit(gen(doomed_prompt.clone(), 48), SubmitOpts::default(), None)
         .unwrap();
@@ -279,6 +283,168 @@ fn partial_promotion_failure_rolls_the_whole_group_back() {
     }
     handle.shutdown();
     let _ = std::fs::remove_file(&bundle_path);
+    kernels::set_num_threads(0);
+}
+
+/// Counts the layer calls of its replica's forwards and changes nothing,
+/// like `NoHook`: the fleet's version 0, so a test can see which replicas
+/// ran the promote gate's probe forwards.
+struct CountingHook(Arc<AtomicUsize>);
+
+impl LayerHook for CountingHook {
+    fn attn_q_delta(
+        &self,
+        _layer: usize,
+        _x: &infuserki_nn::Val,
+        _e: &mut infuserki_nn::Exec,
+    ) -> Option<infuserki_nn::Val> {
+        self.0.fetch_add(1, Ordering::Relaxed);
+        None
+    }
+}
+
+/// Probes on which `right` picks its own argmax and `wrong` disagrees, so
+/// `right` answers all of them and `wrong` none.
+fn disagreement_probes(
+    model: &TransformerLm,
+    right: &dyn LayerHook,
+    wrong: &dyn LayerHook,
+    n: usize,
+) -> Vec<GateProbe> {
+    let pick = |hook: &dyn LayerHook, prompt: &[usize], options: &[Vec<usize>]| {
+        let scores = sampler::score_options(model, hook, prompt, options);
+        let lens: Vec<usize> = options.iter().map(Vec::len).collect();
+        sampler::argmax(&sampler::option_probabilities(&scores, &lens))
+    };
+    (1..4000usize)
+        .filter_map(|seed| {
+            let prompt = vec![seed % 32, (seed * 3 + 1) % 32, (seed * 7 + 2) % 32];
+            let options = vec![
+                vec![(seed * 5) % 32, (seed + 11) % 32],
+                vec![(seed * 2 + 3) % 32],
+                vec![(seed + 9) % 32, (seed * 4 + 1) % 32],
+            ];
+            let correct = pick(right, &prompt, &options);
+            (correct != pick(wrong, &prompt, &options)).then_some(GateProbe {
+                prompt,
+                options,
+                correct,
+            })
+        })
+        .take(n)
+        .collect()
+}
+
+/// A three-replica fleet whose version 0 counts its forwards per replica, with `probes` saved into a bundle of
+/// [`nudged_method`] and loaded as version 1 everywhere.
+fn counted_fleet(
+    probes: Vec<GateProbe>,
+    tag: &str,
+) -> (RouterClient, RouterHandle, Vec<Arc<AtomicUsize>>) {
+    let model = demo_model();
+    let path = std::env::temp_dir().join(format!(
+        "infuserki_router_fanout_{tag}_{}.bundle.json",
+        std::process::id()
+    ));
+    KnowledgeBundle::new(tag, nudged_method(&model), &model, None, probes)
+        .unwrap()
+        .save(&path)
+        .unwrap();
+    let calls: Vec<Arc<AtomicUsize>> = (0..3).map(|_| Arc::default()).collect();
+    let (client, handle) = spawn_router(fleet_cfg(3), |i| {
+        (demo_model(), CountingHook(Arc::clone(&calls[i])))
+    })
+    .unwrap();
+    let info = client.load_bundle(path.to_str().unwrap()).unwrap();
+    assert_eq!(info.version, 1);
+    let _ = std::fs::remove_file(&path);
+    (client, handle, calls)
+}
+
+/// Unpinned traffic homed on each of the three replicas in turn (one at a
+/// time, so affinity is never overruled by load) gets `hook`'s greedy
+/// tokens.
+fn every_replica_serves(client: &RouterClient, hook: &dyn LayerHook) {
+    let (model, block_rows) = (demo_model(), fleet_cfg(3).serve.block_rows);
+    for home in 0..3 {
+        let prompt = homed_prompt(home, 3, block_rows);
+        let want = sampler::greedy_decode(&model, hook, &prompt, 6, None);
+        let h = client
+            .submit(gen(prompt, 6), SubmitOpts::default(), None)
+            .unwrap();
+        match h.wait().unwrap() {
+            Outcome::Generated { tokens } => assert_eq!(tokens, want, "replica {home}"),
+            other => panic!("unexpected outcome {other:?}"),
+        }
+    }
+}
+
+/// A fleet promote scores the NR gate on one replica only: the other two
+/// swap on its verdict without a forward. The report is the in-process
+/// one, and afterwards every replica serves v1 bitwise.
+#[test]
+fn fleet_promote_scores_the_gate_on_one_replica() {
+    let _g = THREADS.lock().unwrap();
+    kernels::set_num_threads(1);
+    let model = demo_model();
+    let method = nudged_method(&model);
+    let probes = disagreement_probes(&model, &method.hook(), &NoHook, 3);
+    let (client, handle, calls) = counted_fleet(probes.clone(), "scored-once");
+    let count = || -> Vec<usize> { calls.iter().map(|c| c.load(Ordering::Relaxed)).collect() };
+    let before = count();
+
+    let gate = client
+        .promote(1)
+        .unwrap()
+        .expect("the bundle carries probes");
+    assert_eq!(
+        gate,
+        GateReport::score(&model, &method.hook(), &NoHook, &probes)
+    );
+    let after = count();
+    assert_eq!(
+        before.iter().zip(&after).filter(|(b, a)| a > b).count(),
+        1,
+        "exactly one replica ran the gate's forwards: {before:?} -> {after:?}"
+    );
+    assert_eq!(client.metrics().group_rollbacks.get(), 0);
+
+    every_replica_serves(&client, &method.hook());
+    handle.shutdown();
+    kernels::set_num_threads(0);
+}
+
+/// A bundle whose probes the active version wins is refused by the first
+/// replica's gate before any replica swaps: the caller gets the in-process
+/// report, no group rollback is counted, and every replica serves v0.
+#[test]
+fn fleet_gate_refusal_leaves_every_replica_unchanged() {
+    let _g = THREADS.lock().unwrap();
+    kernels::set_num_threads(1);
+    let model = demo_model();
+    let method = nudged_method(&model);
+    let probes = disagreement_probes(&model, &NoHook, &method.hook(), 3);
+    let (client, handle, _calls) = counted_fleet(probes.clone(), "refused");
+
+    let err = client.promote(1).unwrap_err();
+    let want = GateReport::score(&model, &method.hook(), &NoHook, &probes);
+    assert!(want.refuses(), "{want:?}");
+    assert_eq!(
+        err,
+        ControlError::NrGateFailed {
+            version: 1,
+            gate: want
+        }
+    );
+    assert_eq!(client.metrics().group_rollbacks.get(), 0);
+    assert!(client
+        .list_bundles()
+        .unwrap()
+        .iter()
+        .all(|b| b.active == (b.version == 0)));
+
+    every_replica_serves(&client, &NoHook);
+    handle.shutdown();
     kernels::set_num_threads(0);
 }
 

@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use infuserki_core::{GateReport, KnowledgeBundle};
 
-use crate::registry::{BundleInfo, ControlError, ControlOp, ControlOutcome, HookArc};
+use crate::registry::{BundleInfo, ControlError, ControlOp, ControlOutcome, GateVerdict, HookArc};
 use crate::scheduler::Scheduler;
 
 impl<'a> Scheduler<'a> {
@@ -20,9 +20,7 @@ impl<'a> Scheduler<'a> {
     pub fn handle_control(&mut self, op: ControlOp) -> Result<ControlOutcome, ControlError> {
         match op {
             ControlOp::LoadBundle { path } => self.load_bundle(&path).map(ControlOutcome::Loaded),
-            ControlOp::Promote { version } => self
-                .promote(version)
-                .map(|gate| ControlOutcome::Promoted { version, gate }),
+            ControlOp::Promote { version, verdict } => self.promote(version, verdict),
             ControlOp::Rollback => self
                 .rollback()
                 .map(|version| ControlOutcome::RolledBack { version }),
@@ -74,9 +72,19 @@ impl<'a> Scheduler<'a> {
     /// answer at least as many correctly as the currently active version
     /// (the paper's knowledge-retention test, enforced online, scored by
     /// [`GateReport::score`]). The gate runs single-request sampler calls on
-    /// the scheduler thread — a promote blocks the batch for the probe
-    /// forwards, which is the price of gating on the exact serving weights.
-    pub fn promote(&mut self, version: u32) -> Result<Option<GateReport>, ControlError> {
+    /// the scheduler thread, so scoring blocks the batch for the probe
+    /// forwards: the price of gating on the exact serving weights.
+    ///
+    /// A `verdict` skips the scoring: an identical replica already scored
+    /// this comparison, so a fleet blocks one replica's batch per promote
+    /// and every other replica only swaps. The verdict holds only against
+    /// the active version it was scored against; any other active version
+    /// is refused as [`ControlError::Incompatible`] and nothing changes.
+    pub fn promote(
+        &mut self,
+        version: u32,
+        verdict: Option<GateVerdict>,
+    ) -> Result<ControlOutcome, ControlError> {
         let active = self.registry.active_version();
         let staged = self
             .registry
@@ -85,15 +93,24 @@ impl<'a> Scheduler<'a> {
         if version == active {
             return Err(ControlError::AlreadyActive(version));
         }
-        let gate = (!staged.gate_probes.is_empty()).then(|| {
-            let active_hook = &self.registry.get(active).unwrap().hook;
-            GateReport::score(
-                self.model,
-                staged.hook.as_ref(),
-                active_hook.as_ref(),
-                &staged.gate_probes,
-            )
-        });
+        let gate = match verdict {
+            None => (!staged.gate_probes.is_empty()).then(|| {
+                let active_hook = &self.registry.get(active).unwrap().hook;
+                GateReport::score(
+                    self.model,
+                    staged.hook.as_ref(),
+                    active_hook.as_ref(),
+                    &staged.gate_probes,
+                )
+            }),
+            Some(v) if v.against == active => v.gate,
+            Some(v) => {
+                return Err(ControlError::Incompatible(format!(
+                    "replica registries diverged: active version {active} vs {}",
+                    v.against
+                )))
+            }
+        };
         if let Some(report) = gate.filter(GateReport::refuses) {
             self.metrics.bundle_rejected_promotions.inc();
             return Err(ControlError::NrGateFailed {
@@ -104,7 +121,11 @@ impl<'a> Scheduler<'a> {
         self.registry.promote(version);
         self.metrics.bundle_swaps.inc();
         self.metrics.bundle_active_version.set(version as i64);
-        Ok(gate)
+        Ok(ControlOutcome::Promoted {
+            version,
+            replaced: active,
+            gate,
+        })
     }
 
     /// Restores the previously active version (no gate: rollback is the
@@ -139,11 +160,17 @@ mod tests {
         let mut sched = Scheduler::new(&m, &NoHook, ServeConfig::default()).unwrap();
         assert_eq!(sched.active_version(), 0);
         assert!(matches!(
-            sched.handle_control(ControlOp::Promote { version: 9 }),
+            sched.handle_control(ControlOp::Promote {
+                version: 9,
+                verdict: None
+            }),
             Err(ControlError::UnknownVersion(9))
         ));
         assert!(matches!(
-            sched.handle_control(ControlOp::Promote { version: 0 }),
+            sched.handle_control(ControlOp::Promote {
+                version: 0,
+                verdict: None
+            }),
             Err(ControlError::AlreadyActive(0))
         ));
         assert!(matches!(
@@ -159,5 +186,58 @@ mod tests {
             }
             other => panic!("unexpected outcome {other:?}"),
         }
+    }
+
+    /// A verdict scored against another active version describes a
+    /// different comparison: the replica refuses it with the typed
+    /// divergence error and changes nothing, then swaps on a matching one.
+    #[test]
+    fn a_verdict_against_another_active_version_is_refused() {
+        let m = model();
+        let mut sched = Scheduler::new(&m, &NoHook, ServeConfig::default()).unwrap();
+        let v = sched.registry.stage(
+            "k1",
+            String::new(),
+            None,
+            Vec::new(),
+            Arc::new(NoHook),
+            &sched.metrics,
+        );
+        let gate = Some(GateReport {
+            probes: 2,
+            staged_correct: 2,
+            active_correct: 1,
+        });
+        let err = sched
+            .handle_control(ControlOp::Promote {
+                version: v,
+                verdict: Some(GateVerdict { against: 7, gate }),
+            })
+            .unwrap_err();
+        assert_eq!(
+            err,
+            ControlError::Incompatible("replica registries diverged: active version 0 vs 7".into())
+        );
+        assert_eq!(sched.active_version(), 0);
+        let snap = sched.snapshot();
+        assert_eq!(snap.bundle_swaps, 0);
+        assert_eq!(snap.bundle_rejected_promotions, 0);
+
+        let out = sched
+            .handle_control(ControlOp::Promote {
+                version: v,
+                verdict: Some(GateVerdict { against: 0, gate }),
+            })
+            .unwrap();
+        assert_eq!(
+            out,
+            ControlOutcome::Promoted {
+                version: v,
+                replaced: 0,
+                gate
+            }
+        );
+        assert_eq!(sched.active_version(), v);
+        assert_eq!(sched.snapshot().bundle_swaps, 1);
     }
 }

@@ -49,7 +49,7 @@ pub use limits::EngineLimits;
 pub use metrics::{MetricsSnapshot, ServeMetrics};
 pub use registry::{
     BundleEntry, BundleInfo, BundleRegistry, ControlError, ControlOp, ControlOutcome, ControlPlane,
-    HookArc,
+    GateVerdict, HookArc,
 };
 pub use request::{
     CancelToken, GenerateSpec, McqSpec, OnAnswer, Outcome, RejectReason, Request, RequestId,

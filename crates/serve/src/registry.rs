@@ -192,10 +192,14 @@ pub enum ControlOp {
         /// Filesystem path of the bundle JSON.
         path: String,
     },
-    /// Make a staged version the default (runs the NR gate first).
+    /// Make a staged version the default (runs the NR gate first, unless
+    /// `verdict` carries one already reached).
     Promote {
         /// Version to activate.
         version: u32,
+        /// The gate's verdict from a replica that already scored it. `None`
+        /// scores the gate here.
+        verdict: Option<GateVerdict>,
     },
     /// Restore the previously active version.
     Rollback,
@@ -203,15 +207,28 @@ pub enum ControlOp {
     ListBundles,
 }
 
+/// A promote gate already passed on an identical replica: the report it
+/// scored and the active version it scored against. A replica whose active
+/// version is not `against` refuses it, since the report describes a
+/// different comparison.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct GateVerdict {
+    /// The active version the gate compared the candidate with.
+    pub against: u32,
+    /// The report, when the bundle carries probes.
+    pub gate: Option<GateReport>,
+}
+
 /// Successful control-plane result.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ControlOutcome {
     /// Bundle staged as this version.
     Loaded(BundleInfo),
-    /// Version activated; `gate` reports the NR probe comparison when the
-    /// bundle carried probes.
+    /// Version activated in place of `replaced`; `gate` reports the NR
+    /// probe comparison when the bundle carried probes.
     Promoted {
         version: u32,
+        replaced: u32,
         gate: Option<GateReport>,
     },
     /// Previous version restored.
@@ -285,7 +302,10 @@ pub trait ControlPlane {
     /// Promotes a staged version to active (after the NR regression gate,
     /// whose report is returned when the bundle carries probes).
     fn promote(&self, version: u32) -> Result<Option<GateReport>, ControlError> {
-        match self.control(ControlOp::Promote { version })? {
+        match self.control(ControlOp::Promote {
+            version,
+            verdict: None,
+        })? {
             ControlOutcome::Promoted { gate, .. } => Ok(gate),
             other => unreachable!("promote returned {other:?}"),
         }

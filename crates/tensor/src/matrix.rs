@@ -166,11 +166,6 @@ impl Matrix {
         self.data[0]
     }
 
-    /// Sets every element to zero, reusing the allocation.
-    pub fn fill_zero(&mut self) {
-        self.data.iter_mut().for_each(|v| *v = 0.0);
-    }
-
     /// Re-shapes to `rows × cols` in place, reusing the allocation (it only
     /// grows when `rows * cols` exceeds every earlier size). Element values
     /// afterwards are unspecified — stale or zero — so this is for scratch

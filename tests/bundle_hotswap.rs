@@ -233,7 +233,10 @@ fn swap_under_load_pins_in_flight_requests_and_isolates_versions() {
     assert_eq!(info.version, 1);
     assert_eq!(sched.active_version(), 0, "staging does not activate");
     sched
-        .handle_control(ControlOp::Promote { version: 1 })
+        .handle_control(ControlOp::Promote {
+            version: 1,
+            verdict: None,
+        })
         .unwrap();
     assert_eq!(sched.active_version(), 1);
 
@@ -427,7 +430,10 @@ fn rollback_restores_bitwise_identical_responses() {
         .handle_control(ControlOp::LoadBundle { path: p1.clone() })
         .unwrap();
     sched
-        .handle_control(ControlOp::Promote { version: 1 })
+        .handle_control(ControlOp::Promote {
+            version: 1,
+            verdict: None,
+        })
         .unwrap();
     let during = run_all(&mut sched, 1);
     assert_ne!(
@@ -474,7 +480,10 @@ fn nr_gate_refuses_regressing_promotions() {
         })
         .unwrap();
     let err = sched
-        .handle_control(ControlOp::Promote { version: 1 })
+        .handle_control(ControlOp::Promote {
+            version: 1,
+            verdict: None,
+        })
         .unwrap_err();
     match err {
         ControlError::NrGateFailed { version, gate } => {
@@ -506,7 +515,10 @@ fn nr_gate_refuses_regressing_promotions() {
         })
         .unwrap();
     let gate = match sched
-        .handle_control(ControlOp::Promote { version: 2 })
+        .handle_control(ControlOp::Promote {
+            version: 2,
+            verdict: None,
+        })
         .unwrap()
     {
         ControlOutcome::Promoted { gate, .. } => gate.expect("probes present"),
@@ -538,7 +550,10 @@ fn swap_under_load_matches_scores_with_parallel_kernels() {
         .handle_control(ControlOp::LoadBundle { path: p1.clone() })
         .unwrap();
     sched
-        .handle_control(ControlOp::Promote { version: 1 })
+        .handle_control(ControlOp::Promote {
+            version: 1,
+            verdict: None,
+        })
         .unwrap();
 
     let prompt = vec![2, 3, 4, 5, 6];
