@@ -7,7 +7,6 @@
 //! reuses [`crate::lora::LoraMethod`] unchanged.
 
 use infuserki_nn::TransformerLm;
-use infuserki_tensor::Matrix;
 use serde::{Deserialize, Serialize};
 
 /// Blockwise 4-bit quantization parameters.
@@ -33,11 +32,6 @@ pub fn quantize_dequantize(data: &mut [f32], block_size: usize) {
     infuserki_tensor::quant::quantize_dequantize_levels(data, block_size, 7.0, -8.0);
 }
 
-/// Worst-case absolute quantization error for a block with the given absmax.
-pub fn max_error_bound(absmax: f32) -> f32 {
-    absmax / 14.0 + 1e-7
-}
-
 /// Quantizes the attention and FFN projection weights of `model` in place
 /// (embeddings and LayerNorms stay full precision, as in QLoRA).
 /// Returns the number of quantized matrices.
@@ -56,27 +50,28 @@ pub fn quantize_model(model: &mut TransformerLm, cfg: QuantConfig) -> usize {
     count
 }
 
-/// Mean absolute difference between two equally-shaped matrices (test util
-/// and quantization-noise reporting).
-pub fn mean_abs_diff(a: &Matrix, b: &Matrix) -> f32 {
-    assert_eq!(a.shape(), b.shape());
-    let sum: f32 = a
-        .data()
-        .iter()
-        .zip(b.data())
-        .map(|(x, y)| (x - y).abs())
-        .sum();
-    sum / a.len() as f32
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use infuserki_nn::{ModelConfig, NoHook};
-    use infuserki_tensor::Tape;
+    use infuserki_tensor::{Matrix, Tape};
     use proptest::prelude::*;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
+
+    /// Worst-case absolute 4-bit error for a block with the given absmax.
+    fn max_error_bound(absmax: f32) -> f32 {
+        absmax / 14.0 + 1e-7
+    }
+
+    /// Mean absolute difference between two equally-shaped matrices.
+    fn mean_abs_diff(a: &Matrix, b: &Matrix) -> f32 {
+        assert_eq!(a.shape(), b.shape());
+        let sum: f32 = (a.data().iter().zip(b.data()))
+            .map(|(x, y)| (x - y).abs())
+            .sum();
+        sum / a.len() as f32
+    }
 
     #[test]
     fn quantization_is_idempotent() {

@@ -2,7 +2,7 @@
 //!
 //! One mode, no options: it runs the benches below, prints their records as
 //! JSON on stdout (through `infuserki_obs::PerfSuite`) and exits 1 if one of
-//! twelve ratios is over its limit; any argument is a usage error (exit 2).
+//! thirteen ratios is over its limit; any argument is a usage error (exit 2).
 //! Both sides of a ratio are sampled in the same [`round_robin_medians`]
 //! rounds, so the host's speed cancels and nothing is compared against a
 //! committed number. Absolute speed is the system benchmark's job
@@ -25,6 +25,8 @@
 //! * `train_backward` — loss, backward and `grads()` of one hooked
 //!   InfuserKI QA sample on a tape masked to the adapters and on a full
 //!   `Tape::new()` tape, beside the masked tape's loss alone (µs).
+//! * `tape_forward` — the hooked forward of one 30-token sequence recorded
+//!   on a tape beside the KV-cached engine's prefill of the same tokens (µs).
 //! * `round_bookkeeping` — an update round's work besides detection and
 //!   training: the MCQ bank for 8 new facts over a 2 000-triple store plus
 //!   one digest of the 12-layer base, beside `detect_unknown` on those 8
@@ -86,6 +88,7 @@ fn run_suite(tier: Isa) -> PerfSuite {
     suite.push(bench_decode_variants());
     suite.push(bench_prefix_cache());
     suite.push(bench_train_backward());
+    suite.push(bench_tape_forward());
     suite.push(bench_round_bookkeeping());
     suite.push(bench_fleet_promote());
     suite
@@ -405,6 +408,33 @@ fn bench_train_backward() -> PerfRecord {
         .metric("us_forward", tape_s[2] * 1e6)
 }
 
+/// The hooked forward of one 30-token sequence on [`hooked_world_model`]
+/// (world vocabulary) two ways: recorded on a `Tape::new()` tape, as every
+/// training sample's forward is, and as the engine's eager prefill into a
+/// fresh KV cache. Both compute the same rows bit for bit.
+fn bench_tape_forward() -> PerfRecord {
+    const VOCAB: usize = 106;
+    let mut rng = ChaCha8Rng::seed_from_u64(24);
+    let (base, method) = hooked_world_model(VOCAB, &mut rng);
+    let tokens: Vec<usize> = (0..30).map(|_| rng.gen_range(2..VOCAB)).collect();
+    let hook = method.hook();
+    let secs = round_robin_medians(2, |col| {
+        let t0 = Instant::now();
+        if col == 0 {
+            let mut tape = Tape::new();
+            let logits = base.forward(&tokens, hook, &mut tape);
+            std::hint::black_box(tape.value(logits).get(0, 0));
+        } else {
+            let (cache, logits) = base.prefill(&tokens, hook);
+            std::hint::black_box((logits.get(0, 0), cache));
+        }
+        t0.elapsed().as_secs_f64()
+    });
+    PerfRecord::new("tape_forward")
+        .metric("us_tape", secs[0] * 1e6)
+        .metric("us_prefill", secs[1] * 1e6)
+}
+
 /// The `kg_update_watch` round's shape: a 300-triple world topped up to
 /// 2 000 live triples, plus `new` more, with facts pairing each entity with
 /// a later one under the first relation (so that relation's tail pool is
@@ -635,10 +665,12 @@ const RATIOS: &[Ratio] = &[
     },
     // The backward multiplies on the strip kernel: every `g·Wᵀ` and `g·bᵀ`
     // runs as `matmul_into` over the operand's transpose, a weight's built
-    // once per value. Healthy 1.76–1.78× native, 1.73–1.85× baseline; the
-    // transpose rebuilt on every product 2.05–2.11× native; the scalar 4×4
-    // dot-product tile restored for every `a·bᵀ` 3.05–3.23× native,
-    // 2.64–2.96× baseline.
+    // once per value. Healthy 2.09–2.13× native, 2.07–2.10× baseline; the
+    // transpose rebuilt on every product 2.58–2.64× native. The reading
+    // rose from 1.76–1.78× when the loss alone got cheaper (the fused
+    // attention node and shared parameter leaves); before that, the
+    // transpose rebuilt read 2.05–2.11× and the scalar 4×4 dot-product tile
+    // restored for every `a·bᵀ` 3.05–3.23× native, 2.64–2.96× baseline.
     Ratio {
         what: "QA sample loss+backward+grads vs its loss alone, tape masked to the adapters",
         cost: ("train_backward", "us_masked"),
@@ -652,6 +684,18 @@ const RATIOS: &[Ratio] = &[
     // `levenshtein` inside its comparator 3.70–4.36× native, 2.76–3.14×
     // baseline; the digest hashing the base's JSON text 11.9× native; both
     // 12.7× native.
+    // A training sample's forward costs what the engine's prefill costs:
+    // the tape attends in one all-heads node per layer, on the engine's
+    // kernels, and its parameter leaves share the parameters' storage.
+    // Healthy 1.12–1.15× native, 1.12–1.14× baseline; per-head
+    // attention nodes and a parameter copy per leaf (the parent tree)
+    // 1.68–1.72× native, 1.57–1.61× baseline.
+    Ratio {
+        what: "hooked 30-token forward, tape vs the engine's prefill",
+        cost: ("tape_forward", "us_tape"),
+        beside: ("tape_forward", "us_prefill"),
+        limit: 1.4,
+    },
     Ratio {
         what: "round bookkeeping (8-fact bank + base digest) vs detection on its 8 MCQs",
         cost: ("round_bookkeeping", "ms_bank_digest"),
@@ -785,6 +829,11 @@ mod tests {
                 .metric("us_forward", 3500.0),
         );
         suite.push(
+            PerfRecord::new("tape_forward")
+                .metric("us_tape", 1100.0)
+                .metric("us_prefill", 1000.0),
+        );
+        suite.push(
             PerfRecord::new("round_bookkeeping")
                 .metric("ms_bank_digest", 5.0)
                 .metric("ms_detect", 20.0),
@@ -840,6 +889,12 @@ mod tests {
             ("prefix_cache", "ms_shared", 3.0, "shared prompt templates"),
             ("train_backward", "us_full", 0.8, "vs full tape"),
             ("train_backward", "us_forward", 0.5, "vs its loss alone"),
+            (
+                "tape_forward",
+                "us_tape",
+                1.5,
+                "tape vs the engine's prefill",
+            ),
             (
                 "round_bookkeeping",
                 "ms_bank_digest",

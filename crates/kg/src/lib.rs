@@ -13,7 +13,6 @@
 pub mod io;
 pub mod metaqa;
 pub mod names;
-pub mod partition;
 pub mod paths;
 pub mod stats;
 pub mod store;

@@ -2,8 +2,6 @@
 
 use std::collections::{HashMap, HashSet};
 
-use rand::seq::SliceRandom;
-use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 use crate::types::{EntityId, RelationId, Triple};
@@ -138,16 +136,6 @@ impl TripleStore {
         self.triple_set.contains(t)
     }
 
-    /// The unique tail for `(head, relation)`, if present.
-    pub fn tail_of(&self, head: EntityId, relation: RelationId) -> Option<EntityId> {
-        self.by_head.get(&head).and_then(|idxs| {
-            idxs.iter()
-                .map(|&i| self.triples[i])
-                .find(|t| t.relation == relation)
-                .map(|t| t.tail)
-        })
-    }
-
     /// All triples with the given head.
     pub fn triples_of_head(&self, head: EntityId) -> Vec<Triple> {
         self.by_head
@@ -236,23 +224,11 @@ impl TripleStore {
     pub fn relation_names(&self) -> impl Iterator<Item = &str> {
         self.relations.iter().map(String::as_str)
     }
-
-    /// Samples `n` distinct triples uniformly (MoP-style partition sampling
-    /// draws per-relation; uniform sampling suffices for our generators which
-    /// already balance relations).
-    pub fn sample_triples(&self, n: usize, rng: &mut impl Rng) -> Vec<Triple> {
-        let mut idxs: Vec<usize> = (0..self.triples.len()).collect();
-        idxs.shuffle(rng);
-        idxs.truncate(n.min(self.triples.len()));
-        idxs.into_iter().map(|i| self.triples[i]).collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
-    use rand_chacha::ChaCha8Rng;
 
     fn tiny() -> TripleStore {
         let mut s = TripleStore::new();
@@ -293,7 +269,8 @@ mod tests {
         let r = s.intern_relation("r");
         assert!(s.insert_functional(Triple::new(a, r, b)));
         assert!(!s.insert_functional(Triple::new(a, r, c)));
-        assert_eq!(s.tail_of(a, r), Some(b));
+        let tails: Vec<_> = s.triples_of_head(a).iter().map(|t| t.tail).collect();
+        assert_eq!(tails, [b]);
     }
 
     #[test]
@@ -304,14 +281,6 @@ mod tests {
         assert_eq!(s.triples_of_head(a).len(), 2);
         assert_eq!(s.triples_of_relation(r).len(), 2);
         assert_eq!(s.tail_pool(r).len(), 2);
-    }
-
-    #[test]
-    fn sample_triples_bounds() {
-        let s = tiny();
-        let mut rng = ChaCha8Rng::seed_from_u64(0);
-        assert_eq!(s.sample_triples(1, &mut rng).len(), 1);
-        assert_eq!(s.sample_triples(10, &mut rng).len(), 2);
     }
 
     #[test]

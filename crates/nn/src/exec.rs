@@ -18,9 +18,11 @@
 //! composition. Two ops differ in *where* they read history, not in what
 //! they compute:
 //!
-//! - `Exec::attention` is per-head tape nodes over the whole sequence on
-//!   the tape, and the paged all-heads panels over each sequence's cached
-//!   blocks eagerly;
+//! - `Exec::attention` runs the all-heads kernels
+//!   ([`kernels::qk_heads_panel`], [`kernels::softmax_heads_causal_in_place`],
+//!   [`kernels::av_heads_seg_into`]) in both modes: on the tape as one
+//!   [`Tape::attention`] node over the whole sequence as one panel, eagerly
+//!   over each sequence's cached blocks, panel by panel;
 //! - [`Exec::cum_mean_rows`] is the gate's causal prefix mean. Eagerly, each
 //!   sequence resumes from the running column sums stored in the KV block
 //!   that holds its last cached row, and leaves its new sums in the blocks
@@ -384,10 +386,11 @@ impl<'a> Exec<'a> {
     }
 
     /// Causal multi-head attention of `q` over `k`/`v` plus the hook's
-    /// prefix rows at `layer`. On the tape: per-head nodes over the whole
-    /// sequence, the prefix from [`LayerHook::prefix_kv`]. Eagerly: each
-    /// sequence's new K/V rows are written into its blocks and its queries
-    /// attend over the cache's prefix panel and its block history.
+    /// prefix rows at `layer`. On the tape: one [`Tape::attention`] node
+    /// over the whole sequence, the prefix from [`LayerHook::prefix_kv`].
+    /// Eagerly: each sequence's new K/V rows are written into its blocks and
+    /// its queries attend over the cache's prefix panel and its block
+    /// history. Both run the same all-heads kernels.
     pub(crate) fn attention(
         &mut self,
         layer: usize,
@@ -407,14 +410,7 @@ impl<'a> Exec<'a> {
         let Mode::Tape(t) = &mut self.mode else {
             unreachable!("eager returned above")
         };
-        Val::Node(tape_attention(
-            t,
-            n_heads,
-            q.node(),
-            k.node(),
-            v.node(),
-            prefix,
-        ))
+        Val::Node(t.attention(q.node(), k.node(), v.node(), prefix, n_heads))
     }
 }
 
@@ -425,42 +421,6 @@ fn add_row(m: &mut Matrix, row: &[f32]) {
             *x += y;
         }
     }
-}
-
-/// Per-head attention nodes: `softmax(mask(q_h k_hᵀ / √d_h)) v_h` with the
-/// prefix rows prepended to every head's keys and values, heads
-/// concatenated.
-fn tape_attention(
-    t: &mut Tape,
-    n_heads: usize,
-    q: NodeId,
-    k: NodeId,
-    v: NodeId,
-    prefix: Option<(NodeId, NodeId)>,
-) -> NodeId {
-    let head_dim = t.value(q).cols() / n_heads;
-    let prefix_len = prefix.map_or(0, |(pk, _)| t.value(pk).rows());
-    let scale = 1.0 / (head_dim as f32).sqrt();
-    let mut heads = Vec::with_capacity(n_heads);
-    for h in 0..n_heads {
-        let lo = h * head_dim;
-        let hi = lo + head_dim;
-        let qh = t.slice_cols(q, lo, hi);
-        let mut kh = t.slice_cols(k, lo, hi);
-        let mut vh = t.slice_cols(v, lo, hi);
-        if let Some((pk, pv)) = prefix {
-            let pkh = t.slice_cols(pk, lo, hi);
-            let pvh = t.slice_cols(pv, lo, hi);
-            kh = t.concat_rows(pkh, kh);
-            vh = t.concat_rows(pvh, vh);
-        }
-        let scores = t.matmul_bt(qh, kh);
-        let scaled = t.scale(scores, scale);
-        let masked = t.causal_mask(scaled, prefix_len);
-        let attn = t.softmax(masked);
-        heads.push(t.matmul(attn, vh));
-    }
-    t.concat_cols(&heads)
 }
 
 impl Paged<'_> {
@@ -510,12 +470,11 @@ impl Paged<'_> {
     /// own history, so batch members cannot attend to each other.
     ///
     /// Bitwise contract: each score is one ascending chain over its head's
-    /// dimensions and depends on one Q row and one key only; the softmax
-    /// computes `v · scale` per element exactly as the tape's scale node
-    /// does; and the attention·V product folds prefix-then-blocks in
-    /// ascending order through one continued accumulation chain per output
-    /// element — so the output rows are bit-for-bit what the per-head,
-    /// contiguous tape forward produces.
+    /// dimensions and depends on one Q row and one key only; and the
+    /// attention·V product folds prefix-then-blocks in ascending order
+    /// through one continued accumulation chain per output element — so the
+    /// output rows are bit-for-bit what [`Tape::attention`] computes over
+    /// the contiguous sequence.
     fn attention(
         &mut self,
         layer: usize,

@@ -74,8 +74,8 @@ pub trait LayerHook: Sync {
     }
 
     /// Learnable key/value rows `([p, d_model], [p, d_model])` prepended to
-    /// attention at `layer` (prefix tuning). Rows are split per-head by the
-    /// attention core. The cached engine asks once per cache, eagerly.
+    /// attention at `layer` (prefix tuning), in front of every head's keys
+    /// and values. The cached engine asks once per cache, eagerly.
     fn prefix_kv(&self, _layer: usize, _e: &mut Exec) -> Option<(Val, Val)> {
         None
     }

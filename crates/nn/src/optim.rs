@@ -46,7 +46,6 @@ pub struct AdamW {
     cfg: AdamWConfig,
     slots: HashMap<ParamId, Slot>,
     step: u64,
-    lr_scale: f32,
 }
 
 impl AdamW {
@@ -56,18 +55,7 @@ impl AdamW {
             cfg,
             slots: HashMap::new(),
             step: 0,
-            lr_scale: 1.0,
         }
-    }
-
-    /// Current effective learning rate.
-    pub fn effective_lr(&self) -> f32 {
-        self.cfg.lr * self.lr_scale
-    }
-
-    /// Sets a multiplicative LR scale (used by schedules).
-    pub fn set_lr_scale(&mut self, scale: f32) {
-        self.lr_scale = scale.max(0.0);
     }
 
     /// Steps taken so far.
@@ -97,7 +85,7 @@ impl AdamW {
             }
             None => 1.0,
         };
-        let lr = self.cfg.lr * self.lr_scale;
+        let lr = self.cfg.lr;
         let b1 = self.cfg.beta1;
         let b2 = self.cfg.beta2;
         let bc1 = 1.0 - b1.powi(self.step as i32);
@@ -137,20 +125,6 @@ fn is_decayable(name: &str) -> bool {
     // Biases and LayerNorm gains end with ".b" or ".g"; embedding tables and
     // projection weights decay.
     !(name.ends_with(".b") || name.ends_with(".g"))
-}
-
-/// Cosine decay from 1.0 to `floor` over `total_steps`, with `warmup` linear
-/// warm-up steps. Returns the LR scale for step `step` (0-based).
-pub fn cosine_schedule(step: u64, total_steps: u64, warmup: u64, floor: f32) -> f32 {
-    if total_steps == 0 {
-        return 1.0;
-    }
-    if step < warmup {
-        return (step + 1) as f32 / warmup.max(1) as f32;
-    }
-    let t = (step - warmup) as f32 / (total_steps.saturating_sub(warmup)).max(1) as f32;
-    let t = t.clamp(0.0, 1.0);
-    floor + (1.0 - floor) * 0.5 * (1.0 + (std::f32::consts::PI * t).cos())
 }
 
 #[cfg(test)]
@@ -236,24 +210,5 @@ mod tests {
         let g = Gradients::new();
         opt.step(&g, |f| f(&mut p));
         assert_eq!(p.data().scalar_value(), 3.0);
-    }
-
-    #[test]
-    fn cosine_schedule_shape() {
-        assert!((cosine_schedule(0, 100, 10, 0.1) - 0.1).abs() < 1e-6); // warmup start
-        assert!((cosine_schedule(9, 100, 10, 0.1) - 1.0).abs() < 1e-6); // warmup end
-        let mid = cosine_schedule(55, 100, 10, 0.1);
-        assert!(mid < 1.0 && mid > 0.1);
-        assert!((cosine_schedule(100, 100, 10, 0.1) - 0.1).abs() < 1e-5);
-    }
-
-    #[test]
-    fn lr_scale_applies() {
-        let mut opt = AdamW::new(AdamWConfig {
-            lr: 0.2,
-            ..AdamWConfig::default()
-        });
-        opt.set_lr_scale(0.5);
-        assert!((opt.effective_lr() - 0.1).abs() < 1e-7);
     }
 }

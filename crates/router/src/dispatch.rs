@@ -33,6 +33,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use infuserki_nn::{LayerHook, TransformerLm};
+use infuserki_obs as obs;
 use infuserki_serve::{
     spawn_scheduler, Client, EngineLimits, Outcome, RejectReason, Request, SchedulerHandle,
 };
@@ -121,8 +122,8 @@ impl RouterClient {
         self.inner.alive_flags().iter().filter(|&&a| a).count()
     }
 
-    /// Router + per-replica metrics as one JSON object (the wire `metrics`
-    /// op payload).
+    /// Router, update-pipeline (`ingest.*`) and per-replica metrics as one
+    /// JSON object (the wire `metrics` op payload).
     pub fn metrics_json(&self) -> String {
         let m = &self.inner.metrics;
         let alive = self.inner.alive_flags();
@@ -141,10 +142,18 @@ impl RouterClient {
                 )
             })
             .collect();
+        // What an update pipeline registered here (`serve --watch-kg`),
+        // without the `ingest.` prefix: `{}` when none runs.
+        let ingest = obs::Snapshot {
+            entries: (m.registry().snapshot().entries.into_iter())
+                .filter_map(|(name, v)| Some((name.strip_prefix("ingest.")?.to_string(), v)))
+                .collect(),
+        };
         format!(
             "{{\"submitted\":{},\"dispatched\":{},\"affinity_hits\":{},\"balanced\":{},\
              \"rejected_tenant_queue_full\":{},\"failed_replica\":{},\"cancelled_queued\":{},\
-             \"group_rollbacks\":{},\"replicas_alive\":{},\"tenant_queued\":{},\"replicas\":[{}]}}",
+             \"group_rollbacks\":{},\"replicas_alive\":{},\"tenant_queued\":{},\"ingest\":{},\
+             \"replicas\":[{}]}}",
             m.submitted.get(),
             m.dispatched.get(),
             m.affinity_hits.get(),
@@ -155,6 +164,7 @@ impl RouterClient {
             m.group_rollbacks.get(),
             m.replicas_alive.get().max(0),
             m.tenant_queued.get().max(0),
+            ingest.to_json(),
             replicas.join(",")
         )
     }
@@ -458,6 +468,7 @@ pub(crate) mod tests {
         assert!(j.contains("\"affinity_hits\""));
         assert!(j.contains("\"replicas\":["));
         assert!(j.contains("\"serve\":{"));
+        assert!(j.contains("\"ingest\":{}"), "no pipeline registered: {j}");
         // It must parse as one JSON object (the wire `metrics` op embeds it).
         let v: serde::Value = serde_json::from_str(&j).unwrap();
         assert!(v.get_field("replicas").is_some());

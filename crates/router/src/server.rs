@@ -40,8 +40,9 @@
 //! `cancel` acks with `{"id":N,"status":"cancel_requested"}`; the request
 //! itself still terminates with its own response. `metrics` replies
 //! `{"status":"metrics","metrics":{...}}` ([`RouterClient::metrics_json`]:
-//! router counters plus one `{"alive","dispatched","outstanding","serve"}`
-//! object per replica). `shutdown` acks `{"status":"shutting_down"}` and
+//! router counters, an `ingest` object of the update pipeline's metrics,
+//! and one `{"alive","dispatched","outstanding","serve"}` object per
+//! replica). `shutdown` acks `{"status":"shutting_down"}` and
 //! stops the accept loop; the binary then drains the fleet.
 //!
 //! The front-end adds no protocol state beyond a per-connection id→cancel

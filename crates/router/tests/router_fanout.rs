@@ -38,13 +38,23 @@ fn gen(prompt: Vec<usize>, max_new: usize) -> RequestKind {
 /// A 9-token prompt whose affinity home, with all of `replicas` replicas
 /// alive, is replica `home`.
 fn homed_prompt(home: usize, replicas: usize, block_rows: usize) -> Vec<usize> {
+    homed_prompts(home, replicas, block_rows)
+        .next()
+        .expect("a prompt homed on each replica")
+}
+
+/// Every 9-token candidate prompt the router homes on replica `home`.
+fn homed_prompts(
+    home: usize,
+    replicas: usize,
+    block_rows: usize,
+) -> impl Iterator<Item = Vec<usize>> {
     (0..64usize)
         .map(|seed| (0..9).map(|i| (seed * 13 + i) % 32).collect::<Vec<usize>>())
-        .find(|p| {
+        .filter(move |p| {
             let h = affinity::prefix_hash(p, block_rows, affinity::AFFINITY_BLOCKS).unwrap();
             affinity::rendezvous_pick(h, &vec![true; replicas]) == Some(home)
         })
-        .expect("a prompt homed on each replica")
 }
 
 /// An aggressive tenant floods 30 requests before a polite tenant submits
@@ -246,24 +256,41 @@ fn partial_promotion_failure_rolls_the_whole_group_back() {
     assert_eq!(client.metrics().group_rollbacks.get(), 1);
 
     // No replica serves v1: unpinned traffic still gets base-model tokens
-    // (bitwise at one kernel thread), on every replica.
+    // (bitwise at one kernel thread), on every replica — each prompt is
+    // homed on one of them by the router's prefix affinity.
+    // The bundle must observably change each prompt's output.
     let method = nudged_method(&model);
-    let prompt = vec![1usize, 2, 3];
-    let want_base = sampler::greedy_decode(&model, &NoHook, &prompt, 6, None);
-    let want_v1 = sampler::greedy_decode(&model, &method.hook(), &prompt, 6, None);
-    assert_ne!(want_base, want_v1, "bundle must observably change output");
-    for _ in 0..6 {
-        let h = client
-            .submit(gen(prompt.clone(), 6), SubmitOpts::default(), None)
-            .unwrap();
-        match h.wait().unwrap() {
-            Outcome::Generated { tokens } => assert_eq!(
-                tokens, want_base,
-                "a replica served the half-promoted bundle after group rollback"
-            ),
-            other => panic!("unexpected outcome {other:?}"),
-        }
+    let block_rows = fleet_cfg(3).serve.block_rows;
+    let decode =
+        |hook: &dyn LayerHook, p: &[usize]| sampler::greedy_decode(&model, hook, p, 6, None);
+    let (mut prompts, mut want_base, mut want_v1) = (Vec::new(), Vec::new(), Vec::new());
+    for home in 0..3 {
+        let (prompt, base, v1) = homed_prompts(home, 3, block_rows)
+            .map(|p| (decode(&NoHook, &p), decode(&method.hook(), &p), p))
+            .map(|(base, v1, p)| (p, base, v1))
+            .find(|(_, base, v1)| base != v1)
+            .expect("a prompt on each replica that the bundle changes");
+        prompts.push(prompt);
+        want_base.push(base);
+        want_v1.push(v1);
     }
+    let served_on_every_replica = |want: &[Vec<usize>], what: &str| {
+        for (home, (prompt, want)) in prompts.iter().zip(want).enumerate() {
+            let h = client
+                .submit(gen(prompt.clone(), 6), SubmitOpts::default(), None)
+                .unwrap();
+            match h.wait().unwrap() {
+                Outcome::Generated { tokens } => {
+                    assert_eq!(&tokens, want, "replica {home}: {what}")
+                }
+                other => panic!("unexpected outcome {other:?}"),
+            }
+        }
+    };
+    served_on_every_replica(
+        &want_base,
+        "served the half-promoted bundle after group rollback",
+    );
     let listed = client.list_bundles().unwrap();
     assert!(
         listed.iter().all(|b| !(b.version == 1 && b.active)),
@@ -272,15 +299,7 @@ fn partial_promotion_failure_rolls_the_whole_group_back() {
 
     // Without the fault the same promote lands fleet-wide.
     client.promote(info.version).unwrap();
-    for _ in 0..6 {
-        let h = client
-            .submit(gen(prompt.clone(), 6), SubmitOpts::default(), None)
-            .unwrap();
-        match h.wait().unwrap() {
-            Outcome::Generated { tokens } => assert_eq!(tokens, want_v1),
-            other => panic!("unexpected outcome {other:?}"),
-        }
-    }
+    served_on_every_replica(&want_v1, "does not serve the promoted bundle");
     handle.shutdown();
     let _ = std::fs::remove_file(&bundle_path);
     kernels::set_num_threads(0);

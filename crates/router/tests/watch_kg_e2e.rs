@@ -278,6 +278,31 @@ fn wal_append_becomes_answerable_through_live_serve() {
         "report persisted next to the bundle"
     );
 
+    // The pipeline's `ingest.*` metrics are on the wire: the published
+    // round counted, with its integrate (detect + train) latency.
+    send(r#"{"op":"metrics"}"#);
+    let (v, line) = recv();
+    assert_eq!(status(&v), "metrics", "{line}");
+    let ingest = v
+        .get_field("metrics")
+        .and_then(|m| m.get_field("ingest"))
+        .unwrap_or_else(|| panic!("no ingest metrics: {line}"));
+    let number = |v: Option<&Value>| v.and_then(Value::as_f64).unwrap_or(0.0);
+    assert!(number(ingest.get_field("rounds")) >= 1.0, "{line}");
+    assert!(
+        number(ingest.get_field("bundles_published")) >= 1.0,
+        "{line}"
+    );
+    let integrate = ingest.get_field("integrate_ms");
+    assert!(
+        number(integrate.and_then(|h| h.get_field("count"))) >= 1.0,
+        "{line}"
+    );
+    assert!(
+        number(integrate.and_then(|h| h.get_field("p50"))) > 0.0,
+        "{line}"
+    );
+
     send(r#"{"op":"shutdown"}"#);
     let (v, _) = recv();
     assert_eq!(status(&v), "shutting_down");

@@ -6,6 +6,11 @@
 //! that needs a gradient has every child that needs one, so a needed slot
 //! receives the same contributions in the same order whichever constructor
 //! built the tape: the masked gradients are bitwise the full ones.
+//!
+//! An op's arm reads the node's stored forward value where its derivative is
+//! in terms of its output; [`Op::Attention`] keeps its softmax probabilities
+//! for that, and its one arm computes every input's gradient for every head
+//! on the all-heads attention kernels.
 
 use crate::kernels;
 use crate::matrix::Matrix;
@@ -112,11 +117,11 @@ impl Tape {
 /// with several parents check. Every `g·bᵀ` runs as `g·(bᵀ)` on the strip
 /// kernel over the operand's transpose ([`Node::transposed`]).
 fn backward_op(node: &Node, nodes: &[Node], gout: &Matrix, grads_before: &mut [Option<Matrix>]) {
-    let val = |id: NodeId| -> &Matrix { &nodes[id.index()].value };
+    let val = |id: NodeId| -> &Matrix { nodes[id.index()].value() };
     let needs = |id: &NodeId| nodes[id.index()].needs_grad;
     // The node's own forward value, for ops whose derivative is in terms of
     // their output: bitwise what the backward would recompute.
-    let y = &node.value;
+    let y = node.value();
     match &node.op {
         Op::Leaf { .. } => {}
         Op::MatMul(a, b) => {
@@ -241,18 +246,6 @@ fn backward_op(node: &Node, nodes: &[Node], gout: &Matrix, grads_before: &mut [O
         }
         Op::Transpose(a) => {
             accumulate(&mut grads_before[a.index()], gout.transposed());
-        }
-        Op::Softmax(a) => {
-            let mut da = Matrix::zeros(y.rows(), y.cols());
-            for r in 0..y.rows() {
-                let yr = y.row(r);
-                let gr = gout.row(r);
-                let dotp = kernels::dot(gr, yr);
-                for (c, o) in da.row_mut(r).iter_mut().enumerate() {
-                    *o = yr[c] * (gr[c] - dotp);
-                }
-            }
-            accumulate(&mut grads_before[a.index()], da);
         }
         Op::LogSoftmax(a) => {
             let p = kernels::softmax_rows(val(*a));
@@ -446,14 +439,6 @@ fn backward_op(node: &Node, nodes: &[Node], gout: &Matrix, grads_before: &mut [O
                 off += w;
             }
         }
-        Op::SliceCols(a, start, end) => {
-            let va = val(*a);
-            let mut da = Matrix::zeros(va.rows(), va.cols());
-            for r in 0..va.rows() {
-                da.row_mut(r)[*start..*end].copy_from_slice(gout.row(r));
-            }
-            accumulate(&mut grads_before[a.index()], da);
-        }
         Op::SliceRows(a, start, end) => {
             let va = val(*a);
             let mut da = Matrix::zeros(va.rows(), va.cols());
@@ -462,10 +447,22 @@ fn backward_op(node: &Node, nodes: &[Node], gout: &Matrix, grads_before: &mut [O
             }
             accumulate(&mut grads_before[a.index()], da);
         }
-        Op::CausalMask { a, .. } => {
-            // Adding a constant mask: gradient passes through unchanged.
-            accumulate(&mut grads_before[a.index()], gout.clone());
-        }
+        Op::Attention {
+            q,
+            k,
+            v,
+            prefix,
+            n_heads,
+            probs,
+        } => attention_backward(
+            nodes,
+            gout,
+            grads_before,
+            [*q, *k, *v],
+            *prefix,
+            *n_heads,
+            probs,
+        ),
         Op::CrossEntropy { logits, targets } => {
             let vl = val(*logits);
             let p = kernels::softmax_rows(vl);
@@ -495,6 +492,120 @@ fn backward_op(node: &Node, nodes: &[Node], gout: &Matrix, grads_before: &mut [O
             accumulate(&mut grads_before[logits.index()], dl);
         }
     }
+}
+
+/// The backward of [`Op::Attention`] for every head at once, bitwise the
+/// per-head graph's (see [`Tape::attention`]): each product is one ascending
+/// `fmadd` chain from `0.0` over the same terms as that graph's matmul arm,
+/// on the all-heads kernels.
+///
+/// - `dV = Aᵀ·g` and `dK = dSᵀ·Q` ([`kernels::at_heads_into`]) chain over
+///   the queries;
+/// - `dA = g·Vᵀ` ([`kernels::qk_heads_panel`] over the transposed values)
+///   chains over the head's dimensions. It covers the masked columns too:
+///   there the softmax backward gives `+0.0·(dA − ⟨dA, y⟩)`, a zero whose
+///   sign comes from `dA`;
+/// - the softmax backward runs on full rows ([`kernels::dot`]'s lane split
+///   depends on the row length), then the score scale;
+/// - `dQ = dS·K` ([`kernels::av_heads_seg_into`], prefix then sequence)
+///   chains over every key, masked ones included: their signed zeros close
+///   the chain, and can turn a sum that underflowed to `-0.0` into `+0.0`.
+///
+/// The per-head graph accumulated each input's gradient head by head, each
+/// head's columns inside a zero matrix, so with more than one head every
+/// element also got `+ 0.0` added, which changes no bit but a `-0.0`, to
+/// `+0.0`. Accumulating each gradient whole, in that graph's order of
+/// inputs (prefix V, prefix K, V, K, Q), and then adding `+0.0` once to
+/// every slot written gives the same bits whatever the slots held before,
+/// even where two inputs are one node.
+fn attention_backward(
+    nodes: &[Node],
+    gout: &Matrix,
+    grads_before: &mut [Option<Matrix>],
+    [q, k, v]: [NodeId; 3],
+    prefix: Option<(NodeId, NodeId)>,
+    n_heads: usize,
+    probs: &Matrix,
+) {
+    let val = |id: NodeId| -> &Matrix { nodes[id.index()].value() };
+    let needs = |id: NodeId| nodes[id.index()].needs_grad;
+    let (n, d) = gout.shape();
+    let keys = probs.cols();
+    let p = keys - n;
+    let (pk, pv) = (prefix.map(|x| x.0), prefix.map(|x| x.1));
+    let needs_k = needs(k) || pk.is_some_and(needs);
+    let needs_v = needs(v) || pv.is_some_and(needs);
+
+    let dv = needs_v.then(|| {
+        let mut dv = Matrix::zeros(keys, d);
+        kernels::at_heads_into(probs, gout, n_heads, &mut dv);
+        split_rows(dv, p)
+    });
+    let ds = (needs(q) || needs_k).then(|| {
+        let mut ds = Matrix::zeros(n * n_heads, keys);
+        let panel = |values: NodeId, keys, ds: &mut Matrix, col| {
+            let vt = nodes[values.index()].transposed();
+            kernels::qk_heads_panel(gout, 0, n, &vt, keys, n_heads, ds, col);
+        };
+        if let Some(pv) = pv {
+            panel(pv, p, &mut ds, 0);
+        }
+        panel(v, n, &mut ds, p);
+        let scale = 1.0 / ((d / n_heads) as f32).sqrt();
+        for (g, y) in (ds.data_mut().chunks_exact_mut(keys)).zip(probs.data().chunks_exact(keys)) {
+            let dotp = kernels::dot(g, y);
+            for (g, &y) in g.iter_mut().zip(y) {
+                *g = y * (*g - dotp) * scale;
+            }
+        }
+        ds
+    });
+    let dk = ds.as_ref().filter(|_| needs_k).map(|ds| {
+        let mut dk = Matrix::zeros(keys, d);
+        kernels::at_heads_into(ds, val(q), n_heads, &mut dk);
+        split_rows(dk, p)
+    });
+    let dq = ds.as_ref().filter(|_| needs(q)).map(|ds| {
+        let mut dq = Matrix::zeros(n, d);
+        if let Some(pk) = pk {
+            kernels::av_heads_seg_into(ds, 0, p, val(pk), n_heads, &mut dq, 0, false);
+        }
+        kernels::av_heads_seg_into(ds, p, keys, val(k), n_heads, &mut dq, 0, p > 0);
+        dq
+    });
+    let (dpv, dv) = dv.unzip();
+    let (dpk, dk) = dk.unzip();
+    let mut written = Vec::new();
+    for (id, g) in [
+        (pv, dpv),
+        (pk, dpk),
+        (Some(v), dv),
+        (Some(k), dk),
+        (Some(q), dq),
+    ] {
+        if let (Some(id), Some(g)) = (id.filter(|&id| needs(id)), g) {
+            accumulate(&mut grads_before[id.index()], g);
+            written.push(id);
+        }
+    }
+    if n_heads > 1 {
+        for id in written {
+            let slot = grads_before[id.index()].as_mut().expect("just written");
+            slot.data_mut().iter_mut().for_each(|x| *x += 0.0);
+        }
+    }
+}
+
+/// `m`'s first `rows` rows and the rest.
+fn split_rows(m: Matrix, rows: usize) -> (Matrix, Matrix) {
+    let cols = m.cols();
+    let total = m.rows();
+    let mut head = m.into_vec();
+    let tail = head.split_off(rows * cols);
+    (
+        Matrix::from_vec(rows, cols, head),
+        Matrix::from_vec(total - rows, cols, tail),
+    )
 }
 
 #[cfg(test)]

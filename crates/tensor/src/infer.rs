@@ -6,8 +6,8 @@
 //! equality against the tape path at `threads = 1`, which is only tractable if
 //! both paths execute the exact same floating-point accumulation chains. This
 //! module is that single source of truth: [`crate::Tape::affine`],
-//! [`crate::Tape::layer_norm`], [`crate::Tape::causal_mask`],
-//! [`crate::Tape::cum_mean_rows`] and [`crate::Tape::mul_col_broadcast`]
+//! [`crate::Tape::layer_norm`], [`crate::Tape::cum_mean_rows`] and
+//! [`crate::Tape::mul_col_broadcast`]
 //! delegate their forward value computation here, and the inference engine
 //! calls the same functions directly.
 //!
@@ -61,26 +61,6 @@ pub fn layer_norm(x: &Matrix, gain: &Matrix, bias: &Matrix, eps: f32) -> Matrix 
         }
     }
     v
-}
-
-/// Applies the causal attention mask in place: positions with
-/// `col > row + offset` receive `-1e9`. In an incremental forward `offset` is
-/// `prefix_len + cached_tokens`, so every cached column stays visible and the
-/// new rows mask exactly as the corresponding rows of a full forward.
-///
-/// # Panics
-/// Panics unless `cols == rows + offset`.
-pub fn causal_mask_in_place(m: &mut Matrix, offset: usize) {
-    let (n, cols) = m.shape();
-    assert_eq!(cols, n + offset, "causal_mask: cols must be rows + offset");
-    for r in 0..n {
-        let row = m.row_mut(r);
-        for (c, x) in row.iter_mut().enumerate() {
-            if c > r + offset {
-                *x = -1e9;
-            }
-        }
-    }
 }
 
 /// Cumulative prefix mean over rows: `out[t] = mean(x[0..=t])` — the value
@@ -178,15 +158,6 @@ mod tests {
         let c = cumulative_mean_rows(&x);
         assert_eq!(c.row(0), x.row(0));
         assert_eq!(c.row(1), &[2.0, -1.0, 3.5]);
-    }
-
-    #[test]
-    fn causal_mask_offset_pattern() {
-        let mut m = Matrix::zeros(2, 5);
-        causal_mask_in_place(&mut m, 3);
-        assert_eq!(m.get(0, 3), 0.0);
-        assert_eq!(m.get(0, 4), -1e9);
-        assert_eq!(m.get(1, 4), 0.0);
     }
 
     #[test]

@@ -771,6 +771,54 @@ pub fn av_heads_seg_into(
     fold_heads(a.data(), v.data(), out.data_mut(), &g);
 }
 
+/// Every head's `aᵀ·b` over a query-major scores matrix: for `a`
+/// `[m·n_heads, keys]` (row `i·n_heads + h`, as [`qk_heads_panel`] writes
+/// it) and `b` `[m, d]`,
+/// `out[j, head h] = Σ_i a[i·n_heads + h, j] · b[i, head h]`, `out`
+/// `[keys, d]` overwritten — the attention backward's `dV = Aᵀ·g` and
+/// `dK = dSᵀ·Q` for every head in one call.
+///
+/// Bitwise contract: each output element is one ascending-`i` `fmadd` chain
+/// from `0.0` — the chain [`matmul_at`] folds for the same head's columns of
+/// `a` and `b`. `a` is transposed head by head into a scratch panel first,
+/// so the fold reads each chain's terms contiguously.
+pub fn at_heads_into(a: &Matrix, b: &Matrix, n_heads: usize, out: &mut Matrix) {
+    let (m, d) = b.shape();
+    let keys = a.cols();
+    assert!(
+        n_heads > 0 && d.is_multiple_of(n_heads) && a.rows() == m * n_heads,
+        "at_heads_into: head split"
+    );
+    assert_eq!(out.shape(), (keys, d), "at_heads_into: out shape");
+    // `at[(h·keys + j)·m + i] = a[i·n_heads + h, j]`.
+    let mut at = vec![0.0f32; a.len()];
+    for i in 0..m {
+        for h in 0..n_heads {
+            for (j, &x) in a.row(i * n_heads + h).iter().enumerate() {
+                at[(h * keys + j) * m + i] = x;
+            }
+        }
+    }
+    let hd = d / n_heads;
+    let g = HeadFold {
+        rows: keys,
+        heads: n_heads,
+        seg: m,
+        w: hd,
+        a0: 0,
+        a_row: m,
+        a_head: keys * m,
+        b0: 0,
+        b_head: hd,
+        b_stride: d,
+        o0: 0,
+        o_row: d,
+        o_head: hd,
+        accumulate: false,
+    };
+    fold_heads(&at, b.data(), out.data_mut(), &g);
+}
+
 /// Geometry of one all-heads row fold ([`fold_heads`]): offsets and strides,
 /// in elements, into the three flat buffers.
 #[derive(Clone, Copy)]
@@ -1505,7 +1553,9 @@ mod tests {
                 // The tape's sequence: scale, mask to -1e9, full-row softmax.
                 let mut masked = head_rows(&x, nh, h);
                 masked.scale_assign(scale);
-                crate::infer::causal_mask_in_place(&mut masked, offset);
+                for r in 0..rows {
+                    masked.row_mut(r)[r + offset + 1..].fill(-1e9);
+                }
                 softmax_rows_in_place(&mut masked);
                 assert_bits(
                     head_rows(&causal, nh, h).data(),

@@ -14,7 +14,8 @@
 //!   no boxed closures, so tapes are `Send` and backward dispatch is a jump
 //!   table over a dense `Vec`.
 //! * Trainable parameters live *outside* tapes in [`ParamSet`]s. A parameter is
-//!   leafed into a tape once per forward pass (cached by [`Tape::param`]);
+//!   leafed into a tape once per forward pass (cached by [`Tape::param`]),
+//!   sharing the parameter's storage, so no value is copied;
 //!   after `backward`, [`Tape::grads`] extracts per-parameter gradients into a
 //!   mergeable [`Gradients`] map, enabling data-parallel batch accumulation.
 //!   [`Tape::new`] differentiates towards every node;
@@ -25,6 +26,10 @@
 //!   [`Tape::matmul_bt`] and the backward's `g·bᵀ`, `g·Wᵀ` — multiplies by a
 //!   transposed operand: a [`Param`] owns its value's
 //!   ([`Param::transposed`]), any other operand is transposed at the op.
+//! * Causal multi-head attention is one node ([`Tape::attention`]) on the
+//!   KV-cached engine's all-heads kernels, with one backward arm for every
+//!   head; its values and gradients are bitwise the per-head graph of
+//!   slices, products, mask and softmax it replaced.
 //!
 //! Gradient correctness for every op is property-tested against central finite
 //! differences (see `tests/` and [`check`]).

@@ -1,5 +1,6 @@
 //! The operation vocabulary of the autograd tape.
 
+use crate::matrix::Matrix;
 use crate::param::ParamId;
 use crate::tape::NodeId;
 
@@ -7,8 +8,8 @@ use crate::tape::NodeId;
 ///
 /// Ops are a closed enum (no boxed closures): the backward pass in
 /// `backward.rs` matches on this tag, which keeps tapes `Send` and dispatch
-/// branch-predictable. Integer payloads (`ids`, `targets`) are owned by the
-/// op so a node is self-contained.
+/// branch-predictable. Integer payloads (`ids`, `targets`) and the
+/// attention probabilities are owned by the op so a node is self-contained.
 #[derive(Debug, Clone)]
 pub enum Op {
     /// An input value; `param` links it to a trainable parameter for gradient
@@ -42,8 +43,6 @@ pub enum Op {
     Scale(NodeId, f32),
     /// Matrix transpose.
     Transpose(NodeId),
-    /// Row-wise softmax.
-    Softmax(NodeId),
     /// Row-wise log-softmax.
     LogSoftmax(NodeId),
     /// Layer normalization over each row with affine `gain`/`bias` (`[1,d]`).
@@ -87,17 +86,27 @@ pub enum Op {
     ConcatRows(NodeId, NodeId),
     /// Horizontal concatenation of parts with equal row counts.
     ConcatCols(Vec<NodeId>),
-    /// Column slice `[.., start..end)`.
-    SliceCols(NodeId, usize, usize),
     /// Row slice `[start..end, ..]`.
     SliceRows(NodeId, usize, usize),
-    /// Adds `-1e9` where `col > row + offset` (causal attention mask; the
-    /// offset accommodates prefix-tuning's prepended key/value rows).
-    CausalMask {
-        /// Attention score matrix `[n, n+offset]`.
-        a: NodeId,
-        /// Number of always-visible leading columns.
-        offset: usize,
+    /// Causal multi-head attention, every head in one node:
+    /// `softmax(mask(q_h k_hᵀ / √d_h)) v_h` for each head `h` (columns
+    /// `h·d_h..(h+1)·d_h`), heads side by side in the output. The `prefix`
+    /// `(K, V)` rows are prepended to every head's keys and values and are
+    /// visible to every query.
+    Attention {
+        /// Queries `[n,d]`.
+        q: NodeId,
+        /// Keys `[n,d]`.
+        k: NodeId,
+        /// Values `[n,d]`.
+        v: NodeId,
+        /// Prefix keys and values `[p,d]` each.
+        prefix: Option<(NodeId, NodeId)>,
+        /// Heads `d` splits into.
+        n_heads: usize,
+        /// The attention probabilities, query-major `[n·n_heads, p+n]`
+        /// (row `i·n_heads + h`), kept for the backward.
+        probs: Matrix,
     },
     /// Mean token-level cross-entropy between `logits [n,V]` and `targets`;
     /// produces a `[1,1]` loss. Positions with target == `IGNORE_INDEX`
@@ -137,7 +146,6 @@ impl Op {
             | Op::ConcatRows(a, b) => f(*a) || f(*b),
             Op::Scale(a, _)
             | Op::Transpose(a)
-            | Op::Softmax(a)
             | Op::LogSoftmax(a)
             | Op::Relu(a)
             | Op::Gelu(a)
@@ -146,13 +154,14 @@ impl Op {
             | Op::MeanRows(a)
             | Op::CumMeanRows(a)
             | Op::MeanSelectedRows(a, _)
-            | Op::SliceCols(a, _, _)
-            | Op::SliceRows(a, _, _)
-            | Op::CausalMask { a, .. } => f(*a),
+            | Op::SliceRows(a, _, _) => f(*a),
             Op::LayerNorm { x, gain, bias, .. } => f(*x) || f(*gain) || f(*bias),
             Op::Affine { x, w, bias } => f(*x) || f(*w) || f(*bias),
             Op::Embedding { weight, .. } => f(*weight),
             Op::ConcatCols(parts) => parts.iter().any(|&p| f(p)),
+            Op::Attention {
+                q, k, v, prefix, ..
+            } => f(*q) || f(*k) || f(*v) || prefix.is_some_and(|(pk, pv)| f(pk) || f(pv)),
             Op::CrossEntropy { logits, .. } | Op::BceWithLogits { logits, .. } => f(*logits),
         }
     }
@@ -170,7 +179,6 @@ impl Op {
             Op::Mul(..) => "mul",
             Op::Scale(..) => "scale",
             Op::Transpose(..) => "transpose",
-            Op::Softmax(..) => "softmax",
             Op::LogSoftmax(..) => "log_softmax",
             Op::LayerNorm { .. } => "layer_norm",
             Op::Relu(..) => "relu",
@@ -184,9 +192,8 @@ impl Op {
             Op::MeanSelectedRows(..) => "mean_selected_rows",
             Op::ConcatRows(..) => "concat_rows",
             Op::ConcatCols(..) => "concat_cols",
-            Op::SliceCols(..) => "slice_cols",
             Op::SliceRows(..) => "slice_rows",
-            Op::CausalMask { .. } => "causal_mask",
+            Op::Attention { .. } => "attention",
             Op::CrossEntropy { .. } => "cross_entropy",
             Op::BceWithLogits { .. } => "bce_with_logits",
         }
@@ -248,14 +255,16 @@ mod tests {
 
     #[test]
     fn names_are_distinctive() {
-        assert_eq!(Op::Softmax(NodeId(0)).name(), "softmax");
-        assert_eq!(
-            Op::CausalMask {
-                a: NodeId(0),
-                offset: 0
-            }
-            .name(),
-            "causal_mask"
-        );
+        assert_eq!(Op::LogSoftmax(NodeId(0)).name(), "log_softmax");
+        let attention = Op::Attention {
+            q: NodeId(0),
+            k: NodeId(1),
+            v: NodeId(2),
+            prefix: Some((NodeId(3), NodeId(4))),
+            n_heads: 2,
+            probs: Matrix::zeros(1, 1),
+        };
+        assert_eq!(attention.name(), "attention");
+        assert_eq!(parents(&attention), (0..5).map(NodeId).collect::<Vec<_>>());
     }
 }

@@ -27,17 +27,22 @@ pub(crate) type Transpose = Arc<OnceLock<Matrix>>;
 /// while names provide the stable cross-checkpoint key (see
 /// [`ParamSet::load_state_from`]).
 ///
+/// The value is shared storage: a clone of the parameter and every tape
+/// leaf of it ([`crate::Tape::param`]) hold the same matrix, and
+/// [`Param::data_mut`], the only way to change it, copies it first only
+/// while another holder is alive. A training step drops its tapes before
+/// the optimizer writes, so a step copies no parameter.
+///
 /// A parameter also owns its value's transpose ([`Param::transposed`]): the
 /// right operand of every `x·Wᵀ` product, built once per value and never
-/// serialized. [`Param::data_mut`], the only way to change the value, drops
-/// it, so a frozen weight builds it once per process and a trained one once
-/// per optimizer step.
+/// serialized. [`Param::data_mut`] drops it, so a frozen weight builds it
+/// once per process and a trained one once per optimizer step.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Param {
     #[serde(skip, default = "fresh_id")]
     id: ParamId,
     name: String,
-    data: Matrix,
+    data: Arc<Matrix>,
     #[serde(skip)]
     transposed: Transpose,
 }
@@ -52,7 +57,7 @@ impl Param {
         Param {
             id: fresh_id(),
             name: name.into(),
-            data,
+            data: Arc::new(data),
             transposed: Transpose::default(),
         }
     }
@@ -74,13 +79,14 @@ impl Param {
         &self.data
     }
 
-    /// Mutable value (used by optimizers). Drops the transpose: the next
-    /// [`Param::transposed`] builds it from the new value. Clones made
-    /// before keep theirs, which is still the transpose of their value.
+    /// Mutable value (used by optimizers). Copies the value first if a
+    /// clone or a live tape leaf shares it, and drops the transpose: the
+    /// next [`Param::transposed`] builds it from the new value. Clones and
+    /// leaves made before keep their value and its transpose.
     #[inline]
     pub fn data_mut(&mut self) -> &mut Matrix {
         self.transposed = Transpose::default();
-        &mut self.data
+        Arc::make_mut(&mut self.data)
     }
 
     /// The value transposed, `[cols, rows]`, built by the first call after
@@ -91,9 +97,9 @@ impl Param {
         self.transposed.get_or_init(|| self.data.transposed())
     }
 
-    /// The shared transpose cell, for a tape leaf of this value.
-    pub(crate) fn transpose_cell(&self) -> Transpose {
-        Arc::clone(&self.transposed)
+    /// The shared value and its transpose cell, for a tape leaf.
+    pub(crate) fn share(&self) -> (Arc<Matrix>, Transpose) {
+        (Arc::clone(&self.data), Arc::clone(&self.transposed))
     }
 
     /// Number of scalar elements.
@@ -181,7 +187,9 @@ impl ParamSet {
                         src.data.shape()
                     ));
                 }
-                *p.data_mut() = src.data.clone();
+                // Shares the checkpoint's value and its transpose cell.
+                p.data = Arc::clone(&src.data);
+                p.transposed = Arc::clone(&src.transposed);
                 matched += 1;
             }
         }

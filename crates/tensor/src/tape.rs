@@ -7,15 +7,16 @@
 //! when one of its parents does: frozen weights get no gradient, and the
 //! layers below the lowest trainable parameter get no backward at all.
 //!
-//! A parameter leaf also carries its [`Param`]'s transpose cell. Every
-//! product with a transposed right operand — [`Tape::matmul_bt`], and in
-//! `backward` the `g·bᵀ` of a matmul and the `g·Wᵀ` of an affine — is a
-//! plain [`kernels::matmul_into`] over that transpose, built once per
-//! parameter value and shared by every tape of it; any other operand is
-//! transposed once, at the op.
+//! A parameter leaf holds its [`Param`]'s own storage, shared, not copied,
+//! and its transpose cell. Every product with a transposed right operand —
+//! [`Tape::matmul_bt`], and in `backward` the `g·bᵀ` of a matmul and the
+//! `g·Wᵀ` of an affine — is a plain [`kernels::matmul_into`] over that
+//! transpose, built once per parameter value and shared by every tape of
+//! it; any other operand is transposed once, at the op.
 
 use std::borrow::Cow;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use crate::infer;
 use crate::kernels;
@@ -37,19 +38,34 @@ impl NodeId {
 
 pub(crate) struct Node {
     pub(crate) op: Op,
-    pub(crate) value: Matrix,
+    value: Value,
     pub(crate) needs_grad: bool,
-    /// A parameter leaf's shared transpose cell; `None` on other nodes.
-    transpose: Option<Transpose>,
+}
+
+/// A node's forward value: the one its op computed, or a parameter's own
+/// storage and transpose cell, shared with the [`Param`] and every other
+/// tape of it.
+enum Value {
+    Computed(Matrix),
+    Param(Arc<Matrix>, Transpose),
 }
 
 impl Node {
+    /// The forward value.
+    #[inline]
+    pub(crate) fn value(&self) -> &Matrix {
+        match &self.value {
+            Value::Computed(m) => m,
+            Value::Param(m, _) => m,
+        }
+    }
+
     /// The value transposed: a parameter leaf's shared transpose (built here
     /// if no tape or owner has built it yet), any other node's built now.
     pub(crate) fn transposed(&self) -> Cow<'_, Matrix> {
-        match &self.transpose {
-            Some(cell) => Cow::Borrowed(cell.get_or_init(|| self.value.transposed())),
-            None => Cow::Owned(self.value.transposed()),
+        match &self.value {
+            Value::Param(m, cell) => Cow::Borrowed(cell.get_or_init(|| m.transposed())),
+            Value::Computed(m) => Cow::Owned(m.transposed()),
         }
     }
 }
@@ -100,7 +116,7 @@ impl Tape {
 
     /// The forward value of `id`.
     pub fn value(&self, id: NodeId) -> &Matrix {
-        &self.nodes[id.index()].value
+        self.nodes[id.index()].value()
     }
 
     /// The gradient of `id` after [`backward`](Self::backward); `None` if the
@@ -120,7 +136,11 @@ impl Tape {
     }
 
     fn push(&mut self, op: Op, value: Matrix) -> NodeId {
-        debug_assert!(value.all_finite() || matches!(op, Op::CausalMask { .. }));
+        debug_assert!(value.all_finite());
+        self.push_value(op, Value::Computed(value))
+    }
+
+    fn push_value(&mut self, op: Op, value: Value) -> NodeId {
         let needs_grad = match (&self.trainable, &op) {
             (None, _) => true,
             (Some(set), Op::Leaf { param }) => param.is_some_and(|p| set.contains(p)),
@@ -131,7 +151,6 @@ impl Tape {
             op,
             value,
             needs_grad,
-            transpose: None,
         });
         id
     }
@@ -144,22 +163,23 @@ impl Tape {
         self.push(Op::Leaf { param: None }, value)
     }
 
-    /// Leafs a parameter into the tape, copying its current data and
-    /// sharing its transpose cell ([`Param::transposed`]). Repeated calls
-    /// with the same parameter return the cached node. It needs a gradient
-    /// unless the tape was built with a [`TrainableSet`] that does not hold
-    /// it.
+    /// Leafs a parameter into the tape, sharing its storage and its
+    /// transpose cell ([`Param::transposed`]): no value is copied, and the
+    /// leaf keeps the value it was leafed with if the parameter changes
+    /// meanwhile. Repeated calls with the same parameter return the cached
+    /// node. It needs a gradient unless the tape was built with a
+    /// [`TrainableSet`] that does not hold it.
     pub fn param(&mut self, p: &Param) -> NodeId {
         if let Some(&id) = self.leaf_cache.get(&p.id()) {
             return id;
         }
-        let id = self.push(
+        let (data, transpose) = p.share();
+        let id = self.push_value(
             Op::Leaf {
                 param: Some(p.id()),
             },
-            p.data().clone(),
+            Value::Param(data, transpose),
         );
-        self.nodes[id.index()].transpose = Some(p.transpose_cell());
         self.leaf_cache.insert(p.id(), id);
         id
     }
@@ -249,12 +269,6 @@ impl Tape {
     }
 
     // ---- normalization & nonlinearity ---------------------------------------
-
-    /// Row-wise softmax.
-    pub fn softmax(&mut self, a: NodeId) -> NodeId {
-        let v = kernels::softmax_rows(self.value(a));
-        self.push(Op::Softmax(a), v)
-    }
 
     /// Row-wise log-softmax.
     pub fn log_softmax(&mut self, a: NodeId) -> NodeId {
@@ -404,17 +418,6 @@ impl Tape {
         self.push(Op::ConcatCols(parts.to_vec()), v)
     }
 
-    /// Column slice `[.., start..end)`.
-    pub fn slice_cols(&mut self, a: NodeId, start: usize, end: usize) -> NodeId {
-        let va = self.value(a);
-        assert!(start < end && end <= va.cols(), "slice_cols: bad range");
-        let mut v = Matrix::zeros(va.rows(), end - start);
-        for r in 0..va.rows() {
-            v.row_mut(r).copy_from_slice(&va.row(r)[start..end]);
-        }
-        self.push(Op::SliceCols(a, start, end), v)
-    }
-
     /// Row slice `[start..end, ..)`.
     pub fn slice_rows(&mut self, a: NodeId, start: usize, end: usize) -> NodeId {
         let va = self.value(a);
@@ -425,12 +428,65 @@ impl Tape {
         self.push(Op::SliceRows(a, start, end), v)
     }
 
-    /// Applies the causal attention mask: positions with `col > row + offset`
-    /// receive `-1e9`. `offset` > 0 makes leading (prefix) columns visible.
-    pub fn causal_mask(&mut self, a: NodeId, offset: usize) -> NodeId {
-        let mut v = self.value(a).clone();
-        infer::causal_mask_in_place(&mut v, offset);
-        self.push(Op::CausalMask { a, offset }, v)
+    /// Causal multi-head attention of `q` over `k`/`v` (`[n,d]` each), with
+    /// `prefix`'s `(K, V)` rows (`[p,d]` each) prepended to every head's keys
+    /// and values and visible to every query: one [`Op::Attention`] node for
+    /// every head. The forward runs the KV-cached engine's kernels over the
+    /// sequence as one panel — [`kernels::qk_heads_panel`],
+    /// [`kernels::softmax_heads_causal_in_place`] and
+    /// [`kernels::av_heads_seg_into`], prefix first — so each row is bitwise
+    /// the engine's, and bitwise the per-head graph of slices, `q_h·k_hᵀ`,
+    /// scale, causal mask, softmax, `·v_h` and concatenation.
+    ///
+    /// # Panics
+    /// Panics on mismatched shapes or `d` not divisible by `n_heads`.
+    pub fn attention(
+        &mut self,
+        q: NodeId,
+        k: NodeId,
+        v: NodeId,
+        prefix: Option<(NodeId, NodeId)>,
+        n_heads: usize,
+    ) -> NodeId {
+        let vq = self.value(q);
+        let (n, d) = vq.shape();
+        for x in [k, v] {
+            assert_eq!(self.value(x).shape(), (n, d), "attention: q/k/v shapes");
+        }
+        let p = prefix.map_or(0, |(pk, pv)| {
+            let rows = self.value(pk).rows();
+            for x in [pk, pv] {
+                assert_eq!(self.value(x).shape(), (rows, d), "attention: prefix shape");
+            }
+            rows
+        });
+        let keys = p + n;
+        let scale = 1.0 / ((d / n_heads) as f32).sqrt();
+        let mut probs = Matrix::zeros(n * n_heads, keys);
+        let panel = |kt: &Matrix, keys, probs: &mut Matrix, col| {
+            kernels::qk_heads_panel(vq, 0, n, kt, keys, n_heads, probs, col)
+        };
+        if let Some((pk, _)) = prefix {
+            panel(&self.nodes[pk.index()].transposed(), p, &mut probs, 0);
+        }
+        panel(&self.nodes[k.index()].transposed(), n, &mut probs, p);
+        kernels::softmax_heads_causal_in_place(&mut probs, n_heads, p, scale);
+        let mut out = Matrix::zeros(n, d);
+        if let Some((_, pv)) = prefix {
+            kernels::av_heads_seg_into(&probs, 0, p, self.value(pv), n_heads, &mut out, 0, false);
+        }
+        kernels::av_heads_seg_into(&probs, p, keys, self.value(v), n_heads, &mut out, 0, p > 0);
+        self.push(
+            Op::Attention {
+                q,
+                k,
+                v,
+                prefix,
+                n_heads,
+                probs,
+            },
+            out,
+        )
     }
 
     // ---- losses -------------------------------------------------------------
@@ -540,28 +596,6 @@ mod tests {
     }
 
     #[test]
-    fn causal_mask_pattern() {
-        let mut t = Tape::new();
-        let a = t.leaf(Matrix::zeros(3, 3));
-        let m = t.causal_mask(a, 0);
-        assert_eq!(t.value(m).get(0, 1), -1e9);
-        assert_eq!(t.value(m).get(1, 1), 0.0);
-        assert_eq!(t.value(m).get(2, 0), 0.0);
-    }
-
-    #[test]
-    fn causal_mask_with_prefix_offset() {
-        let mut t = Tape::new();
-        let a = t.leaf(Matrix::zeros(2, 4));
-        let m = t.causal_mask(a, 2);
-        // prefix columns 0..2 always visible
-        assert_eq!(t.value(m).get(0, 0), 0.0);
-        assert_eq!(t.value(m).get(0, 2), 0.0);
-        assert_eq!(t.value(m).get(0, 3), -1e9);
-        assert_eq!(t.value(m).get(1, 3), 0.0);
-    }
-
-    #[test]
     fn embedding_gathers_rows() {
         let mut t = Tape::new();
         let w = t.leaf(Matrix::from_vec(3, 2, vec![0., 0., 1., 1., 2., 2.]));
@@ -579,14 +613,12 @@ mod tests {
     }
 
     #[test]
-    fn concat_and_slice_round_trip() {
+    fn concat_and_slice_rows() {
         let mut t = Tape::new();
         let a = t.leaf(Matrix::from_vec(2, 2, vec![1., 2., 3., 4.]));
         let b = t.leaf(Matrix::from_vec(2, 1, vec![5., 6.]));
         let c = t.concat_cols(&[a, b]);
         assert_eq!(t.value(c).row(0), &[1., 2., 5.]);
-        let s = t.slice_cols(c, 2, 3);
-        assert_eq!(t.value(s).data(), &[5., 6.]);
         let r = t.slice_rows(c, 1, 2);
         assert_eq!(t.value(r).data(), &[3., 4., 6.]);
     }

@@ -487,6 +487,58 @@ fn hooked_lm_gradients_bitwise_across_tiers() {
     }
 }
 
+/// The fused attention node's value and every input's gradient — queries,
+/// keys, values and prefix rows — per tier, at every sequence length up to
+/// the 12-layer geometry's `max_seq`, 1, 2 and 4 heads, 0 and 3 prefix rows.
+#[test]
+fn fused_attention_bitwise_across_tiers() {
+    let _g = guard();
+    let cfg = ModelConfig::default();
+    let mut rng = ChaCha8Rng::seed_from_u64(39);
+    for n_heads in [1, 2, 4] {
+        for prefix in [0, 3] {
+            for n in 1..=cfg.max_seq {
+                let mut random = |rows: usize| {
+                    let vals: Vec<f32> = (0..rows * cfg.d_model)
+                        .map(|_| rng.gen_range(-1.5f32..1.5))
+                        .collect();
+                    Param::new("x", matrix(rows, cfg.d_model, &vals))
+                };
+                let mut inputs = vec![random(n), random(n), random(n)];
+                if prefix > 0 {
+                    inputs.extend([random(prefix), random(prefix)]);
+                }
+                let w = random(n);
+                let run = || {
+                    let mut t = Tape::new();
+                    let x: Vec<_> = inputs.iter().map(|p| t.param(p)).collect();
+                    let pre = (prefix > 0).then(|| (x[3], x[4]));
+                    let att = t.attention(x[0], x[1], x[2], pre, n_heads);
+                    let wn = t.param(&w);
+                    let y = t.mul(att, wn);
+                    let row = t.mean_rows(y);
+                    let ones = t.leaf(Matrix::full(cfg.d_model, 1, 1.0));
+                    let loss = t.matmul(row, ones);
+                    t.backward(loss);
+                    let mut out = vec![t.value(att).clone()];
+                    out.extend(x.iter().map(|&id| t.grad(id).unwrap().clone()));
+                    out
+                };
+                let scalar = under(simd::Isa::Scalar, run);
+                for isa in simd_tiers() {
+                    for (i, (want, got)) in scalar.iter().zip(under(isa, run)).enumerate() {
+                        let ctx = format!(
+                            "{n} rows, {n_heads} heads, {prefix} prefix rows, output {i} on {}",
+                            isa.name()
+                        );
+                        assert_bits_eq(&got, want, &ctx);
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// A product big enough to cross `PAR_MIN_FLOPS` (160³ ≈ 8.2 MFLOP): the
 /// banded multi-thread path and every tier must all agree bitwise.
 #[test]

@@ -224,6 +224,20 @@ impl<T: Deserialize> Deserialize for Option<T> {
     }
 }
 
+/// Serialized as the value it points to, like serde's `rc` feature: a
+/// shared value is written once per holder and read back unshared.
+impl<T: Serialize + ?Sized> Serialize for std::sync::Arc<T> {
+    fn to_value(&self) -> Value {
+        (**self).to_value()
+    }
+}
+
+impl<T: Deserialize> Deserialize for std::sync::Arc<T> {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        T::from_value(v).map(std::sync::Arc::new)
+    }
+}
+
 impl<T: Serialize> Serialize for Vec<T> {
     fn to_value(&self) -> Value {
         Value::Array(self.iter().map(Serialize::to_value).collect())
