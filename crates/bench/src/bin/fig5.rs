@@ -3,5 +3,6 @@
 
 fn main() {
     let args = infuserki_bench::parse_args(std::env::args().skip(1));
-    print!("{}", infuserki_bench::figs::fig5(args));
+    let text = infuserki_bench::figs::fig5(args, &mut Default::default());
+    print!("{text}");
 }

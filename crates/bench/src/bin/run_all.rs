@@ -1,39 +1,36 @@
 //! Runs every table and figure in sequence and writes the combined report to
-//! `results/all_experiments.md`.
+//! `results/all_experiments.md`. One set of studies serves every view, so
+//! each world is built and detected once and each method trains once per
+//! world and schedule.
 
 use std::fmt::Write as _;
 use std::time::Instant;
 
+use infuserki_bench::{extensions, figs, tables, Args, Studies};
+
+/// A table or figure: renders its text from the shared studies.
+type View = fn(Args, &mut Studies) -> String;
+
 fn main() {
     let args = infuserki_bench::parse_args(std::env::args().skip(1));
+    let mut studies = Studies::default();
     let mut combined = String::from("# InfuserKI reproduction — full experiment run\n\n");
     let started = Instant::now();
 
-    for (name, f) in [
-        ("table1", infuserki_bench::tables::table1 as fn(_) -> _),
-        ("table2", infuserki_bench::tables::table2),
-        ("table3", infuserki_bench::tables::table3),
-        ("table4", infuserki_bench::tables::table4),
-    ] {
+    let views: [(&str, View); 9] = [
+        ("table1", |a, s| tables::table1(a, s).render()),
+        ("table2", |a, s| tables::table2(a, s).render()),
+        ("table3", |a, s| tables::table3(a, s).render()),
+        ("table4", |a, s| tables::table4(a, s).render()),
+        ("fig1", figs::fig1),
+        ("fig5", figs::fig5),
+        ("fig6", figs::fig6),
+        ("fig7", figs::fig7),
+        ("ext", extensions::extensions),
+    ];
+    for (name, view) in views {
         let t = Instant::now();
-        let report = f(args);
-        let _ = writeln!(combined, "{}", report.render());
-        let _ = writeln!(
-            combined,
-            "_{name} took {:.0}s_\n",
-            t.elapsed().as_secs_f32()
-        );
-        println!("{}", report.render());
-    }
-    for (name, f) in [
-        ("fig1", infuserki_bench::figs::fig1 as fn(_) -> String),
-        ("fig5", infuserki_bench::figs::fig5),
-        ("fig6", infuserki_bench::figs::fig6),
-        ("fig7", infuserki_bench::figs::fig7),
-        ("ext", infuserki_bench::extensions::extensions),
-    ] {
-        let t = Instant::now();
-        let text = f(args);
+        let text = view(args, &mut studies);
         let _ = writeln!(combined, "{text}");
         let _ = writeln!(
             combined,

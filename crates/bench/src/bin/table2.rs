@@ -3,6 +3,6 @@
 
 fn main() {
     let args = infuserki_bench::parse_args(std::env::args().skip(1));
-    let report = infuserki_bench::tables::table2(args);
+    let report = infuserki_bench::tables::table2(args, &mut Default::default());
     print!("{}", report.render());
 }

@@ -3,7 +3,7 @@
 
 fn main() {
     let args = infuserki_bench::parse_args(std::env::args().skip(1));
-    let report = infuserki_bench::tables::table4(args);
+    let report = infuserki_bench::tables::table4(args, &mut Default::default());
     print!("{}", report.render());
     println!("\nNR / RR / F1_Unseen summary:");
     for r in &report.rows {

@@ -6,7 +6,8 @@
 /// ratios at single-core-CPU-feasible sizes; `Quick` is a smoke-test size.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
-    /// Smoke-test scale (~2 min per table).
+    /// Smoke-test scale (about 33 s for `table1` with the base cached, one
+    /// kernel thread on a 2-core host).
     Quick,
     /// CPU-budget scale (used for the recorded EXPERIMENTS.md runs).
     Default,

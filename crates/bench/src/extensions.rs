@@ -14,17 +14,17 @@ use infuserki_baselines::mitigation::{
     train_full_ft_distill, train_full_ft_ewc, train_full_ft_replay,
 };
 use infuserki_core::dataset::qa_sample;
-use infuserki_core::{train_infuserki, GateInput, InfuserKiConfig, InfuserKiMethod};
+use infuserki_core::{GateInput, InfuserKiConfig, TrainConfig};
 use infuserki_eval::downstream::{build_two_hop_items, eval_two_hop};
-use infuserki_eval::evaluate_method;
 use infuserki_eval::world::{Domain, WorldConfig};
+use infuserki_eval::{evaluate_method, MethodEval};
 use infuserki_nn::{LmSample, NoHook};
 use infuserki_text::templates::SEEN_TEMPLATES;
 
 use crate::cli::Args;
-use crate::runner::{prepare, Prepared};
+use crate::runner::{MethodKind, Studies, Study};
 
-fn known_samples(p: &Prepared) -> Vec<LmSample> {
+fn known_samples(p: &Study) -> Vec<LmSample> {
     p.known
         .iter()
         .flat_map(|&i| {
@@ -36,12 +36,18 @@ fn known_samples(p: &Prepared) -> Vec<LmSample> {
 }
 
 /// Runs the extension suite; returns the report text.
-pub fn extensions(args: Args) -> String {
+pub fn extensions(args: Args, studies: &mut Studies) -> String {
     let n = args.scale.pick(120, 300, 2500);
-    let p = prepare(&WorldConfig::new(Domain::Umls, n, args.seed));
+    let p = studies.get(&WorldConfig::new(Domain::Umls, n, args.seed));
+    let tc = TrainConfig::default();
+    let n_layers = p.world.base.n_layers();
+    let ik = p.run(&MethodKind::default_infuserki(n_layers), &tc);
+    // Design ablation: the gate reads the sublayer output instead of input.
+    let mut gate_out_cfg = InfuserKiConfig::for_model(n_layers);
+    gate_out_cfg.gate_input = GateInput::SublayerOut;
+    let ik_out = p.run(&MethodKind::InfuserKi(gate_out_cfg), &tc);
     let w = &p.world;
-    let known_qa = known_samples(&p);
-    let tc = infuserki_core::TrainConfig::default();
+    let known_qa = known_samples(p);
 
     let mut out = String::new();
     let _ = writeln!(
@@ -54,28 +60,24 @@ pub fn extensions(args: Args) -> String {
         "Method", "NR", "RR", "F1_Unseen"
     );
 
-    let eval_and_row = |name: &str,
-                        model: &infuserki_nn::TransformerLm,
-                        hook: &dyn infuserki_nn::LayerHook,
-                        out: &mut String| {
-        let e = evaluate_method(model, hook, &w.tokenizer, &w.bank, &p.known, &p.unknown);
+    let row = |name: &str, e: &MethodEval, out: &mut String| {
         let _ = writeln!(
             out,
             "{name:<22} {:>5.2} {:>5.2} {:>9.2}",
             e.nr, e.rr, e.f1_unseen
         );
-        e
+    };
+    let eval_and_row = |name: &str,
+                        model: &infuserki_nn::TransformerLm,
+                        hook: &dyn infuserki_nn::LayerHook,
+                        out: &mut String| {
+        let e = evaluate_method(model, hook, &w.tokenizer, &w.bank, &p.known, &p.unknown);
+        row(name, &e, out);
     };
 
     // InfuserKI reference row.
-    eprintln!("[ext] training InfuserKI…");
-    let mut ik = InfuserKiMethod::new(
-        InfuserKiConfig::for_model(w.base.n_layers()),
-        &w.base,
-        w.store.n_relations(),
-    );
-    train_infuserki(&w.base, &mut ik, &p.data, &tc);
-    let ik_eval = eval_and_row("InfuserKI", &w.base, &ik.hook(), &mut out);
+    let ik_eval = &ik.row.eval;
+    row("InfuserKI", ik_eval, &mut out);
 
     // GRACE: sequential edits of the unknown facts.
     eprintln!("[ext] applying GRACE edits…");
@@ -93,18 +95,7 @@ pub fn extensions(args: Args) -> String {
         &mut out,
     );
 
-    // Design ablation: gate reads the sublayer output instead of input.
-    eprintln!("[ext] training InfuserKI (gate on FFN output)…");
-    let mut gate_out_cfg = InfuserKiConfig::for_model(w.base.n_layers());
-    gate_out_cfg.gate_input = GateInput::SublayerOut;
-    let mut ik_out = InfuserKiMethod::new(gate_out_cfg, &w.base, w.store.n_relations());
-    train_infuserki(&w.base, &mut ik_out, &p.data, &tc);
-    eval_and_row(
-        "InfuserKI (gate=FFN-out)",
-        &w.base,
-        &ik_out.hook(),
-        &mut out,
-    );
+    row("InfuserKI (gate=FFN-out)", &ik_out.row.eval, &mut out);
 
     // Classic mitigations over full fine-tuning.
     let new_qa: Vec<LmSample> = p
@@ -164,7 +155,7 @@ pub fn extensions(args: Args) -> String {
     // 2-hop compositionality.
     let items = build_two_hop_items(&w.store, 150);
     let base_2hop = eval_two_hop(&w.base, &NoHook, &w.tokenizer, &items);
-    let ik_2hop = eval_two_hop(&w.base, &ik.hook(), &w.tokenizer, &items);
+    let ik_2hop = eval_two_hop(&w.base, ik.hook.as_ref(), &w.tokenizer, &items);
     let _ = writeln!(
         out,
         "\n2-hop compositional QA (token F1 over {} paths): vanilla {base_2hop:.2} → InfuserKI {ik_2hop:.2}",

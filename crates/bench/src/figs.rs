@@ -3,64 +3,35 @@
 
 use std::fmt::Write as _;
 
-use infuserki_baselines::lora::{LoraConfig, LoraMethod};
-use infuserki_baselines::{train_patched, FullFineTune};
-use infuserki_core::{train_infuserki, InfuserKiConfig, InfuserKiMethod};
-use infuserki_eval::mcq_eval::answer_template;
+use infuserki_baselines::FullFineTune;
+use infuserki_core::{InfuserKiConfig, TrainConfig};
+use infuserki_eval::metrics::McqOutcome;
 use infuserki_eval::probes::{fig1_layer, gate_profile, hidden_states_for, option_probs_many};
 use infuserki_eval::projection::tsne;
 use infuserki_eval::world::{Domain, WorldConfig};
-use infuserki_eval::{evaluate_method, metrics::McqOutcome};
 use infuserki_nn::NoHook;
 
 use crate::cli::Args;
-use crate::runner::{placement_rows, prepare, Prepared};
+use crate::runner::{placement_rows, MethodKind, Studies};
 
 fn save_text(stem: &str, text: &str) {
     let _ = std::fs::create_dir_all("results");
     let _ = std::fs::write(format!("results/{stem}.txt"), text);
 }
 
-fn train_default_infuserki(p: &Prepared) -> InfuserKiMethod {
-    let cfg = InfuserKiConfig::for_model(p.world.base.n_layers());
-    let mut method = InfuserKiMethod::new(cfg, &p.world.base, p.world.store.n_relations());
-    train_infuserki(
-        &p.world.base,
-        &mut method,
-        &p.data,
-        &infuserki_core::TrainConfig::default(),
-    );
-    method
-}
-
-fn train_lora(p: &Prepared) -> LoraMethod {
-    let tc = infuserki_core::TrainConfig::default();
-    let mut lora = LoraMethod::new(LoraConfig::default(), &p.world.base);
-    train_patched(
-        &p.world.base,
-        &mut lora,
-        &p.data.qa,
-        tc.epochs_qa,
-        tc.lr,
-        tc.batch,
-        tc.seed,
-    );
-    lora
-}
-
 /// Fig. 1 — t-SNE of mid-depth representations for vanilla, fully
 /// fine-tuned, and InfuserKI models; plus the representation-drift metric
 /// that quantifies the figure's visual claim.
-pub fn fig1(args: Args) -> String {
+pub fn fig1(args: Args, studies: &mut Studies) -> String {
     let n = args.scale.pick(120, 300, 600);
-    let p = prepare(&WorldConfig::new(Domain::Umls, n, args.seed));
-    let layer = fig1_layer(p.world.base.n_layers());
+    let p = studies.get(&WorldConfig::new(Domain::Umls, n, args.seed));
+    let n_layers = p.world.base.n_layers();
+    let layer = fig1_layer(n_layers);
 
-    eprintln!("[fig1] training InfuserKI…");
-    let method = train_default_infuserki(&p);
+    let tc = TrainConfig::default();
+    let ik = p.run(&MethodKind::default_infuserki(n_layers), &tc);
     eprintln!("[fig1] training full fine-tune…");
     let mut ft = FullFineTune::new(p.world.base.clone());
-    let tc = infuserki_core::TrainConfig::default();
     ft.train(&p.data.qa, tc.epochs_qa, tc.lr, tc.batch, tc.seed);
 
     // Balanced probe set.
@@ -74,7 +45,7 @@ pub fn fig1(args: Args) -> String {
     let tuned = hidden_states_for(ft.model(), &NoHook, &w.tokenizer, &w.bank, &indices, layer);
     let infused = hidden_states_for(
         &w.base,
-        &method.hook(),
+        ik.hook.as_ref(),
         &w.tokenizer,
         &w.bank,
         &indices,
@@ -152,9 +123,9 @@ fn l2(a: &[f32], b: &[f32]) -> f32 {
 
 /// Fig. 5 — adapter-position sweep: bottom/middle/top FFN thirds, attention
 /// layers, and the full FFN range.
-pub fn fig5(args: Args) -> String {
+pub fn fig5(args: Args, studies: &mut Studies) -> String {
     let n = args.scale.pick(120, 300, 2500);
-    let p = prepare(&WorldConfig::new(Domain::Umls, n, args.seed));
+    let p = studies.get(&WorldConfig::new(Domain::Umls, n, args.seed));
     let n_layers = p.world.base.n_layers();
 
     let mut out = String::new();
@@ -165,24 +136,13 @@ pub fn fig5(args: Args) -> String {
         "Placement", "NR", "RR", "F1_Unseen"
     );
     for (name, placement) in placement_rows(n_layers) {
-        eprintln!("[fig5] running placement {name}…");
+        eprintln!("[fig5] placement {name}");
         let mut cfg = InfuserKiConfig::for_model(n_layers);
         cfg.placement = placement;
-        let mut method = InfuserKiMethod::new(cfg, &p.world.base, p.world.store.n_relations());
-        train_infuserki(
-            &p.world.base,
-            &mut method,
-            &p.data,
-            &infuserki_core::TrainConfig::default(),
-        );
-        let eval = evaluate_method(
-            &p.world.base,
-            &method.hook(),
-            &p.world.tokenizer,
-            &p.world.bank,
-            &p.known,
-            &p.unknown,
-        );
+        let eval = &p
+            .run(&MethodKind::InfuserKi(cfg), &TrainConfig::default())
+            .row
+            .eval;
         let _ = writeln!(
             out,
             "{:<12} {:>5.2} {:>5.2} {:>9.2}",
@@ -194,17 +154,21 @@ pub fn fig5(args: Args) -> String {
 }
 
 /// Fig. 6 — infusing scores per layer for known vs. unknown samples.
-pub fn fig6(args: Args) -> String {
+pub fn fig6(args: Args, studies: &mut Studies) -> String {
     let n = args.scale.pick(120, 300, 2500);
-    let p = prepare(&WorldConfig::new(Domain::Umls, n, args.seed));
-    let method = train_default_infuserki(&p);
+    let p = studies.get(&WorldConfig::new(Domain::Umls, n, args.seed));
+    let ik = p.run(
+        &MethodKind::default_infuserki(p.world.base.n_layers()),
+        &TrainConfig::default(),
+    );
+    let hook = ik.hook.as_ref();
 
     let cap = 80;
     let known: Vec<usize> = p.known.iter().take(cap).copied().collect();
     let unknown: Vec<usize> = p.unknown.iter().take(cap).copied().collect();
     let w = &p.world;
-    let prof_known = gate_profile(&w.base, &method, &w.tokenizer, &w.bank, &known);
-    let prof_unknown = gate_profile(&w.base, &method, &w.tokenizer, &w.bank, &unknown);
+    let prof_known = gate_profile(&w.base, hook, &w.tokenizer, &w.bank, &known);
+    let prof_unknown = gate_profile(&w.base, hook, &w.tokenizer, &w.bank, &unknown);
 
     let mut out = String::new();
     let _ = writeln!(
@@ -239,16 +203,17 @@ pub fn fig6(args: Args) -> String {
 /// Fig. 7 — case study: option probability distributions for the base model,
 /// LoRA, and InfuserKI on (a) an injected fact and (b) a retained fact LoRA
 /// forgets.
-pub fn fig7(args: Args) -> String {
+pub fn fig7(args: Args, studies: &mut Studies) -> String {
     let n = args.scale.pick(120, 300, 2500);
-    let p = prepare(&WorldConfig::new(Domain::Umls, n, args.seed));
-    let method = train_default_infuserki(&p);
-    let lora = train_lora(&p);
+    let p = studies.get(&WorldConfig::new(Domain::Umls, n, args.seed));
+    let tc = TrainConfig::default();
+    let vanilla = p.run(&MethodKind::Vanilla, &tc);
+    let lora = p.run(&MethodKind::Lora, &tc);
+    let ik = p.run(&MethodKind::default_infuserki(p.world.base.n_layers()), &tc);
     let w = &p.world;
 
-    let base_outs = answer_template(&w.base, &NoHook, &w.tokenizer, &w.bank, 0);
-    let lora_outs = answer_template(&w.base, &lora, &w.tokenizer, &w.bank, 0);
-    let ik_outs = answer_template(&w.base, &method.hook(), &w.tokenizer, &w.bank, 0);
+    let (base_outs, lora_outs, ik_outs) =
+        (&vanilla.outcomes[0], &lora.outcomes[0], &ik.outcomes[0]);
     let ok = |outs: &[McqOutcome], i: usize| outs[i].correct();
 
     // Case (a): initially unknown, now answered correctly by LoRA and InfuserKI.
@@ -256,20 +221,20 @@ pub fn fig7(args: Args) -> String {
         .unknown
         .iter()
         .copied()
-        .find(|&i| ok(&lora_outs, i) && ok(&ik_outs, i))
-        .or_else(|| p.unknown.iter().copied().find(|&i| ok(&ik_outs, i)))
+        .find(|&i| ok(lora_outs, i) && ok(ik_outs, i))
+        .or_else(|| p.unknown.iter().copied().find(|&i| ok(ik_outs, i)))
         .unwrap_or(*p.unknown.first().unwrap_or(&0));
     // Case (b): initially known; LoRA forgets, InfuserKI remembers.
     let case_b = p
         .known
         .iter()
         .copied()
-        .find(|&i| ok(&base_outs, i) && !ok(&lora_outs, i) && ok(&ik_outs, i))
+        .find(|&i| ok(base_outs, i) && !ok(lora_outs, i) && ok(ik_outs, i))
         .or_else(|| {
             p.known
                 .iter()
                 .copied()
-                .find(|&i| ok(&base_outs, i) && !ok(&lora_outs, i))
+                .find(|&i| ok(base_outs, i) && !ok(lora_outs, i))
         })
         .unwrap_or(*p.known.first().unwrap_or(&0));
 
@@ -279,20 +244,11 @@ pub fn fig7(args: Args) -> String {
         .iter()
         .map(|&(_, i)| w.bank.mcq(0, i).clone())
         .collect();
-    let rows = [
-        (
-            "Vanilla",
-            option_probs_many(&w.base, &NoHook, &w.tokenizer, &case_mcqs),
-        ),
-        (
-            "LoRA",
-            option_probs_many(&w.base, &lora, &w.tokenizer, &case_mcqs),
-        ),
-        (
-            "InfuserKI",
-            option_probs_many(&w.base, &method.hook(), &w.tokenizer, &case_mcqs),
-        ),
-    ];
+    let rows = [("Vanilla", &vanilla), ("LoRA", &lora), ("InfuserKI", &ik)].map(|(name, run)| {
+        let model = run.model(&w.base);
+        let probs = option_probs_many(model, run.hook.as_ref(), &w.tokenizer, &case_mcqs);
+        (name, probs)
+    });
 
     let mut out = String::new();
     let _ = writeln!(out, "## Fig. 7 — case study (option probabilities)");

@@ -13,7 +13,7 @@
 //! | `fig5`   | Fig. 5 — adapter-position sweep               |
 //! | `fig6`   | Fig. 6 — infusing scores known vs. unknown    |
 //! | `fig7`   | Fig. 7 — case-study option probabilities      |
-//! | `run_all`| everything above, appending to EXPERIMENTS.md |
+//! | `run_all`| everything above, into `results/all_experiments.md` |
 //!
 //! `perf_suite` is CI's ratio gate: within-run ratios only, no arguments, no
 //! committed baseline. Speed itself — tok/s, latency, CPU per request — is
@@ -27,5 +27,5 @@ pub mod figs;
 pub mod runner;
 pub mod tables;
 
-pub use cli::{parse_args, Scale};
-pub use runner::{run_experiment, ExperimentConfig, ExperimentReport, MethodKind, MethodResult};
+pub use cli::{parse_args, Args, Scale};
+pub use runner::{ExperimentReport, MethodKind, MethodResult, Studies};

@@ -1,6 +1,9 @@
-//! The shared experiment runner: world → detection → per-method integration
-//! → NR/RR/F1/downstream, producing a paper-style table.
+//! The shared experiment runner: one [`Study`] per world (built and detected
+//! once), each method trained and evaluated once on it, and the paper-style
+//! tables read from those runs.
 
+use std::collections::BTreeMap;
+use std::rc::Rc;
 use std::time::Instant;
 
 use infuserki_baselines::calinet::{Calinet, CalinetConfig};
@@ -15,8 +18,9 @@ use infuserki_core::{train_infuserki, InfuserKiConfig, InfuserKiMethod, Placemen
 use infuserki_eval::downstream::{
     build_one_hop_items, build_yesno_items, eval_one_hop, eval_yesno, sample_downstream_triples,
 };
+use infuserki_eval::mcq_eval::answer_templates;
 use infuserki_eval::world::{build_world, Domain, World, WorldConfig};
-use infuserki_eval::{evaluate_method, MethodEval};
+use infuserki_eval::{McqOutcome, MethodEval};
 use infuserki_nn::{LayerHook, LmSample, NoHook, TransformerLm};
 use infuserki_text::templates::SEEN_TEMPLATES;
 use serde::{Deserialize, Serialize};
@@ -36,12 +40,17 @@ pub enum MethodKind {
     Lora,
     /// 4-bit quantized base + LoRA.
     QLora,
-    /// InfuserKI with the given config (paper-default via
-    /// [`ExperimentConfig::infuserki_default`]).
+    /// InfuserKI with the given config (paper default:
+    /// [`MethodKind::default_infuserki`]).
     InfuserKi(InfuserKiConfig),
 }
 
 impl MethodKind {
+    /// The paper-default InfuserKI for a model depth.
+    pub fn default_infuserki(n_layers: usize) -> Self {
+        MethodKind::InfuserKi(InfuserKiConfig::for_model(n_layers))
+    }
+
     /// Display name matching the paper's rows.
     pub fn name(&self) -> String {
         match self {
@@ -76,14 +85,12 @@ pub struct ExperimentConfig {
     pub methods: Vec<MethodKind>,
     /// Training schedule shared by every method.
     pub train: TrainConfig,
-    /// Number of downstream evaluation items.
-    pub downstream_n: usize,
 }
 
 impl ExperimentConfig {
     /// The standard 7-row comparison (Tables 1–3) for a world.
     pub fn standard(world: WorldConfig) -> Self {
-        let ik = InfuserKiConfig::for_model(world.n_layers);
+        let ik = MethodKind::default_infuserki(world.n_layers);
         ExperimentConfig {
             world,
             methods: vec![
@@ -93,16 +100,10 @@ impl ExperimentConfig {
                 MethodKind::PrefixTuning,
                 MethodKind::Lora,
                 MethodKind::QLora,
-                MethodKind::InfuserKi(ik),
+                ik,
             ],
             train: TrainConfig::default(),
-            downstream_n: 150,
         }
-    }
-
-    /// Paper-default InfuserKI config for this experiment's model depth.
-    pub fn infuserki_default(&self) -> InfuserKiConfig {
-        InfuserKiConfig::for_model(self.world.n_layers)
     }
 }
 
@@ -115,7 +116,7 @@ pub struct MethodResult {
     pub eval: MethodEval,
     /// Downstream-task F1 (PubMedQA-sim or 1-hop QA).
     pub downstream: f32,
-    /// Wall-clock training seconds.
+    /// Wall-clock training seconds (evaluation excluded).
     pub train_secs: f32,
     /// Trainable parameters introduced by the method.
     pub extra_params: usize,
@@ -181,45 +182,34 @@ impl ExperimentReport {
     }
 }
 
-/// Evaluates one (model, hook) against the bank and downstream task.
-fn full_eval(
-    world: &World,
-    model: &TransformerLm,
-    hook: &dyn LayerHook,
-    known: &[usize],
-    unknown: &[usize],
-    downstream_n: usize,
-) -> (MethodEval, f32) {
-    let eval = evaluate_method(model, hook, &world.tokenizer, &world.bank, known, unknown);
-    let triples = sample_downstream_triples(&world.store, downstream_n, world.config.seed ^ 0xd0);
-    let downstream = match world.config.domain {
-        Domain::Umls => {
-            let items = build_yesno_items(&world.store, &triples, world.config.seed ^ 0xd1);
-            eval_yesno(model, hook, &world.tokenizer, &items)
-        }
-        Domain::MetaQa => {
-            let items = build_one_hop_items(&world.store, &triples);
-            eval_one_hop(model, hook, &world.tokenizer, &items)
-        }
-    };
-    (eval, downstream)
+/// Downstream items per evaluation (PubMedQA-sim or 1-hop QA).
+const DOWNSTREAM_ITEMS: usize = 150;
+
+/// One method trained and evaluated once on a study's world.
+pub struct Run {
+    /// The table row.
+    pub row: MethodResult,
+    /// MCQ outcomes per template: `outcomes[t][i]` answers triple `i` under
+    /// template `t` (what `row.eval` was scored from).
+    pub outcomes: Vec<Vec<McqOutcome>>,
+    /// The trained method's hook ([`NoHook`] for the vanilla base).
+    pub hook: Box<dyn LayerHook>,
+    /// QLoRA's 4-bit copy of the base; every other method runs on the
+    /// world's base.
+    pub quantized_base: Option<TransformerLm>,
 }
 
-/// Unknown-only QA samples (seen templates) — the model-editing methods'
-/// natural training set (they edit wrong facts).
-fn unknown_only_samples(world: &World, unknown: &[usize]) -> Vec<LmSample> {
-    let mut out = Vec::with_capacity(unknown.len() * SEEN_TEMPLATES.len());
-    for &i in unknown {
-        for &tpl in &SEEN_TEMPLATES {
-            out.push(qa_sample(world.bank.mcq(tpl, i), &world.tokenizer));
-        }
+impl Run {
+    /// The model the method runs on.
+    pub fn model<'a>(&'a self, base: &'a TransformerLm) -> &'a TransformerLm {
+        self.quantized_base.as_ref().unwrap_or(base)
     }
-    out
 }
 
-/// A prepared experiment: world built, detection done, datasets ready.
-/// Figure binaries reuse this to train several methods against one world.
-pub struct Prepared {
+/// One world, detected once, and every method trained on it so far — each
+/// `(MethodKind, TrainConfig)` trains and evaluates once, and every table and
+/// figure over the world reads that run.
+pub struct Study {
     /// The built world.
     pub world: World,
     /// Detection: initially known triple indices (N1+N2).
@@ -228,180 +218,208 @@ pub struct Prepared {
     pub unknown: Vec<usize>,
     /// InfuserKI three-phase dataset (QA includes the known mix).
     pub data: KiDataset,
+    runs: Vec<(MethodKind, TrainConfig, Rc<Run>)>,
 }
 
-/// Builds the world and runs knowledge detection once.
-pub fn prepare(world_cfg: &WorldConfig) -> Prepared {
-    eprintln!("[exp] building world ({} triplets)…", world_cfg.n_triplets);
-    let world = build_world(world_cfg);
-    eprintln!("[exp] detecting unknown knowledge…");
-    let detection = detect_unknown(
-        &world.base,
-        &NoHook,
-        &world.tokenizer,
-        world.bank.template(0),
-    );
-    let known = detection.known;
-    let unknown = detection.unknown;
-    eprintln!(
-        "[exp] detection: {} known / {} unknown",
-        known.len(),
-        unknown.len()
-    );
-    let data = KiDataset::build(
-        &world.store,
-        &world.bank,
-        &world.tokenizer,
-        &known,
-        &unknown,
-        world_cfg.seed ^ 0xda7a,
-    );
-    Prepared {
-        world,
-        known,
-        unknown,
-        data,
-    }
-}
-
-/// Runs a full experiment: build world, detect, integrate per method,
-/// evaluate every row.
-pub fn run_experiment(title: &str, cfg: &ExperimentConfig) -> ExperimentReport {
-    eprintln!("[exp] {title}");
-    let Prepared {
-        world,
-        known,
-        unknown,
-        data,
-    } = prepare(&cfg.world);
-    let me_samples = unknown_only_samples(&world, &unknown);
-    let tc = &cfg.train;
-    let epochs = tc.epochs_qa;
-
-    let mut rows = Vec::new();
-    for kind in &cfg.methods {
-        let name = kind.name();
-        eprintln!("[exp] running {name}…");
-        let started = Instant::now();
-        let (eval, downstream, extra) = match kind {
-            MethodKind::Vanilla => {
-                let (e, d) = full_eval(
-                    &world,
-                    &world.base,
-                    &NoHook,
-                    &known,
-                    &unknown,
-                    cfg.downstream_n,
-                );
-                (e, d, 0)
-            }
-            MethodKind::Calinet => {
-                let mut m =
-                    Calinet::new(CalinetConfig::for_model(world.base.n_layers()), &world.base);
-                let losses = train_patched(
-                    &world.base,
-                    &mut m,
-                    &me_samples,
-                    epochs,
-                    tc.lr,
-                    tc.batch,
-                    tc.seed,
-                );
-                eprintln!("[exp]   losses {losses:.3?}");
-                let extra = m.trainable_params();
-                let (e, d) = full_eval(&world, &world.base, &m, &known, &unknown, cfg.downstream_n);
-                (e, d, extra)
-            }
-            MethodKind::TPatcher => {
-                let mut m = TPatcher::new(TPatcherConfig::default(), &world.base);
-                let losses = train_patched(
-                    &world.base,
-                    &mut m,
-                    &me_samples,
-                    epochs,
-                    tc.lr,
-                    tc.batch,
-                    tc.seed,
-                );
-                eprintln!("[exp]   losses {losses:.3?}");
-                let extra = m.trainable_params();
-                let (e, d) = full_eval(&world, &world.base, &m, &known, &unknown, cfg.downstream_n);
-                (e, d, extra)
-            }
-            MethodKind::PrefixTuning => {
-                let mut m = PrefixTuning::new(PrefixConfig::default(), &world.base);
-                let losses = train_patched(
-                    &world.base,
-                    &mut m,
-                    &data.qa,
-                    epochs,
-                    tc.lr,
-                    tc.batch,
-                    tc.seed,
-                );
-                eprintln!("[exp]   losses {losses:.3?}");
-                let extra = m.trainable_params();
-                let (e, d) = full_eval(&world, &world.base, &m, &known, &unknown, cfg.downstream_n);
-                (e, d, extra)
-            }
-            MethodKind::Lora => {
-                let mut m = LoraMethod::new(LoraConfig::default(), &world.base);
-                let losses = train_patched(
-                    &world.base,
-                    &mut m,
-                    &data.qa,
-                    epochs,
-                    tc.lr,
-                    tc.batch,
-                    tc.seed,
-                );
-                eprintln!("[exp]   losses {losses:.3?}");
-                let extra = m.trainable_params();
-                let (e, d) = full_eval(&world, &world.base, &m, &known, &unknown, cfg.downstream_n);
-                (e, d, extra)
-            }
-            MethodKind::QLora => {
-                let mut qbase = world.base.clone();
-                quantize_model(&mut qbase, QuantConfig::default());
-                let mut m = LoraMethod::new(LoraConfig::default(), &qbase);
-                let losses =
-                    train_patched(&qbase, &mut m, &data.qa, epochs, tc.lr, tc.batch, tc.seed);
-                eprintln!("[exp]   losses {losses:.3?}");
-                let extra = m.trainable_params();
-                let (e, d) = full_eval(&world, &qbase, &m, &known, &unknown, cfg.downstream_n);
-                (e, d, extra)
-            }
-            MethodKind::InfuserKi(ik_cfg) => {
-                let mut m =
-                    InfuserKiMethod::new(ik_cfg.clone(), &world.base, world.store.n_relations());
-                let rep = train_infuserki(&world.base, &mut m, &data, tc);
-                eprintln!(
-                    "[exp]   infuser {:.3?} qa {:.3?} rc {:.3?}",
-                    rep.infuser_losses, rep.qa_losses, rep.rc_losses
-                );
-                let extra = m.extra_params();
-                let (e, d) = full_eval(&world, &world.base, &m, &known, &unknown, cfg.downstream_n);
-                (e, d, extra)
-            }
-        };
-        let train_secs = started.elapsed().as_secs_f32();
+impl Study {
+    /// Runs knowledge detection on a built world and builds its dataset.
+    pub fn new(world: World) -> Study {
+        eprintln!("[study] detecting unknown knowledge…");
+        let detection = detect_unknown(
+            &world.base,
+            &NoHook,
+            &world.tokenizer,
+            world.bank.template(0),
+        );
+        let (known, unknown) = (detection.known, detection.unknown);
         eprintln!(
-            "[exp] {name}: NR {:.2} RR {:.2} ({train_secs:.0}s)",
+            "[study] detection: {} known / {} unknown",
+            known.len(),
+            unknown.len()
+        );
+        let data = KiDataset::build(
+            &world.store,
+            &world.bank,
+            &world.tokenizer,
+            &known,
+            &unknown,
+            world.config.seed ^ 0xda7a,
+        );
+        Study {
+            world,
+            known,
+            unknown,
+            data,
+            runs: Vec::new(),
+        }
+    }
+
+    /// The run of `kind` under `tc`: trained and evaluated on the first call,
+    /// the same run on every later one.
+    pub fn run(&mut self, kind: &MethodKind, tc: &TrainConfig) -> Rc<Run> {
+        let (name, w) = (kind.name(), &self.world);
+        let mut label = format!("{name} on {:?}-{}", w.config.domain, w.store.len());
+        if matches!(kind, MethodKind::InfuserKi(_))
+            && *kind != MethodKind::default_infuserki(w.base.n_layers())
+        {
+            label += " (variant)";
+        }
+        if let Some((_, _, run)) = self.runs.iter().find(|(k, t, _)| k == kind && t == tc) {
+            eprintln!("[study] {label}: reusing its run");
+            return Rc::clone(run);
+        }
+        eprintln!("[study] training {label}…");
+        let started = Instant::now();
+        let (quantized_base, hook, extra_params) = self.train(kind, tc);
+        let train_secs = started.elapsed().as_secs_f32();
+        let model = quantized_base.as_ref().unwrap_or(&w.base);
+        let outcomes = answer_templates(model, hook.as_ref(), &w.tokenizer, &w.bank);
+        let eval = MethodEval::from_outcomes(&outcomes, &self.known, &self.unknown);
+        let downstream = self.downstream(model, hook.as_ref());
+        eprintln!(
+            "[study] {label}: NR {:.2} RR {:.2} ({train_secs:.0}s training)",
             eval.nr, eval.rr
         );
-        rows.push(MethodResult {
+        let row = MethodResult {
             name,
             eval,
             downstream,
             train_secs,
-            extra_params: extra,
+            extra_params,
+        };
+        let run = Rc::new(Run {
+            row,
+            outcomes,
+            hook,
+            quantized_base,
         });
+        self.runs.push((kind.clone(), tc.clone(), Rc::clone(&run)));
+        run
     }
 
+    /// Trains `kind`; returns QLoRA's quantized base, the trained hook and
+    /// its trainable parameter count.
+    fn train(
+        &self,
+        kind: &MethodKind,
+        tc: &TrainConfig,
+    ) -> (Option<TransformerLm>, Box<dyn LayerHook>, usize) {
+        let quantized_base = (*kind == MethodKind::QLora).then(|| {
+            let mut qbase = self.world.base.clone();
+            quantize_model(&mut qbase, QuantConfig::default());
+            qbase
+        });
+        let base = quantized_base.as_ref().unwrap_or(&self.world.base);
+        let (hook, extra): (Box<dyn LayerHook>, usize) = match kind {
+            MethodKind::Vanilla => (Box::new(NoHook), 0),
+            MethodKind::Calinet => {
+                let m = Calinet::new(CalinetConfig::for_model(base.n_layers()), base);
+                train_hook(base, m, &self.unknown_only_samples(), tc)
+            }
+            MethodKind::TPatcher => {
+                let m = TPatcher::new(TPatcherConfig::default(), base);
+                train_hook(base, m, &self.unknown_only_samples(), tc)
+            }
+            MethodKind::PrefixTuning => {
+                let m = PrefixTuning::new(PrefixConfig::default(), base);
+                train_hook(base, m, &self.data.qa, tc)
+            }
+            MethodKind::Lora | MethodKind::QLora => {
+                let m = LoraMethod::new(LoraConfig::default(), base);
+                train_hook(base, m, &self.data.qa, tc)
+            }
+            MethodKind::InfuserKi(cfg) => {
+                let mut m = InfuserKiMethod::new(cfg.clone(), base, self.world.store.n_relations());
+                let rep = train_infuserki(base, &mut m, &self.data, tc);
+                eprintln!(
+                    "[study]   infuser {:.3?} qa {:.3?} rc {:.3?}",
+                    rep.infuser_losses, rep.qa_losses, rep.rc_losses
+                );
+                let extra = m.extra_params();
+                (Box::new(m), extra)
+            }
+        };
+        (quantized_base, hook, extra)
+    }
+
+    /// Downstream-task F1: PubMedQA-sim yes/no on UMLS, 1-hop QA on MetaQA.
+    fn downstream(&self, model: &TransformerLm, hook: &dyn LayerHook) -> f32 {
+        let w = &self.world;
+        let triples = sample_downstream_triples(&w.store, DOWNSTREAM_ITEMS, w.config.seed ^ 0xd0);
+        match w.config.domain {
+            Domain::Umls => {
+                let items = build_yesno_items(&w.store, &triples, w.config.seed ^ 0xd1);
+                eval_yesno(model, hook, &w.tokenizer, &items)
+            }
+            Domain::MetaQa => {
+                let items = build_one_hop_items(&w.store, &triples);
+                eval_one_hop(model, hook, &w.tokenizer, &items)
+            }
+        }
+    }
+
+    /// Unknown-only QA samples (seen templates) — the model-editing methods'
+    /// natural training set (they edit wrong facts).
+    fn unknown_only_samples(&self) -> Vec<LmSample> {
+        let w = &self.world;
+        let mut out = Vec::with_capacity(self.unknown.len() * SEEN_TEMPLATES.len());
+        for &i in &self.unknown {
+            for &tpl in &SEEN_TEMPLATES {
+                out.push(qa_sample(w.bank.mcq(tpl, i), &w.tokenizer));
+            }
+        }
+        out
+    }
+}
+
+/// Trains a hook-only method on `samples` with the QA schedule; returns it
+/// with its trainable parameter count.
+fn train_hook<M: LayerHook + VisitTrainable + 'static>(
+    base: &TransformerLm,
+    mut m: M,
+    samples: &[LmSample],
+    tc: &TrainConfig,
+) -> (Box<dyn LayerHook>, usize) {
+    let (epochs, lr, batch, seed) = (tc.epochs_qa, tc.lr, tc.batch, tc.seed);
+    let losses = train_patched(base, &mut m, samples, epochs, lr, batch, seed);
+    eprintln!("[study]   losses {losses:.3?}");
+    let extra = m.trainable_params();
+    (Box::new(m), extra)
+}
+
+/// Every study of a process, one per world, keyed by
+/// [`WorldConfig::cache_key`].
+#[derive(Default)]
+pub struct Studies(BTreeMap<String, Study>);
+
+impl Studies {
+    /// The study of `cfg`'s world, built and detected on first use.
+    pub fn get(&mut self, cfg: &WorldConfig) -> &mut Study {
+        self.0.entry(cfg.cache_key()).or_insert_with(|| {
+            eprintln!("[study] building {:?}-{}…", cfg.domain, cfg.n_triplets);
+            Study::new(build_world(cfg))
+        })
+    }
+}
+
+/// Runs an experiment on its world's study: one row per method, each
+/// trained at most once per process.
+pub fn run_experiment(
+    title: &str,
+    cfg: &ExperimentConfig,
+    studies: &mut Studies,
+) -> ExperimentReport {
+    eprintln!("[exp] {title}");
+    let study = studies.get(&cfg.world);
+    let rows = cfg
+        .methods
+        .iter()
+        .map(|kind| study.run(kind, &cfg.train).row.clone())
+        .collect();
     ExperimentReport {
         title: title.to_string(),
-        n_triplets: world.store.len(),
-        detection: (known.len(), unknown.len()),
+        n_triplets: study.world.store.len(),
+        detection: (study.known.len(), study.unknown.len()),
         rows,
     }
 }
@@ -430,6 +448,51 @@ pub fn save_report(report: &ExperimentReport, stem: &str) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use infuserki_eval::mcq_eval::answer_template;
+    use infuserki_eval::world::build_world_in;
+
+    #[test]
+    fn a_study_trains_each_method_and_schedule_once() {
+        let dir = std::env::temp_dir().join(format!("infuserki_study_{}", std::process::id()));
+        let mut study = Study::new(build_world_in(&WorldConfig::tiny(Domain::Umls, 5), &dir));
+        let mut cfg = InfuserKiConfig::for_model(study.world.base.n_layers());
+        cfg.bottleneck = 4;
+        cfg.infuser_hidden = 4;
+        cfg.rc_dim = 8;
+        let kind = MethodKind::InfuserKi(cfg);
+        let tc = TrainConfig {
+            epochs_infuser: 1,
+            epochs_qa: 1,
+            epochs_rc: 1,
+            batch: 4,
+            ..TrainConfig::default()
+        };
+
+        let first = study.run(&kind, &tc);
+        let again = study.run(&kind, &tc);
+        assert!(
+            Rc::ptr_eq(&first, &again),
+            "the same (kind, tc) trained twice"
+        );
+        assert_eq!(study.runs.len(), 1);
+        assert_eq!(again.row.name, first.row.name);
+        assert_eq!(again.row.eval.nr.to_bits(), first.row.eval.nr.to_bits());
+        assert_eq!(again.row.eval.rr.to_bits(), first.row.eval.rr.to_bits());
+
+        let other = TrainConfig {
+            epochs_qa: 2,
+            ..tc.clone()
+        };
+        let retrained = study.run(&kind, &other);
+        assert!(!Rc::ptr_eq(&first, &retrained));
+        assert_eq!(study.runs.len(), 2);
+
+        let w = &study.world;
+        let model = first.model(&w.base);
+        let direct = answer_template(model, first.hook.as_ref(), &w.tokenizer, &w.bank, 0);
+        assert_eq!(first.outcomes[0], direct);
+        let _ = std::fs::remove_dir_all(dir);
+    }
 
     #[test]
     fn method_names_match_paper_rows() {

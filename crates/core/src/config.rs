@@ -170,7 +170,7 @@ impl InfuserKiConfig {
 }
 
 /// Training schedule for the three phases.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TrainConfig {
     /// Epochs of infuser BCE tuning (phase 1).
     pub epochs_infuser: usize,

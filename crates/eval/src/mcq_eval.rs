@@ -72,10 +72,45 @@ pub fn answer_template(
         .concat()
 }
 
-/// Evaluates a method over the bank: NR/RR on the detection template (T1),
-/// macro-F1 on every template, and F1_Unseen.
-///
-/// `known`/`unknown` are the detection partition indices (N1+N2 / N3+N4).
+/// Answers every template of the bank: `outcomes[t][i]` is triple `i`'s MCQ
+/// under template `t`.
+pub fn answer_templates(
+    model: &TransformerLm,
+    hook: &dyn LayerHook,
+    tokenizer: &Tokenizer,
+    bank: &McqBank,
+) -> Vec<Vec<McqOutcome>> {
+    (0..N_QA_TEMPLATES)
+        .map(|tpl| answer_template(model, hook, tokenizer, bank, tpl))
+        .collect()
+}
+
+impl MethodEval {
+    /// The metric row of [`answer_templates`]' outcomes: NR/RR on the
+    /// detection template (T1), macro-F1 on every template, and F1_Unseen.
+    ///
+    /// `known`/`unknown` are the detection partition indices (N1+N2 / N3+N4).
+    pub fn from_outcomes(outcomes: &[Vec<McqOutcome>], known: &[usize], unknown: &[usize]) -> Self {
+        let mut f1_templates = [0.0f32; N_QA_TEMPLATES];
+        for (f1, outs) in f1_templates.iter_mut().zip(outcomes) {
+            *f1 = macro_f1(outs, 4);
+        }
+        let f1_unseen = UNSEEN_TEMPLATES
+            .iter()
+            .map(|&t| f1_templates[t])
+            .sum::<f32>()
+            / UNSEEN_TEMPLATES.len() as f32;
+        MethodEval {
+            nr: subset_accuracy(&outcomes[0], unknown),
+            rr: subset_accuracy(&outcomes[0], known),
+            f1_templates,
+            f1_unseen,
+        }
+    }
+}
+
+/// Evaluates a method over the bank: [`answer_templates`] scored by
+/// [`MethodEval::from_outcomes`].
 pub fn evaluate_method(
     model: &TransformerLm,
     hook: &dyn LayerHook,
@@ -84,28 +119,8 @@ pub fn evaluate_method(
     known: &[usize],
     unknown: &[usize],
 ) -> MethodEval {
-    let mut f1_templates = [0.0f32; N_QA_TEMPLATES];
-    let mut nr = f32::NAN;
-    let mut rr = f32::NAN;
-    for (tpl, f1_slot) in f1_templates.iter_mut().enumerate() {
-        let outcomes = answer_template(model, hook, tokenizer, bank, tpl);
-        *f1_slot = macro_f1(&outcomes, 4);
-        if tpl == 0 {
-            nr = subset_accuracy(&outcomes, unknown);
-            rr = subset_accuracy(&outcomes, known);
-        }
-    }
-    let f1_unseen = UNSEEN_TEMPLATES
-        .iter()
-        .map(|&t| f1_templates[t])
-        .sum::<f32>()
-        / UNSEEN_TEMPLATES.len() as f32;
-    MethodEval {
-        nr,
-        rr,
-        f1_templates,
-        f1_unseen,
-    }
+    let outcomes = answer_templates(model, hook, tokenizer, bank);
+    MethodEval::from_outcomes(&outcomes, known, unknown)
 }
 
 #[cfg(test)]

@@ -2,17 +2,17 @@
 //! (Fig. 1) and option-probability case studies (Fig. 7).
 
 use infuserki_core::dataset::McqBank;
-use infuserki_core::InfuserKiMethod;
 use infuserki_nn::{sampler, ForwardTrace, LayerHook, TransformerLm};
 use infuserki_tensor::Tape;
 use infuserki_text::{format_mcq_prompt, Mcq, Tokenizer};
 use rayon::prelude::*;
 
 /// Mean infusing score per adapted layer over the prompts of the given
-/// triple indices (template-0 MCQs) — one Fig. 6 series.
+/// triple indices (template-0 MCQs) — one Fig. 6 series. Empty under a hook
+/// without infusers.
 pub fn gate_profile(
     base: &TransformerLm,
-    method: &InfuserKiMethod,
+    hook: &dyn LayerHook,
     tokenizer: &Tokenizer,
     bank: &McqBank,
     indices: &[usize],
@@ -23,7 +23,7 @@ pub fn gate_profile(
             let tokens = tokenizer.encode_strict(&format_mcq_prompt(bank.mcq(0, i)));
             let mut tape = Tape::new();
             let mut trace = ForwardTrace::new();
-            base.forward_traced(&tokens, &method.hook(), &mut tape, &mut trace);
+            base.forward_traced(&tokens, hook, &mut tape, &mut trace);
             trace
                 .gate_scores
                 .iter()
@@ -85,23 +85,10 @@ pub fn fig1_layer(n_layers: usize) -> usize {
     ((10.0 / 32.0) * n_layers as f32).round() as usize - 1
 }
 
-/// Probability the method assigns to each option of an MCQ
-/// (length-normalized option likelihoods, softmaxed) — a Fig. 7 cell.
-pub fn option_probs(
-    base: &TransformerLm,
-    hook: &dyn LayerHook,
-    tokenizer: &Tokenizer,
-    mcq: &Mcq,
-) -> [f32; 4] {
-    option_probs_many(base, hook, tokenizer, std::slice::from_ref(mcq))
-        .pop()
-        .unwrap()
-}
-
-/// [`option_probs`] for a set of MCQs in one batched scoring pass: every
+/// Probability the method assigns to each option of each MCQ
+/// (length-normalized option likelihoods, softmaxed) — Fig. 7's cells. Every
 /// prompt and every option extension runs through
-/// [`sampler::score_options_batch`]'s two ragged forwards instead of
-/// per-question calls. Per question identical to [`option_probs`].
+/// [`sampler::score_options_batch`]'s two ragged forwards.
 pub fn option_probs_many(
     base: &TransformerLm,
     hook: &dyn LayerHook,
@@ -137,64 +124,11 @@ pub fn option_probs_many(
         .collect()
 }
 
-/// Embeds an entity name as the mean-pooled final hidden state of its tokens
-/// under (model, hook) — the representation-space view of what integration
-/// changed.
-pub fn entity_embedding(
-    base: &TransformerLm,
-    hook: &dyn LayerHook,
-    tokenizer: &Tokenizer,
-    name: &str,
-) -> Vec<f32> {
-    let tokens = tokenizer.encode_strict(name);
-    hidden_state(base, hook, &tokens, base.n_layers() - 1)
-}
-
-/// The `k` nearest entities to `query` by cosine similarity of
-/// [`entity_embedding`]s — a qualitative probe of the learned entity
-/// geometry (e.g. tails of one relation clustering together after
-/// integration).
-pub fn nearest_entities(
-    base: &TransformerLm,
-    hook: &dyn LayerHook,
-    tokenizer: &Tokenizer,
-    store: &infuserki_kg::TripleStore,
-    query: &str,
-    k: usize,
-) -> Vec<(String, f32)> {
-    let q = entity_embedding(base, hook, tokenizer, query);
-    let mut scored: Vec<(String, f32)> = store
-        .entity_names()
-        .filter(|&n| n != query)
-        .map(|n| (n.to_string(), n))
-        .collect::<Vec<_>>()
-        .par_iter()
-        .map(|(owned, n)| {
-            let e = entity_embedding(base, hook, tokenizer, n);
-            (owned.clone(), cosine(&q, &e))
-        })
-        .collect();
-    scored.sort_by(|a, b| b.1.total_cmp(&a.1));
-    scored.truncate(k);
-    scored
-}
-
-fn cosine(a: &[f32], b: &[f32]) -> f32 {
-    let dot: f32 = a.iter().zip(b).map(|(x, y)| x * y).sum();
-    let na: f32 = a.iter().map(|x| x * x).sum::<f32>().sqrt();
-    let nb: f32 = b.iter().map(|x| x * x).sum::<f32>().sqrt();
-    if na < 1e-12 || nb < 1e-12 {
-        0.0
-    } else {
-        dot / (na * nb)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::world::{build_world_in, Domain, WorldConfig};
-    use infuserki_core::InfuserKiConfig;
+    use infuserki_core::{InfuserKiConfig, InfuserKiMethod};
     use infuserki_nn::NoHook;
 
     fn world() -> crate::world::World {
@@ -245,36 +179,9 @@ mod tests {
     }
 
     #[test]
-    fn entity_embedding_has_model_width() {
-        let w = world();
-        let name = w.store.entity_name(infuserki_kg::EntityId(0)).to_string();
-        let e = entity_embedding(&w.base, &NoHook, &w.tokenizer, &name);
-        assert_eq!(e.len(), w.base.config().d_model);
-    }
-
-    #[test]
-    fn nearest_entities_returns_sorted_cosines() {
-        let w = world();
-        let name = w.store.entity_name(infuserki_kg::EntityId(0)).to_string();
-        let nn = nearest_entities(&w.base, &NoHook, &w.tokenizer, &w.store, &name, 5);
-        assert_eq!(nn.len(), 5);
-        for pair in nn.windows(2) {
-            assert!(pair[0].1 >= pair[1].1, "not sorted: {nn:?}");
-        }
-        assert!(nn.iter().all(|(n, _)| *n != name));
-    }
-
-    #[test]
-    fn cosine_bounds() {
-        assert!((cosine(&[1.0, 0.0], &[1.0, 0.0]) - 1.0).abs() < 1e-6);
-        assert!((cosine(&[1.0, 0.0], &[0.0, 1.0])).abs() < 1e-6);
-        assert_eq!(cosine(&[0.0, 0.0], &[1.0, 1.0]), 0.0);
-    }
-
-    #[test]
     fn option_probs_sum_to_one() {
         let w = world();
-        let p = option_probs(&w.base, &NoHook, &w.tokenizer, w.bank.mcq(0, 0));
+        let p = option_probs_many(&w.base, &NoHook, &w.tokenizer, &[w.bank.mcq(0, 0).clone()])[0];
         let sum: f32 = p.iter().sum();
         assert!((sum - 1.0).abs() < 1e-4);
         assert!(p.iter().all(|&x| x >= 0.0));

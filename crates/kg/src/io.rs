@@ -143,33 +143,26 @@ pub fn load_pipe_separated(
     parse_pipe_separated(&text, functional)
 }
 
-/// Serializes a store to the pipe-separated format.
-pub fn to_pipe_separated(store: &TripleStore) -> String {
-    let mut out = String::new();
-    for t in store.triples() {
-        out.push_str(store.entity_name(t.head));
-        out.push('|');
-        out.push_str(store.relation_name(t.relation));
-        out.push('|');
-        out.push_str(store.entity_name(t.tail));
-        out.push('\n');
-    }
-    out
-}
-
-/// Writes a store as a pipe-separated file.
-pub fn save_pipe_separated(store: &TripleStore, path: impl AsRef<Path>) -> Result<(), String> {
-    if let Some(dir) = path.as_ref().parent() {
-        fs::create_dir_all(dir).map_err(|e| e.to_string())?;
-    }
-    fs::write(&path, to_pipe_separated(store))
-        .map_err(|e| format!("write {}: {e}", path.as_ref().display()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::umls::{synth_umls, UmlsConfig};
+
+    /// One `head|relation|tail` line per triple of `store`.
+    fn pipe_text(store: &TripleStore) -> String {
+        store
+            .triples()
+            .iter()
+            .map(|t| {
+                format!(
+                    "{}|{}|{}\n",
+                    store.entity_name(t.head),
+                    store.relation_name(t.relation),
+                    store.entity_name(t.tail)
+                )
+            })
+            .collect()
+    }
 
     #[test]
     fn parse_metaqa_style_lines() {
@@ -234,7 +227,7 @@ mod tests {
     #[test]
     fn round_trip_preserves_store() {
         let original = synth_umls(&UmlsConfig::with_triplets(80, 9));
-        let text = to_pipe_separated(&original);
+        let text = pipe_text(&original);
         let back = parse_pipe_separated(&text, true).unwrap();
         assert_eq!(back.len(), original.len());
         for t in original.triples() {
@@ -252,7 +245,7 @@ mod tests {
     fn file_round_trip() {
         let s = synth_umls(&UmlsConfig::with_triplets(30, 10));
         let path = std::env::temp_dir().join(format!("infuserki_kg_{}.txt", std::process::id()));
-        save_pipe_separated(&s, &path).unwrap();
+        std::fs::write(&path, pipe_text(&s)).unwrap();
         let loaded = load_pipe_separated(&path, true).unwrap();
         assert_eq!(loaded.len(), s.len());
         let _ = std::fs::remove_file(path);

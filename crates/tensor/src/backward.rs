@@ -244,9 +244,6 @@ fn backward_op(node: &Node, nodes: &[Node], gout: &Matrix, grads_before: &mut [O
             da.scale_assign(*c);
             accumulate(&mut grads_before[a.index()], da);
         }
-        Op::Transpose(a) => {
-            accumulate(&mut grads_before[a.index()], gout.transposed());
-        }
         Op::LogSoftmax(a) => {
             let p = kernels::softmax_rows(val(*a));
             let mut da = Matrix::zeros(p.rows(), p.cols());

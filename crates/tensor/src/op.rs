@@ -41,8 +41,6 @@ pub enum Op {
     Mul(NodeId, NodeId),
     /// `a * c` for a compile-time constant `c`.
     Scale(NodeId, f32),
-    /// Matrix transpose.
-    Transpose(NodeId),
     /// Row-wise log-softmax.
     LogSoftmax(NodeId),
     /// Layer normalization over each row with affine `gain`/`bias` (`[1,d]`).
@@ -145,7 +143,6 @@ impl Op {
             | Op::MulColBroadcast(a, b)
             | Op::ConcatRows(a, b) => f(*a) || f(*b),
             Op::Scale(a, _)
-            | Op::Transpose(a)
             | Op::LogSoftmax(a)
             | Op::Relu(a)
             | Op::Gelu(a)
@@ -178,7 +175,6 @@ impl Op {
             Op::Sub(..) => "sub",
             Op::Mul(..) => "mul",
             Op::Scale(..) => "scale",
-            Op::Transpose(..) => "transpose",
             Op::LogSoftmax(..) => "log_softmax",
             Op::LayerNorm { .. } => "layer_norm",
             Op::Relu(..) => "relu",

@@ -262,12 +262,6 @@ impl Tape {
         self.push(Op::Scale(a, c), v)
     }
 
-    /// Matrix transpose.
-    pub fn transpose(&mut self, a: NodeId) -> NodeId {
-        let v = self.value(a).transposed();
-        self.push(Op::Transpose(a), v)
-    }
-
     // ---- normalization & nonlinearity ---------------------------------------
 
     /// Row-wise log-softmax.

@@ -50,7 +50,6 @@ macro_rules! unary_grad_test {
 }
 
 unary_grad_test!(grad_scale, 2, 3, |t: &mut Tape, x| t.scale(x, 1.7));
-unary_grad_test!(grad_transpose, 2, 3, |t: &mut Tape, x| t.transpose(x));
 unary_grad_test!(grad_log_softmax, 2, 4, |t: &mut Tape, x| t.log_softmax(x));
 unary_grad_test!(grad_gelu, 2, 3, |t: &mut Tape, x| t.gelu(x));
 unary_grad_test!(grad_sigmoid, 2, 3, |t: &mut Tape, x| t.sigmoid(x));

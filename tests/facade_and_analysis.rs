@@ -1,7 +1,7 @@
 //! Facade surface checks and analysis-path integration: probes, projections,
 //! downstream builders, and checkpoint round-trips through the public API.
 
-use infuserki::eval::probes::{fig1_layer, hidden_states_for, option_probs};
+use infuserki::eval::probes::{fig1_layer, hidden_states_for, option_probs_many};
 use infuserki::eval::projection::{pca, tsne};
 use infuserki::eval::world::{build_world_in, Domain, WorldConfig};
 use infuserki::kg::{synth_metaqa, synth_umls, KgStats, MetaQaConfig, UmlsConfig};
@@ -42,7 +42,7 @@ fn analysis_paths_work_end_to_end() {
     assert!(coords.iter().all(|(x, y)| x.is_finite() && y.is_finite()));
 
     // Case-study probabilities.
-    let p = option_probs(&w.base, &NoHook, &w.tokenizer, w.bank.mcq(0, 0));
+    let p = option_probs_many(&w.base, &NoHook, &w.tokenizer, &[w.bank.mcq(0, 0).clone()])[0];
     assert!((p.iter().sum::<f32>() - 1.0).abs() < 1e-4);
 
     // Checkpoint round-trip through the facade path.
