@@ -677,13 +677,6 @@ const RATIOS: &[Ratio] = &[
         beside: ("train_backward", "us_forward"),
         limit: 2.3,
     },
-    // An update round's bookkeeping is small beside its detection: the bank
-    // ranks each triple's distractors once, computing each edit distance
-    // once, and the base digest hashes weight bits. Healthy 1.30–1.46×
-    // native, 1.09–1.11× baseline; the distractor sort calling
-    // `levenshtein` inside its comparator 3.70–4.36× native, 2.76–3.14×
-    // baseline; the digest hashing the base's JSON text 11.9× native; both
-    // 12.7× native.
     // A training sample's forward costs what the engine's prefill costs:
     // the tape attends in one all-heads node per layer, on the engine's
     // kernels, and its parameter leaves share the parameters' storage.
@@ -696,6 +689,17 @@ const RATIOS: &[Ratio] = &[
         beside: ("tape_forward", "us_prefill"),
         limit: 1.4,
     },
+    // An update round's bookkeeping is small beside its detection: the bank
+    // ranks each triple's distractors once, computing each edit distance
+    // once, and the base digest hashes weight bits. Healthy 1.30–1.46×
+    // native, 1.09–1.11× baseline; the distractor sort calling
+    // `levenshtein` inside its comparator 3.70–4.36× native, 2.76–3.14×
+    // baseline; the digest hashing the base's JSON text 11.9× native; both
+    // 12.7× native.
+    // The cost side still times one base digest, which a round no longer
+    // pays: the update pipeline hashes its base on its first round and
+    // keeps the digest. The limit and readings are from when every round
+    // hashed it.
     Ratio {
         what: "round bookkeeping (8-fact bank + base digest) vs detection on its 8 MCQs",
         cost: ("round_bookkeeping", "ms_bank_digest"),

@@ -14,7 +14,9 @@ use infuserki_baselines::tpatcher::{TPatcher, TPatcherConfig};
 use infuserki_baselines::{train_patched, VisitTrainable};
 use infuserki_core::dataset::{qa_sample, KiDataset};
 use infuserki_core::detect::detect_unknown;
-use infuserki_core::{train_infuserki, InfuserKiConfig, InfuserKiMethod, Placement, TrainConfig};
+use infuserki_core::{
+    train_infuserki, GateInput, InfuserKiConfig, InfuserKiMethod, Placement, Site, TrainConfig,
+};
 use infuserki_eval::downstream::{
     build_one_hop_items, build_yesno_items, eval_one_hop, eval_yesno, sample_downstream_triples,
 };
@@ -51,8 +53,11 @@ impl MethodKind {
         MethodKind::InfuserKi(InfuserKiConfig::for_model(n_layers))
     }
 
-    /// Display name matching the paper's rows.
-    pub fn name(&self) -> String {
+    /// Display name matching the paper's rows. An InfuserKI config off the
+    /// paper's placement for an `n_layers` model, or with the gate reading
+    /// the sublayer output, carries that in brackets, so every config a
+    /// view trains has its own name.
+    pub fn name(&self, n_layers: usize) -> String {
         match self {
             MethodKind::Vanilla => "Vanilla".into(),
             MethodKind::Calinet => "CALINET".into(),
@@ -62,15 +67,28 @@ impl MethodKind {
             MethodKind::QLora => "QLoRA".into(),
             MethodKind::InfuserKi(cfg) => {
                 let a = cfg.ablation;
-                if !a.use_infuser {
-                    "InfuserKI-w/o-Ro".into()
+                let mut name = if !a.use_infuser {
+                    "InfuserKI-w/o-Ro"
                 } else if !a.infuser_pretrain {
-                    "InfuserKI-w/o-RL".into()
+                    "InfuserKI-w/o-RL"
                 } else if !a.use_rc {
-                    "InfuserKI-w/o-RC".into()
+                    "InfuserKI-w/o-RC"
                 } else {
-                    "InfuserKI (Ours)".into()
+                    "InfuserKI (Ours)"
                 }
+                .to_string();
+                let p = cfg.placement;
+                if p != Placement::main(n_layers) {
+                    let site = match p.site {
+                        Site::Ffn => "FFN",
+                        Site::Attention => "attention",
+                    };
+                    name += &format!(" [{site} {}..{}]", p.first, p.last);
+                }
+                if cfg.gate_input == GateInput::SublayerOut {
+                    name += " [gate=sublayer-out]";
+                }
+                name
             }
         }
     }
@@ -257,13 +275,8 @@ impl Study {
     /// The run of `kind` under `tc`: trained and evaluated on the first call,
     /// the same run on every later one.
     pub fn run(&mut self, kind: &MethodKind, tc: &TrainConfig) -> Rc<Run> {
-        let (name, w) = (kind.name(), &self.world);
-        let mut label = format!("{name} on {:?}-{}", w.config.domain, w.store.len());
-        if matches!(kind, MethodKind::InfuserKi(_))
-            && *kind != MethodKind::default_infuserki(w.base.n_layers())
-        {
-            label += " (variant)";
-        }
+        let (name, w) = (kind.name(self.world.base.n_layers()), &self.world);
+        let label = format!("{name} on {:?}-{}", w.config.domain, w.store.len());
         if let Some((_, _, run)) = self.runs.iter().find(|(k, t, _)| k == kind && t == tc) {
             eprintln!("[study] {label}: reusing its run");
             return Rc::clone(run);
@@ -496,21 +509,61 @@ mod tests {
 
     #[test]
     fn method_names_match_paper_rows() {
-        assert_eq!(MethodKind::Vanilla.name(), "Vanilla");
-        assert_eq!(MethodKind::QLora.name(), "QLoRA");
+        assert_eq!(MethodKind::Vanilla.name(12), "Vanilla");
+        assert_eq!(MethodKind::QLora.name(12), "QLoRA");
         let mut cfg = InfuserKiConfig::for_model(12);
         assert_eq!(
-            MethodKind::InfuserKi(cfg.clone()).name(),
+            MethodKind::InfuserKi(cfg.clone()).name(12),
             "InfuserKI (Ours)"
         );
         cfg.ablation.use_rc = false;
         assert_eq!(
-            MethodKind::InfuserKi(cfg.clone()).name(),
+            MethodKind::InfuserKi(cfg.clone()).name(12),
             "InfuserKI-w/o-RC"
         );
         cfg.ablation.use_rc = true;
         cfg.ablation.use_infuser = false;
-        assert_eq!(MethodKind::InfuserKi(cfg).name(), "InfuserKI-w/o-Ro");
+        assert_eq!(MethodKind::InfuserKi(cfg).name(12), "InfuserKI-w/o-Ro");
+    }
+
+    /// `fig5`'s placements and `ext`'s gate=sublayer-out run are distinct
+    /// configs, so each gets its own name; the paper default ("FFN full")
+    /// keeps Table 1's.
+    #[test]
+    fn fig5_and_ext_configs_get_distinct_names() {
+        let n_layers = 12;
+        let default = MethodKind::default_infuserki(n_layers).name(n_layers);
+        assert_eq!(default, "InfuserKI (Ours)");
+        let mut configs: Vec<InfuserKiConfig> = placement_rows(n_layers)
+            .into_iter()
+            .map(|(_, placement)| InfuserKiConfig {
+                placement,
+                ..InfuserKiConfig::for_model(n_layers)
+            })
+            .collect();
+        configs.push(InfuserKiConfig {
+            gate_input: GateInput::SublayerOut,
+            ..InfuserKiConfig::for_model(n_layers)
+        });
+        let names: Vec<String> = configs
+            .into_iter()
+            .map(|cfg| MethodKind::InfuserKi(cfg).name(n_layers))
+            .collect();
+        let distinct: std::collections::BTreeSet<&String> = names.iter().collect();
+        assert_eq!(distinct.len(), names.len(), "{names:?}");
+        assert_eq!(
+            names.iter().filter(|n| **n == default).count(),
+            1,
+            "{names:?}"
+        );
+        assert!(
+            names.contains(&"InfuserKI (Ours) [FFN 1..4]".to_string()),
+            "{names:?}"
+        );
+        assert!(
+            names.contains(&"InfuserKI (Ours) [gate=sublayer-out]".to_string()),
+            "{names:?}"
+        );
     }
 
     #[test]

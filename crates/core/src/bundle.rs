@@ -29,6 +29,12 @@
 //! stream is a little-endian `u64`, and every weight a little-endian `u32`
 //! of its `f32` bits.
 //!
+//! Hashing a 12-layer base takes milliseconds, and a base that serves is
+//! never changed, so a holder of one keeps its digest in a [`BaseDigest`]:
+//! hashed on first use, then read. [`KnowledgeBundle::with_base_hash`] and
+//! [`KnowledgeBundle::verify`] take that digest instead of hashing the base
+//! again.
+//!
 //! Format 2 (this one) introduced those digests; a format-1 file fails
 //! [`KnowledgeBundle::load`] with the format error, not a hash mismatch.
 //!
@@ -38,6 +44,7 @@
 use infuserki_nn::layers::Module;
 use infuserki_nn::{sampler, LayerHook, TransformerLm};
 use serde::{Deserialize, Serialize};
+use std::sync::OnceLock;
 
 use crate::method::InfuserKiMethod;
 
@@ -187,6 +194,26 @@ pub fn base_model_digest(base: &TransformerLm) -> Result<String, String> {
     Ok(h.hex())
 }
 
+/// A frozen base's [`base_model_digest`], hashed on first use and then
+/// kept. One cell belongs to one base, and caching is sound because that
+/// base never changes once it serves or trains against frozen weights:
+/// nothing holds it mutably, and [`infuserki_tensor::Param::data_mut`]
+/// copies a weight shared with any other handle before writing, so no
+/// clone or tape leaf can change the bits that were hashed.
+#[derive(Debug, Default)]
+pub struct BaseDigest(OnceLock<Result<String, String>>);
+
+impl BaseDigest {
+    /// The digest of `base`, hashed by the first call. Every call on one
+    /// cell must pass the same base.
+    pub fn of(&self, base: &TransformerLm) -> Result<&str, String> {
+        self.0
+            .get_or_init(|| base_model_digest(base))
+            .as_deref()
+            .map_err(Clone::clone)
+    }
+}
+
 impl KnowledgeBundle {
     /// Wraps a trained method into a bundle targeting `base`, computing both
     /// hashes.
@@ -197,11 +224,24 @@ impl KnowledgeBundle {
         stamp: Option<EvalStamp>,
         gate_probes: Vec<GateProbe>,
     ) -> Result<Self, String> {
+        let base_model_hash = base_model_digest(base)?;
+        Self::with_base_hash(name, method, base_model_hash, stamp, gate_probes)
+    }
+
+    /// [`new`](Self::new) for a caller that already holds the base's
+    /// digest (a [`BaseDigest`]).
+    pub fn with_base_hash(
+        name: impl Into<String>,
+        method: InfuserKiMethod,
+        base_model_hash: String,
+        stamp: Option<EvalStamp>,
+        gate_probes: Vec<GateProbe>,
+    ) -> Result<Self, String> {
         Ok(KnowledgeBundle {
             format: BUNDLE_FORMAT,
             name: name.into(),
             config_fingerprint: config_fingerprint(method.config())?,
-            base_model_hash: base_model_digest(base)?,
+            base_model_hash,
             stamp,
             gate_probes,
             method,
@@ -238,9 +278,9 @@ impl KnowledgeBundle {
     /// matches, the method's modules fit the model's depth and width
     /// ([`InfuserKiMethod::check_fits`]), and every gate probe is well-formed
     /// for the model's vocabulary. Returns a description of the first
-    /// violation.
-    pub fn verify(&self, base: &TransformerLm) -> Result<(), String> {
-        let want = base_model_digest(base)?;
+    /// violation. `want` is `base`'s digest, as [`base_model_digest`] or a
+    /// [`BaseDigest`] gives it.
+    pub fn verify(&self, base: &TransformerLm, want: &str) -> Result<(), String> {
         if self.base_model_hash != want {
             return Err(format!(
                 "bundle '{}' was built against base {} but the serving base is {}",
@@ -324,7 +364,9 @@ mod tests {
         assert_eq!(loaded.base_model_hash, bundle.base_model_hash);
         assert_eq!(loaded.stamp, Some(stamp));
         assert_eq!(loaded.gate_probes, vec![probe()]);
-        loaded.verify(&b).expect("round-tripped bundle verifies");
+        loaded
+            .verify(&b, &base_model_digest(&b).unwrap())
+            .expect("round-tripped bundle verifies");
     }
 
     #[test]
@@ -333,25 +375,60 @@ mod tests {
         let bundle = KnowledgeBundle::new("drift", method(&b), &b, None, vec![]).unwrap();
         let mut rng = ChaCha8Rng::seed_from_u64(99);
         let other = TransformerLm::new(ModelConfig::tiny(24), &mut rng);
-        let err = bundle.verify(&other).unwrap_err();
+        let err = bundle
+            .verify(&other, &base_model_digest(&other).unwrap())
+            .unwrap_err();
         assert!(err.contains("built against base"), "got: {err}");
     }
 
     #[test]
     fn verify_rejects_malformed_gate_probes() {
         let b = base();
+        let digest = base_model_digest(&b).unwrap();
         let bad_correct = GateProbe {
             correct: 2,
             ..probe()
         };
         let bundle = KnowledgeBundle::new("bad", method(&b), &b, None, vec![bad_correct]).unwrap();
-        assert!(bundle.verify(&b).unwrap_err().contains("out of range"));
+        assert!(bundle
+            .verify(&b, &digest)
+            .unwrap_err()
+            .contains("out of range"));
         let oov = GateProbe {
             prompt: vec![1, 999],
             ..probe()
         };
         let bundle = KnowledgeBundle::new("oov", method(&b), &b, None, vec![oov]).unwrap();
-        assert!(bundle.verify(&b).unwrap_err().contains("outside vocab"));
+        assert!(bundle
+            .verify(&b, &digest)
+            .unwrap_err()
+            .contains("outside vocab"));
+    }
+
+    #[test]
+    fn a_kept_digest_builds_and_verifies_what_a_fresh_hash_does() {
+        let b = base();
+        let cell = BaseDigest::default();
+        let kept = cell.of(&b).unwrap();
+        assert_eq!(kept, base_model_digest(&b).unwrap());
+        assert!(
+            std::ptr::eq(kept, cell.of(&b).unwrap()),
+            "hashed once, then kept"
+        );
+        let fresh = KnowledgeBundle::new("kept", method(&b), &b, None, vec![probe()]).unwrap();
+        let bundle =
+            KnowledgeBundle::with_base_hash("kept", method(&b), kept.into(), None, vec![probe()])
+                .unwrap();
+        assert_eq!(
+            serde_json::to_string(&bundle).unwrap(),
+            serde_json::to_string(&fresh).unwrap()
+        );
+        bundle.verify(&b, kept).unwrap();
+        let other = TransformerLm::new(ModelConfig::tiny(24), &mut ChaCha8Rng::seed_from_u64(99));
+        let err = bundle
+            .verify(&other, BaseDigest::default().of(&other).unwrap())
+            .unwrap_err();
+        assert!(err.contains("built against base"), "got: {err}");
     }
 
     #[test]

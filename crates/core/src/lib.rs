@@ -25,7 +25,7 @@ pub mod method;
 pub mod trainer;
 
 pub use bundle::{
-    base_model_digest, EvalStamp, GateProbe, GateReport, KnowledgeBundle, BUNDLE_FORMAT,
+    base_model_digest, BaseDigest, EvalStamp, GateProbe, GateReport, KnowledgeBundle, BUNDLE_FORMAT,
 };
 pub use config::{Ablation, GateInput, InfuserKiConfig, Placement, Site, TrainConfig};
 pub use dataset::{InfuserSample, KiDataset, McqBank, RcSample};

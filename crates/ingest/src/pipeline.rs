@@ -20,16 +20,21 @@
 //!    probes are the new facts' MCQs (template 0 of the same bank) plus
 //!    probes carried from earlier rounds, and persist the round's
 //!    [`IncrementalReport`](infuserki_core::IncrementalReport) next to it.
-//! 5. **Publish** — hand the bundle to a [`BundlePublisher`]
+//!    The base's digest is hashed by the first round and kept: the base is
+//!    frozen, so every later round's bundle records the same one.
+//! 5. **Publish** — hand the bundle file's path to a [`BundlePublisher`]
 //!    (load→stage→promote in a serving process). The promote-time NR gate
 //!    is the safety valve: a refused bundle leaves the previous version
-//!    serving and the pipeline moves on.
+//!    serving and the pipeline moves on. The publisher gets a path, not
+//!    the in-memory bundle, so the hook that serves is built from the file
+//!    that was verified, and a retained version holds no share of the
+//!    training copy's parameter storage.
 
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use infuserki_core::{
-    integrate_more, EvalStamp, GateProbe, GateReport, InfuserKiConfig, InfuserKiMethod,
+    integrate_more, BaseDigest, EvalStamp, GateProbe, GateReport, InfuserKiConfig, InfuserKiMethod,
     KnowledgeBundle, McqBank, TrainConfig,
 };
 use infuserki_kg::{Triple, TripleStore};
@@ -189,6 +194,8 @@ impl From<WalError> for PipelineError {
 /// The online update pipeline. See the module docs for the round shape.
 pub struct UpdatePipeline<P: BundlePublisher> {
     base: TransformerLm,
+    /// `base`'s digest, hashed by the first round that packages a bundle.
+    base_digest: BaseDigest,
     tokenizer: Tokenizer,
     method: InfuserKiMethod,
     cfg: PipelineConfig,
@@ -233,6 +240,7 @@ impl<P: BundlePublisher> UpdatePipeline<P> {
         metrics.wal_bytes.set(rec.valid_len as i64);
         Ok(UpdatePipeline {
             base,
+            base_digest: BaseDigest::default(),
             tokenizer,
             method,
             cfg,
@@ -474,10 +482,14 @@ impl<P: BundlePublisher> UpdatePipeline<P> {
         gate_probes.truncate(self.cfg.max_gate_probes);
 
         let name = format!("{}-r{}", self.cfg.name_prefix, self.round);
-        let bundle = KnowledgeBundle::new(
+        let base_hash = self
+            .base_digest
+            .of(&self.base)
+            .map_err(PipelineError::Artifact)?;
+        let bundle = KnowledgeBundle::with_base_hash(
             &name,
             self.method.clone(),
-            &self.base,
+            base_hash.to_string(),
             Some(stamp),
             gate_probes,
         )
@@ -754,7 +766,10 @@ mod tests {
         assert_eq!(bundle.name, name);
         assert!(!bundle.gate_probes.is_empty());
         assert!(bundle.stamp.is_some());
-        bundle.verify(&base).expect("bundle verifies against base");
+        let digest = infuserki_core::base_model_digest(&base).unwrap();
+        bundle
+            .verify(&base, &digest)
+            .expect("bundle verifies against base");
         // The report satellite sits next to it.
         let report_path = path.with_file_name(format!("{name}.report.json"));
         let report = IncrementalReport::load(&report_path).unwrap();

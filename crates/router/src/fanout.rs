@@ -1,15 +1,22 @@
 //! The fleet's control plane: every control op fans out over the live
-//! replicas. Loads stage everywhere; promotes are all-or-none: the first
-//! live replica scores the NR gate, so a gate refusal happens before any
-//! replica swaps, and every other replica swaps on that verdict (a swap
-//! that fails there rolls the already-promoted replicas back); rollbacks
-//! address every live replica and listings the first (the registries march
-//! in lockstep — all control traffic fans out).
+//! replicas, and loads and promotes are all-or-none.
+//!
+//! * A load reads the bundle file once, on the caller's thread, and checks
+//!   it against every live replica's base digest and prefix-row width
+//!   before any replica stages ([`VerifiedBundle::load`]); a refusal by any
+//!   replica stages nothing anywhere. The replicas then stage one shared
+//!   hook `Arc`, so their scheduler threads only append it.
+//! * A promote is scored once: the first live replica scores the NR gate,
+//!   so a gate refusal happens before any replica swaps, and every other
+//!   replica swaps on that verdict (a swap that fails there rolls the
+//!   already-promoted replicas back).
+//! * Rollbacks address every live replica and listings the first (the
+//!   registries march in lockstep — all control traffic fans out).
 
 use std::sync::atomic::Ordering;
 
 use infuserki_serve::{
-    BundleInfo, Client, ControlError, ControlOp, ControlOutcome, ControlPlane, GateVerdict,
+    Client, ControlError, ControlOp, ControlOutcome, ControlPlane, GateVerdict, VerifiedBundle,
 };
 
 use crate::dispatch::{Inner, RouterClient};
@@ -39,27 +46,24 @@ impl RouterClient {
         self.fan_promote(version, Some(fault_replica))
     }
 
+    /// All-or-none load: verified against every live replica before any
+    /// stages, then staged everywhere from one read of the file.
     fn fan_load(&self, path: &str) -> Result<ControlOutcome, ControlError> {
-        let mut first: Option<BundleInfo> = None;
-        for (_, client) in self.inner.live() {
-            let outcome = client.control(ControlOp::LoadBundle { path: path.into() })?;
-            let ControlOutcome::Loaded(info) = outcome else {
-                unreachable!("load returned {outcome:?}");
-            };
-            match &first {
-                Some(f) if f.version != info.version => {
-                    return Err(ControlError::Incompatible(format!(
-                        "replica registries diverged: version {} vs {}",
-                        f.version, info.version
-                    )));
-                }
-                Some(_) => {}
-                None => first = Some(info),
+        let live: Vec<&Client> = self.inner.live().map(|(_, client)| client).collect();
+        let (first, rest) = live.split_first().ok_or(ControlError::Disconnected)?;
+        let targets: Vec<_> = live.iter().map(|client| client.bundle_target()).collect();
+        let bundle = VerifiedBundle::load(path, &targets)?;
+        let info = first.stage(bundle.clone())?;
+        for client in rest {
+            let other = client.stage(bundle.clone())?;
+            if other.version != info.version {
+                return Err(ControlError::Incompatible(format!(
+                    "replica registries diverged: version {} vs {}",
+                    info.version, other.version
+                )));
             }
         }
-        first
-            .map(ControlOutcome::Loaded)
-            .ok_or(ControlError::Disconnected)
+        Ok(ControlOutcome::Loaded(info))
     }
 
     /// All-or-none promote, scored once. The first live replica runs the

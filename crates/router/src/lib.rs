@@ -24,8 +24,9 @@
 //!   drained round-robin (one request per tenant per sweep), with optional
 //!   token-bucket rate limits and in-flight caps in front — an aggressive
 //!   tenant can fill its own queue but cannot starve another's.
-//! * **Atomic control fan-out**: `load_bundle` stages on every replica;
-//!   `promote` scores the NR gate on the first live replica (a refusal
+//! * **Atomic control fan-out**: `load_bundle` reads the file once, checks
+//!   it against every live replica, then stages it on all of them (a
+//!   refusal stages it on none); `promote` scores the NR gate on the first live replica (a refusal
 //!   changes no replica), then every other replica swaps on that verdict
 //!   (a swap failing there rolls the already-promoted replicas back), so
 //!   the fleet never serves mixed knowledge versions to unpinned traffic. [`RouterClient`] implements

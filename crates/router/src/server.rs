@@ -25,6 +25,8 @@
 //! `{"status":"bundles","bundles":[...]}`; failures (unknown version, NR
 //! regression-gate refusal, incompatible artifact) come back as
 //! `{"status":"control_error","error":"nr_gate_failed","detail":"..."}`.
+//! A `load_bundle` reads and verifies the file on the connection's own
+//! thread; the replicas' scheduler threads only stage the verified hook.
 //!
 //! Responses (in completion order, not request order — match on `id`):
 //!
@@ -321,6 +323,26 @@ fn error_line(id: Option<u64>, detail: &str) -> String {
 /// Writes one line (appending `\n`) under the shared write lock, as a
 /// single write: a reply split across two segments would leave the second
 /// waiting on the peer's delayed ACK.
+/// Returns the allocator's free pages to the OS. A wire `load_bundle`
+/// parses the bundle on this connection's thread, and the parse's garbage
+/// (a JSON value tree a few times the file's size) stays resident in this
+/// thread's allocator arena, which serving never reuses: a one-replica
+/// server's peak RSS read about 9 % higher after one load without this.
+/// glibc only; elsewhere a no-op.
+fn release_free_heap() {
+    #[cfg(all(target_os = "linux", target_env = "gnu"))]
+    {
+        extern "C" {
+            fn malloc_trim(pad: usize) -> std::os::raw::c_int;
+        }
+        // SAFETY: `malloc_trim` takes no pointer and only releases memory
+        // the allocator holds free.
+        unsafe {
+            malloc_trim(0);
+        }
+    }
+}
+
 fn send_line<W: Write>(stream: &Mutex<W>, line: &str) -> std::io::Result<()> {
     let mut framed = String::with_capacity(line.len() + 1);
     framed.push_str(line);
@@ -457,6 +479,7 @@ fn handle_connection(
                 match value.get_field("path").and_then(Value::as_str) {
                     Some(path) => {
                         let res = client.control(ControlOp::LoadBundle { path: path.into() });
+                        release_free_heap();
                         send_line(&writer, &control_line(&res))?;
                     }
                     None => send_line(

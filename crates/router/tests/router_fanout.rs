@@ -1,7 +1,8 @@
 //! Fan-out edge cases of the multi-replica router: tenant fairness under an
 //! aggressive tenant, a replica's scheduler panicking mid-request,
-//! all-or-none group promotion with an injected partial failure, and a
-//! fleet promote that scores its gate on one replica.
+//! all-or-none group promotion with an injected partial failure, an
+//! all-or-none load one replica refuses, and a fleet promote that scores
+//! its gate on one replica.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Barrier, Mutex};
@@ -302,6 +303,101 @@ fn partial_promotion_failure_rolls_the_whole_group_back() {
     served_on_every_replica(&want_v1, "does not serve the promoted bundle");
     handle.shutdown();
     let _ = std::fs::remove_file(&bundle_path);
+    kernels::set_num_threads(0);
+}
+
+/// A fleet load is all or none. With replica 2 of 3 on another base, the
+/// bundle is refused as `Incompatible` and no replica stages it: a request
+/// pinned to version 1 is refused as an unknown bundle wherever it lands.
+/// With that replica gone, the next good load stages as version 1 on every
+/// live replica, and each serves it.
+#[test]
+fn a_load_one_replica_refuses_stages_on_no_replica() {
+    use rand::SeedableRng;
+    let _g = THREADS.lock().unwrap();
+    kernels::set_num_threads(1);
+    let model = demo_model();
+    let method = nudged_method(&model);
+    let path = std::env::temp_dir().join(format!(
+        "infuserki_router_fanout_all_or_none_{}.bundle.json",
+        std::process::id()
+    ));
+    KnowledgeBundle::new("all-or-none", method.clone(), &model, None, Vec::new())
+        .unwrap()
+        .save(&path)
+        .unwrap();
+    let path = path.to_str().unwrap().to_string();
+    // Replica 2 serves another base, under a hook that panics in its first
+    // forward: one request homed there takes it out of the fleet.
+    let (client, handle) = spawn_router(fleet_cfg(3), |i| {
+        let base = if i == 2 {
+            let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(8);
+            TransformerLm::new(model.config().clone(), &mut rng)
+        } else {
+            demo_model()
+        };
+        let hook = PanicHook {
+            armed: i == 2,
+            calls: AtomicUsize::new(0),
+            panic_at: 0,
+        };
+        (base, hook)
+    })
+    .unwrap();
+    let block_rows = fleet_cfg(3).serve.block_rows;
+    let pinned_v1 = |home: usize| {
+        let opts = SubmitOpts {
+            bundle: Some(1),
+            ..SubmitOpts::default()
+        };
+        let prompt = homed_prompt(home, 3, block_rows);
+        client
+            .submit(gen(prompt, 4), opts, None)
+            .unwrap()
+            .wait()
+            .unwrap()
+    };
+
+    match client.load_bundle(&path) {
+        Err(ControlError::Incompatible(msg)) => {
+            assert!(msg.contains("built against base"), "got: {msg}")
+        }
+        other => panic!("a load replica 2 refuses returned {other:?}"),
+    }
+    assert_eq!(client.list_bundles().unwrap().len(), 1);
+    for home in 0..3 {
+        assert_eq!(
+            pinned_v1(home),
+            Outcome::Rejected(RejectReason::UnknownBundle { version: 1 }),
+            "replica {home} staged a bundle the fleet refused"
+        );
+    }
+
+    let doomed = client
+        .submit(
+            gen(homed_prompt(2, 3, block_rows), 4),
+            SubmitOpts::default(),
+            None,
+        )
+        .unwrap();
+    assert_eq!(
+        doomed.wait().unwrap(),
+        Outcome::Rejected(RejectReason::ReplicaFailed)
+    );
+    assert_eq!(client.replicas_alive(), 2);
+    assert_eq!(client.load_bundle(&path).unwrap().version, 1);
+    assert_eq!(client.list_bundles().unwrap().len(), 2);
+    for home in 0..2 {
+        let prompt = homed_prompt(home, 3, block_rows);
+        let want = sampler::greedy_decode(&model, &method.hook(), &prompt, 4, None);
+        assert_eq!(
+            pinned_v1(home),
+            Outcome::Generated { tokens: want },
+            "replica {home}"
+        );
+    }
+    handle.shutdown();
+    let _ = std::fs::remove_file(&path);
     kernels::set_num_threads(0);
 }
 

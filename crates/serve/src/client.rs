@@ -9,6 +9,11 @@
 //! returned [`ResponseHandle`]'s channel — [`crate::RejectReason::ReplicaFailed`]
 //! if the thread dies holding it. The scheduler thread steps while work
 //! exists and blocks on its inbox when idle — no spinning.
+//!
+//! The model is shared between the thread and its clients, so a
+//! `load_bundle` reads and verifies the bundle on the caller's thread
+//! against the replica's base (hashed by the first load, then kept) and
+//! hands the scheduler thread only the staging.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender, TryRecvError};
@@ -16,12 +21,14 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use infuserki_core::BaseDigest;
 use infuserki_nn::{LayerHook, TransformerLm};
 
 use crate::config::ServeConfig;
+use crate::control::{BundleTarget, VerifiedBundle};
 use crate::limits::EngineLimits;
 use crate::metrics::{MetricsSnapshot, ServeMetrics};
-use crate::registry::{ControlError, ControlOp, ControlOutcome, ControlPlane};
+use crate::registry::{BundleInfo, ControlError, ControlOp, ControlOutcome, ControlPlane};
 use crate::request::{
     CancelToken, GenerateSpec, McqSpec, Outcome, Request, RequestId, RequestKind, Response,
     SubmitError,
@@ -34,10 +41,17 @@ struct ControlRequest {
     tx: Sender<Result<ControlOutcome, ControlError>>,
 }
 
+/// A verified bundle to stage, plus the channel its result goes back on.
+struct StageRequest {
+    bundle: VerifiedBundle,
+    tx: Sender<Result<BundleInfo, ControlError>>,
+}
+
 /// Inbox messages of the scheduler thread.
 enum Msg {
     Request(Request),
     Control(ControlRequest),
+    Stage(StageRequest),
     Shutdown,
 }
 
@@ -110,6 +124,10 @@ pub struct SubmitOpts {
 #[derive(Clone)]
 pub struct Client {
     tx: Sender<Msg>,
+    /// The replica's frozen base, shared with its scheduler thread.
+    base: Arc<TransformerLm>,
+    /// `base`'s digest, hashed by the first load through any clone.
+    base_digest: Arc<BaseDigest>,
     limits: EngineLimits,
     metrics: Arc<ServeMetrics>,
     next_id: Arc<AtomicU64>,
@@ -160,6 +178,27 @@ impl Client {
             })
     }
 
+    /// What a bundle must fit to stage on this replica; checked on the
+    /// caller's thread by [`VerifiedBundle::load`].
+    pub fn bundle_target(&self) -> BundleTarget<'_> {
+        BundleTarget {
+            model: &self.base,
+            digest: &self.base_digest,
+            prefix_rows: self.limits.prefix_rows,
+        }
+    }
+
+    /// Stages a bundle verified against this replica's
+    /// [`bundle_target`](Self::bundle_target). The scheduler thread only
+    /// checks its prefix-row width and appends it to the registry.
+    pub fn stage(&self, bundle: VerifiedBundle) -> Result<BundleInfo, ControlError> {
+        let (tx, rx) = mpsc::channel();
+        self.tx
+            .send(Msg::Stage(StageRequest { bundle, tx }))
+            .map_err(|_| ControlError::Disconnected)?;
+        rx.recv().map_err(|_| ControlError::Disconnected)?
+    }
+
     /// Greedy generation convenience wrapper.
     pub fn generate(
         &self,
@@ -187,9 +226,14 @@ impl Client {
 }
 
 impl ControlPlane for Client {
-    /// Runs on the scheduler thread, between steps — a swap never tears a
-    /// batch.
+    /// A load reads and verifies the file here, then stages it; every other
+    /// op runs on the scheduler thread, between steps — a swap never tears
+    /// a batch.
     fn control(&self, op: ControlOp) -> Result<ControlOutcome, ControlError> {
+        if let ControlOp::LoadBundle { path } = op {
+            let bundle = VerifiedBundle::load(&path, &[self.bundle_target()])?;
+            return self.stage(bundle).map(ControlOutcome::Loaded);
+        }
         let (tx, rx) = mpsc::channel();
         self.tx
             .send(Msg::Control(ControlRequest { op, tx }))
@@ -227,7 +271,8 @@ impl Drop for SchedulerHandle {
 }
 
 /// Spawns the scheduler thread over an owned model + hook and returns the
-/// submission client plus the thread handle.
+/// submission client plus the thread handle. The model is shared (read
+/// only) with the clients, which verify bundles against it.
 ///
 /// The thread loop: drain the inbox without blocking, step while work
 /// exists, block on the inbox when idle. On shutdown it rejects the
@@ -241,6 +286,8 @@ where
     H: LayerHook + Send + 'static,
 {
     let (tx, rx) = mpsc::channel::<Msg>();
+    let base = Arc::new(model);
+    let model = Arc::clone(&base);
     // The scheduler borrows the model and hook, which live on the thread's
     // stack — so it is constructed exactly once, there, and the thread
     // reports the outcome (limits + metrics, or the construction error)
@@ -280,6 +327,13 @@ where
                                 sched.handle_control(c.op)
                             });
                         }
+                        Ok(Msg::Stage(s)) => {
+                            let _ = s.tx.send(if draining {
+                                Err(ControlError::ShuttingDown)
+                            } else {
+                                sched.stage_bundle(s.bundle)
+                            });
+                        }
                         Ok(Msg::Shutdown) => {
                             draining = true;
                             sched.begin_drain();
@@ -310,6 +364,8 @@ where
     };
     let client = Client {
         tx: tx.clone(),
+        base,
+        base_digest: Arc::default(),
         limits,
         metrics,
         next_id: Arc::new(AtomicU64::new(0)),
@@ -393,6 +449,111 @@ mod tests {
             _e: &mut infuserki_nn::Exec,
         ) -> Option<infuserki_nn::Val> {
             panic!("injected scheduler-thread panic");
+        }
+    }
+
+    /// Parks the scheduler thread in every forward until the sender of
+    /// `release` is dropped, and says so on `parked` each time.
+    struct ParkHook {
+        parked: std::sync::Mutex<Sender<()>>,
+        release: std::sync::Mutex<Receiver<()>>,
+    }
+
+    impl LayerHook for ParkHook {
+        fn attn_q_delta(
+            &self,
+            _layer: usize,
+            _x: &infuserki_nn::Val,
+            _e: &mut infuserki_nn::Exec,
+        ) -> Option<infuserki_nn::Val> {
+            let _ = self.parked.lock().unwrap().send(());
+            let _ = self.release.lock().unwrap().recv();
+            None
+        }
+    }
+
+    /// Saves a bundle of a fresh method built against `base`.
+    fn bundle_file(tag: &str, base: &TransformerLm) -> std::path::PathBuf {
+        let mut c = infuserki_core::InfuserKiConfig::for_model(base.n_layers());
+        c.bottleneck = 4;
+        c.infuser_hidden = 4;
+        c.rc_dim = 8;
+        let method = infuserki_core::InfuserKiMethod::new(c, base, 3);
+        let path = std::env::temp_dir().join(format!(
+            "infuserki_client_{tag}_{}.bundle.json",
+            std::process::id()
+        ));
+        infuserki_core::KnowledgeBundle::new(tag, method, base, None, Vec::new())
+            .unwrap()
+            .save(&path)
+            .unwrap();
+        path
+    }
+
+    /// A load reads and verifies its file on the caller's thread: with the
+    /// scheduler thread parked inside a step, an alien-base bundle and a
+    /// malformed file still come back as their typed errors. Once the
+    /// thread is released, a good bundle stages.
+    #[test]
+    fn loads_are_verified_while_the_scheduler_thread_is_parked() {
+        use rand::SeedableRng;
+        let (parked_tx, parked_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        let hook = ParkHook {
+            parked: std::sync::Mutex::new(parked_tx),
+            release: std::sync::Mutex::new(release_rx),
+        };
+        let (client, handle) = spawn_scheduler(demo_model(), hook, ServeConfig::default()).unwrap();
+        let good = bundle_file("good", &demo_model());
+        let alien_base = TransformerLm::new(
+            demo_model().config().clone(),
+            &mut rand_chacha::ChaCha8Rng::seed_from_u64(8),
+        );
+        let alien = bundle_file("alien", &alien_base);
+        let malformed = std::env::temp_dir().join(format!(
+            "infuserki_client_malformed_{}.bundle.json",
+            std::process::id()
+        ));
+        std::fs::write(&malformed, "{\"format\":2,\"name\":").unwrap();
+        let path = |p: &std::path::PathBuf| p.to_str().unwrap().to_string();
+
+        // Dropped before `handle`, whose drop joins the thread, should an
+        // assertion below fail while the thread is parked.
+        let release = release_tx;
+        let g = client.generate(vec![1, 2], 2, None).unwrap();
+        parked_rx
+            .recv_timeout(Duration::from_secs(30))
+            .expect("the scheduler thread parks in its first forward");
+        let (done_tx, done_rx) = mpsc::channel();
+        let loader = client.clone();
+        let (alien_path, malformed_path) = (path(&alien), path(&malformed));
+        std::thread::spawn(move || {
+            let _ = done_tx.send((
+                loader.load_bundle(&alien_path),
+                loader.load_bundle(&malformed_path),
+            ));
+        });
+        let (alien_err, malformed_err) = done_rx
+            .recv_timeout(Duration::from_secs(30))
+            .expect("verification does not wait for the parked scheduler thread");
+        match alien_err {
+            Err(ControlError::Incompatible(msg)) => {
+                assert!(msg.contains("built against base"), "got: {msg}")
+            }
+            other => panic!("alien bundle load returned {other:?}"),
+        }
+        assert!(
+            matches!(malformed_err, Err(ControlError::Bundle(_))),
+            "malformed bundle load returned {malformed_err:?}"
+        );
+
+        drop(release);
+        assert!(matches!(g.wait(), Ok(Outcome::Generated { .. })));
+        assert_eq!(client.load_bundle(&path(&good)).unwrap().version, 1);
+        assert_eq!(client.list_bundles().unwrap().len(), 2);
+        handle.shutdown();
+        for p in [good, alien, malformed] {
+            let _ = std::fs::remove_file(p);
         }
     }
 

@@ -1,12 +1,111 @@
-//! The knowledge-bundle control plane on the scheduler thread: load,
-//! promote (behind the NR regression gate), rollback and list.
+//! The knowledge-bundle control plane: loading a bundle file, and the
+//! scheduler thread's half of load, promote (behind the NR regression
+//! gate), rollback and list.
+//!
+//! A load is split across threads. [`VerifiedBundle::load`] reads the file
+//! once, parses it and checks it against every [`BundleTarget`] (one per
+//! replica) on the caller's thread: the JSONL connection, a [`Client`]'s
+//! caller, the router's fleet fan-out or the KG watcher. Only then does the
+//! scheduler thread get the bundle, as an `Arc`'d hook with its metadata;
+//! its staging arm ([`Scheduler::stage_bundle`]) reads no file and computes
+//! no digest: it checks the prefix-row width and appends to the registry.
+//! A [`Scheduler`] driven directly loads through the same function, on the
+//! thread that drives it.
+//!
+//! [`Client`]: crate::Client
 
 use std::sync::Arc;
 
-use infuserki_core::{GateReport, KnowledgeBundle};
+use infuserki_core::{BaseDigest, EvalStamp, GateProbe, GateReport, KnowledgeBundle};
+use infuserki_nn::{LayerHook, TransformerLm};
 
 use crate::registry::{BundleInfo, ControlError, ControlOp, ControlOutcome, GateVerdict, HookArc};
 use crate::scheduler::Scheduler;
+
+/// What a bundle must fit to stage on one replica: the replica's frozen
+/// base, that base's digest (hashed on first use, kept by the replica),
+/// and the prefix-row width its engine was sized for.
+pub struct BundleTarget<'a> {
+    pub(crate) model: &'a TransformerLm,
+    pub(crate) digest: &'a BaseDigest,
+    pub(crate) prefix_rows: usize,
+}
+
+impl BundleTarget<'_> {
+    /// Checks `bundle` against this replica: the base digest, the method's
+    /// fit and gate probes ([`KnowledgeBundle::verify`]), and the
+    /// prefix-row width.
+    fn check(&self, bundle: &KnowledgeBundle) -> Result<(), ControlError> {
+        let digest = self
+            .digest
+            .of(self.model)
+            .map_err(ControlError::Incompatible)?;
+        bundle
+            .verify(self.model, digest)
+            .map_err(ControlError::Incompatible)?;
+        check_prefix_rows(self.model, self.prefix_rows, &bundle.name, &bundle.method)
+    }
+}
+
+/// EngineLimits (and every client's synchronous validation) bake in the
+/// base hook's prefix-row width; a bundle changing it would make admitted
+/// reservations wrong for its lanes.
+fn check_prefix_rows(
+    model: &TransformerLm,
+    prefix_rows: usize,
+    name: &str,
+    hook: &dyn LayerHook,
+) -> Result<(), ControlError> {
+    let rows = model.max_prefix_rows(hook);
+    if rows != prefix_rows {
+        return Err(ControlError::Incompatible(format!(
+            "bundle '{name}' needs {rows} prefix K/V rows per layer but the engine was \
+             sized for {prefix_rows}"
+        )));
+    }
+    Ok(())
+}
+
+/// A bundle file read, parsed and verified, ready to stage: its hook behind
+/// an `Arc` (a fleet shares one across replicas) and the metadata the
+/// registry keeps.
+#[derive(Clone)]
+pub struct VerifiedBundle {
+    name: String,
+    config_fingerprint: String,
+    stamp: Option<EvalStamp>,
+    gate_probes: Vec<GateProbe>,
+    hook: HookArc<'static>,
+}
+
+impl VerifiedBundle {
+    /// Reads the bundle file at `path` once and verifies it against every
+    /// target, on the calling thread. An unreadable or malformed file is
+    /// [`ControlError::Bundle`]; a bundle any target refuses (another base,
+    /// a method that does not fit, a malformed gate probe, another
+    /// prefix-row width) is [`ControlError::Incompatible`].
+    pub fn load(path: &str, targets: &[BundleTarget<'_>]) -> Result<Self, ControlError> {
+        let bundle = KnowledgeBundle::load(path).map_err(ControlError::Bundle)?;
+        for target in targets {
+            target.check(&bundle)?;
+        }
+        let KnowledgeBundle {
+            name,
+            config_fingerprint,
+            stamp,
+            gate_probes,
+            method,
+            ..
+        } = bundle;
+        Ok(VerifiedBundle {
+            name,
+            config_fingerprint,
+            stamp,
+            gate_probes,
+            hook: Arc::new(method),
+        })
+    }
+}
 
 impl<'a> Scheduler<'a> {
     /// The version unpinned requests resolve to at admission.
@@ -28,34 +127,38 @@ impl<'a> Scheduler<'a> {
         }
     }
 
-    /// Loads, verifies and stages a [`KnowledgeBundle`] file. The new
-    /// version is immediately pinnable (`bundle: v` on requests) but does
-    /// not serve unpinned traffic until [`Scheduler::promote`].
+    /// What a bundle must fit to stage here.
+    pub(crate) fn bundle_target(&self) -> BundleTarget<'_> {
+        BundleTarget {
+            model: self.model,
+            digest: &self.base_digest,
+            prefix_rows: self.limits.prefix_rows,
+        }
+    }
+
+    /// Loads, verifies and stages a [`KnowledgeBundle`] file on the calling
+    /// thread. The new version is immediately pinnable (`bundle: v` on
+    /// requests) but does not serve unpinned traffic until
+    /// [`Scheduler::promote`].
     pub fn load_bundle(&mut self, path: &str) -> Result<BundleInfo, ControlError> {
-        let bundle = KnowledgeBundle::load(path).map_err(ControlError::Bundle)?;
-        bundle
-            .verify(self.model)
-            .map_err(ControlError::Incompatible)?;
-        let KnowledgeBundle {
+        let bundle = VerifiedBundle::load(path, &[self.bundle_target()])?;
+        self.stage_bundle(bundle)
+    }
+
+    /// Stages a bundle already verified against this scheduler's base: the
+    /// scheduler thread's whole share of a load.
+    pub(crate) fn stage_bundle(
+        &mut self,
+        bundle: VerifiedBundle,
+    ) -> Result<BundleInfo, ControlError> {
+        let VerifiedBundle {
             name,
             config_fingerprint,
             stamp,
             gate_probes,
-            method,
-            ..
+            hook,
         } = bundle;
-        let hook: HookArc<'static> = Arc::new(method);
-        // EngineLimits (and every client's synchronous validation) bake in
-        // the base hook's prefix-row width; a bundle changing it would make
-        // admitted reservations wrong for its lanes.
-        let rows = self.model.max_prefix_rows(hook.as_ref());
-        if rows != self.limits.prefix_rows {
-            return Err(ControlError::Incompatible(format!(
-                "bundle '{name}' needs {rows} prefix K/V rows per layer but the engine was \
-                 sized for {}",
-                self.limits.prefix_rows
-            )));
-        }
+        check_prefix_rows(self.model, self.limits.prefix_rows, &name, hook.as_ref())?;
         let v = self.registry.stage(
             name,
             config_fingerprint,

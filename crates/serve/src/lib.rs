@@ -44,6 +44,7 @@ pub mod scheduler;
 
 pub use client::{spawn_scheduler, Client, ResponseHandle, SchedulerHandle, SubmitOpts};
 pub use config::ServeConfig;
+pub use control::{BundleTarget, VerifiedBundle};
 pub use infuserki_core::GateReport;
 pub use limits::EngineLimits;
 pub use metrics::{MetricsSnapshot, ServeMetrics};

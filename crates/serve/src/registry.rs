@@ -9,7 +9,10 @@
 //! * `load_bundle` verifies the artifact against the serving base model and
 //!   *stages* it — it gets a version number and is immediately addressable
 //!   by requests that pin it explicitly (`bundle: v`), which is how A/B
-//!   traffic runs two knowledge versions concurrently;
+//!   traffic runs two knowledge versions concurrently. Reading and
+//!   verifying happen on the caller's thread
+//!   ([`crate::VerifiedBundle::load`]); the registry only receives the
+//!   verified hook;
 //! * `promote` makes a staged version the default for unpinned requests —
 //!   after the scheduler's NR regression gate passes ([the gate lives in the
 //!   scheduler](crate::Scheduler::promote), which owns the model);
@@ -187,7 +190,11 @@ pub struct BundleInfo {
 /// batch).
 #[derive(Debug, Clone, PartialEq)]
 pub enum ControlOp {
-    /// Load + verify + stage a bundle file.
+    /// Load + verify + stage a bundle file. Through a [`crate::Client`] or
+    /// a router, the file is read and verified on the calling thread and
+    /// only the staging reaches the scheduler thread; a [`crate::Scheduler`]
+    /// driven directly does all three in
+    /// [`handle_control`](crate::Scheduler::handle_control).
     LoadBundle {
         /// Filesystem path of the bundle JSON.
         path: String,
@@ -290,8 +297,9 @@ pub trait ControlPlane {
     fn control(&self, op: ControlOp) -> Result<ControlOutcome, ControlError>;
 
     /// Loads, verifies and stages a [`infuserki_core::KnowledgeBundle`]
-    /// file; the returned version is pinnable immediately but serves
-    /// unpinned traffic only after [`ControlPlane::promote`].
+    /// file (read and verified on the calling thread); the returned version
+    /// is pinnable immediately but serves unpinned traffic only after
+    /// [`ControlPlane::promote`].
     fn load_bundle(&self, path: &str) -> Result<BundleInfo, ControlError> {
         match self.control(ControlOp::LoadBundle { path: path.into() })? {
             ControlOutcome::Loaded(info) => Ok(info),

@@ -57,6 +57,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
+use infuserki_core::BaseDigest;
 use infuserki_obs as obs;
 
 use infuserki_nn::{KvCache, LayerHook, PoolHandle, PrefixIndex, TransformerLm};
@@ -136,6 +137,10 @@ pub(crate) struct VersionGroup<'a> {
 /// holds [`RejectReason::ReplicaFailed`].
 pub struct Scheduler<'a> {
     pub(crate) model: &'a TransformerLm,
+    /// `model`'s digest, hashed by the first bundle loaded through
+    /// [`Scheduler::load_bundle`] (a spawned scheduler's loads are verified
+    /// by its [`crate::Client`], which keeps its own).
+    pub(crate) base_digest: BaseDigest,
     /// Knowledge versions; version 0 is the construction hook.
     pub(crate) registry: BundleRegistry<'a>,
     pub(crate) cfg: ServeConfig,
@@ -183,6 +188,7 @@ impl<'a> Scheduler<'a> {
         let registry = BundleRegistry::new(Arc::new(hook) as HookArc<'a>, &metrics);
         Ok(Scheduler {
             model,
+            base_digest: BaseDigest::default(),
             registry,
             queue: RequestQueue::new(cfg.queue_capacity),
             limits,
