@@ -76,7 +76,7 @@ pub fn extensions(args: Args, studies: &mut Studies) -> String {
     };
 
     // InfuserKI reference row.
-    let ik_eval = &ik.row.eval;
+    let ik_eval = &ik.eval;
     row("InfuserKI", ik_eval, &mut out);
 
     // GRACE: sequential edits of the unknown facts.
@@ -95,7 +95,7 @@ pub fn extensions(args: Args, studies: &mut Studies) -> String {
         &mut out,
     );
 
-    row("InfuserKI (gate=FFN-out)", &ik_out.row.eval, &mut out);
+    row("InfuserKI (gate=FFN-out)", &ik_out.eval, &mut out);
 
     // Classic mitigations over full fine-tuning.
     let new_qa: Vec<LmSample> = p

@@ -141,7 +141,6 @@ pub fn fig5(args: Args, studies: &mut Studies) -> String {
         cfg.placement = placement;
         let eval = &p
             .run(&MethodKind::InfuserKi(cfg), &TrainConfig::default())
-            .row
             .eval;
         let _ = writeln!(
             out,

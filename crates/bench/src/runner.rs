@@ -2,6 +2,7 @@
 //! once), each method trained and evaluated once on it, and the paper-style
 //! tables read from those runs.
 
+use std::cell::OnceCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 use std::time::Instant;
@@ -205,10 +206,19 @@ const DOWNSTREAM_ITEMS: usize = 150;
 
 /// One method trained and evaluated once on a study's world.
 pub struct Run {
-    /// The table row.
-    pub row: MethodResult,
+    /// Row name.
+    pub name: String,
+    /// NR/RR/F1 metrics.
+    pub eval: MethodEval,
+    /// Wall-clock training seconds (evaluation excluded).
+    pub train_secs: f32,
+    /// Trainable parameters introduced by the method.
+    pub extra_params: usize,
+    /// Downstream-task F1, scored by the first [`Study::row`] of this run:
+    /// only the tables print it, so a figure's run never pays for it.
+    downstream: OnceCell<f32>,
     /// MCQ outcomes per template: `outcomes[t][i]` answers triple `i` under
-    /// template `t` (what `row.eval` was scored from).
+    /// template `t` (what `eval` was scored from).
     pub outcomes: Vec<Vec<McqOutcome>>,
     /// The trained method's hook ([`NoHook`] for the vanilla base).
     pub hook: Box<dyn LayerHook>,
@@ -288,26 +298,36 @@ impl Study {
         let model = quantized_base.as_ref().unwrap_or(&w.base);
         let outcomes = answer_templates(model, hook.as_ref(), &w.tokenizer, &w.bank);
         let eval = MethodEval::from_outcomes(&outcomes, &self.known, &self.unknown);
-        let downstream = self.downstream(model, hook.as_ref());
         eprintln!(
             "[study] {label}: NR {:.2} RR {:.2} ({train_secs:.0}s training)",
             eval.nr, eval.rr
         );
-        let row = MethodResult {
+        let run = Rc::new(Run {
             name,
             eval,
-            downstream,
             train_secs,
             extra_params,
-        };
-        let run = Rc::new(Run {
-            row,
+            downstream: OnceCell::new(),
             outcomes,
             hook,
             quantized_base,
         });
         self.runs.push((kind.clone(), tc.clone(), Rc::clone(&run)));
         run
+    }
+
+    /// `run`'s table row, scoring its downstream F1 on the first call.
+    pub fn row(&self, run: &Run) -> MethodResult {
+        let downstream = *run
+            .downstream
+            .get_or_init(|| self.downstream(run.model(&self.world.base), run.hook.as_ref()));
+        MethodResult {
+            name: run.name.clone(),
+            eval: run.eval.clone(),
+            downstream,
+            train_secs: run.train_secs,
+            extra_params: run.extra_params,
+        }
     }
 
     /// Trains `kind`; returns QLoRA's quantized base, the trained hook and
@@ -427,7 +447,10 @@ pub fn run_experiment(
     let rows = cfg
         .methods
         .iter()
-        .map(|kind| study.run(kind, &cfg.train).row.clone())
+        .map(|kind| {
+            let run = study.run(kind, &cfg.train);
+            study.row(&run)
+        })
         .collect();
     ExperimentReport {
         title: title.to_string(),
@@ -488,9 +511,9 @@ mod tests {
             "the same (kind, tc) trained twice"
         );
         assert_eq!(study.runs.len(), 1);
-        assert_eq!(again.row.name, first.row.name);
-        assert_eq!(again.row.eval.nr.to_bits(), first.row.eval.nr.to_bits());
-        assert_eq!(again.row.eval.rr.to_bits(), first.row.eval.rr.to_bits());
+        assert_eq!(again.name, first.name);
+        assert_eq!(again.eval.nr.to_bits(), first.eval.nr.to_bits());
+        assert_eq!(again.eval.rr.to_bits(), first.eval.rr.to_bits());
 
         let other = TrainConfig {
             epochs_qa: 2,

@@ -216,15 +216,26 @@ pub fn build_world_in(cfg: &WorldConfig, artifacts: &std::path::Path) -> World {
     };
 
     let cache_path = artifacts.join(format!("base_{}.json", cfg.cache_key()));
-    let base = match TransformerLm::load(&cache_path) {
-        Ok(model) if model.config() == &model_cfg => {
+    let cached = match TransformerLm::load(&cache_path) {
+        Ok(model) if model.config() == &model_cfg => Ok(model),
+        Ok(_) => Err("its model config differs".to_string()),
+        Err(e) => Err(e.to_string()),
+    };
+    let base = match cached {
+        Ok(model) => {
             eprintln!(
                 "[world] loaded cached base model from {}",
                 cache_path.display()
             );
             model
         }
-        _ => {
+        Err(why) => {
+            if cache_path.exists() {
+                eprintln!(
+                    "[world] rebuilding the cached base model at {}: {why}",
+                    cache_path.display()
+                );
+            }
             let model = pretrain_base(cfg, &store, &tokenizer, &bank, &pretrained_idx, model_cfg);
             if let Err(e) = model.save(&cache_path) {
                 eprintln!("[world] warning: could not cache base model: {e}");
@@ -391,6 +402,60 @@ mod tests {
         let b = w2.base.forward(&[2, 3], &NoHook, &mut t2);
         assert_eq!(t1.value(a).data(), t2.value(b).data());
         let _ = std::fs::remove_dir_all(dir);
+    }
+
+    /// Every tensor in `v` with its `data` as a JSON number array, the way
+    /// builds before the base64 tensor format wrote it.
+    fn number_array_tensors(v: &mut serde::Value) {
+        use serde::Value;
+        if v.get_field("rows").is_some() {
+            let m = infuserki_tensor::Matrix::from_value(v).unwrap();
+            let nums = m.data().iter().map(|&x| Value::Num(x.into())).collect();
+            if let Value::Object(fields) = v {
+                fields.iter_mut().find(|(k, _)| k == "data").unwrap().1 = Value::Array(nums);
+            }
+            return;
+        }
+        match v {
+            Value::Object(fields) => fields.iter_mut().for_each(|(_, f)| number_array_tensors(f)),
+            Value::Array(items) => items.iter_mut().for_each(number_array_tensors),
+            _ => {}
+        }
+    }
+
+    #[test]
+    fn an_array_form_cached_base_is_rebuilt_in_the_current_format() {
+        let dir = std::env::temp_dir().join(format!("infuserki_world_old_{}", std::process::id()));
+        let cfg = WorldConfig::tiny(Domain::Umls, 98);
+        let path = dir.join(format!("base_{}.json", cfg.cache_key()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let fresh = build_world_in(&cfg, &dir).base;
+        let mut old = fresh.to_value();
+        number_array_tensors(&mut old);
+        std::fs::write(&path, serde_json::to_string(&old).unwrap()).unwrap();
+        assert!(
+            TransformerLm::load(&path).is_err(),
+            "the old form must not load"
+        );
+
+        let rebuilt = build_world_in(&cfg, &dir).base;
+        let text = std::fs::read_to_string(&path).unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+        assert!(
+            !text.contains(r#""data":["#),
+            "the cache still holds number arrays"
+        );
+        assert!(text.contains(r#""data":""#), "the cache was not rewritten");
+        let bits = |m: &TransformerLm| {
+            let mut v = Vec::new();
+            m.visit(&mut |p| v.extend(p.data().data().iter().map(|x| x.to_bits())));
+            v
+        };
+        assert_eq!(
+            bits(&rebuilt),
+            bits(&fresh),
+            "pre-training is deterministic"
+        );
     }
 
     #[test]

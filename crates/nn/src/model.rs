@@ -365,7 +365,8 @@ impl TransformerLm {
         self.lm_loss(&tokens, &targets, hook, tape)
     }
 
-    /// Saves the model (config + all parameters) as JSON.
+    /// Saves the model (config + all parameters) as JSON, each tensor as
+    /// base64 of its `f32` bits ([`infuserki_tensor::Matrix`]'s format).
     pub fn save(&self, path: impl AsRef<Path>) -> Result<(), TensorError> {
         let json = serde_json::to_string(self).expect("model serialization cannot fail");
         if let Some(dir) = path.as_ref().parent() {
@@ -378,7 +379,8 @@ impl TransformerLm {
 
     /// Loads a model saved by [`save`](Self::save). Filesystem failures map
     /// to [`TensorError::Io`], malformed or invalid checkpoints to
-    /// [`TensorError::Corrupt`].
+    /// [`TensorError::Corrupt`], including one saved before tensors were
+    /// base64, whose error says to re-save it.
     pub fn load(path: impl AsRef<Path>) -> Result<Self, TensorError> {
         let json = fs::read_to_string(&path)
             .map_err(|e| TensorError::Io(format!("read {}: {e}", path.as_ref().display())))?;

@@ -320,15 +320,14 @@ fn error_line(id: Option<u64>, detail: &str) -> String {
     json_line(&obj(fields))
 }
 
-/// Writes one line (appending `\n`) under the shared write lock, as a
-/// single write: a reply split across two segments would leave the second
-/// waiting on the peer's delayed ACK.
-/// Returns the allocator's free pages to the OS. A wire `load_bundle`
-/// parses the bundle on this connection's thread, and the parse's garbage
-/// (a JSON value tree a few times the file's size) stays resident in this
-/// thread's allocator arena, which serving never reuses: a one-replica
-/// server's peak RSS read about 9 % higher after one load without this.
-/// glibc only; elsewhere a no-op.
+/// Returns the allocator's free pages to the OS, from every arena: glibc's
+/// `malloc_trim` walks them all, not only the calling thread's. It runs
+/// after a wire `load_bundle`. The load's own garbage is small now that a
+/// bundle's tensors are base64 (a 171 KB file), yet without the trim peak
+/// `server_rss_mb` read 7-15 % higher on `gen_decode` and `mcq_templates`.
+/// So most of what it returns is not the load's garbage but free pages
+/// other arenas hold; setup's checkpoint read and parse in the main arena
+/// is the likely source. glibc only; elsewhere a no-op.
 fn release_free_heap() {
     #[cfg(all(target_os = "linux", target_env = "gnu"))]
     {
@@ -343,6 +342,9 @@ fn release_free_heap() {
     }
 }
 
+/// Writes one line (appending `\n`) under the shared write lock, as a
+/// single write: a reply split across two segments would leave the second
+/// waiting on the peer's delayed ACK.
 fn send_line<W: Write>(stream: &Mutex<W>, line: &str) -> std::io::Result<()> {
     let mut framed = String::with_capacity(line.len() + 1);
     framed.push_str(line);

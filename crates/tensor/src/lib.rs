@@ -35,6 +35,7 @@
 //! differences (see `tests/` and [`check`]).
 
 mod backward;
+mod base64;
 pub mod batch;
 pub mod check;
 pub mod error;

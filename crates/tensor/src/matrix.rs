@@ -1,13 +1,21 @@
 //! Dense row-major `f32` matrix — the single value type of the engine.
 
+use crate::base64;
 use crate::error::TensorError;
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Value};
 
 /// A dense, row-major `f32` matrix.
 ///
 /// All tensor values in the engine are 2-D: a token-embedding sequence is
 /// `[seq, d]`, a scalar loss is `[1, 1]`, a bias row is `[1, d]`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// It serializes as `{"rows": r, "cols": c, "data": "<base64>"}`, where
+/// `data` is standard padded base64 of the row-major little-endian `f32`
+/// bytes: every weight's bits, NaN payloads and signed zeros included, with
+/// no float printed or parsed. That is the only tensor format a checkpoint
+/// has; an older file whose `data` is a number array is refused with an
+/// error that says so.
+#[derive(Debug, Clone, PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
@@ -322,6 +330,50 @@ impl Matrix {
     }
 }
 
+impl Serialize for Matrix {
+    fn to_value(&self) -> Value {
+        let bytes: Vec<u8> = self.data.iter().flat_map(|x| x.to_le_bytes()).collect();
+        Value::Object(vec![
+            ("rows".into(), self.rows.to_value()),
+            ("cols".into(), self.cols.to_value()),
+            ("data".into(), Value::Str(base64::encode(&bytes))),
+        ])
+    }
+}
+
+impl Deserialize for Matrix {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        if !matches!(v, Value::Object(_)) {
+            return Err(DeError::expected("tensor object", v));
+        }
+        let field = |name| v.get_field(name).ok_or_else(|| DeError::missing(name));
+        let rows = usize::from_value(field("rows")?)?;
+        let cols = usize::from_value(field("cols")?)?;
+        let text = match field("data")? {
+            Value::Str(text) => text,
+            Value::Array(_) => {
+                return Err(DeError(
+                    "tensor data is a number array: a pre-format-3 tensor; \
+                     re-save it with this build"
+                        .into(),
+                ))
+            }
+            other => return Err(DeError::expected("base64 tensor data", other)),
+        };
+        let n_bytes = rows
+            .checked_mul(cols)
+            .and_then(|n| n.checked_mul(4))
+            .ok_or_else(|| DeError(format!("tensor shape {rows}x{cols} overflows")))?;
+        let bytes = base64::decode(text, n_bytes)
+            .map_err(|e| DeError(format!("{rows}x{cols} tensor: {e}")))?;
+        let data = bytes
+            .chunks_exact(4)
+            .map(|b| f32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+            .collect();
+        Ok(Matrix { rows, cols, data })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -452,12 +504,12 @@ mod tests {
     #[test]
     fn serde_round_trip() {
         let m = Matrix::from_vec(2, 2, vec![1., 2., 3., 4.]);
-        let s = serde_json::to_string(&m);
-        // serde_json is not a dependency of this crate's tests; use bincode-free
-        // manual check instead when unavailable.
-        if let Ok(s) = s {
-            let back: Matrix = serde_json::from_str(&s).unwrap();
-            assert_eq!(back, m);
-        }
+        let s = serde_json::to_string(&m).unwrap();
+        assert_eq!(
+            s,
+            r#"{"rows":2,"cols":2,"data":"AACAPwAAAEAAAEBAAACAQA=="}"#
+        );
+        let back: Matrix = serde_json::from_str(&s).unwrap();
+        assert_eq!(back, m);
     }
 }

@@ -118,7 +118,13 @@ fn write_number(out: &mut String, n: f64) {
 
 fn write_string(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
+    // Runs that need no escape (a tensor's whole base64 payload) are
+    // copied in one piece.
+    let mut rest = s;
+    while let Some(at) = rest.find(|c: char| matches!(c, '"' | '\\') || c < ' ') {
+        out.push_str(&rest[..at]);
+        let c = rest[at..].chars().next().expect("found at a char boundary");
+        rest = &rest[at + c.len_utf8()..];
         match c {
             '"' => out.push_str("\\\""),
             '\\' => out.push_str("\\\\"),
@@ -127,13 +133,13 @@ fn write_string(out: &mut String, s: &str) {
             '\t' => out.push_str("\\t"),
             '\u{08}' => out.push_str("\\b"),
             '\u{0C}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
+            c => {
                 use std::fmt::Write;
                 let _ = write!(out, "\\u{:04x}", c as u32);
             }
-            c => out.push(c),
         }
     }
+    out.push_str(rest);
     out.push('"');
 }
 
