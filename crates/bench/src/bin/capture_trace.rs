@@ -27,7 +27,7 @@ fn main() {
     obs::clear_trace();
 
     let model = demo_model();
-    let mut sched = Scheduler::new(&model, &NoHook, ServeConfig::default()).expect("scheduler");
+    let mut sched = Scheduler::new(&model, NoHook, ServeConfig::default()).expect("scheduler");
     let mut sinks = Vec::new();
     let mut submit = |id: u64, kind: RequestKind| {
         let (tx, rx) = mpsc::channel();

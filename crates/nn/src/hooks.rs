@@ -96,9 +96,32 @@ pub trait LayerHook: Sync {
 }
 
 /// References forward every method to the referent, so `&dyn LayerHook` is
-/// itself a `LayerHook` — which lets owners of a borrowed hook re-share it
-/// behind `Arc` (the serving bundle registry does).
+/// itself a `LayerHook`.
 impl<H: LayerHook + ?Sized> LayerHook for &H {
+    fn attn_q_delta(&self, layer: usize, x: &Val, e: &mut Exec) -> Option<Val> {
+        (**self).attn_q_delta(layer, x, e)
+    }
+
+    fn attn_v_delta(&self, layer: usize, x: &Val, e: &mut Exec) -> Option<Val> {
+        (**self).attn_v_delta(layer, x, e)
+    }
+
+    fn prefix_kv(&self, layer: usize, e: &mut Exec) -> Option<(Val, Val)> {
+        (**self).prefix_kv(layer, e)
+    }
+
+    fn attn_output(&self, layer: usize, attn_in: &Val, attn_out: Val, e: &mut Exec) -> Val {
+        (**self).attn_output(layer, attn_in, attn_out, e)
+    }
+
+    fn ffn_output(&self, layer: usize, ffn_in: &Val, ffn_out: Val, e: &mut Exec) -> Val {
+        (**self).ffn_output(layer, ffn_in, ffn_out, e)
+    }
+}
+
+/// A shared hook forwards like a borrowed one, so its owner can hand a
+/// scheduler (which owns the hooks it serves) a handle and keep using it.
+impl<H: LayerHook + Send + ?Sized> LayerHook for std::sync::Arc<H> {
     fn attn_q_delta(&self, layer: usize, x: &Val, e: &mut Exec) -> Option<Val> {
         (**self).attn_q_delta(layer, x, e)
     }

@@ -12,7 +12,7 @@
 
 use infuserki_obs as obs;
 use infuserki_tensor::op::IGNORE_INDEX;
-use infuserki_tensor::{Gradients, NodeId, Param, Tape, TrainableSet};
+use infuserki_tensor::{kernels, Gradients, NodeId, Param, Tape, TrainableSet};
 use rand::seq::SliceRandom;
 use rand::Rng;
 use rayon::prelude::*;
@@ -137,6 +137,18 @@ pub fn train_epoch<T: Trainable>(
 /// Computes summed loss and accumulated gradients for one batch without
 /// stepping — exposed for tests and custom loops.
 ///
+/// Runs `f`, whose parallel iterators fan out over samples, on
+/// [`kernels::num_threads`] threads: the process's one thread count
+/// (`kernels::set_num_threads`, which `serve --threads` sets, then
+/// `INFUSERKI_THREADS`, then the host's cores).
+fn on_kernel_threads<R>(f: impl FnOnce() -> R) -> R {
+    rayon::ThreadPoolBuilder::new()
+        .num_threads(kernels::num_threads())
+        .build()
+        .expect("shim pool build is infallible")
+        .install(f)
+}
+
 /// Each sample's tape is [`Tape::with_trainable`]`(trainable)`: the result
 /// holds a gradient for each parameter of `trainable` the loss reaches and
 /// for no other, each bitwise what a full [`Tape::new`] backward computes.
@@ -152,16 +164,18 @@ pub fn compute_batch_grads<T: Trainable>(
     indices: &[usize],
     trainable: &TrainableSet,
 ) -> (f32, Gradients) {
-    let per: Vec<(f32, Gradients)> = indices
-        .par_iter()
-        .map(|&i| {
-            let mut tape = Tape::with_trainable(trainable.clone());
-            let loss = model.loss(&samples[i], &mut tape);
-            let lv = tape.value(loss).scalar_value();
-            tape.backward(loss);
-            (lv, tape.grads())
-        })
-        .collect();
+    let per: Vec<(f32, Gradients)> = on_kernel_threads(|| {
+        indices
+            .par_iter()
+            .map(|&i| {
+                let mut tape = Tape::with_trainable(trainable.clone());
+                let loss = model.loss(&samples[i], &mut tape);
+                let lv = tape.value(loss).scalar_value();
+                tape.backward(loss);
+                (lv, tape.grads())
+            })
+            .collect()
+    });
     let mut total = 0.0f64;
     let mut grads = Gradients::new();
     for (lv, g) in per {
@@ -180,14 +194,16 @@ pub fn eval_loss<T: Trainable>(model: &T, samples: &[T::Sample]) -> f32 {
     if samples.is_empty() {
         return 0.0;
     }
-    let per: Vec<f32> = samples
-        .par_iter()
-        .map(|s| {
-            let mut tape = Tape::new();
-            let loss = model.loss(s, &mut tape);
-            tape.value(loss).scalar_value()
-        })
-        .collect();
+    let per: Vec<f32> = on_kernel_threads(|| {
+        samples
+            .par_iter()
+            .map(|s| {
+                let mut tape = Tape::new();
+                let loss = model.loss(s, &mut tape);
+                tape.value(loss).scalar_value()
+            })
+            .collect()
+    });
     let total: f64 = per.iter().map(|&l| l as f64).sum();
     (total / samples.len() as f64) as f32
 }
@@ -274,6 +290,53 @@ mod tests {
                 .fold(0.0f32, f32::max);
             assert!(diff < 1e-4, "diff {diff}");
         }
+    }
+
+    /// The per-sample fan-out follows the kernels' thread count, whatever
+    /// `RAYON_NUM_THREADS` says: at one thread every sample's loss runs on
+    /// the calling thread, at two the samples split over two others.
+    #[test]
+    fn sample_fan_out_follows_the_kernel_thread_count() {
+        use std::sync::Mutex;
+        use std::thread::ThreadId;
+
+        struct Recording(FullModel, Mutex<Vec<ThreadId>>);
+
+        impl Trainable for Recording {
+            type Sample = LmSample;
+            fn loss(&self, s: &LmSample, tape: &mut Tape) -> NodeId {
+                self.1.lock().unwrap().push(std::thread::current().id());
+                self.0.loss(s, tape)
+            }
+            fn visit_trainable(&mut self, f: &mut dyn FnMut(&mut Param)) {
+                self.0.visit_trainable(f);
+            }
+        }
+
+        let lm = TransformerLm::new(ModelConfig::tiny(20), &mut ChaCha8Rng::seed_from_u64(24));
+        let all = lm.trainable_set();
+        let model = Recording(FullModel(lm), Mutex::default());
+        let samples: Vec<LmSample> = (1..5)
+            .map(|t| LmSample::from_completion(&[t], &[2]))
+            .collect();
+        let threads_used = |n: usize| {
+            kernels::set_num_threads(n);
+            model.1.lock().unwrap().clear();
+            compute_batch_grads(&model, &samples, &[0, 1, 2, 3], &all);
+            eval_loss(&model, &samples);
+            let mut ids = std::mem::take(&mut *model.1.lock().unwrap());
+            assert_eq!(ids.len(), 8, "one loss per sample per call");
+            let on_caller = ids.iter().all(|&id| id == std::thread::current().id());
+            ids.sort_by_key(|id| format!("{id:?}"));
+            ids.dedup();
+            (on_caller, ids.len())
+        };
+        let one = threads_used(1);
+        let two = threads_used(2);
+        kernels::set_num_threads(0);
+        assert_eq!(one, (true, 1));
+        // Each call spawns its own two scoped workers.
+        assert_eq!(two, (false, 4));
     }
 
     #[test]

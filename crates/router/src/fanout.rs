@@ -5,11 +5,14 @@
 //!   it against every live replica's base digest and prefix-row width
 //!   before any replica stages ([`VerifiedBundle::load`]); a refusal by any
 //!   replica stages nothing anywhere. The replicas then stage one shared
-//!   hook `Arc`, so their scheduler threads only append it.
-//! * A promote is scored once: the first live replica scores the NR gate,
-//!   so a gate refusal happens before any replica swaps, and every other
-//!   replica swaps on that verdict (a swap that fails there rolls the
-//!   already-promoted replicas back).
+//!   hook `Arc` and one shared verdict cell, so their scheduler threads only
+//!   append them, and the NR gate is scored once for the fleet, on a worker
+//!   thread, against the first replica's active version.
+//! * A promote swaps the first live replica on that stored verdict (its
+//!   caller waits for the score, or scores again if the active version has
+//!   changed since), so a gate refusal happens before any replica swaps,
+//!   and every other replica swaps on the verdict the first swapped on (a
+//!   swap that fails there rolls the already-promoted replicas back).
 //! * Rollbacks address every live replica and listings the first (the
 //!   registries march in lockstep — all control traffic fans out).
 
@@ -47,15 +50,17 @@ impl RouterClient {
     }
 
     /// All-or-none load: verified against every live replica before any
-    /// stages, then staged everywhere from one read of the file.
+    /// stages, then staged everywhere from one read of the file. The gate
+    /// is scored once, on a worker thread, after every replica staged; the
+    /// load does not wait for it.
     fn fan_load(&self, path: &str) -> Result<ControlOutcome, ControlError> {
         let live: Vec<&Client> = self.inner.live().map(|(_, client)| client).collect();
         let (first, rest) = live.split_first().ok_or(ControlError::Disconnected)?;
         let targets: Vec<_> = live.iter().map(|client| client.bundle_target()).collect();
         let bundle = VerifiedBundle::load(path, &targets)?;
-        let info = first.stage(bundle.clone())?;
+        let (info, job) = first.stage(bundle.clone())?;
         for client in rest {
-            let other = client.stage(bundle.clone())?;
+            let (other, _) = client.stage(bundle.clone())?;
             if other.version != info.version {
                 return Err(ControlError::Incompatible(format!(
                     "replica registries diverged: version {} vs {}",
@@ -63,15 +68,19 @@ impl RouterClient {
                 )));
             }
         }
+        if let Some(job) = job {
+            first.score_gate(job);
+        }
         Ok(ControlOutcome::Loaded(info))
     }
 
-    /// All-or-none promote, scored once. The first live replica runs the
-    /// NR gate; its refusal (gate, unknown version, anything) returns
-    /// before any replica has changed. Replicas are identical (same base,
-    /// verified by every load; same bundle files; same factory hook), so
-    /// its verdict holds fleet-wide, and every other live replica only
-    /// checks it was scored against its own active version and swaps. A
+    /// All-or-none promote on one verdict. The first live replica swaps on
+    /// the verdict its load stored (scored again on this thread if it is
+    /// stale); its refusal (gate, unknown version, anything) returns before
+    /// any replica has changed. Replicas are identical (same base, verified
+    /// by every load; same bundle files; same factory hook), so the verdict
+    /// holds fleet-wide, and every other live replica only checks it was
+    /// scored against its own active version and swaps. A
     /// failure there (a dead or diverged replica) rolls the
     /// already-promoted replicas back and returns the error: the fleet
     /// serves the new version everywhere or nowhere.

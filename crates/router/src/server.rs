@@ -320,28 +320,6 @@ fn error_line(id: Option<u64>, detail: &str) -> String {
     json_line(&obj(fields))
 }
 
-/// Returns the allocator's free pages to the OS, from every arena: glibc's
-/// `malloc_trim` walks them all, not only the calling thread's. It runs
-/// after a wire `load_bundle`. The load's own garbage is small now that a
-/// bundle's tensors are base64 (a 171 KB file), yet without the trim peak
-/// `server_rss_mb` read 7-15 % higher on `gen_decode` and `mcq_templates`.
-/// So most of what it returns is not the load's garbage but free pages
-/// other arenas hold; setup's checkpoint read and parse in the main arena
-/// is the likely source. glibc only; elsewhere a no-op.
-fn release_free_heap() {
-    #[cfg(all(target_os = "linux", target_env = "gnu"))]
-    {
-        extern "C" {
-            fn malloc_trim(pad: usize) -> std::os::raw::c_int;
-        }
-        // SAFETY: `malloc_trim` takes no pointer and only releases memory
-        // the allocator holds free.
-        unsafe {
-            malloc_trim(0);
-        }
-    }
-}
-
 /// Writes one line (appending `\n`) under the shared write lock, as a
 /// single write: a reply split across two segments would leave the second
 /// waiting on the peer's delayed ACK.
@@ -481,7 +459,7 @@ fn handle_connection(
                 match value.get_field("path").and_then(Value::as_str) {
                     Some(path) => {
                         let res = client.control(ControlOp::LoadBundle { path: path.into() });
-                        release_free_heap();
+                        infuserki_serve::release_free_heap();
                         send_line(&writer, &control_line(&res))?;
                     }
                     None => send_line(

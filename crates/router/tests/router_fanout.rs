@@ -450,12 +450,15 @@ fn disagreement_probes(
         .collect()
 }
 
-/// A three-replica fleet whose version 0 counts its forwards per replica, with `probes` saved into a bundle of
-/// [`nudged_method`] and loaded as version 1 everywhere.
-fn counted_fleet(
+/// A three-replica fleet whose version 0 counts its forwards per replica,
+/// with `probes` saved into a bundle of [`nudged_method`]. `before_load`
+/// runs on the counters just before that bundle is loaded as version 1
+/// everywhere.
+fn counted_fleet<T>(
     probes: Vec<GateProbe>,
     tag: &str,
-) -> (RouterClient, RouterHandle, Vec<Arc<AtomicUsize>>) {
+    before_load: impl FnOnce(&[Arc<AtomicUsize>]) -> T,
+) -> (RouterClient, RouterHandle, Vec<Arc<AtomicUsize>>, T) {
     let model = demo_model();
     let path = std::env::temp_dir().join(format!(
         "infuserki_router_fanout_{tag}_{}.bundle.json",
@@ -470,10 +473,11 @@ fn counted_fleet(
         (demo_model(), CountingHook(Arc::clone(&calls[i])))
     })
     .unwrap();
+    let seen = before_load(&calls);
     let info = client.load_bundle(path.to_str().unwrap()).unwrap();
     assert_eq!(info.version, 1);
     let _ = std::fs::remove_file(&path);
-    (client, handle, calls)
+    (client, handle, calls, seen)
 }
 
 /// Unpinned traffic homed on each of the three replicas in turn (one at a
@@ -494,9 +498,11 @@ fn every_replica_serves(client: &RouterClient, hook: &dyn LayerHook) {
     }
 }
 
-/// A fleet promote scores the NR gate on one replica only: the other two
-/// swap on its verdict without a forward. The report is the in-process
-/// one, and afterwards every replica serves v1 bitwise.
+/// A fleet load scores the NR gate once, under one replica's version 0,
+/// and the promote swaps every replica on that verdict: the other two never
+/// run a gate forward. The report is the in-process one, afterwards every
+/// replica serves v1 bitwise, and a promote after a rollback swaps on the
+/// stored verdict without a forward anywhere.
 #[test]
 fn fleet_promote_scores_the_gate_on_one_replica() {
     let _g = THREADS.lock().unwrap();
@@ -504,9 +510,11 @@ fn fleet_promote_scores_the_gate_on_one_replica() {
     let model = demo_model();
     let method = nudged_method(&model);
     let probes = disagreement_probes(&model, &method.hook(), &NoHook, 3);
-    let (client, handle, calls) = counted_fleet(probes.clone(), "scored-once");
-    let count = || -> Vec<usize> { calls.iter().map(|c| c.load(Ordering::Relaxed)).collect() };
-    let before = count();
+    let snapshot = |calls: &[Arc<AtomicUsize>]| -> Vec<usize> {
+        calls.iter().map(|c| c.load(Ordering::Relaxed)).collect()
+    };
+    let (client, handle, calls, before) = counted_fleet(probes.clone(), "scored-once", snapshot);
+    let count = || snapshot(&calls);
 
     let gate = client
         .promote(1)
@@ -523,14 +531,17 @@ fn fleet_promote_scores_the_gate_on_one_replica() {
         "exactly one replica ran the gate's forwards: {before:?} -> {after:?}"
     );
     assert_eq!(client.metrics().group_rollbacks.get(), 0);
+    assert_eq!(client.rollback().unwrap(), 0);
+    assert_eq!(client.promote(1).unwrap(), Some(gate));
+    assert_eq!(count(), after, "a stored verdict costs no forward");
 
     every_replica_serves(&client, &method.hook());
     handle.shutdown();
     kernels::set_num_threads(0);
 }
 
-/// A bundle whose probes the active version wins is refused by the first
-/// replica's gate before any replica swaps: the caller gets the in-process
+/// A bundle whose probes the active version wins is refused on the fleet's
+/// verdict before any replica swaps: the caller gets the in-process
 /// report, no group rollback is counted, and every replica serves v0.
 #[test]
 fn fleet_gate_refusal_leaves_every_replica_unchanged() {
@@ -539,7 +550,7 @@ fn fleet_gate_refusal_leaves_every_replica_unchanged() {
     let model = demo_model();
     let method = nudged_method(&model);
     let probes = disagreement_probes(&model, &NoHook, &method.hook(), 3);
-    let (client, handle, _calls) = counted_fleet(probes.clone(), "refused");
+    let (client, handle, _calls, ()) = counted_fleet(probes.clone(), "refused", |_| ());
 
     let err = client.promote(1).unwrap_err();
     let want = GateReport::score(&model, &method.hook(), &NoHook, &probes);

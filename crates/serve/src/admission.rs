@@ -251,7 +251,7 @@ mod tests {
     fn beam_requests_run_inline_and_match() {
         kernels::set_num_threads(1);
         let m = model();
-        let mut sched = Scheduler::new(&m, &NoHook, ServeConfig::default()).unwrap();
+        let mut sched = Scheduler::new(&m, NoHook, ServeConfig::default()).unwrap();
         let rx = submit(
             &mut sched,
             0,
@@ -275,7 +275,7 @@ mod tests {
         kernels::set_num_threads(1);
         let m = model();
         let max_seq = m.config().max_seq;
-        let mut sched = Scheduler::new(&m, &NoHook, ServeConfig::default()).unwrap();
+        let mut sched = Scheduler::new(&m, NoHook, ServeConfig::default()).unwrap();
         let rx0 = submit(
             &mut sched,
             0,
@@ -308,7 +308,7 @@ mod tests {
             prefill_chunk: 4,
             ..ServeConfig::default()
         };
-        let mut sched = Scheduler::new(&m, &NoHook, cfg).unwrap();
+        let mut sched = Scheduler::new(&m, NoHook, cfg).unwrap();
         let rx0 = submit(
             &mut sched,
             0,

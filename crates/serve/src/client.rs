@@ -12,8 +12,12 @@
 //!
 //! The model is shared between the thread and its clients, so a
 //! `load_bundle` reads and verifies the bundle on the caller's thread
-//! against the replica's base (hashed by the first load, then kept) and
-//! hands the scheduler thread only the staging.
+//! against the replica's base (hashed by the first load, then kept), hands
+//! the scheduler thread only the staging, and scores the bundle's NR gate
+//! on a worker thread without waiting for it. A `promote` sends the
+//! scheduler thread the version; the thread swaps on the stored verdict,
+//! and when that is missing or stale the caller's thread waits for it or
+//! scores it and sends the promote again.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender, TryRecvError};
@@ -25,17 +29,21 @@ use infuserki_core::BaseDigest;
 use infuserki_nn::{LayerHook, TransformerLm};
 
 use crate::config::ServeConfig;
-use crate::control::{BundleTarget, VerifiedBundle};
+use crate::control::{BundleTarget, GateJob, Promotion, VerifiedBundle};
 use crate::limits::EngineLimits;
 use crate::metrics::{MetricsSnapshot, ServeMetrics};
-use crate::registry::{BundleInfo, ControlError, ControlOp, ControlOutcome, ControlPlane};
+use crate::registry::{
+    BundleInfo, ControlError, ControlOp, ControlOutcome, ControlPlane, GateVerdict,
+};
 use crate::request::{
     CancelToken, GenerateSpec, McqSpec, Outcome, Request, RequestId, RequestKind, Response,
     SubmitError,
 };
 use crate::scheduler::Scheduler;
 
-/// A control-plane op plus the channel its result goes back on.
+/// A rollback or list op plus the channel its result goes back on. Loads
+/// and promotes have messages of their own, so the scheduler thread never
+/// reads a file or scores a gate.
 struct ControlRequest {
     op: ControlOp,
     tx: Sender<Result<ControlOutcome, ControlError>>,
@@ -44,7 +52,15 @@ struct ControlRequest {
 /// A verified bundle to stage, plus the channel its result goes back on.
 struct StageRequest {
     bundle: VerifiedBundle,
-    tx: Sender<Result<BundleInfo, ControlError>>,
+    tx: Sender<Result<(BundleInfo, Option<GateJob>), ControlError>>,
+}
+
+/// A promote (on `verdict`, or on the stored one when `None`), plus the
+/// channel its answer goes back on.
+struct PromoteRequest {
+    version: u32,
+    verdict: Option<GateVerdict>,
+    tx: Sender<Promotion>,
 }
 
 /// Inbox messages of the scheduler thread.
@@ -52,6 +68,7 @@ enum Msg {
     Request(Request),
     Control(ControlRequest),
     Stage(StageRequest),
+    Promote(PromoteRequest),
     Shutdown,
 }
 
@@ -190,13 +207,51 @@ impl Client {
 
     /// Stages a bundle verified against this replica's
     /// [`bundle_target`](Self::bundle_target). The scheduler thread only
-    /// checks its prefix-row width and appends it to the registry.
-    pub fn stage(&self, bundle: VerifiedBundle) -> Result<BundleInfo, ControlError> {
+    /// checks its prefix-row width and appends it to the registry. Returns
+    /// the job that scores its gate against the version active at staging,
+    /// when the bundle carries probes: [`score_gate`](Self::score_gate) it,
+    /// once for every replica that staged the same load.
+    pub fn stage(
+        &self,
+        bundle: VerifiedBundle,
+    ) -> Result<(BundleInfo, Option<GateJob>), ControlError> {
         let (tx, rx) = mpsc::channel();
         self.tx
             .send(Msg::Stage(StageRequest { bundle, tx }))
             .map_err(|_| ControlError::Disconnected)?;
         rx.recv().map_err(|_| ControlError::Disconnected)?
+    }
+
+    /// Scores a staged bundle's gate on a worker thread against this
+    /// replica's base and returns at once; the verdict lands in the
+    /// bundle's registry entries, where a promote finds it.
+    pub fn score_gate(&self, job: GateJob) {
+        job.spawn(Arc::clone(&self.base));
+    }
+
+    /// Promotes `version` on `verdict`, or on the stored verdict when
+    /// `None`. The scheduler thread only checks a verdict and swaps; when it
+    /// has none scored against its active version, this thread waits for
+    /// the score in flight or scores it, stores it, and asks again.
+    fn promote_on(
+        &self,
+        version: u32,
+        verdict: Option<GateVerdict>,
+    ) -> Result<ControlOutcome, ControlError> {
+        loop {
+            let (tx, rx) = mpsc::channel();
+            self.tx
+                .send(Msg::Promote(PromoteRequest {
+                    version,
+                    verdict,
+                    tx,
+                }))
+                .map_err(|_| ControlError::Disconnected)?;
+            match rx.recv().map_err(|_| ControlError::Disconnected)? {
+                Promotion::Done(result) => return result,
+                Promotion::Unscored(job) => job.resolve(&self.base),
+            }
+        }
     }
 
     /// Greedy generation convenience wrapper.
@@ -226,13 +281,23 @@ impl Client {
 }
 
 impl ControlPlane for Client {
-    /// A load reads and verifies the file here, then stages it; every other
-    /// op runs on the scheduler thread, between steps — a swap never tears
+    /// A load reads and verifies the file here, stages it and starts its
+    /// gate score on a worker thread; a promote's gate is settled here
+    /// ([`Client::promote_on`]). What the scheduler thread runs — staging,
+    /// the swap, rollback, list — runs between steps, so a swap never tears
     /// a batch.
     fn control(&self, op: ControlOp) -> Result<ControlOutcome, ControlError> {
-        if let ControlOp::LoadBundle { path } = op {
-            let bundle = VerifiedBundle::load(&path, &[self.bundle_target()])?;
-            return self.stage(bundle).map(ControlOutcome::Loaded);
+        match op {
+            ControlOp::LoadBundle { path } => {
+                let bundle = VerifiedBundle::load(&path, &[self.bundle_target()])?;
+                let (info, job) = self.stage(bundle)?;
+                if let Some(job) = job {
+                    self.score_gate(job);
+                }
+                return Ok(ControlOutcome::Loaded(info));
+            }
+            ControlOp::Promote { version, verdict } => return self.promote_on(version, verdict),
+            ControlOp::Rollback | ControlOp::ListBundles => {}
         }
         let (tx, rx) = mpsc::channel();
         self.tx
@@ -288,8 +353,8 @@ where
     let (tx, rx) = mpsc::channel::<Msg>();
     let base = Arc::new(model);
     let model = Arc::clone(&base);
-    // The scheduler borrows the model and hook, which live on the thread's
-    // stack — so it is constructed exactly once, there, and the thread
+    // The scheduler borrows the model, which lives on the thread's stack,
+    // and owns the hook — so it is constructed exactly once, there, and the thread
     // reports the outcome (limits + metrics, or the construction error)
     // back through this channel. Construction failures still surface
     // synchronously from this function; no second "probe" scheduler is
@@ -298,7 +363,7 @@ where
     let join = std::thread::Builder::new()
         .name("infuserki-serve".into())
         .spawn(move || {
-            let mut sched = match Scheduler::new(&model, &hook, cfg) {
+            let mut sched = match Scheduler::new(&model, hook, cfg) {
                 Ok(s) => s,
                 Err(e) => {
                     let _ = init_tx.send(Err(e));
@@ -332,6 +397,13 @@ where
                                 Err(ControlError::ShuttingDown)
                             } else {
                                 sched.stage_bundle(s.bundle)
+                            });
+                        }
+                        Ok(Msg::Promote(p)) => {
+                            let _ = p.tx.send(if draining {
+                                Promotion::Done(Err(ControlError::ShuttingDown))
+                            } else {
+                                sched.try_promote(p.version, p.verdict)
                             });
                         }
                         Ok(Msg::Shutdown) => {

@@ -103,7 +103,7 @@ impl<'a> Scheduler<'a> {
     /// its pinned hook, then the per-lane bookkeeping. Returns
     /// `(finished, prefill_tokens, decode_tokens)`. A group whose last lane
     /// retires is left empty for the caller to drop (releasing its cache).
-    fn advance_group(&mut self, g: &mut VersionGroup<'a>) -> (usize, u64, u64) {
+    fn advance_group(&mut self, g: &mut VersionGroup) -> (usize, u64, u64) {
         let chunks: Vec<&[usize]> = g.lanes.iter().map(|l| self.lane_chunk(l)).collect();
         let lens: Vec<usize> = chunks.iter().map(|c| c.len()).collect();
         let cache = &mut g.cache;
@@ -346,7 +346,7 @@ mod tests {
             kv_budget_rows: 256,
             ..ServeConfig::default()
         };
-        let mut sched = Scheduler::new(&m, &NoHook, cfg).unwrap();
+        let mut sched = Scheduler::new(&m, NoHook, cfg).unwrap();
         let prompts: Vec<Vec<usize>> = vec![vec![1, 2, 3], vec![4], vec![5, 6, 7, 8, 9]];
         let rxs: Vec<_> = prompts
             .iter()
@@ -379,7 +379,7 @@ mod tests {
             kv_budget_rows: 512,
             ..ServeConfig::default()
         };
-        let mut sched = Scheduler::new(&m, &NoHook, cfg).unwrap();
+        let mut sched = Scheduler::new(&m, NoHook, cfg).unwrap();
         let prompt = vec![1, 2, 3, 4, 5];
         let options = vec![vec![6], vec![7, 8], vec![9, 10, 11, 12]];
         let rx = submit(

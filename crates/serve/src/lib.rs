@@ -44,13 +44,13 @@ pub mod scheduler;
 
 pub use client::{spawn_scheduler, Client, ResponseHandle, SchedulerHandle, SubmitOpts};
 pub use config::ServeConfig;
-pub use control::{BundleTarget, VerifiedBundle};
+pub use control::{release_free_heap, BundleTarget, GateJob, VerifiedBundle};
 pub use infuserki_core::GateReport;
 pub use limits::EngineLimits;
 pub use metrics::{MetricsSnapshot, ServeMetrics};
 pub use registry::{
     BundleEntry, BundleInfo, BundleRegistry, ControlError, ControlOp, ControlOutcome, ControlPlane,
-    GateVerdict, HookArc,
+    GateVerdict, HookArc, VerdictCell,
 };
 pub use request::{
     CancelToken, GenerateSpec, McqSpec, OnAnswer, Outcome, RejectReason, Request, RequestId,

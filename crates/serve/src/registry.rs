@@ -14,8 +14,11 @@
 //!   ([`crate::VerifiedBundle::load`]); the registry only receives the
 //!   verified hook;
 //! * `promote` makes a staged version the default for unpinned requests —
-//!   after the scheduler's NR regression gate passes ([the gate lives in the
-//!   scheduler](crate::Scheduler::promote), which owns the model);
+//!   after the NR regression gate passes. The gate is scored off the
+//!   scheduler thread when the bundle is staged, against the version active
+//!   then, and its [`GateVerdict`] is kept with the entry; the scheduler
+//!   thread only checks the verdict and swaps
+//!   ([`crate::Scheduler::promote`]);
 //! * `rollback` swaps the active version back to the previously active one.
 //!
 //! Versions are never unloaded: a hook that admitted even one request may
@@ -25,7 +28,7 @@
 //! hook through an [`Arc`], so a version stays alive (and its lanes bitwise
 //! deterministic) across any number of promotes while they retire.
 
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
 use infuserki_core::{EvalStamp, GateProbe, GateReport};
 use infuserki_nn::LayerHook;
@@ -33,13 +36,13 @@ use infuserki_obs as obs;
 
 use crate::metrics::ServeMetrics;
 
-/// A shareable, thread-safe hook handle. The lifetime covers borrowed base
-/// hooks (`Arc<&'a dyn LayerHook>` coerces here via the reference-forwarding
-/// `LayerHook` impl); owned bundle hooks are `'static` and subtype in.
-pub type HookArc<'a> = Arc<dyn LayerHook + Send + Sync + 'a>;
+/// A shareable, thread-safe, owned hook handle. Every version's hook is
+/// one, version 0's included, so a worker thread can score the promote gate
+/// under any of them while the scheduler thread serves.
+pub type HookArc = Arc<dyn LayerHook + Send + Sync>;
 
 /// One registered knowledge version.
-pub struct BundleEntry<'a> {
+pub struct BundleEntry {
     /// Registry version number (== index; dense from 0).
     pub version: u32,
     /// Bundle name ("base" for version 0).
@@ -49,29 +52,40 @@ pub struct BundleEntry<'a> {
     /// Offline NR/RR stamp carried by the bundle, if any.
     pub stamp: Option<EvalStamp>,
     /// Held-out probes for the promote-time NR gate.
-    pub gate_probes: Vec<GateProbe>,
+    pub gate_probes: Arc<[GateProbe]>,
+    /// The gate's verdict on this version, scored off the scheduler thread.
+    /// Every replica that staged the same bundle shares it.
+    pub verdict: Arc<VerdictCell>,
     /// The hook itself.
-    pub hook: HookArc<'a>,
+    pub hook: HookArc,
     /// Requests admitted on this version (`serve.bundle.v<N>.requests`).
     pub served: Arc<obs::Counter>,
 }
 
 /// Registry of knowledge versions plus the active/previous promotion state.
-pub struct BundleRegistry<'a> {
-    entries: Vec<BundleEntry<'a>>,
+pub struct BundleRegistry {
+    entries: Vec<BundleEntry>,
     active: u32,
     previous: Option<u32>,
 }
 
-impl<'a> BundleRegistry<'a> {
+impl BundleRegistry {
     /// A registry whose version 0 is `base_hook`, active.
-    pub fn new(base_hook: HookArc<'a>, metrics: &ServeMetrics) -> Self {
+    pub fn new(base_hook: HookArc, metrics: &ServeMetrics) -> Self {
         let mut r = BundleRegistry {
             entries: Vec::new(),
             active: 0,
             previous: None,
         };
-        r.stage("base", String::new(), None, Vec::new(), base_hook, metrics);
+        r.stage(
+            "base",
+            String::new(),
+            None,
+            Vec::new(),
+            Arc::default(),
+            base_hook,
+            metrics,
+        );
         r
     }
 
@@ -86,26 +100,28 @@ impl<'a> BundleRegistry<'a> {
     }
 
     /// Looks up a version.
-    pub fn get(&self, version: u32) -> Option<&BundleEntry<'a>> {
+    pub fn get(&self, version: u32) -> Option<&BundleEntry> {
         self.entries.get(version as usize)
     }
 
     /// Resolves a request's optional pin to a concrete version. `None` pins
     /// to whatever is active *now*; an explicit unknown version is an error
     /// carrying the bad number.
-    pub fn resolve(&self, pin: Option<u32>) -> Result<&BundleEntry<'a>, u32> {
+    pub fn resolve(&self, pin: Option<u32>) -> Result<&BundleEntry, u32> {
         let v = pin.unwrap_or(self.active);
         self.get(v).ok_or(v)
     }
 
     /// Stages a new version (not yet active). Returns its version number.
+    #[allow(clippy::too_many_arguments)]
     pub fn stage(
         &mut self,
         name: impl Into<String>,
         config_fingerprint: String,
         stamp: Option<EvalStamp>,
-        gate_probes: Vec<GateProbe>,
-        hook: HookArc<'a>,
+        gate_probes: impl Into<Arc<[GateProbe]>>,
+        verdict: Arc<VerdictCell>,
+        hook: HookArc,
         metrics: &ServeMetrics,
     ) -> u32 {
         let version = self.entries.len() as u32;
@@ -117,7 +133,8 @@ impl<'a> BundleRegistry<'a> {
             name: name.into(),
             config_fingerprint,
             stamp,
-            gate_probes,
+            gate_probes: gate_probes.into(),
+            verdict,
             hook,
             served,
         });
@@ -125,7 +142,8 @@ impl<'a> BundleRegistry<'a> {
     }
 
     /// Makes `version` active, remembering the outgoing version for
-    /// rollback. The caller (scheduler) has already run the NR gate.
+    /// rollback. The caller (scheduler) has already checked the NR gate's
+    /// verdict.
     pub fn promote(&mut self, version: u32) {
         assert!((version as usize) < self.entries.len(), "promote: unknown");
         self.previous = Some(self.active);
@@ -199,13 +217,14 @@ pub enum ControlOp {
         /// Filesystem path of the bundle JSON.
         path: String,
     },
-    /// Make a staged version the default (runs the NR gate first, unless
-    /// `verdict` carries one already reached).
+    /// Make a staged version the default, behind the NR gate.
     Promote {
         /// Version to activate.
         version: u32,
-        /// The gate's verdict from a replica that already scored it. `None`
-        /// scores the gate here.
+        /// The verdict to swap on, from a replica that already checked it.
+        /// `None` takes the one stored at staging; one that is missing or
+        /// was scored against another active version is scored by the
+        /// promote's caller, on its own thread, and stored.
         verdict: Option<GateVerdict>,
     },
     /// Restore the previously active version.
@@ -214,16 +233,90 @@ pub enum ControlOp {
     ListBundles,
 }
 
-/// A promote gate already passed on an identical replica: the report it
-/// scored and the active version it scored against. A replica whose active
-/// version is not `against` refuses it, since the report describes a
-/// different comparison.
+/// A promote gate's verdict: the report scored and the active version it
+/// was scored against. A promote swaps on it only while `against` is still
+/// the active version, since otherwise the report describes a different
+/// comparison.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GateVerdict {
     /// The active version the gate compared the candidate with.
     pub against: u32,
     /// The report, when the bundle carries probes.
     pub gate: Option<GateReport>,
+}
+
+/// Where a staged bundle's [`GateVerdict`] is kept: in its registry entry,
+/// shared by every replica that staged the same load. A worker thread
+/// fills it after the load ([`crate::GateJob`]); the scheduler thread only
+/// reads it.
+#[derive(Debug, Default)]
+pub struct VerdictCell {
+    state: Mutex<VerdictState>,
+    changed: Condvar,
+}
+
+#[derive(Debug, Default, Clone, Copy)]
+enum VerdictState {
+    #[default]
+    Unscored,
+    /// A thread is scoring it; a promote's caller waits for that.
+    Scoring,
+    Scored(GateVerdict),
+}
+
+impl VerdictCell {
+    fn lock(&self) -> std::sync::MutexGuard<'_, VerdictState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The stored verdict, if one was scored against `active`.
+    pub fn against(&self, active: u32) -> Option<GateVerdict> {
+        match *self.lock() {
+            VerdictState::Scored(v) if v.against == active => Some(v),
+            _ => None,
+        }
+    }
+
+    /// Claims the scoring of a verdict against `against`. Waits out a score
+    /// another thread has in flight; then returns `false` if the stored
+    /// verdict is against `against`, or marks the cell scoring and returns
+    /// `true`: the caller must [`store`](Self::store) or
+    /// [`release`](Self::release).
+    pub(crate) fn claim(&self, against: u32) -> bool {
+        let mut state = self.lock();
+        loop {
+            match *state {
+                VerdictState::Scoring => {
+                    state = self
+                        .changed
+                        .wait(state)
+                        .unwrap_or_else(PoisonError::into_inner)
+                }
+                VerdictState::Scored(v) if v.against == against => return false,
+                _ => {
+                    *state = VerdictState::Scoring;
+                    return true;
+                }
+            }
+        }
+    }
+
+    /// Stores a claimed score and wakes its waiters.
+    pub(crate) fn store(&self, verdict: GateVerdict) {
+        *self.lock() = VerdictState::Scored(verdict);
+        self.changed.notify_all();
+    }
+
+    /// Gives up a claim that stored nothing, so the next promote's caller
+    /// scores instead of waiting forever.
+    pub(crate) fn release(&self) {
+        let mut state = self.lock();
+        if matches!(*state, VerdictState::Scoring) {
+            *state = VerdictState::Unscored;
+        }
+        drop(state);
+        self.changed.notify_all();
+    }
 }
 
 /// Successful control-plane result.
@@ -308,7 +401,9 @@ pub trait ControlPlane {
     }
 
     /// Promotes a staged version to active (after the NR regression gate,
-    /// whose report is returned when the bundle carries probes).
+    /// whose report is returned when the bundle carries probes). The gate
+    /// was scored when the version was staged; it is scored again, on the
+    /// calling thread, only if another version became active since.
     fn promote(&self, version: u32) -> Result<Option<GateReport>, ControlError> {
         match self.control(ControlOp::Promote {
             version,
@@ -341,7 +436,7 @@ mod tests {
     use super::*;
     use infuserki_nn::NoHook;
 
-    fn registry() -> (BundleRegistry<'static>, ServeMetrics) {
+    fn registry() -> (BundleRegistry, ServeMetrics) {
         let metrics = ServeMetrics::new();
         let r = BundleRegistry::new(Arc::new(NoHook), &metrics);
         (r, metrics)
@@ -362,7 +457,15 @@ mod tests {
     #[test]
     fn promote_then_rollback_swaps_active_and_previous() {
         let (mut r, m) = registry();
-        let v = r.stage("k1", String::new(), None, Vec::new(), Arc::new(NoHook), &m);
+        let v = r.stage(
+            "k1",
+            String::new(),
+            None,
+            Vec::new(),
+            Arc::default(),
+            Arc::new(NoHook),
+            &m,
+        );
         assert_eq!(v, 1);
         assert_eq!(r.active_version(), 0, "staging does not activate");
         r.promote(v);
@@ -384,7 +487,15 @@ mod tests {
     #[test]
     fn per_version_request_counters_register() {
         let (mut r, m) = registry();
-        let v = r.stage("k1", String::new(), None, Vec::new(), Arc::new(NoHook), &m);
+        let v = r.stage(
+            "k1",
+            String::new(),
+            None,
+            Vec::new(),
+            Arc::default(),
+            Arc::new(NoHook),
+            &m,
+        );
         r.get(v).unwrap().served.inc();
         let snap = m.registry().snapshot();
         assert_eq!(

@@ -122,9 +122,9 @@ pub struct StepReport {
 /// All live state of one knowledge version: its hook, its ragged KV cache,
 /// and the lanes running on it. Groups exist only while they have lanes; a
 /// version with no in-flight work costs nothing per step.
-pub(crate) struct VersionGroup<'a> {
+pub(crate) struct VersionGroup {
     pub(crate) version: u32,
-    pub(crate) hook: HookArc<'a>,
+    pub(crate) hook: HookArc,
     /// The live ragged cache; lane `i` is cache sequence `i`.
     pub(crate) cache: KvCache,
     pub(crate) lanes: Vec<Lane>,
@@ -142,12 +142,12 @@ pub struct Scheduler<'a> {
     /// by its [`crate::Client`], which keeps its own).
     pub(crate) base_digest: BaseDigest,
     /// Knowledge versions; version 0 is the construction hook.
-    pub(crate) registry: BundleRegistry<'a>,
+    pub(crate) registry: BundleRegistry,
     pub(crate) cfg: ServeConfig,
     pub(crate) limits: EngineLimits,
     pub(crate) queue: RequestQueue,
     /// Per-version live state; empty iff no lanes are live anywhere.
-    pub(crate) groups: Vec<VersionGroup<'a>>,
+    pub(crate) groups: Vec<VersionGroup>,
     /// The one paged block pool every lane cache (and the prefix index)
     /// allocates from, so blocks are shareable across requests.
     pub(crate) pool: PoolHandle,
@@ -164,17 +164,20 @@ pub struct Scheduler<'a> {
 
 impl<'a> Scheduler<'a> {
     /// Builds a scheduler over `model` + `hook`; `hook` becomes knowledge
-    /// version 0, active. Any hook serves. Fails on invalid config.
+    /// version 0, active. Any owned hook serves (`&NoHook` is `'static`).
+    /// The registry owns it behind an `Arc`, like every bundle's, so a
+    /// worker thread can score the promote gate against it. Fails on
+    /// invalid config.
     pub fn new(
         model: &'a TransformerLm,
-        hook: &'a dyn LayerHook,
+        hook: impl LayerHook + Send + 'static,
         cfg: ServeConfig,
     ) -> Result<Self, String> {
         cfg.validate()?;
         let limits = EngineLimits {
             vocab_size: model.config().vocab_size,
             max_seq: model.config().max_seq,
-            prefix_rows: model.max_prefix_rows(hook),
+            prefix_rows: model.max_prefix_rows(&hook),
             kv_budget_rows: cfg.kv_budget_rows,
             queue_capacity: cfg.queue_capacity,
             block_rows: cfg.block_rows,
@@ -182,10 +185,7 @@ impl<'a> Scheduler<'a> {
         let slots = (0..cfg.max_batch).map(|_| None).collect::<Vec<_>>();
         let free_slots = (0..cfg.max_batch).rev().collect();
         let metrics = Arc::new(ServeMetrics::new());
-        // `&dyn LayerHook` is `Send + Sync` (the trait requires `Sync`) and
-        // implements `LayerHook` by forwarding, so a borrowed hook shares
-        // through `Arc` exactly like an owned bundle hook.
-        let registry = BundleRegistry::new(Arc::new(hook) as HookArc<'a>, &metrics);
+        let registry = BundleRegistry::new(Arc::new(hook), &metrics);
         Ok(Scheduler {
             model,
             base_digest: BaseDigest::default(),
@@ -398,7 +398,7 @@ pub(crate) mod tests {
     #[test]
     fn invalid_requests_get_typed_rejections() {
         let m = model();
-        let mut sched = Scheduler::new(&m, &NoHook, ServeConfig::default()).unwrap();
+        let mut sched = Scheduler::new(&m, NoHook, ServeConfig::default()).unwrap();
         let rx = submit(
             &mut sched,
             0,
@@ -425,7 +425,7 @@ pub(crate) mod tests {
     fn kv_rows_return_to_zero_after_drain() {
         kernels::set_num_threads(1);
         let m = model();
-        let mut sched = Scheduler::new(&m, &NoHook, ServeConfig::default()).unwrap();
+        let mut sched = Scheduler::new(&m, NoHook, ServeConfig::default()).unwrap();
         let _rx = submit(
             &mut sched,
             0,
@@ -445,7 +445,7 @@ pub(crate) mod tests {
     #[test]
     fn unknown_bundle_pin_is_rejected_at_enqueue() {
         let m = model();
-        let mut sched = Scheduler::new(&m, &NoHook, ServeConfig::default()).unwrap();
+        let mut sched = Scheduler::new(&m, NoHook, ServeConfig::default()).unwrap();
         let (tx, rx) = mpsc::channel();
         let req = Request::new(
             0,

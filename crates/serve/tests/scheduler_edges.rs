@@ -33,7 +33,7 @@ fn submit(sched: &mut Scheduler<'_>, id: u64, kind: RequestKind) -> mpsc::Receiv
 #[test]
 fn empty_queue_step_is_an_idle_no_op() {
     let m = model();
-    let mut sched = Scheduler::new(&m, &NoHook, ServeConfig::default()).unwrap();
+    let mut sched = Scheduler::new(&m, NoHook, ServeConfig::default()).unwrap();
     for _ in 0..3 {
         let report = sched.step();
         assert!(!report.ran_forward);
@@ -53,7 +53,7 @@ fn request_larger_than_whole_budget_is_rejected_not_hung() {
         block_rows: 1,
         ..ServeConfig::default()
     };
-    let mut sched = Scheduler::new(&m, &NoHook, cfg).unwrap();
+    let mut sched = Scheduler::new(&m, NoHook, cfg).unwrap();
     // Needs min(3 + 10, 32) = 13 rows against a 4-row budget.
     let rx = submit(&mut sched, 0, gen(vec![1, 2, 3], 10));
     match rx.try_recv().unwrap().outcome {
@@ -81,7 +81,7 @@ fn oversized_mcq_is_rejected_with_budget_breakdown() {
         block_rows: 1,
         ..ServeConfig::default()
     };
-    let mut sched = Scheduler::new(&m, &NoHook, cfg).unwrap();
+    let mut sched = Scheduler::new(&m, NoHook, cfg).unwrap();
     // Branch phase: 4 shared prompt rows + two branches owning 4 option
     // rows each (prompt+option-1 = 8 rows, minus the 4 shared) = 12 > 8.
     let rx = submit(
@@ -105,7 +105,7 @@ fn oversized_mcq_is_rejected_with_budget_breakdown() {
 fn cancellation_mid_decode_retires_the_lane() {
     kernels::set_num_threads(1);
     let m = model();
-    let mut sched = Scheduler::new(&m, &NoHook, ServeConfig::default()).unwrap();
+    let mut sched = Scheduler::new(&m, NoHook, ServeConfig::default()).unwrap();
     let (tx, rx) = mpsc::channel();
     let req = Request::new(0, gen(vec![1, 2], 20), tx);
     let cancel = req.cancel.clone();
@@ -128,7 +128,7 @@ fn cancellation_while_queued_never_runs() {
         max_batch: 1,
         ..ServeConfig::default()
     };
-    let mut sched = Scheduler::new(&m, &NoHook, cfg).unwrap();
+    let mut sched = Scheduler::new(&m, NoHook, cfg).unwrap();
     let _rx0 = submit(&mut sched, 0, gen(vec![1], 3));
     let (tx, rx1) = mpsc::channel();
     let req = Request::new(1, gen(vec![2], 3), tx);
@@ -152,7 +152,7 @@ fn expiry_while_queued_counts_apart_from_in_flight_expiry() {
         max_batch: 1,
         ..ServeConfig::default()
     };
-    let mut sched = Scheduler::new(&m, &NoHook, cfg).unwrap();
+    let mut sched = Scheduler::new(&m, NoHook, cfg).unwrap();
     // Request 0 occupies the single slot; request 1 waits in the queue
     // with a deadline that trips before a slot frees.
     let _rx0 = submit(&mut sched, 0, gen(vec![1], 6));
@@ -179,7 +179,7 @@ fn deadline_expiry_during_chunked_prefill() {
         prefill_chunk: 1,
         ..ServeConfig::default()
     };
-    let mut sched = Scheduler::new(&m, &NoHook, cfg).unwrap();
+    let mut sched = Scheduler::new(&m, NoHook, cfg).unwrap();
     let (tx, rx) = mpsc::channel();
     let prompt: Vec<usize> = (1..13).collect();
     let req = Request::new(0, gen(prompt, 4), tx)
@@ -201,7 +201,7 @@ fn queue_full_is_typed_backpressure() {
         queue_capacity: 1,
         ..ServeConfig::default()
     };
-    let mut sched = Scheduler::new(&m, &NoHook, cfg).unwrap();
+    let mut sched = Scheduler::new(&m, NoHook, cfg).unwrap();
     let _rx0 = submit(&mut sched, 0, gen(vec![1], 2));
     let rx1 = submit(&mut sched, 1, gen(vec![2], 2));
     assert!(matches!(
@@ -218,7 +218,7 @@ fn priority_beats_arrival_order() {
         max_batch: 1,
         ..ServeConfig::default()
     };
-    let mut sched = Scheduler::new(&m, &NoHook, cfg).unwrap();
+    let mut sched = Scheduler::new(&m, NoHook, cfg).unwrap();
     let (tx0, rx0) = mpsc::channel();
     sched.enqueue(Request::new(0, gen(vec![1], 2), tx0));
     let (tx1, rx1) = mpsc::channel();
@@ -247,7 +247,7 @@ fn dropped_scheduler_answers_everything_it_holds() {
         max_batch: 1,
         ..ServeConfig::default()
     };
-    let mut sched = Scheduler::new(&m, &NoHook, cfg).unwrap();
+    let mut sched = Scheduler::new(&m, NoHook, cfg).unwrap();
     let rxs: Vec<_> = (0..3)
         .map(|i| submit(&mut sched, i, gen(vec![1 + i as usize], 8)))
         .collect();
@@ -270,7 +270,7 @@ fn drain_rejects_queued_but_finishes_running() {
         max_batch: 1,
         ..ServeConfig::default()
     };
-    let mut sched = Scheduler::new(&m, &NoHook, cfg).unwrap();
+    let mut sched = Scheduler::new(&m, NoHook, cfg).unwrap();
     let rx0 = submit(&mut sched, 0, gen(vec![1], 2));
     let rx1 = submit(&mut sched, 1, gen(vec![2], 2));
     sched.step(); // request 0 admitted, request 1 queued
@@ -334,7 +334,7 @@ fn block_cfg() -> ServeConfig {
 fn infuserki_prefill_indexes_every_boundary_and_adopters_stay_bitwise() {
     kernels::set_num_threads(1);
     let (m, hook) = infuserki_model();
-    let mut sched = Scheduler::new(&m, &hook, block_cfg()).unwrap();
+    let mut sched = Scheduler::new(&m, hook.clone(), block_cfg()).unwrap();
     let tokens = |r: &Response| match &r.outcome {
         Outcome::Generated { tokens } => tokens.clone(),
         other => panic!("unexpected outcome {other:?}"),
@@ -384,7 +384,7 @@ fn infuserki_prefill_indexes_every_boundary_and_adopters_stay_bitwise() {
 fn infuserki_mcq_prompt_is_cut_at_blocks_and_branches_are_not() {
     kernels::set_num_threads(1);
     let (m, hook) = infuserki_model();
-    let mut sched = Scheduler::new(&m, &hook, block_cfg()).unwrap();
+    let mut sched = Scheduler::new(&m, hook.clone(), block_cfg()).unwrap();
     let prompt: Vec<usize> = (0..40).map(|i| (i * 11 + 5) % 30).collect();
     let options = vec![vec![7], (0..11).map(|i| (i * 3 + 1) % 30).collect()];
     let mcq = |prompt: &[usize]| {

@@ -217,3 +217,25 @@ fn a_number_array_is_named_as_a_pre_format_3_tensor() {
         other => panic!("want a corrupt-checkpoint error, got {other:?}"),
     }
 }
+
+/// A negative count in a checkpoint's config is refused as a typed error
+/// naming the value and the type, not read as a zero-size model.
+#[test]
+fn a_negative_dimension_in_a_checkpoint_is_a_typed_error() {
+    let dir = std::env::temp_dir().join(format!("infuserki_negdim_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("negative.json");
+    let model = TransformerLm::new(ModelConfig::tiny(16), &mut ChaCha8Rng::seed_from_u64(1));
+    let text = serde_json::to_string(&model).unwrap();
+    let field = format!(r#""d_model":{}"#, model.config().d_model);
+    assert!(text.contains(&field), "{field} not in the checkpoint");
+    std::fs::write(&path, text.replacen(&field, r#""d_model":-1"#, 1)).unwrap();
+    let err = TransformerLm::load(&path).unwrap_err();
+    let _ = std::fs::remove_dir_all(&dir);
+    match err {
+        TensorError::Corrupt(msg) => {
+            assert!(msg.contains("-1 is out of range for usize"), "{msg}")
+        }
+        other => panic!("want a corrupt-checkpoint error, got {other:?}"),
+    }
+}

@@ -107,12 +107,19 @@ macro_rules! impl_serde_int {
             fn to_value(&self) -> Value { Value::Num(*self as f64) }
         }
         impl Deserialize for $t {
+            /// An integral number in `$t`'s range; anything outside it is an
+            /// error naming the value and the type, never a saturated cast.
             fn from_value(v: &Value) -> Result<Self, DeError> {
                 let n = v.as_f64().ok_or_else(|| DeError::expected("integer", v))?;
                 if n.fract() != 0.0 {
                     return Err(DeError(format!("expected integer, found {n}")));
                 }
-                Ok(n as $t)
+                // Exact for every integral f64 within i128, which covers each
+                // `$t`; beyond it the cast saturates and `try_from` refuses.
+                <$t>::try_from(n as i128).map_err(|_| {
+                    let shown = if n.abs() < 1e15 { format!("{n}") } else { format!("{n:e}") };
+                    DeError(format!("{shown} is out of range for {}", stringify!($t)))
+                })
             }
         }
     )*};
@@ -444,6 +451,45 @@ mod tests {
     #[test]
     fn integer_rejects_fraction() {
         assert!(u32::from_value(&Value::Num(1.5)).is_err());
+    }
+
+    /// A number outside the target type is an error naming both, never a
+    /// saturated cast (`-1` read as 0, `1e300` as the type's maximum).
+    #[test]
+    fn integer_out_of_range_is_a_typed_error() {
+        fn err<T: Deserialize + std::fmt::Debug>(n: f64) -> String {
+            T::from_value(&Value::Num(n)).unwrap_err().0
+        }
+        assert_eq!(err::<usize>(-1.0), "-1 is out of range for usize");
+        assert_eq!(err::<usize>(1e300), "1e300 is out of range for usize");
+        assert_eq!(err::<u32>(-1.0), "-1 is out of range for u32");
+        assert_eq!(
+            err::<u32>(4294967296.0),
+            "4294967296 is out of range for u32"
+        );
+        assert_eq!(
+            err::<i32>(-2147483649.0),
+            "-2147483649 is out of range for i32"
+        );
+        assert_eq!(err::<i32>(1e300), "1e300 is out of range for i32");
+        assert_eq!(
+            err::<u64>(2f64.powi(64)),
+            "1.8446744073709552e19 is out of range for u64"
+        );
+        assert_eq!(
+            err::<i64>(f64::NEG_INFINITY),
+            "expected integer, found -inf"
+        );
+        // The ends of each range still read.
+        assert_eq!(
+            u32::from_value(&Value::Num(4294967295.0)).unwrap(),
+            u32::MAX
+        );
+        assert_eq!(
+            i32::from_value(&Value::Num(-2147483648.0)).unwrap(),
+            i32::MIN
+        );
+        assert_eq!(usize::from_value(&Value::Num(0.0)).unwrap(), 0);
     }
 
     #[test]

@@ -207,7 +207,7 @@ fn swap_under_load_pins_in_flight_requests_and_isolates_versions() {
     let hook1 = m1.hook();
     let hook2 = m2.hook();
 
-    let mut sched = Scheduler::new(&b, &NoHook, cfg()).unwrap();
+    let mut sched = Scheduler::new(&b, NoHook, cfg()).unwrap();
 
     // Long-running request admitted under version 0 (base); it will still
     // be mid-flight when the first swap lands.
@@ -353,7 +353,7 @@ fn prefix_cache_entries_never_cross_versions() {
     let p1 = save_bundle("iso", nudged_method(&b, 0.015), &b, None, Vec::new());
     let hook1 = m1.hook();
 
-    let mut sched = Scheduler::new(&b, &NoHook, cfg()).unwrap();
+    let mut sched = Scheduler::new(&b, NoHook, cfg()).unwrap();
     sched
         .handle_control(ControlOp::LoadBundle { path: p1.clone() })
         .unwrap();
@@ -405,7 +405,7 @@ fn rollback_restores_bitwise_identical_responses() {
     let b = base();
     let p1 = save_bundle("rb", nudged_method(&b, 0.02), &b, None, Vec::new());
 
-    let mut sched = Scheduler::new(&b, &NoHook, cfg()).unwrap();
+    let mut sched = Scheduler::new(&b, NoHook, cfg()).unwrap();
     let prompts: Vec<Vec<usize>> = vec![vec![1, 2, 3], vec![7, 8], vec![4, 5, 6, 7, 8]];
 
     let run_all = |sched: &mut Scheduler<'_>, tag: u64| -> Vec<Vec<usize>> {
@@ -473,7 +473,7 @@ fn nr_gate_refuses_regressing_promotions() {
     let good_probes = disagreement_probes(&b, &good_method.hook(), &NoHook, 3);
     let p_good = save_bundle("good", good_method, &b, None, good_probes);
 
-    let mut sched = Scheduler::new(&b, &NoHook, cfg()).unwrap();
+    let mut sched = Scheduler::new(&b, NoHook, cfg()).unwrap();
     sched
         .handle_control(ControlOp::LoadBundle {
             path: p_bad.clone(),
@@ -545,7 +545,7 @@ fn swap_under_load_matches_scores_with_parallel_kernels() {
     let p1 = save_bundle("par", nudged_method(&b, 0.01), &b, None, Vec::new());
     let hook1 = m1.hook();
 
-    let mut sched = Scheduler::new(&b, &NoHook, cfg()).unwrap();
+    let mut sched = Scheduler::new(&b, NoHook, cfg()).unwrap();
     sched
         .handle_control(ControlOp::LoadBundle { path: p1.clone() })
         .unwrap();

@@ -111,7 +111,7 @@ fn pressure_evicts_cold_prefixes_without_deadlock() {
         options: vec![vec![1, 2, 3], vec![4, 5]],
     }));
 
-    let mut sched = Scheduler::new(&b, &NoHook, pressure_cfg()).unwrap();
+    let mut sched = Scheduler::new(&b, NoHook, pressure_cfg()).unwrap();
     let rxs: Vec<Receiver<Response>> = kinds
         .iter()
         .enumerate()
@@ -148,7 +148,7 @@ fn evicted_prefixes_reprefill_bitwise() {
     let first = template(&mut rng, 12);
     let churn: Vec<Vec<usize>> = (0..6).map(|_| template(&mut rng, 12)).collect();
 
-    let mut sched = Scheduler::new(&b, &NoHook, pressure_cfg()).unwrap();
+    let mut sched = Scheduler::new(&b, NoHook, pressure_cfg()).unwrap();
 
     // Wave 1: prime the cache with `first`, then churn through six other
     // templates so LRU pressure evicts the primed path.

@@ -129,9 +129,9 @@ struct ScheduleResult {
 /// Requests trickle in over many steps (so the batch composition keeps
 /// changing), carry random priorities, and a few get cancelled at
 /// predetermined steps — some while queued, some mid-flight.
-fn run_schedule(
+fn run_schedule<H: LayerHook + Clone + Send + 'static>(
     model: &TransformerLm,
-    hook: &dyn LayerHook,
+    hook: &H,
     seed: u64,
     cfg: ServeConfig,
     n_requests: usize,
@@ -143,9 +143,9 @@ fn run_schedule(
 
 /// Drives a pre-generated request mix through the randomized
 /// arrival/priority/cancellation machinery.
-fn run_schedule_with(
+fn run_schedule_with<H: LayerHook + Clone + Send + 'static>(
     model: &TransformerLm,
-    hook: &dyn LayerHook,
+    hook: &H,
     mut rng: ChaCha8Rng,
     cfg: ServeConfig,
     kinds: Vec<RequestKind>,
@@ -164,7 +164,7 @@ fn run_schedule_with(
     }
     let priorities: Vec<i32> = (0..n_requests).map(|_| rng.gen_range(-2..3)).collect();
 
-    let mut sched = Scheduler::new(model, hook, cfg).unwrap();
+    let mut sched = Scheduler::new(model, hook.clone(), cfg).unwrap();
     let mut rxs: Vec<Option<Receiver<Response>>> = (0..n_requests).map(|_| None).collect();
     let mut tokens: Vec<Option<CancelToken>> = (0..n_requests).map(|_| None).collect();
     let last_arrival = arrivals.iter().copied().max().unwrap();
@@ -217,9 +217,9 @@ fn run_schedule_with(
 /// random suffix), so concurrent requests keep hitting the radix prefix
 /// cache mid-flight while arrivals, priorities and cancellations churn the
 /// batch exactly as in `run_schedule`.
-fn run_template_schedule(
+fn run_template_schedule<H: LayerHook + Clone + Send + 'static>(
     model: &TransformerLm,
-    hook: &dyn LayerHook,
+    hook: &H,
     seed: u64,
     cfg: ServeConfig,
     n_requests: usize,
@@ -387,7 +387,7 @@ fn scheduler_is_bitwise_with_infuserki_hook_state() {
     let hook = m.hook();
     // Per-sequence adapter carry + gate statistics: any cross-lane leak in
     // the continuous batch shows up as a bitwise divergence here.
-    let result = run_schedule(&b, &hook, 404, tight_cfg(3, 3, 256), 10);
+    let result = run_schedule(&b, &m, 404, tight_cfg(3, 3, 256), 10);
     verify(&b, &hook, &result, true, "infuserki");
     kernels::set_num_threads(0);
 }
@@ -439,7 +439,7 @@ fn shared_prefix_schedules_are_bitwise_with_infuserki_state() {
     // The infuser gate sums live in the adopted blocks and are a pure
     // function of the token prefix, so adopters resume mid-prompt without
     // any divergence.
-    let result = run_template_schedule(&b, &hook, 909, tight_cfg(3, 4, 256), 12);
+    let result = run_template_schedule(&b, &m, 909, tight_cfg(3, 4, 256), 12);
     verify(&b, &hook, &result, true, "shared-infuserki");
     assert!(
         result.snapshot.prefix_hits > 0,
@@ -453,7 +453,7 @@ fn scheduler_is_bitwise_with_grace_edits() {
     let _g = THREADS.lock().unwrap();
     kernels::set_num_threads(1);
     let b = base();
-    let g = grace_hook(&b);
+    let g = std::sync::Arc::new(grace_hook(&b));
     // GRACE's per-row ε-ball lookup is row-local, so it runs through the
     // continuous batch and the prefix cache as written.
     for seed in std::iter::once(1111u64).chain(extra_seeds(1111)) {
