@@ -2,7 +2,7 @@
 //!
 //! One mode, no options: it runs the benches below, prints their records as
 //! JSON on stdout (through `infuserki_obs::PerfSuite`) and exits 1 if one of
-//! fourteen ratios is over its limit; any argument is a usage error (exit 2).
+//! fifteen ratios is over its limit; any argument is a usage error (exit 2).
 //! Both sides of a ratio are sampled in the same [`round_robin_medians`]
 //! rounds, so the host's speed cancels and nothing is compared against a
 //! committed number. Absolute speed is the system benchmark's job
@@ -36,6 +36,9 @@
 //!   (ms).
 //! * `promote_swap` — a promote of a staged bundle whose gate verdict is
 //!   stored, beside a rollback, on one scheduler (µs).
+//! * `kv_storage` — the bytes one pooled KV block holds per cached row at the
+//!   12-layer geometry and the serving block size, beside the same block
+//!   with f32 panels (bytes; counted, not timed).
 //!
 //! The ratios and their limits: [`TIER_RATIO`], [`RATIOS`] and the odd-lane
 //! rule in [`ratio_gate`].
@@ -55,7 +58,9 @@ use infuserki_core::{
 };
 use infuserki_eval::world::build_vocabulary;
 use infuserki_kg::{synth_umls, EntityId, Triple, TripleStore, UmlsConfig};
-use infuserki_nn::{sampler, KvCache, LayerHook, LmSample, ModelConfig, NoHook, TransformerLm};
+use infuserki_nn::{
+    sampler, BlockPool, KvCache, LayerHook, LmSample, ModelConfig, NoHook, TransformerLm,
+};
 use infuserki_obs::{PerfRecord, PerfSuite};
 use infuserki_router::{spawn_router, RouterConfig};
 use infuserki_serve::{spawn_scheduler, ControlPlane, Outcome, ServeConfig};
@@ -96,6 +101,7 @@ fn run_suite(tier: Isa) -> PerfSuite {
     let (fleet_load, promote_swap) = bench_gate_control();
     suite.push(fleet_load);
     suite.push(promote_swap);
+    suite.push(bench_kv_storage());
     suite
 }
 
@@ -578,6 +584,27 @@ fn bench_gate_control() -> (PerfRecord, PerfRecord) {
     )
 }
 
+/// The storage of one KV block at the 12-layer world geometry and the
+/// serving block size, per cached row, beside what the same block holds with
+/// f32 K/V panels: `2·n_layers·block_rows·d_model` panel elements plus the
+/// `n_layers·d_model` f32 gate sums, over `block_rows`.
+fn bench_kv_storage() -> PerfRecord {
+    let cfg = ModelConfig::default();
+    let rows = ServeConfig::default().block_rows;
+    let mut pool = BlockPool::new(cfg.n_layers, cfg.d_model, rows);
+    let id = pool.alloc();
+    let bytes = pool.block(id).bytes();
+    pool.release(id);
+    let sums = cfg.n_layers * cfg.d_model * 4;
+    let f32_panels = 2 * cfg.n_layers * rows * cfg.d_model * 4;
+    PerfRecord::new("kv_storage")
+        .metric("bytes_per_row", bytes as f64 / rows as f64)
+        .metric(
+            "f32_bytes_per_row",
+            (f32_panels + sums) as f64 / rows as f64,
+        )
+}
+
 /// One gated ratio: `cost` may be at most `limit` × `beside`, each a
 /// `(record, metric)` of the fresh suite.
 struct Ratio {
@@ -627,11 +654,15 @@ const RATIOS: &[Ratio] = &[
         limit: 2.0,
     },
     // A cached token is cheap beside the rest of the step: at most 0.9 % of
-    // the 16-token step each. Healthy 1.46–1.53× native, 1.34–1.38×
-    // baseline (the reading rises whenever the history-independent part of
-    // the step gets cheaper: 1.36× before the AVX-512 strip pair, with the
-    // attention core unchanged); the core on per-head fold calls and libm
-    // `exp` 1.84–1.88× native, 1.67–1.76× baseline.
+    // the 16-token step each. Healthy on binary16 panels 1.50–1.53× native
+    // (three runs, each alternated with a run of the f32-panel parent on the
+    // same host, which read 1.46–1.50×: widening a panel per fold call costs
+    // a little of the slope); 1.34–1.38× baseline, measured on f32 panels
+    // (the reading rises whenever the history-independent part of the step
+    // gets cheaper: 1.36× before the AVX-512 strip pair, with the attention
+    // core unchanged). Widening a shared history block once per sequence
+    // instead of once per call read 1.58–1.59×; the core on per-head fold
+    // calls and libm `exp` 1.84–1.88× native, 1.67–1.76× baseline.
     Ratio {
         what: "16-lane step over 80 cached tokens vs over 16",
         cost: ("decode_history", "us_t80"),
@@ -758,6 +789,15 @@ const RATIOS: &[Ratio] = &[
         cost: ("promote_swap", "us_promote"),
         beside: ("promote_swap", "us_rollback"),
         limit: 3.0,
+    },
+    // A cached row costs half the bytes: K and V panels are binary16, the
+    // gate sums f32 (one row of them per layer per block). Counted, not
+    // timed: healthy 0.52× (17/33 at 16-row blocks); f32 panels 1.00×.
+    Ratio {
+        what: "pooled bytes per cached row vs an f32 row",
+        cost: ("kv_storage", "bytes_per_row"),
+        beside: ("kv_storage", "f32_bytes_per_row"),
+        limit: 0.75,
     },
 ];
 
@@ -893,6 +933,11 @@ mod tests {
                 .metric("us_promote", 110.0)
                 .metric("us_rollback", 100.0),
         );
+        suite.push(
+            PerfRecord::new("kv_storage")
+                .metric("bytes_per_row", 3264.0)
+                .metric("f32_bytes_per_row", 6336.0),
+        );
         suite
     }
 
@@ -957,6 +1002,13 @@ mod tests {
                 "us_promote",
                 40.0,
                 "promote of a staged bundle",
+            ),
+            // f32 panels: every row back at the f32 row's bytes.
+            (
+                "kv_storage",
+                "bytes_per_row",
+                6336.0 / 3264.0,
+                "bytes per cached row",
             ),
             (
                 "decode_lanes",

@@ -5,10 +5,13 @@
 //! stored transposed, `[d_model, block_rows]` — one column per token, so a
 //! score row folds over it with lanes across keys; `v[layer]`
 //! `[block_rows, d_model]`), so one [`BlockId`] is the unit
-//! of sharing, refcounting and budget accounting for a token range. Sequences
-//! reference blocks through per-sequence tables ([`crate::KvCache`]); the
-//! radix prefix index ([`crate::PrefixIndex`]) pins full blocks for reuse by
-//! later requests with a matching token prefix.
+//! of sharing, refcounting and budget accounting for a token range. Both
+//! panels hold IEEE binary16 ([`HalfMatrix`]): a row is rounded once when it
+//! is written, and attention widens a panel into f32 scratch per fold call.
+//! Sequences reference blocks through per-sequence tables
+//! ([`crate::KvCache`]); the radix prefix index ([`crate::PrefixIndex`])
+//! pins full blocks for reuse by later requests with a matching token
+//! prefix.
 //!
 //! Sharing rules, enforced here:
 //!
@@ -26,7 +29,7 @@
 
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use infuserki_tensor::Matrix;
+use infuserki_tensor::{half, HalfMatrix, Matrix};
 
 /// Handle to one pooled KV block. Plain index; only meaningful together with
 /// the pool that issued it.
@@ -42,37 +45,89 @@ impl BlockId {
 
 /// One block's storage: per layer a K panel held transposed
 /// (`[d_model, block_rows]`, token `t`'s key in column `t`) and a V panel
-/// (`[block_rows, d_model]`, token `t`'s value in row `t`), with only the
-/// first `filled` tokens valid (fill is tracked by the owning sequence's
-/// token count, not here — every sequence sharing a block agrees on its fill
-/// by construction).
+/// (`[block_rows, d_model]`, token `t`'s value in row `t`), both binary16,
+/// with only the first `filled` tokens valid (fill is tracked by the owning
+/// sequence's token count, not here — every sequence sharing a block agrees
+/// on its fill by construction).
 ///
 /// `sums` row `l` holds layer `l`'s running column sums of the gate's pooled
 /// input after the block's last filled row ([`crate::Exec::cum_mean_rows`]):
-/// the one statistic a sequence carries across chunks, kept beside the rows
-/// it summarizes so it forks, copies-on-write and is adopted with them.
+/// the one statistic a sequence carries across chunks, kept in f32 beside
+/// the rows it summarizes so it forks, copies-on-write and is adopted with
+/// them.
 pub struct BlockData {
-    pub k: Vec<Matrix>,
-    pub v: Vec<Matrix>,
-    pub sums: Matrix,
+    k: Vec<HalfMatrix>,
+    v: Vec<HalfMatrix>,
+    sums: Matrix,
 }
 
 impl BlockData {
-    /// Writes token `t`'s key and value rows for `layer`: the key scatters
-    /// down column `t` of the transposed K panel.
-    pub(crate) fn write_token(&mut self, layer: usize, t: usize, k_row: &[f32], v_row: &[f32]) {
+    /// Writes the key and value rows of tokens `t0..t0 + m` for `layer`,
+    /// rounded to binary16 (`k_rows` and `v_rows` hold `m` rows of
+    /// `d_model` each). Values narrow straight into their panel rows; keys
+    /// narrow a row at a time into a stack buffer and scatter down their
+    /// columns of the transposed K panel.
+    pub fn write_rows(&mut self, layer: usize, t0: usize, k_rows: &[f32], v_rows: &[f32]) {
+        let vp = &mut self.v[layer];
+        let d = vp.cols();
+        assert!(
+            k_rows.len() == v_rows.len() && k_rows.len().is_multiple_of(d),
+            "write_rows: row lengths"
+        );
+        let m = k_rows.len() / d;
+        assert!(t0 + m <= vp.rows(), "write_rows: past the block");
+        half::narrow(v_rows, &mut vp.data_mut()[t0 * d..(t0 + m) * d]);
         let kt = &mut self.k[layer];
         let stride = kt.cols();
-        for (slot, &x) in kt.data_mut()[t..].iter_mut().step_by(stride).zip(k_row) {
-            *slot = x;
+        let mut buf = [0u16; 256];
+        for (i, row) in k_rows.chunks_exact(d).enumerate() {
+            for (c0, piece) in (0..d).step_by(buf.len()).zip(row.chunks(buf.len())) {
+                let h = &mut buf[..piece.len()];
+                half::narrow(piece, h);
+                let column = kt.data_mut()[(c0 * stride + t0 + i)..].iter_mut();
+                for (slot, &x) in column.step_by(stride).zip(h.iter()) {
+                    *slot = x;
+                }
+            }
         }
-        self.v[layer].row_mut(t).copy_from_slice(v_row);
     }
 
-    /// Dimension `c` of token `t`'s cached key for `layer`.
-    #[cfg(test)]
-    pub(crate) fn key(&self, layer: usize, t: usize, c: usize) -> f32 {
+    /// Layer `layer`'s K panel, transposed: `[d_model, block_rows]`.
+    pub(crate) fn keys(&self, layer: usize) -> &HalfMatrix {
+        &self.k[layer]
+    }
+
+    /// Layer `layer`'s V panel: `[block_rows, d_model]`.
+    pub(crate) fn values(&self, layer: usize) -> &HalfMatrix {
+        &self.v[layer]
+    }
+
+    /// Dimension `c` of token `t`'s cached key for `layer`, widened.
+    pub fn key(&self, layer: usize, t: usize, c: usize) -> f32 {
         self.k[layer].get(c, t)
+    }
+
+    /// Dimension `c` of token `t`'s cached value for `layer`, widened.
+    #[cfg(test)]
+    fn value(&self, layer: usize, t: usize, c: usize) -> f32 {
+        self.v[layer].get(t, c)
+    }
+
+    /// Layer `layer`'s gate sums after the block's last filled row.
+    pub(crate) fn sums(&self, layer: usize) -> &[f32] {
+        self.sums.row(layer)
+    }
+
+    /// Writable [`BlockData::sums`].
+    pub(crate) fn sums_mut(&mut self, layer: usize) -> &mut [f32] {
+        self.sums.row_mut(layer)
+    }
+
+    /// Bytes the block's panels and sums hold: a cached row costs a
+    /// `block_rows`-th of it.
+    pub fn bytes(&self) -> usize {
+        let panels: usize = self.k.iter().chain(&self.v).map(HalfMatrix::bytes).sum();
+        panels + std::mem::size_of_val(self.sums.data())
     }
 }
 
@@ -124,10 +179,10 @@ impl BlockPool {
     fn fresh_data(&self) -> BlockData {
         BlockData {
             k: (0..self.n_layers)
-                .map(|_| Matrix::zeros(self.d_model, self.block_rows))
+                .map(|_| HalfMatrix::zeros(self.d_model, self.block_rows))
                 .collect(),
             v: (0..self.n_layers)
-                .map(|_| Matrix::zeros(self.block_rows, self.d_model))
+                .map(|_| HalfMatrix::zeros(self.block_rows, self.d_model))
                 .collect(),
             sums: Matrix::zeros(self.n_layers, self.d_model),
         }
@@ -378,7 +433,7 @@ mod tests {
         }));
         assert!(caught.is_err(), "block_mut must panic on a shared block");
         p.release(a);
-        p.block_mut(a).k[0].set(0, 0, 1.0);
+        p.block_mut(a).write_rows(0, 0, &[1.0; 4], &[0.0; 4]);
         p.release(a);
     }
 
@@ -388,8 +443,8 @@ mod tests {
         let a = p.alloc();
         for l in 0..2 {
             let d = p.block_mut(a);
-            d.write_token(l, 0, &[0.0, 5.0, 0.0], &[0.0; 3]);
-            d.write_token(l, 1, &[0.0; 3], &[0.0, 0.0, -3.0]);
+            d.write_rows(l, 0, &[0.0, 5.0, 0.0], &[0.0; 3]);
+            d.write_rows(l, 1, &[0.0; 3], &[0.0, 0.0, -3.0]);
         }
         p.retain(a); // simulate a second owner forcing COW
         let b = p.copy_block(a, 2);
@@ -397,11 +452,48 @@ mod tests {
         assert_eq!(p.refs(b), 1);
         for l in 0..2 {
             assert_eq!(p.block(b).key(l, 0, 1), 5.0);
-            assert_eq!(p.block(b).v[l].get(1, 2), -3.0);
+            assert_eq!(p.block(b).value(l, 1, 2), -3.0);
         }
         p.release(a);
         p.release(a);
         p.release(b);
+    }
+
+    #[test]
+    fn write_rows_rounds_to_binary16_and_scatters_keys_down_columns() {
+        let mut p = BlockPool::new(1, 3, 4);
+        let a = p.alloc();
+        let keys = [0.1f32, 1.0, -2.0, 65520.0, 3.0, 0.5];
+        let values = [7.0f32, -0.0, 1e-8, 4.0, 1.0 / 3.0, 2.0];
+        p.block_mut(a).write_rows(0, 1, &keys, &values);
+        let round = |x: f32| half::f16_to_f32(half::f32_to_f16(x));
+        let d = p.block(a);
+        for t in 0..2 {
+            for c in 0..3 {
+                let want = (round(keys[t * 3 + c]), round(values[t * 3 + c]));
+                let got = (d.key(0, 1 + t, c), d.value(0, 1 + t, c));
+                assert_eq!(
+                    (got.0.to_bits(), got.1.to_bits()),
+                    (want.0.to_bits(), want.1.to_bits())
+                );
+            }
+        }
+        assert_eq!(d.key(0, 2, 0), f32::INFINITY, "65520 rounds past 65504");
+        assert_eq!(d.key(0, 0, 1), 0.0, "row 0 untouched");
+        p.release(a);
+    }
+
+    #[test]
+    fn a_block_holds_binary16_panels_and_f32_sums() {
+        let (layers, rows, d) = (12, 16, 64);
+        let mut p = BlockPool::new(layers, d, rows);
+        let a = p.alloc();
+        let panels = 2 * layers * rows * d * 2;
+        let sums = layers * d * 4;
+        assert_eq!(p.block(a).bytes(), panels + sums);
+        // 3 KiB of K/V per cached row at this geometry.
+        assert_eq!(panels / rows, 3 * 1024);
+        p.release(a);
     }
 
     #[test]

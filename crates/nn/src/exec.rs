@@ -29,9 +29,11 @@
 //!   it writes — so the statistic forks, copies-on-write and is adopted from
 //!   the prefix cache together with the K/V rows it summarizes.
 
-use infuserki_tensor::{infer, kernels, Matrix, NodeId, Param, QuantizedMatrix, SeqBatch, Tape};
+use infuserki_tensor::{
+    infer, kernels, HalfMatrix, Matrix, NodeId, Param, QuantizedMatrix, SeqBatch, Tape,
+};
 
-use crate::block_alloc::BlockPool;
+use crate::block_alloc::{BlockId, BlockPool};
 use crate::hooks::{ForwardTrace, LayerHook};
 use crate::kv_cache::SeqKv;
 
@@ -78,12 +80,13 @@ impl From<NodeId> for Val {
 /// The KV context of an eager forward over a packed batch: sequence `i`'s
 /// chunk is rows `batch.range(i)`, its history is `seqs[i]`'s blocks in
 /// `pool` (with the span for this chunk already made writable), and
-/// `prefix[l]` is layer `l`'s shared virtual prefix panel pair `(Kᵀ, V)`.
+/// `prefix[l]` is layer `l`'s shared virtual prefix panel pair `(Kᵀ, V)`,
+/// binary16 like the blocks.
 pub(crate) struct Paged<'a> {
     pub(crate) batch: &'a SeqBatch,
     pub(crate) pool: &'a mut BlockPool,
     pub(crate) seqs: &'a [SeqKv],
-    pub(crate) prefix: &'a [(Matrix, Matrix)],
+    pub(crate) prefix: &'a [(HalfMatrix, HalfMatrix)],
 }
 
 enum Mode<'a> {
@@ -414,6 +417,21 @@ impl<'a> Exec<'a> {
     }
 }
 
+/// Where [`Paged::attention`] reads one cached panel pair from: the hook's
+/// prefix panels or an unshared block, both widened into scratch per fold
+/// call, or the `n`-th shared block widened once per call.
+enum Panel {
+    Prefix,
+    Own(BlockId),
+    Shared(usize),
+}
+
+/// The first `rows` rows of `h`, widened into `scratch`.
+fn widened<'s>(h: &HalfMatrix, rows: usize, scratch: &'s mut Matrix) -> &'s Matrix {
+    h.widen_rows_into(rows, scratch);
+    scratch
+}
+
 /// `m[r] += row` for every row `r`.
 fn add_row(m: &mut Matrix, row: &[f32]) {
     for r in 0..m.rows() {
@@ -434,7 +452,7 @@ impl Paged<'_> {
             let mut count = seq.tokens;
             match count {
                 0 => sums.fill(0.0),
-                n => sums.copy_from_slice(self.pool.block(seq.table[(n - 1) / b]).sums.row(layer)),
+                n => sums.copy_from_slice(self.pool.block(seq.table[(n - 1) / b]).sums(layer)),
             }
             // Block by block: each block the chunk writes keeps the sums
             // after its last written row.
@@ -450,7 +468,7 @@ impl Paged<'_> {
                     out.row_span_mut(span),
                 );
                 let data = self.pool.block_mut(seq.table[j]);
-                data.sums.row_mut(layer).copy_from_slice(&sums);
+                data.sums_mut(layer).copy_from_slice(&sums);
                 row += n;
             }
         }
@@ -465,13 +483,16 @@ impl Paged<'_> {
     /// `[m·n_heads, keys]`; one [`kernels::softmax_heads_causal_in_place`]
     /// call per sequence applies the `1/√d_h` scale and the causal softmax to
     /// every head's rows; and one [`kernels::av_heads_seg_into`] call per
-    /// (sequence, block) continues every head's attention·V chain. Only this
-    /// stage mixes rows, and it runs per sequence against that sequence's
-    /// own history, so batch members cannot attend to each other.
+    /// (sequence, block) continues every head's attention·V chain. Each
+    /// binary16 panel is widened into one f32 scratch panel just before the
+    /// call that folds it, once per call whatever the number of query rows.
+    /// Only this stage mixes rows, and it runs per sequence against that
+    /// sequence's own history, so batch members cannot attend to each other.
     ///
-    /// Bitwise contract: each score is one ascending chain over its head's
-    /// dimensions and depends on one Q row and one key only; and the
-    /// attention·V product folds prefix-then-blocks in ascending order
+    /// Bitwise contract: widening is exact, so the kernels fold the rounded
+    /// rows [`Tape::attention`] folds; each score is one ascending chain over
+    /// its head's dimensions and depends on one Q row and one key only; and
+    /// the attention·V product folds prefix-then-blocks in ascending order
     /// through one continued accumulation chain per output element — so the
     /// output rows are bit-for-bit what [`Tape::attention`] computes over
     /// the contiguous sequence.
@@ -507,29 +528,59 @@ impl Paged<'_> {
             .max()
             .unwrap_or(0);
         let mut scores = Matrix::zeros(1, n_heads * widest);
+        // An unshared panel is widened into one f32 scratch just before the
+        // call that folds it. A block more than one reference holds (a
+        // forked question, an adopted prefix) is never written while shared,
+        // so it is widened once per call and kept for every sequence here
+        // that reads it.
+        let mut scratch = Matrix::zeros(0, 0);
+        let mut shared: Vec<(BlockId, Matrix, Matrix)> = Vec::new();
+        // (where a panel pair comes from, tokens it holds) in history order.
+        let mut panels: Vec<(Panel, usize)> = Vec::new();
         for (s, seq) in self.seqs.iter().enumerate() {
             let rng = batch.range(s);
             let m = rng.len();
             seq.write_chunk(pool, layer, k, v, rng.start, m);
             let tokens_after = seq.tokens + m;
             scores.reset_shape(m * n_heads, prefix_len + tokens_after);
-            // (block, tokens it holds) in history order.
-            let blocks = || {
-                seq.table
-                    .iter()
-                    .enumerate()
-                    .map(|(j, &id)| (pool.block(id), b_rows.min(tokens_after - j * b_rows)))
-            };
-            let panel = |kt: &Matrix, keys: usize, scores: &mut Matrix, col: usize| {
-                kernels::qk_heads_panel(q, rng.start, rng.end, kt, keys, n_heads, scores, col)
-            };
+            panels.clear();
             if prefix_len > 0 {
-                panel(pkt, prefix_len, &mut scores, 0);
+                panels.push((Panel::Prefix, prefix_len));
             }
-            let mut col = prefix_len;
-            for (data, filled) in blocks() {
-                panel(&data.k[layer], filled, &mut scores, col);
-                col += filled;
+            for (j, &id) in seq.table.iter().enumerate() {
+                let panel = if pool.refs(id) > 1 {
+                    let at = shared.iter().position(|e| e.0 == id).unwrap_or_else(|| {
+                        let data = pool.block(id);
+                        shared.push((id, data.keys(layer).widen(), data.values(layer).widen()));
+                        shared.len() - 1
+                    });
+                    Panel::Shared(at)
+                } else {
+                    Panel::Own(id)
+                };
+                panels.push((panel, b_rows.min(tokens_after - j * b_rows)));
+            }
+            let mut col = 0;
+            for (panel, keys) in &panels {
+                let kt = match *panel {
+                    Panel::Shared(at) => &shared[at].1,
+                    Panel::Prefix => widened(pkt, pkt.rows(), &mut scratch),
+                    Panel::Own(id) => {
+                        let kt = pool.block(id).keys(layer);
+                        widened(kt, kt.rows(), &mut scratch)
+                    }
+                };
+                kernels::qk_heads_panel(
+                    q,
+                    rng.start,
+                    rng.end,
+                    kt,
+                    *keys,
+                    n_heads,
+                    &mut scores,
+                    col,
+                );
+                col += keys;
             }
             // Columns visible to this chunk's first row: prefix + previously
             // cached tokens — the causal-mask offset of these rows in a full
@@ -539,25 +590,25 @@ impl Paged<'_> {
             // Fold the AV product prefix-then-blocks in ascending order: the
             // segment at column 0 starts `merged`'s rows from zero, the rest
             // continue the same chains.
-            let mut fold = |v: &Matrix, lo: usize, hi: usize| {
+            let mut col = 0;
+            for (panel, keys) in &panels {
+                let v = match *panel {
+                    Panel::Shared(at) => &shared[at].2,
+                    Panel::Prefix => widened(pv, *keys, &mut scratch),
+                    Panel::Own(id) => widened(pool.block(id).values(layer), *keys, &mut scratch),
+                };
+                let hi = col + keys;
                 kernels::av_heads_seg_into(
                     &scores,
-                    lo,
+                    col,
                     hi,
                     v,
                     n_heads,
                     &mut merged,
                     rng.start,
-                    lo > 0,
-                )
-            };
-            if prefix_len > 0 {
-                fold(pv, 0, prefix_len);
-            }
-            let mut col = prefix_len;
-            for (data, filled) in blocks() {
-                fold(&data.v[layer], col, col + filled);
-                col += filled;
+                    col > 0,
+                );
+                col = hi;
             }
         }
         merged

@@ -3,10 +3,10 @@
 //!
 //! A [`KvCache`] stores, per batched sequence, a table of [`BlockId`]s into a
 //! shared [`BlockPool`]: block `j` holds the full-width projected K/V rows of
-//! token positions `[j·B, (j+1)·B)` for *every* layer (`B = block_rows`).
-//! Hook-provided prefix-tuning rows are not copied per sequence any more:
-//! they live once in an `Arc` and attention reads them as a virtual panel in
-//! front of every sequence's blocks.
+//! token positions `[j·B, (j+1)·B)` for *every* layer (`B = block_rows`),
+//! rounded to binary16. Hook-provided prefix-tuning rows are not copied per
+//! sequence: they live once in an `Arc`, in the same format, and attention
+//! reads them as a virtual panel in front of every sequence's blocks.
 //!
 //! Sharing is ref-counted at block granularity. [`KvCache::fork`] /
 //! [`KvCache::gather`] add references instead of copying rows, so an MCQ
@@ -21,15 +21,17 @@
 //! attention·V product block-by-block through single ascending accumulation
 //! chains (`qk_heads_panel` / `av_heads_seg_into` — one row-fold micro-kernel
 //! that walks a block once for every head; K panels are stored transposed so
-//! both fold with lanes across independent outputs), so a sequence read
-//! through its block table produces bit-for-bit the rows a contiguous cache
-//! produced — sharing and layout change storage, never arithmetic.
+//! both fold with lanes across independent outputs) over each panel widened
+//! exactly to f32, so a sequence read through its block table produces
+//! bit-for-bit the rows a contiguous cache of the same rounded rows produced,
+//! and the rows the tape's attention node computes — sharing and layout
+//! change storage, never arithmetic.
 
 use std::cell::Cell;
 use std::sync::Arc;
 
 use infuserki_obs as obs;
-use infuserki_tensor::Matrix;
+use infuserki_tensor::{HalfMatrix, Matrix};
 
 use crate::block_alloc::{BlockId, BlockPool, PoolHandle};
 use crate::exec::Exec;
@@ -100,10 +102,13 @@ impl SeqKv {
             let j = g / b;
             let r0 = g % b;
             let n = (b - r0).min(m - t);
-            let data = pool.block_mut(self.table[j]);
-            for i in 0..n {
-                data.write_token(layer, r0 + i, k.row(src0 + t + i), v.row(src0 + t + i));
-            }
+            let rows = src0 + t..src0 + t + n;
+            pool.block_mut(self.table[j]).write_rows(
+                layer,
+                r0,
+                k.row_span(rows.clone()),
+                v.row_span(rows),
+            );
             t += n;
         }
     }
@@ -115,10 +120,10 @@ impl SeqKv {
 /// ([`crate::Exec::cum_mean_rows`]) — so sharing a block shares both.
 pub struct KvCache {
     pub(crate) pool: PoolHandle,
-    /// Per-layer hook prefix panels, K transposed like a block's
-    /// (`[d_model, prefix_len]`) and V `[prefix_len, d_model]`; zero-length
-    /// when the hook provides none. Shared, never mutated.
-    pub(crate) prefix: Arc<Vec<(Matrix, Matrix)>>,
+    /// Per-layer hook prefix panels in a block's format: binary16, K
+    /// transposed (`[d_model, prefix_len]`) and V `[prefix_len, d_model]`;
+    /// zero-length when the hook provides none. Shared, never mutated.
+    pub(crate) prefix: Arc<Vec<(HalfMatrix, HalfMatrix)>>,
     pub(crate) seqs: Vec<SeqKv>,
     block_rows: usize,
     /// Scratch for [`KvCache::rows_used`]'s distinct-block count, kept so
@@ -151,7 +156,10 @@ impl KvCache {
                     |(k, v)| (k.into_mat(), v.into_mat()),
                 );
                 assert_eq!(k.shape(), v.shape(), "prefix K/V shape mismatch");
-                (k.transposed(), v)
+                (
+                    HalfMatrix::from_matrix(&k.transposed()),
+                    HalfMatrix::from_matrix(&v),
+                )
             })
             .collect();
         KvCache {

@@ -93,6 +93,14 @@ impl ModelPool {
     }
 }
 
+/// Writes `value` as dimension 0 of token 0's layer-0 key: a small integer,
+/// so binary16 holds it exactly.
+fn stamp(pool: &mut BlockPool, id: BlockId, value: f32) {
+    let mut key = [0.0; D];
+    key[0] = value;
+    pool.block_mut(id).write_rows(0, 0, &key, &[0.0; D]);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(1000))]
 
@@ -106,8 +114,9 @@ proptest! {
     ) {
         let mut pool = BlockPool::new(LAYERS, D, B);
         let mut model = ModelPool::new();
-        // Expected k[0][0,0] per live block: stamped at alloc (refs == 1),
-        // inherited through copy-on-write, immutable while shared.
+        // Expected layer-0 key of token 0, dimension 0, per live block:
+        // stamped at alloc (refs == 1), inherited through copy-on-write,
+        // immutable while shared.
         let mut stamps: HashMap<BlockId, f32> = HashMap::new();
         let mut next_stamp = 1.0f32;
 
@@ -117,7 +126,7 @@ proptest! {
                 0 | 1 => {
                     let id = pool.alloc();
                     model.on_alloc(id)?;
-                    pool.block_mut(id).k[0].set(0, 0, next_stamp);
+                    stamp(&mut pool, id, next_stamp);
                     stamps.insert(id, next_stamp);
                     next_stamp += 1.0;
                 }
@@ -149,7 +158,7 @@ proptest! {
                         } else {
                             // Nothing copied: reused storage may be stale,
                             // so stamp the exclusive copy fresh.
-                            pool.block_mut(dst).k[0].set(0, 0, next_stamp);
+                            stamp(&mut pool, dst, next_stamp);
                             stamps.insert(dst, next_stamp);
                             next_stamp += 1.0;
                         }
@@ -197,7 +206,7 @@ proptest! {
         // Contents: every live block still carries the stamp written while
         // it was exclusively owned (sharing never mutated it).
         for &(id, _) in &model.live {
-            prop_assert_eq!(pool.block(id).k[0].get(0, 0), stamps[&id]);
+            prop_assert_eq!(pool.block(id).key(0, 0, 0), stamps[&id]);
         }
 
         // Full retirement drains the pool exactly to zero.

@@ -451,6 +451,8 @@ fn backward_op(node: &Node, nodes: &[Node], gout: &Matrix, grads_before: &mut [O
             prefix,
             n_heads,
             probs,
+            keys,
+            values,
         } => attention_backward(
             nodes,
             gout,
@@ -458,7 +460,7 @@ fn backward_op(node: &Node, nodes: &[Node], gout: &Matrix, grads_before: &mut [O
             [*q, *k, *v],
             *prefix,
             *n_heads,
-            probs,
+            [probs, keys, values],
         ),
         Op::CrossEntropy { logits, targets } => {
             let vl = val(*logits);
@@ -494,7 +496,10 @@ fn backward_op(node: &Node, nodes: &[Node], gout: &Matrix, grads_before: &mut [O
 /// The backward of [`Op::Attention`] for every head at once, bitwise the
 /// per-head graph's (see [`Tape::attention`]): each product is one ascending
 /// `fmadd` chain from `0.0` over the same terms as that graph's matmul arm,
-/// on the all-heads kernels.
+/// on the all-heads kernels. `keys` and `values` are the rows the forward
+/// folded, prefix rows first, rounded through binary16; the products read
+/// them, and each gradient passes through the rounding unchanged to the
+/// node it was rounded from.
 ///
 /// - `dV = Aᵀ·g` and `dK = dSᵀ·Q` ([`kernels::at_heads_into`]) chain over
 ///   the queries;
@@ -504,8 +509,8 @@ fn backward_op(node: &Node, nodes: &[Node], gout: &Matrix, grads_before: &mut [O
 ///   sign comes from `dA`;
 /// - the softmax backward runs on full rows ([`kernels::dot`]'s lane split
 ///   depends on the row length), then the score scale;
-/// - `dQ = dS·K` ([`kernels::av_heads_seg_into`], prefix then sequence)
-///   chains over every key, masked ones included: their signed zeros close
+/// - `dQ = dS·K` ([`kernels::av_heads_seg_into`]) chains over every key,
+///   prefix then sequence, masked ones included: their signed zeros close
 ///   the chain, and can turn a sum that underflowed to `-0.0` into `+0.0`.
 ///
 /// The per-head graph accumulated each input's gradient head by head, each
@@ -522,34 +527,28 @@ fn attention_backward(
     [q, k, v]: [NodeId; 3],
     prefix: Option<(NodeId, NodeId)>,
     n_heads: usize,
-    probs: &Matrix,
+    [probs, keys, values]: [&Matrix; 3],
 ) {
     let val = |id: NodeId| -> &Matrix { nodes[id.index()].value() };
     let needs = |id: NodeId| nodes[id.index()].needs_grad;
     let (n, d) = gout.shape();
-    let keys = probs.cols();
-    let p = keys - n;
+    let total = probs.cols();
+    let p = total - n;
     let (pk, pv) = (prefix.map(|x| x.0), prefix.map(|x| x.1));
     let needs_k = needs(k) || pk.is_some_and(needs);
     let needs_v = needs(v) || pv.is_some_and(needs);
 
     let dv = needs_v.then(|| {
-        let mut dv = Matrix::zeros(keys, d);
+        let mut dv = Matrix::zeros(total, d);
         kernels::at_heads_into(probs, gout, n_heads, &mut dv);
         split_rows(dv, p)
     });
     let ds = (needs(q) || needs_k).then(|| {
-        let mut ds = Matrix::zeros(n * n_heads, keys);
-        let panel = |values: NodeId, keys, ds: &mut Matrix, col| {
-            let vt = nodes[values.index()].transposed();
-            kernels::qk_heads_panel(gout, 0, n, &vt, keys, n_heads, ds, col);
-        };
-        if let Some(pv) = pv {
-            panel(pv, p, &mut ds, 0);
-        }
-        panel(v, n, &mut ds, p);
+        let mut ds = Matrix::zeros(n * n_heads, total);
+        kernels::qk_heads_panel(gout, 0, n, &values.transposed(), total, n_heads, &mut ds, 0);
         let scale = 1.0 / ((d / n_heads) as f32).sqrt();
-        for (g, y) in (ds.data_mut().chunks_exact_mut(keys)).zip(probs.data().chunks_exact(keys)) {
+        for (g, y) in (ds.data_mut().chunks_exact_mut(total)).zip(probs.data().chunks_exact(total))
+        {
             let dotp = kernels::dot(g, y);
             for (g, &y) in g.iter_mut().zip(y) {
                 *g = y * (*g - dotp) * scale;
@@ -558,16 +557,13 @@ fn attention_backward(
         ds
     });
     let dk = ds.as_ref().filter(|_| needs_k).map(|ds| {
-        let mut dk = Matrix::zeros(keys, d);
+        let mut dk = Matrix::zeros(total, d);
         kernels::at_heads_into(ds, val(q), n_heads, &mut dk);
         split_rows(dk, p)
     });
     let dq = ds.as_ref().filter(|_| needs(q)).map(|ds| {
         let mut dq = Matrix::zeros(n, d);
-        if let Some(pk) = pk {
-            kernels::av_heads_seg_into(ds, 0, p, val(pk), n_heads, &mut dq, 0, false);
-        }
-        kernels::av_heads_seg_into(ds, p, keys, val(k), n_heads, &mut dq, 0, p > 0);
+        kernels::av_heads_seg_into(ds, 0, total, keys, n_heads, &mut dq, 0, false);
         dq
     });
     let (dpv, dv) = dv.unzip();

@@ -97,7 +97,9 @@ use std::sync::OnceLock;
 /// `artifacts/` — folds it into its key, so a cached result is never reused
 /// across a numerics change. 2: the softmax family's `exp` is [`exp_fast`].
 /// 3: `Tape::tanh` and the infuser gate are [`tanh_fast`], not libm `tanhf`.
-pub const NUMERICS_VERSION: u32 = 3;
+/// 4: attention folds K, V and prefix rows rounded through binary16, as the
+/// KV cache stores them ([`crate::half`]).
+pub const NUMERICS_VERSION: u32 = 4;
 
 /// Output-row tile height of the register micro-kernel.
 pub(crate) const MR: usize = 8;

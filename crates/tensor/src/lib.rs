@@ -39,6 +39,7 @@ mod base64;
 pub mod batch;
 pub mod check;
 pub mod error;
+pub mod half;
 pub mod infer;
 pub mod init;
 pub mod kernels;
@@ -51,6 +52,7 @@ pub mod tape;
 
 pub use batch::SeqBatch;
 pub use error::TensorError;
+pub use half::HalfMatrix;
 pub use matrix::Matrix;
 pub use op::Op;
 pub use param::{Gradients, Param, ParamId, ParamSet, TrainableSet};

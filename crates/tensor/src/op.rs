@@ -105,6 +105,11 @@ pub enum Op {
         /// The attention probabilities, query-major `[n·n_heads, p+n]`
         /// (row `i·n_heads + h`), kept for the backward.
         probs: Matrix,
+        /// The keys the forward folded, `[p+n, d]`: the prefix keys above
+        /// `k`, rounded through binary16 as the KV cache stores them.
+        keys: Matrix,
+        /// The values the forward folded, `[p+n, d]`, rounded likewise.
+        values: Matrix,
     },
     /// Mean token-level cross-entropy between `logits [n,V]` and `targets`;
     /// produces a `[1,1]` loss. Positions with target == `IGNORE_INDEX`
@@ -259,6 +264,8 @@ mod tests {
             prefix: Some((NodeId(3), NodeId(4))),
             n_heads: 2,
             probs: Matrix::zeros(1, 1),
+            keys: Matrix::zeros(1, 1),
+            values: Matrix::zeros(1, 1),
         };
         assert_eq!(attention.name(), "attention");
         assert_eq!(parents(&attention), (0..5).map(NodeId).collect::<Vec<_>>());

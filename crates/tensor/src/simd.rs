@@ -4,7 +4,8 @@
 //! fallback and the semantic reference; this module adds explicit
 //! `std::arch` AVX2 and AVX-512 micro-kernels for the hot inner loops
 //! (matmul column strips, the attention all-heads row fold, GELU, `exp`,
-//! the row softmax and the fused int8 dequant-matmul strips of
+//! the row softmax, the binary16 narrow / widen of cached K/V rows
+//! ([`crate::half`]) and the fused int8 dequant-matmul strips of
 //! [`crate::quant`]), selected once per kernel call by [`active_isa`].
 //!
 //! # Tier selection
@@ -58,7 +59,7 @@ pub const ISA_ENV: &str = "INFUSERKI_ISA";
 pub enum Isa {
     /// The portable scalar/autovec kernels (always available).
     Scalar,
-    /// Explicit 256-bit `std::arch` kernels (requires AVX2).
+    /// Explicit 256-bit `std::arch` kernels (requires AVX2 and F16C).
     Avx2,
     /// Explicit 512-bit `std::arch` kernels (requires AVX-512F + AVX2).
     Avx512,
@@ -96,8 +97,12 @@ pub fn parse_isa(raw: &str) -> Result<Isa, String> {
 pub fn supported(isa: Isa) -> bool {
     match isa {
         Isa::Scalar => true,
+        // The tier's binary16 narrow / widen are F16C instructions.
         #[cfg(target_arch = "x86_64")]
-        Isa::Avx2 => std::arch::is_x86_feature_detected!("avx2"),
+        Isa::Avx2 => {
+            std::arch::is_x86_feature_detected!("avx2")
+                && std::arch::is_x86_feature_detected!("f16c")
+        }
         #[cfg(target_arch = "x86_64")]
         Isa::Avx512 => {
             std::arch::is_x86_feature_detected!("avx512f")
@@ -625,6 +630,101 @@ pub(crate) mod x86 {
                     _ => fold_group512::<4>(a, b, out, g),
                 }
             }
+        }
+    }
+
+    // ---- binary16 narrow / widen --------------------------------------------
+
+    /// [`crate::half::narrow`] on F16C: 8 lanes per `vcvtps2ph`, rounding to
+    /// nearest even. The last partial chunk is a masked load and a store
+    /// through a stack copy, so no element past either slice is touched.
+    ///
+    /// # Safety
+    /// Requires AVX2 and F16C. `src` and `dst` must have equal lengths.
+    #[target_feature(enable = "avx2,f16c")]
+    pub unsafe fn narrow_avx2(src: &[f32], dst: &mut [u16]) {
+        let n = src.len();
+        let (sp, dp) = (src.as_ptr(), dst.as_mut_ptr());
+        let mut i = 0;
+        while i + 8 <= n {
+            let h = _mm256_cvtps_ph::<_MM_FROUND_TO_NEAREST_INT>(_mm256_loadu_ps(sp.add(i)));
+            _mm_storeu_si128(dp.add(i) as *mut __m128i, h);
+            i += 8;
+        }
+        if i < n {
+            let x = _mm256_maskload_ps(sp.add(i), mask256(n - i));
+            let mut buf = [0u16; 8];
+            let h = _mm256_cvtps_ph::<_MM_FROUND_TO_NEAREST_INT>(x);
+            _mm_storeu_si128(buf.as_mut_ptr() as *mut __m128i, h);
+            dst[i..].copy_from_slice(&buf[..n - i]);
+        }
+    }
+
+    /// [`crate::half::widen`] on F16C: 8 lanes per `vcvtph2ps`; the last
+    /// partial chunk loads through a stack copy and stores masked.
+    ///
+    /// # Safety
+    /// Requires AVX2 and F16C. `src` and `dst` must have equal lengths.
+    #[target_feature(enable = "avx2,f16c")]
+    pub unsafe fn widen_avx2(src: &[u16], dst: &mut [f32]) {
+        let n = src.len();
+        let (sp, dp) = (src.as_ptr(), dst.as_mut_ptr());
+        let mut i = 0;
+        while i + 8 <= n {
+            let x = _mm256_cvtph_ps(_mm_loadu_si128(sp.add(i) as *const __m128i));
+            _mm256_storeu_ps(dp.add(i), x);
+            i += 8;
+        }
+        if i < n {
+            let mut buf = [0u16; 8];
+            buf[..n - i].copy_from_slice(&src[i..]);
+            let x = _mm256_cvtph_ps(_mm_loadu_si128(buf.as_ptr() as *const __m128i));
+            _mm256_maskstore_ps(dp.add(i), mask256(n - i), x);
+        }
+    }
+
+    /// 16-lane form of [`narrow_avx2`].
+    ///
+    /// # Safety
+    /// Requires AVX-512F. `src` and `dst` must have equal lengths.
+    #[target_feature(enable = "avx2,avx512f")]
+    pub unsafe fn narrow_avx512(src: &[f32], dst: &mut [u16]) {
+        let n = src.len();
+        let (sp, dp) = (src.as_ptr(), dst.as_mut_ptr());
+        let mut i = 0;
+        while i + 16 <= n {
+            let h = _mm512_cvtps_ph::<_MM_FROUND_TO_NEAREST_INT>(_mm512_loadu_ps(sp.add(i)));
+            _mm256_storeu_si256(dp.add(i) as *mut __m256i, h);
+            i += 16;
+        }
+        if i < n {
+            let x = _mm512_maskz_loadu_ps(mask512(n - i), sp.add(i));
+            let mut buf = [0u16; 16];
+            let h = _mm512_cvtps_ph::<_MM_FROUND_TO_NEAREST_INT>(x);
+            _mm256_storeu_si256(buf.as_mut_ptr() as *mut __m256i, h);
+            dst[i..].copy_from_slice(&buf[..n - i]);
+        }
+    }
+
+    /// 16-lane form of [`widen_avx2`].
+    ///
+    /// # Safety
+    /// Requires AVX-512F. `src` and `dst` must have equal lengths.
+    #[target_feature(enable = "avx2,avx512f")]
+    pub unsafe fn widen_avx512(src: &[u16], dst: &mut [f32]) {
+        let n = src.len();
+        let (sp, dp) = (src.as_ptr(), dst.as_mut_ptr());
+        let mut i = 0;
+        while i + 16 <= n {
+            let x = _mm512_cvtph_ps(_mm256_loadu_si256(sp.add(i) as *const __m256i));
+            _mm512_storeu_ps(dp.add(i), x);
+            i += 16;
+        }
+        if i < n {
+            let mut buf = [0u16; 16];
+            buf[..n - i].copy_from_slice(&src[i..]);
+            let x = _mm512_cvtph_ps(_mm256_loadu_si256(buf.as_ptr() as *const __m256i));
+            _mm512_mask_storeu_ps(dp.add(i), mask512(n - i), x);
         }
     }
 

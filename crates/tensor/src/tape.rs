@@ -18,6 +18,7 @@ use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
 
+use crate::half;
 use crate::infer;
 use crate::kernels;
 use crate::matrix::Matrix;
@@ -425,12 +426,16 @@ impl Tape {
     /// Causal multi-head attention of `q` over `k`/`v` (`[n,d]` each), with
     /// `prefix`'s `(K, V)` rows (`[p,d]` each) prepended to every head's keys
     /// and values and visible to every query: one [`Op::Attention`] node for
-    /// every head. The forward runs the KV-cached engine's kernels over the
-    /// sequence as one panel — [`kernels::qk_heads_panel`],
-    /// [`kernels::softmax_heads_causal_in_place`] and
-    /// [`kernels::av_heads_seg_into`], prefix first — so each row is bitwise
-    /// the engine's, and bitwise the per-head graph of slices, `q_h·k_hᵀ`,
-    /// scale, causal mask, softmax, `·v_h` and concatenation.
+    /// every head. The keys and values it folds are the ones the KV cache
+    /// stores: K, V and the prefix rows rounded through binary16 once
+    /// ([`half::round_slice`]), kept on the node for the backward, which
+    /// passes their gradients straight through the rounding. The forward
+    /// runs the KV-cached engine's kernels over the sequence as one panel —
+    /// [`kernels::qk_heads_panel`], [`kernels::softmax_heads_causal_in_place`]
+    /// and [`kernels::av_heads_seg_into`], prefix rows first — so each row is
+    /// bitwise the engine's, and bitwise the per-head graph of slices over
+    /// the rounded rows, `q_h·k_hᵀ`, scale, causal mask, softmax, `·v_h` and
+    /// concatenation.
     ///
     /// # Panics
     /// Panics on mismatched shapes or `d` not divisible by `n_heads`.
@@ -454,22 +459,27 @@ impl Tape {
             }
             rows
         });
-        let keys = p + n;
-        let scale = 1.0 / ((d / n_heads) as f32).sqrt();
-        let mut probs = Matrix::zeros(n * n_heads, keys);
-        let panel = |kt: &Matrix, keys, probs: &mut Matrix, col| {
-            kernels::qk_heads_panel(vq, 0, n, kt, keys, n_heads, probs, col)
+        // The prefix rows above the sequence's, as the cache reads them.
+        let cached = |prefix_rows: Option<NodeId>, rows: NodeId| {
+            let mut m = match prefix_rows {
+                Some(pr) => {
+                    let mut m = self.value(pr).clone();
+                    m.append_rows(self.value(rows));
+                    m
+                }
+                None => self.value(rows).clone(),
+            };
+            half::round_slice(m.data_mut());
+            m
         };
-        if let Some((pk, _)) = prefix {
-            panel(&self.nodes[pk.index()].transposed(), p, &mut probs, 0);
-        }
-        panel(&self.nodes[k.index()].transposed(), n, &mut probs, p);
+        let keys = cached(prefix.map(|x| x.0), k);
+        let values = cached(prefix.map(|x| x.1), v);
+        let scale = 1.0 / ((d / n_heads) as f32).sqrt();
+        let mut probs = Matrix::zeros(n * n_heads, p + n);
+        kernels::qk_heads_panel(vq, 0, n, &keys.transposed(), p + n, n_heads, &mut probs, 0);
         kernels::softmax_heads_causal_in_place(&mut probs, n_heads, p, scale);
         let mut out = Matrix::zeros(n, d);
-        if let Some((_, pv)) = prefix {
-            kernels::av_heads_seg_into(&probs, 0, p, self.value(pv), n_heads, &mut out, 0, false);
-        }
-        kernels::av_heads_seg_into(&probs, p, keys, self.value(v), n_heads, &mut out, 0, p > 0);
+        kernels::av_heads_seg_into(&probs, 0, p + n, &values, n_heads, &mut out, 0, false);
         self.push(
             Op::Attention {
                 q,
@@ -478,6 +488,8 @@ impl Tape {
                 prefix,
                 n_heads,
                 probs,
+                keys,
+                values,
             },
             out,
         )

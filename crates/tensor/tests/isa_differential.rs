@@ -1,8 +1,9 @@
 //! ISA-dispatch differential suite: every dispatched kernel, run under every
 //! tier the host supports, must be **bit-for-bit** the scalar tier's output —
 //! across ragged shapes (proptest), at the banded thread counts, and for the
-//! fused int8 dequant-matmul, and for the gradients of a hooked LM loss, so
-//! the backward's products dispatch by tier too. Plus the loud-failure
+//! fused int8 dequant-matmul, for the binary16 narrow / widen of cached K/V
+//! rows, and for the gradients of a hooked LM loss, so the backward's
+//! products dispatch by tier too. Plus the loud-failure
 //! contract of the `INFUSERKI_ISA` knob: an invalid value aborts with a
 //! clear message (checked end-to-end in a subprocess), never a silent
 //! fallback.
@@ -10,9 +11,9 @@
 use infuserki_core::{InfuserKiConfig, InfuserKiMethod};
 use infuserki_nn::layers::Module;
 use infuserki_nn::{LmSample, ModelConfig, TransformerLm};
-use infuserki_tensor::{kernels, quant, simd, Matrix, Param, Tape};
+use infuserki_tensor::{half, kernels, quant, simd, Matrix, Param, Tape};
 use proptest::prelude::*;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::sync::Mutex;
 
@@ -371,6 +372,93 @@ fn tanh_slice_bitwise_across_tiers_at_every_length() {
                 );
             }
         }
+    }
+}
+
+/// The binary16 narrow / widen pair that stores and reads cached K/V rows:
+/// every tier bitwise equal to the scalar software conversion. `narrow` over
+/// sampled `u32` bit patterns (uniform, and concentrated on the exponents a
+/// half can hold) plus the edges — both zeros, half subnormals and the
+/// ties around them, 65504, 65520 (which rounds to +inf), both infinities
+/// and NaN payloads, quiet and signalling — once whole and at every length
+/// 1..=40 so each vector tail meets them; `widen` over all 65 536 halves.
+#[test]
+fn half_narrow_and_widen_bitwise_across_tiers() {
+    let _g = guard();
+    let sub = |m: u32| f32::from_bits(0x3380_0000) * m as f32; // m · 2^-24
+    let mut xs: Vec<f32> = vec![
+        0.0,
+        -0.0,
+        sub(1),
+        -sub(1),
+        sub(3),
+        sub(1023),
+        sub(1024),
+        f32::from_bits(0x3300_0000), // 2^-25: ties to zero
+        f32::from_bits(0x3300_0001),
+        sub(1) * 1.5, // ties to 2^-23
+        f32::from_bits(0x3280_0000),
+        65504.0,
+        65519.996,
+        65520.0,
+        -65520.0,
+        65536.0,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        f32::MIN_POSITIVE,
+        f32::from_bits(1),
+        f32::MAX,
+    ];
+    for bits in [
+        0x7fc0_0000u32,
+        0x7f80_0001,
+        0xffbf_ffff,
+        0x7f80_2000,
+        0xff80_0001,
+        0x7fff_ffff,
+        0x7fa0_1fff,
+    ] {
+        xs.push(f32::from_bits(bits));
+    }
+    let mut rng = ChaCha8Rng::seed_from_u64(44);
+    for _ in 0..20_000 {
+        xs.push(f32::from_bits(rng.next_u32()));
+        let exp = rng.gen_range(97u32..=143);
+        let bits = (rng.next_u32() & 0x8000_0000) | (exp << 23) | (rng.next_u32() & 0x7f_ffff);
+        xs.push(f32::from_bits(bits));
+    }
+    let want: Vec<u16> = xs.iter().map(|&x| half::f32_to_f16(x)).collect();
+    let halves: Vec<u16> = (0..=u16::MAX).collect();
+    let wide: Vec<u32> = halves
+        .iter()
+        .map(|&h| half::f16_to_f32(h).to_bits())
+        .collect();
+    for isa in std::iter::once(simd::Isa::Scalar).chain(simd_tiers()) {
+        under(isa, || {
+            let mut got = vec![0u16; xs.len()];
+            half::narrow(&xs, &mut got);
+            for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                assert_eq!(g, w, "narrow {:08x} on {}", xs[i].to_bits(), isa.name());
+            }
+            let mut back = vec![0.0f32; halves.len()];
+            half::widen(&halves, &mut back);
+            for (h, (b, w)) in halves.iter().zip(back.iter().zip(&wide)) {
+                assert_eq!(b.to_bits(), *w, "widen {h:04x} on {}", isa.name());
+            }
+            for len in 1..=40 {
+                let mut got = vec![0u16; len];
+                half::narrow(&xs[..len], &mut got);
+                assert_eq!(got, want[..len], "narrow, length {len} on {}", isa.name());
+                let mut back = vec![0.0f32; len];
+                half::widen(&want[..len], &mut back);
+                let bits: Vec<u32> = back.iter().map(|b| b.to_bits()).collect();
+                let by_hand: Vec<u32> = want[..len]
+                    .iter()
+                    .map(|&h| half::f16_to_f32(h).to_bits())
+                    .collect();
+                assert_eq!(bits, by_hand, "widen, length {len} on {}", isa.name());
+            }
+        });
     }
 }
 

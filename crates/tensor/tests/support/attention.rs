@@ -1,17 +1,21 @@
 //! The per-head attention graph the tape recorded before `Tape::attention`
 //! fused it into one node, kept as the reference that node must reproduce
-//! bit for bit. Per head `h`: slice `q`, `k`, `v` (and the prefix rows) to
-//! the head's columns, stack the prefix rows above the keys and values,
+//! bit for bit. The keys, values and prefix rows are first rounded through
+//! binary16 (`half::narrow` then `half::widen`), as the KV cache stores
+//! them. Per head `h`: slice `q` and the rounded `k`, `v` (and prefix rows)
+//! to the head's columns, stack the prefix rows above the keys and values,
 //! `q_h·k_hᵀ`, scale by `1/√d_h`, mask, softmax, `·v_h`; then concatenate
 //! the heads. The backward replays that graph's arms in reverse tape order
 //! with the same kernels, each into a fresh matrix as its gradient slot got
 //! one, and accumulates every input's gradient head by head as the slice
-//! nodes did: a zero matrix holding only that head's columns.
+//! nodes did: a zero matrix holding only that head's columns. The rounding
+//! passes gradients straight through, so the slots of `k`, `v` and the
+//! prefix rows take the rounded rows' gradients unchanged.
 //!
 //! Included with `#[path]` by the suites that compare against it.
 #![allow(dead_code)]
 
-use infuserki_tensor::{kernels, Matrix};
+use infuserki_tensor::{half, kernels, Matrix};
 
 /// The attention inputs: `[n,d]` queries, keys and values, and optional
 /// `[p,d]` prefix keys and values.
@@ -21,6 +25,15 @@ pub struct Inputs<'a> {
     pub v: &'a Matrix,
     pub prefix: Option<(&'a Matrix, &'a Matrix)>,
     pub n_heads: usize,
+}
+
+/// `m` through binary16 and back: the rows a KV cache reads.
+fn rounded(m: &Matrix) -> Matrix {
+    let mut bits = vec![0u16; m.len()];
+    half::narrow(m.data(), &mut bits);
+    let mut out = Matrix::zeros(m.rows(), m.cols());
+    half::widen(&bits, out.data_mut());
+    out
 }
 
 /// One head's forward intermediates, as the per-head nodes held them.
@@ -47,11 +60,11 @@ impl Inputs<'_> {
         let p = self.prefix_len();
         let stacked = |prefix: Option<&Matrix>, x: &Matrix| match prefix {
             Some(px) => {
-                let mut m = px.slice_cols(lo, hi);
-                m.append_rows(&x.slice_cols(lo, hi));
+                let mut m = rounded(&px.slice_cols(lo, hi));
+                m.append_rows(&rounded(&x.slice_cols(lo, hi)));
                 m
             }
-            None => x.slice_cols(lo, hi),
+            None => rounded(&x.slice_cols(lo, hi)),
         };
         let qh = self.q.slice_cols(lo, hi);
         let kh = stacked(self.prefix.map(|x| x.0), self.k);
